@@ -33,6 +33,9 @@ class AssetProcess:
     name: str
     values: Mapping[int, float]
 
+    def __post_init__(self):
+        object.__setattr__(self, "values", {v: float(x) for v, x in self.values.items()})
+
     def validate(self, tree: FiltrationTree) -> None:
         missing = [v for v in range(tree.n_nodes) if v not in self.values]
         if missing:
@@ -487,13 +490,9 @@ def constrained_price(tree: FiltrationTree, assets: Sequence[AssetProcess],
         asset.validate(tree)
 
     values: dict[int, float] = dict(x.values)
-    above = set()
-    for b in x.at.cut:
-        v = tree.parents[b]
-        while v is not None and v not in above:
-            above.add(v)
-            v = tree.parents[v]
-    for node in sorted(above, key=lambda v: -tree.times[v]):
+    for node in tree.between(tree.root, x.at.cut):
+        if node in x.at.cut:
+            continue
         children = tree.children[node]
         k = len(children)
         cons: list[tuple[list[float], str, float]] = []

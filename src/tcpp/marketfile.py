@@ -231,27 +231,27 @@ def serialize_market(md: MarketData) -> str:
         par = tree.parents[v]
         out.append(f"node {v} {tree.times[v]} {'-' if par is None else par}")
     for leaf in tree.leaves:
-        out.append(f"weight {leaf} {tree.leaf_weights[leaf]!r}")
+        out.append(f"weight {leaf} {float(tree.leaf_weights[leaf])!r}")
     if md.model is not None:
         for node in sorted(md.model.menus):
             for e in md.model.menus[node]:
-                ker = " ".join(repr(p) for p in e.kernel)
-                out.append(f"menu {node} kernel {ker} penalty {e.penalty!r}")
+                ker = " ".join(repr(float(p)) for p in e.kernel)
+                out.append(f"menu {node} kernel {ker} penalty {float(e.penalty)!r}")
     for asset in md.assets:
         for v in range(tree.n_nodes):
-            out.append(f"asset {asset.name} {v} {asset.values[v]!r}")
+            out.append(f"asset {asset.name} {v} {float(asset.values[v])!r}")
     for q in md.quotes:
-        out.append(f"quote {q.name} bid {q.bid!r} ask {q.ask!r}")
+        out.append(f"quote {q.name} bid {float(q.bid)!r} ask {float(q.ask)!r}")
         for v in q.payoff.at.sorted():
-            out.append(f"payoff {q.name} {v} {q.payoff.values[v]!r}")
+            out.append(f"payoff {q.name} {v} {float(q.payoff.values[v])!r}")
     if md.caps is not None:
         if md.caps.default is not None:
-            out.append(f"cap * {md.caps.default!r}")
+            out.append(f"cap * {float(md.caps.default)!r}")
         for node in sorted(md.caps.per_node):
-            out.append(f"cap {node} {md.caps.per_node[node]!r}")
+            out.append(f"cap {node} {float(md.caps.per_node[node])!r}")
     if md.constraint_set is not None:
         for vert in md.constraint_set.vertices:
-            out.append("vertex " + " ".join(repr(x) for x in vert))
+            out.append("vertex " + " ".join(repr(float(x)) for x in vert))
     default = Settings()
     for f in dataclasses.fields(Settings):
         val = getattr(md.settings, f.name)

@@ -6,7 +6,9 @@ only backs test oracles and witness searches; it is exponential and capped.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
@@ -14,21 +16,11 @@ import numpy as np
 from .errors import EnumerationOverflow, TcppError
 from .report import CheckReport
 from .scenario import (MeasureSelection, MenuEntry, PenaltyProcess,
-                       ScenarioModel, subtree_duals)
+                       ScenarioModel, minimal_penalty, subtree_duals)
 from .settings import DEFAULT, Settings
 from .tree import (Claim, FiltrationTree, Measure, StoppingTime,
                    conditional_expectation, lift, precedes,
                    validate_stopping_time)
-
-
-def _ancestors_of_cut(tree: FiltrationTree, cut: frozenset[int]) -> set[int]:
-    out: set[int] = set()
-    for b in cut:
-        v = tree.parents[b]
-        while v is not None and v not in out:
-            out.add(v)
-            v = tree.parents[v]
-    return out
 
 
 def backward_pass(model: ScenarioModel, at: StoppingTime,
@@ -40,8 +32,9 @@ def backward_pass(model: ScenarioModel, at: StoppingTime,
     """
     tree = model.tree
     values: dict[int, np.ndarray] = {b: np.asarray(rows[b], dtype=float) for b in at.cut}
-    above = _ancestors_of_cut(tree, at.cut)
-    for node in sorted(above, key=lambda v: -tree.times[v]):
+    for node in tree.between(tree.root, at.cut):
+        if node in at.cut:
+            continue
         stack = np.stack([values[c] for c in tree.children[node]])
         best = None
         for entry in model.menus[node]:
@@ -60,23 +53,6 @@ def price(model: ScenarioModel, x: Claim, sigma: StoppingTime) -> Claim:
         raise TcppError("pricing time must precede the claim's stopping time")
     values = backward_pass(model, x.at, {b: np.array([v]) for b, v in x.values.items()})
     return Claim(sigma, {a: float(values[a][0]) for a in sigma.cut})
-
-
-def price_policy(model: ScenarioModel, x: Claim,
-                 sigma: StoppingTime) -> tuple[Claim, dict[int, int]]:
-    """Price together with the lowest-index argmax entry at every node."""
-    tree = model.tree
-    values = backward_pass(model, x.at, {b: np.array([v]) for b, v in x.values.items()})
-    policy: dict[int, int] = {}
-    for node in _ancestors_of_cut(tree, x.at.cut):
-        best, arg = None, 0
-        for i, entry in enumerate(model.menus[node]):
-            v = sum(entry.kernel[j] * float(values[c][0])
-                    for j, c in enumerate(tree.children[node])) - entry.penalty
-            if best is None or v > best + 1e-15:
-                best, arg = v, i
-        policy[node] = arg
-    return Claim(sigma, {a: float(values[a][0]) for a in sigma.cut}), policy
 
 
 def price_enumerated(model: ScenarioModel, x: Claim, sigma: StoppingTime,
@@ -130,17 +106,6 @@ class Evaluator(Protocol):
     def price(self, x: Claim, sigma: StoppingTime) -> Claim: ...
 
 
-class ModelEvaluator:
-    """Backward-induction evaluator of a scenario model."""
-
-    def __init__(self, model: ScenarioModel):
-        self.model = model
-        self.tree = model.tree
-
-    def price(self, x: Claim, sigma: StoppingTime) -> Claim:
-        return price(self.model, x, sigma)
-
-
 class TabularEvaluator:
     """Family of measures with penalties tabulated per stopping-time pair.
 
@@ -154,20 +119,6 @@ class TabularEvaluator:
         self.kernels = kernels
         self.table = table
 
-    def _mass_on(self, entry: int, node: int, tau: StoppingTime) -> dict[int, float]:
-        out: dict[int, float] = {}
-
-        def walk(v: int, m: float) -> None:
-            if v in tau.cut:
-                out[v] = out.get(v, 0.0) + m
-                return
-            ker = self.kernels[entry][v]
-            for i, c in enumerate(self.tree.children[v]):
-                walk(c, m * ker[i])
-
-        walk(node, 1.0)
-        return out
-
     def price(self, x: Claim, sigma: StoppingTime) -> Claim:
         key = (sigma.cut, x.at.cut)
         if key not in self.table:
@@ -177,7 +128,7 @@ class TabularEvaluator:
         for a in sigma.cut:
             best = None
             for i in range(len(self.kernels)):
-                mass = self._mass_on(i, a, x.at)
+                mass = self.tree.forward_mass(a, x.at.cut, self.kernels[i].__getitem__)
                 v = sum(mass.get(b, 0.0) * x.values[b] for b in x.at.cut)
                 v -= pens[i].values[a]
                 best = v if best is None else max(best, v)
@@ -310,8 +261,7 @@ def check_axioms(model: ScenarioModel, samples: Sequence[tuple[Claim, Claim]],
         for t in range(t_max + 1):
             sig_atoms = [a for a in sigma_nodes if tree.times[a] == t]
             z = {a: rng.uniform(-2.0, 2.0) for a in sig_atoms}
-            anc_of = {b: next(a for a in sig_atoms if tree.is_ancestor(a, b))
-                      for b in atoms}
+            anc_of = tree.owners(sig_atoms, atoms)
             shift = np.array([[z[anc_of[b]]] * k for b in atoms])
             vt = backward_pass(model, tau, rows(X + shift))
             for a in sig_atoms:
@@ -392,8 +342,9 @@ def check_time_consistency(evaluator: ScenarioModel | Evaluator,
                            samples: Sequence[Claim],
                            tol: float = 1e-9) -> CheckReport:
     """Compare direct pricing against two-step composition over each chain."""
-    ev = ModelEvaluator(evaluator) if isinstance(evaluator, ScenarioModel) else evaluator
-    tree = ev.tree
+    evaluate = (partial(price, evaluator) if isinstance(evaluator, ScenarioModel)
+                else evaluator.price)
+    tree = evaluator.tree
     report = CheckReport(check="time consistency", passed=True)
     for ci, (nu, sigma, tau) in enumerate(chains):
         if not (precedes(tree, nu, sigma) and precedes(tree, sigma, tau)):
@@ -401,8 +352,8 @@ def check_time_consistency(evaluator: ScenarioModel | Evaluator,
         for si, x in enumerate(samples):
             if x.at != tau:
                 continue
-            direct = ev.price(x, nu)
-            composed = ev.price(ev.price(x, sigma), nu)
+            direct = evaluate(x, nu)
+            composed = evaluate(evaluate(x, sigma), nu)
             for a in nu.cut:
                 gap = abs(direct.values[a] - composed.values[a])
                 if gap > tol:
@@ -421,16 +372,17 @@ def random_stopping_time(tree: FiltrationTree, rng: np.random.Generator,
     lo = lo if lo is not None else StoppingTime.at_root(tree)
     hi = hi if hi is not None else StoppingTime.at_horizon(tree)
     cut: list[int] = []
-
-    def walk(v: int, started: bool) -> None:
-        inside = started or v in lo.cut
-        if inside and (v in hi.cut or rng.random() < stop_prob):
+    # preorder, left to right, skipping the subtree below each stop
+    i, inside_until = 0, 0
+    while i < tree.n_nodes:
+        v = tree.preorder[i]
+        if v in lo.cut:
+            inside_until = max(inside_until, tree.exit[v])
+        if i < inside_until and (v in hi.cut or rng.random() < stop_prob):
             cut.append(v)
-            return
-        for c in tree.children[v]:
-            walk(c, inside)
-
-    walk(tree.root, False)
+            i = tree.exit[v]
+        else:
+            i += 1
     return StoppingTime.of(cut)
 
 
@@ -491,7 +443,6 @@ def check_supermartingale(model: ScenarioModel, x: Claim, r: Measure,
 
 def minimal_penalty_root(model: ScenarioModel, r: Measure,
                          settings: Settings = DEFAULT) -> float:
-    from .scenario import minimal_penalty
     tree = model.tree
     claim = minimal_penalty(model, r, StoppingTime.at_root(tree),
                             StoppingTime.at_horizon(tree), settings)
@@ -500,33 +451,32 @@ def minimal_penalty_root(model: ScenarioModel, r: Measure,
 
 def enumerate_stop_sets(tree: FiltrationTree, node: int, tau: StoppingTime,
                         settings: Settings = DEFAULT) -> list[tuple[int, ...]]:
-    """All antichains below ``node`` stopping at or before tau."""
+    """All antichains below ``node`` stopping at or before tau.
 
-    def count(v: int) -> int:
+    Each node's list is itself, then every combination of its children's
+    lists, the first child varying slowest."""
+    order = tree.between(node, tau.cut)
+    count: dict[int, int] = {}
+    for v in order:
         if v in tau.cut:
-            return 1
-        n = 1
-        for c in tree.children[v]:
-            n *= count(c)
-        return 1 + n
-
-    total = count(node)
-    if total > settings.max_enum:
+            count[v] = 1
+        else:
+            count[v] = 1 + math.prod(count[c] for c in tree.children[v])
+    if count[node] > settings.max_enum:
         raise EnumerationOverflow(
-            f"{total} stopping times below node {node} exceed the cap")
+            f"{count[node]} stopping times below node {node} exceed the cap")
 
-    def rec(v: int) -> list[tuple[int, ...]]:
+    sets: dict[int, list[tuple[int, ...]]] = {}
+    for v in order:
         if v in tau.cut:
-            return [(v,)]
-        out: list[tuple[int, ...]] = [(v,)]
+            sets[v] = [(v,)]
+            continue
         combos: list[tuple[int, ...]] = [()]
         for c in tree.children[v]:
-            sub = rec(c)
+            sub = sets.pop(c)
             combos = [base + s for base in combos for s in sub]
-        out.extend(combos)
-        return out
-
-    return rec(node)
+        sets[v] = [(v,)] + combos
+    return sets[node]
 
 
 @dataclass
@@ -549,24 +499,25 @@ def american_price(model: ScenarioModel, payoff: Mapping[int, float],
     tree = model.tree
     if not precedes(tree, nu, tau):
         raise TcppError("american_price requires nu <= tau")
-    needed = {v for a in nu.cut for v in _nodes_between(tree, a, tau)}
-    missing = sorted(v for v in needed if v not in payoff)
+    order = [v for a in nu.cut for v in tree.between(a, tau.cut)]
+    missing = sorted({v for v in order if v not in payoff})
     if missing:
         raise TcppError(f"payoff process undefined on nodes {missing}")
 
     vals: dict[int, float] = {}
     best_sets: dict[int, tuple[int, ...]] = {}
     for a in nu.cut:
+        rest = tuple(nu.cut - {a})      # completes each stop set to a cut
         best = None
         for stop in enumerate_stop_sets(tree, a, tau, settings):
-            sub_rows = {v: np.array([payoff[v]]) for v in stop}
-            v = backward_pass(model, StoppingTime.of(stop), sub_rows)[a][0]
+            sub_rows = {v: np.array([payoff[v]]) for v in stop + rest}
+            v = backward_pass(model, StoppingTime.of(stop + rest), sub_rows)[a][0]
             if best is None or v > best + 0.0:
                 best, best_sets[a] = float(v), stop
         vals[a] = best
 
     induction: dict[int, float] = {}
-    for v in sorted(needed, key=lambda u: -tree.times[u]):
+    for v in order:
         if v in tau.cut:
             induction[v] = payoff[v]
         else:
@@ -580,17 +531,3 @@ def american_price(model: ScenarioModel, payoff: Mapping[int, float],
     val_claim = Claim(nu, vals)
     agree = val_claim.allclose(ind_claim, 1e-9)
     return AmericanResult(val_claim, ind_claim, agree, best_sets)
-
-
-def _nodes_between(tree: FiltrationTree, node: int, tau: StoppingTime) -> set[int]:
-    out: set[int] = set()
-
-    def walk(v: int) -> None:
-        out.add(v)
-        if v in tau.cut:
-            return
-        for c in tree.children[v]:
-            walk(c)
-
-    walk(node)
-    return out

@@ -59,7 +59,7 @@ class ScenarioModel:
                 s = sum(e.kernel)
                 if abs(s - 1.0) > 1e-9:
                     raise TcppError(f"kernel {idx} at node {node} sums to {s!r}")
-                out.append(MenuEntry(tuple(max(0.0, p) for p in e.kernel),
+                out.append(MenuEntry(tuple(max(0.0, float(p)) for p in e.kernel),
                                      float(e.penalty)))
             cleaned[node] = tuple(out)
         self.menus = cleaned
@@ -104,12 +104,6 @@ class MeasureSelection:
     def of(choice: Mapping[int, int]) -> "MeasureSelection":
         return MeasureSelection(tuple(sorted(choice.items())))
 
-    def index(self, node: int) -> int:
-        for v, i in self.choice:
-            if v == node:
-                return i
-        raise TcppError(f"selection has no entry for node {node}")
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.choice)
 
@@ -150,27 +144,9 @@ def selection_to_measure(model: ScenarioModel, sel: MeasureSelection) -> Measure
     """Density per leaf: product of chosen kernel weights along the path / P."""
     tree = model.tree
     choice = _check_selection(model, sel)
-    density = {}
-    for leaf in tree.leaves:
-        mass = 1.0
-        path = tree.path(leaf)
-        for a, b in zip(path, path[1:]):
-            entry = model.menus[a][choice[a]]
-            mass *= entry.kernel[tree.children[a].index(b)]
-        density[leaf] = mass / tree.leaf_weights[leaf]
-    return Measure(density)
-
-
-def _below_cut(tree: FiltrationTree, tau: StoppingTime) -> set[int]:
-    """Nodes with an ancestor-or-self in the cut."""
-    out: set[int] = set()
-    for a in tau.cut:
-        stack = [a]
-        while stack:
-            v = stack.pop()
-            out.add(v)
-            stack.extend(tree.children[v])
-    return out
+    mass = tree.forward_mass(tree.root, frozenset(tree.leaves),
+                             lambda v: model.menus[v][choice[v]].kernel)
+    return Measure({leaf: mass[leaf] / tree.leaf_weights[leaf] for leaf in tree.leaves})
 
 
 def cumulative_penalties(model: ScenarioModel, sel: MeasureSelection,
@@ -186,12 +162,9 @@ def cumulative_penalties(model: ScenarioModel, sel: MeasureSelection,
         tau = StoppingTime.at_horizon(tree)
     else:
         validate_stopping_time(tree, tau)
-    stopped = _below_cut(tree, tau)
-    g: dict[int, float] = {}
-    for node in sorted(range(tree.n_nodes), key=lambda v: -tree.times[v]):
-        if node in stopped:
-            g[node] = 0.0
-        else:
+    g = dict.fromkeys(range(tree.n_nodes), 0.0)
+    for node in tree.between(tree.root, tau.cut):
+        if node not in tau.cut:
             entry = model.menus[node][choice[node]]
             g[node] = entry.penalty + sum(
                 entry.kernel[i] * g[c] for i, c in enumerate(tree.children[node]))
@@ -250,38 +223,25 @@ def check_cocycle(penalty: PenaltyProcess, model: ScenarioModel,
                        f"continuation {expect:.12g}")
 
     # deterministic-time identity: supplied horizon cumulants joined by
-    # model aggregates over (t0 -> t1) for every deterministic pair t0 <= t1 < T
+    # model aggregates over (t0 -> t1) for every deterministic pair t0 < t1 < T.
+    # For one t1, backward induction from the supplied values at t1 gives
+    # the right-hand side at every earlier node at once.
+    levels: list[list[int]] = [[] for _ in range(tree.horizon + 1)]
+    for v in range(tree.n_nodes):
+        levels[tree.times[v]].append(v)
     det_ok = True
-    for t0 in range(tree.horizon):
-        for t1 in range(t0, tree.horizon):
-            cut1 = StoppingTime.at_time(tree, t1)
-            leg = cumulative_penalties(model, penalty.selection, cut1)
-            for a in tree.nodes_at(t0):
-                cond = _conditional_mass_on(model, choice, a, cut1)
-                rhs = leg[a] + sum(m * vals[b] for b, m in cond.items())
-                if abs(vals[a] - rhs) > max(tol, 1e-9):
+    for t1 in range(1, tree.horizon):
+        rhs = {b: vals[b] for b in levels[t1]}
+        for t0 in range(t1 - 1, -1, -1):
+            for v in levels[t0]:
+                entry = model.menus[v][choice[v]]
+                rhs[v] = entry.penalty + sum(
+                    w * rhs[c] for w, c in zip(entry.kernel, tree.children[v]))
+                if abs(vals[v] - rhs[v]) > max(tol, 1e-9):
                     det_ok = False
     report.info["deterministic_passed"] = det_ok
     report.info["stopping_time_passed"] = report.passed
     return report
-
-
-def _conditional_mass_on(model: ScenarioModel, choice: Mapping[int, int],
-                         node: int, tau: StoppingTime) -> dict[int, float]:
-    """Chosen-kernel mass of each tau atom below ``node``, conditional on it."""
-    tree = model.tree
-    out: dict[int, float] = {}
-
-    def walk(v: int, mass: float) -> None:
-        if v in tau.cut:
-            out[v] = out.get(v, 0.0) + mass
-            return
-        entry = model.menus[v][choice[v]]
-        for i, c in enumerate(tree.children[v]):
-            walk(c, mass * entry.kernel[i])
-
-    walk(node, 1.0)
-    return out
 
 
 def subtree_duals(model: ScenarioModel, node: int, tau: StoppingTime,
@@ -292,26 +252,24 @@ def subtree_duals(model: ScenarioModel, node: int, tau: StoppingTime,
     the count is the product of menu sizes, capped by ``settings.max_enum``.
     """
     tree = model.tree
-    stopped = _below_cut(tree, tau)
+    order = tree.between(node, tau.cut)
+    count: dict[int, int] = {}
+    for v in order:
+        if v in tau.cut:
+            count[v] = 1
+        else:
+            count[v] = len(model.menus[v]) * math.prod(count[c] for c in tree.children[v])
+    if count[node] > settings.max_enum:
+        raise EnumerationOverflow(f"{count[node]} selections below node {node} "
+                                  f"exceed the cap {settings.max_enum}")
 
-    def count(v: int) -> int:
-        if v in stopped:
-            return 1
-        n = len(model.menus[v])
-        for c in tree.children[v]:
-            n *= count(c)
-        return n
-
-    total = count(node)
-    if total > settings.max_enum:
-        raise EnumerationOverflow(
-            f"{total} selections below node {node} exceed the cap {settings.max_enum}")
-
-    def rec(v: int) -> list[tuple[dict[int, float], float]]:
-        if v in stopped:
-            return [({v: 1.0}, 0.0)]
+    duals: dict[int, list[tuple[dict[int, float], float]]] = {}
+    for v in order:
+        if v in tau.cut:
+            duals[v] = [({v: 1.0}, 0.0)]
+            continue
         out = []
-        child_lists = [rec(c) for c in tree.children[v]]
+        child_lists = [duals.pop(c) for c in tree.children[v]]
         for entry in model.menus[v]:
             combos: list[tuple[dict[int, float], float]] = [({}, entry.penalty)]
             for i, c in enumerate(tree.children[v]):
@@ -325,9 +283,8 @@ def subtree_duals(model: ScenarioModel, node: int, tau: StoppingTime,
                         nxt.append((merged, base_p + w * p))
                 combos = nxt
             out.extend(combos)
-        return out
-
-    return rec(node)
+        duals[v] = out
+    return duals[node]
 
 
 def minimal_penalty(model: ScenarioModel, r: Measure, sigma: StoppingTime,

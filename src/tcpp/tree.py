@@ -4,12 +4,23 @@ Nodes are integers 0..N-1 with a single root at time 0; leaves all sit at
 the horizon and carry the strictly positive reference weights P.  Stopping
 times are antichains of nodes hit exactly once by every root-to-leaf path,
 so measurability is structural rather than numerical.
+
+Every ancestry question goes through one index built when the tree is:
+the preorder interval ``[enter[v], exit[v])`` of each node, so that ``a``
+is an ancestor-or-self of ``b`` exactly when ``b``'s entry falls inside
+``a``'s interval.  A cut is a stopping time when its intervals are
+disjoint and their leaf counts add up to the number of leaves; the owner
+of a node in a cut is found by bisection over the cut's sorted entries;
+and ``between`` lists the nodes from a top node down to a cut level by
+level, which is the order of every backward induction.  No walk recurses,
+so depth is bounded by memory, not by Python's recursion limit.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -62,16 +73,29 @@ class FiltrationTree:
         self.leaf_weights = {v: float(leaf_weights[v]) for v in self.leaves}
         self.leaf_index = {v: i for i, v in enumerate(self.leaves)}
 
-        # derived structures used throughout
-        self._subtree_leaves: list[tuple[int, ...]] = [() for _ in range(n)]
-        for node in self._postorder():
-            if not self.children[node]:
-                self._subtree_leaves[node] = (node,)
-            else:
+        # preorder intervals: the subtree of v is preorder[enter[v]:exit[v]]
+        order, stack = [], [self.root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(reversed(self.children[v]))
+        self.preorder = tuple(order)
+        self.enter = [0] * n
+        self.exit = [0] * n
+        for i, v in enumerate(order):
+            self.enter[v] = i
+        self._subtree_leaves: list[tuple[int, ...]] = [()] * n
+        for v in reversed(order):    # children before parents
+            kids = self.children[v]
+            if kids:
+                self.exit[v] = self.exit[kids[-1]]
                 acc: list[int] = []
-                for c in self.children[node]:
-                    acc.extend(self._subtree_leaves[c])
-                self._subtree_leaves[node] = tuple(acc)
+                for c in kids:
+                    acc += self._subtree_leaves[c]
+                self._subtree_leaves[v] = tuple(acc)
+            else:
+                self.exit[v] = self.enter[v] + 1
+                self._subtree_leaves[v] = (v,)
         self._p_mass = [sum(self.leaf_weights[v] for v in self._subtree_leaves[u])
                         for u in range(n)]
 
@@ -99,20 +123,55 @@ class FiltrationTree:
 
     def is_ancestor(self, a: int, b: int) -> bool:
         """True when a is an ancestor of b or equal to it."""
-        while b is not None and self.times[b] >= self.times[a]:
-            if b == a:
-                return True
-            b = self.parents[b]
-        return False
+        return self.enter[a] <= self.enter[b] < self.exit[a]
+
+    def owners(self, nu: Iterable[int], nodes: Iterable[int]) -> dict[int, int | None]:
+        """Ancestor-or-self of each node among ``nu``, or None where there is
+        none; where ``nu`` nests, the outermost one."""
+        starts: list[int] = []
+        tops: list[int] = []
+        end = 0
+        for a in sorted(nu, key=self.enter.__getitem__):
+            if self.enter[a] >= end:
+                starts.append(self.enter[a])
+                tops.append(a)
+                end = self.exit[a]
+        out: dict[int, int | None] = {}
+        for b in nodes:
+            i = bisect_right(starts, self.enter[b]) - 1
+            out[b] = tops[i] if i >= 0 and self.enter[b] < self.exit[tops[i]] else None
+        return out
+
+    def between(self, top: int, cut: frozenset[int] | set[int]) -> list[int]:
+        """Nodes from ``top`` down to the cut (or to the leaves where a path
+        misses it), both ends included, deepest level first."""
+        levels = []
+        level = [top]
+        while level:
+            levels.append(level)
+            level = [c for v in level if v not in cut for c in self.children[v]]
+        return [v for level in reversed(levels) for v in level]
+
+    def forward_mass(self, top: int, cut: frozenset[int],
+                     kernel: Callable[[int], Sequence[float]]) -> dict[int, float]:
+        """Mass that the one-step ``kernel(v)`` laws carry from ``top`` to
+        each cut node below it: the product of weights along the path."""
+        mass = {top: 1.0}
+        out: dict[int, float] = {}
+        for v in reversed(self.between(top, cut)):
+            m = mass.pop(v)
+            if v in cut:
+                out[v] = m
+            else:
+                for w, c in zip(kernel(v), self.children[v]):
+                    mass[c] = m * w
+        return out
 
     def path(self, leaf: int) -> tuple[int, ...]:
         out = [leaf]
         while self.parents[out[-1]] is not None:
             out.append(self.parents[out[-1]])
         return tuple(reversed(out))
-
-    def _postorder(self) -> Iterable[int]:
-        return sorted(range(self.n_nodes), key=lambda v: -self.times[v])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FiltrationTree)
@@ -185,11 +244,22 @@ def validate_stopping_time(tree: FiltrationTree, tau: StoppingTime) -> None:
     for v in tau.cut:
         if not 0 <= v < tree.n_nodes:
             raise ForeignNode(f"stopping time references node {v} outside the tree")
-    for leaf in tree.leaves:
-        hits = [v for v in tree.path(leaf) if v in tau.cut]
-        if len(hits) != 1:
-            raise TcppError(
-                f"path to leaf {leaf} meets the cut {len(hits)} times, expected 1")
+    leaves, end = 0, 0
+    for v in sorted(tau.cut, key=tree.enter.__getitem__):
+        if tree.enter[v] < end:
+            break
+        end = tree.exit[v]
+        leaves += len(tree.subtree_leaves(v))
+    else:
+        if leaves == len(tree.leaves):
+            return
+    # name the first leaf whose path misses the cut or meets it twice
+    hits = dict.fromkeys(tree.leaves, 0)
+    for v in tau.cut:
+        for leaf in tree.subtree_leaves(v):
+            hits[leaf] += 1
+    leaf = next(leaf for leaf in tree.leaves if hits[leaf] != 1)
+    raise TcppError(f"path to leaf {leaf} meets the cut {hits[leaf]} times, expected 1")
 
 
 def sigma_algebra_nodes(tree: FiltrationTree, tau: StoppingTime) -> frozenset[int]:
@@ -200,7 +270,7 @@ def sigma_algebra_nodes(tree: FiltrationTree, tau: StoppingTime) -> frozenset[in
 
 def precedes(tree: FiltrationTree, nu: StoppingTime, tau: StoppingTime) -> bool:
     """nu <= tau nodewise: each tau node has an ancestor-or-self in nu."""
-    return all(any(tree.is_ancestor(a, b) for a in nu.cut) for b in tau.cut)
+    return None not in tree.owners(nu.cut, tau.cut).values()
 
 
 @dataclass(frozen=True)
@@ -246,21 +316,12 @@ class Claim:
         return max(abs(self.values[v] - other.values[v]) for v in self.at.cut)
 
 
-def claim_min(a: Claim, b: Claim) -> Claim:
-    if a.at != b.at:
-        raise TcppError("pointwise min requires a common stopping time")
-    return Claim(a.at, {v: min(a.values[v], b.values[v]) for v in a.at.cut})
-
-
 def lift(tree: FiltrationTree, z: Claim, tau: StoppingTime) -> Claim:
     """Extend a claim at nu to a finer stopping time tau >= nu by copying down."""
     if not precedes(tree, z.at, tau):
         raise TcppError("can only lift a claim to a later stopping time")
-    vals = {}
-    for b in tau.cut:
-        src = [a for a in z.at.cut if tree.is_ancestor(a, b)]
-        vals[b] = z.values[src[0]]
-    return Claim(tau, vals)
+    owner = tree.owners(z.at.cut, tau.cut)
+    return Claim(tau, {b: z.values[owner[b]] for b in tau.cut})
 
 
 def lift_to_leaves(tree: FiltrationTree, x: Claim) -> np.ndarray:
@@ -319,14 +380,16 @@ def conditional_expectation(tree: FiltrationTree, q: Measure, x: Claim,
     """
     if not precedes(tree, sigma, x.at):
         raise TcppError("conditioning time must precede the claim's stopping time")
+    below: dict[int, list[int]] = {a: [] for a in sigma.cut}
+    for b, a in tree.owners(sigma.cut, x.at.cut).items():
+        below[a].append(b)
     vals = {}
     for a in sigma.cut:
-        below = [b for b in x.at.cut if tree.is_ancestor(a, b)]
         mass_a = q.mass(tree, a)
         if mass_a <= 0.0:
             vals[a] = math.nan
         else:
-            vals[a] = sum(x.values[b] * q.mass(tree, b) for b in below) / mass_a
+            vals[a] = sum(x.values[b] * q.mass(tree, b) for b in below[a]) / mass_a
     return Claim(sigma, vals)
 
 

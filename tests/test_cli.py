@@ -1,11 +1,14 @@
 """Market-file parsing, serializer round trip, and command dispatch."""
 import os
 
+import numpy as np
 import pytest
 
+from gen import random_claim, random_model, random_tree
 from tcpp.cli import main
 from tcpp.errors import MarketFileError
-from tcpp.marketfile import (parse_claim_text, parse_market_file,
+from tcpp.market import AssetProcess, GoodDealCaps, QuotedOption
+from tcpp.marketfile import (MarketData, parse_claim_text, parse_market_file,
                              parse_market_text, serialize_market)
 
 DEMOS = os.path.join(os.path.dirname(__file__), "..", "demos")
@@ -60,6 +63,22 @@ def test_unknown_record_rejected():
 def test_round_trip_is_identity_on_demo_files():
     for path in (BINOMIAL, TRINOMIAL):
         md = parse_market_file(path)
+        text = serialize_market(md)
+        again = parse_market_text(text)
+        assert again == md
+        assert serialize_market(again) == text
+
+
+def test_round_trip_of_models_built_from_numpy_values():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        tree = random_tree(rng)
+        asset = AssetProcess("S", dict(enumerate(rng.uniform(0.5, 2.0, tree.n_nodes))))
+        payoff = random_claim(rng, tree)
+        bid, ask = np.sort(rng.uniform(-1.0, 1.0, 2))
+        md = MarketData(tree, random_model(rng, tree), [asset],
+                        [QuotedOption("q", payoff, bid, ask)],
+                        GoodDealCaps(np.float64(1.5), {tree.root: np.float64(2.0)}))
         text = serialize_market(md)
         again = parse_market_text(text)
         assert again == md

@@ -255,6 +255,24 @@ def test_american_induction_agreement_reported_not_assumed():
         assert res.optimal  # witnesses recorded
 
 
+def test_american_from_a_later_cut():
+    rng = np.random.default_rng(41)
+    tree = FiltrationTree.binomial(3)
+    model = random_model(rng, tree, sublinear=True)
+    payoff = {v: float(rng.uniform(0, 2)) for v in range(tree.n_nodes)}
+    nu = StoppingTime.of([1, 5, 6])
+    tau = StoppingTime.at_horizon(tree)
+    res = american_price(model, payoff, nu, tau)
+    for a in nu.cut:
+        rest = [b for b in nu.cut if b != a]
+        best = max(price(model, Claim(StoppingTime.of(stop + tuple(rest)),
+                                      {v: payoff[v] for v in stop + tuple(rest)}),
+                         nu).values[a]
+                   for stop in enumerate_stop_sets(tree, a, tau))
+        assert abs(res.value.values[a] - best) <= 1e-12
+    assert res.agree
+
+
 def test_deterministic_chains_pass_but_random_sigma_fails():
     from tcpp.pricing import deterministic_vs_stopping_counterexample
     evaluator, mixed = deterministic_vs_stopping_counterexample()
