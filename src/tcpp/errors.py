@@ -29,6 +29,10 @@ class EnumerationOverflow(TcppError):
     """Selection or stopping-time enumeration exceeds the configured cap."""
 
 
+class NegativePenalty(TcppError):
+    """A menu entry carries a negative penalty where nonnegative ones are required."""
+
+
 class InconsistentVerdicts(TcppError):
     """The four no-free-lunch characterizations disagree: an implementation bug."""
 

@@ -1,8 +1,17 @@
 """No-free-lunch verdicts through each of the four equivalent characterizations.
 
-Strict inequalities (the "equivalent measure" part) never reach the LP
-solver: they are recast as max-min problems whose optimal value doubles as
-a robustness margin.
+Menus chosen independently per node make the scenario family stable under
+pasting and its penalties additive, so with nonnegative penalties the
+verdict is decided edge by edge, without enumerating selections or solving
+a global LP: the model has no free lunch exactly when every internal node
+has a zero-penalty entry and those entries together charge every child.
+The free-lunch certificate is a scaled indicator of the leaves below the
+first uncharged edge; the measure certificate is the product of each
+node's uniform mixture of zero-penalty kernels.  Both cost
+O(nodes x menu x arity).  :func:`nfl_verdict` then corroborates the
+certificate: its minimal penalty, the martingale sandwich on sampled claims
+and stopping times, and sampled zero-cost strategies.  A model with a
+negative penalty is rejected with :class:`NegativePenalty`.
 """
 from __future__ import annotations
 
@@ -10,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InconsistentVerdicts, TcppError
-from .lp import EQ, GE, LinearProgram, solve
+from .errors import InconsistentVerdicts, NegativePenalty, TcppError
 from .pricing import price, random_stopping_time
 from .report import CheckReport
-from .scenario import ScenarioModel, minimal_penalty, subtree_duals
+from .scenario import (MenuEntry, ScenarioModel, minimal_penalty,
+                       uncharged_edges, uniform_mixture)
 from .settings import DEFAULT, Settings
 from .tree import (Claim, FiltrationTree, Measure, StoppingTime,
                    conditional_expectation, lift, precedes)
@@ -41,105 +50,69 @@ class FreeLunchCertificate:
             raise TcppError("a measure certificate must carry exactly a measure")
 
 
-def _root_duals(model: ScenarioModel, settings: Settings) -> list[tuple[np.ndarray, float]]:
-    """Leaf-mass vector and aggregated root penalty of every selection."""
-    tree = model.tree
-    horizon = StoppingTime.at_horizon(tree)
-    out = []
-    for masses, pen in subtree_duals(model, tree.root, horizon, settings):
-        vec = np.zeros(len(tree.leaves))
-        for leaf, m in masses.items():
-            vec[tree.leaf_index[leaf]] = m
-        out.append((vec, pen))
-    return out
+def _zero_penalty_family(model: ScenarioModel,
+                         settings: Settings) -> dict[int, list[MenuEntry]]:
+    """Entries of penalty at most ``feasibility_tol`` at each internal node.
+
+    The node-local criteria below hold for nonnegative penalties only, so a
+    negative one is rejected here, naming its node.
+    """
+    for node, entries in sorted(model.menus.items()):
+        for idx, e in enumerate(entries):
+            if e.penalty < 0.0:
+                raise NegativePenalty(
+                    f"menu entry {idx} at node {node} has negative penalty "
+                    f"{e.penalty!r}; no-free-lunch needs nonnegative penalties")
+    return {node: [e for e in entries if e.penalty <= settings.feasibility_tol]
+            for node, entries in model.menus.items()}
 
 
 def find_static_free_lunch(model: ScenarioModel,
                            settings: Settings = DEFAULT) -> FreeLunchCertificate | None:
-    """Search the closed cone of nonpositively priced claims for X >= 0, X != 0.
+    """A nonnegative nonzero claim with nonpositive root ask, or None.
 
-    Two LPs cover the cone: first the unit-scale program min over the claim
-    simplex of the worst dual value, then (because the cone is generated by
-    arbitrarily small multiples, under which positive penalties vanish) the
-    zero-penalty game whose optimizer certifies a small-scale free lunch.
+    Take the first edge (v, c) in preorder that the zero-penalty entries at
+    v leave uncharged (see :func:`uncharged_edges`).  With eps the smallest
+    positive penalty at v (1 if there is none), eps times the indicator of
+    the leaves below c costs nothing: zero-penalty entries give it no
+    weight, and every other entry pays at least eps to charge it.  Where v
+    has no zero-penalty entry at all, the claim covers every leaf below v.
     """
     tree = model.tree
-    duals = _root_duals(model, settings)
-    nl = len(tree.leaves)
     tol = settings.feasibility_tol
-
-    # scale-1 program: min t, t >= E_i(X) - alpha_i, X in the simplex
-    lp = LinearProgram(
-        objective=[0.0] * nl + [1.0],
-        constraints=[(list(-vec) + [1.0], GE, -pen) for vec, pen in duals]
-        + [([1.0] * nl + [0.0], EQ, 1.0)],
-        lower=[0.0] * nl + [-np.inf],
-        sense="min",
-    )
-    sol = solve(lp, settings)
-    if sol.status == "optimal" and sol.value <= tol:
-        x = sol.point[:nl]
-        claim = Claim(StoppingTime.at_horizon(tree),
-                      {leaf: float(x[tree.leaf_index[leaf]]) for leaf in tree.leaves})
+    zero = _zero_penalty_family(model, settings)
+    edges = uncharged_edges(model, zero, settings.equivalence_floor)
+    if not edges:
+        return None
+    v, c = edges[0]
+    top = c if zero[v] else v
+    eps = min((e.penalty for e in model.menus[v] if e.penalty > tol), default=1.0)
+    claim = Claim(StoppingTime.at_horizon(tree),
+                  {b: eps if tree.is_ancestor(top, b) else 0.0 for b in tree.leaves})
+    root_price = price(model, claim, StoppingTime.at_root(tree)).values[tree.root]
+    if root_price <= tol:
         return FreeLunchCertificate("static-arbitrage-claim", claim=claim)
-
-    # small-scale program over the zero-penalty selections only
-    zero_vecs = [vec for vec, pen in duals if pen <= tol]
-    lp2 = LinearProgram(
-        objective=[0.0] * nl + [1.0],
-        constraints=[(list(-vec) + [1.0], GE, 0.0) for vec in zero_vecs]
-        + [([1.0] * nl + [0.0], EQ, 1.0)],
-        lower=[0.0] * nl + [-np.inf],
-        sense="min",
-    )
-    sol2 = solve(lp2, settings)
-    if sol2.status == "optimal" and sol2.value <= tol:
-        x = sol2.point[:nl]
-        # scale down until positive-penalty selections price it at <= 0
-        scale = 1.0
-        for vec, pen in duals:
-            ev = float(vec @ x)
-            if pen > tol and ev > tol:
-                scale = min(scale, pen / (2.0 * ev))
-        claim = Claim(StoppingTime.at_horizon(tree),
-                      {leaf: float(scale * x[tree.leaf_index[leaf]])
-                       for leaf in tree.leaves})
-        root_price = price(model, claim, StoppingTime.at_root(tree)).values[tree.root]
-        if root_price <= tol:
-            return FreeLunchCertificate("static-arbitrage-claim", claim=claim)
     return None
 
 
 def find_zero_penalty_equivalent_measure(model: ScenarioModel,
                                          settings: Settings = DEFAULT) -> Measure | None:
-    """Best uniformly charged mixture of the zero-penalty selections.
+    """Product over nodes of each node's uniform mixture of its zero-penalty
+    kernels, or None when that mixture leaves some edge uncharged.
 
-    Maximizes the minimum leaf mass over mixtures; a strictly positive
-    optimum yields an equivalent measure whose minimal penalty vanishes by
-    convexity of the conjugate.
+    Each one-step conjugate vanishes at such a mixture by convexity, so the
+    minimal penalty, their R-expectation, does too.  Charging is decided per
+    edge against ``equivalence_floor``, the same test the static search
+    makes, so the two cannot disagree on deep trees whose leaf masses, as
+    products of many edge weights, fall below the floor.
     """
     tree = model.tree
-    duals = _root_duals(model, settings)
-    zero_vecs = [vec for vec, pen in duals if pen <= settings.feasibility_tol]
-    if not zero_vecs:
+    zero = _zero_penalty_family(model, settings)
+    if uncharged_edges(model, zero, settings.equivalence_floor):
         return None
-    k = len(zero_vecs)
-    nl = len(tree.leaves)
-    lp = LinearProgram(
-        objective=[0.0] * k + [1.0],
-        constraints=[([float(v[i]) for v in zero_vecs] + [-1.0], GE, 0.0)
-                     for i in range(nl)]
-        + [([1.0] * k + [0.0], EQ, 1.0)],
-        sense="max",
-    )
-    sol = solve(lp, settings)
-    if sol.status != "optimal" or sol.value <= settings.equivalence_floor:
-        return None
-    lam = sol.point[:k]
-    masses = np.zeros(nl)
-    for w, vec in zip(lam, zero_vecs):
-        masses += w * vec
-    return Measure.from_leaf_masses(tree, masses)
+    mass = tree.forward_mass(tree.root, frozenset(tree.leaves),
+                             lambda v: uniform_mixture(zero[v]))
+    return Measure.from_leaf_masses(tree, mass)
 
 
 @dataclass
@@ -221,7 +194,8 @@ def nfl_verdict(model: ScenarioModel, seed: int = 0, n_samples: int = 50,
     sampling, and return the joint verdict with its certificate.
 
     Disagreement raises :class:`InconsistentVerdicts`: the equivalence is a
-    theorem, so divergence can only mean an implementation bug.
+    theorem, so divergence can only mean an implementation bug.  A negative
+    penalty raises :class:`NegativePenalty`.
     """
     tree = model.tree
     root = StoppingTime.at_root(tree)
@@ -260,8 +234,8 @@ def nfl_verdict(model: ScenarioModel, seed: int = 0, n_samples: int = 50,
         for i in range(n_strategies):
             strat = sample_zero_cost(model, seed=seed + 1 + i,
                                      n_swaps=int(rng.integers(0, 3)))
-            ev = float(measure.leaf_masses(tree) @
-                       [strat.payoff(tree).values[b] for b in tree.leaves])
+            payoff = strat.payoff(tree)
+            ev = float(measure.leaf_masses(tree) @ [payoff.values[b] for b in tree.leaves])
             if ev > tol:
                 checks.add(f"strategy {i}",
                            f"zero-cost payoff has positive expectation {ev!r}")

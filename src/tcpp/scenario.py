@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-import numpy as np
-
 from .errors import EnumerationOverflow, TcppError
 from .lp import EQ, LinearProgram, solve
 from .report import CheckReport
@@ -287,56 +285,95 @@ def subtree_duals(model: ScenarioModel, node: int, tau: StoppingTime,
     return duals[node]
 
 
+def _one_step_conjugate(entries: Sequence[MenuEntry], kernel: Sequence[float],
+                        settings: Settings) -> float:
+    """Least mixture penalty of menu entries whose kernels mix to ``kernel``:
+    the conjugate of the one-step map max_j (q_j . x - p_j), +inf outside
+    the convex hull of the menu kernels."""
+    lp = LinearProgram(
+        objective=[e.penalty for e in entries],
+        constraints=[([e.kernel[i] for e in entries], EQ, q) for i, q in enumerate(kernel)]
+        + [([1.0] * len(entries), EQ, 1.0)],
+        sense="min",
+    )
+    sol = solve(lp, settings)
+    return math.inf if sol.status == "infeasible" else sol.value
+
+
 def minimal_penalty(model: ScenarioModel, r: Measure, sigma: StoppingTime,
                     tau: StoppingTime, settings: Settings = DEFAULT) -> Claim:
     """Convex conjugate of the pricing map at R, atom by atom.
 
-    Values are in [0, +inf]; +inf marks atoms where R's conditional law
-    falls outside the convex hull of the menu-generated laws, and NaN marks
-    atoms R does not charge (the conjugate is an R-a.s. object).
+    Menus chosen independently per node make penalties add up along the
+    tree (the cocycle), so the conjugate between sigma and tau is E_R of the
+    one-step conjugates at R's conditional kernels on the nodes from sigma
+    down to tau: one LP over the node's menu per node R charges.  Values
+    are in [0, +inf]; +inf marks atoms below which one of R's conditional
+    kernels falls outside the convex hull of the menu kernels, and NaN
+    marks atoms R does not charge (the conjugate is an R-a.s. object).
     """
     tree = model.tree
     if not precedes(tree, sigma, tau):
         raise TcppError("minimal_penalty requires sigma <= tau")
+    mass = dict(zip(tree.leaves, r.leaf_masses(tree).tolist()))
+    for v in reversed(tree.preorder):
+        if tree.children[v]:
+            mass[v] = sum(mass[c] for c in tree.children[v])
     vals: dict[int, float] = {}
     for a in sigma.cut:
-        mass_a = r.mass(tree, a)
-        if mass_a <= 0.0:
+        if mass[a] <= 0.0:
             vals[a] = math.nan
             continue
-        duals = subtree_duals(model, a, tau, settings)
-        atoms = sorted({b for m, _ in duals for b in m})
-        target = np.array([r.mass(tree, b) / mass_a for b in atoms])
-        lp = LinearProgram(
-            objective=[p for _, p in duals],
-            constraints=[
-                ([m.get(b, 0.0) for m, _ in duals], EQ, target[i])
-                for i, b in enumerate(atoms)
-            ] + [([1.0] * len(duals), EQ, 1.0)],
-            sense="min",
-        )
-        sol = solve(lp, settings)
-        vals[a] = math.inf if sol.status == "infeasible" else max(0.0, sol.value)
+        total = 0.0
+        for v in tree.between(a, tau.cut):
+            if v in tau.cut or mass[v] <= 0.0:
+                continue
+            kernel = [mass[c] / mass[v] for c in tree.children[v]]
+            total += mass[v] * _one_step_conjugate(model.menus[v], kernel, settings)
+            if total == math.inf:
+                break
+        vals[a] = max(0.0, total / mass[a])
     return Claim(sigma, vals)
+
+
+def uniform_mixture(entries: Sequence[MenuEntry]) -> tuple[float, ...]:
+    """Kernel of the equal-weight mixture of the entries' kernels."""
+    return tuple(sum(col) / len(entries) for col in zip(*(e.kernel for e in entries)))
+
+
+def uncharged_edges(model: ScenarioModel, family: Mapping[int, Sequence[MenuEntry]],
+                    floor: float = 0.0) -> list[tuple[int, int]]:
+    """Edges (v, c), in preorder of v, to which the uniform mixture of the
+    entries ``family[v]`` gives weight at most ``floor``; every edge of a
+    node whose family is empty is listed.
+
+    With ``floor`` 0, a leaf is charged by some selection of family entries
+    exactly when no edge on its path is listed, so the union of selection
+    supports is decided edge by edge without enumeration.
+    """
+    tree = model.tree
+    out = []
+    for v in tree.preorder:
+        kids = tree.children[v]
+        if not kids:
+            continue
+        weights = uniform_mixture(family[v]) if family[v] else (0.0,) * len(kids)
+        out.extend((v, c) for w, c in zip(weights, kids) if w <= floor)
+    return out
 
 
 def check_nondegenerate(model: ScenarioModel) -> CheckReport:
     """Pass iff every leaf is charged by at least one selection.
 
     A leaf dies exactly when some edge on its path gets zero weight from
-    every menu entry at the edge's tail; the union of selection supports is
-    then checkable edge by edge without enumeration.
+    every menu entry at the edge's tail; each dead leaf is reported with the
+    topmost such edge.
     """
     tree = model.tree
     report = CheckReport(check="non-degeneracy", passed=True)
-    dead = []
-    for leaf in tree.leaves:
-        path = tree.path(leaf)
-        for a, b in zip(path, path[1:]):
-            i = tree.children[a].index(b)
-            if max(e.kernel[i] for e in model.menus[a]) <= 0.0:
-                dead.append((leaf, a, b))
-                break
+    tail = {c: v for v, c in uncharged_edges(model, model.menus)}
+    dead = [(leaf, tail[c], c) for leaf, c in tree.owners(tail, tree.leaves).items()
+            if c is not None]
     for leaf, a, b in dead:
         report.add(f"leaf {leaf}",
                    f"every kernel at node {a} kills the edge to node {b}")

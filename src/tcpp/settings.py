@@ -12,7 +12,10 @@ class Settings:
     rank_tol          pivot magnitude below which a tableau entry is treated as zero
     duality_tol       allowed primal-dual objective gap on optimal solves
     equivalence_floor strict-positivity margin below which a measure is not
-                      accepted as equivalent
+                      accepted as equivalent; the no-free-lunch searches apply
+                      it per edge, to each one-step weight, so that leaf
+                      masses on deep trees (products of many edge weights)
+                      may fall below it
     cut_tol           quadratic-constraint violation at which cutting planes stop
     max_enum          cap on enumerated scenario selections / stopping times
     max_cut_rounds    cap on cutting-plane iterations

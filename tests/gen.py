@@ -59,6 +59,15 @@ def killed_leaf_model(rng: np.random.Generator, tree: FiltrationTree,
     return ScenarioModel(tree, menus), leaf
 
 
+def deep_chain_model() -> ScenarioModel:
+    """Two branches of 1200 single-child periods each, deeper than Python's
+    recursion limit; two entries at the root, P's kernel elsewhere."""
+    tree = FiltrationTree.from_branching([2] + [1] * 1200)
+    menus = {v: [MenuEntry(tree.p_kernel(v), 0.0)] for v in tree.internal_nodes()}
+    menus[tree.root] = [MenuEntry((0.5, 0.5), 0.0), MenuEntry((0.8, 0.2), 0.1)]
+    return ScenarioModel(tree, menus)
+
+
 def random_claim(rng: np.random.Generator, tree: FiltrationTree,
                  at: StoppingTime | None = None, scale: float = 2.0) -> Claim:
     at = at if at is not None else StoppingTime.at_horizon(tree)

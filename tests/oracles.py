@@ -6,8 +6,11 @@ import math
 import numpy as np
 
 from tcpp.errors import ForeignNode, TcppError
-from tcpp.scenario import cumulative_penalties
-from tcpp.tree import Claim, StoppingTime
+from tcpp.lp import EQ, GE, LinearProgram, solve
+from tcpp.pricing import price
+from tcpp.scenario import cumulative_penalties, subtree_duals
+from tcpp.settings import DEFAULT
+from tcpp.tree import Claim, Measure, StoppingTime
 
 
 def trinomial_mme_family(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,3 +223,144 @@ def cocycle_deterministic_scan(model, penalty, tol: float = 1e-12) -> bool:
                 if abs(vals[a] - rhs) > max(tol, 1e-9):
                     ok = False
     return ok
+
+
+# -- global formulations of no free lunch and of the minimal penalty ------------
+# The first implementations: every selection enumerated into one dense LP.
+# ``tcpp.nfl`` and ``tcpp.scenario.minimal_penalty`` now answer the same
+# questions node by node; tests require the two to agree.
+
+def root_duals(model, settings=DEFAULT) -> list[tuple[np.ndarray, float]]:
+    """Leaf-mass vector and aggregated root penalty of every selection."""
+    tree = model.tree
+    horizon = StoppingTime.at_horizon(tree)
+    out = []
+    for masses, pen in subtree_duals(model, tree.root, horizon, settings):
+        vec = np.zeros(len(tree.leaves))
+        for leaf, m in masses.items():
+            vec[tree.leaf_index[leaf]] = m
+        out.append((vec, pen))
+    return out
+
+
+def find_static_free_lunch_global(model, settings=DEFAULT) -> Claim | None:
+    """Search the closed cone of nonpositively priced claims for X >= 0, X != 0.
+
+    Two LPs cover the cone: first the unit-scale program min over the claim
+    simplex of the worst dual value, then (because the cone is generated by
+    arbitrarily small multiples, under which positive penalties vanish) the
+    zero-penalty game whose optimizer certifies a small-scale free lunch.
+    """
+    tree = model.tree
+    duals = root_duals(model, settings)
+    nl = len(tree.leaves)
+    tol = settings.feasibility_tol
+
+    # scale-1 program: min t, t >= E_i(X) - alpha_i, X in the simplex
+    lp = LinearProgram(
+        objective=[0.0] * nl + [1.0],
+        constraints=[(list(-vec) + [1.0], GE, -pen) for vec, pen in duals]
+        + [([1.0] * nl + [0.0], EQ, 1.0)],
+        lower=[0.0] * nl + [-np.inf],
+        sense="min",
+    )
+    sol = solve(lp, settings)
+    if sol.status == "optimal" and sol.value <= tol:
+        x = sol.point[:nl]
+        return Claim(StoppingTime.at_horizon(tree),
+                     {leaf: float(x[tree.leaf_index[leaf]]) for leaf in tree.leaves})
+
+    # small-scale program over the zero-penalty selections only; without
+    # any, every claim is a small-scale free lunch (the program is unbounded)
+    zero_vecs = [vec for vec, pen in duals if pen <= tol]
+    lp2 = LinearProgram(
+        objective=[0.0] * nl + [1.0],
+        constraints=[(list(-vec) + [1.0], GE, 0.0) for vec in zero_vecs]
+        + [([1.0] * nl + [0.0], EQ, 1.0)],
+        lower=[0.0] * nl + [-np.inf],
+        sense="min",
+    )
+    sol2 = solve(lp2, settings) if zero_vecs else None
+    if sol2 is None or (sol2.status == "optimal" and sol2.value <= tol):
+        x = np.full(nl, 1.0 / nl) if sol2 is None else sol2.point[:nl]
+        # scale down until positive-penalty selections price it at <= 0
+        scale = 1.0
+        for vec, pen in duals:
+            ev = float(vec @ x)
+            if pen > tol and ev > tol:
+                scale = min(scale, pen / (2.0 * ev))
+        claim = Claim(StoppingTime.at_horizon(tree),
+                      {leaf: float(scale * x[tree.leaf_index[leaf]])
+                       for leaf in tree.leaves})
+        root_price = price(model, claim, StoppingTime.at_root(tree)).values[tree.root]
+        if root_price <= tol:
+            return claim
+    return None
+
+
+def find_zero_penalty_equivalent_measure_global(model, settings=DEFAULT) -> Measure | None:
+    """Best uniformly charged mixture of the zero-penalty selections: the
+    max-min leaf mass over mixtures, accepted above ``equivalence_floor``."""
+    tree = model.tree
+    duals = root_duals(model, settings)
+    zero_vecs = [vec for vec, pen in duals if pen <= settings.feasibility_tol]
+    if not zero_vecs:
+        return None
+    k = len(zero_vecs)
+    nl = len(tree.leaves)
+    lp = LinearProgram(
+        objective=[0.0] * k + [1.0],
+        constraints=[([float(v[i]) for v in zero_vecs] + [-1.0], GE, 0.0)
+                     for i in range(nl)]
+        + [([1.0] * k + [0.0], EQ, 1.0)],
+        sense="max",
+    )
+    sol = solve(lp, settings)
+    if sol.status != "optimal" or sol.value <= settings.equivalence_floor:
+        return None
+    lam = sol.point[:k]
+    masses = np.zeros(nl)
+    for w, vec in zip(lam, zero_vecs):
+        masses += w * vec
+    return Measure.from_leaf_masses(tree, masses)
+
+
+def minimal_penalty_global(model, r, sigma, tau, settings=DEFAULT) -> Claim:
+    """Per sigma atom, the least penalty of a mixture of the selections below
+    it whose law on the tau atoms is R's conditional law."""
+    tree = model.tree
+    vals: dict[int, float] = {}
+    for a in sigma.cut:
+        mass_a = r.mass(tree, a)
+        if mass_a <= 0.0:
+            vals[a] = math.nan
+            continue
+        duals = subtree_duals(model, a, tau, settings)
+        atoms = sorted({b for m, _ in duals for b in m})
+        target = np.array([r.mass(tree, b) / mass_a for b in atoms])
+        lp = LinearProgram(
+            objective=[p for _, p in duals],
+            constraints=[
+                ([m.get(b, 0.0) for m, _ in duals], EQ, target[i])
+                for i, b in enumerate(atoms)
+            ] + [([1.0] * len(duals), EQ, 1.0)],
+            sense="min",
+        )
+        sol = solve(lp, settings)
+        vals[a] = math.inf if sol.status == "infeasible" else max(0.0, sol.value)
+    return Claim(sigma, vals)
+
+
+def dead_leaves_path_walk(model) -> list[tuple[int, int, int]]:
+    """(leaf, a, b) for each leaf whose path has an edge a -> b that every
+    menu entry at a kills, with the first such edge from the root."""
+    tree = model.tree
+    dead = []
+    for leaf in tree.leaves:
+        path = tree.path(leaf)
+        for a, b in zip(path, path[1:]):
+            i = tree.children[a].index(b)
+            if max(e.kernel[i] for e in model.menus[a]) <= 0.0:
+                dead.append((leaf, a, b))
+                break
+    return dead

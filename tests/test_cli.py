@@ -4,12 +4,14 @@ import os
 import numpy as np
 import pytest
 
-from gen import random_claim, random_model, random_tree
+from gen import deep_chain_model, random_claim, random_model, random_tree
 from tcpp.cli import main
 from tcpp.errors import MarketFileError
 from tcpp.market import AssetProcess, GoodDealCaps, QuotedOption
 from tcpp.marketfile import (MarketData, parse_claim_text, parse_market_file,
                              parse_market_text, serialize_market)
+from tcpp.scenario import MenuEntry, ScenarioModel
+from tcpp.tree import FiltrationTree
 
 DEMOS = os.path.join(os.path.dirname(__file__), "..", "demos")
 BINOMIAL = os.path.join(DEMOS, "binomial.market")
@@ -193,7 +195,47 @@ def test_reports_deterministic_given_seed(capsys):
 
 def test_max_enum_env_override(monkeypatch, capsys):
     monkeypatch.setenv("TCPP_MAX_ENUM", "1")
-    code = main(["nfl", "--market", TRINOMIAL])
+    code = main(["american", "--market", BINOMIAL, "--claim", PUT])
     err = capsys.readouterr()
     assert code == 2
     assert "exceed" in err.err
+
+
+def test_nfl_negative_penalty_exits_two(capsys, tmp_path):
+    path = tmp_path / "negative.market"
+    path.write_text(MINIMAL + "menu 0 kernel 0.5 0.5 penalty 0\n"
+                    "menu 0 kernel 0.2 0.8 penalty -0.1\n")
+    code = main(["nfl", "--market", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "node 0" in err and "-0.1" in err
+
+
+def _binomial_two_entries() -> ScenarioModel:
+    rng = np.random.default_rng(5)
+    tree = FiltrationTree.binomial(4)
+    return ScenarioModel(tree, {v: [MenuEntry(tuple(rng.dirichlet([2.0, 2.0])), 0.0),
+                                    MenuEntry(tuple(rng.dirichlet([2.0, 2.0])),
+                                              float(rng.exponential(0.2)))]
+                                for v in tree.internal_nodes()})
+
+
+@pytest.mark.parametrize("case", ["demo", "binomial H=4", "chain H=1201"])
+def test_nfl_enumerates_nothing(case, monkeypatch, capsys, tmp_path):
+    # with the enumeration cap at 1 any enumeration would exit 2
+    if case == "demo":
+        path = BINOMIAL
+    else:
+        model = _binomial_two_entries() if case == "binomial H=4" else deep_chain_model()
+        path = tmp_path / "model.market"
+        path.write_text(serialize_market(MarketData(model.tree, model)))
+    tree = parse_market_file(str(path)).tree
+    monkeypatch.setenv("TCPP_MAX_ENUM", "1")
+    code = main(["nfl", "--market", str(path), "--format", "machine"])
+    out = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
+    assert code == 0
+    assert out["verdict"] == "no-free-lunch"
+    assert out["certificate"] == "zero-penalty-equivalent-measure"
+    density = np.array([float(out[f"density.{leaf}"]) for leaf in tree.leaves])
+    weights = np.array([tree.leaf_weights[leaf] for leaf in tree.leaves])
+    assert density.min() > 0.0 and abs(density @ weights - 1.0) <= 1e-9

@@ -28,7 +28,7 @@ def test_two_kernel_sublinear_model_no_lunch_and_midpoint_measure():
                                      MenuEntry((0.0, 1.0), 0.0)]})
     assert find_static_free_lunch(model) is None
     r = find_zero_penalty_equivalent_measure(model)
-    # best max-min mixture is the midpoint: each leaf carries mass 1/2
+    # the uniform mixture is the midpoint: each leaf carries mass 1/2
     masses = r.leaf_masses(tree)
     assert np.allclose(masses, [0.5, 0.5], atol=1e-9)
 
@@ -143,3 +143,15 @@ def test_nondegenerate_with_zero_penalty_dominated_measure_has_nfl():
     assert check_nondegenerate(model).passed
     rep = nfl_verdict(model)
     assert rep.no_free_lunch
+
+
+def test_positive_minimum_penalty_is_a_free_lunch():
+    # no zero-penalty entry: the constant claim at the smallest penalty is
+    # priced at 0.1 - 0.1 = 0
+    tree = FiltrationTree.binomial(1)
+    model = ScenarioModel(tree, {0: [MenuEntry((0.5, 0.5), 0.1),
+                                     MenuEntry((0.9, 0.1), 0.3)]})
+    rep = nfl_verdict(model)
+    assert not rep.no_free_lunch
+    assert rep.certificate.claim.values == {1: 0.1, 2: 0.1}
+    assert rep.checks.info["certificate_price"] <= 1e-9

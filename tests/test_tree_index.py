@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
-from gen import random_claim, random_model, random_tree
+from gen import deep_chain_model, random_claim, random_model, random_tree
 from tcpp.errors import EnumerationOverflow, TcppError
 from tcpp.nfl import nfl_verdict
 from tcpp.pricing import american_price, enumerate_stop_sets, random_stopping_time
-from tcpp.scenario import (MeasureSelection, MenuEntry, PenaltyProcess, ScenarioModel,
+from tcpp.scenario import (MeasureSelection, PenaltyProcess, ScenarioModel,
                            check_cocycle, minimal_penalty, subtree_duals)
 from tcpp.tree import (FiltrationTree, Measure, StoppingTime, conditional_expectation,
                        lift, precedes, validate_stopping_time)
@@ -143,10 +143,7 @@ def test_cocycle_deterministic_identity_matches_pairwise_scan():
 
 @pytest.fixture(scope="module")
 def chain() -> ScenarioModel:
-    tree = FiltrationTree.from_branching([2] + [1] * 1200)
-    menus = {v: [MenuEntry(tree.p_kernel(v), 0.0)] for v in tree.internal_nodes()}
-    menus[tree.root] = [MenuEntry((0.5, 0.5), 0.0), MenuEntry((0.8, 0.2), 0.1)]
-    return ScenarioModel(tree, menus)
+    return deep_chain_model()
 
 
 def test_deep_chain_enumerations(chain):
