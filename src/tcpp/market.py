@@ -1,9 +1,11 @@
 """Reference assets and spread-reduction machinery over the martingale polytope.
 
-All optimizations run over leaf masses of the closed martingale-measure
+The bounds optimize over leaf masses of the closed martingale-measure
 polytope; suprema over the equivalent (relatively open) measures coincide
 with suprema over the closure for linear objectives, and a max-min-density
-side check reports whether equivalent points exist at all.
+side check reports whether equivalent points exist at all.  Constrained
+pricing needs no global program: each node's hedging step is a small
+matrix game, solved for a whole level at once in array operations.
 """
 from __future__ import annotations
 
@@ -14,8 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (EmptyGoodDealSet, NoMartingaleMeasure, NumericalBreakdown,
-                     TcppError)
+from .errors import (EmptyGoodDealSet, EnumerationOverflow, NoMartingaleMeasure,
+                     NumericalBreakdown, TcppError)
 from .lp import EQ, GE, LE, LinearProgram, solve
 from .pricing import price
 from .report import CheckReport
@@ -35,6 +37,10 @@ class AssetProcess:
 
     def __post_init__(self):
         object.__setattr__(self, "values", {v: float(x) for v, x in self.values.items()})
+        bad = [v for v, x in self.values.items() if not math.isfinite(x)]
+        if bad:
+            raise TcppError(f"asset {self.name}: value {self.values[bad[0]]!r} "
+                            f"at node {bad[0]} is not finite")
 
     def validate(self, tree: FiltrationTree) -> None:
         missing = [v for v in range(tree.n_nodes) if v not in self.values]
@@ -69,6 +75,9 @@ class ConstraintSet:
         if any(len(v) != d for v in vertices):
             raise TcppError("constraint vertices must share one dimension")
         self.vertices = tuple(tuple(float(x) for x in v) for v in vertices)
+        for v in self.vertices:
+            if not all(math.isfinite(x) for x in v):
+                raise TcppError(f"constraint vertex {v} is not finite")
         self.dim = d
 
     def contains_zero(self, settings: Settings = DEFAULT) -> bool:
@@ -477,9 +486,16 @@ def constrained_price(tree: FiltrationTree, assets: Sequence[AssetProcess],
                       settings: Settings = DEFAULT) -> Claim:
     """Backward induction with the one-step upper-variation penalty.
 
-    At each node the scenario kernel ranges over the whole child simplex and
-    pays sup over hedge vertices of h . (E_q dS); the claim's value process
-    at the root is returned.
+    At each node the scenario kernel q ranges over the whole child simplex
+    and pays sup over hedge vertices of h . E_q(dS), so the node's value is
+    the value of the matrix game M[h, c] = V(c) - h . (S(c) - S(node)),
+    max over q of min over h of (M q)_h.  Nodes of one level do not depend
+    on each other, so each (level, arity) group is solved at once in array
+    operations by :func:`_game_bounds`: linear in nodes, no LP per node.
+    The value is the best kernel-guaranteed payoff, certified by the best
+    hedge mixture; a gap between the two above the feasibility tolerance
+    raises :class:`NumericalBreakdown` naming the node.  The claim's value
+    process at the root is returned.
     """
     if len(assets) != h_set.dim:
         raise TcppError("constraint set dimension must match the asset count")
@@ -489,25 +505,96 @@ def constrained_price(tree: FiltrationTree, assets: Sequence[AssetProcess],
     for asset in assets:
         asset.validate(tree)
 
-    values: dict[int, float] = dict(x.values)
+    groups: dict[tuple[int, int], list[int]] = {}   # deepest level first
     for node in tree.between(tree.root, x.at.cut):
-        if node in x.at.cut:
-            continue
-        children = tree.children[node]
-        k = len(children)
-        cons: list[tuple[list[float], str, float]] = []
-        for h in h_set.vertices:
-            # z - sum_c q_c (V(c) - h . S(c)) <= - h . S(node)... rearranged
-            coefs = [-(values[c] - sum(hk * a.values[c] for hk, a in zip(h, assets)))
-                     for c in children] + [1.0]
-            rhs = sum(hk * a.values[node] for hk, a in zip(h, assets))
-            cons.append((coefs, LE, rhs))
-        cons.append(([1.0] * k + [0.0], EQ, 1.0))
-        lp = LinearProgram([0.0] * k + [1.0], cons,
-                           lower=[0.0] * k + [-np.inf], sense="max")
-        sol = solve(lp, settings)
-        if sol.status != "optimal":
-            raise TcppError(f"node LP at {node} is {sol.status}; "
-                            "the constraint set must be compact and contain 0")
-        values[node] = sol.value
-    return Claim(StoppingTime.at_root(tree), {tree.root: values[tree.root]})
+        if node not in x.at.cut:
+            groups.setdefault((tree.times[node], len(tree.children[node])), []).append(node)
+    m = len(h_set.vertices)
+    for t, k in groups:
+        count = sum(math.comb(m, s) * math.comb(k, s)
+                    for s in range(1, min(h_set.dim + 1, m, k) + 1))
+        if count > settings.max_enum:
+            raise EnumerationOverflow(
+                f"{count} game kernels per node at time {t} (arity {k}, {m} "
+                f"vertices) exceed the cap {settings.max_enum}")
+
+    values = np.full(tree.n_nodes, np.nan)
+    for b, v in x.values.items():
+        values[b] = v
+    spot = np.array([[a.values[v] for a in assets] for v in range(tree.n_nodes)],
+                    dtype=float)
+    hedge = np.array(h_set.vertices, dtype=float)
+    for (t, k), nodes in groups.items():
+        kids = np.array([tree.children[v] for v in nodes])
+        drift = spot[kids] - spot[nodes][:, None, :]
+        pay = values[kids][:, None, :] - np.einsum("md,gkd->gmk", hedge, drift)
+        lower, upper = _game_bounds(pay, min(h_set.dim + 1, m, k), settings)
+        ok = (np.isfinite(lower) & np.isfinite(upper)
+              & (upper - lower <= settings.feasibility_tol * (1.0 + np.abs(upper))))
+        if not ok.all():
+            i = int(np.flatnonzero(~ok)[0])
+            raise NumericalBreakdown(
+                f"constrained price at node {nodes[i]}: the kernel value "
+                f"{lower[i]!r} and its hedge certificate {upper[i]!r} disagree")
+        values[nodes] = lower
+    return Claim(StoppingTime.at_root(tree), {tree.root: float(values[tree.root])})
+
+
+# equalizer systems solved per stacked batch; bounds the working memory
+_BATCH = 1 << 16
+
+
+def _game_bounds(pay: np.ndarray, size: int,
+                 settings: Settings) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on the values of a stack of matrix games
+    ``pay[g]``, whose rows minimize and whose columns maximize.
+
+    Shapley and Snow: an optimal pair of strategies is the pair of
+    equalizing mixtures of some square kernel of the matrix.  Every kernel
+    of up to ``size`` rows and columns is tried; a mixture counts only if it
+    lies in the simplex to the feasibility tolerance, and it is evaluated
+    against the whole matrix after clipping, so lower <= value <= upper
+    holds whatever the solves return, with equality once a kernel of an
+    optimal pair is among those tried.  ``size`` may stop at one more than
+    the rank of the row differences.
+    """
+    g, m, k = pay.shape
+    step = max(1, _BATCH // g)
+    lower = np.full(g, -np.inf)
+    upper = np.full(g, np.inf)
+    for s in range(1, size + 1):
+        pairs = np.array([r + c for r in itertools.combinations(range(m), s)
+                          for c in itertools.combinations(range(k), s)])
+        for lo in range(0, len(pairs), step):
+            rows, cols = pairs[lo:lo + step, :s], pairs[lo:lo + step, s:]
+            sub = pay[:, rows[:, :, None], cols[:, None, :]]
+            q, q_ok = _equalizer(sub, settings)
+            lam, lam_ok = _equalizer(sub.swapaxes(-1, -2), settings)
+            guard = np.einsum("gmKs,gKs->gKm", pay[:, :, cols], q).min(axis=2)
+            cap = np.einsum("gKsk,gKs->gKk", pay[:, rows, :], lam).max(axis=2)
+            lower = np.maximum(lower, np.where(q_ok, guard, -np.inf).max(axis=1))
+            upper = np.minimum(upper, np.where(lam_ok, cap, np.inf).min(axis=1))
+    return lower, upper
+
+
+def _equalizer(sub: np.ndarray, settings: Settings) -> tuple[np.ndarray, np.ndarray]:
+    """Mixture over the columns of each square block that pays every row the
+    same: the solution of [1 ... 1; B_r - B_0] q = e_1, which the kernel of
+    an optimal pair makes nonsingular whatever the game's value.  Returns
+    the mixtures, clipped into the simplex, and a mask of those that are
+    nonsingular and nonnegative to the feasibility tolerance."""
+    s = sub.shape[-1]
+    a = np.concatenate([np.ones(sub.shape[:-2] + (1, s)),
+                        sub[..., 1:, :] - sub[..., :1, :]], axis=-2)
+    # |det| against the product of row norms (Hadamard's bound) is scale-free;
+    # a NaN entry masks its block here and fails the caller's gap check
+    with np.errstate(invalid="ignore"):
+        ok = np.abs(np.linalg.det(a)) > settings.rank_tol * np.prod(
+            np.linalg.norm(a, axis=-1), axis=-1)
+    a[~ok] = np.eye(s)
+    rhs = np.zeros(a.shape[:-1] + (1,))
+    rhs[..., 0, 0] = 1.0
+    mix = np.linalg.solve(a, rhs)[..., 0]
+    ok &= np.all(mix >= -settings.feasibility_tol, axis=-1)
+    mix = np.where(ok[..., None], np.maximum(mix, 0.0), 1.0)
+    return mix / mix.sum(axis=-1, keepdims=True), ok

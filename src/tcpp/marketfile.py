@@ -19,6 +19,7 @@ reproduces the same objects.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from .errors import MarketFileError, TcppError
@@ -59,9 +60,12 @@ class MarketData:
 
 def _num(token: str, line: int, what: str) -> float:
     try:
-        return float(token)
+        x = float(token)
     except ValueError:
         raise MarketFileError(f"{what}: {token!r} is not a number", line)
+    if not math.isfinite(x):
+        raise MarketFileError(f"{what}: {token!r} is not a finite number", line)
+    return x
 
 
 def _int(token: str, line: int, what: str) -> int:

@@ -290,6 +290,10 @@ def _one_step_conjugate(entries: Sequence[MenuEntry], kernel: Sequence[float],
     """Least mixture penalty of menu entries whose kernels mix to ``kernel``:
     the conjugate of the one-step map max_j (q_j . x - p_j), +inf outside
     the convex hull of the menu kernels."""
+    if len(kernel) == 1:
+        # one child: every kernel is (1,), so the LP's optimum is the
+        # cheapest entry on its own
+        return min(e.penalty for e in entries)
     lp = LinearProgram(
         objective=[e.penalty for e in entries],
         constraints=[([e.kernel[i] for e in entries], EQ, q) for i, q in enumerate(kernel)]

@@ -6,11 +6,11 @@ import math
 import numpy as np
 
 from tcpp.errors import ForeignNode, TcppError
-from tcpp.lp import EQ, GE, LinearProgram, solve
+from tcpp.lp import EQ, GE, LE, LinearProgram, solve
 from tcpp.pricing import price
 from tcpp.scenario import cumulative_penalties, subtree_duals
 from tcpp.settings import DEFAULT
-from tcpp.tree import Claim, Measure, StoppingTime
+from tcpp.tree import Claim, Measure, StoppingTime, validate_stopping_time
 
 
 def trinomial_mme_family(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -364,3 +364,46 @@ def dead_leaves_path_walk(model) -> list[tuple[int, int, int]]:
                 dead.append((leaf, a, b))
                 break
     return dead
+
+
+# -- constrained pricing, one LP per node -----------------------------------------
+# The per-node LP that ``tcpp.market.constrained_price`` solved before it
+# batched each level as matrix games; kept as the reference it is compared with.
+
+def constrained_price_lp(tree, assets, h_set, x, settings=DEFAULT) -> Claim:
+    """Backward induction with the one-step upper-variation penalty.
+
+    At each node the scenario kernel ranges over the whole child simplex and
+    pays sup over hedge vertices of h . (E_q dS); the claim's value process
+    at the root is returned.
+    """
+    if len(assets) != h_set.dim:
+        raise TcppError("constraint set dimension must match the asset count")
+    if not h_set.contains_zero(settings):
+        raise TcppError("constraint set must contain the zero position")
+    validate_stopping_time(tree, x.at)
+    for asset in assets:
+        asset.validate(tree)
+
+    values: dict[int, float] = dict(x.values)
+    for node in tree.between(tree.root, x.at.cut):
+        if node in x.at.cut:
+            continue
+        children = tree.children[node]
+        k = len(children)
+        cons: list[tuple[list[float], str, float]] = []
+        for h in h_set.vertices:
+            # z - sum_c q_c (V(c) - h . S(c)) <= - h . S(node)... rearranged
+            coefs = [-(values[c] - sum(hk * a.values[c] for hk, a in zip(h, assets)))
+                     for c in children] + [1.0]
+            rhs = sum(hk * a.values[node] for hk, a in zip(h, assets))
+            cons.append((coefs, LE, rhs))
+        cons.append(([1.0] * k + [0.0], EQ, 1.0))
+        lp = LinearProgram([0.0] * k + [1.0], cons,
+                           lower=[0.0] * k + [-np.inf], sense="max")
+        sol = solve(lp, settings)
+        if sol.status != "optimal":
+            raise TcppError(f"node LP at {node} is {sol.status}; "
+                            "the constraint set must be compact and contain 0")
+        values[node] = sol.value
+    return Claim(StoppingTime.at_root(tree), {tree.root: values[tree.root]})

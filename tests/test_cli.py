@@ -239,3 +239,63 @@ def test_nfl_enumerates_nothing(case, monkeypatch, capsys, tmp_path):
     density = np.array([float(out[f"density.{leaf}"]) for leaf in tree.leaves])
     weights = np.array([tree.leaf_weights[leaf] for leaf in tree.leaves])
     assert density.min() > 0.0 and abs(density @ weights - 1.0) <= 1e-9
+
+
+MENU_1 = "menu 1 kernel 0.3333333333333333 0.6666666666666667 penalty 0"
+QUOTE = "quote C bid 0.1 ask 0.9\npayoff C 1 1\npayoff C 2 0"
+
+
+@pytest.mark.parametrize("what,command,old,new", [
+    pytest.param("weight", "bounds", "weight 3 0.25", "weight 3 nan", id="weight"),
+    pytest.param("kernel weight", "price", MENU_1,
+                 MENU_1.replace("0.3333333333333333", "nan"), id="kernel"),
+    pytest.param("penalty", "price", MENU_1, MENU_1[:-1] + "nan", id="penalty-nan"),
+    pytest.param("penalty", "price", MENU_1, MENU_1[:-1] + "inf", id="penalty-inf"),
+    pytest.param("asset value", "constrained", "asset S 4 1", "asset S 4 inf", id="asset"),
+    pytest.param("vertex coordinate", "constrained", "vertex 100", "vertex inf",
+                 id="vertex-inf"),
+    pytest.param("vertex coordinate", "constrained", "vertex 100", "vertex nan",
+                 id="vertex-nan"),
+    pytest.param("bid", "calibrate", "vertex 100",
+                 "vertex 100\n" + QUOTE.replace("0.1", "-inf"), id="bid"),
+    pytest.param("ask", "calibrate", "vertex 100",
+                 "vertex 100\n" + QUOTE.replace("0.9", "inf"), id="ask"),
+    pytest.param("payoff value", "calibrate", "vertex 100",
+                 "vertex 100\n" + QUOTE.replace("C 2 0", "C 2 nan"), id="payoff"),
+    pytest.param("cap", "bounds", "vertex 100", "vertex 100\ncap * inf", id="cap"),
+    pytest.param("feasibility_tol", "price", "vertex 100",
+                 "vertex 100\nset feasibility_tol nan", id="setting"),
+])
+def test_non_finite_market_numbers_exit_two(what, command, old, new, capsys, tmp_path):
+    with open(BINOMIAL, encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    text = text.replace(old, new)
+    bad = next(tok for tok in ("-inf", "inf", "nan") if tok in new)
+    line = next(i for i, ln in enumerate(text.splitlines(), start=1)
+                if bad in ln.split())
+    path = tmp_path / "bad.market"
+    path.write_text(text)
+    argv = [command, "--market", str(path)]
+    argv += [] if command == "calibrate" else ["--claim", CALL]
+    if command == "bounds":
+        argv += ["--kind", "good-deal" if what == "cap" else "mme"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"line {line}: {what}: '{bad}' is not a finite number" in err
+
+
+def test_non_finite_claim_value_exits_two(capsys, tmp_path):
+    path = tmp_path / "bad.claim"
+    path.write_text("value 3 1\nvalue 4 inf\nvalue 5 0\nvalue 6 0\n")
+    code = main(["price", "--market", BINOMIAL, "--claim", str(path)])
+    assert code == 2
+    assert "line 2: value: 'inf' is not a finite number" in capsys.readouterr().err
+
+
+def test_constrained_kernel_cap_env_override(monkeypatch, capsys):
+    monkeypatch.setenv("TCPP_MAX_ENUM", "1")
+    code = main(["constrained", "--market", BINOMIAL, "--claim", CALL])
+    assert code == 2
+    assert "exceed" in capsys.readouterr().err
