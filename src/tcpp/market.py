@@ -25,7 +25,8 @@ from .scenario import ScenarioModel, enumerate_selections, minimal_penalty, \
     selection_to_measure
 from .settings import DEFAULT, Settings
 from .tree import (Claim, FiltrationTree, Measure, StoppingTime,
-                   lift_to_leaves, precedes, validate_stopping_time)
+                   lift_to_leaves, precedes, require_finite,
+                   validate_stopping_time)
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,7 @@ class AssetProcess:
 
     def __post_init__(self):
         object.__setattr__(self, "values", {v: float(x) for v, x in self.values.items()})
-        bad = [v for v, x in self.values.items() if not math.isfinite(x)]
-        if bad:
-            raise TcppError(f"asset {self.name}: value {self.values[bad[0]]!r} "
-                            f"at node {bad[0]} is not finite")
+        require_finite(self.values, f"asset {self.name}: value")
 
     def validate(self, tree: FiltrationTree) -> None:
         missing = [v for v in range(tree.n_nodes) if v not in self.values]

@@ -1,13 +1,15 @@
 """Pricing engine: ask/bid evaluation and the checks behind its axioms.
 
 The production evaluator is backward induction over the menu maxima, which
-is linear in nodes times menu size.  The enumeration of scenario selections
-only backs test oracles and witness searches; it is exponential and capped.
+is linear in nodes times menu size: :func:`backward_pass`, which with the
+payoff as exercise floor is also the American (Snell) recursion.  The
+enumerations of selections and stopping times only back test oracles and
+witness searches; they are exponential and capped.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Protocol, Sequence
 
@@ -20,15 +22,18 @@ from .scenario import (MeasureSelection, MenuEntry, PenaltyProcess,
 from .settings import DEFAULT, Settings
 from .tree import (Claim, FiltrationTree, Measure, StoppingTime,
                    conditional_expectation, lift, precedes,
-                   validate_stopping_time)
+                   require_finite, validate_stopping_time)
 
 
 def backward_pass(model: ScenarioModel, at: StoppingTime,
-                  rows: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
+                  rows: Mapping[int, np.ndarray],
+                  floor: Mapping[int, float] | None = None) -> dict[int, np.ndarray]:
     """Menu-maximum recursion from the cut to the root, vectorized over claims.
 
     ``rows[b]`` holds the claim values (any common shape) at cut node b; the
-    result carries one array per cut node and per strict ancestor.
+    result carries one array per cut node and per strict ancestor.  A node
+    above the cut with a ``floor`` value takes the larger of it and its menu
+    maximum: the Snell envelope of a payoff process.
     """
     tree = model.tree
     values: dict[int, np.ndarray] = {b: np.asarray(rows[b], dtype=float) for b in at.cut}
@@ -40,6 +45,8 @@ def backward_pass(model: ScenarioModel, at: StoppingTime,
         for entry in model.menus[node]:
             cand = np.asarray(entry.kernel) @ stack - entry.penalty
             best = cand if best is None else np.maximum(best, cand)
+        if floor is not None and node in floor:
+            best = np.maximum(best, floor[node])
         values[node] = best
     return values
 
@@ -51,6 +58,7 @@ def price(model: ScenarioModel, x: Claim, sigma: StoppingTime) -> Claim:
     validate_stopping_time(tree, sigma)
     if not precedes(tree, sigma, x.at):
         raise TcppError("pricing time must precede the claim's stopping time")
+    require_finite(x.values, "claim value")
     values = backward_pass(model, x.at, {b: np.array([v]) for b, v in x.values.items()})
     return Claim(sigma, {a: float(values[a][0]) for a in sigma.cut})
 
@@ -371,19 +379,10 @@ def random_stopping_time(tree: FiltrationTree, rng: np.random.Generator,
     """Random antichain between lo and hi (defaults: root and horizon)."""
     lo = lo if lo is not None else StoppingTime.at_root(tree)
     hi = hi if hi is not None else StoppingTime.at_horizon(tree)
-    cut: list[int] = []
-    # preorder, left to right, skipping the subtree below each stop
-    i, inside_until = 0, 0
-    while i < tree.n_nodes:
-        v = tree.preorder[i]
-        if v in lo.cut:
-            inside_until = max(inside_until, tree.exit[v])
-        if i < inside_until and (v in hi.cut or rng.random() < stop_prob):
-            cut.append(v)
-            i = tree.exit[v]
-        else:
-            i += 1
-    return StoppingTime.of(cut)
+    def stop(v: int) -> bool:
+        return v in hi.cut or rng.random() < stop_prob
+    return StoppingTime.of(v for a in sorted(lo.cut, key=tree.enter.__getitem__)
+                           for v in tree.first_stops(a, stop))
 
 
 def check_supermartingale(model: ScenarioModel, x: Claim, r: Measure,
@@ -403,7 +402,7 @@ def check_supermartingale(model: ScenarioModel, x: Claim, r: Measure,
         return report
     root_st = StoppingTime.at_root(tree)
     horizon = StoppingTime.at_horizon(tree)
-    pen = minimal_penalty_root(model, r, settings)
+    pen = minimal_penalty(model, r, root_st, horizon, settings).values[tree.root]
     if not (pen <= settings.feasibility_tol):
         report.add("precondition", f"R has minimal penalty {pen!r}, expected 0")
         return report
@@ -441,14 +440,6 @@ def check_supermartingale(model: ScenarioModel, x: Claim, r: Measure,
     return report
 
 
-def minimal_penalty_root(model: ScenarioModel, r: Measure,
-                         settings: Settings = DEFAULT) -> float:
-    tree = model.tree
-    claim = minimal_penalty(model, r, StoppingTime.at_root(tree),
-                            StoppingTime.at_horizon(tree), settings)
-    return claim.values[tree.root]
-
-
 def enumerate_stop_sets(tree: FiltrationTree, node: int, tau: StoppingTime,
                         settings: Settings = DEFAULT) -> list[tuple[int, ...]]:
     """All antichains below ``node`` stopping at or before tau.
@@ -481,20 +472,26 @@ def enumerate_stop_sets(tree: FiltrationTree, node: int, tau: StoppingTime,
 
 @dataclass
 class AmericanResult:
+    """Best-exercise value per atom of nu, and a stop set attaining it."""
+
     value: Claim
-    induction: Claim
-    agree: bool
-    optimal: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    optimal: dict[int, tuple[int, ...]]
 
 
 def american_price(model: ScenarioModel, payoff: Mapping[int, float],
-                   nu: StoppingTime, tau: StoppingTime,
-                   settings: Settings = DEFAULT) -> AmericanResult:
-    """Best-exercise value: esssup over enumerated stopping times of the
-    price of stopping there, with a backward-induction candidate.
+                   nu: StoppingTime, tau: StoppingTime) -> AmericanResult:
+    """Best-exercise value: esssup over stopping times between nu and tau
+    of the price of the payoff process stopped there.
 
-    Enumeration is ground truth; whether induction matches it for convex
-    (non-sublinear) models is reported per instance, never assumed.
+    That is the Snell envelope U = max(payoff, menu max of the children's
+    U), one :func:`backward_pass` from tau with the payoff as floor.  The
+    stop sets below a node are the node itself and the products of its
+    children's stop sets, and kernel weights are nonnegative, so the best
+    product is the menu maximum of the children's bests, whatever the
+    penalties (convex, with a positive minimum or negative).  ``optimal[a]``
+    is the first-exercise set below atom a: on each path, the first node in
+    tau or where U equals the payoff.  It prices back to ``value`` exactly,
+    because ``np.maximum`` returns one of its operands.
     """
     tree = model.tree
     if not precedes(tree, nu, tau):
@@ -503,31 +500,11 @@ def american_price(model: ScenarioModel, payoff: Mapping[int, float],
     missing = sorted({v for v in order if v not in payoff})
     if missing:
         raise TcppError(f"payoff process undefined on nodes {missing}")
+    floor = {v: float(payoff[v]) for v in order}
+    require_finite(floor, "payoff value")
 
-    vals: dict[int, float] = {}
-    best_sets: dict[int, tuple[int, ...]] = {}
-    for a in nu.cut:
-        rest = tuple(nu.cut - {a})      # completes each stop set to a cut
-        best = None
-        for stop in enumerate_stop_sets(tree, a, tau, settings):
-            sub_rows = {v: np.array([payoff[v]]) for v in stop + rest}
-            v = backward_pass(model, StoppingTime.of(stop + rest), sub_rows)[a][0]
-            if best is None or v > best + 0.0:
-                best, best_sets[a] = float(v), stop
-        vals[a] = best
-
-    induction: dict[int, float] = {}
-    for v in order:
-        if v in tau.cut:
-            induction[v] = payoff[v]
-        else:
-            cont = None
-            for entry in model.menus[v]:
-                c = sum(entry.kernel[i] * induction[ch]
-                        for i, ch in enumerate(tree.children[v])) - entry.penalty
-                cont = c if cont is None else max(cont, c)
-            induction[v] = max(payoff[v], cont)
-    ind_claim = Claim(nu, {a: induction[a] for a in nu.cut})
-    val_claim = Claim(nu, vals)
-    agree = val_claim.allclose(ind_claim, 1e-9)
-    return AmericanResult(val_claim, ind_claim, agree, best_sets)
+    snell = backward_pass(model, tau, {b: np.array([floor[b]]) for b in tau.cut}, floor)
+    def exercise(v: int) -> bool:
+        return v in tau.cut or snell[v][0] == floor[v]
+    optimal = {a: tuple(tree.first_stops(a, exercise)) for a in nu.cut}
+    return AmericanResult(Claim(nu, {a: float(snell[a][0]) for a in nu.cut}), optimal)

@@ -55,15 +55,15 @@ class ScenarioModel:
                 if any(p < -1e-12 for p in e.kernel):
                     raise TcppError(f"kernel {idx} at node {node} has a negative weight")
                 s = sum(e.kernel)
-                if abs(s - 1.0) > 1e-9:
+                if not abs(s - 1.0) <= 1e-9:      # NaN and inf fail too
                     raise TcppError(f"kernel {idx} at node {node} sums to {s!r}")
+                if not math.isfinite(e.penalty):
+                    raise TcppError(f"penalty {e.penalty!r} of entry {idx} at "
+                                    f"node {node} is not finite")
                 out.append(MenuEntry(tuple(max(0.0, float(p)) for p in e.kernel),
                                      float(e.penalty)))
             cleaned[node] = tuple(out)
         self.menus = cleaned
-
-    def menu(self, node: int) -> tuple[MenuEntry, ...]:
-        return self.menus[node]
 
     def normalization_findings(self) -> list[tuple[int, str]]:
         """Nodes whose menu penalties break the zero-at-minimum normalization."""

@@ -11,9 +11,10 @@ is an ancestor-or-self of ``b`` exactly when ``b``'s entry falls inside
 ``a``'s interval.  A cut is a stopping time when its intervals are
 disjoint and their leaf counts add up to the number of leaves; the owner
 of a node in a cut is found by bisection over the cut's sorted entries;
-and ``between`` lists the nodes from a top node down to a cut level by
-level, which is the order of every backward induction.  No walk recurses,
-so depth is bounded by memory, not by Python's recursion limit.
+``between`` lists the nodes from a top node down to a cut level by level,
+which is the order of every backward induction; and ``first_stops`` walks
+a subtree in preorder, skipping below each stop.  No walk recurses, so
+depth is bounded by memory, not by Python's recursion limit.
 """
 from __future__ import annotations
 
@@ -85,6 +86,7 @@ class FiltrationTree:
         for i, v in enumerate(order):
             self.enter[v] = i
         self._subtree_leaves: list[tuple[int, ...]] = [()] * n
+        self._p_mass = [0.0] * n
         for v in reversed(order):    # children before parents
             kids = self.children[v]
             if kids:
@@ -93,11 +95,11 @@ class FiltrationTree:
                 for c in kids:
                     acc += self._subtree_leaves[c]
                 self._subtree_leaves[v] = tuple(acc)
+                self._p_mass[v] = sum(self._p_mass[c] for c in kids)
             else:
                 self.exit[v] = self.enter[v] + 1
                 self._subtree_leaves[v] = (v,)
-        self._p_mass = [sum(self.leaf_weights[v] for v in self._subtree_leaves[u])
-                        for u in range(n)]
+                self._p_mass[v] = self.leaf_weights[v]
 
     # -- basic queries ----------------------------------------------------
     @property
@@ -112,9 +114,6 @@ class FiltrationTree:
 
     def subtree_leaves(self, node: int) -> tuple[int, ...]:
         return self._subtree_leaves[node]
-
-    def p_mass(self, node: int) -> float:
-        return self._p_mass[node]
 
     def p_kernel(self, node: int) -> tuple[float, ...]:
         """Reference one-step transition law at an internal node."""
@@ -151,6 +150,19 @@ class FiltrationTree:
             levels.append(level)
             level = [c for v in level if v not in cut for c in self.children[v]]
         return [v for level in reversed(levels) for v in level]
+
+    def first_stops(self, top: int, stop: Callable[[int], bool]) -> list[int]:
+        """The first node at or below ``top`` on each path where ``stop``
+        holds, in preorder; ``stop`` is not asked below a node where it held."""
+        out, i = [], self.enter[top]
+        while i < self.exit[top]:
+            v = self.preorder[i]
+            if stop(v):
+                out.append(v)
+                i = self.exit[v]
+            else:
+                i += 1
+        return out
 
     def forward_mass(self, top: int, cut: frozenset[int],
                      kernel: Callable[[int], Sequence[float]]) -> dict[int, float]:
@@ -314,6 +326,12 @@ class Claim:
 
     def max_abs_diff(self, other: "Claim") -> float:
         return max(abs(self.values[v] - other.values[v]) for v in self.at.cut)
+
+
+def require_finite(values: Mapping[int, float], what: str) -> None:
+    bad = sorted(v for v, x in values.items() if not math.isfinite(x))
+    if bad:
+        raise TcppError(f"{what} {values[bad[0]]!r} at node {bad[0]} is not finite")
 
 
 def lift(tree: FiltrationTree, z: Claim, tau: StoppingTime) -> Claim:

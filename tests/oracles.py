@@ -7,10 +7,10 @@ import numpy as np
 
 from tcpp.errors import ForeignNode, TcppError
 from tcpp.lp import EQ, GE, LE, LinearProgram, solve
-from tcpp.pricing import price
+from tcpp.pricing import backward_pass, enumerate_stop_sets, price
 from tcpp.scenario import cumulative_penalties, subtree_duals
 from tcpp.settings import DEFAULT
-from tcpp.tree import Claim, Measure, StoppingTime, validate_stopping_time
+from tcpp.tree import Claim, Measure, StoppingTime, precedes, validate_stopping_time
 
 
 def trinomial_mme_family(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -407,3 +407,28 @@ def constrained_price_lp(tree, assets, h_set, x, settings=DEFAULT) -> Claim:
                             "the constraint set must be compact and contain 0")
         values[node] = sol.value
     return Claim(StoppingTime.at_root(tree), {tree.root: values[tree.root]})
+
+
+def american_enumerated(model, payoff, nu, tau, settings=DEFAULT):
+    """Best-exercise value as the largest price over every enumerated stop
+    set below each atom of nu, with the first stop set attaining it."""
+    tree = model.tree
+    if not precedes(tree, nu, tau):
+        raise TcppError("american_price requires nu <= tau")
+    order = [v for a in nu.cut for v in tree.between(a, tau.cut)]
+    missing = sorted({v for v in order if v not in payoff})
+    if missing:
+        raise TcppError(f"payoff process undefined on nodes {missing}")
+
+    vals: dict[int, float] = {}
+    best_sets: dict[int, tuple[int, ...]] = {}
+    for a in nu.cut:
+        rest = tuple(nu.cut - {a})      # completes each stop set to a cut
+        best = None
+        for stop in enumerate_stop_sets(tree, a, tau, settings):
+            sub_rows = {v: np.array([payoff[v]]) for v in stop + rest}
+            v = backward_pass(model, StoppingTime.of(stop + rest), sub_rows)[a][0]
+            if best is None or v > best + 0.0:
+                best, best_sets[a] = float(v), stop
+        vals[a] = best
+    return Claim(nu, vals), best_sets

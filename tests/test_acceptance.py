@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from gen import killed_leaf_model, random_claim, random_model, random_tree
-from oracles import binomial_constrained_oracle, good_deal_interval_oracle
+from oracles import (american_enumerated, binomial_constrained_oracle,
+                     good_deal_interval_oracle)
 from tcpp.market import (AssetProcess, ConstraintSet, GoodDealCaps,
                          QuotedOption, calibrated_bounds, check_extends_dynamics,
                          good_deal_bounds, mme_bounds, constrained_price)
@@ -365,26 +366,15 @@ def _childwise_max(tree, leaf_vals):
 def test_criterion_10_american_agreement():
     rng = np.random.default_rng(1010)
     violations = []
-    disagreements = 0
-    for k in range(50):
+    # 50 sublinear models, then 10 convex ones; both must match the enumeration
+    for k in range(60):
         tree = random_tree(rng, max_periods=2)
-        model = random_model(rng, tree, sublinear=True)
+        model = random_model(rng, tree, sublinear=k < 50)
         payoff = {v: float(rng.uniform(0.0, 2.0)) for v in range(tree.n_nodes)}
-        res = american_price(model, payoff, StoppingTime.at_root(tree),
-                             StoppingTime.at_horizon(tree))
-        if res.value.max_abs_diff(res.induction) > 1e-9:
-            violations.append((k, res.value.max_abs_diff(res.induction)))
-    # convex models: disagreement is reported per instance, never asserted
-    for k in range(10):
-        tree = random_tree(rng, max_periods=2)
-        model = random_model(rng, tree)
-        payoff = {v: float(rng.uniform(0.0, 2.0)) for v in range(tree.n_nodes)}
-        res = american_price(model, payoff, StoppingTime.at_root(tree),
-                             StoppingTime.at_horizon(tree))
-        if not res.agree:
-            disagreements += 1
-        if res.induction.values[tree.root] < res.value.values[tree.root] - 1e-9:
-            violations.append((k, "induction fell below the enumeration value"))
-    print(f"  (convex-model disagreements observed: {disagreements}/10)")
-    _verdict(10, "American enumeration matches induction when sublinear",
+        nu, tau = StoppingTime.at_root(tree), StoppingTime.at_horizon(tree)
+        res = american_price(model, payoff, nu, tau)
+        want, _ = american_enumerated(model, payoff, nu, tau)
+        if res.value.max_abs_diff(want) > 1e-9:
+            violations.append((k, res.value.max_abs_diff(want)))
+    _verdict(10, "American induction matches enumeration, sublinear and convex",
              violations)

@@ -195,10 +195,23 @@ def test_reports_deterministic_given_seed(capsys):
 
 def test_max_enum_env_override(monkeypatch, capsys):
     monkeypatch.setenv("TCPP_MAX_ENUM", "1")
-    code = main(["american", "--market", BINOMIAL, "--claim", PUT])
+    code = main(["check-tcpp", "--market", TRINOMIAL])
     err = capsys.readouterr()
     assert code == 2
     assert "exceed" in err.err
+    assert "2 selections exceed the configured cap 1" in err.err
+
+
+def test_american_enumerates_nothing(monkeypatch, capsys):
+    # with the enumeration cap at 1 any enumeration would exit 2
+    monkeypatch.setenv("TCPP_MAX_ENUM", "1")
+    code = main(["american", "--market", BINOMIAL, "--claim", PUT,
+                 "--format", "machine"])
+    out = capsys.readouterr().out
+    assert code == 0
+    records = dict(line.split("\t") for line in out.strip().splitlines())
+    assert records["value.0"] == records["induction.0"]
+    assert records["induction-agrees"] == "true"
 
 
 def test_nfl_negative_penalty_exits_two(capsys, tmp_path):

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from gen import claim_pairs, random_claim, random_model, random_tree
 from tcpp.scenario import (MenuEntry, PenaltyProcess, ScenarioModel,
                            check_cocycle, enumerate_selections)
@@ -13,6 +14,7 @@ from tcpp.pricing import (american_price, bid_ask, check_axioms,
                           non_rectangular_counterexample, price,
                           price_enumerated, price_process,
                           random_stopping_time)
+from tcpp.errors import TcppError
 from tcpp.nfl import find_zero_penalty_equivalent_measure
 from tcpp.tree import Claim, FiltrationTree, Measure, StoppingTime, lift
 
@@ -190,6 +192,15 @@ def test_supermartingale_sandwich_and_preconditions():
     assert any("penalty" in f.message for f in rep.findings)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_claim_names_the_node(bad):
+    tree = FiltrationTree.binomial(1)
+    model = ScenarioModel.reference(tree)
+    x = Claim(StoppingTime.at_horizon(tree), {1: bad, 2: 0.0})
+    with pytest.raises(TcppError, match="node 1 is not finite"):
+        price(model, x, StoppingTime.at_root(tree))
+
+
 def test_enumerate_stop_sets_binomial_count():
     tree = FiltrationTree.binomial(2)
     sets = enumerate_stop_sets(tree, tree.root, StoppingTime.at_horizon(tree))
@@ -210,7 +221,7 @@ def test_american_monotone_payoff_stops_at_maturity():
     res = american_price(model, payoff, nu, tau)
     terminal = price(model, Claim(tau, {b: payoff[b] for b in tau.cut}), nu)
     assert res.value.allclose(terminal, 1e-9)
-    assert res.agree
+    assert res.optimal[tree.root] == tree.leaves
 
 
 def test_american_constant_payoff():
@@ -240,18 +251,19 @@ def test_american_put_unique_mme_binomial():
                                              {v: payoff[v] for v in stop}), nu).values[0])
     assert abs(res.value.values[0] - max(candidates)) <= 1e-12
     assert abs(res.value.values[0] - 1 / 3) <= 1e-12
-    assert res.agree
+    assert res.optimal[0] == (1, 2)     # exercise the put at time 1
 
 
-def test_american_induction_agreement_reported_not_assumed():
+def test_american_sublinear_matches_enumeration():
     rng = np.random.default_rng(31)
     for _ in range(10):
         tree = random_tree(rng, max_periods=2)
         model = random_model(rng, tree, sublinear=True)
         payoff = {v: float(rng.uniform(0, 2)) for v in range(tree.n_nodes)}
-        res = american_price(model, payoff, StoppingTime.at_root(tree),
-                             StoppingTime.at_horizon(tree))
-        assert res.agree  # sublinear instances agree
+        nu, tau = StoppingTime.at_root(tree), StoppingTime.at_horizon(tree)
+        res = american_price(model, payoff, nu, tau)
+        want, _ = oracles.american_enumerated(model, payoff, nu, tau)
+        assert res.value.allclose(want, 1e-9)
         assert res.optimal  # witnesses recorded
 
 
@@ -270,7 +282,9 @@ def test_american_from_a_later_cut():
                          nu).values[a]
                    for stop in enumerate_stop_sets(tree, a, tau))
         assert abs(res.value.values[a] - best) <= 1e-12
-    assert res.agree
+        stop = res.optimal[a] + tuple(rest)
+        exercised = price(model, Claim(StoppingTime.of(stop), {v: payoff[v] for v in stop}), nu)
+        assert exercised.values[a] == res.value.values[a]
 
 
 def test_deterministic_chains_pass_but_random_sigma_fails():
@@ -311,8 +325,7 @@ def test_american_enumeration_cap():
     from tcpp.errors import EnumerationOverflow
     from tcpp.settings import Settings
     tree = FiltrationTree.binomial(2)
-    model = ScenarioModel.reference(tree)
-    payoff = {v: 1.0 for v in range(tree.n_nodes)}
+    horizon = StoppingTime.at_horizon(tree)
+    assert len(enumerate_stop_sets(tree, tree.root, horizon, Settings(max_enum=5))) == 5
     with pytest.raises(EnumerationOverflow):
-        american_price(model, payoff, StoppingTime.at_root(tree),
-                       StoppingTime.at_horizon(tree), Settings(max_enum=4))
+        enumerate_stop_sets(tree, tree.root, horizon, Settings(max_enum=4))

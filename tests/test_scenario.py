@@ -29,6 +29,22 @@ def test_model_validation():
     assert model.normalization_findings()  # kept constructible, flagged
 
 
+def test_nan_kernel_weight_rejected():
+    tree = FiltrationTree.binomial(1)
+    with pytest.raises(TcppError, match="kernel 1 at node 0 sums to nan"):
+        ScenarioModel(tree, {0: [MenuEntry((0.5, 0.5), 0.0),
+                                 MenuEntry((math.nan, 1.0), 0.0)]})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_penalty_names_entry_and_node(bad):
+    tree = FiltrationTree.binomial(2)
+    menus = {v: [MenuEntry((0.5, 0.5), 0.0)] for v in tree.internal_nodes()}
+    menus[2] = [MenuEntry((0.5, 0.5), 0.0), MenuEntry((0.9, 0.1), bad)]
+    with pytest.raises(TcppError, match="entry 1 at node 2 is not finite"):
+        ScenarioModel(tree, menus)
+
+
 def test_identity_selection_density_one():
     rng = np.random.default_rng(2)
     tree = random_tree(rng)

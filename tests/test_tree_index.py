@@ -7,11 +7,13 @@ import oracles
 from gen import deep_chain_model, random_claim, random_model, random_tree
 from tcpp.errors import EnumerationOverflow, TcppError
 from tcpp.nfl import nfl_verdict
-from tcpp.pricing import american_price, enumerate_stop_sets, random_stopping_time
+from tcpp.pricing import (american_price, enumerate_stop_sets, price,
+                          random_stopping_time)
 from tcpp.scenario import (MeasureSelection, PenaltyProcess, ScenarioModel,
                            check_cocycle, minimal_penalty, subtree_duals)
-from tcpp.tree import (FiltrationTree, Measure, StoppingTime, conditional_expectation,
-                       lift, precedes, validate_stopping_time)
+from tcpp.tree import (Claim, FiltrationTree, Measure, StoppingTime,
+                       conditional_expectation, lift, precedes,
+                       validate_stopping_time)
 
 
 def relabelled(tree: FiltrationTree, rng: np.random.Generator) -> FiltrationTree:
@@ -154,9 +156,15 @@ def test_deep_chain_enumerations(chain):
     assert len(sets) == 1201 and sets[0] == (head,)
     with pytest.raises(EnumerationOverflow):      # 1 + 1201^2 stopping times
         enumerate_stop_sets(tree, tree.root, horizon)
-    with pytest.raises(EnumerationOverflow):
-        american_price(chain, {v: 1.0 for v in range(tree.n_nodes)},
-                       StoppingTime.at_root(tree), horizon)
+    # an increasing payoff is best exercised at maturity: the European price
+    second = tree.children[tree.root][1]
+    payoff = {v: tree.times[v] * (0.5 if tree.is_ancestor(second, v) else 1.0)
+              for v in range(tree.n_nodes)}
+    root = StoppingTime.at_root(tree)
+    res = american_price(chain, payoff, root, horizon)
+    european = price(chain, Claim(horizon, {b: payoff[b] for b in tree.leaves}), root)
+    assert res.value.values[tree.root] == european.values[tree.root]
+    assert res.optimal[tree.root] == tree.leaves
     assert len(subtree_duals(chain, tree.root, horizon)) == 2
 
 
