@@ -1,11 +1,11 @@
-"""Reference assets and spread-reduction machinery over the martingale polytope.
+"""Reference assets and spread-reduction machinery over the martingale measures.
 
-The bounds optimize over leaf masses of the closed martingale-measure
-polytope; suprema over the equivalent (relatively open) measures coincide
-with suprema over the closure for linear objectives, and a max-min-density
-side check reports whether equivalent points exist at all.  Constrained
-pricing needs no global program: each node's hedging step is a small
-matrix game, solved for a whole level at once in array operations.
+The martingale and good-deal bounds constrain each node's one-step kernel
+alone, so each is a backward induction over small per-node programs, and
+constrained pricing one over per-node matrix games, each solved a level at
+a time in array operations.  Suprema over the equivalent measures equal
+those over the closure for linear objectives; an edge-by-edge check reports
+whether equivalent ones exist.  Calibration still solves LPs over leaf masses.
 """
 from __future__ import annotations
 
@@ -59,6 +59,8 @@ class QuotedOption:
     ask: float
 
     def __post_init__(self):
+        require_finite(self.payoff.values, f"quote {self.name}: payoff value")
+        require_finite({"bid": self.bid, "ask": self.ask}, f"quote {self.name}:")
         if self.bid > self.ask:
             raise TcppError(f"quote {self.name}: bid {self.bid} exceeds ask {self.ask}")
 
@@ -126,8 +128,9 @@ class GoodDealCaps:
         self.default = default
         self.per_node = dict(per_node or {})
         for v in list(self.per_node.values()) + ([default] if default is not None else []):
-            if v < 1.0:
-                raise TcppError(f"good-deal cap {v} < 1 empties the scenario set")
+            if not v >= 1.0:
+                raise TcppError(f"good-deal cap {v!r} is not a number of at least 1; "
+                                "a cap below 1 empties the scenario set")
 
     def cap(self, node: int) -> float:
         if node in self.per_node:
@@ -139,6 +142,16 @@ class GoodDealCaps:
     @staticmethod
     def uniform(a: float) -> "GoodDealCaps":
         return GoodDealCaps(default=a)
+
+    def on(self, tree: FiltrationTree) -> np.ndarray:
+        """The cap of every node, infinite at the leaves."""
+        internal = tree.internal_nodes()
+        stray = set(self.per_node) - set(internal)
+        if stray:
+            raise TcppError(f"good-deal cap on node {min(stray)}, which is not an internal node")
+        out = np.full(tree.n_nodes, np.inf)
+        out[list(internal)] = [self.cap(v) for v in internal]
+        return out
 
 
 # -- extension of dynamics --------------------------------------------------
@@ -203,9 +216,9 @@ def _martingale_rows(tree: FiltrationTree,
     return rows
 
 
-def _equivalence_margin(tree: FiltrationTree, rows, extra_rows,
-                        settings: Settings) -> float:
-    """Optimal value of: maximize the minimum density over the polytope."""
+def _equivalence_margin(tree: FiltrationTree, rows, extra_rows, settings: Settings):
+    """Solution of: maximize the minimum density over the polytope, the
+    leaf masses followed by the margin."""
     nl = len(tree.leaves)
     w = [tree.leaf_weights[v] for v in tree.leaves]
     lp = LinearProgram(
@@ -218,14 +231,13 @@ def _equivalence_margin(tree: FiltrationTree, rows, extra_rows,
     sol = solve(lp, settings)
     if sol.status != "optimal":
         raise NoMartingaleMeasure("martingale polytope is empty")
-    return sol.value
+    return sol
 
 
 @dataclass
 class MmeBounds:
     lower: float
     upper: float
-    equivalent_margin: float
     has_equivalent: bool
 
     def __iter__(self):
@@ -234,20 +246,10 @@ class MmeBounds:
 
 def mme_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess], x: Claim,
                settings: Settings = DEFAULT) -> MmeBounds:
-    """Sub- and surreplication prices: extreme expectations over the closed
-    martingale polytope, with an equivalence-margin side check."""
-    validate_stopping_time(tree, x.at)
-    rows = _martingale_rows(tree, assets)
-    coef = lift_to_leaves(tree, x)
-    out = []
-    for sense in ("min", "max"):
-        sol = solve(LinearProgram(list(coef), rows, sense=sense), settings)
-        if sol.status != "optimal":
-            raise NoMartingaleMeasure(f"martingale polytope is empty ({sol.status})")
-        out.append(sol.value)
-    margin = _equivalence_margin(tree, rows, [], settings)
-    return MmeBounds(out[0], out[1], margin,
-                     margin > settings.equivalence_floor)
+    """Sub- and surreplication prices, and whether an equivalent martingale
+    measure exists, by :func:`_kernel_bounds` without caps."""
+    return MmeBounds(*_kernel_bounds(tree, assets, x, np.full(tree.n_nodes, np.inf),
+                                     settings))
 
 
 def check_price_in_mme_bounds(model: ScenarioModel, assets: Sequence[AssetProcess],
@@ -294,23 +296,12 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
     (non-equivalent) solutions exist."""
     rows = _martingale_rows(tree, assets)
     try:
-        margin = _equivalence_margin(tree, rows, _quote_rows(tree, quotes), settings)
+        sol = _equivalence_margin(tree, rows, _quote_rows(tree, quotes), settings)
     except NoMartingaleMeasure:
         return None
-    if margin <= settings.equivalence_floor:
+    if sol.value <= settings.equivalence_floor:
         return None
-    nl = len(tree.leaves)
-    w = [tree.leaf_weights[v] for v in tree.leaves]
-    lp = LinearProgram(
-        objective=[0.0] * nl + [1.0],
-        constraints=[(r + [0.0], rel, b)
-                     for r, rel, b in rows + _quote_rows(tree, quotes)]
-        + [([1.0 if j == i else 0.0 for j in range(nl)] + [-w[i]], GE, 0.0)
-           for i in range(nl)],
-        sense="max",
-    )
-    sol = solve(lp, settings)
-    return Measure.from_leaf_masses(tree, sol.point[:nl])
+    return Measure.from_leaf_masses(tree, sol.point[:len(tree.leaves)])
 
 
 def check_strong_admissibility(model: ScenarioModel, assets: Sequence[AssetProcess],
@@ -391,90 +382,106 @@ def calibrated_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess],
     return one_side("min"), one_side("max")
 
 
-# -- good-deal bounds --------------------------------------------------------
+# -- good-deal bounds and the node-local induction behind both bounds --------
 
 def good_deal_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess],
                      caps: GoodDealCaps, x: Claim,
                      settings: Settings = DEFAULT) -> tuple[float, float]:
-    """Price bounds over martingale measures with capped one-step second
-    moments, by cutting planes on the per-node cone constraints.
+    """Price bounds over martingale measures whose kernel at each node n has
+    second moment sum q_c^2 / p_c at most cap(n)^2, by :func:`_kernel_bounds`.
+    A cap of 1 leaves only the reference kernel (Cauchy-Schwarz equality)."""
+    return _kernel_bounds(tree, assets, x, caps.on(tree), settings)[:2]
 
-    A cap of exactly 1 pins the kernel to the reference one at that node
-    (Cauchy-Schwarz equality) and is handled by linear rows directly.
-    """
+
+def _kernel_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess], x: Claim,
+                   cap: np.ndarray, settings: Settings) -> tuple[float, float, bool]:
+    """Extremes of E_Q x over the measures whose kernel at each node n lies in
+    K_n = {q >= 0, sum q = 1, q . (S(c) - S(n)) = 0, sum q_c^2/p_c <= cap[n]^2},
+    and whether one of them is equivalent to P.
+
+    The family is stable under pasting, so a bound is the induction
+    U(n) = max over q in K_n of q . U(children).  An empty K_n gives -inf,
+    which the parent avoids; an empty root raises :class:`NoMartingaleMeasure`,
+    or :class:`EmptyGoodDealSet` if only the caps empty it, naming the first
+    node whose own constraints are empty.  An equivalent measure exists when
+    every edge (n, c) is charged, max q_c over K_n above
+    ``equivalence_floor``: the product of the nodes' averages of their
+    charging kernels is one."""
     validate_stopping_time(tree, x.at)
-    base = _martingale_rows(tree, assets)
-    nl = len(tree.leaves)
-    coef = lift_to_leaves(tree, x)
-    internal = tree.internal_nodes()
-
-    pinned: list[tuple[list[float], str, float]] = []
-    capped_nodes = []
-    for node in internal:
-        a_cap = caps.cap(node)
-        if a_cap == 1.0:
-            pker = tree.p_kernel(node)
-            for i, c in enumerate(tree.children[node]):
-                row = [0.0] * nl
-                for leaf in tree.subtree_leaves(c):
-                    row[tree.leaf_index[leaf]] += 1.0
-                for leaf in tree.subtree_leaves(node):
-                    row[tree.leaf_index[leaf]] -= pker[i]
-                pinned.append((row, EQ, 0.0))
-        else:
-            capped_nodes.append(node)
-
-    def one_side(sense: str) -> float:
-        cuts: list[tuple[list[float], str, float]] = []
-        for round_no in range(settings.max_cut_rounds):
-            sol = solve(LinearProgram(list(coef), base + pinned + cuts, sense=sense),
-                        settings)
-            if sol.status != "optimal":
-                if round_no == 0 and not cuts:
-                    raise NoMartingaleMeasure("martingale polytope is empty")
-                raise EmptyGoodDealSet(
-                    "second-moment caps exclude every martingale measure")
-            mu = sol.point
-            # one supporting cut per violated node per round; nodes whose
-            # mass-weighted violation is below LP precision cannot move the
-            # bound and their cuts would not bite, so they are left alone
-            violated = []
-            for node in capped_nodes:
-                mass_n = sum(mu[tree.leaf_index[v]] for v in tree.subtree_leaves(node))
-                if mass_n <= 1e-12:
-                    continue
-                pker = tree.p_kernel(node)
-                qker = [sum(mu[tree.leaf_index[v]] for v in tree.subtree_leaves(c)) / mass_n
-                        for c in tree.children[node]]
-                viol = sum(qq * qq / pp for qq, pp in zip(qker, pker)) - caps.cap(node) ** 2
-                if viol > settings.cut_tol and mass_n * viol > 10 * settings.feasibility_tol:
-                    violated.append(node)
-            if not violated:
-                return sol.value
-            for node in violated:
-                cuts.append(_soc_cut(tree, mu, node, caps.cap(node), nl))
-        raise NumericalBreakdown("cutting planes failed to converge")
-
-    lo = one_side("min")
-    hi = one_side("max")
-    return lo, hi
+    require_finite(x.values, "claim value")
+    spot = _spot(tree, assets)
+    steps = []
+    for (t, k), nodes in _level_groups(tree, frozenset(tree.leaves)).items():
+        size = k if np.isfinite(cap[nodes]).any() else min(k, len(assets) + 1)
+        count = sum(math.comb(k, s) for s in range(1, size + 1))
+        if count > settings.max_enum:
+            raise EnumerationOverflow(f"{count} kernel supports per node at time {t} "
+                                      f"(arity {k}) exceed the cap {settings.max_enum}")
+        steps.append((nodes, size))
+    values = np.empty((2, tree.n_nodes))      # the lower side negated, the upper side
+    values[:, list(tree.leaves)] = np.outer([-1.0, 1.0], lift_to_leaves(tree, x))
+    charged = True
+    for nodes, size in steps:
+        kids = np.array([tree.children[v] for v in nodes])
+        v = values[:, kids]
+        edges = np.where(np.isinf(v).any(0), -np.inf, np.eye(kids.shape[1])[:, None, :])
+        out = _kernel_max(np.array([tree.p_kernel(n) for n in nodes]),
+                          spot[kids] - spot[nodes][:, None, :], cap[nodes],
+                          np.concatenate([v, edges]), size, settings)
+        values[:, nodes] = out[:2]
+        charged &= bool((out[2:] > settings.equivalence_floor).all())
+    dead = np.isinf(values).any(0)
+    if dead[tree.root]:
+        node = next(v for v in tree.preorder
+                    if dead[v] and not dead[list(tree.children[v])].any())
+        if np.isfinite(cap).any():
+            _kernel_bounds(tree, assets, x, np.full(tree.n_nodes, np.inf), settings)
+            raise EmptyGoodDealSet(f"caps exclude every martingale kernel at node {node}")
+        raise NoMartingaleMeasure(f"no martingale kernel at node {node}")
+    return -float(values[0, tree.root]), float(values[1, tree.root]), charged
 
 
-def _soc_cut(tree: FiltrationTree, mu: np.ndarray, node: int, a_cap: float,
-             nl: int) -> tuple[list[float], str, float]:
-    """Supporting hyperplane of ||(mass_c/sqrt(p_c))|| <= cap * mass_node at mu."""
-    pker = tree.p_kernel(node)
-    child_mass = [sum(mu[tree.leaf_index[v]] for v in tree.subtree_leaves(c))
-                  for c in tree.children[node]]
-    norm = math.sqrt(sum(m * m / p for m, p in zip(child_mass, pker)))
-    row = [0.0] * nl
-    for (c, m, p) in zip(tree.children[node], child_mass, pker):
-        g = m / (p * norm)
-        for leaf in tree.subtree_leaves(c):
-            row[tree.leaf_index[leaf]] += g
-    for leaf in tree.subtree_leaves(node):
-        row[tree.leaf_index[leaf]] -= a_cap
-    return (row, LE, 0.0)
+def _kernel_max(p: np.ndarray, drift: np.ndarray, cap: np.ndarray, v: np.ndarray,
+                size: int, settings: Settings) -> np.ndarray:
+    """Max of q . v[i, g] over the kernels of K_g giving no weight to children
+    with v[i, g] = -inf, for a stack of nodes g and objectives i; -inf where
+    there is none.
+
+    In y = q / sqrt(p), K_g is a slice of the nonnegative orthant in the ball
+    of radius cap.  An optimum charging exactly the children T is optimal on
+    T's slice {A_T y = e_1} in the ball: the least-norm point y0 plus the
+    objective projected on the slice, scaled to the sphere (Cerny-Hodges;
+    Cochrane-Saa-Requejo), or y0 without a cap or projection.  Supports of
+    up to ``size`` children are tried (a vertex has at most one more than
+    the assets); a candidate counts if it solves its system and is
+    nonnegative and within the cap to the feasibility tolerance."""
+    m, g, k = v.shape
+    tol = settings.feasibility_tol
+    root_p, live = np.sqrt(p), ~np.isinf(v)
+    w, cap2 = root_p * np.where(live, v, 0.0), cap ** 2
+    room = np.where(np.isfinite(cap2), cap2, 0.0)[:, None]
+    best = np.full((m, g), -np.inf)
+    for s in range(1, size + 1):
+        sups = np.array(list(itertools.combinations(range(k), s)))
+        for lo in range(0, len(sups), max(1, _BATCH // (m * g))):
+            sup = sups[lo:lo + max(1, _BATCH // (m * g))]
+            rp, ws = root_p[:, sup], w[:, :, sup]
+            a = np.concatenate([rp[:, :, None, :],
+                                np.einsum("gcsd,gcs->gcds", drift[:, sup], rp)], axis=2)
+            pinv = np.linalg.pinv(a)
+            y0 = pinv[..., 0]
+            r = ws - np.einsum("gcst,igct->igcs", pinv @ a, ws)
+            rn = np.linalg.norm(r, axis=-1)
+            step = np.sqrt(np.maximum(room - (y0 ** 2).sum(-1), 0.0))
+            step = np.divide(step, rn, out=np.zeros_like(rn),
+                             where=rn > settings.rank_tol * (1.0 + np.abs(ws).sum(-1)))
+            y = y0 + step[..., None] * r
+            res = np.einsum("gcrs,igcs->igcr", a, y) - np.eye(a.shape[2])[0]
+            ok = (live[:, :, sup].all(-1) & (rp * y >= -tol).all(-1)
+                  & (np.abs(res).max(-1) <= tol * (1.0 + np.abs(a).max((-2, -1))))
+                  & ((y ** 2).sum(-1) <= cap2[:, None] * (1.0 + tol)))
+            best = np.maximum(best, np.where(ok, (ws * y).sum(-1), -np.inf).max(-1))
+    return best
 
 
 # -- portfolio constraints ---------------------------------------------------
@@ -500,13 +507,8 @@ def constrained_price(tree: FiltrationTree, assets: Sequence[AssetProcess],
     if not h_set.contains_zero(settings):
         raise TcppError("constraint set must contain the zero position")
     validate_stopping_time(tree, x.at)
-    for asset in assets:
-        asset.validate(tree)
-
-    groups: dict[tuple[int, int], list[int]] = {}   # deepest level first
-    for node in tree.between(tree.root, x.at.cut):
-        if node not in x.at.cut:
-            groups.setdefault((tree.times[node], len(tree.children[node])), []).append(node)
+    spot = _spot(tree, assets)
+    groups = _level_groups(tree, x.at.cut)
     m = len(h_set.vertices)
     for t, k in groups:
         count = sum(math.comb(m, s) * math.comb(k, s)
@@ -519,8 +521,6 @@ def constrained_price(tree: FiltrationTree, assets: Sequence[AssetProcess],
     values = np.full(tree.n_nodes, np.nan)
     for b, v in x.values.items():
         values[b] = v
-    spot = np.array([[a.values[v] for a in assets] for v in range(tree.n_nodes)],
-                    dtype=float)
     hedge = np.array(h_set.vertices, dtype=float)
     for (t, k), nodes in groups.items():
         kids = np.array([tree.children[v] for v in nodes])
@@ -536,6 +536,25 @@ def constrained_price(tree: FiltrationTree, assets: Sequence[AssetProcess],
                 f"{lower[i]!r} and its hedge certificate {upper[i]!r} disagree")
         values[nodes] = lower
     return Claim(StoppingTime.at_root(tree), {tree.root: float(values[tree.root])})
+
+
+def _spot(tree: FiltrationTree, assets: Sequence[AssetProcess]) -> np.ndarray:
+    """Asset values as a (node, asset) array, each checked to cover the tree."""
+    for asset in assets:
+        asset.validate(tree)
+    return np.array([[a.values[v] for a in assets] for v in range(tree.n_nodes)],
+                    dtype=float).reshape(tree.n_nodes, len(assets))
+
+
+def _level_groups(tree: FiltrationTree, cut: frozenset[int]
+                  ) -> dict[tuple[int, int], list[int]]:
+    """Nodes from the root down to ``cut``, the cut excluded, by (time,
+    arity), deepest first: one group's nodes do not depend on each other."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for node in tree.between(tree.root, cut):
+        if node not in cut:
+            groups.setdefault((tree.times[node], len(tree.children[node])), []).append(node)
+    return groups
 
 
 # equalizer systems solved per stacked batch; bounds the working memory

@@ -13,6 +13,9 @@ Line-oriented records, ``#`` comments, order-insensitive:
     vertex <h1> [h2 ...]               constraint-set vertex
     set <key> <value>                  numeric-settings override
 
+A per-node cap must name an internal node.  ``set`` lines for the retired
+good-deal cutting-plane settings (``_IGNORED_SETTINGS``) are ignored.
+
 The serializer emits a canonical ordering, and parsing its output
 reproduces the same objects.
 """
@@ -29,6 +32,7 @@ from .settings import Settings
 from .tree import Claim, FiltrationTree, StoppingTime, validate_stopping_time
 
 _SETTING_FIELDS = {f.name: f.type for f in dataclasses.fields(Settings)}
+_IGNORED_SETTINGS = ("cut_tol", "max_cut_rounds")    # accepted and ignored
 
 
 @dataclass
@@ -84,7 +88,7 @@ def parse_market_text(text: str) -> MarketData:
     quote_heads: dict[str, tuple[float, float, int]] = {}
     payoffs: dict[str, dict[int, float]] = {}
     caps_default: float | None = None
-    caps_nodes: dict[int, float] = {}
+    caps_nodes: dict[int, tuple[float, int]] = {}
     vertices: list[tuple[float, ...]] = []
     overrides: dict[str, float | int | bool] = {}
     any_cap = False
@@ -143,7 +147,7 @@ def parse_market_text(text: str) -> MarketData:
             if args[0] == "*":
                 caps_default = _num(args[1], ln, "cap")
             else:
-                caps_nodes[_int(args[0], ln, "cap node")] = _num(args[1], ln, "cap")
+                caps_nodes[_int(args[0], ln, "cap node")] = (_num(args[1], ln, "cap"), ln)
         elif kind == "vertex":
             if not args:
                 raise MarketFileError("vertex needs at least one coordinate", ln)
@@ -152,11 +156,13 @@ def parse_market_text(text: str) -> MarketData:
             if len(args) != 2:
                 raise MarketFileError("set takes: key value", ln)
             key = args[0]
+            if key in _IGNORED_SETTINGS:
+                continue
             if key not in _SETTING_FIELDS:
                 raise MarketFileError(f"unknown setting {key!r}", ln)
             if key == "verify_lp":
                 overrides[key] = args[1].lower() in ("1", "true", "yes")
-            elif key in ("max_enum", "max_cut_rounds"):
+            elif key == "max_enum":
                 overrides[key] = _int(args[1], ln, key)
             else:
                 overrides[key] = _num(args[1], ln, key)
@@ -213,9 +219,12 @@ def parse_market_text(text: str) -> MarketData:
             raise MarketFileError(f"quote {name}: {exc}", ln)
 
     caps = None
+    for node, (_, ln) in caps_nodes.items():
+        if not (0 <= node < tree.n_nodes and tree.children[node]):
+            raise MarketFileError(f"cap node {node} is not an internal node of the tree", ln)
     if any_cap:
         try:
-            caps = GoodDealCaps(caps_default, caps_nodes)
+            caps = GoodDealCaps(caps_default, {v: c for v, (c, _) in caps_nodes.items()})
         except TcppError as exc:
             raise MarketFileError(str(exc))
     h_set = ConstraintSet(vertices) if vertices else None

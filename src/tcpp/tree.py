@@ -328,10 +328,14 @@ class Claim:
         return max(abs(self.values[v] - other.values[v]) for v in self.at.cut)
 
 
-def require_finite(values: Mapping[int, float], what: str) -> None:
+def require_finite(values: Mapping[int, float] | Mapping[str, float], what: str) -> None:
+    """Raise naming the first value that is not finite by its node, or by
+    its name for a string key."""
     bad = sorted(v for v, x in values.items() if not math.isfinite(x))
     if bad:
-        raise TcppError(f"{what} {values[bad[0]]!r} at node {bad[0]} is not finite")
+        k, x = bad[0], values[bad[0]]
+        raise TcppError(f"{what} {k} {x!r} is not finite" if isinstance(k, str)
+                        else f"{what} {x!r} at node {k} is not finite")
 
 
 def lift(tree: FiltrationTree, z: Claim, tau: StoppingTime) -> Claim:

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 
-from tcpp.errors import ForeignNode, TcppError
+from tcpp.errors import (EmptyGoodDealSet, ForeignNode, NoMartingaleMeasure,
+                         NumericalBreakdown, TcppError)
 from tcpp.lp import EQ, GE, LE, LinearProgram, solve
+from tcpp.market import _equivalence_margin, _martingale_rows
 from tcpp.pricing import backward_pass, enumerate_stop_sets, price
 from tcpp.scenario import cumulative_penalties, subtree_duals
 from tcpp.settings import DEFAULT
-from tcpp.tree import Claim, Measure, StoppingTime, precedes, validate_stopping_time
+from tcpp.tree import (Claim, Measure, StoppingTime, lift_to_leaves, precedes,
+                       validate_stopping_time)
 
 
 def trinomial_mme_family(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -432,3 +435,155 @@ def american_enumerated(model, payoff, nu, tau, settings=DEFAULT):
                 best, best_sets[a] = float(v), stop
         vals[a] = best
     return Claim(nu, vals), best_sets
+
+
+# -- martingale and good-deal bounds over leaf masses ------------------------------
+# The dense leaf-mass LP behind ``tcpp.market.mme_bounds`` and the cutting-plane
+# loop behind ``good_deal_bounds`` before both became one node-local induction;
+# kept as the references they are compared with.  The cut loop's two settings
+# are parameters here.
+
+def mme_bounds_lp(tree, assets, x, settings=DEFAULT) -> tuple[float, float, float]:
+    """Sub- and surreplication prices: extreme expectations over the closed
+    martingale polytope, with the equivalence margin (the largest minimum
+    leaf density) as a side check."""
+    validate_stopping_time(tree, x.at)
+    rows = _martingale_rows(tree, assets)
+    coef = lift_to_leaves(tree, x)
+    out = []
+    for sense in ("min", "max"):
+        sol = solve(LinearProgram(list(coef), rows, sense=sense), settings)
+        if sol.status != "optimal":
+            raise NoMartingaleMeasure(f"martingale polytope is empty ({sol.status})")
+        out.append(sol.value)
+    margin = _equivalence_margin(tree, rows, [], settings).value
+    return out[0], out[1], margin
+
+
+def good_deal_bounds_cuts(tree, assets, caps, x, settings=DEFAULT,
+                          cut_tol: float = 1e-8, max_cut_rounds: int = 2000,
+                          trace: list | None = None) -> tuple[float, float]:
+    """Price bounds over martingale measures with capped one-step second
+    moments, by cutting planes on the per-node cone constraints.
+
+    A cap of exactly 1 pins the kernel to the reference one at that node
+    (Cauchy-Schwarz equality) and is handled by linear rows directly.
+    Every round's LP and solution are appended to ``trace`` when given.
+    """
+    validate_stopping_time(tree, x.at)
+    base = _martingale_rows(tree, assets)
+    nl = len(tree.leaves)
+    coef = lift_to_leaves(tree, x)
+    internal = tree.internal_nodes()
+
+    pinned: list[tuple[list[float], str, float]] = []
+    capped_nodes = []
+    for node in internal:
+        a_cap = caps.cap(node)
+        if a_cap == 1.0:
+            pker = tree.p_kernel(node)
+            for i, c in enumerate(tree.children[node]):
+                row = [0.0] * nl
+                for leaf in tree.subtree_leaves(c):
+                    row[tree.leaf_index[leaf]] += 1.0
+                for leaf in tree.subtree_leaves(node):
+                    row[tree.leaf_index[leaf]] -= pker[i]
+                pinned.append((row, EQ, 0.0))
+        else:
+            capped_nodes.append(node)
+
+    def one_side(sense: str) -> float:
+        cuts: list[tuple[list[float], str, float]] = []
+        for round_no in range(max_cut_rounds):
+            lp = LinearProgram(list(coef), base + pinned + cuts, sense=sense)
+            sol = solve(lp, settings)
+            if trace is not None:
+                trace.append((lp, sol))
+            if sol.status != "optimal":
+                if round_no == 0 and not cuts:
+                    raise NoMartingaleMeasure("martingale polytope is empty")
+                raise EmptyGoodDealSet(
+                    "second-moment caps exclude every martingale measure")
+            mu = sol.point
+            # one supporting cut per violated node per round; nodes whose
+            # mass-weighted violation is below LP precision cannot move the
+            # bound and their cuts would not bite, so they are left alone
+            violated = []
+            for node in capped_nodes:
+                mass_n = sum(mu[tree.leaf_index[v]] for v in tree.subtree_leaves(node))
+                if mass_n <= 1e-12:
+                    continue
+                pker = tree.p_kernel(node)
+                qker = [sum(mu[tree.leaf_index[v]] for v in tree.subtree_leaves(c)) / mass_n
+                        for c in tree.children[node]]
+                viol = sum(qq * qq / pp for qq, pp in zip(qker, pker)) - caps.cap(node) ** 2
+                if viol > cut_tol and mass_n * viol > 10 * settings.feasibility_tol:
+                    violated.append(node)
+            if not violated:
+                return sol.value
+            for node in violated:
+                cuts.append(_soc_cut(tree, mu, node, caps.cap(node), nl))
+        raise NumericalBreakdown("cutting planes failed to converge")
+
+    lo = one_side("min")
+    hi = one_side("max")
+    return lo, hi
+
+
+def _soc_cut(tree, mu: np.ndarray, node: int, a_cap: float,
+             nl: int) -> tuple[list[float], str, float]:
+    """Supporting hyperplane of ||(mass_c/sqrt(p_c))|| <= cap * mass_node at mu."""
+    pker = tree.p_kernel(node)
+    child_mass = [sum(mu[tree.leaf_index[v]] for v in tree.subtree_leaves(c))
+                  for c in tree.children[node]]
+    norm = math.sqrt(sum(m * m / p for m, p in zip(child_mass, pker)))
+    row = [0.0] * nl
+    for (c, m, p) in zip(tree.children[node], child_mass, pker):
+        g = m / (p * norm)
+        for leaf in tree.subtree_leaves(c):
+            row[tree.leaf_index[leaf]] += g
+    for leaf in tree.subtree_leaves(node):
+        row[tree.leaf_index[leaf]] -= a_cap
+    return (row, LE, 0.0)
+
+
+def good_deal_segment_oracle(tree, asset, cap: float, x) -> tuple[float, float]:
+    """Good-deal bounds for one asset on a tree whose nodes all have three
+    children, by a recursion along each node's martingale line.
+
+    There the martingale kernels are q(t) = q0 + t d, with q0 a particular
+    solution and d spanning the null space of [1; dS].  Nonnegativity cuts
+    t to an interval, the cap sum q_c^2 / p_c <= cap^2 to another (the roots
+    of a quadratic), and the objective is linear in t, so each node's
+    extremes sit at the ends of their intersection.
+    """
+    leaf = dict(zip(tree.leaves, lift_to_leaves(tree, x)))
+    hi = dict(leaf)
+    lo = dict(leaf)
+    for node in tree.between(tree.root, frozenset(tree.leaves)):
+        kids = tree.children[node]
+        if not kids:
+            continue
+        p = np.array(tree.p_kernel(node))
+        ds = np.array([asset.values[c] - asset.values[node] for c in kids])
+        m = np.vstack([np.ones(3), ds])
+        q0 = np.linalg.lstsq(m, np.array([1.0, 0.0]), rcond=None)[0]
+        d = np.linalg.svd(m)[2][-1]
+        t_lo, t_hi = -np.inf, np.inf
+        for qi, di in zip(q0, d):           # q0_i + t d_i >= 0
+            if di > 0:
+                t_lo = max(t_lo, -qi / di)
+            elif di < 0:
+                t_hi = min(t_hi, -qi / di)
+        a2, a1, a0 = (d * d / p).sum(), 2 * (q0 * d / p).sum(), (q0 * q0 / p).sum() - cap ** 2
+        disc = a1 * a1 - 4 * a2 * a0
+        if disc < 0:
+            raise ValueError(f"cap excludes every martingale kernel at node {node}")
+        r = math.sqrt(disc)
+        t_lo, t_hi = max(t_lo, (-a1 - r) / (2 * a2)), min(t_hi, (-a1 + r) / (2 * a2))
+        if t_lo > t_hi:
+            raise ValueError(f"cap excludes every martingale kernel at node {node}")
+        ends = [q0 + t * d for t in (t_lo, t_hi)]
+        hi[node] = max(float(q @ [hi[c] for c in kids]) for q in ends)
+        lo[node] = min(float(q @ [lo[c] for c in kids]) for q in ends)
+    return lo[tree.root], hi[tree.root]

@@ -312,3 +312,35 @@ def test_constrained_kernel_cap_env_override(monkeypatch, capsys):
     code = main(["constrained", "--market", BINOMIAL, "--claim", CALL])
     assert code == 2
     assert "exceed" in capsys.readouterr().err
+
+
+def test_good_deal_cap_on_a_leaf_exits_two(capsys, tmp_path):
+    with open(TRINOMIAL, encoding="utf-8") as fh:
+        text = fh.read().rstrip("\n") + "\ncap 99 1.2\n"
+    line = len(text.splitlines())
+    path = tmp_path / "stray.market"
+    path.write_text(text)
+    code = main(["bounds", "--market", str(path), "--claim", DIGITAL, "--kind", "good-deal"])
+    assert code == 2
+    assert f"line {line}: cap node 99 is not an internal node" in capsys.readouterr().err
+
+
+def test_good_deal_cap_nan_exits_two(capsys):
+    code = main(["bounds", "--market", TRINOMIAL, "--claim", DIGITAL,
+                 "--kind", "good-deal", "--good-deal-cap", "nan"])
+    assert code == 2
+    assert "good-deal cap nan" in capsys.readouterr().err
+
+
+def test_infinite_good_deal_cap_prints_the_martingale_bounds(capsys):
+    def bounds(*extra):
+        assert main(["bounds", "--market", TRINOMIAL, "--claim", DIGITAL,
+                     "--format", "machine", *extra]) == 0
+        return capsys.readouterr().out.splitlines()[:2]
+    assert bounds("--kind", "good-deal", "--good-deal-cap", "inf") == bounds("--kind", "mme")
+
+
+def test_cutting_plane_settings_are_accepted_and_ignored():
+    md = parse_market_text(MINIMAL + "set cut_tol 1e-6\nset max_cut_rounds 5\n")
+    assert md.settings == parse_market_text(MINIMAL).settings
+    assert "cut" not in serialize_market(md)

@@ -190,3 +190,56 @@ def test_numerical_breakdown_on_vanishing_pivot():
     lp = LinearProgram([1.0], [([1e-13], LE, 1.0)], sense="max")
     with pytest.raises(NumericalBreakdown):
         solve(lp)
+
+
+# -- a feasible cut-round LP reported infeasible (ROADMAP item 6) --------------
+
+@pytest.fixture(scope="module")
+def infeasible_cut_round():
+    """The first LP of the good-deal cutting-plane loop that ``solve`` calls
+    infeasible: round 9 of the lower bound on trinomial H=4, asset factors
+    2, 1, 0.5, uniform P, a call struck at 1, every cap 1.05."""
+    from oracles import good_deal_bounds_cuts
+    from tcpp.errors import TcppError
+    from tcpp.market import AssetProcess, GoodDealCaps
+    from tcpp.tree import Claim, FiltrationTree, StoppingTime
+
+    tree = FiltrationTree.trinomial(4)
+    s = {tree.root: 1.0}
+    for v in tree.internal_nodes():
+        for c, f in zip(tree.children[v], (2.0, 1.0, 0.5)):
+            s[c] = s[v] * f
+    call = Claim(StoppingTime.at_horizon(tree), {b: max(s[b] - 1.0, 0.0) for b in tree.leaves})
+    trace = []
+    try:
+        good_deal_bounds_cuts(tree, [AssetProcess("S", s)], GoodDealCaps.uniform(1.05),
+                              call, max_cut_rounds=9, trace=trace)
+    except TcppError:       # EmptyGoodDealSet, from the infeasible verdict
+        pass
+    lp = trace[8][0]        # round 9 of the lower bound
+    # leaf masses of the product measure with kernel (3/14, 5/14, 6/14) at
+    # every node: a martingale kernel of second moment 15/14 < 1.05^2
+    mass = tree.forward_mass(tree.root, frozenset(tree.leaves),
+                             lambda v: (3 / 14, 5 / 14, 6 / 14))
+    return lp, np.array([mass[b] for b in tree.leaves])
+
+
+def test_infeasible_cut_round_has_a_feasible_point(infeasible_cut_round):
+    lp, mu = infeasible_cut_round
+    assert lp.dims() == (268, 81)
+    assert np.all(mu >= 0.0)
+    for row, rel, rhs in lp.constraints:
+        lhs = float(np.dot(row, mu))
+        if rel == EQ:
+            assert abs(lhs - rhs) <= 1e-12
+        elif rel == LE:
+            assert lhs <= rhs + 1e-12
+        else:
+            assert lhs >= rhs - 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: solve reports a feasible "
+                   "cut-round LP infeasible")
+def test_feasible_cut_round_solves(infeasible_cut_round):
+    lp, _ = infeasible_cut_round
+    assert solve(lp).status == "optimal"

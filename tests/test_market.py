@@ -223,6 +223,35 @@ def test_good_deal_cap_validation():
         GoodDealCaps.uniform(0.5)
 
 
+@pytest.mark.parametrize("caps", [
+    pytest.param(lambda: GoodDealCaps.uniform(float("nan")), id="default"),
+    pytest.param(lambda: GoodDealCaps(1.5, {0: float("nan")}), id="per-node"),
+])
+def test_good_deal_cap_nan_rejected(caps):
+    with pytest.raises(TcppError, match="nan"):
+        caps()
+
+
+def test_good_deal_cap_off_the_internal_nodes_rejected():
+    tree, s = trinomial_market()
+    for node in (2, 99):      # a leaf, and no node at all
+        with pytest.raises(TcppError, match=f"node {node}, which is not an internal node"):
+            good_deal_bounds(tree, [s], GoodDealCaps(1.5, {node: 1.2}), digital(tree))
+
+
+@pytest.mark.parametrize("bid,ask,pay", [
+    pytest.param(float("nan"), 0.2, 1.0, id="bid-nan"),
+    pytest.param(0.1, float("inf"), 1.0, id="ask-inf"),
+    pytest.param(-float("inf"), 0.2, 1.0, id="bid-minus-inf"),
+    pytest.param(0.1, 0.2, float("nan"), id="payoff-nan"),
+])
+def test_quoted_option_rejects_non_finite_values(bid, ask, pay):
+    tree, _ = trinomial_market()
+    x = Claim(StoppingTime.at_horizon(tree), {1: pay, 2: 0.0, 3: 0.0})
+    with pytest.raises(TcppError, match="quote C: .*is not finite"):
+        QuotedOption("C", x, bid, ask)
+
+
 def test_constrained_price_zero_set_is_childwise_max():
     tree = FiltrationTree.binomial(2)
     s = AssetProcess("S", {0: 1.0, 1: 2.0, 2: 0.5, 3: 4.0, 4: 1.0, 5: 1.0, 6: 0.25})
