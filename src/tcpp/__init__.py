@@ -6,12 +6,11 @@ from .tree import (Claim, FiltrationTree, Measure, StoppingTime,
                    paste_measures, precedes, sigma_algebra_nodes)
 from .scenario import (MeasureSelection, MenuEntry, PenaltyProcess,
                        ScenarioModel, aggregate_penalty, check_cocycle,
-                       check_nondegenerate, enumerate_selections,
-                       minimal_penalty, selection_to_measure)
+                       check_nondegenerate, minimal_penalty,
+                       selection_to_measure)
 from .pricing import (AmericanResult, american_price, bid_ask, check_axioms,
                       check_sublinear, check_supermartingale,
-                      check_time_consistency, price, price_enumerated,
-                      price_process)
+                      check_time_consistency, price, price_process)
 from .nfl import (FreeLunchCertificate, ZeroCostStrategy,
                   find_static_free_lunch, find_zero_penalty_equivalent_measure,
                   nfl_verdict, sample_zero_cost)
@@ -30,10 +29,10 @@ __all__ = [
     "precedes", "sigma_algebra_nodes",
     "MeasureSelection", "MenuEntry", "PenaltyProcess", "ScenarioModel",
     "aggregate_penalty", "check_cocycle", "check_nondegenerate",
-    "enumerate_selections", "minimal_penalty", "selection_to_measure",
+    "minimal_penalty", "selection_to_measure",
     "AmericanResult", "american_price", "bid_ask", "check_axioms",
     "check_sublinear", "check_supermartingale", "check_time_consistency",
-    "price", "price_enumerated", "price_process",
+    "price", "price_process",
     "FreeLunchCertificate", "ZeroCostStrategy", "find_static_free_lunch",
     "find_zero_penalty_equivalent_measure", "nfl_verdict", "sample_zero_cost",
     "AssetProcess", "ConstraintSet", "GoodDealCaps", "QuotedOption",

@@ -17,16 +17,12 @@ class ForeignNode(TcppError):
     """A stopping time or claim references a node id not in the tree."""
 
 
-class ZeroConditioningMass(TcppError):
-    """Conditioning event has zero mass under the given measure."""
-
-
 class MassMismatch(TcppError):
     """Pasting measures where the future law is undefined on a charged atom."""
 
 
 class EnumerationOverflow(TcppError):
-    """Selection or stopping-time enumeration exceeds the configured cap."""
+    """An enumeration (kernels, supports, selections, stopping times) exceeds the cap."""
 
 
 class NegativePenalty(TcppError):

@@ -372,8 +372,7 @@ def solve(lp: LinearProgram, settings: Settings = DEFAULT) -> LpSolution:
         duals = -duals
 
     out = LpSolution(status="optimal", value=value, point=x, dual_point=duals)
-    if settings.verify_lp:
-        _verify(lp, out, std, y, pi, settings)
+    _verify(lp, out, std, y, pi, settings)
     return out
 
 

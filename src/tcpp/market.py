@@ -21,8 +21,7 @@ from .errors import (EmptyGoodDealSet, EnumerationOverflow, NoMartingaleMeasure,
 from .lp import EQ, GE, LE, LinearProgram, solve
 from .pricing import price
 from .report import CheckReport
-from .scenario import ScenarioModel, enumerate_selections, minimal_penalty, \
-    selection_to_measure
+from .scenario import ScenarioModel, minimal_penalty
 from .settings import DEFAULT, Settings
 from .tree import (Claim, FiltrationTree, Measure, StoppingTime,
                    lift_to_leaves, precedes, require_finite,
@@ -309,7 +308,8 @@ def check_strong_admissibility(model: ScenarioModel, assets: Sequence[AssetProce
                                n_measures: int = 8, seed: int = 0,
                                settings: Settings = DEFAULT) -> CheckReport:
     """Extends the dynamics, reprices every quote inside its observed band,
-    and satisfies the calibrated penalty floor on sampled measures."""
+    and satisfies the calibrated penalty floor on sampled measures: per-node
+    Dirichlet mixtures of the menu kernels, so mixtures of selections."""
     tree = model.tree
     tol = 1e-9
     report = check_extends_dynamics(model, assets, n_spot=2, seed=seed,
@@ -328,15 +328,13 @@ def check_strong_admissibility(model: ScenarioModel, assets: Sequence[AssetProce
 
     # penalty floor: minimal penalty >= max(0, bid - E_R Y, E_R Y - ask)
     rng = np.random.default_rng(seed)
-    sels = list(enumerate_selections(model, settings))
-    horizon = StoppingTime.at_horizon(tree)
-    taus = [q.payoff.at for q in quotes] + [horizon]
+    menus = {v: np.array([e.kernel for e in model.menus[v]]) for v in tree.internal_nodes()}
+    leaves = frozenset(tree.leaves)
+    taus = [q.payoff.at for q in quotes] + [StoppingTime.at_horizon(tree)]
     for i in range(n_measures):
-        weights = rng.dirichlet(np.ones(len(sels)))
-        masses = np.zeros(len(tree.leaves))
-        for wgt, sel in zip(weights, sels):
-            masses += wgt * selection_to_measure(model, sel).leaf_masses(tree)
-        r = Measure.from_leaf_masses(tree, masses)
+        mixed = {v: rng.dirichlet(np.ones(len(k))) @ k for v, k in menus.items()}
+        r = Measure.from_leaf_masses(tree, tree.forward_mass(tree.root, leaves,
+                                                             mixed.__getitem__))
         for tau in taus:
             floor = 0.0
             for q in quotes:

@@ -13,8 +13,8 @@ Line-oriented records, ``#`` comments, order-insensitive:
     vertex <h1> [h2 ...]               constraint-set vertex
     set <key> <value>                  numeric-settings override
 
-A per-node cap must name an internal node.  ``set`` lines for the retired
-good-deal cutting-plane settings (``_IGNORED_SETTINGS``) are ignored.
+A per-node cap must name an internal node.  ``set`` lines for retired
+settings (``_IGNORED_SETTINGS``; every LP solve is verified) are ignored.
 
 The serializer emits a canonical ordering, and parsing its output
 reproduces the same objects.
@@ -32,7 +32,7 @@ from .settings import Settings
 from .tree import Claim, FiltrationTree, StoppingTime, validate_stopping_time
 
 _SETTING_FIELDS = {f.name: f.type for f in dataclasses.fields(Settings)}
-_IGNORED_SETTINGS = ("cut_tol", "max_cut_rounds")    # accepted and ignored
+_IGNORED_SETTINGS = ("cut_tol", "max_cut_rounds", "verify_lp")    # accepted and ignored
 
 
 @dataclass
@@ -144,10 +144,15 @@ def parse_market_text(text: str) -> MarketData:
             if len(args) != 2:
                 raise MarketFileError("cap takes: node|* value", ln)
             any_cap = True
+            cap = _num(args[1], ln, "cap")
+            try:
+                GoodDealCaps(cap)    # its own check, here to name the line
+            except TcppError as exc:
+                raise MarketFileError(str(exc), ln)
             if args[0] == "*":
-                caps_default = _num(args[1], ln, "cap")
+                caps_default = cap
             else:
-                caps_nodes[_int(args[0], ln, "cap node")] = (_num(args[1], ln, "cap"), ln)
+                caps_nodes[_int(args[0], ln, "cap node")] = (cap, ln)
         elif kind == "vertex":
             if not args:
                 raise MarketFileError("vertex needs at least one coordinate", ln)
@@ -160,9 +165,7 @@ def parse_market_text(text: str) -> MarketData:
                 continue
             if key not in _SETTING_FIELDS:
                 raise MarketFileError(f"unknown setting {key!r}", ln)
-            if key == "verify_lp":
-                overrides[key] = args[1].lower() in ("1", "true", "yes")
-            elif key == "max_enum":
+            if key == "max_enum":
                 overrides[key] = _int(args[1], ln, key)
             else:
                 overrides[key] = _num(args[1], ln, key)
@@ -218,15 +221,11 @@ def parse_market_text(text: str) -> MarketData:
         except TcppError as exc:
             raise MarketFileError(f"quote {name}: {exc}", ln)
 
-    caps = None
     for node, (_, ln) in caps_nodes.items():
         if not (0 <= node < tree.n_nodes and tree.children[node]):
             raise MarketFileError(f"cap node {node} is not an internal node of the tree", ln)
-    if any_cap:
-        try:
-            caps = GoodDealCaps(caps_default, {v: c for v, (c, _) in caps_nodes.items()})
-        except TcppError as exc:
-            raise MarketFileError(str(exc))
+    caps = (GoodDealCaps(caps_default, {v: c for v, (c, _) in caps_nodes.items()})
+            if any_cap else None)
     h_set = ConstraintSet(vertices) if vertices else None
     settings = dataclasses.replace(Settings(), **overrides) if overrides else Settings()
     return MarketData(tree, model, asset_list, quotes, caps, h_set, settings)

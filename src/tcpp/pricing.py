@@ -3,14 +3,13 @@
 The production evaluator is backward induction over the menu maxima, which
 is linear in nodes times menu size: :func:`backward_pass`, which with the
 payoff as exercise floor is also the American (Snell) recursion.  The
-enumerations of selections and stopping times only back test oracles and
-witness searches; they are exponential and capped.
+enumerations of selections and stopping times are reference implementations
+that only the tests run; they are exponential and capped.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
@@ -30,8 +29,9 @@ def backward_pass(model: ScenarioModel, at: StoppingTime,
                   floor: Mapping[int, float] | None = None) -> dict[int, np.ndarray]:
     """Menu-maximum recursion from the cut to the root, vectorized over claims.
 
-    ``rows[b]`` holds the claim values (any common shape) at cut node b; the
-    result carries one array per cut node and per strict ancestor.  A node
+    ``rows[b]`` holds the claim values at cut node b, one 1-D array per cut
+    node and all of one length (one entry per claim); the result carries
+    such an array per cut node and per strict ancestor.  A node
     above the cut with a ``floor`` value takes the larger of it and its menu
     maximum: the Snell envelope of a payoff process.
     """
@@ -305,24 +305,24 @@ def check_sublinear(model: ScenarioModel, n_samples: int = 20,
     structural = model.is_sublinear()
     horizon = StoppingTime.at_horizon(tree)
     root = StoppingTime.at_root(tree)
+    scales = list(lambdas) + ([] if structural else [10.0 ** k for k in range(2, 9)])
+    # every sample at every scale in one pass, the unscaled samples first
+    xs = rng.normal(size=(n_samples, len(tree.leaves)))
+    stacked = np.multiply.outer([1.0] + scales, xs).reshape(-1, len(tree.leaves))
+    top = backward_pass(model, horizon, dict(zip(tree.leaves, stacked.T)))[tree.root]
+    scaled = top[n_samples:].reshape(len(scales), n_samples).T
+    lam_base = np.array(scales) * top[:n_samples, None]
+    slack = 1e-9 * (1 + np.abs(scaled))
     if structural:
-        for _ in range(n_samples):
-            x = Claim(horizon, {b: rng.normal() for b in tree.leaves})
-            base = price(model, x, root).values[tree.root]
-            for lam in lambdas:
-                scaled = price(model, lam * x, root).values[tree.root]
-                if abs(scaled - lam * base) > 1e-9 * (1 + abs(scaled)):
-                    raise TcppError("homogeneity broken on a zero-penalty model")
+        if np.any(np.abs(scaled - lam_base) > slack):
+            raise TcppError("homogeneity broken on a zero-penalty model")
         return SublinearReport(sublinear=True)
-
-    scales = list(lambdas) + [10.0 ** k for k in range(2, 9)]
-    for _ in range(n_samples):
-        x = Claim(horizon, {b: rng.normal() for b in tree.leaves})
-        base = price(model, x, root).values[tree.root]
-        for lam in scales:
-            scaled = price(model, lam * x, root).values[tree.root]
-            if scaled > lam * base + 1e-9 * (1 + abs(scaled)):
-                return SublinearReport(False, (x, lam, root, scaled, lam * base))
+    bad = np.argwhere(scaled > lam_base + slack)    # sample-major, as drawn
+    if bad.size:
+        i, k = bad[0]
+        x = Claim(horizon, dict(zip(tree.leaves, xs[i].tolist())))
+        return SublinearReport(False, (x, scales[k], root, float(scaled[i, k]),
+                                       float(lam_base[i, k])))
     # targeted search: align the claim with a positive-penalty kernel
     for node in tree.internal_nodes():
         entries = model.menus[node]
@@ -345,29 +345,46 @@ def check_sublinear(model: ScenarioModel, n_samples: int = 20,
                            "pricing is positively homogeneous anyway")
 
 
+def chain_prices(model: ScenarioModel, nu: StoppingTime, sigma: StoppingTime,
+                 tau: StoppingTime, xs: Sequence[Claim]) -> list[tuple[dict, dict]]:
+    """Direct and two-step ask prices at nu of each claim at tau, from two
+    stacked passes: one from tau over every claim, one from sigma over the
+    values it leaves there."""
+    for st in (nu, sigma, tau):
+        validate_stopping_time(model.tree, st)
+    for x in xs:
+        require_finite(x.values, "claim value")
+    direct = backward_pass(model, tau, {b: np.array([x.values[b] for x in xs])
+                                        for b in tau.cut})
+    composed = backward_pass(model, sigma, {a: direct[a] for a in sigma.cut})
+    return [({a: float(direct[a][j]) for a in nu.cut},
+             {a: float(composed[a][j]) for a in nu.cut}) for j in range(len(xs))]
+
+
 def check_time_consistency(evaluator: ScenarioModel | Evaluator,
                            chains: Sequence[tuple[StoppingTime, StoppingTime, StoppingTime]],
                            samples: Sequence[Claim],
                            tol: float = 1e-9) -> CheckReport:
-    """Compare direct pricing against two-step composition over each chain."""
-    evaluate = (partial(price, evaluator) if isinstance(evaluator, ScenarioModel)
-                else evaluator.price)
+    """Compare direct pricing against two-step composition over each chain:
+    for a scenario model by :func:`chain_prices`, else claim by claim."""
     tree = evaluator.tree
     report = CheckReport(check="time consistency", passed=True)
     for ci, (nu, sigma, tau) in enumerate(chains):
         if not (precedes(tree, nu, sigma) and precedes(tree, sigma, tau)):
             raise TcppError(f"chain {ci} is not ordered")
-        for si, x in enumerate(samples):
-            if x.at != tau:
-                continue
-            direct = evaluate(x, nu)
-            composed = evaluate(evaluate(x, sigma), nu)
+        idxs = [si for si, x in enumerate(samples) if x.at == tau]
+        xs = [samples[si] for si in idxs]
+        if isinstance(evaluator, ScenarioModel):
+            pairs = chain_prices(evaluator, nu, sigma, tau, xs)
+        else:
+            pairs = [(evaluator.price(x, nu).values,
+                      evaluator.price(evaluator.price(x, sigma), nu).values) for x in xs]
+        for si, (direct, composed) in zip(idxs, pairs):
             for a in nu.cut:
-                gap = abs(direct.values[a] - composed.values[a])
+                gap = abs(direct[a] - composed[a])
                 if gap > tol:
                     report.add(f"chain {ci} sample {si} atom {a}",
-                               f"direct {direct.values[a]:.12g} != composed "
-                               f"{composed.values[a]:.12g}")
+                               f"direct {direct[a]:.12g} != composed {composed[a]:.12g}")
                     report.info.setdefault("witness_node", a)
     return report
 

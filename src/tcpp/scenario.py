@@ -7,6 +7,7 @@ stable under pasting and the penalty cocycle hold by construction.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -123,19 +124,8 @@ def enumerate_selections(model: ScenarioModel,
         raise EnumerationOverflow(
             f"{total} selections exceed the configured cap {settings.max_enum}")
     nodes = sorted(model.menus)
-    sizes = [len(model.menus[v]) for v in nodes]
-    idx = [0] * len(nodes)
-    while True:
+    for idx in itertools.product(*(range(len(model.menus[v])) for v in nodes)):
         yield MeasureSelection.of(dict(zip(nodes, idx)))
-        pos = len(nodes) - 1
-        while pos >= 0:
-            idx[pos] += 1
-            if idx[pos] < sizes[pos]:
-                break
-            idx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
 
 
 def selection_to_measure(model: ScenarioModel, sel: MeasureSelection) -> Measure:

@@ -20,11 +20,10 @@ class Settings:
                       the martingale bounds apply it per edge, to each
                       one-step weight, so that leaf masses on deep trees
                       (products of many edge weights) may fall below it
-    max_enum          cap on enumerated scenario selections / stopping times,
-                      on the game kernels tried per node in constrained
-                      pricing, and on the kernel supports tried per node by
-                      the martingale and good-deal bounds
-    verify_lp         run feasibility + duality checks on every optimal solve
+    max_enum          cap on the game kernels tried per node in constrained
+                      pricing, on the kernel supports tried per node by the
+                      martingale and good-deal bounds, and on the reference
+                      enumerators of selections and stopping times
     """
 
     feasibility_tol: float = 1e-9
@@ -32,7 +31,6 @@ class Settings:
     duality_tol: float = 1e-7
     equivalence_floor: float = 1e-12
     max_enum: int = 10**6
-    verify_lp: bool = True
 
 
 DEFAULT = Settings()

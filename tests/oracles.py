@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -9,8 +10,9 @@ from tcpp.errors import (EmptyGoodDealSet, ForeignNode, NoMartingaleMeasure,
                          NumericalBreakdown, TcppError)
 from tcpp.lp import EQ, GE, LE, LinearProgram, solve
 from tcpp.market import _equivalence_margin, _martingale_rows
-from tcpp.pricing import backward_pass, enumerate_stop_sets, price
-from tcpp.scenario import cumulative_penalties, subtree_duals
+from tcpp.pricing import (SublinearReport, backward_pass, enumerate_stop_sets,
+                          price)
+from tcpp.scenario import ScenarioModel, cumulative_penalties, subtree_duals
 from tcpp.settings import DEFAULT
 from tcpp.tree import (Claim, Measure, StoppingTime, lift_to_leaves, precedes,
                        validate_stopping_time)
@@ -587,3 +589,59 @@ def good_deal_segment_oracle(tree, asset, cap: float, x) -> tuple[float, float]:
         hi[node] = max(float(q @ [hi[c] for c in kids]) for q in ends)
         lo[node] = min(float(q @ [lo[c] for c in kids]) for q in ends)
     return lo[tree.root], hi[tree.root]
+
+
+# -- check_sublinear as first written: one price call per claim and scale ------
+
+def check_sublinear_per_claim(model: ScenarioModel, n_samples: int = 20,
+                              lambdas: Sequence[float] = (2.0, 5.0, 17.0),
+                              seed: int = 0) -> SublinearReport:
+    """Sublinear iff every menu penalty is zero; falsity comes with a witness.
+
+    The witness is a claim and scale with price(lambda X) > lambda price(X);
+    when a positive-penalty entry duplicates a zero-penalty kernel it never
+    becomes strictly active, and no witness exists despite the verdict.
+    """
+    tree = model.tree
+    rng = np.random.default_rng(seed)
+    structural = model.is_sublinear()
+    horizon = StoppingTime.at_horizon(tree)
+    root = StoppingTime.at_root(tree)
+    if structural:
+        for _ in range(n_samples):
+            x = Claim(horizon, {b: rng.normal() for b in tree.leaves})
+            base = price(model, x, root).values[tree.root]
+            for lam in lambdas:
+                scaled = price(model, lam * x, root).values[tree.root]
+                if abs(scaled - lam * base) > 1e-9 * (1 + abs(scaled)):
+                    raise TcppError("homogeneity broken on a zero-penalty model")
+        return SublinearReport(sublinear=True)
+
+    scales = list(lambdas) + [10.0 ** k for k in range(2, 9)]
+    for _ in range(n_samples):
+        x = Claim(horizon, {b: rng.normal() for b in tree.leaves})
+        base = price(model, x, root).values[tree.root]
+        for lam in scales:
+            scaled = price(model, lam * x, root).values[tree.root]
+            if scaled > lam * base + 1e-9 * (1 + abs(scaled)):
+                return SublinearReport(False, (x, lam, root, scaled, lam * base))
+    # targeted search: align the claim with a positive-penalty kernel
+    for node in tree.internal_nodes():
+        entries = model.menus[node]
+        for e in entries:
+            if e.penalty <= 0.0:
+                continue
+            off = sorted(set(tree.leaves) - set(tree.subtree_leaves(node)))
+            nu = StoppingTime.of([node] + off)
+            tau = StoppingTime.of(list(tree.children[node]) + off)
+            vals = {c: e.kernel[i] for i, c in enumerate(tree.children[node])}
+            vals.update({b: 0.0 for b in off})
+            x = Claim(tau, vals)
+            base = price(model, x, nu).values[node]
+            for lam in scales:
+                scaled = price(model, lam * x, nu).values[node]
+                if scaled > lam * base + 1e-9 * (1 + abs(scaled)):
+                    return SublinearReport(False, (x, lam, nu, scaled, lam * base))
+    return SublinearReport(False, None,
+                           "positive penalties never strictly active; "
+                           "pricing is positively homogeneous anyway")

@@ -193,13 +193,23 @@ def test_reports_deterministic_given_seed(capsys):
     assert first == second
 
 
-def test_max_enum_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("TCPP_MAX_ENUM", "1")
-    code = main(["check-tcpp", "--market", TRINOMIAL])
-    err = capsys.readouterr()
-    assert code == 2
-    assert "exceed" in err.err
-    assert "2 selections exceed the configured cap 1" in err.err
+def test_check_tcpp_enumerates_nothing(monkeypatch, capsys, tmp_path):
+    # binomial H=6 with 2 entries has 2^63 selections; the cocycle samples
+    # are drawn, so neither the default cap nor a cap of 1 is reached
+    model = _binomial_two_entries(periods=6)
+    path = tmp_path / "model.market"
+    path.write_text(serialize_market(MarketData(model.tree, model)))
+    for cap in (None, "1"):
+        if cap is not None:
+            monkeypatch.setenv("TCPP_MAX_ENUM", cap)
+        code = main(["check-tcpp", "--market", str(path), "--format", "machine"])
+        out, err = capsys.readouterr()
+        assert code == 0 and not err
+        records = dict(line.split("\t") for line in out.strip().splitlines())
+        checks = {k: v for k, v in records.items() if k.startswith("check.")}
+        assert sorted(checks) == ["check.cocycle", "check.non-degeneracy",
+                                  "check.pricing-axioms", "check.time-consistency"]
+        assert set(checks.values()) == {"pass"}
 
 
 def test_american_enumerates_nothing(monkeypatch, capsys):
@@ -224,9 +234,9 @@ def test_nfl_negative_penalty_exits_two(capsys, tmp_path):
     assert "node 0" in err and "-0.1" in err
 
 
-def _binomial_two_entries() -> ScenarioModel:
+def _binomial_two_entries(periods: int = 4) -> ScenarioModel:
     rng = np.random.default_rng(5)
-    tree = FiltrationTree.binomial(4)
+    tree = FiltrationTree.binomial(periods)
     return ScenarioModel(tree, {v: [MenuEntry(tuple(rng.dirichlet([2.0, 2.0])), 0.0),
                                     MenuEntry(tuple(rng.dirichlet([2.0, 2.0])),
                                               float(rng.exponential(0.2)))]
@@ -344,3 +354,25 @@ def test_cutting_plane_settings_are_accepted_and_ignored():
     md = parse_market_text(MINIMAL + "set cut_tol 1e-6\nset max_cut_rounds 5\n")
     assert md.settings == parse_market_text(MINIMAL).settings
     assert "cut" not in serialize_market(md)
+
+
+def test_verify_lp_setting_is_accepted_and_ignored():
+    md = parse_market_text(MINIMAL + "set verify_lp false\n")
+    assert md.settings == parse_market_text(MINIMAL).settings
+    assert "verify_lp" not in serialize_market(md)
+
+
+@pytest.mark.parametrize("node", ["*", "0"])
+def test_cap_below_one_names_its_line(node, capsys, tmp_path):
+    with open(TRINOMIAL, encoding="utf-8") as fh:
+        text = fh.read().replace("cap * 1.2", f"cap {node} 0.5")
+    line = text.splitlines().index(f"cap {node} 0.5") + 1
+    with pytest.raises(MarketFileError) as exc:
+        parse_market_text(text)
+    assert exc.value.line == line
+    path = tmp_path / "low.market"
+    path.write_text(text)
+    code = main(["bounds", "--market", str(path), "--claim", DIGITAL, "--kind", "good-deal"])
+    assert code == 2
+    assert (f"line {line}: good-deal cap 0.5 is not a number of at least 1"
+            in capsys.readouterr().err)

@@ -14,6 +14,7 @@ from tcpp.market import (AssetProcess, ConstraintSet, GoodDealCaps,
                          good_deal_bounds, mme_bounds)
 from tcpp.pricing import bid_ask, price
 from tcpp.scenario import MenuEntry, ScenarioModel
+from tcpp.settings import Settings
 from tcpp.tree import Claim, FiltrationTree, StoppingTime
 
 
@@ -123,6 +124,27 @@ def test_strong_admissibility_cases():
     # no quotes: reduces to the dynamics check
     rep = check_strong_admissibility(calibrated, [s], [])
     assert rep.passed
+
+
+def test_strong_admissibility_samples_without_enumerating():
+    # binomial H=5 with 2 entries has 2^31 selections, over the default cap;
+    # a bond leaves every kernel a martingale kernel, and a band just wider
+    # than the model's own bid-ask keeps every penalty floor
+    rng = np.random.default_rng(3)
+    tree = FiltrationTree.binomial(5)
+    model = ScenarioModel(tree, {v: [MenuEntry(tuple(rng.dirichlet([2.0, 2.0])), 0.0),
+                                     MenuEntry(tuple(rng.dirichlet([2.0, 2.0])), 0.1)]
+                                 for v in tree.internal_nodes()})
+    assert model.selection_count() > Settings().max_enum
+    bond = AssetProcess("B", dict.fromkeys(range(tree.n_nodes), 1.0))
+    y = random_claim(rng, tree)
+    bid, ask = bid_ask(model, y, StoppingTime.at_root(tree))
+    band = QuotedOption("Y", y, bid.values[tree.root] - 0.01, ask.values[tree.root] + 0.01)
+    rep = check_strong_admissibility(model, [bond], [band])
+    assert rep.passed, rep.summary()
+    short = QuotedOption("Y", y, bid.values[tree.root], ask.values[tree.root] - 0.01)
+    rep = check_strong_admissibility(model, [bond], [short])
+    assert [f.where for f in rep.findings] == ["quote Y"]
 
 
 def test_calibrated_bounds_examples():

@@ -8,7 +8,7 @@ import oracles
 from gen import claim_pairs, random_claim, random_model, random_tree
 from tcpp.scenario import (MenuEntry, PenaltyProcess, ScenarioModel,
                            check_cocycle, enumerate_selections)
-from tcpp.pricing import (american_price, bid_ask, check_axioms,
+from tcpp.pricing import (american_price, bid_ask, chain_prices, check_axioms,
                           check_sublinear, check_supermartingale,
                           check_time_consistency, enumerate_stop_sets,
                           non_rectangular_counterexample, price,
@@ -139,6 +139,67 @@ def test_check_time_consistency_of_backward_induction():
     samples = [random_claim(rng, tree) for _ in range(30)]
     rep = check_time_consistency(model, chains, samples)
     assert rep.passed, rep.summary()
+
+
+def _same_price(got: dict, want: dict) -> bool:
+    # a matmul over several columns may round a kernel product in the last
+    # bit unlike the one-column product of a single price call (OpenBLAS's
+    # FMA gemv kernels do), so stacked prices agree to a few ulps
+    return got.keys() == want.keys() and all(
+        abs(got[a] - want[a]) <= 1e-14 * (1.0 + abs(want[a])) for a in want)
+
+
+def test_chain_prices_equal_per_claim_prices():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, max_periods=4)
+        model = random_model(rng, tree)
+        tau = random_stopping_time(tree, rng)
+        sigma = random_stopping_time(tree, rng, hi=tau)
+        nu = random_stopping_time(tree, rng, hi=sigma)
+        xs = [random_claim(rng, tree, at=tau) for _ in range(int(rng.integers(1, 8)))]
+        pairs = chain_prices(model, nu, sigma, tau, xs)
+        for x, (direct, composed) in zip(xs, pairs):
+            assert _same_price(direct, price(model, x, nu).values)
+            assert _same_price(composed, price(model, price(model, x, sigma), nu).values)
+        rep = check_time_consistency(model, [(nu, sigma, tau)], xs)
+        assert rep.passed, rep.summary()
+
+
+def test_time_consistency_validates_its_samples():
+    tree = FiltrationTree.binomial(2)
+    model = ScenarioModel.reference(tree)
+    root, horizon = StoppingTime.at_root(tree), StoppingTime.at_horizon(tree)
+    good = Claim.constant(horizon, 1.0)
+    bad = Claim(horizon, {**good.values, 5: float("nan")})
+    with pytest.raises(TcppError, match="claim value nan at node 5 is not finite"):
+        check_time_consistency(model, [(root, root, horizon)], [good, bad])
+    foreign = StoppingTime.of([1, 99])
+    with pytest.raises(TcppError):
+        chain_prices(model, root, foreign, horizon, [good])
+
+
+def test_check_sublinear_matches_per_claim_version():
+    outcomes = set()
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng)
+        model = random_model(rng, tree, sublinear=seed % 5 == 0)
+        n_samples = int(rng.integers(0, 4)) if seed % 2 else 20
+        got = check_sublinear(model, n_samples=n_samples, seed=seed)
+        want = oracles.check_sublinear_per_claim(model, n_samples=n_samples, seed=seed)
+        assert (got.sublinear, got.note) == (want.sublinear, want.note)
+        assert (got.witness is None) == (want.witness is None)
+        if got.witness is not None:
+            # the same claim, scale and stopping time; prices as in _same_price
+            assert got.witness[:3] == want.witness[:3]
+            assert _same_price(dict(enumerate(got.witness[3:])),
+                               dict(enumerate(want.witness[3:])))
+        outcomes.add((got.sublinear, got.witness is None,
+                      got.witness is not None and got.witness[2].cut == {tree.root}))
+    # sublinear, a sampled witness, a targeted witness and none at all
+    assert outcomes == {(True, True, False), (False, False, True),
+                        (False, False, False), (False, True, False)}
 
 
 def test_non_rectangular_counterexample_fails_consistently():
