@@ -93,9 +93,8 @@ def cmd_check_tcpp(args, out: Output) -> int:
     tree = md.tree
     rng = np.random.default_rng(args.seed)
     horizon = StoppingTime.at_horizon(tree)
-    samples = [(Claim(horizon, {b: rng.uniform(-2, 2) for b in tree.leaves}),
-                Claim(horizon, {b: rng.uniform(-2, 2) for b in tree.leaves}))
-               for _ in range(args.samples)]
+    draws = rng.uniform(-2, 2, size=(args.samples, 2, len(tree.leaves))).tolist()
+    samples = [tuple(Claim(horizon, dict(zip(tree.leaves, x))) for x in pair) for pair in draws]
     axioms = check_axioms(model, samples, seed=args.seed)
     out.report(axioms)
 

@@ -2,10 +2,11 @@
 
 The martingale and good-deal bounds constrain each node's one-step kernel
 alone, so each is a backward induction over small per-node programs, and
-constrained pricing one over per-node matrix games, each solved a level at
-a time in array operations.  Suprema over the equivalent measures equal
-those over the closure for linear objectives; an edge-by-edge check reports
-whether equivalent ones exist.  Calibration still solves LPs over leaf masses.
+constrained pricing one over per-node matrix games, each solved a level
+group of ``FiltrationTree.levels`` at a time in array operations.  Suprema
+over the equivalent measures equal those over the closure for linear
+objectives; an edge-by-edge check reports whether equivalent ones exist.
+Calibration still solves LPs over leaf masses.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import (EmptyGoodDealSet, EnumerationOverflow, NoMartingaleMeasure,
                      NumericalBreakdown, TcppError)
 from .lp import EQ, GE, LE, LinearProgram, solve
-from .pricing import price
+from .pricing import backward_pass, price, random_stopping_time
 from .report import CheckReport
 from .scenario import ScenarioModel, minimal_penalty
 from .settings import DEFAULT, Settings
@@ -160,38 +161,35 @@ def check_extends_dynamics(model: ScenarioModel, assets: Sequence[AssetProcess],
                            settings: Settings = DEFAULT) -> CheckReport:
     """Every menu kernel must reproduce each asset's one-step expectation;
     spot-checks integer multiples across random stopping-time pairs."""
-    from .pricing import random_stopping_time
-
     tree = model.tree
     tol = 1e-9
     report = CheckReport(check="extends dynamics", passed=True)
-    for asset in assets:
-        asset.validate(tree)
-        for node in tree.internal_nodes():
-            s_now = asset.values[node]
-            for idx, entry in enumerate(model.menus[node]):
-                s_next = sum(entry.kernel[i] * asset.values[c]
-                             for i, c in enumerate(tree.children[node]))
-                if abs(s_next - s_now) > tol * (1.0 + abs(s_now)):
-                    report.add(f"node {node} entry {idx}",
-                               f"asset {asset.name}: kernel expectation "
-                               f"{s_next:.12g} != {s_now:.12g}")
+    spot = _spot(tree, assets)
+    bad = []      # (asset, node, entry, expectation, value), padded entries masked
+    for nodes, kids, kernels, _ in model.steps(tree.leaves):
+        s_now, s_next = spot[nodes, None, :], np.einsum("gek,gkd->ged", kernels, spot[kids])
+        off = (np.abs(s_next - s_now) > tol * (1.0 + np.abs(s_now))) & (
+            np.arange(kernels.shape[1])[:, None] < model.menu_sizes[nodes, None, None])
+        bad += [(j, nodes[i], e, s_next[i, e, j], s_now[i, 0, j]) for i, e, j in np.argwhere(off)]
+    for j, node, idx, s_next, s_now in sorted(bad):
+        report.add(f"node {node} entry {idx}", f"asset {assets[j].name}: kernel "
+                   f"expectation {s_next:.12g} != {s_now:.12g}")
     if not report.passed:
         return report
     rng = np.random.default_rng(seed)
+    mults = range(-3, 4)
     for _ in range(n_spot):
         tau = random_stopping_time(tree, rng)
         sigma = random_stopping_time(tree, rng, hi=tau)
-        for asset in assets:
-            for mult in range(-3, 4):
-                target = asset.claim_at(tau)
-                got = price(model, float(mult) * target, sigma)
+        # one pass for all: column j * 7 + i prices mults[i] times asset j
+        got = backward_pass(model, tau, {b: np.outer(spot[b], mults).ravel() for b in tau.cut})
+        for j, asset in enumerate(assets):
+            for i, mult in enumerate(mults):
                 for a in sigma.cut:
-                    want = mult * asset.values[a]
-                    if abs(got.values[a] - want) > tol * (1.0 + abs(want)):
-                        report.add(f"atom {a}",
-                                   f"price of {mult}x {asset.name} is "
-                                   f"{got.values[a]:.12g}, expected {want:.12g}")
+                    want, value = mult * asset.values[a], got[a][j * len(mults) + i]
+                    if abs(value - want) > tol * (1.0 + abs(want)):
+                        report.add(f"atom {a}", f"price of {mult}x {asset.name} is "
+                                   f"{value:.12g}, expected {want:.12g}")
     return report
 
 
@@ -409,18 +407,17 @@ def _kernel_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess], x: Clai
     require_finite(x.values, "claim value")
     spot = _spot(tree, assets)
     steps = []
-    for (t, k), nodes in _level_groups(tree, frozenset(tree.leaves)).items():
+    for (t, k), (nodes, kids) in tree.levels(tree.leaves).items():
         size = k if np.isfinite(cap[nodes]).any() else min(k, len(assets) + 1)
         count = sum(math.comb(k, s) for s in range(1, size + 1))
         if count > settings.max_enum:
             raise EnumerationOverflow(f"{count} kernel supports per node at time {t} "
                                       f"(arity {k}) exceed the cap {settings.max_enum}")
-        steps.append((nodes, size))
+        steps.append((nodes, kids, size))
     values = np.empty((2, tree.n_nodes))      # the lower side negated, the upper side
     values[:, list(tree.leaves)] = np.outer([-1.0, 1.0], lift_to_leaves(tree, x))
     charged = True
-    for nodes, size in steps:
-        kids = np.array([tree.children[v] for v in nodes])
+    for nodes, kids, size in steps:
         v = values[:, kids]
         edges = np.where(np.isinf(v).any(0), -np.inf, np.eye(kids.shape[1])[:, None, :])
         out = _kernel_max(np.array([tree.p_kernel(n) for n in nodes]),
@@ -506,7 +503,7 @@ def constrained_price(tree: FiltrationTree, assets: Sequence[AssetProcess],
         raise TcppError("constraint set must contain the zero position")
     validate_stopping_time(tree, x.at)
     spot = _spot(tree, assets)
-    groups = _level_groups(tree, x.at.cut)
+    groups = tree.levels(x.at.cut)
     m = len(h_set.vertices)
     for t, k in groups:
         count = sum(math.comb(m, s) * math.comb(k, s)
@@ -520,11 +517,10 @@ def constrained_price(tree: FiltrationTree, assets: Sequence[AssetProcess],
     for b, v in x.values.items():
         values[b] = v
     hedge = np.array(h_set.vertices, dtype=float)
-    for (t, k), nodes in groups.items():
-        kids = np.array([tree.children[v] for v in nodes])
+    for nodes, kids in groups.values():
         drift = spot[kids] - spot[nodes][:, None, :]
         pay = values[kids][:, None, :] - np.einsum("md,gkd->gmk", hedge, drift)
-        lower, upper = _game_bounds(pay, min(h_set.dim + 1, m, k), settings)
+        lower, upper = _game_bounds(pay, min(h_set.dim + 1, m, kids.shape[1]), settings)
         ok = (np.isfinite(lower) & np.isfinite(upper)
               & (upper - lower <= settings.feasibility_tol * (1.0 + np.abs(upper))))
         if not ok.all():
@@ -542,17 +538,6 @@ def _spot(tree: FiltrationTree, assets: Sequence[AssetProcess]) -> np.ndarray:
         asset.validate(tree)
     return np.array([[a.values[v] for a in assets] for v in range(tree.n_nodes)],
                     dtype=float).reshape(tree.n_nodes, len(assets))
-
-
-def _level_groups(tree: FiltrationTree, cut: frozenset[int]
-                  ) -> dict[tuple[int, int], list[int]]:
-    """Nodes from the root down to ``cut``, the cut excluded, by (time,
-    arity), deepest first: one group's nodes do not depend on each other."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for node in tree.between(tree.root, cut):
-        if node not in cut:
-            groups.setdefault((tree.times[node], len(tree.children[node])), []).append(node)
-    return groups
 
 
 # equalizer systems solved per stacked batch; bounds the working memory

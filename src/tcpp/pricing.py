@@ -1,10 +1,11 @@
 """Pricing engine: ask/bid evaluation and the checks behind its axioms.
 
-The production evaluator is backward induction over the menu maxima, which
-is linear in nodes times menu size: :func:`backward_pass`, which with the
-payoff as exercise floor is also the American (Snell) recursion.  The
-enumerations of selections and stopping times are reference implementations
-that only the tests run; they are exponential and capped.
+The production evaluator is backward induction over the menu maxima, linear
+in nodes times menu size: :func:`backward_pass` takes one level group of
+``FiltrationTree.levels`` at a time, with the menus the model packed per
+group, and with the payoff as exercise floor it is the American (Snell)
+recursion.  The enumerations of selections and stopping times are reference
+implementations that only the tests run; they are exponential and capped.
 """
 from __future__ import annotations
 
@@ -33,22 +34,20 @@ def backward_pass(model: ScenarioModel, at: StoppingTime,
     node and all of one length (one entry per claim); the result carries
     such an array per cut node and per strict ancestor.  A node
     above the cut with a ``floor`` value takes the larger of it and its menu
-    maximum: the Snell envelope of a payoff process.
+    maximum: the Snell envelope of a payoff process.  Each level group is
+    one product of its packed kernels with its children's values.
     """
-    tree = model.tree
-    values: dict[int, np.ndarray] = {b: np.asarray(rows[b], dtype=float) for b in at.cut}
-    for node in tree.between(tree.root, at.cut):
-        if node in at.cut:
-            continue
-        stack = np.stack([values[c] for c in tree.children[node]])
-        best = None
-        for entry in model.menus[node]:
-            cand = np.asarray(entry.kernel) @ stack - entry.penalty
-            best = cand if best is None else np.maximum(best, cand)
-        if floor is not None and node in floor:
-            best = np.maximum(best, floor[node])
-        values[node] = best
-    return values
+    lower = np.full(model.tree.n_nodes, -np.inf)
+    if floor:
+        lower[list(floor)] = list(floor.values())
+    keys = list(at.cut)
+    values = np.full((model.tree.n_nodes, len(rows[keys[0]])), np.nan)
+    values[keys] = [rows[b] for b in keys]
+    for nodes, kids, kernels, penalties in model.steps(at.cut):
+        cont = np.einsum("gek,gkm->gem", kernels, values[kids]) - penalties[:, :, None]
+        values[nodes] = np.maximum(cont.max(axis=1), lower[nodes, None])
+        keys += nodes.tolist()
+    return dict(zip(keys, values[keys]))
 
 
 def price(model: ScenarioModel, x: Claim, sigma: StoppingTime) -> Claim:

@@ -10,7 +10,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import EnumerationOverflow, TcppError
 from .lp import EQ, LinearProgram, solve
@@ -33,6 +35,10 @@ class ScenarioModel:
     are expected to be nonnegative with a zero minimum at every node (the
     normalization that prices the zero claim at zero); violations are kept
     constructible so that the axiom checker can exhibit them as witnesses.
+
+    ``packed`` holds the menus per level group of ``tree.levels``: kernels
+    ``(g, entries, arity)`` and penalties ``(g, entries)``, a short menu
+    padded with copies of its first entry; ``menu_sizes`` has the lengths.
     """
 
     def __init__(self, tree: FiltrationTree, menus: Mapping[int, Sequence[MenuEntry]]):
@@ -65,6 +71,33 @@ class ScenarioModel:
                                      float(e.penalty)))
             cleaned[node] = tuple(out)
         self.menus = cleaned
+        self.packed: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.menu_sizes = np.array([len(self.menus.get(v, ())) for v in range(tree.n_nodes)])
+        self._row = np.zeros(tree.n_nodes, dtype=int)
+        for (t, k), (nodes, _) in tree.levels(tree.leaves).items():
+            rows = [self.menus[v] for v in nodes.tolist()]
+            width = max(map(len, rows))
+            flat = [e for m in rows for e in m + m[:1] * (width - len(m))]
+            kernels = np.fromiter(itertools.chain.from_iterable(e.kernel for e in flat), float,
+                                  len(flat) * k)
+            penalties = np.fromiter((e.penalty for e in flat), float, len(flat))
+            self.packed[t, k] = (kernels.reshape(len(nodes), width, k),
+                                 penalties.reshape(len(nodes), width))
+            self._row[nodes] = np.arange(len(nodes))
+
+    def steps(self, cut: Iterable[int], choice: Mapping[int, int] | None = None
+              ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per level group of ``tree.levels(cut)``: its nodes, their children
+        and their rows of ``packed``; with ``choice``, only the chosen entry's
+        kernel ``(g, arity)`` and penalty ``(g,)``."""
+        for key, (nodes, kids) in self.tree.levels(cut).items():
+            kernels, penalties = self.packed[key]
+            if choice is not None:
+                rows = (self._row[nodes], [choice[v] for v in nodes.tolist()])
+                kernels, penalties = kernels[rows], penalties[rows]
+            elif len(nodes) < len(kernels):
+                kernels, penalties = kernels[self._row[nodes]], penalties[self._row[nodes]]
+            yield nodes, kids, kernels, penalties
 
     def normalization_findings(self) -> list[tuple[int, str]]:
         """Nodes whose menu penalties break the zero-at-minimum normalization."""
@@ -137,6 +170,13 @@ def selection_to_measure(model: ScenarioModel, sel: MeasureSelection) -> Measure
     return Measure({leaf: mass[leaf] / tree.leaf_weights[leaf] for leaf in tree.leaves})
 
 
+def _one_step(values: np.ndarray, kids: np.ndarray, kernel: np.ndarray,
+              penalty: np.ndarray) -> np.ndarray:
+    """Penalty plus the kernel's expectation of the children's values: one
+    operation for both sides of the cocycle, which then match bit for bit."""
+    return penalty + np.einsum("gk,gk->g", kernel, values[kids])
+
+
 def cumulative_penalties(model: ScenarioModel, sel: MeasureSelection,
                          tau: StoppingTime | None = None) -> dict[int, float]:
     """Expected sum of chosen one-step penalties from each node to tau.
@@ -150,13 +190,10 @@ def cumulative_penalties(model: ScenarioModel, sel: MeasureSelection,
         tau = StoppingTime.at_horizon(tree)
     else:
         validate_stopping_time(tree, tau)
-    g = dict.fromkeys(range(tree.n_nodes), 0.0)
-    for node in tree.between(tree.root, tau.cut):
-        if node not in tau.cut:
-            entry = model.menus[node][choice[node]]
-            g[node] = entry.penalty + sum(
-                entry.kernel[i] * g[c] for i, c in enumerate(tree.children[node]))
-    return g
+    g = np.zeros(tree.n_nodes)
+    for nodes, kids, kernel, penalty in model.steps(tau.cut, choice):
+        g[nodes] = _one_step(g, kids, kernel, penalty)
+    return dict(enumerate(g.tolist()))
 
 
 def aggregate_penalty(model: ScenarioModel, sel: MeasureSelection,
@@ -201,32 +238,31 @@ def check_cocycle(penalty: PenaltyProcess, model: ScenarioModel,
     for leaf in tree.leaves:
         if abs(vals[leaf]) > tol:
             report.add(f"node {leaf}", f"horizon value {vals[leaf]!r} is not 0")
-    for node in tree.internal_nodes():
-        entry = model.menus[node][choice[node]]
-        expect = entry.penalty + sum(
-            entry.kernel[i] * vals[c] for i, c in enumerate(tree.children[node]))
-        if abs(vals[node] - expect) > tol:
-            report.add(f"node {node}",
-                       f"value {vals[node]:.12g} != one-step penalty + expected "
-                       f"continuation {expect:.12g}")
+    given = np.array([vals[v] for v in range(tree.n_nodes)], dtype=float)
+    steps = list(model.steps(tree.leaves, choice))
+    expect = given.copy()
+    for nodes, kids, kernel, pen in steps:
+        expect[nodes] = _one_step(given, kids, kernel, pen)
+    for node in np.flatnonzero(np.abs(given - expect) > tol).tolist():
+        report.add(f"node {node}",
+                   f"value {vals[node]:.12g} != one-step penalty + expected "
+                   f"continuation {expect[node]:.12g}")
 
     # deterministic-time identity: supplied horizon cumulants joined by
     # model aggregates over (t0 -> t1) for every deterministic pair t0 < t1 < T.
     # For one t1, backward induction from the supplied values at t1 gives
-    # the right-hand side at every earlier node at once.
-    levels: list[list[int]] = [[] for _ in range(tree.horizon + 1)]
-    for v in range(tree.n_nodes):
-        levels[tree.times[v]].append(v)
-    det_ok = True
-    for t1 in range(1, tree.horizon):
-        rhs = {b: vals[b] for b in levels[t1]}
-        for t0 in range(t1 - 1, -1, -1):
-            for v in levels[t0]:
-                entry = model.menus[v][choice[v]]
-                rhs[v] = entry.penalty + sum(
-                    w * rhs[c] for w, c in zip(entry.kernel, tree.children[v]))
-                if abs(vals[v] - rhs[v]) > max(tol, 1e-9):
-                    det_ok = False
+    # the right-hand side at every earlier node at once.  Where every
+    # one-step residual is exactly 0, each induction reproduces the supplied
+    # values bit for bit (the same operation on the same numbers), so the
+    # identity holds without the scan.
+    def agrees_from(t1: int) -> bool:
+        rhs = given.copy()
+        for nodes, kids, kernel, pen in steps:
+            if tree.times[nodes[0]] < t1:
+                rhs[nodes] = _one_step(rhs, kids, kernel, pen)
+        return not (np.abs(given - rhs) > max(tol, 1e-9)).any()
+
+    det_ok = bool((expect == given).all()) or all(map(agrees_from, range(1, tree.horizon)))
     report.info["deterministic_passed"] = det_ok
     report.info["stopping_time_passed"] = report.passed
     return report

@@ -11,10 +11,13 @@ is an ancestor-or-self of ``b`` exactly when ``b``'s entry falls inside
 ``a``'s interval.  A cut is a stopping time when its intervals are
 disjoint and their leaf counts add up to the number of leaves; the owner
 of a node in a cut is found by bisection over the cut's sorted entries;
+``levels`` groups the nodes strictly above a cut by (time, arity), deepest
+first, as arrays of nodes and of their children: the order of every
+backward induction, which handles one group in array operations;
 ``between`` lists the nodes from a top node down to a cut level by level,
-which is the order of every backward induction; and ``first_stops`` walks
-a subtree in preorder, skipping below each stop.  No walk recurses, so
-depth is bounded by memory, not by Python's recursion limit.
+for the walks that follow a subtree; and ``first_stops`` walks a subtree
+in preorder, skipping below each stop.  No walk recurses, so depth is
+bounded by memory, not by Python's recursion limit.
 """
 from __future__ import annotations
 
@@ -100,6 +103,12 @@ class FiltrationTree:
                 self.exit[v] = self.enter[v] + 1
                 self._subtree_leaves[v] = (v,)
                 self._p_mass[v] = self.leaf_weights[v]
+        self._span = np.array([self.enter, self.exit])
+        groups: dict[tuple[int, int], list[int]] = {}
+        for v in self.internal_nodes():       # keyed by (-time, arity) to sort deepest first
+            groups.setdefault((-self.times[v], len(self.children[v])), []).append(v)
+        self._levels = {(-t, k): (np.array(nodes), np.array([self.children[v] for v in nodes]))
+                        for (t, k), nodes in sorted(groups.items())}
 
     # -- basic queries ----------------------------------------------------
     @property
@@ -150,6 +159,19 @@ class FiltrationTree:
             levels.append(level)
             level = [c for v in level if v not in cut for c in self.children[v]]
         return [v for level in reversed(levels) for v in level]
+
+    def levels(self, cut: Iterable[int]) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+        """Nodes strictly above ``cut`` by (time, arity), deepest first, each
+        group as its nodes in ascending order and their children, one row per
+        node; a backward induction takes one group at a time in array operations."""
+        cut = list(cut)
+        if self.leaf_index.keys() == set(cut):
+            return self._levels
+        at, n = self._span[:, cut], self.n_nodes + 1
+        cover = np.cumsum(np.bincount(at[0], minlength=n) - np.bincount(at[1], minlength=n))
+        above = cover[self._span[0]] == 0      # no cut node's interval covers the node
+        return {key: (nodes[keep], kids[keep])
+                for key, (nodes, kids) in self._levels.items() if (keep := above[nodes]).any()}
 
     def first_stops(self, top: int, stop: Callable[[int], bool]) -> list[int]:
         """The first node at or below ``top`` on each path where ``stop``

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from tcpp.market import AssetProcess
 from tcpp.scenario import MenuEntry, ScenarioModel
 from tcpp.tree import Claim, FiltrationTree, StoppingTime
 
@@ -15,6 +16,51 @@ def random_tree(rng: np.random.Generator, max_periods: int = 3,
     w = rng.dirichlet(np.full(n_leaves, 3.0))
     w = (w + 0.02) / (1.0 + 0.02 * n_leaves)
     return FiltrationTree.from_branching(branching, list(w))
+
+
+def relabelled(tree: FiltrationTree, rng: np.random.Generator) -> FiltrationTree:
+    """The same tree under shuffled node ids, so that id order, level order
+    and preorder all disagree."""
+    n = tree.n_nodes
+    new = [int(i) for i in rng.permutation(n)]
+    times, parents = [0] * n, [None] * n
+    for v in range(n):
+        times[new[v]] = tree.times[v]
+        parents[new[v]] = None if tree.parents[v] is None else new[tree.parents[v]]
+    return FiltrationTree(times, parents, {new[v]: w for v, w in tree.leaf_weights.items()})
+
+
+def random_irregular_tree(rng: np.random.Generator, max_periods: int = 3,
+                          max_branch: int = 4) -> FiltrationTree:
+    """Arity 1 to ``max_branch`` drawn per node, so one level mixes arities
+    and one-child nodes."""
+    times, parents, level = [0], [None], [0]
+    for t in range(int(rng.integers(1, max_periods + 1))):
+        nxt = []
+        for node in level:
+            for _ in range(int(rng.integers(1, max_branch + 1))):
+                times.append(t + 1)
+                parents.append(node)
+                nxt.append(len(times) - 1)
+        level = nxt
+    w = rng.dirichlet(np.full(len(level), 2.0))
+    return FiltrationTree(times, parents, dict(zip(level, w / w.sum())))
+
+
+def martingale_assets(rng: np.random.Generator, tree: FiltrationTree,
+                      n_assets: int) -> list[AssetProcess]:
+    """Assets that are martingales under one kernel near P at every node."""
+    kernel = {v: 0.6 * np.array(tree.p_kernel(v))
+              + 0.4 * rng.dirichlet(np.ones(len(tree.children[v])))
+              for v in tree.internal_nodes()}
+    assets = []
+    for j in range(n_assets):
+        vals = {b: float(rng.uniform(0.5, 2.0)) for b in tree.leaves}
+        for v in tree.between(tree.root, frozenset(tree.leaves)):
+            if tree.children[v]:
+                vals[v] = float(kernel[v] @ [vals[c] for c in tree.children[v]])
+        assets.append(AssetProcess(f"S{j}", vals))
+    return assets
 
 
 def random_model(rng: np.random.Generator, tree: FiltrationTree,

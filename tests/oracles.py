@@ -645,3 +645,48 @@ def check_sublinear_per_claim(model: ScenarioModel, n_samples: int = 20,
     return SublinearReport(False, None,
                            "positive penalties never strictly active; "
                            "pricing is positively homogeneous anyway")
+
+
+# -- backward induction node by node -------------------------------------------
+# The inductions before they ran one level group at a time on packed menus:
+# one node and one menu entry per step.
+
+def backward_pass_per_node(model, at, rows, floor=None) -> dict[int, np.ndarray]:
+    """Menu-maximum recursion from the cut to the root, vectorized over claims."""
+    tree = model.tree
+    values: dict[int, np.ndarray] = {b: np.asarray(rows[b], dtype=float) for b in at.cut}
+    for node in tree.between(tree.root, at.cut):
+        if node in at.cut:
+            continue
+        stack = np.stack([values[c] for c in tree.children[node]])
+        best = None
+        for entry in model.menus[node]:
+            cand = np.asarray(entry.kernel) @ stack - entry.penalty
+            best = cand if best is None else np.maximum(best, cand)
+        if floor is not None and node in floor:
+            best = np.maximum(best, floor[node])
+        values[node] = best
+    return values
+
+
+def cumulative_penalties_per_node(model, sel, tau=None) -> dict[int, float]:
+    """Expected sum of chosen one-step penalties from each node to tau."""
+    tree = model.tree
+    choice = sel.as_dict()
+    tau = tau if tau is not None else StoppingTime.at_horizon(tree)
+    g = dict.fromkeys(range(tree.n_nodes), 0.0)
+    for node in tree.between(tree.root, tau.cut):
+        if node not in tau.cut:
+            entry = model.menus[node][choice[node]]
+            g[node] = entry.penalty + sum(
+                entry.kernel[i] * g[c] for i, c in enumerate(tree.children[node]))
+    return g
+
+
+def levels_by_walk(tree, cut) -> dict[tuple[int, int], list[int]]:
+    """Nodes strictly above the cut by (time, arity), from a level walk."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for node in tree.between(tree.root, frozenset(cut)):
+        if node not in cut:
+            groups.setdefault((tree.times[node], len(tree.children[node])), []).append(node)
+    return groups

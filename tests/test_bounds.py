@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, assume, given
 from hypothesis import settings as hsettings
 from hypothesis import strategies as st
 
-from gen import random_tree
+from gen import martingale_assets, random_tree
 from oracles import good_deal_bounds_cuts, good_deal_segment_oracle, mme_bounds_lp
 from tcpp.errors import (EmptyGoodDealSet, EnumerationOverflow, NoMartingaleMeasure,
                          TcppError)
@@ -114,16 +114,7 @@ def martingale_market(rng: np.random.Generator, n_assets: int):
     """A random tree and assets that are martingales under one kernel near P
     at every node, with a random claim at the horizon."""
     tree = random_tree(rng, max_periods=4, max_branch=4)
-    kernel = {v: 0.6 * np.array(tree.p_kernel(v))
-              + 0.4 * rng.dirichlet(np.ones(len(tree.children[v])))
-              for v in tree.internal_nodes()}
-    assets = []
-    for j in range(n_assets):
-        vals = {b: float(rng.uniform(0.5, 2.0)) for b in tree.leaves}
-        for v in tree.between(tree.root, frozenset(tree.leaves)):
-            if tree.children[v]:
-                vals[v] = float(kernel[v] @ [vals[c] for c in tree.children[v]])
-        assets.append(AssetProcess(f"S{j}", vals))
+    assets = martingale_assets(rng, tree, n_assets)
     x = Claim(StoppingTime.at_horizon(tree),
               {b: float(rng.uniform(-1.0, 1.0)) for b in tree.leaves})
     return tree, assets, x

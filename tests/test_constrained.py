@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from gen import random_irregular_tree
 from oracles import constrained_price_lp
 from tcpp.errors import EnumerationOverflow, NumericalBreakdown, TcppError
 from tcpp.market import AssetProcess, ConstraintSet, _game_bounds, constrained_price
@@ -12,24 +13,9 @@ from tcpp.tree import Claim, FiltrationTree, StoppingTime
 HEDGE_KINDS = ("zero", "scattered", "box", "integer", "duplicated")
 
 
-def _irregular_tree(rng) -> FiltrationTree:
-    """Arity 1-4 drawn per node, so one level mixes arities."""
-    times, parents, level = [0], [None], [0]
-    for t in range(int(rng.integers(1, 4))):
-        nxt = []
-        for node in level:
-            for _ in range(int(rng.integers(1, 5))):
-                times.append(t + 1)
-                parents.append(node)
-                nxt.append(len(times) - 1)
-        level = nxt
-    w = rng.dirichlet(np.full(len(level), 2.0))
-    return FiltrationTree(times, parents, dict(zip(level, w / w.sum())))
-
-
 def _tree(rng, i: int) -> FiltrationTree:
     if i % 3 == 2:
-        return _irregular_tree(rng)
+        return random_irregular_tree(rng)
     periods = int(rng.integers(1, 4))
     return FiltrationTree.from_branching([int(rng.integers(1, 5)) for _ in range(periods)])
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gen import deep_chain_model, random_claim, random_model, random_tree
+from gen import deep_chain_model, random_claim, random_model, random_tree, relabelled
 from tcpp.errors import EnumerationOverflow, TcppError
 from tcpp.nfl import nfl_verdict
 from tcpp.pricing import (american_price, enumerate_stop_sets, price,
@@ -14,18 +14,6 @@ from tcpp.scenario import (MeasureSelection, PenaltyProcess, ScenarioModel,
 from tcpp.tree import (Claim, FiltrationTree, Measure, StoppingTime,
                        conditional_expectation, lift, precedes,
                        validate_stopping_time)
-
-
-def relabelled(tree: FiltrationTree, rng: np.random.Generator) -> FiltrationTree:
-    """The same tree under shuffled node ids, so that id order, level order
-    and preorder all disagree."""
-    n = tree.n_nodes
-    new = [int(i) for i in rng.permutation(n)]
-    times, parents = [0] * n, [None] * n
-    for v in range(n):
-        times[new[v]] = tree.times[v]
-        parents[new[v]] = None if tree.parents[v] is None else new[tree.parents[v]]
-    return FiltrationTree(times, parents, {new[v]: w for v, w in tree.leaf_weights.items()})
 
 
 def trees(seed: int, count: int, max_periods: int = 3):
