@@ -4,7 +4,7 @@ from .settings import DEFAULT, Settings
 from .tree import (Claim, FiltrationTree, Measure, StoppingTime,
                    conditional_expectation, essential_supremum, lift,
                    paste_measures, precedes, sigma_algebra_nodes)
-from .scenario import (MeasureSelection, MenuEntry, PenaltyProcess,
+from .scenario import (MeasureSelection, MenuEntry, MenuTable, PenaltyProcess,
                        ScenarioModel, aggregate_penalty, check_cocycle,
                        check_nondegenerate, minimal_penalty,
                        selection_to_measure)
@@ -27,7 +27,7 @@ __all__ = [
     "Claim", "FiltrationTree", "Measure", "StoppingTime",
     "conditional_expectation", "essential_supremum", "lift", "paste_measures",
     "precedes", "sigma_algebra_nodes",
-    "MeasureSelection", "MenuEntry", "PenaltyProcess", "ScenarioModel",
+    "MeasureSelection", "MenuEntry", "MenuTable", "PenaltyProcess", "ScenarioModel",
     "aggregate_penalty", "check_cocycle", "check_nondegenerate",
     "minimal_penalty", "selection_to_measure",
     "AmericanResult", "american_price", "bid_ask", "check_axioms",

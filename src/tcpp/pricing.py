@@ -246,7 +246,7 @@ def check_axioms(model: ScenarioModel, samples: Sequence[tuple[Claim, Claim]],
         vmin = backward_pass(model, tau, rows(np.minimum(X, Y)))
         vzero = backward_pass(model, tau, rows(np.zeros_like(X[:, :1])))
         t_max = min(tree.times[b] for b in cut)
-        sigma_nodes = [a for a in vx if tree.times[a] <= t_max]
+        sigma_nodes = sorted(a for a in vx if tree.times[a] <= t_max)    # whatever vx's order
 
         for a in sigma_nodes:
             if abs(float(vzero[a][0])) > tol:
@@ -322,23 +322,31 @@ def check_sublinear(model: ScenarioModel, n_samples: int = 20,
         x = Claim(horizon, dict(zip(tree.leaves, xs[i].tolist())))
         return SublinearReport(False, (x, scales[k], root, float(scaled[i, k]),
                                        float(lam_base[i, k])))
-    # targeted search: align the claim with a positive-penalty kernel
-    for node in tree.internal_nodes():
-        entries = model.menus[node]
-        for e in entries:
-            if e.penalty <= 0.0:
-                continue
-            off = sorted(set(tree.leaves) - set(tree.subtree_leaves(node)))
-            nu = StoppingTime.of([node] + off)
-            tau = StoppingTime.of(list(tree.children[node]) + off)
-            vals = {c: e.kernel[i] for i, c in enumerate(tree.children[node])}
-            vals.update({b: 0.0 for b in off})
-            x = Claim(tau, vals)
-            base = price(model, x, nu).values[node]
-            for lam in scales:
-                scaled = price(model, lam * x, nu).values[node]
-                if scaled > lam * base + 1e-9 * (1 + abs(scaled)):
-                    return SublinearReport(False, (x, lam, nu, scaled, lam * base))
+    # targeted search: at each node, the claim on its children equal to a
+    # positive-penalty entry's kernel, priced one step at every scale; every
+    # node, entry and scale of a level group in one product, as backward_pass
+    # forms it, and the first witness in node, entry, scale order
+    cols = np.array([1.0] + scales)
+    hits = []
+    for nodes, _, kernels, penalties in model.steps(tree.leaves):
+        g, w, k = kernels.shape
+        claims = kernels.transpose(0, 2, 1)[..., None] * cols    # (g, arity, entry, scale)
+        top = (np.einsum("gek,gkm->gem", kernels, claims.reshape(g, k, -1))
+               - penalties[:, :, None]).max(axis=1).reshape(g, w, len(cols))
+        scaled, lam_base = top[..., 1:], cols[1:] * top[..., :1]
+        hit = (scaled > lam_base + 1e-9 * (1 + np.abs(scaled))) & (
+            (penalties > 0.0) & (np.arange(w) < model.menu_sizes[nodes, None]))[..., None]
+        hits += [(int(nodes[i]), int(e), int(j), float(scaled[i, e, j]), float(lam_base[i, e, j]))
+                 for i, e, j in np.argwhere(hit)[:1]]       # the group's first, nodes ascending
+    if hits:
+        node, e, j, scaled_price, lam_price = min(hits)
+        kids = tree.children[node]
+        off = sorted(set(tree.leaves) - set(tree.subtree_leaves(node)))
+        nu = StoppingTime.of([node] + off)
+        tau = StoppingTime.of(list(kids) + off)
+        kernel = model.menus[node][e].kernel
+        x = Claim(tau, {**dict(zip(kids, kernel)), **dict.fromkeys(off, 0.0)})
+        return SublinearReport(False, (x, scales[j], nu, scaled_price, lam_price))
     return SublinearReport(False, None,
                            "positive penalties never strictly active; "
                            "pricing is positively homogeneous anyway")

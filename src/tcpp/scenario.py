@@ -7,6 +7,7 @@ stable under pasting and the penalty cocycle hold by construction.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,6 +29,30 @@ class MenuEntry:
     penalty: float
 
 
+@dataclass(frozen=True, eq=False)
+class MenuTable:
+    """Menus as flat arrays, in menu order: node ``nodes[i]`` lists
+    ``sizes[i]`` entries, and entry e, counted over the nodes in turn, has
+    the next ``arity[e]`` values of ``weights`` as its kernel and penalty
+    ``penalties[e]``.  A market file's menus arrive in this form, without
+    an object per entry."""
+
+    nodes: list[int]
+    sizes: np.ndarray
+    arity: np.ndarray
+    weights: np.ndarray
+    penalties: np.ndarray
+
+    @staticmethod
+    def of(menus: Mapping[int, Sequence[MenuEntry]]) -> "MenuTable":
+        entries = [e for m in menus.values() for e in m]
+        return MenuTable(list(menus), np.array([len(m) for m in menus.values()], dtype=int),
+                         np.array([len(e.kernel) for e in entries], dtype=int),
+                         np.fromiter(itertools.chain.from_iterable(e.kernel for e in entries),
+                                     float),
+                         np.fromiter((e.penalty for e in entries), float, len(entries)))
+
+
 class ScenarioModel:
     """Tree plus a nonempty menu of (kernel, penalty) entries per internal node.
 
@@ -36,54 +61,100 @@ class ScenarioModel:
     normalization that prices the zero claim at zero); violations are kept
     constructible so that the axiom checker can exhibit them as witnesses.
 
-    ``packed`` holds the menus per level group of ``tree.levels``: kernels
-    ``(g, entries, arity)`` and penalties ``(g, entries)``, a short menu
-    padded with copies of its first entry; ``menu_sizes`` has the lengths.
+    The menus come as entries per node or as a :class:`MenuTable`; either
+    way they are checked and packed as flat arrays, and ``menus`` is their
+    view as entries, built on first use.  ``packed`` holds the menus per
+    level group of ``tree.levels``: kernels ``(g, entries, arity)`` and
+    penalties ``(g, entries)``, a short menu padded with copies of its
+    first entry; ``menu_sizes`` has the lengths.
     """
 
-    def __init__(self, tree: FiltrationTree, menus: Mapping[int, Sequence[MenuEntry]]):
+    def __init__(self, tree: FiltrationTree,
+                 menus: Mapping[int, Sequence[MenuEntry]] | MenuTable):
         self.tree = tree
+        table = menus if isinstance(menus, MenuTable) else MenuTable.of(menus)
         internal = set(tree.internal_nodes())
-        if set(menus) != internal:
-            missing = internal - set(menus)
-            extra = set(menus) - internal
+        if set(table.nodes) != internal:
+            missing = internal - set(table.nodes)
+            extra = set(table.nodes) - internal
             raise TcppError(f"menus must cover exactly the internal nodes "
                             f"(missing {sorted(missing)}, extra {sorted(extra)})")
-        cleaned: dict[int, tuple[MenuEntry, ...]] = {}
-        for node, entries in menus.items():
-            if not entries:
-                raise TcppError(f"empty menu at node {node}")
-            k = len(tree.children[node])
-            out = []
-            for idx, e in enumerate(entries):
-                if len(e.kernel) != k:
-                    raise TcppError(f"kernel {idx} at node {node} has arity "
-                                    f"{len(e.kernel)}, expected {k}")
-                if any(p < -1e-12 for p in e.kernel):
-                    raise TcppError(f"kernel {idx} at node {node} has a negative weight")
-                s = sum(e.kernel)
-                if not abs(s - 1.0) <= 1e-9:      # NaN and inf fail too
-                    raise TcppError(f"kernel {idx} at node {node} sums to {s!r}")
-                if not math.isfinite(e.penalty):
-                    raise TcppError(f"penalty {e.penalty!r} of entry {idx} at "
-                                    f"node {node} is not finite")
-                out.append(MenuEntry(tuple(max(0.0, float(p)) for p in e.kernel),
-                                     float(e.penalty)))
-            cleaned[node] = tuple(out)
-        self.menus = cleaned
+        n_kids = np.fromiter(map(len, tree.children), int, tree.n_nodes)
+        wrong_arity = table.arity != np.repeat(n_kids[table.nodes], table.sizes)
+        # the kernels as rows padded with zeros to the widest; a left-to-right
+        # sum over a row is then the kernel's own sum, as zeros change none
+        width = int(table.arity.max(initial=0))
+        if len(table.weights) == len(table.arity) * width:      # every kernel that wide
+            kernels = table.weights.reshape(len(table.arity), width)
+        else:
+            kernels = np.zeros((len(table.arity), width))
+            kernels[np.arange(width) < table.arity[:, None]] = table.weights
+        total = 0.0
+        for col in kernels.T:
+            total = total + col
+        negative = (kernels < -1e-12).any(axis=1)
+        ok = (~(wrong_arity | negative) & (np.abs(total - 1.0) <= 1e-9)
+              & np.isfinite(table.penalties))
+        node_start = np.cumsum(table.sizes) - table.sizes              # first entry of a node
+        if not (ok.all() and table.sizes.all()):
+            owner = np.repeat(np.arange(len(table.nodes)), table.sizes)    # position in nodes
+            bad = (~ok).nonzero()[0]
+            empty = (table.sizes == 0).nonzero()[0]
+            if empty.size and (not bad.size or empty[0] < owner[bad[0]]):
+                raise TcppError(f"empty menu at node {table.nodes[empty[0]]}")
+            e = int(bad[0])
+            node = table.nodes[owner[e]]
+            idx = e - int(node_start[owner[e]])
+            kernel = kernels[e, :table.arity[e]].tolist()
+            if wrong_arity[e]:
+                raise TcppError(f"kernel {idx} at node {node} has arity "
+                                f"{len(kernel)}, expected {n_kids[node]}")
+            if negative[e]:
+                raise TcppError(f"kernel {idx} at node {node} has a negative weight")
+            if not abs(sum(kernel) - 1.0) <= 1e-9:      # NaN and inf fail too
+                raise TcppError(f"kernel {idx} at node {node} sums to {sum(kernel)!r}")
+            raise TcppError(f"penalty {float(table.penalties[e])!r} of entry {idx} at "
+                            f"node {node} is not finite")
+
+        kernels = np.where(kernels > 0.0, kernels, 0.0)
+        self._order = table.nodes
+        self.menu_sizes = np.zeros(tree.n_nodes, dtype=int)
+        self.menu_sizes[table.nodes] = table.sizes
+        # every internal node's entries, level group after level group, a
+        # short menu padded with its first entry; each group keeps its own width
+        groups = tree.levels(tree.leaves)
+        nodes = np.concatenate([g for g, _ in groups.values()])
+        counts = [len(g) for g, _ in groups.values()]
+        starts = np.cumsum(counts) - counts
+        first = np.zeros(tree.n_nodes, dtype=int)
+        first[table.nodes] = node_start
+        size = self.menu_sizes[nodes, None]
+        slot = np.arange(size.max())
+        entry = first[nodes, None] + np.where(slot < size, slot, 0)
+        widths = np.maximum.reduceat(size[:, 0], starts).tolist()
         self.packed: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self.menu_sizes = np.array([len(self.menus.get(v, ())) for v in range(tree.n_nodes)])
-        self._row = np.zeros(tree.n_nodes, dtype=int)
-        for (t, k), (nodes, _) in tree.levels(tree.leaves).items():
-            rows = [self.menus[v] for v in nodes.tolist()]
-            width = max(map(len, rows))
-            flat = [e for m in rows for e in m + m[:1] * (width - len(m))]
-            kernels = np.fromiter(itertools.chain.from_iterable(e.kernel for e in flat), float,
-                                  len(flat) * k)
-            penalties = np.fromiter((e.penalty for e in flat), float, len(flat))
-            self.packed[t, k] = (kernels.reshape(len(nodes), width, k),
-                                 penalties.reshape(len(nodes), width))
-            self._row[nodes] = np.arange(len(nodes))
+        for (t, k), a, g, w in zip(groups, starts.tolist(), counts, widths):
+            rows = entry[a:a + g, :w]
+            self.packed[t, k] = (kernels[rows, :k], table.penalties[rows])
+
+    @functools.cached_property
+    def _row(self) -> np.ndarray:
+        """Each internal node's row in its level group's ``packed`` arrays."""
+        row = np.zeros(self.tree.n_nodes, dtype=int)
+        for nodes, _ in self.tree.levels(self.tree.leaves).values():
+            row[nodes] = np.arange(len(nodes))
+        return row
+
+    @functools.cached_property
+    def menus(self) -> dict[int, tuple[MenuEntry, ...]]:
+        """The menus as entries per node, in menu order, from ``packed``."""
+        out = {}
+        for key, (nodes, _) in self.tree.levels(self.tree.leaves).items():
+            kernels, penalties = self.packed[key]
+            for v, size, ks, ps in zip(nodes.tolist(), self.menu_sizes[nodes].tolist(),
+                                       kernels.tolist(), penalties.tolist()):
+                out[v] = tuple(map(MenuEntry, map(tuple, ks[:size]), ps[:size]))
+        return {v: out[v] for v in self._order}
 
     def steps(self, cut: Iterable[int], choice: Mapping[int, int] | None = None
               ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -111,13 +182,10 @@ class ScenarioModel:
         return out
 
     def is_sublinear(self) -> bool:
-        return all(e.penalty == 0.0 for m in self.menus.values() for e in m)
+        return all((penalties == 0.0).all() for _, penalties in self.packed.values())
 
     def selection_count(self) -> int:
-        n = 1
-        for entries in self.menus.values():
-            n *= len(entries)
-        return n
+        return math.prod(self.menu_sizes[self.menu_sizes > 0].tolist())
 
     @staticmethod
     def reference(tree: FiltrationTree) -> "ScenarioModel":

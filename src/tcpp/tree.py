@@ -8,7 +8,8 @@ so measurability is structural rather than numerical.
 Every ancestry question goes through one index built when the tree is:
 the preorder interval ``[enter[v], exit[v])`` of each node, so that ``a``
 is an ancestor-or-self of ``b`` exactly when ``b``'s entry falls inside
-``a``'s interval.  A cut is a stopping time when its intervals are
+``a``'s interval, and the leaves below a node are a slice of the leaves in
+preorder.  A cut is a stopping time when its intervals are
 disjoint and their leaf counts add up to the number of leaves; the owner
 of a node in a cut is found by bisection over the cut's sorted entries;
 ``levels`` groups the nodes strictly above a cut by (time, arity), deepest
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -39,33 +41,29 @@ class FiltrationTree:
         n = len(times)
         if len(parents) != n:
             raise TcppError("times and parents must have equal length")
-        self.times = tuple(int(t) for t in times)
+        self.times = tuple(map(int, times))
         self.parents = tuple(parents)
         children: list[list[int]] = [[] for _ in range(n)]
-        roots = []
         for node, par in enumerate(self.parents):
-            if par is None:
-                roots.append(node)
-            else:
+            if par is not None:
                 if not 0 <= par < n:
                     raise ForeignNode(f"node {node} has parent {par} outside the tree")
                 children[par].append(node)
-        if len(roots) != 1:
-            raise TcppError(f"expected exactly one root, found {len(roots)}")
-        self.root = roots[0]
+        if self.parents.count(None) != 1:
+            raise TcppError(f"expected exactly one root, found {self.parents.count(None)}")
+        self.root = self.parents.index(None)
         if self.times[self.root] != 0:
             raise TcppError("root must sit at time 0")
-        self.children = tuple(tuple(c) for c in children)
+        self.children = tuple(map(tuple, children))
         self.horizon = max(self.times)
         if self.horizon < 1:
             raise TcppError("horizon must be at least 1")
-        for node in range(n):
-            par = self.parents[node]
+        for node, par in enumerate(self.parents):
             if par is not None and self.times[node] != self.times[par] + 1:
                 raise TcppError(f"node {node} is not one period after its parent")
-            if not self.children[node] and self.times[node] != self.horizon:
+            if not children[node] and self.times[node] != self.horizon:
                 raise TcppError(f"leaf {node} is not at the horizon")
-        self.leaves = tuple(v for v in range(n) if not self.children[v])
+        self.leaves = tuple(v for v in range(n) if not children[v])
         missing = [v for v in self.leaves if v not in leaf_weights]
         if missing:
             raise TcppError(f"missing leaf weights for {missing}")
@@ -74,41 +72,53 @@ class FiltrationTree:
             raise TcppError("every leaf weight must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-9:
             raise TcppError(f"leaf weights sum to {w.sum()!r}, expected 1")
-        self.leaf_weights = {v: float(leaf_weights[v]) for v in self.leaves}
-        self.leaf_index = {v: i for i, v in enumerate(self.leaves)}
+        self.leaf_weights = dict(zip(self.leaves, w.tolist()))
+        self.leaf_index = dict(zip(self.leaves, range(len(self.leaves))))
 
-        # preorder intervals: the subtree of v is preorder[enter[v]:exit[v]]
+        # preorder intervals: the subtree of v is preorder[enter[v]:exit[v]],
+        # and the leaves below it are _pre_leaves[_leaves_before[enter[v]]:
+        # _leaves_before[exit[v]]]
         order, stack = [], [self.root]
         while stack:
             v = stack.pop()
             order.append(v)
-            stack.extend(reversed(self.children[v]))
+            stack += self.children[v][::-1]
         self.preorder = tuple(order)
         self.enter = [0] * n
-        self.exit = [0] * n
+        self._leaves_before = [0] * (n + 1)
+        count = 0
         for i, v in enumerate(order):
             self.enter[v] = i
-        self._subtree_leaves: list[tuple[int, ...]] = [()] * n
-        self._p_mass = [0.0] * n
-        for v in reversed(order):    # children before parents
-            kids = self.children[v]
-            if kids:
-                self.exit[v] = self.exit[kids[-1]]
-                acc: list[int] = []
-                for c in kids:
-                    acc += self._subtree_leaves[c]
-                self._subtree_leaves[v] = tuple(acc)
-                self._p_mass[v] = sum(self._p_mass[c] for c in kids)
-            else:
-                self.exit[v] = self.enter[v] + 1
-                self._subtree_leaves[v] = (v,)
-                self._p_mass[v] = self.leaf_weights[v]
+            self._leaves_before[i] = count
+            if not children[v]:
+                count += 1
+        self._leaves_before[n] = count
+        self._pre_leaves = tuple(v for v in order if not children[v])
+        self.exit = [0] * n
+        for v in reversed(order):
+            kids = children[v]
+            self.exit[v] = self.exit[kids[-1]] if kids else self.enter[v] + 1
         self._span = np.array([self.enter, self.exit])
+        # internal nodes by (time, arity), deepest first, ascending within a
+        # group; the reference masses, as left-to-right sums over the
+        # children, a group at a time
         groups: dict[tuple[int, int], list[int]] = {}
-        for v in self.internal_nodes():       # keyed by (-time, arity) to sort deepest first
-            groups.setdefault((-self.times[v], len(self.children[v])), []).append(v)
-        self._levels = {(-t, k): (np.array(nodes), np.array([self.children[v] for v in nodes]))
-                        for (t, k), nodes in sorted(groups.items())}
+        for v in range(n):
+            if children[v]:
+                groups.setdefault((-self.times[v], len(children[v])), []).append(v)
+        mass = np.zeros(n)
+        mass[list(self.leaves)] = w
+        self._levels = {}
+        for (t, k), nodes in sorted(groups.items()):
+            kids = np.fromiter(chain.from_iterable(map(children.__getitem__, nodes)), int,
+                               len(nodes) * k).reshape(len(nodes), k)
+            nodes = np.array(nodes)
+            self._levels[-t, k] = (nodes, kids)
+            acc = 0.0
+            for col in kids.T:
+                acc = acc + mass[col]
+            mass[nodes] = acc
+        self._p_mass = mass.tolist()
 
     # -- basic queries ----------------------------------------------------
     @property
@@ -122,7 +132,9 @@ class FiltrationTree:
         return tuple(v for v in range(self.n_nodes) if self.children[v])
 
     def subtree_leaves(self, node: int) -> tuple[int, ...]:
-        return self._subtree_leaves[node]
+        """The leaves below ``node`` in preorder."""
+        before = self._leaves_before
+        return self._pre_leaves[before[self.enter[node]]:before[self.exit[node]]]
 
     def p_kernel(self, node: int) -> tuple[float, ...]:
         """Reference one-step transition law at an internal node."""
@@ -278,12 +290,13 @@ def validate_stopping_time(tree: FiltrationTree, tau: StoppingTime) -> None:
     for v in tau.cut:
         if not 0 <= v < tree.n_nodes:
             raise ForeignNode(f"stopping time references node {v} outside the tree")
+    before = tree._leaves_before        # leaves ahead of each preorder position
     leaves, end = 0, 0
     for v in sorted(tau.cut, key=tree.enter.__getitem__):
         if tree.enter[v] < end:
             break
         end = tree.exit[v]
-        leaves += len(tree.subtree_leaves(v))
+        leaves += before[end] - before[tree.enter[v]]
     else:
         if leaves == len(tree.leaves):
             return

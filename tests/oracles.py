@@ -1,21 +1,25 @@
 """Independent numerical oracles used to freeze expected values in tests."""
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Sequence
 
 import numpy as np
 
-from tcpp.errors import (EmptyGoodDealSet, ForeignNode, NoMartingaleMeasure,
-                         NumericalBreakdown, TcppError)
+from tcpp.errors import (EmptyGoodDealSet, ForeignNode, MarketFileError,
+                         NoMartingaleMeasure, NumericalBreakdown, TcppError)
 from tcpp.lp import EQ, GE, LE, LinearProgram, solve
-from tcpp.market import _equivalence_margin, _martingale_rows
+from tcpp.market import (AssetProcess, ConstraintSet, GoodDealCaps, QuotedOption,
+                         _equivalence_margin, _martingale_rows)
+from tcpp.marketfile import MarketData
 from tcpp.pricing import (SublinearReport, backward_pass, enumerate_stop_sets,
                           price)
-from tcpp.scenario import ScenarioModel, cumulative_penalties, subtree_duals
-from tcpp.settings import DEFAULT
-from tcpp.tree import (Claim, Measure, StoppingTime, lift_to_leaves, precedes,
-                       validate_stopping_time)
+from tcpp.scenario import (MenuEntry, ScenarioModel, cumulative_penalties,
+                           subtree_duals)
+from tcpp.settings import DEFAULT, Settings
+from tcpp.tree import (Claim, FiltrationTree, Measure, StoppingTime,
+                       lift_to_leaves, precedes, validate_stopping_time)
 
 
 def trinomial_mme_family(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -690,3 +694,209 @@ def levels_by_walk(tree, cut) -> dict[tuple[int, int], list[int]]:
         if node not in cut:
             groups.setdefault((tree.times[node], len(tree.children[node])), []).append(node)
     return groups
+
+
+# -- market and claim files read line by line -----------------------------------
+# The parsers before they read a file in blocks: one record per loop step,
+# each fault raised at its line as the loop meets it.
+
+_SETTING_FIELDS = {f.name: f.type for f in dataclasses.fields(Settings)}
+_IGNORED_SETTINGS = ("cut_tol", "max_cut_rounds", "verify_lp")    # accepted and ignored
+
+
+def _num(token: str, line: int, what: str) -> float:
+    try:
+        x = float(token)
+    except ValueError:
+        raise MarketFileError(f"{what}: {token!r} is not a number", line)
+    if not math.isfinite(x):
+        raise MarketFileError(f"{what}: {token!r} is not a finite number", line)
+    return x
+
+
+def _int(token: str, line: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise MarketFileError(f"{what}: {token!r} is not an integer", line)
+
+
+def parse_market_text(text: str) -> MarketData:
+    horizon: tuple[int, int] | None = None
+    nodes: dict[int, tuple[int, int | None, int]] = {}   # id -> (time, parent, line)
+    weights: dict[int, tuple[float, int]] = {}
+    menus: dict[int, list[tuple[tuple[float, ...], float, int]]] = {}
+    assets: dict[str, dict[int, float]] = {}
+    quote_heads: dict[str, tuple[float, float, int]] = {}
+    payoffs: dict[str, dict[int, float]] = {}
+    caps_default: float | None = None
+    caps_nodes: dict[int, tuple[float, int]] = {}
+    vertices: list[tuple[float, ...]] = []
+    overrides: dict[str, float | int | bool] = {}
+    any_cap = False
+
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        kind, args = parts[0], parts[1:]
+        if kind == "horizon":
+            if len(args) != 1:
+                raise MarketFileError("horizon takes one integer", ln)
+            horizon = (_int(args[0], ln, "horizon"), ln)
+        elif kind == "node":
+            if len(args) != 3:
+                raise MarketFileError("node takes: id time parent", ln)
+            nid = _int(args[0], ln, "node id")
+            t = _int(args[1], ln, "node time")
+            par = None if args[2] == "-" else _int(args[2], ln, "node parent")
+            if nid in nodes:
+                raise MarketFileError(f"node {nid} defined twice", ln)
+            nodes[nid] = (t, par, ln)
+        elif kind == "weight":
+            if len(args) != 2:
+                raise MarketFileError("weight takes: leaf value", ln)
+            weights[_int(args[0], ln, "leaf id")] = (_num(args[1], ln, "weight"), ln)
+        elif kind == "menu":
+            if len(args) < 4 or args[1] != "kernel" or "penalty" not in args:
+                raise MarketFileError("menu takes: node kernel <p...> penalty <a>", ln)
+            node = _int(args[0], ln, "menu node")
+            pidx = args.index("penalty")
+            kernel = tuple(_num(tok, ln, "kernel weight") for tok in args[2:pidx])
+            if len(args) != pidx + 2:
+                raise MarketFileError("menu needs exactly one penalty value", ln)
+            pen = _num(args[pidx + 1], ln, "penalty")
+            menus.setdefault(node, []).append((kernel, pen, ln))
+        elif kind == "asset":
+            if len(args) != 3:
+                raise MarketFileError("asset takes: name node value", ln)
+            assets.setdefault(args[0], {})[_int(args[1], ln, "asset node")] = \
+                _num(args[2], ln, "asset value")
+        elif kind == "quote":
+            if len(args) != 5 or args[1] != "bid" or args[3] != "ask":
+                raise MarketFileError("quote takes: name bid <b> ask <a>", ln)
+            quote_heads[args[0]] = (_num(args[2], ln, "bid"), _num(args[4], ln, "ask"), ln)
+        elif kind == "payoff":
+            if len(args) != 3:
+                raise MarketFileError("payoff takes: name node value", ln)
+            payoffs.setdefault(args[0], {})[_int(args[1], ln, "payoff node")] = \
+                _num(args[2], ln, "payoff value")
+        elif kind == "cap":
+            if len(args) != 2:
+                raise MarketFileError("cap takes: node|* value", ln)
+            any_cap = True
+            cap = _num(args[1], ln, "cap")
+            try:
+                GoodDealCaps(cap)    # its own check, here to name the line
+            except TcppError as exc:
+                raise MarketFileError(str(exc), ln)
+            if args[0] == "*":
+                caps_default = cap
+            else:
+                caps_nodes[_int(args[0], ln, "cap node")] = (cap, ln)
+        elif kind == "vertex":
+            if not args:
+                raise MarketFileError("vertex needs at least one coordinate", ln)
+            vertices.append(tuple(_num(tok, ln, "vertex coordinate") for tok in args))
+        elif kind == "set":
+            if len(args) != 2:
+                raise MarketFileError("set takes: key value", ln)
+            key = args[0]
+            if key in _IGNORED_SETTINGS:
+                continue
+            if key not in _SETTING_FIELDS:
+                raise MarketFileError(f"unknown setting {key!r}", ln)
+            if key == "max_enum":
+                overrides[key] = _int(args[1], ln, key)
+            else:
+                overrides[key] = _num(args[1], ln, key)
+        else:
+            raise MarketFileError(f"unknown record {kind!r}", ln)
+
+    if not nodes:
+        raise MarketFileError("document defines no nodes")
+    nid_line = min(ln for _, _, ln in nodes.values())
+    if sorted(nodes) != list(range(len(nodes))):
+        raise MarketFileError("node ids must be contiguous from 0", nid_line)
+    times = [nodes[i][0] for i in range(len(nodes))]
+    parents = [nodes[i][1] for i in range(len(nodes))]
+    try:
+        tree = FiltrationTree(times, parents, {v: w for v, (w, _) in weights.items()})
+    except TcppError as exc:
+        raise MarketFileError(f"invalid tree: {exc}", nid_line)
+    if horizon is not None and horizon[0] != tree.horizon:
+        raise MarketFileError(
+            f"declared horizon {horizon[0]} but leaves sit at {tree.horizon}", horizon[1])
+
+    model = None
+    if menus:
+        first_ln = min(ln for entries in menus.values() for _, _, ln in entries)
+        try:
+            model = ScenarioModel(tree, {
+                node: [MenuEntry(k, p) for k, p, _ in entries]
+                for node, entries in menus.items()})
+        except TcppError as exc:
+            raise MarketFileError(f"invalid scenario model: {exc}", first_ln)
+
+    asset_list = []
+    for name in sorted(assets):
+        ap = AssetProcess(name, assets[name])
+        try:
+            ap.validate(tree)
+        except TcppError as exc:
+            raise MarketFileError(f"asset {name}: {exc}")
+        asset_list.append(ap)
+
+    quotes = []
+    for name in sorted(set(quote_heads) | set(payoffs)):
+        if name not in quote_heads:
+            raise MarketFileError(f"payoff {name!r} has no quote line")
+        if name not in payoffs:
+            raise MarketFileError(f"quote {name!r} has no payoff values")
+        bid, ask, ln = quote_heads[name]
+        cut = StoppingTime.of(payoffs[name])
+        try:
+            validate_stopping_time(tree, cut)
+            claim = Claim(cut, payoffs[name])
+            quotes.append(QuotedOption(name, claim, bid, ask))
+        except TcppError as exc:
+            raise MarketFileError(f"quote {name}: {exc}", ln)
+
+    for node, (_, ln) in caps_nodes.items():
+        if not (0 <= node < tree.n_nodes and tree.children[node]):
+            raise MarketFileError(f"cap node {node} is not an internal node of the tree", ln)
+    caps = (GoodDealCaps(caps_default, {v: c for v, (c, _) in caps_nodes.items()})
+            if any_cap else None)
+    h_set = ConstraintSet(vertices) if vertices else None
+    settings = dataclasses.replace(Settings(), **overrides) if overrides else Settings()
+    return MarketData(tree, model, asset_list, quotes, caps, h_set, settings)
+
+
+def parse_claim_text(text: str, tree: FiltrationTree,
+                     full_process: bool = False) -> Claim | dict[int, float]:
+    """Claim file: ``value <node> <x>`` lines.
+
+    With ``full_process`` the values must cover every node (an adapted
+    payoff process); otherwise the nodes must form a stopping time.
+    """
+    values: dict[int, float] = {}
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] != "value" or len(parts) != 3:
+            raise MarketFileError("claim lines read: value <node> <x>", ln)
+        values[_int(parts[1], ln, "node")] = _num(parts[2], ln, "value")
+    if full_process:
+        missing = [v for v in range(tree.n_nodes) if v not in values]
+        if missing:
+            raise MarketFileError(f"payoff process misses nodes {missing}")
+        return values
+    cut = StoppingTime.of(values)
+    try:
+        validate_stopping_time(tree, cut)
+    except TcppError as exc:
+        raise MarketFileError(f"claim nodes are not a stopping time: {exc}")
+    return Claim(cut, values)

@@ -192,14 +192,14 @@ def test_numerical_breakdown_on_vanishing_pivot():
         solve(lp)
 
 
-# -- a feasible cut-round LP reported infeasible (ROADMAP item 6) --------------
+# -- cut-round LPs that solve gets wrong (ROADMAP item 6) -----------------------
+# Both come from the good-deal cutting-plane loop of tests/oracles.py on
+# trinomial H=4, asset factors 2, 1, 0.5, uniform P, a call struck at 1.
 
-@pytest.fixture(scope="module")
-def infeasible_cut_round():
-    """The first LP of the good-deal cutting-plane loop that ``solve`` calls
-    infeasible: round 9 of the lower bound on trinomial H=4, asset factors
-    2, 1, 0.5, uniform P, a call struck at 1, every cap 1.05."""
-    from oracles import good_deal_bounds_cuts
+def _cut_loop_lps(cap: float, max_cut_rounds: int) -> list:
+    """Every LP the lower-bound loop hands to ``solve`` at this uniform cap,
+    the one it fails on included."""
+    import oracles
     from tcpp.errors import TcppError
     from tcpp.market import AssetProcess, GoodDealCaps
     from tcpp.tree import Claim, FiltrationTree, StoppingTime
@@ -210,18 +210,43 @@ def infeasible_cut_round():
         for c, f in zip(tree.children[v], (2.0, 1.0, 0.5)):
             s[c] = s[v] * f
     call = Claim(StoppingTime.at_horizon(tree), {b: max(s[b] - 1.0, 0.0) for b in tree.leaves})
-    trace = []
+    lps = []
+
+    def recording(lp, settings):
+        lps.append(lp)
+        return solve(lp, settings)
+
+    oracles.solve = recording
     try:
-        good_deal_bounds_cuts(tree, [AssetProcess("S", s)], GoodDealCaps.uniform(1.05),
-                              call, max_cut_rounds=9, trace=trace)
-    except TcppError:       # EmptyGoodDealSet, from the infeasible verdict
+        oracles.good_deal_bounds_cuts(tree, [AssetProcess("S", s)], GoodDealCaps.uniform(cap),
+                                      call, max_cut_rounds=max_cut_rounds)
+    except TcppError:       # EmptyGoodDealSet or NumericalBreakdown, from the bad solve
         pass
-    lp = trace[8][0]        # round 9 of the lower bound
+    finally:
+        oracles.solve = solve
+    return lps
+
+
+@pytest.fixture(scope="module")
+def infeasible_cut_round():
+    """The first LP that ``solve`` calls infeasible, at every cap 1.05:
+    round 9 of the lower bound; and a feasible point of it."""
+    from tcpp.tree import FiltrationTree
+
+    lp = _cut_loop_lps(1.05, 9)[8]
     # leaf masses of the product measure with kernel (3/14, 5/14, 6/14) at
     # every node: a martingale kernel of second moment 15/14 < 1.05^2
+    tree = FiltrationTree.trinomial(4)
     mass = tree.forward_mass(tree.root, frozenset(tree.leaves),
                              lambda v: (3 / 14, 5 / 14, 6 / 14))
     return lp, np.array([mass[b] for b in tree.leaves])
+
+
+@pytest.fixture(scope="module")
+def off_point_cut_round():
+    """The first LP whose "optimal" point ``solve`` rejects, at every cap
+    1.1: the lower bound's LP after six rounds of cuts."""
+    return _cut_loop_lps(1.1, 2000)[-1]
 
 
 def test_infeasible_cut_round_has_a_feasible_point(infeasible_cut_round):
@@ -243,3 +268,16 @@ def test_infeasible_cut_round_has_a_feasible_point(infeasible_cut_round):
 def test_feasible_cut_round_solves(infeasible_cut_round):
     lp, _ = infeasible_cut_round
     assert solve(lp).status == "optimal"
+
+
+def test_off_point_cut_round_is_the_one_verify_rejects(off_point_cut_round):
+    from tcpp.errors import NumericalBreakdown
+    assert off_point_cut_round.dims() == (200, 81)
+    with pytest.raises(NumericalBreakdown, match="violates a constraint by 3.37"):
+        solve(off_point_cut_round)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: solve's optimal point of a "
+                   "cut-round LP violates a row by 3.4e-6")
+def test_off_point_cut_round_solves(off_point_cut_round):
+    assert solve(off_point_cut_round).status == "optimal"

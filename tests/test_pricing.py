@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 import oracles
-from gen import claim_pairs, random_claim, random_model, random_tree
+from gen import (claim_pairs, random_claim, random_irregular_tree, random_model,
+                 random_tree)
 from tcpp.scenario import (MenuEntry, PenaltyProcess, ScenarioModel,
                            check_cocycle, enumerate_selections)
-from tcpp.pricing import (american_price, bid_ask, chain_prices, check_axioms,
-                          check_sublinear, check_supermartingale,
+from tcpp import pricing
+from tcpp.pricing import (american_price, backward_pass, bid_ask, chain_prices,
+                          check_axioms, check_sublinear, check_supermartingale,
                           check_time_consistency, enumerate_stop_sets,
                           non_rectangular_counterexample, price,
                           price_enumerated, price_process,
@@ -110,6 +112,23 @@ def test_check_axioms_flags_negative_penalty():
     assert any("normalization" in f.message for f in rep.findings)
 
 
+def test_check_axioms_report_does_not_follow_the_order_of_backward_pass(monkeypatch):
+    rng = np.random.default_rng(31)
+    tree = random_tree(rng, max_periods=3)
+    model = random_model(rng, tree)
+    samples = claim_pairs(rng, tree, 8)
+    # with no tolerance, rounding shows as findings that name atoms and shifts
+    want = check_axioms(model, samples, tol=0.0)
+    assert any("translation" in f.message for f in want.findings)
+
+    def reversed_pass(*args, **kwargs):
+        return dict(reversed(list(backward_pass(*args, **kwargs).items())))
+
+    monkeypatch.setattr(pricing, "backward_pass", reversed_pass)
+    got = check_axioms(model, samples, tol=0.0)
+    assert (got.passed, got.findings) == (want.passed, want.findings)
+
+
 def test_check_sublinear_true_false_and_witness():
     tree = FiltrationTree.binomial(1)
     zero = ScenarioModel(tree, {0: [MenuEntry((0.7, 0.3), 0.0),
@@ -179,12 +198,24 @@ def test_time_consistency_validates_its_samples():
         chain_prices(model, root, foreign, horizon, [good])
 
 
+def shared_kernel_model(rng, tree):
+    """Every entry at a node on one kernel, the penalties apart: positive
+    penalties that are never strictly active."""
+    menus = {}
+    for v in tree.internal_nodes():
+        kernel = tuple(rng.dirichlet(np.ones(len(tree.children[v]))))
+        pens = [0.0] + rng.exponential(0.2, int(rng.integers(0, 3))).tolist()
+        menus[v] = [MenuEntry(kernel, p) for p in pens]
+    return ScenarioModel(tree, menus)
+
+
 def test_check_sublinear_matches_per_claim_version():
     outcomes = set()
-    for seed in range(150):
+    for seed in range(210):
         rng = np.random.default_rng(seed)
-        tree = random_tree(rng)
-        model = random_model(rng, tree, sublinear=seed % 5 == 0)
+        tree = (random_irregular_tree if seed % 3 == 1 else random_tree)(rng)
+        model = (shared_kernel_model(rng, tree) if seed % 7 == 3
+                 else random_model(rng, tree, sublinear=seed % 5 == 0))
         n_samples = int(rng.integers(0, 4)) if seed % 2 else 20
         got = check_sublinear(model, n_samples=n_samples, seed=seed)
         want = oracles.check_sublinear_per_claim(model, n_samples=n_samples, seed=seed)
