@@ -45,9 +45,6 @@ class AssetProcess:
         if missing:
             raise TcppError(f"asset {self.name} undefined on nodes {missing}")
 
-    def claim_at(self, tau: StoppingTime) -> Claim:
-        return Claim(tau, {v: self.values[v] for v in tau.cut})
-
 
 @dataclass(frozen=True)
 class QuotedOption:
@@ -178,18 +175,16 @@ def check_extends_dynamics(model: ScenarioModel, assets: Sequence[AssetProcess],
         return report
     rng = np.random.default_rng(seed)
     mults = range(-3, 4)
+    # column j * 7 + i at every node is mults[i] times asset j: all in one pass
+    claims = (spot[:, :, None] * np.array(mults)).reshape(tree.n_nodes, -1)
     for _ in range(n_spot):
         tau = random_stopping_time(tree, rng)
-        sigma = random_stopping_time(tree, rng, hi=tau)
-        # one pass for all: column j * 7 + i prices mults[i] times asset j
-        got = backward_pass(model, tau, {b: np.outer(spot[b], mults).ravel() for b in tau.cut})
-        for j, asset in enumerate(assets):
-            for i, mult in enumerate(mults):
-                for a in sigma.cut:
-                    want, value = mult * asset.values[a], got[a][j * len(mults) + i]
-                    if abs(value - want) > tol * (1.0 + abs(want)):
-                        report.add(f"atom {a}", f"price of {mult}x {asset.name} is "
-                                   f"{value:.12g}, expected {want:.12g}")
+        atoms = list(random_stopping_time(tree, rng, hi=tau).cut)
+        got, want = backward_pass(model, tau, claims)[atoms], claims[atoms]
+        for col, r in np.argwhere((np.abs(got - want) > tol * (1.0 + np.abs(want))).T):
+            j, i = divmod(col, len(mults))
+            report.add(f"atom {atoms[r]}", f"price of {mults[i]}x {assets[j].name} is "
+                       f"{got[r, col]:.12g}, expected {want[r, col]:.12g}")
     return report
 
 

@@ -13,8 +13,9 @@ Line-oriented records, ``#`` comments, order-insensitive:
     vertex <h1> [h2 ...]               constraint-set vertex
     set <key> <value>                  numeric-settings override
 
-A per-node cap must name an internal node.  ``set`` lines for retired
-settings (``_IGNORED_SETTINGS``; every LP solve is verified) are ignored.
+A per-node cap must name an internal node, and a setting must be finite and
+nonnegative.  ``set`` lines for retired settings (``_IGNORED_SETTINGS``;
+every LP solve is verified) are ignored.
 Where a record repeats, the later line wins; menu lines add entries.
 
 Parsing is in blocks.  One pass over the lines sorts every record into a
@@ -189,12 +190,15 @@ def _read_block(kind: str, width: int, toks: list[str]):
         if key not in _SETTING_FIELDS:
             raise ValueError("unknown setting")
         overrides[key] = int(tok) if key == "max_enum" else _finite([tok])[0]
+        if overrides[key] < 0:
+            raise ValueError("negative setting")
     return overrides
 
 
 def _check_line(kind: str, args: list[str], ln: int, seen: set[int]) -> None:
     """The checks of one market line, in the order the format applies them;
-    ``seen`` collects the node ids of earlier node lines."""
+    ``seen`` collects the node ids of earlier node lines.  A cap's and a
+    setting's own checks raise without a line, which the caller adds."""
     if kind == "horizon":
         if len(args) != 1:
             raise MarketFileError("horizon takes one integer", ln)
@@ -237,11 +241,7 @@ def _check_line(kind: str, args: list[str], ln: int, seen: set[int]) -> None:
     elif kind == "cap":
         if len(args) != 2:
             raise MarketFileError("cap takes: node|* value", ln)
-        cap = _num(args[1], ln, "cap")
-        try:
-            GoodDealCaps(cap)    # its own check, here to name the line
-        except TcppError as exc:
-            raise MarketFileError(str(exc), ln)
+        GoodDealCaps(_num(args[1], ln, "cap"))
         if args[0] != "*":
             _int(args[0], ln, "cap node")
     elif kind == "vertex":
@@ -257,7 +257,7 @@ def _check_line(kind: str, args: list[str], ln: int, seen: set[int]) -> None:
             return
         if key not in _SETTING_FIELDS:
             raise MarketFileError(f"unknown setting {key!r}", ln)
-        (_int if key == "max_enum" else _num)(args[1], ln, key)
+        Settings(**{key: (_int if key == "max_enum" else _num)(args[1], ln, key)})
     else:
         raise MarketFileError(f"unknown record {kind!r}", ln)
 
@@ -280,8 +280,9 @@ def _read_blocks(blocks: _Blocks, read: Callable[[str, int, list[str]], object],
             for i, ln in enumerate(lines):
                 try:
                     check(kind, toks[i * width + 1:(i + 1) * width], ln, seen)
-                except MarketFileError as exc:
-                    faults.append(exc)
+                except TcppError as exc:    # a record's own check names no line: name it here
+                    faults.append(exc if isinstance(exc, MarketFileError)
+                                  else MarketFileError(str(exc), ln))
                     break
             else:
                 raise      # the column checks rejected a block that no line check does

@@ -224,13 +224,13 @@ def nfl_verdict(model: ScenarioModel, seed: int = 0, n_samples: int = 50,
         samples = [(Claim(horizon, {b: rng.uniform(-1.0, 1.0) for b in tree.leaves}),
                     random_stopping_time(tree, rng) if i % 2 else root)
                    for i in range(n_samples)]
-        xs = {b: np.array([x.values[b] for x, _ in samples]) for b in tree.leaves}
-        ask = backward_pass(model, horizon, xs)
-        neg_bid = backward_pass(model, horizon, {b: -xb for b, xb in xs.items()})
+        xs = np.full((tree.n_nodes, n_samples), np.nan)
+        xs[list(tree.leaves)] = [[x.values[b] for x, _ in samples] for b in tree.leaves]
+        ask, neg_bid = backward_pass(model, horizon, xs), backward_pass(model, horizon, -xs)
         for i, (x, sigma) in enumerate(samples):
             e = conditional_expectation(tree, measure, x, sigma)
             for a in sigma.cut:
-                if not (-neg_bid[a][i] - tol <= e.values[a] <= ask[a][i] + tol):
+                if not (-neg_bid[a, i] - tol <= e.values[a] <= ask[a, i] + tol):
                     checks.add(f"sample {i} atom {a}",
                                "martingale sandwich broken under certificate measure")
         # i: sampled zero-cost strategies have nonpositive expectation

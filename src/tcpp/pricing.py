@@ -3,9 +3,10 @@
 The production evaluator is backward induction over the menu maxima, linear
 in nodes times menu size: :func:`backward_pass` takes one level group of
 ``FiltrationTree.levels`` at a time, with the menus the model packed per
-group, and with the payoff as exercise floor it is the American (Snell)
-recursion.  The enumerations of selections and stopping times are reference
-implementations that only the tests run; they are exponential and capped.
+group, on one node-indexed array with a column per claim, and with the
+payoff as exercise floor it is the American (Snell) recursion.  The
+enumerations of selections and stopping times are reference implementations
+that only the tests run; they are exponential and capped.
 """
 from __future__ import annotations
 
@@ -18,36 +19,39 @@ import numpy as np
 from .errors import EnumerationOverflow, TcppError
 from .report import CheckReport
 from .scenario import (MeasureSelection, MenuEntry, PenaltyProcess,
-                       ScenarioModel, minimal_penalty, subtree_duals)
+                       ScenarioModel, minimal_penalty)
 from .settings import DEFAULT, Settings
 from .tree import (Claim, FiltrationTree, Measure, StoppingTime,
                    conditional_expectation, lift, precedes,
                    require_finite, validate_stopping_time)
 
 
-def backward_pass(model: ScenarioModel, at: StoppingTime,
-                  rows: Mapping[int, np.ndarray],
-                  floor: Mapping[int, float] | None = None) -> dict[int, np.ndarray]:
+def backward_pass(model: ScenarioModel, at: StoppingTime, values: np.ndarray,
+                  floor: np.ndarray | None = None) -> np.ndarray:
     """Menu-maximum recursion from the cut to the root, vectorized over claims.
 
-    ``rows[b]`` holds the claim values at cut node b, one 1-D array per cut
-    node and all of one length (one entry per claim); the result carries
-    such an array per cut node and per strict ancestor.  A node
-    above the cut with a ``floor`` value takes the larger of it and its menu
-    maximum: the Snell envelope of a payoff process.  Each level group is
+    ``values`` has a row per node and a column per claim; only the cut's rows
+    are read.  The result, of the same shape, holds the cut's rows, the ask
+    prices above the cut and NaN below it.  A node above the cut takes the
+    larger of its menu maximum and its ``floor`` (a row per node, ``-inf``
+    for none): the Snell envelope of a payoff process.  Each level group is
     one product of its packed kernels with its children's values.
     """
-    lower = np.full(model.tree.n_nodes, -np.inf)
-    if floor:
-        lower[list(floor)] = list(floor.values())
-    keys = list(at.cut)
-    values = np.full((model.tree.n_nodes, len(rows[keys[0]])), np.nan)
-    values[keys] = [rows[b] for b in keys]
-    for nodes, kids, kernels, penalties in model.steps(at.cut):
-        cont = np.einsum("gek,gkm->gem", kernels, values[kids]) - penalties[:, :, None]
-        values[nodes] = np.maximum(cont.max(axis=1), lower[nodes, None])
-        keys += nodes.tolist()
-    return dict(zip(keys, values[keys]))
+    cut = list(at.cut)
+    out = np.full((model.tree.n_nodes, values.shape[1]), np.nan)
+    out[cut] = values[cut]
+    for nodes, kids, kernels, penalties in model.steps(cut):
+        best = (np.einsum("gek,gkm->gem", kernels, out[kids]) - penalties[:, :, None]).max(axis=1)
+        out[nodes] = best if floor is None else np.maximum(best, floor[nodes, None])
+    return out
+
+
+def _columns(tree: FiltrationTree, at: StoppingTime, xs: Sequence[Claim]) -> np.ndarray:
+    """Claims at ``at`` as the columns of one node-indexed array, NaN off the cut."""
+    cut = list(at.cut)
+    out = np.full((tree.n_nodes, len(xs)), np.nan)
+    out[cut] = np.reshape([[x.values[b] for b in cut] for x in xs], (len(xs), len(cut))).T
+    return out
 
 
 def price(model: ScenarioModel, x: Claim, sigma: StoppingTime) -> Claim:
@@ -58,22 +62,8 @@ def price(model: ScenarioModel, x: Claim, sigma: StoppingTime) -> Claim:
     if not precedes(tree, sigma, x.at):
         raise TcppError("pricing time must precede the claim's stopping time")
     require_finite(x.values, "claim value")
-    values = backward_pass(model, x.at, {b: np.array([v]) for b, v in x.values.items()})
-    return Claim(sigma, {a: float(values[a][0]) for a in sigma.cut})
-
-
-def price_enumerated(model: ScenarioModel, x: Claim, sigma: StoppingTime,
-                     settings: Settings = DEFAULT) -> Claim:
-    """Dual-representation oracle: esssup over enumerated selections."""
-    tree = model.tree
-    if not precedes(tree, sigma, x.at):
-        raise TcppError("pricing time must precede the claim's stopping time")
-    vals = {}
-    for a in sigma.cut:
-        duals = subtree_duals(model, a, x.at, settings)
-        vals[a] = max(sum(m.get(b, 0.0) * x.values[b] for b in m) - p
-                      for m, p in duals)
-    return Claim(sigma, vals)
+    values = backward_pass(model, x.at, _columns(tree, x.at, [x]))
+    return Claim(sigma, {a: float(values[a, 0]) for a in sigma.cut})
 
 
 def bid_ask(model: ScenarioModel, x: Claim, sigma: StoppingTime) -> tuple[Claim, Claim]:
@@ -216,10 +206,12 @@ def check_axioms(model: ScenarioModel, samples: Sequence[tuple[Claim, Claim]],
     """Verify monotonicity, translation invariance, convexity, normalization.
 
     Each sample is a pair of claims at a common stopping time; conditioning
-    times run over all deterministic cuts preceding it.  Violations are
-    reported with the sample index and atom as witnesses.
+    times run over all deterministic cuts preceding it.  Each property is one
+    comparison over every sample and atom; violations are reported with the
+    sample index and atom as witnesses, atoms ascending.
     """
     tree = model.tree
+    times = np.array(tree.times)
     rng = np.random.default_rng(seed)
     report = CheckReport(check="pricing axioms", passed=True)
     for node, msg in model.normalization_findings():
@@ -233,50 +225,43 @@ def check_axioms(model: ScenarioModel, samples: Sequence[tuple[Claim, Claim]],
 
     for cut, idxs in groups.items():
         tau = StoppingTime(cut)
-        atoms = sorted(cut)
-        k = len(idxs)
-        X = np.array([[samples[i][0].values[b] for i in idxs] for b in atoms])
-        Y = np.array([[samples[i][1].values[b] for i in idxs] for b in atoms])
-
-        def rows(m: np.ndarray) -> dict[int, np.ndarray]:
-            return {b: m[j] for j, b in enumerate(atoms)}
-
-        vx = backward_pass(model, tau, rows(X))
-        vy = backward_pass(model, tau, rows(Y))
-        vmin = backward_pass(model, tau, rows(np.minimum(X, Y)))
-        vzero = backward_pass(model, tau, rows(np.zeros_like(X[:, :1])))
+        validate_stopping_time(tree, tau)
+        X = _columns(tree, tau, [samples[i][0] for i in idxs])
+        Y = _columns(tree, tau, [samples[i][1] for i in idxs])
+        vx, vy = backward_pass(model, tau, X), backward_pass(model, tau, Y)
+        vmin = backward_pass(model, tau, np.minimum(X, Y))
+        vzero = backward_pass(model, tau, np.zeros((tree.n_nodes, 1)))[:, 0]
         t_max = min(tree.times[b] for b in cut)
-        sigma_nodes = sorted(a for a in vx if tree.times[a] <= t_max)    # whatever vx's order
+        sigma = np.flatnonzero(times <= t_max)      # the atoms of the times up to t_max
 
-        for a in sigma_nodes:
-            if abs(float(vzero[a][0])) > tol:
-                report.add(f"atom {a}", f"normalization: price of 0 is {float(vzero[a][0])!r}")
-            bad = np.flatnonzero(vmin[a] > np.minimum(vx[a], vy[a]) + tol)
-            for j in bad:
+        norm = np.abs(vzero[sigma]) > tol
+        mono = vmin[sigma] > np.minimum(vx[sigma], vy[sigma]) + tol
+        for r in np.flatnonzero(norm | mono.any(axis=1)):
+            a = sigma[r]
+            if norm[r]:
+                report.add(f"atom {a}", f"normalization: price of 0 is {float(vzero[a])!r}")
+            for j in np.flatnonzero(mono[r]):
                 report.add(f"sample {idxs[j]} atom {a}",
-                           f"monotonicity: min claim priced {vmin[a][j]:.15g} above "
-                           f"{min(vx[a][j], vy[a][j]):.15g}")
+                           f"monotonicity: min claim priced {vmin[a, j]:.15g} above "
+                           f"{min(vx[a, j], vy[a, j]):.15g}")
         for lam in lambdas:
-            vc = backward_pass(model, tau, rows(lam * X + (1 - lam) * Y))
-            for a in sigma_nodes:
-                rhs = lam * vx[a] + (1 - lam) * vy[a]
-                bad = np.flatnonzero(vc[a] > rhs + tol)
-                for j in bad:
-                    report.add(f"sample {idxs[j]} atom {a}",
-                               f"convexity at lambda={lam}: {vc[a][j]:.15g} > {rhs[j]:.15g}")
+            vc = backward_pass(model, tau, lam * X + (1 - lam) * Y)[sigma]
+            rhs = lam * vx[sigma] + (1 - lam) * vy[sigma]
+            for r, j in np.argwhere(vc > rhs + tol):
+                report.add(f"sample {idxs[j]} atom {sigma[r]}",
+                           f"convexity at lambda={lam}: {vc[r, j]:.15g} > {rhs[r, j]:.15g}")
         # translation invariance with a random F_sigma-measurable shift
         for t in range(t_max + 1):
-            sig_atoms = [a for a in sigma_nodes if tree.times[a] == t]
-            z = {a: rng.uniform(-2.0, 2.0) for a in sig_atoms}
-            anc_of = tree.owners(sig_atoms, atoms)
-            shift = np.array([[z[anc_of[b]]] * k for b in atoms])
-            vt = backward_pass(model, tau, rows(X + shift))
-            for a in sig_atoms:
-                bad = np.flatnonzero(np.abs(vt[a] - (vx[a] + z[a])) > tol)
-                for j in bad:
-                    report.add(f"sample {idxs[j]} atom {a}",
-                               f"translation invariance off by "
-                               f"{abs(vt[a][j] - vx[a][j] - z[a]):.3e}")
+            atoms = np.flatnonzero(times == t)
+            z = np.zeros(tree.n_nodes)
+            z[atoms] = rng.uniform(-2.0, 2.0, len(atoms))
+            owner = tree.owners(atoms.tolist(), cut)
+            z[list(owner)] = z[list(owner.values())]        # each cut node takes its atom's
+            vt = backward_pass(model, tau, X + z[:, None])[atoms]
+            for r, j in np.argwhere(np.abs(vt - (vx[atoms] + z[atoms, None])) > tol):
+                a = atoms[r]
+                report.add(f"sample {idxs[j]} atom {a}", f"translation invariance off by "
+                           f"{abs(vt[r, j] - vx[a, j] - z[a]):.3e}")
     return report
 
 
@@ -307,8 +292,9 @@ def check_sublinear(model: ScenarioModel, n_samples: int = 20,
     scales = list(lambdas) + ([] if structural else [10.0 ** k for k in range(2, 9)])
     # every sample at every scale in one pass, the unscaled samples first
     xs = rng.normal(size=(n_samples, len(tree.leaves)))
-    stacked = np.multiply.outer([1.0] + scales, xs).reshape(-1, len(tree.leaves))
-    top = backward_pass(model, horizon, dict(zip(tree.leaves, stacked.T)))[tree.root]
+    stacked = np.full((tree.n_nodes, (1 + len(scales)) * n_samples), np.nan)
+    stacked[list(tree.leaves)] = np.hstack([s * xs.T for s in [1.0] + scales])
+    top = backward_pass(model, horizon, stacked)[tree.root]
     scaled = top[n_samples:].reshape(len(scales), n_samples).T
     lam_base = np.array(scales) * top[:n_samples, None]
     slack = 1e-9 * (1 + np.abs(scaled))
@@ -361,11 +347,10 @@ def chain_prices(model: ScenarioModel, nu: StoppingTime, sigma: StoppingTime,
         validate_stopping_time(model.tree, st)
     for x in xs:
         require_finite(x.values, "claim value")
-    direct = backward_pass(model, tau, {b: np.array([x.values[b] for x in xs])
-                                        for b in tau.cut})
-    composed = backward_pass(model, sigma, {a: direct[a] for a in sigma.cut})
-    return [({a: float(direct[a][j]) for a in nu.cut},
-             {a: float(composed[a][j]) for a in nu.cut}) for j in range(len(xs))]
+    direct = backward_pass(model, tau, _columns(model.tree, tau, xs))
+    composed = backward_pass(model, sigma, direct)
+    return [({a: float(direct[a, j]) for a in nu.cut},
+             {a: float(composed[a, j]) for a in nu.cut}) for j in range(len(xs))]
 
 
 def check_time_consistency(evaluator: ScenarioModel | Evaluator,
@@ -433,24 +418,22 @@ def check_supermartingale(model: ScenarioModel, x: Claim, r: Measure,
 
     if x.at != horizon:
         x = lift(tree, x, horizon)
-    va = backward_pass(model, horizon, {b: np.array([v]) for b, v in x.values.items()})
-    vb = backward_pass(model, horizon, {b: np.array([-v]) for b, v in x.values.items()})
-    ask = {v: float(va[v][0]) for v in va}
-    bid = {v: -float(vb[v][0]) for v in vb}
-    # one-step inequalities
-    for t in range(tree.horizon):
-        cut_next = StoppingTime.at_time(tree, t + 1)
-        ask_next = Claim(cut_next, {b: ask[b] for b in cut_next.cut})
-        bid_next = Claim(cut_next, {b: bid[b] for b in cut_next.cut})
-        e_ask = conditional_expectation(tree, r, ask_next, StoppingTime.at_time(tree, t))
-        e_bid = conditional_expectation(tree, r, bid_next, StoppingTime.at_time(tree, t))
-        for a in tree.nodes_at(t):
-            if e_ask.values[a] > ask[a] + tol:
-                report.add(f"node {a}", f"ask not a supermartingale: "
-                           f"E_R(next)={e_ask.values[a]:.12g} > {ask[a]:.12g}")
-            if e_bid.values[a] < bid[a] - tol:
-                report.add(f"node {a}", f"bid not a submartingale: "
-                           f"E_R(next)={e_bid.values[a]:.12g} < {bid[a]:.12g}")
+    cols = _columns(tree, horizon, [x])
+    ask = backward_pass(model, horizon, cols)[:, 0]
+    bid = -backward_pass(model, horizon, -cols)[:, 0]
+    # one-step inequalities: E_R of the children's prices, from R's node masses
+    mass = np.array([r.mass(tree, v) for v in range(tree.n_nodes)])
+    e_ask, e_bid = np.full(tree.n_nodes, np.nan), np.full(tree.n_nodes, np.nan)
+    for nodes, kids in tree.levels(tree.leaves).values():
+        e_ask[nodes] = (mass[kids] * ask[kids]).sum(axis=1) / mass[nodes]
+        e_bid[nodes] = (mass[kids] * bid[kids]).sum(axis=1) / mass[nodes]
+    for a in sorted(tree.internal_nodes(), key=tree.times.__getitem__):
+        if e_ask[a] > ask[a] + tol:
+            report.add(f"node {a}", f"ask not a supermartingale: "
+                       f"E_R(next)={e_ask[a]:.12g} > {ask[a]:.12g}")
+        if e_bid[a] < bid[a] - tol:
+            report.add(f"node {a}", f"bid not a submartingale: "
+                       f"E_R(next)={e_bid[a]:.12g} < {bid[a]:.12g}")
     # sandwich on deterministic and random stopping times
     rng = np.random.default_rng(seed)
     sigmas = [StoppingTime.at_time(tree, t) for t in range(tree.horizon + 1)]
@@ -518,17 +501,20 @@ def american_price(model: ScenarioModel, payoff: Mapping[int, float],
     because ``np.maximum`` returns one of its operands.
     """
     tree = model.tree
+    validate_stopping_time(tree, nu)
+    validate_stopping_time(tree, tau)
     if not precedes(tree, nu, tau):
         raise TcppError("american_price requires nu <= tau")
     order = [v for a in nu.cut for v in tree.between(a, tau.cut)]
     missing = sorted({v for v in order if v not in payoff})
     if missing:
         raise TcppError(f"payoff process undefined on nodes {missing}")
-    floor = {v: float(payoff[v]) for v in order}
-    require_finite(floor, "payoff value")
+    require_finite({v: payoff[v] for v in order}, "payoff value")
+    floor = np.full(tree.n_nodes, -np.inf)
+    floor[order] = [payoff[v] for v in order]
 
-    snell = backward_pass(model, tau, {b: np.array([floor[b]]) for b in tau.cut}, floor)
+    snell = backward_pass(model, tau, floor[:, None], floor)[:, 0]
     def exercise(v: int) -> bool:
-        return v in tau.cut or snell[v][0] == floor[v]
+        return v in tau.cut or snell[v] == floor[v]
     optimal = {a: tuple(tree.first_stops(a, exercise)) for a in nu.cut}
-    return AmericanResult(Claim(nu, {a: float(snell[a][0]) for a in nu.cut}), optimal)
+    return AmericanResult(Claim(nu, {a: float(snell[a]) for a in nu.cut}), optimal)

@@ -1,12 +1,15 @@
 """Numeric settings shared by every solver and check in the package."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+from .errors import TcppError
 
 
 @dataclass(frozen=True)
 class Settings:
-    """One record of tolerances and caps, threaded to all callers.
+    """One record of tolerances and caps, threaded to all callers; each is
+    finite and nonnegative, or the record raises naming it.
 
     feasibility_tol   constraint satisfaction / pass-fail tolerance, also for
                       the one-step kernels of the martingale and good-deal
@@ -31,6 +34,11 @@ class Settings:
     duality_tol: float = 1e-7
     equivalence_floor: float = 1e-12
     max_enum: int = 10**6
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not 0 <= (value := getattr(self, f.name)) < float("inf"):
+                raise TcppError(f"setting {f.name} must be finite and at least 0, got {value!r}")
 
 
 DEFAULT = Settings()

@@ -287,8 +287,9 @@ class StoppingTime:
 
 
 def validate_stopping_time(tree: FiltrationTree, tau: StoppingTime) -> None:
+    n = tree.n_nodes
     for v in tau.cut:
-        if not 0 <= v < tree.n_nodes:
+        if not 0 <= v < n:
             raise ForeignNode(f"stopping time references node {v} outside the tree")
     before = tree._leaves_before        # leaves ahead of each preorder position
     leaves, end = 0, 0

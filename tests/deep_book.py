@@ -5,8 +5,10 @@
 ``OUT_DIR/deep.market`` is a binomial tree of 12 periods (8191 nodes) with
 one asset, up and down factors drawn per node, three menu entries per node
 on the asset's martingale kernel (penalties 0 and two drawn ones) and hedge
-vertices -1 and 1; ``OUT_DIR/deep.claim`` is a call struck at 1.  The seed is
-fixed, so the files are the same on every run.
+vertices -1 and 1; ``OUT_DIR/deep.claim`` is a call struck at 1, and
+``OUT_DIR/deep.process`` a put on the asset struck at 1 at every node, the
+payoff process of ``tcpp american``.  The seed is fixed, so the files are the
+same on every run.
 """
 import os
 import sys
@@ -40,6 +42,8 @@ def main(out_dir: str) -> None:
         fh.write(serialize_market(md))
     with open(os.path.join(out_dir, "deep.claim"), "w", encoding="utf-8") as fh:
         fh.writelines(f"value {b} {max(s[b] - 1.0, 0.0)!r}\n" for b in tree.leaves)
+    with open(os.path.join(out_dir, "deep.process"), "w", encoding="utf-8") as fh:
+        fh.writelines(f"value {v} {max(1.0 - s[v], 0.0)!r}\n" for v in range(tree.n_nodes))
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from tcpp.market import (AssetProcess, ConstraintSet, GoodDealCaps, QuotedOption
 from tcpp.marketfile import MarketData
 from tcpp.pricing import (SublinearReport, backward_pass, enumerate_stop_sets,
                           price)
+from tcpp.report import CheckReport
 from tcpp.scenario import (MenuEntry, ScenarioModel, cumulative_penalties,
                            subtree_duals)
 from tcpp.settings import DEFAULT, Settings
@@ -418,6 +419,20 @@ def constrained_price_lp(tree, assets, h_set, x, settings=DEFAULT) -> Claim:
     return Claim(StoppingTime.at_root(tree), {tree.root: values[tree.root]})
 
 
+def price_enumerated(model: ScenarioModel, x: Claim, sigma: StoppingTime,
+                     settings: Settings = DEFAULT) -> Claim:
+    """Dual-representation oracle: esssup over enumerated selections."""
+    tree = model.tree
+    if not precedes(tree, sigma, x.at):
+        raise TcppError("pricing time must precede the claim's stopping time")
+    vals = {}
+    for a in sigma.cut:
+        duals = subtree_duals(model, a, x.at, settings)
+        vals[a] = max(sum(m.get(b, 0.0) * x.values[b] for b in m) - p
+                      for m, p in duals)
+    return Claim(sigma, vals)
+
+
 def american_enumerated(model, payoff, nu, tau, settings=DEFAULT):
     """Best-exercise value as the largest price over every enumerated stop
     set below each atom of nu, with the first stop set attaining it."""
@@ -431,12 +446,13 @@ def american_enumerated(model, payoff, nu, tau, settings=DEFAULT):
 
     vals: dict[int, float] = {}
     best_sets: dict[int, tuple[int, ...]] = {}
+    column = np.full((tree.n_nodes, 1), np.nan)     # the payoff, read on each stop set
+    column[list(payoff), 0] = list(payoff.values())
     for a in nu.cut:
         rest = tuple(nu.cut - {a})      # completes each stop set to a cut
         best = None
         for stop in enumerate_stop_sets(tree, a, tau, settings):
-            sub_rows = {v: np.array([payoff[v]]) for v in stop + rest}
-            v = backward_pass(model, StoppingTime.of(stop + rest), sub_rows)[a][0]
+            v = backward_pass(model, StoppingTime.of(stop + rest), column)[a, 0]
             if best is None or v > best + 0.0:
                 best, best_sets[a] = float(v), stop
         vals[a] = best
@@ -651,6 +667,77 @@ def check_sublinear_per_claim(model: ScenarioModel, n_samples: int = 20,
                            "pricing is positively homogeneous anyway")
 
 
+# -- check_axioms atom by atom -----------------------------------------------------
+# The axiom checks before each property became one comparison over whole
+# arrays: one loop over the atoms per property and one ``flatnonzero`` per atom.
+
+def check_axioms_per_atom(model, samples, lambdas=(0.0, 0.3, 0.5, 1.0), seed=0,
+                          tol=1e-12) -> CheckReport:
+    """Verify monotonicity, translation invariance, convexity, normalization."""
+    tree = model.tree
+    rng = np.random.default_rng(seed)
+    report = CheckReport(check="pricing axioms", passed=True)
+    for node, msg in model.normalization_findings():
+        report.add(f"node {node}", f"normalization: {msg}")
+
+    groups: dict[frozenset, list[int]] = {}
+    for i, (x, y) in enumerate(samples):
+        if x.at != y.at:
+            raise TcppError(f"sample {i} mixes stopping times")
+        groups.setdefault(x.at.cut, []).append(i)
+
+    for cut, idxs in groups.items():
+        tau = StoppingTime(cut)
+        atoms = sorted(cut)
+        k = len(idxs)
+        X = np.array([[samples[i][0].values[b] for i in idxs] for b in atoms])
+        Y = np.array([[samples[i][1].values[b] for i in idxs] for b in atoms])
+
+        def rows(m: np.ndarray) -> np.ndarray:
+            out = np.full((tree.n_nodes, m.shape[1]), np.nan)
+            out[atoms] = m
+            return out
+
+        vx = backward_pass(model, tau, rows(X))
+        vy = backward_pass(model, tau, rows(Y))
+        vmin = backward_pass(model, tau, rows(np.minimum(X, Y)))
+        vzero = backward_pass(model, tau, rows(np.zeros_like(X[:, :1])))
+        t_max = min(tree.times[b] for b in cut)
+        sigma_nodes = sorted(a for a in range(tree.n_nodes)       # the rows the pass fills
+                             if not np.isnan(vx[a, 0]) and tree.times[a] <= t_max)
+
+        for a in sigma_nodes:
+            if abs(float(vzero[a][0])) > tol:
+                report.add(f"atom {a}", f"normalization: price of 0 is {float(vzero[a][0])!r}")
+            bad = np.flatnonzero(vmin[a] > np.minimum(vx[a], vy[a]) + tol)
+            for j in bad:
+                report.add(f"sample {idxs[j]} atom {a}",
+                           f"monotonicity: min claim priced {vmin[a][j]:.15g} above "
+                           f"{min(vx[a][j], vy[a][j]):.15g}")
+        for lam in lambdas:
+            vc = backward_pass(model, tau, rows(lam * X + (1 - lam) * Y))
+            for a in sigma_nodes:
+                rhs = lam * vx[a] + (1 - lam) * vy[a]
+                bad = np.flatnonzero(vc[a] > rhs + tol)
+                for j in bad:
+                    report.add(f"sample {idxs[j]} atom {a}",
+                               f"convexity at lambda={lam}: {vc[a][j]:.15g} > {rhs[j]:.15g}")
+        # translation invariance with a random F_sigma-measurable shift
+        for t in range(t_max + 1):
+            sig_atoms = [a for a in sigma_nodes if tree.times[a] == t]
+            z = {a: rng.uniform(-2.0, 2.0) for a in sig_atoms}
+            anc_of = tree.owners(sig_atoms, atoms)
+            shift = np.array([[z[anc_of[b]]] * k for b in atoms])
+            vt = backward_pass(model, tau, rows(X + shift))
+            for a in sig_atoms:
+                bad = np.flatnonzero(np.abs(vt[a] - (vx[a] + z[a])) > tol)
+                for j in bad:
+                    report.add(f"sample {idxs[j]} atom {a}",
+                               f"translation invariance off by "
+                               f"{abs(vt[a][j] - vx[a][j] - z[a]):.3e}")
+    return report
+
+
 # -- backward induction node by node -------------------------------------------
 # The inductions before they ran one level group at a time on packed menus:
 # one node and one menu entry per step.
@@ -811,6 +898,10 @@ def parse_market_text(text: str) -> MarketData:
                 overrides[key] = _int(args[1], ln, key)
             else:
                 overrides[key] = _num(args[1], ln, key)
+            try:
+                Settings(**{key: overrides[key]})
+            except TcppError as exc:
+                raise MarketFileError(str(exc), ln)
         else:
             raise MarketFileError(f"unknown record {kind!r}", ln)
 

@@ -10,7 +10,7 @@ import pytest
 
 from gen import killed_leaf_model, random_claim, random_model, random_tree
 from oracles import (american_enumerated, binomial_constrained_oracle,
-                     good_deal_interval_oracle)
+                     good_deal_interval_oracle, price_enumerated)
 from tcpp.market import (AssetProcess, ConstraintSet, GoodDealCaps,
                          QuotedOption, calibrated_bounds, check_extends_dynamics,
                          good_deal_bounds, mme_bounds, constrained_price)
@@ -18,7 +18,7 @@ from tcpp.nfl import nfl_verdict
 from tcpp.pricing import (american_price, backward_pass, check_axioms,
                           check_supermartingale, check_time_consistency,
                           non_rectangular_counterexample, price,
-                          price_enumerated, random_stopping_time)
+                          random_stopping_time)
 from tcpp.scenario import (MenuEntry, PenaltyProcess, ScenarioModel,
                            check_cocycle, enumerate_selections,
                            minimal_penalty, selection_to_measure)
@@ -153,10 +153,10 @@ def test_criterion_5_sandwich_supermartingale(theorem1_instances):
         n = 500
         leaf_list = list(tree.leaves)
         X = rng.uniform(-2.0, 2.0, size=(len(leaf_list), n))
-        rows = {b: X[i] for i, b in enumerate(leaf_list)}
-        neg_rows = {b: -X[i] for i, b in enumerate(leaf_list)}
+        rows = np.full((tree.n_nodes, n), np.nan)
+        rows[leaf_list] = X
         ask = backward_pass(model, horizon, rows)
-        bid = {v: -a for v, a in backward_pass(model, horizon, neg_rows).items()}
+        bid = -backward_pass(model, horizon, -rows)
 
         def er_given(node):
             idx = [tree.leaf_index[v] for v in tree.subtree_leaves(node)]

@@ -63,14 +63,26 @@ def test_floor_applies_above_the_cut_only():
     tree = FiltrationTree.binomial(2)
     model = ScenarioModel.reference(tree)
     horizon = StoppingTime.at_horizon(tree)
-    rows = {b: np.array([1.0, -1.0]) for b in horizon.cut}
-    floor = {v: 0.0 for v in range(tree.n_nodes)}
+    rows = np.full((tree.n_nodes, 2), np.nan)
+    rows[list(horizon.cut)] = [1.0, -1.0]
+    floor = np.zeros(tree.n_nodes)
     got = backward_pass(model, horizon, rows, floor)
     for b in horizon.cut:
         assert list(got[b]) == [1.0, -1.0]
     for v in tree.internal_nodes():
         assert list(got[v]) == [1.0, 0.0]
-    assert backward_pass(model, horizon, rows, {})[0].tolist() == [1.0, -1.0]
+    no_floor = np.full(tree.n_nodes, -np.inf)
+    assert backward_pass(model, horizon, rows, no_floor)[0].tolist() == [1.0, -1.0]
+
+
+@pytest.mark.parametrize("nu, tau", [((0, 1), (3, 4, 5, 6)), ((0,), (1, 3, 4, 5, 6)),
+                                     ((0,), (3, 4))])
+def test_cuts_are_validated(nu, tau):
+    tree = FiltrationTree.binomial(2)
+    model = ScenarioModel.reference(tree)
+    payoff = {v: float(v) for v in range(tree.n_nodes)}
+    with pytest.raises(TcppError, match="meets the cut"):
+        american_price(model, payoff, StoppingTime.of(nu), StoppingTime.of(tau))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

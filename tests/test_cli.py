@@ -1,16 +1,19 @@
 """Market-file parsing, serializer round trip, and command dispatch."""
+import math
 import os
 
 import numpy as np
 import pytest
 
+import oracles
 from gen import deep_chain_model, random_claim, random_model, random_tree
 from tcpp.cli import main
-from tcpp.errors import MarketFileError
+from tcpp.errors import MarketFileError, TcppError
 from tcpp.market import AssetProcess, GoodDealCaps, QuotedOption
 from tcpp.marketfile import (MarketData, parse_claim_text, parse_market_file,
                              parse_market_text, serialize_market)
 from tcpp.scenario import MenuEntry, ScenarioModel
+from tcpp.settings import Settings
 from tcpp.tree import FiltrationTree
 
 DEMOS = os.path.join(os.path.dirname(__file__), "..", "demos")
@@ -376,3 +379,47 @@ def test_cap_below_one_names_its_line(node, capsys, tmp_path):
     assert code == 2
     assert (f"line {line}: good-deal cap 0.5 is not a number of at least 1"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("field, value", [("feasibility_tol", -1.0), ("rank_tol", math.nan),
+                                          ("duality_tol", math.inf),
+                                          ("equivalence_floor", -1e-12), ("max_enum", -3)])
+def test_settings_check_their_values(field, value):
+    with pytest.raises(TcppError, match=f"setting {field} must be finite and at least 0"):
+        Settings(**{field: value})
+    assert getattr(Settings(**{field: 0}), field) == 0
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("argv", [["nfl", "--market", BINOMIAL],
+                                  ["calibrate", "--market", TRINOMIAL],
+                                  ["bounds", "--market", TRINOMIAL, "--claim", DIGITAL]])
+def test_tol_flag_out_of_range_exits_two(argv, tol, capsys):
+    assert main([*argv, "--tol", tol]) == 2
+    assert "setting feasibility_tol must be finite" in capsys.readouterr().err
+
+
+def test_max_enum_env_out_of_range_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("TCPP_MAX_ENUM", "-3")
+    assert main(["nfl", "--market", BINOMIAL]) == 2
+    assert "setting max_enum must be finite and at least 0, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["set feasibility_tol -1", "set rank_tol -0.5",
+                                  "set max_enum -5"])
+def test_setting_out_of_range_names_its_line(line, capsys, tmp_path):
+    with open(BINOMIAL, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines.insert(3, line)
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(MarketFileError) as exc:
+        parse_market_text(text)
+    assert exc.value.line == 4
+    with pytest.raises(MarketFileError) as oracle_exc:
+        oracles.parse_market_text(text)
+    assert str(oracle_exc.value) == str(exc.value)
+    path = tmp_path / "neg.market"
+    path.write_text(text)
+    assert main(["nfl", "--market", str(path)]) == 2
+    key = line.split()[1]
+    assert f"line 4: setting {key} must be finite and at least 0" in capsys.readouterr().err

@@ -68,11 +68,17 @@ def test_backward_pass_matches_the_per_node_induction():
             rows = {b: rng.uniform(-2.0, 2.0, 4) for b in at.cut}
             floor = {v: float(rng.uniform(-1.0, 1.0)) for v in range(tree.n_nodes)
                      if rng.random() < 0.5}
-            for fl in (None, floor):
-                got = backward_pass(model, at, rows, fl)
+            values = np.full((tree.n_nodes, 4), np.nan)
+            values[list(rows)] = list(rows.values())
+            lower = np.full(tree.n_nodes, -np.inf)
+            lower[list(floor)] = list(floor.values())
+            for fl, fl_array in ((None, None), (floor, lower)):
+                got = backward_pass(model, at, values, fl_array)
                 want = oracles.backward_pass_per_node(model, at, rows, fl)
-                assert sorted(got) == sorted(want)
+                assert got.shape == values.shape
                 assert all(close(got[v], want[v]) for v in want)
+                below = sorted(set(range(tree.n_nodes)) - set(want))
+                assert np.isnan(got[below]).all()
 
 
 def test_cumulative_penalties_match_the_per_node_induction():

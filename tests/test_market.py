@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gen import random_claim, random_model, random_tree
-from oracles import binomial_constrained_oracle
+from oracles import binomial_constrained_oracle, price_enumerated
 from tcpp.errors import NoMartingaleMeasure, TcppError
 from tcpp.market import (AssetProcess, ConstraintSet, GoodDealCaps,
                          QuotedOption, calibrated_bounds, calibration_feasible,
@@ -351,7 +351,6 @@ def test_sublinear_calibrated_model_is_kernel_esssup():
     tree, s = trinomial_market()
     model = ScenarioModel(tree, {0: [MenuEntry((0.1, 0.7, 0.2), 0.0),
                                      MenuEntry((0.2, 0.4, 0.4), 0.0)]})
-    from tcpp.pricing import price_enumerated
     for _ in range(10):
         x = random_claim(rng, tree)
         root = StoppingTime.at_root(tree)

@@ -10,7 +10,7 @@ from gen import killed_leaf_model, random_model, random_tree
 from tcpp.errors import NegativePenalty
 from tcpp.nfl import (find_static_free_lunch,
                       find_zero_penalty_equivalent_measure, nfl_verdict)
-from tcpp.pricing import price, price_enumerated, random_stopping_time
+from tcpp.pricing import price, random_stopping_time
 from tcpp.scenario import (MenuEntry, ScenarioModel, check_nondegenerate,
                            enumerate_selections, minimal_penalty,
                            selection_to_measure)
@@ -94,7 +94,7 @@ def _compare_with_oracles(model: ScenarioModel) -> bool:
         vals = np.array([claim.values[b] for b in tree.leaves])
         assert vals.min() >= 0.0 and vals.max() > 0.0
         direct = price(model, claim, root).values[tree.root]
-        dual = price_enumerated(model, claim, root).values[tree.root]
+        dual = oracles.price_enumerated(model, claim, root).values[tree.root]
         assert abs(direct - dual) <= TOL and direct <= TOL
         assert price(model, claim_g, root).values[tree.root] <= TOL
     return nfl

@@ -9,13 +9,11 @@ from gen import (claim_pairs, random_claim, random_irregular_tree, random_model,
                  random_tree)
 from tcpp.scenario import (MenuEntry, PenaltyProcess, ScenarioModel,
                            check_cocycle, enumerate_selections)
-from tcpp import pricing
-from tcpp.pricing import (american_price, backward_pass, bid_ask, chain_prices,
+from tcpp.pricing import (american_price, bid_ask, chain_prices,
                           check_axioms, check_sublinear, check_supermartingale,
                           check_time_consistency, enumerate_stop_sets,
                           non_rectangular_counterexample, price,
-                          price_enumerated, price_process,
-                          random_stopping_time)
+                          price_process, random_stopping_time)
 from tcpp.errors import TcppError
 from tcpp.nfl import find_zero_penalty_equivalent_measure
 from tcpp.tree import Claim, FiltrationTree, Measure, StoppingTime, lift
@@ -75,7 +73,7 @@ def test_oracle_equivalence_random_models():
         x = random_claim(rng, tree)
         sigma = random_stopping_time(tree, rng)
         direct = price(model, x, sigma)
-        oracle = price_enumerated(model, x, sigma)
+        oracle = oracles.price_enumerated(model, x, sigma)
         assert direct.allclose(oracle, 1e-9)
 
 
@@ -112,21 +110,41 @@ def test_check_axioms_flags_negative_penalty():
     assert any("normalization" in f.message for f in rep.findings)
 
 
-def test_check_axioms_report_does_not_follow_the_order_of_backward_pass(monkeypatch):
+def test_check_axioms_matches_the_per_atom_oracle():
+    """Whole-array comparisons report what the per-atom loops did, in the
+    same order and text: random trees and cuts, two cuts interleaved among
+    the samples, a negative penalty on every fourth model, and no tolerance,
+    where rounding shows as findings."""
     rng = np.random.default_rng(31)
-    tree = random_tree(rng, max_periods=3)
-    model = random_model(rng, tree)
-    samples = claim_pairs(rng, tree, 8)
-    # with no tolerance, rounding shows as findings that name atoms and shifts
-    want = check_axioms(model, samples, tol=0.0)
-    assert any("translation" in f.message for f in want.findings)
+    kinds = set()
+    for k in range(60):
+        tree = random_irregular_tree(rng) if k % 2 else random_tree(rng, max_periods=3)
+        model = random_model(rng, tree)
+        if k % 4 == 3:
+            v = int(rng.choice(tree.internal_nodes()))
+            menus = dict(model.menus)
+            menus[v] = [MenuEntry(e.kernel, e.penalty - 0.3) for e in menus[v]]
+            model = ScenarioModel(tree, menus)
+        cuts = [random_stopping_time(tree, rng) for _ in range(2)]
+        samples = [(random_claim(rng, tree, cuts[i % 2]), random_claim(rng, tree, cuts[i % 2]))
+                   for i in range(6)]
+        for tol in (0.0, 1e-12):
+            got = check_axioms(model, samples, seed=k, tol=tol)
+            want = oracles.check_axioms_per_atom(model, samples, seed=k, tol=tol)
+            assert (got.passed, got.findings) == (want.passed, want.findings), k
+            kinds |= {f.message.split(" ")[0] for f in got.findings}
+    assert {"normalization:", "translation", "convexity"} <= kinds, kinds
 
-    def reversed_pass(*args, **kwargs):
-        return dict(reversed(list(backward_pass(*args, **kwargs).items())))
 
-    monkeypatch.setattr(pricing, "backward_pass", reversed_pass)
-    got = check_axioms(model, samples, tol=0.0)
-    assert (got.passed, got.findings) == (want.passed, want.findings)
+@pytest.mark.parametrize("cut", [(1, 3, 4, 5, 6), (3, 4)])
+def test_check_axioms_validates_each_cut(cut):
+    tree = FiltrationTree.binomial(2)
+    at = StoppingTime.of(cut)
+    pair = (Claim.constant(at, 1.0), Claim.constant(at, -1.0))
+    horizon = StoppingTime.at_horizon(tree)
+    good = (Claim.constant(horizon, 1.0), Claim.constant(horizon, 0.0))
+    with pytest.raises(TcppError, match="meets the cut"):
+        check_axioms(ScenarioModel.reference(tree), [good, pair])
 
 
 def test_check_sublinear_true_false_and_witness():
