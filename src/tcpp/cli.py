@@ -52,7 +52,12 @@ def _load(args) -> MarketData:
         settings = dataclasses.replace(settings, feasibility_tol=args.tol)
     env_cap = os.environ.get("TCPP_MAX_ENUM")
     if env_cap is not None:
-        settings = dataclasses.replace(settings, max_enum=int(env_cap))
+        try:
+            max_enum = int(env_cap)
+        except ValueError:
+            raise TcppError(f"TCPP_MAX_ENUM sets max_enum and must be an integer, "
+                            f"got {env_cap!r}") from None
+        settings = dataclasses.replace(settings, max_enum=max_enum)
     md.settings = settings
     return md
 
@@ -93,8 +98,8 @@ def cmd_check_tcpp(args, out: Output) -> int:
     tree = md.tree
     rng = np.random.default_rng(args.seed)
     horizon = StoppingTime.at_horizon(tree)
-    draws = rng.uniform(-2, 2, size=(args.samples, 2, len(tree.leaves))).tolist()
-    samples = [tuple(Claim(horizon, dict(zip(tree.leaves, x))) for x in pair) for pair in draws]
+    draws = rng.uniform(-2, 2, size=(args.samples, 2, len(tree.leaves)))
+    samples = [(Claim(horizon, x), Claim(horizon, y)) for x, y in draws]
     axioms = check_axioms(model, samples, seed=args.seed)
     out.report(axioms)
 

@@ -56,7 +56,7 @@ class QuotedOption:
     ask: float
 
     def __post_init__(self):
-        require_finite(self.payoff.values, f"quote {self.name}: payoff value")
+        require_finite(self.payoff, f"quote {self.name}: payoff value")
         require_finite({"bid": self.bid, "ask": self.ask}, f"quote {self.name}:")
         if self.bid > self.ask:
             raise TcppError(f"quote {self.name}: bid {self.bid} exceeds ask {self.ask}")
@@ -399,7 +399,7 @@ def _kernel_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess], x: Clai
     ``equivalence_floor``: the product of the nodes' averages of their
     charging kernels is one."""
     validate_stopping_time(tree, x.at)
-    require_finite(x.values, "claim value")
+    require_finite(x, "claim value")
     spot = _spot(tree, assets)
     steps = []
     for (t, k), (nodes, kids) in tree.levels(tree.leaves).items():
@@ -509,8 +509,7 @@ def constrained_price(tree: FiltrationTree, assets: Sequence[AssetProcess],
                 f"vertices) exceed the cap {settings.max_enum}")
 
     values = np.full(tree.n_nodes, np.nan)
-    for b, v in x.values.items():
-        values[b] = v
+    values[x.at.index] = x.array
     hedge = np.array(h_set.vertices, dtype=float)
     for nodes, kids in groups.values():
         drift = spot[kids] - spot[nodes][:, None, :]
@@ -524,7 +523,7 @@ def constrained_price(tree: FiltrationTree, assets: Sequence[AssetProcess],
                 f"constrained price at node {nodes[i]}: the kernel value "
                 f"{lower[i]!r} and its hedge certificate {upper[i]!r} disagree")
         values[nodes] = lower
-    return Claim(StoppingTime.at_root(tree), {tree.root: float(values[tree.root])})
+    return Claim(StoppingTime.at_root(tree), values[[tree.root]])
 
 
 def _spot(tree: FiltrationTree, assets: Sequence[AssetProcess]) -> np.ndarray:

@@ -138,8 +138,8 @@ def _floats(toks: list[str], width: int, cols: list[int]) -> np.ndarray:
 
 def _finite(tokens: list[str]) -> list[float]:
     """A column as finite floats, for the values that end as Python floats
-    (all but the menus'): an array would cost numpy calls per block and a
-    conversion back."""
+    (all but the menus' and the claims'): an array would cost numpy calls
+    per block and a conversion back."""
     x = list(map(float, tokens))
     if not all(map(math.isfinite, x)):
         raise ValueError("not a finite number")
@@ -453,10 +453,10 @@ def serialize_market(md: MarketData) -> str:
     return "\n".join(out) + "\n"
 
 
-def _read_claim_block(kind: str, width: int, toks: list[str]) -> dict[int, float]:
+def _read_claim_block(kind: str, width: int, toks: list[str]) -> tuple[list[int], np.ndarray]:
     if (kind, width) != ("value", 3):
         raise ValueError("not a value line")
-    return dict(zip(map(int, toks[1::3]), _finite(toks[2::3])))
+    return list(map(int, toks[1::3])), _floats(toks, 3, [2])[0]
 
 
 def _check_claim_line(kind: str, args: list[str], ln: int, seen: set[int]) -> None:
@@ -475,20 +475,23 @@ def parse_claim_text(text: str, tree: FiltrationTree,
     payoff process); otherwise the nodes must form a stopping time.
     """
     read = _read_blocks(_blocks(text), _read_claim_block, _check_claim_line)
-    values: dict[int, float] = {}
+    nodes, values = [], np.zeros(0)
     for _, block in read.get("value", ()):
-        values = block
+        nodes, values = block
     if full_process:
-        missing = [v for v in range(tree.n_nodes) if v not in values]
+        process = dict(zip(nodes, values.tolist()))
+        missing = [v for v in range(tree.n_nodes) if v not in process]
         if missing:
             raise MarketFileError(f"payoff process misses nodes {missing}")
-        return values
-    cut = StoppingTime.of(values)
+        return process
+    at = StoppingTime.of(nodes)
     try:
-        validate_stopping_time(tree, cut)
+        validate_stopping_time(tree, at)
     except TcppError as exc:
         raise MarketFileError(f"claim nodes are not a stopping time: {exc}")
-    return Claim(cut, values)
+    # the nodes ascending, as the claim holds them, each with its last line's value
+    _, last = np.unique(np.array(nodes)[::-1], return_index=True)
+    return Claim(at, values[::-1][last])
 
 
 def parse_claim_file(path: str, tree: FiltrationTree,

@@ -25,8 +25,8 @@ from .report import CheckReport
 from .scenario import (MenuEntry, ScenarioModel, minimal_penalty,
                        uncharged_edges, uniform_mixture)
 from .settings import DEFAULT, Settings
-from .tree import (Claim, FiltrationTree, Measure, StoppingTime,
-                   conditional_expectation, lift, precedes)
+from .tree import (Claim, FiltrationTree, Measure, StoppingTime, lift,
+                   precedes, stacked_conditional_expectation)
 
 
 @dataclass
@@ -87,8 +87,8 @@ def find_static_free_lunch(model: ScenarioModel,
     v, c = edges[0]
     top = c if zero[v] else v
     eps = min((e.penalty for e in model.menus[v] if e.penalty > tol), default=1.0)
-    claim = Claim(StoppingTime.at_horizon(tree),
-                  {b: eps if tree.is_ancestor(top, b) else 0.0 for b in tree.leaves})
+    below = tree.owner_index([top], tree.leaves) == 0
+    claim = Claim(StoppingTime.at_horizon(tree), np.where(below, eps, 0.0))
     root_price = price(model, claim, StoppingTime.at_root(tree)).values[tree.root]
     if root_price <= tol:
         return FreeLunchCertificate("static-arbitrage-claim", claim=claim)
@@ -144,9 +144,9 @@ def validate_zero_cost(model: ScenarioModel, strat: ZeroCostStrategy,
         prev = tau
         ask_z = price(model, z, tau)
         bid_y = -price(model, -y, tau)
-        for a in tau.cut:
-            if ask_z.values[a] > bid_y.values[a] + tol:
-                raise TcppError(f"swap not self-financing at atom {a}")
+        short = ask_z.array > bid_y.array + tol
+        if short.any():
+            raise TcppError(f"swap not self-financing at atom {tau.index[short.argmax()]}")
 
 
 def sample_zero_cost(model: ScenarioModel, seed: int = 0,
@@ -158,19 +158,17 @@ def sample_zero_cost(model: ScenarioModel, seed: int = 0,
     horizon = StoppingTime.at_horizon(tree)
     root = StoppingTime.at_root(tree)
 
-    w = Claim(horizon, {b: rng.uniform(-1.0, 1.0) for b in tree.leaves})
+    w = Claim(horizon, rng.uniform(-1.0, 1.0, len(tree.leaves)))
     x0 = w - price(model, w, root).values[tree.root]
 
     swaps = []
     current = StoppingTime.at_root(tree)
     for _ in range(n_swaps):
         current = random_stopping_time(tree, rng, lo=current)
-        y = Claim(horizon, {b: rng.uniform(0.0, 1.0) for b in tree.leaves})
+        y = Claim(horizon, rng.uniform(0.0, 1.0, len(tree.leaves)))
         ask_y = price(model, y, current)
         bid_y = -price(model, -y, current)
-        spread = Claim(current, {a: ask_y.values[a] - bid_y.values[a]
-                                 for a in current.cut})
-        z = y - lift(tree, spread, horizon)
+        z = y - lift(tree, ask_y - bid_y, horizon)
         swaps.append((current, z, y))
     strat = ZeroCostStrategy(x0, swaps)
     validate_zero_cost(model, strat)
@@ -219,33 +217,36 @@ def nfl_verdict(model: ScenarioModel, seed: int = 0, n_samples: int = 50,
             raise InconsistentVerdicts(f"certificate measure has penalty {pen!r}")
         checks.info["certificate_penalty"] = pen
         checks.info["min_density"] = min(measure.density.values())
-        # iv: sandwich under the certificate measure on sampled claims, all
-        # priced at every node by one ask and one bid pass
-        samples = [(Claim(horizon, {b: rng.uniform(-1.0, 1.0) for b in tree.leaves}),
-                    random_stopping_time(tree, rng) if i % 2 else root)
-                   for i in range(n_samples)]
+        # iv: sandwich under the certificate measure on sampled claims at
+        # sampled stopping times; every sample priced, and its conditional
+        # expectations taken, at every node by one stacked ask, bid and
+        # expectation pass each
         xs = np.full((tree.n_nodes, n_samples), np.nan)
-        xs[list(tree.leaves)] = [[x.values[b] for x, _ in samples] for b in tree.leaves]
+        sigmas = []
+        for i in range(n_samples):
+            xs[horizon.index, i] = rng.uniform(-1.0, 1.0, len(tree.leaves))
+            sigmas.append(random_stopping_time(tree, rng) if i % 2 else root)
         ask, neg_bid = backward_pass(model, horizon, xs), backward_pass(model, horizon, -xs)
-        for i, (x, sigma) in enumerate(samples):
-            e = conditional_expectation(tree, measure, x, sigma)
-            for a in sigma.cut:
-                if not (-neg_bid[a, i] - tol <= e.values[a] <= ask[a, i] + tol):
-                    checks.add(f"sample {i} atom {a}",
-                               "martingale sandwich broken under certificate measure")
+        e = stacked_conditional_expectation(tree, measure.node_masses(tree), horizon, xs)
+        for i, sigma in enumerate(sigmas):
+            rows = sigma.index
+            inside = (-neg_bid[rows, i] - tol <= e[rows, i]) & (e[rows, i] <= ask[rows, i] + tol)
+            for a in rows[~inside].tolist():
+                checks.add(f"sample {i} atom {a}",
+                           "martingale sandwich broken under certificate measure")
         # i: sampled zero-cost strategies have nonpositive expectation
+        masses = measure.leaf_masses(tree)
         for i in range(n_strategies):
             strat = sample_zero_cost(model, seed=seed + 1 + i,
                                      n_swaps=int(rng.integers(0, 3)))
-            payoff = strat.payoff(tree)
-            ev = float(measure.leaf_masses(tree) @ [payoff.values[b] for b in tree.leaves])
+            ev = float(masses @ strat.payoff(tree).array)
             if ev > tol:
                 checks.add(f"strategy {i}",
                            f"zero-cost payoff has positive expectation {ev!r}")
         cert = FreeLunchCertificate("zero-penalty-equivalent-measure", measure=measure)
     else:
         claim = static.claim
-        vals = np.array([claim.values[b] for b in tree.leaves])
+        vals = claim.array
         if np.any(vals < -tol) or vals.max() <= tol:
             raise InconsistentVerdicts("static certificate is not a free lunch claim")
         p = price(model, claim, root).values[tree.root]

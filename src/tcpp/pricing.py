@@ -4,9 +4,11 @@ The production evaluator is backward induction over the menu maxima, linear
 in nodes times menu size: :func:`backward_pass` takes one level group of
 ``FiltrationTree.levels`` at a time, with the menus the model packed per
 group, on one node-indexed array with a column per claim, and with the
-payoff as exercise floor it is the American (Snell) recursion.  The
-enumerations of selections and stopping times are reference implementations
-that only the tests run; they are exponential and capped.
+payoff as exercise floor it is the American (Snell) recursion.  Claims
+enter the pass as their value arrays, scattered into its columns, and
+prices leave it as rows sliced off its result.  The enumerations of
+selections and stopping times are reference implementations that only the
+tests run; they are exponential and capped.
 """
 from __future__ import annotations
 
@@ -21,9 +23,9 @@ from .report import CheckReport
 from .scenario import (MeasureSelection, MenuEntry, PenaltyProcess,
                        ScenarioModel, minimal_penalty)
 from .settings import DEFAULT, Settings
-from .tree import (Claim, FiltrationTree, Measure, StoppingTime,
-                   conditional_expectation, lift, precedes,
-                   require_finite, validate_stopping_time)
+from .tree import (Claim, FiltrationTree, Measure, StoppingTime, lift,
+                   precedes, require_finite, stacked_conditional_expectation,
+                   validate_stopping_time)
 
 
 def backward_pass(model: ScenarioModel, at: StoppingTime, values: np.ndarray,
@@ -48,9 +50,8 @@ def backward_pass(model: ScenarioModel, at: StoppingTime, values: np.ndarray,
 
 def _columns(tree: FiltrationTree, at: StoppingTime, xs: Sequence[Claim]) -> np.ndarray:
     """Claims at ``at`` as the columns of one node-indexed array, NaN off the cut."""
-    cut = list(at.cut)
     out = np.full((tree.n_nodes, len(xs)), np.nan)
-    out[cut] = np.reshape([[x.values[b] for b in cut] for x in xs], (len(xs), len(cut))).T
+    out[at.index] = np.reshape([x.array for x in xs], (len(xs), len(at.cut))).T
     return out
 
 
@@ -59,11 +60,13 @@ def price(model: ScenarioModel, x: Claim, sigma: StoppingTime) -> Claim:
     tree = model.tree
     validate_stopping_time(tree, x.at)
     validate_stopping_time(tree, sigma)
-    if not precedes(tree, sigma, x.at):
+    require_finite(x, "claim value")
+    values = backward_pass(model, x.at, _columns(tree, x.at, [x]))[sigma.index, 0]
+    # of two stopping times, sigma precedes the cut exactly when no sigma node
+    # lies below it, where the pass leaves NaN
+    if np.isnan(values).any():
         raise TcppError("pricing time must precede the claim's stopping time")
-    require_finite(x.values, "claim value")
-    values = backward_pass(model, x.at, _columns(tree, x.at, [x]))
-    return Claim(sigma, {a: float(values[a, 0]) for a in sigma.cut})
+    return Claim(sigma, values)
 
 
 def bid_ask(model: ScenarioModel, x: Claim, sigma: StoppingTime) -> tuple[Claim, Claim]:
@@ -82,9 +85,9 @@ class PriceProcess:
 
     def __post_init__(self):
         for b, a in zip(self.bid, self.ask):
-            for v in b.at.cut:
-                if b.values[v] > a.values[v] + 1e-9:
-                    raise TcppError(f"bid exceeds ask at node {v}")
+            above = b.array > a.array + 1e-9
+            if above.any():
+                raise TcppError(f"bid exceeds ask at node {b.at.index[above.argmax()]}")
 
 
 def price_process(model: ScenarioModel, x: Claim,
@@ -255,8 +258,8 @@ def check_axioms(model: ScenarioModel, samples: Sequence[tuple[Claim, Claim]],
             atoms = np.flatnonzero(times == t)
             z = np.zeros(tree.n_nodes)
             z[atoms] = rng.uniform(-2.0, 2.0, len(atoms))
-            owner = tree.owners(atoms.tolist(), cut)
-            z[list(owner)] = z[list(owner.values())]        # each cut node takes its atom's
+            # each cut node takes the shift of its atom
+            z[tau.index] = z[atoms[tree.owner_index(atoms, tau.index)]]
             vt = backward_pass(model, tau, X + z[:, None])[atoms]
             for r, j in np.argwhere(np.abs(vt - (vx[atoms] + z[atoms, None])) > tol):
                 a = atoms[r]
@@ -305,7 +308,7 @@ def check_sublinear(model: ScenarioModel, n_samples: int = 20,
     bad = np.argwhere(scaled > lam_base + slack)    # sample-major, as drawn
     if bad.size:
         i, k = bad[0]
-        x = Claim(horizon, dict(zip(tree.leaves, xs[i].tolist())))
+        x = Claim(horizon, xs[i])
         return SublinearReport(False, (x, scales[k], root, float(scaled[i, k]),
                                        float(lam_base[i, k])))
     # targeted search: at each node, the claim on its children equal to a
@@ -339,18 +342,18 @@ def check_sublinear(model: ScenarioModel, n_samples: int = 20,
 
 
 def chain_prices(model: ScenarioModel, nu: StoppingTime, sigma: StoppingTime,
-                 tau: StoppingTime, xs: Sequence[Claim]) -> list[tuple[dict, dict]]:
-    """Direct and two-step ask prices at nu of each claim at tau, from two
-    stacked passes: one from tau over every claim, one from sigma over the
-    values it leaves there."""
+                 tau: StoppingTime, xs: Sequence[Claim]) -> tuple[np.ndarray, np.ndarray]:
+    """Direct and two-step ask prices at nu of each claim at tau, a row per
+    node of ``nu.sorted()`` and a column per claim, from two stacked passes:
+    one from tau over every claim, one from sigma over the values it leaves
+    there."""
     for st in (nu, sigma, tau):
         validate_stopping_time(model.tree, st)
     for x in xs:
-        require_finite(x.values, "claim value")
+        require_finite(x, "claim value")
     direct = backward_pass(model, tau, _columns(model.tree, tau, xs))
     composed = backward_pass(model, sigma, direct)
-    return [({a: float(direct[a, j]) for a in nu.cut},
-             {a: float(composed[a, j]) for a in nu.cut}) for j in range(len(xs))]
+    return direct[nu.index], composed[nu.index]
 
 
 def check_time_consistency(evaluator: ScenarioModel | Evaluator,
@@ -367,17 +370,17 @@ def check_time_consistency(evaluator: ScenarioModel | Evaluator,
         idxs = [si for si, x in enumerate(samples) if x.at == tau]
         xs = [samples[si] for si in idxs]
         if isinstance(evaluator, ScenarioModel):
-            pairs = chain_prices(evaluator, nu, sigma, tau, xs)
+            direct, composed = chain_prices(evaluator, nu, sigma, tau, xs)
         else:
-            pairs = [(evaluator.price(x, nu).values,
-                      evaluator.price(evaluator.price(x, sigma), nu).values) for x in xs]
-        for si, (direct, composed) in zip(idxs, pairs):
-            for a in nu.cut:
-                gap = abs(direct[a] - composed[a])
-                if gap > tol:
-                    report.add(f"chain {ci} sample {si} atom {a}",
-                               f"direct {direct[a]:.12g} != composed {composed[a]:.12g}")
-                    report.info.setdefault("witness_node", a)
+            shape = (len(xs), len(nu.cut))
+            direct = np.reshape([evaluator.price(x, nu).array for x in xs], shape).T
+            composed = np.reshape([evaluator.price(evaluator.price(x, sigma), nu).array
+                                   for x in xs], shape).T
+        for j, r in np.argwhere((np.abs(direct - composed) > tol).T):    # sample-major
+            a = int(nu.index[r])
+            report.add(f"chain {ci} sample {idxs[j]} atom {a}",
+                       f"direct {direct[r, j]:.12g} != composed {composed[r, j]:.12g}")
+            report.info.setdefault("witness_node", a)
     return report
 
 
@@ -422,7 +425,7 @@ def check_supermartingale(model: ScenarioModel, x: Claim, r: Measure,
     ask = backward_pass(model, horizon, cols)[:, 0]
     bid = -backward_pass(model, horizon, -cols)[:, 0]
     # one-step inequalities: E_R of the children's prices, from R's node masses
-    mass = np.array([r.mass(tree, v) for v in range(tree.n_nodes)])
+    mass = r.node_masses(tree)
     e_ask, e_bid = np.full(tree.n_nodes, np.nan), np.full(tree.n_nodes, np.nan)
     for nodes, kids in tree.levels(tree.leaves).values():
         e_ask[nodes] = (mass[kids] * ask[kids]).sum(axis=1) / mass[nodes]
@@ -438,12 +441,12 @@ def check_supermartingale(model: ScenarioModel, x: Claim, r: Measure,
     rng = np.random.default_rng(seed)
     sigmas = [StoppingTime.at_time(tree, t) for t in range(tree.horizon + 1)]
     sigmas += [random_stopping_time(tree, rng) for _ in range(n_stopping)]
+    e = stacked_conditional_expectation(tree, mass, horizon, cols)[:, 0]
     for sigma in sigmas:
-        e = conditional_expectation(tree, r, x, sigma)
-        for a in sigma.cut:
-            if not (bid[a] - tol <= e.values[a] <= ask[a] + tol):
-                report.add(f"atom {a}", f"sandwich broken: bid {bid[a]:.12g}, "
-                           f"E_R {e.values[a]:.12g}, ask {ask[a]:.12g}")
+        rows = sigma.index
+        for a in rows[~((bid[rows] - tol <= e[rows]) & (e[rows] <= ask[rows] + tol))].tolist():
+            report.add(f"atom {a}", f"sandwich broken: bid {bid[a]:.12g}, "
+                       f"E_R {e[a]:.12g}, ask {ask[a]:.12g}")
     return report
 
 
@@ -517,4 +520,4 @@ def american_price(model: ScenarioModel, payoff: Mapping[int, float],
     def exercise(v: int) -> bool:
         return v in tau.cut or snell[v] == floor[v]
     optimal = {a: tuple(tree.first_stops(a, exercise)) for a in nu.cut}
-    return AmericanResult(Claim(nu, {a: float(snell[a]) for a in nu.cut}), optimal)
+    return AmericanResult(Claim(nu, snell[nu.index]), optimal)

@@ -413,10 +413,7 @@ def minimal_penalty(model: ScenarioModel, r: Measure, sigma: StoppingTime,
     tree = model.tree
     if not precedes(tree, sigma, tau):
         raise TcppError("minimal_penalty requires sigma <= tau")
-    mass = dict(zip(tree.leaves, r.leaf_masses(tree).tolist()))
-    for v in reversed(tree.preorder):
-        if tree.children[v]:
-            mass[v] = sum(mass[c] for c in tree.children[v])
+    mass = r.node_masses(tree).tolist()
     vals: dict[int, float] = {}
     for a in sigma.cut:
         if mass[a] <= 0.0:
@@ -470,8 +467,10 @@ def check_nondegenerate(model: ScenarioModel) -> CheckReport:
     tree = model.tree
     report = CheckReport(check="non-degeneracy", passed=True)
     tail = {c: v for v, c in uncharged_edges(model, model.menus)}
-    dead = [(leaf, tail[c], c) for leaf, c in tree.owners(tail, tree.leaves).items()
-            if c is not None]
+    heads = list(tail)
+    dead = [(leaf, tail[heads[i]], heads[i])
+            for leaf, i in zip(tree.leaves, tree.owner_index(heads, tree.leaves).tolist())
+            if i >= 0]
     for leaf, a, b in dead:
         report.add(f"leaf {leaf}",
                    f"every kernel at node {a} kills the edge to node {b}")

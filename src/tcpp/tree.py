@@ -11,22 +11,27 @@ is an ancestor-or-self of ``b`` exactly when ``b``'s entry falls inside
 ``a``'s interval, and the leaves below a node are a slice of the leaves in
 preorder.  A cut is a stopping time when its intervals are
 disjoint and their leaf counts add up to the number of leaves; the owner
-of a node in a cut is found by bisection over the cut's sorted entries;
-``levels`` groups the nodes strictly above a cut by (time, arity), deepest
-first, as arrays of nodes and of their children: the order of every
-backward induction, which handles one group in array operations;
-``between`` lists the nodes from a top node down to a cut level by level,
-for the walks that follow a subtree; and ``first_stops`` walks a subtree
-in preorder, skipping below each stop.  No walk recurses, so depth is
-bounded by memory, not by Python's recursion limit.
+of a node in a cut is found by one ``searchsorted`` over the cut's sorted
+entries; ``levels`` groups the nodes strictly above a cut by (time, arity),
+deepest first, as arrays of nodes and of their children: the order of every
+backward induction, which handles one group in array operations, and of
+``sum_up``, which sums a measure's leaf masses, or a claim's values times
+masses, up to every node; ``between`` lists the nodes from a top node down
+to a cut level by level, for the walks that follow a subtree; and
+``first_stops`` walks a subtree in preorder, skipping below each stop.  No
+walk recurses, so depth is bounded by memory, not by Python's recursion
+limit.  A claim holds its values as one array in the order of its sorted
+cut.
 """
 from __future__ import annotations
 
+import functools
 import math
-from bisect import bisect_right
+import numbers
 from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Sequence
+from types import MappingProxyType
 
 import numpy as np
 
@@ -100,25 +105,19 @@ class FiltrationTree:
             self.exit[v] = self.exit[kids[-1]] if kids else self.enter[v] + 1
         self._span = np.array([self.enter, self.exit])
         # internal nodes by (time, arity), deepest first, ascending within a
-        # group; the reference masses, as left-to-right sums over the
-        # children, a group at a time
+        # group
         groups: dict[tuple[int, int], list[int]] = {}
         for v in range(n):
             if children[v]:
                 groups.setdefault((-self.times[v], len(children[v])), []).append(v)
-        mass = np.zeros(n)
-        mass[list(self.leaves)] = w
         self._levels = {}
         for (t, k), nodes in sorted(groups.items()):
             kids = np.fromiter(chain.from_iterable(map(children.__getitem__, nodes)), int,
                                len(nodes) * k).reshape(len(nodes), k)
-            nodes = np.array(nodes)
-            self._levels[-t, k] = (nodes, kids)
-            acc = 0.0
-            for col in kids.T:
-                acc = acc + mass[col]
-            mass[nodes] = acc
-        self._p_mass = mass.tolist()
+            self._levels[-t, k] = (np.array(nodes), kids)
+        mass = np.zeros(n)
+        mass[list(self.leaves)] = w
+        self._p_mass = self.sum_up(mass).tolist()
 
     # -- basic queries ----------------------------------------------------
     @property
@@ -145,22 +144,23 @@ class FiltrationTree:
         """True when a is an ancestor of b or equal to it."""
         return self.enter[a] <= self.enter[b] < self.exit[a]
 
-    def owners(self, nu: Iterable[int], nodes: Iterable[int]) -> dict[int, int | None]:
-        """Ancestor-or-self of each node among ``nu``, or None where there is
-        none; where ``nu`` nests, the outermost one."""
-        starts: list[int] = []
-        tops: list[int] = []
-        end = 0
-        for a in sorted(nu, key=self.enter.__getitem__):
-            if self.enter[a] >= end:
-                starts.append(self.enter[a])
-                tops.append(a)
-                end = self.exit[a]
-        out: dict[int, int | None] = {}
-        for b in nodes:
-            i = bisect_right(starts, self.enter[b]) - 1
-            out[b] = tops[i] if i >= 0 and self.enter[b] < self.exit[tops[i]] else None
-        return out
+    def owner_index(self, cut: Sequence[int] | np.ndarray,
+                    nodes: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Position in ``cut`` of each node's ancestor-or-self among the cut's
+        nodes, -1 where there is none; where ``cut`` nests, the outermost one."""
+        at = self._span[0][np.asarray(nodes, dtype=int)]
+        if not len(cut):
+            return np.full(len(at), -1)
+        enter, leave = self._span[:, np.asarray(cut, dtype=int)]
+        order = enter.argsort()
+        enter, leave = enter[order], leave[order]
+        # an interval starting inside an earlier one is nested in it: the
+        # intervals are laminar
+        top = np.ones(len(order), dtype=bool)
+        top[1:] = enter[1:] >= np.maximum.accumulate(leave)[:-1]
+        enter, leave, order = enter[top], leave[top], order[top]
+        i = enter.searchsorted(at, side="right") - 1
+        return np.where((i >= 0) & (at < leave[i]), order[i], -1)
 
     def between(self, top: int, cut: frozenset[int] | set[int]) -> list[int]:
         """Nodes from ``top`` down to the cut (or to the leaves where a path
@@ -172,6 +172,11 @@ class FiltrationTree:
             level = [c for v in level if v not in cut for c in self.children[v]]
         return [v for level in reversed(levels) for v in level]
 
+    def cover(self, cut: Sequence[int] | np.ndarray) -> np.ndarray:
+        """How many intervals of the cut's nodes cover each preorder position."""
+        at, n = self._span[:, cut], self.n_nodes + 1
+        return np.cumsum(np.bincount(at[0], minlength=n) - np.bincount(at[1], minlength=n))
+
     def levels(self, cut: Iterable[int]) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
         """Nodes strictly above ``cut`` by (time, arity), deepest first, each
         group as its nodes in ascending order and their children, one row per
@@ -179,11 +184,21 @@ class FiltrationTree:
         cut = list(cut)
         if self.leaf_index.keys() == set(cut):
             return self._levels
-        at, n = self._span[:, cut], self.n_nodes + 1
-        cover = np.cumsum(np.bincount(at[0], minlength=n) - np.bincount(at[1], minlength=n))
-        above = cover[self._span[0]] == 0      # no cut node's interval covers the node
+        above = self.cover(cut)[self._span[0]] == 0     # no cut node's interval covers the node
         return {key: (nodes[keep], kids[keep])
                 for key, (nodes, kids) in self._levels.items() if (keep := above[nodes]).any()}
+
+    def sum_up(self, values: np.ndarray, cut: Iterable[int] | None = None) -> np.ndarray:
+        """Fill the rows of ``values`` (one per node, stacked columns allowed)
+        above ``cut``, the leaves by default, with the sums of the cut's rows
+        below them: one level group of :meth:`levels` at a time, each node the
+        left-to-right sum of its children.  Returns ``values``."""
+        for nodes, kids in (self._levels if cut is None else self.levels(cut)).values():
+            acc = 0.0
+            for col in kids.T:
+                acc = acc + values[col]
+            values[nodes] = acc
+        return values
 
     def first_stops(self, top: int, stop: Callable[[int], bool]) -> list[int]:
         """The first node at or below ``top`` on each path where ``stop``
@@ -282,8 +297,15 @@ class StoppingTime:
     def at_horizon(tree: FiltrationTree) -> "StoppingTime":
         return StoppingTime(frozenset(tree.leaves))
 
+    @functools.cached_property
+    def index(self) -> np.ndarray:
+        """The cut's nodes ascending, read-only: the order of a claim's values."""
+        out = np.array(sorted(self.cut), dtype=int)
+        out.flags.writeable = False
+        return out
+
     def sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.cut))
+        return tuple(self.index.tolist())
 
 
 def validate_stopping_time(tree: FiltrationTree, tau: StoppingTime) -> None:
@@ -302,12 +324,9 @@ def validate_stopping_time(tree: FiltrationTree, tau: StoppingTime) -> None:
         if leaves == len(tree.leaves):
             return
     # name the first leaf whose path misses the cut or meets it twice
-    hits = dict.fromkeys(tree.leaves, 0)
-    for v in tau.cut:
-        for leaf in tree.subtree_leaves(v):
-            hits[leaf] += 1
-    leaf = next(leaf for leaf in tree.leaves if hits[leaf] != 1)
-    raise TcppError(f"path to leaf {leaf} meets the cut {hits[leaf]} times, expected 1")
+    hits = tree.cover(tau.index)[tree._span[0][list(tree.leaves)]]
+    i = int((hits != 1).argmax())
+    raise TcppError(f"path to leaf {tree.leaves[i]} meets the cut {hits[i]} times, expected 1")
 
 
 def sigma_algebra_nodes(tree: FiltrationTree, tau: StoppingTime) -> frozenset[int]:
@@ -318,55 +337,93 @@ def sigma_algebra_nodes(tree: FiltrationTree, tau: StoppingTime) -> frozenset[in
 
 def precedes(tree: FiltrationTree, nu: StoppingTime, tau: StoppingTime) -> bool:
     """nu <= tau nodewise: each tau node has an ancestor-or-self in nu."""
-    return None not in tree.owners(nu.cut, tau.cut).values()
+    return bool(tree.cover(nu.index)[tree._span[0][tau.index]].all())
 
 
-@dataclass(frozen=True)
 class Claim:
-    """F_tau-measurable payoff: one value per cut node, in numeraire units."""
+    """F_tau-measurable payoff: one value per cut node, in numeraire units.
 
-    at: StoppingTime
-    values: Mapping[int, float]
+    The values are one read-only float array aligned with ``at.sorted()``,
+    given as that array or as a mapping from the cut's nodes; ``values`` is
+    their mapping view by node, of Python floats, built on first use.
+    """
 
-    def __post_init__(self):
-        if set(self.values) != set(self.at.cut):
-            raise TcppError("claim values must be defined on exactly the cut nodes")
+    # numpy scalars and arrays leave the arithmetic to the operators below
+    __array_ufunc__ = None
+
+    def __init__(self, at: StoppingTime, values: Mapping[int, float] | np.ndarray):
+        n = len(at.cut)
+        if isinstance(values, Mapping):
+            if len(values) != n or not values.keys() >= at.cut:
+                raise TcppError("claim values must be defined on exactly the cut nodes")
+            array = np.fromiter(map(values.__getitem__, at.sorted()), float, n)
+        else:
+            array = np.array(values, dtype=float)
+            if array.shape != (n,):
+                raise TcppError(f"claim values must be one per cut node: {n}, "
+                                f"got shape {array.shape}")
+        array.flags.writeable = False
+        self.at = at
+        self.array = array
+
+    @functools.cached_property
+    def values(self) -> Mapping[int, float]:
+        return MappingProxyType(dict(zip(self.at.sorted(), self.array.tolist())))
 
     @staticmethod
     def constant(tau: StoppingTime, c: float) -> "Claim":
-        return Claim(tau, {v: float(c) for v in tau.cut})
+        return Claim(tau, np.full(len(tau.cut), float(c)))
 
     def __getitem__(self, node: int) -> float:
         return self.values[node]
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Claim):
+            return NotImplemented
+        return self.at == other.at and np.array_equal(self.array, other.array)
+
+    def __repr__(self) -> str:
+        return f"Claim({self.at.sorted()}, {self.array.tolist()})"
+
+    def _operand(self, other) -> np.ndarray | float:
+        if isinstance(other, Claim):
+            if other.at != self.at:
+                raise TcppError("claim addition requires a common stopping time")
+            return other.array
+        if isinstance(other, numbers.Real):
+            return float(other)
+        raise TcppError(f"a claim combines with a claim or a real number, "
+                        f"not {type(other).__name__}")
+
     def __neg__(self) -> "Claim":
-        return Claim(self.at, {v: -x for v, x in self.values.items()})
+        return Claim(self.at, -self.array)
 
-    def __add__(self, other: "Claim") -> "Claim":
-        if isinstance(other, (int, float)):
-            return Claim(self.at, {v: x + other for v, x in self.values.items()})
-        if other.at != self.at:
-            raise TcppError("claim addition requires a common stopping time")
-        return Claim(self.at, {v: x + other.values[v] for v, x in self.values.items()})
+    def __add__(self, other: "Claim | float") -> "Claim":
+        return Claim(self.at, self.array + self._operand(other))
 
-    def __sub__(self, other: "Claim") -> "Claim":
-        return self + (-other if isinstance(other, Claim) else -float(other))
+    def __sub__(self, other: "Claim | float") -> "Claim":
+        return Claim(self.at, self.array - self._operand(other))
 
     def __rmul__(self, scalar: float) -> "Claim":
-        return Claim(self.at, {v: scalar * x for v, x in self.values.items()})
+        if not isinstance(scalar, numbers.Real):
+            raise TcppError(f"a claim scales by a real number, not {type(scalar).__name__}")
+        return Claim(self.at, float(scalar) * self.array)
 
     def allclose(self, other: "Claim", tol: float = 1e-9) -> bool:
-        if self.at != other.at:
-            return False
-        return all(abs(self.values[v] - other.values[v]) <= tol for v in self.at.cut)
+        return self.at == other.at and bool((np.abs(self.array - other.array) <= tol).all())
 
     def max_abs_diff(self, other: "Claim") -> float:
-        return max(abs(self.values[v] - other.values[v]) for v in self.at.cut)
+        return float(np.abs(self.array - self._operand(other)).max())
 
 
-def require_finite(values: Mapping[int, float] | Mapping[str, float], what: str) -> None:
+def require_finite(values: Claim | Mapping[int, float] | Mapping[str, float],
+                   what: str) -> None:
     """Raise naming the first value that is not finite by its node, or by
     its name for a string key."""
+    if isinstance(values, Claim):
+        if np.isfinite(values.array).all():
+            return
+        values = values.values      # by node, to name the first
     bad = sorted(v for v, x in values.items() if not math.isfinite(x))
     if bad:
         k, x = bad[0], values[bad[0]]
@@ -376,19 +433,15 @@ def require_finite(values: Mapping[int, float] | Mapping[str, float], what: str)
 
 def lift(tree: FiltrationTree, z: Claim, tau: StoppingTime) -> Claim:
     """Extend a claim at nu to a finer stopping time tau >= nu by copying down."""
-    if not precedes(tree, z.at, tau):
+    owner = tree.owner_index(z.at.index, tau.index)
+    if (owner < 0).any():
         raise TcppError("can only lift a claim to a later stopping time")
-    owner = tree.owners(z.at.cut, tau.cut)
-    return Claim(tau, {b: z.values[owner[b]] for b in tau.cut})
+    return Claim(tau, z.array[owner])
 
 
 def lift_to_leaves(tree: FiltrationTree, x: Claim) -> np.ndarray:
     """Claim values spread to leaves, aligned with ``tree.leaves``."""
-    out = np.empty(len(tree.leaves))
-    for a, v in x.values.items():
-        for leaf in tree.subtree_leaves(a):
-            out[tree.leaf_index[leaf]] = v
-    return out
+    return x.array[tree.owner_index(x.at.index, tree.leaves)]
 
 
 @dataclass(frozen=True)
@@ -418,6 +471,13 @@ class Measure:
     def leaf_masses(self, tree: FiltrationTree) -> np.ndarray:
         return np.array([self.density[v] * tree.leaf_weights[v] for v in tree.leaves])
 
+    def node_masses(self, tree: FiltrationTree) -> np.ndarray:
+        """The mass of every node, summed up from the leaves by
+        :meth:`FiltrationTree.sum_up`."""
+        mass = np.zeros(tree.n_nodes)
+        mass[list(tree.leaves)] = self.leaf_masses(tree)
+        return tree.sum_up(mass)
+
     @staticmethod
     def reference(tree: FiltrationTree) -> "Measure":
         return Measure({v: 1.0 for v in tree.leaves})
@@ -429,6 +489,20 @@ class Measure:
         return Measure({v: masses[v] / tree.leaf_weights[v] for v in tree.leaves})
 
 
+def stacked_conditional_expectation(tree: FiltrationTree, mass: np.ndarray,
+                                    at: StoppingTime, values: np.ndarray) -> np.ndarray:
+    """E(X | F_v) at every node v at or above the cut ``at``, for each column
+    X of ``values`` (a row per node; only the cut's rows are read), under
+    the node masses ``mass``: one bottom-up sum of X times the mass, divided
+    by the mass, and NaN where the mass is not positive.  Rows below the
+    cut carry no meaning."""
+    num = np.zeros(values.shape)
+    num[at.index] = values[at.index] * mass[at.index, None]
+    tree.sum_up(num, at.cut)
+    return np.divide(num, mass[:, None], out=np.full(num.shape, np.nan),
+                     where=mass[:, None] > 0.0)
+
+
 def conditional_expectation(tree: FiltrationTree, q: Measure, x: Claim,
                             sigma: StoppingTime) -> Claim:
     """E_Q(X | F_sigma) atomwise; NaN marks atoms of zero Q-mass.
@@ -438,17 +512,10 @@ def conditional_expectation(tree: FiltrationTree, q: Measure, x: Claim,
     """
     if not precedes(tree, sigma, x.at):
         raise TcppError("conditioning time must precede the claim's stopping time")
-    below: dict[int, list[int]] = {a: [] for a in sigma.cut}
-    for b, a in tree.owners(sigma.cut, x.at.cut).items():
-        below[a].append(b)
-    vals = {}
-    for a in sigma.cut:
-        mass_a = q.mass(tree, a)
-        if mass_a <= 0.0:
-            vals[a] = math.nan
-        else:
-            vals[a] = sum(x.values[b] * q.mass(tree, b) for b in below[a]) / mass_a
-    return Claim(sigma, vals)
+    values = np.zeros((tree.n_nodes, 1))
+    values[x.at.index, 0] = x.array
+    e = stacked_conditional_expectation(tree, q.node_masses(tree), x.at, values)
+    return Claim(sigma, e[sigma.index, 0])
 
 
 def essential_supremum(tree: FiltrationTree, claims: Sequence[Claim]) -> Claim:
@@ -459,7 +526,7 @@ def essential_supremum(tree: FiltrationTree, claims: Sequence[Claim]) -> Claim:
     for c in claims[1:]:
         if c.at != at:
             raise TcppError("essential supremum requires a common stopping time")
-    return Claim(at, {v: max(c.values[v] for c in claims) for v in at.cut})
+    return Claim(at, np.max([c.array for c in claims], axis=0))
 
 
 def paste_measures(tree: FiltrationTree, q1: Measure, q2: Measure,
@@ -470,16 +537,12 @@ def paste_measures(tree: FiltrationTree, q1: Measure, q2: Measure,
     conditional law is undefined.
     """
     validate_stopping_time(tree, sigma)
-    masses: dict[int, float] = {}
-    for a in sigma.cut:
-        m1 = q1.mass(tree, a)
-        m2 = q2.mass(tree, a)
-        for leaf in tree.subtree_leaves(a):
-            if m1 == 0.0:
-                masses[leaf] = 0.0
-            elif m2 == 0.0:
-                raise MassMismatch(
-                    f"future law undefined on atom {a} charged by the past measure")
-            else:
-                masses[leaf] = m1 * q2.density[leaf] * tree.leaf_weights[leaf] / m2
+    atom = sigma.index[tree.owner_index(sigma.index, tree.leaves)]     # per leaf
+    m1, m2 = q1.node_masses(tree)[atom], q2.node_masses(tree)[atom]
+    undefined = (m1 != 0.0) & (m2 == 0.0)
+    if undefined.any():
+        raise MassMismatch(f"future law undefined on atom {atom[undefined].min()} "
+                           f"charged by the past measure")
+    masses = np.divide(m1 * q2.leaf_masses(tree), m2, out=np.zeros(len(atom)),
+                       where=m1 != 0.0)
     return Measure.from_leaf_masses(tree, masses)

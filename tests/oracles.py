@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_right
 from typing import Sequence
 
 import numpy as np
@@ -144,6 +145,63 @@ def conditional_expectation_scan(tree, q, x, sigma):
         else:
             vals[a] = sum(x.values[b] * q.mass(tree, b) for b in below) / mass_a
     return Claim(sigma, vals)
+
+
+def owners(tree, nu, nodes) -> dict[int, int | None]:
+    """Ancestor-or-self of each node among ``nu``, or None where there is
+    none; where ``nu`` nests, the outermost one: ``FiltrationTree.owners``
+    before owner lookups became one ``searchsorted`` over arrays."""
+    starts: list[int] = []
+    tops: list[int] = []
+    end = 0
+    for a in sorted(nu, key=tree.enter.__getitem__):
+        if tree.enter[a] >= end:
+            starts.append(tree.enter[a])
+            tops.append(a)
+            end = tree.exit[a]
+    out: dict[int, int | None] = {}
+    for b in nodes:
+        i = bisect_right(starts, tree.enter[b]) - 1
+        out[b] = tops[i] if i >= 0 and tree.enter[b] < tree.exit[tops[i]] else None
+    return out
+
+
+def node_masses_walk(tree, r) -> dict[int, float]:
+    """Mass of every node as ``minimal_penalty`` summed it before
+    ``FiltrationTree.sum_up``: leaf masses, then each internal node the sum
+    of its children, in reversed preorder."""
+    mass = dict(zip(tree.leaves, r.leaf_masses(tree).tolist()))
+    for v in reversed(tree.preorder):
+        if tree.children[v]:
+            mass[v] = sum(mass[c] for c in tree.children[v])
+    return mass
+
+
+def conditional_expectation_walk(tree, q, x, sigma):
+    """E_Q(X | F_sigma) from dicts, in the order of sums of the array
+    version: the masses and the mass-weighted values summed up from below,
+    each node the left-to-right sum of its children from 0.0, then divided
+    at sigma's atoms, NaN where the mass is not positive."""
+    def up(values: dict) -> dict:
+        for v in reversed(tree.preorder):
+            kids = tree.children[v]
+            if v not in values and kids and all(c in values for c in kids):
+                acc = 0.0
+                for c in kids:
+                    acc = acc + values[c]
+                values[v] = acc
+        return values
+
+    mass = up({v: q.density[v] * tree.leaf_weights[v] for v in tree.leaves})
+    num = up({b: x.values[b] * mass[b] for b in x.at.cut})
+    return Claim(sigma, {a: num[a] / mass[a] if mass[a] > 0.0 else math.nan
+                         for a in sigma.cut})
+
+
+def essential_supremum_scan(tree, claims):
+    """Atomwise maximum of claims sharing one stopping time, atom by atom."""
+    at = claims[0].at
+    return Claim(at, {v: max(c.values[v] for c in claims) for v in at.cut})
 
 
 def enumerate_stop_sets_recursive(tree, node: int, tau) -> list[tuple[int, ...]]:
@@ -726,7 +784,7 @@ def check_axioms_per_atom(model, samples, lambdas=(0.0, 0.3, 0.5, 1.0), seed=0,
         for t in range(t_max + 1):
             sig_atoms = [a for a in sigma_nodes if tree.times[a] == t]
             z = {a: rng.uniform(-2.0, 2.0) for a in sig_atoms}
-            anc_of = tree.owners(sig_atoms, atoms)
+            anc_of = owners(tree, sig_atoms, atoms)
             shift = np.array([[z[anc_of[b]]] * k for b in atoms])
             vt = backward_pass(model, tau, rows(X + shift))
             for a in sig_atoms:

@@ -8,11 +8,13 @@ from hypothesis import HealthCheck, assume, given
 from hypothesis import settings as hsettings
 from hypothesis import strategies as st
 
-from gen import martingale_assets, random_tree
+from gen import (martingale_assets, random_claim, random_irregular_tree, random_tree,
+                 relabelled)
 from oracles import good_deal_bounds_cuts, good_deal_segment_oracle, mme_bounds_lp
 from tcpp.errors import (EmptyGoodDealSet, EnumerationOverflow, NoMartingaleMeasure,
                          TcppError)
 from tcpp.market import AssetProcess, GoodDealCaps, good_deal_bounds, mme_bounds
+from tcpp.pricing import random_stopping_time
 from tcpp.settings import Settings
 from tcpp.tree import Claim, FiltrationTree, StoppingTime
 
@@ -149,6 +151,37 @@ def test_good_deal_sets_nest_inside_the_martingale_bounds(seed, n_assets, caps):
     except EmptyGoodDealSet:
         return
     assert outer[0] - 1e-9 <= inner[0] <= inner[1] <= outer[1] + 1e-9
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n_assets=st.integers(1, 2))
+def test_good_deal_bounds_widen_with_per_node_caps_up_to_the_martingale_bounds(seed, n_assets):
+    """On regular, irregular and relabelled trees, with a claim at a random
+    stopping time: raising every node's cap widens the good-deal interval,
+    which stays inside the martingale bounds and reaches them at cap inf; a
+    cap whose set is empty empties every smaller one's."""
+    rng = np.random.default_rng(seed)
+    tree = random_irregular_tree(rng) if seed % 2 else random_tree(rng, max_periods=4)
+    if seed % 3 == 2:
+        tree = relabelled(tree, rng)
+    assets = martingale_assets(rng, tree, n_assets)
+    x = random_claim(rng, tree, random_stopping_time(tree, rng))
+    base = mme_bounds(tree, assets, x)
+    spread = dict(zip(tree.internal_nodes(), rng.uniform(0.0, 1.0, len(tree.internal_nodes()))))
+    prev = None
+    for scale in (0.0, 0.02, 0.1, 0.3, 1.0, 3.0, INF):
+        caps = GoodDealCaps(None, {v: 1.0 + s * scale if s * scale < INF else INF
+                                   for v, s in spread.items()})
+        try:
+            got = good_deal_bounds(tree, assets, caps, x)
+        except EmptyGoodDealSet:
+            assert prev is None, scale
+            continue
+        assert base.lower - 1e-9 <= got[0] <= got[1] <= base.upper + 1e-9
+        if prev is not None:
+            assert got[0] <= prev[0] + 1e-9 and prev[1] - 1e-9 <= got[1]
+        prev = got
+    assert prev == (base.lower, base.upper)
 
 
 @PROPERTY

@@ -403,6 +403,36 @@ def test_max_enum_env_out_of_range_exits_two(monkeypatch, capsys):
     monkeypatch.setenv("TCPP_MAX_ENUM", "-3")
     assert main(["nfl", "--market", BINOMIAL]) == 2
     assert "setting max_enum must be finite and at least 0, got -3" in capsys.readouterr().err
+    monkeypatch.setenv("TCPP_MAX_ENUM", "abc")
+    assert main(["nfl", "--market", BINOMIAL]) == 2
+    err = capsys.readouterr().err
+    assert "TCPP_MAX_ENUM" in err and "max_enum" in err and "'abc'" in err
+
+
+# the README's worked examples, every command and every bounds kind; each
+# printed value is a repr, so these pin their digits and their type
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+README_EXAMPLES = {
+    "price": ["price", "--market", BINOMIAL, "--claim", CALL],
+    "nfl": ["nfl", "--market", BINOMIAL],
+    "check-tcpp": ["check-tcpp", "--market", TRINOMIAL],
+    "bounds-calibrated": ["bounds", "--market", TRINOMIAL, "--claim", DIGITAL,
+                          "--kind", "calibrated"],
+    "bounds-mme": ["bounds", "--market", TRINOMIAL, "--claim", DIGITAL, "--kind", "mme"],
+    "bounds-good-deal": ["bounds", "--market", TRINOMIAL, "--claim", DIGITAL,
+                         "--kind", "good-deal"],
+    "calibrate": ["calibrate", "--market", TRINOMIAL],
+    "extends": ["extends", "--market", BINOMIAL],
+    "constrained": ["constrained", "--market", BINOMIAL, "--claim", CALL],
+    "american": ["american", "--market", BINOMIAL, "--claim", PUT],
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_EXAMPLES))
+def test_readme_examples_print_their_golden_machine_output(name, capsys):
+    assert main(README_EXAMPLES[name] + ["--format", "machine"]) == 0
+    with open(os.path.join(GOLDEN, f"{name}.out"), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
 
 
 @pytest.mark.parametrize("line", ["set feasibility_tol -1", "set rank_tol -0.5",

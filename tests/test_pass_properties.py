@@ -59,9 +59,9 @@ def test_direct_and_composed_prices_agree(seed):
     sigma = random_stopping_time(tree, rng, hi=tau)
     nu = random_stopping_time(tree, rng, hi=sigma)
     xs = [random_claim(rng, tree, tau) for _ in range(4)]
-    for direct, composed in chain_prices(model, nu, sigma, tau, xs):
-        for a in nu.cut:
-            assert close(np.array(composed[a]), np.array(direct[a]))
+    direct, composed = chain_prices(model, nu, sigma, tau, xs)
+    assert direct.shape == composed.shape == (len(nu.cut), len(xs))
+    assert close(composed, direct)
 
 
 @PROPERTY

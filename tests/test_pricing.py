@@ -195,10 +195,11 @@ def test_chain_prices_equal_per_claim_prices():
         sigma = random_stopping_time(tree, rng, hi=tau)
         nu = random_stopping_time(tree, rng, hi=sigma)
         xs = [random_claim(rng, tree, at=tau) for _ in range(int(rng.integers(1, 8)))]
-        pairs = chain_prices(model, nu, sigma, tau, xs)
-        for x, (direct, composed) in zip(xs, pairs):
-            assert _same_price(direct, price(model, x, nu).values)
-            assert _same_price(composed, price(model, price(model, x, sigma), nu).values)
+        direct, composed = chain_prices(model, nu, sigma, tau, xs)
+        for j, x in enumerate(xs):
+            assert _same_price(Claim(nu, direct[:, j]).values, price(model, x, nu).values)
+            assert _same_price(Claim(nu, composed[:, j]).values,
+                               price(model, price(model, x, sigma), nu).values)
         rep = check_time_consistency(model, [(nu, sigma, tau)], xs)
         assert rep.passed, rep.summary()
 

@@ -1,5 +1,6 @@
 """Event-tree, stopping-time, claim, and measure behavior."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -170,6 +171,26 @@ def test_paste_mass_mismatch():
     q2 = Measure({1: 2.0, 2: 0.0})
     with pytest.raises(MassMismatch):
         paste_measures(tree, q1, q2, StoppingTime.at_horizon(tree))
+
+
+def test_claim_arithmetic_takes_any_real_scalar():
+    tree = FiltrationTree.binomial(1)
+    x = Claim(StoppingTime.at_horizon(tree), {1: 1.5, 2: -2.0})
+    for c in (1, 1.0, np.int64(1), np.float64(1.0), Fraction(1), True):
+        assert (x + c).values == {1: 2.5, 2: -1.0}
+        assert (x - c).values == {1: 0.5, 2: -3.0}
+        assert (c * x).values == x.values
+        assert {type(v) for v in (x + c).values.values()} == {float}
+    assert (np.float64(2.0) * x).values == {1: 3.0, 2: -4.0}
+    for bad in ("1", None, [1.0, 2.0], np.array([1.0, 2.0]), 1j):
+        with pytest.raises(TcppError):
+            x + bad
+        with pytest.raises(TcppError):
+            x - bad
+        with pytest.raises(TcppError):
+            bad * x
+    with pytest.raises(TcppError, match="common stopping time"):
+        x + Claim(StoppingTime.at_root(tree), {0: 1.0})
 
 
 def test_lift_and_claim_algebra():

@@ -1,10 +1,13 @@
-"""The tree's preorder interval index against the walkers it replaced, and
-trees deeper than Python's recursion limit."""
+"""The tree's preorder interval index and its arrays against the walkers
+and dicts they replaced, and trees deeper than Python's recursion limit."""
+import math
+
 import numpy as np
 import pytest
 
 import oracles
-from gen import deep_chain_model, random_claim, random_model, random_tree, relabelled
+from gen import (deep_chain_model, random_claim, random_irregular_tree, random_model,
+                 random_tree, relabelled)
 from tcpp.errors import EnumerationOverflow, TcppError
 from tcpp.nfl import nfl_verdict
 from tcpp.pricing import (american_price, enumerate_stop_sets, price,
@@ -12,7 +15,7 @@ from tcpp.pricing import (american_price, enumerate_stop_sets, price,
 from tcpp.scenario import (MeasureSelection, PenaltyProcess, ScenarioModel,
                            check_cocycle, minimal_penalty, subtree_duals)
 from tcpp.tree import (Claim, FiltrationTree, Measure, StoppingTime,
-                       conditional_expectation, lift, precedes,
+                       conditional_expectation, essential_supremum, lift, precedes,
                        validate_stopping_time)
 
 
@@ -79,9 +82,56 @@ def test_precedes_lift_and_conditional_expectation_match_scans():
                     == list(oracles.lift_scan(tree, z, tau).values.items()))
             x = random_claim(rng, tree, at=tau)
             got = conditional_expectation(tree, q, x, nu).values
-            want = oracles.conditional_expectation_scan(tree, q, x, nu).values
+            want = oracles.conditional_expectation_walk(tree, q, x, nu).values
             assert [(a, repr(v)) for a, v in got.items()] == \
                 [(a, repr(v)) for a, v in want.items()]
+            assert same_up_to_rounding(
+                got, oracles.conditional_expectation_scan(tree, q, x, nu).values)
+
+
+def same_up_to_rounding(got, want) -> bool:
+    """The same keys, NaN on the same ones and the other values within a
+    few ulps: a bottom-up sum and a sum along the preorder round apart."""
+    return got.keys() == want.keys() and all(
+        math.isnan(got[a]) == math.isnan(want[a])
+        and (math.isnan(want[a]) or abs(got[a] - want[a]) <= 1e-12 * (1.0 + abs(want[a])))
+        for a in want)
+
+
+def test_array_claims_and_masses_match_their_dict_versions():
+    rng = np.random.default_rng(9)
+    zero_mass = 0
+    for i in range(90):
+        tree = (random_irregular_tree if i % 3 else random_tree)(rng)
+        if i % 2:
+            tree = relabelled(tree, rng)
+        density = rng.uniform(0.0, 2.0, size=len(tree.leaves))
+        density[rng.random(len(density)) < 0.3] = 0.0
+        q = Measure({v: float(d) for v, d in zip(tree.leaves, density)})
+        masses = q.node_masses(tree)
+        assert masses.tolist() == [oracles.node_masses_walk(tree, q)[v]
+                                   for v in range(tree.n_nodes)]
+        some = [int(u) for u in rng.choice(tree.n_nodes, int(rng.integers(0, 5)))]
+        owner = oracles.owners(tree, some, range(tree.n_nodes))
+        assert [some[j] if j >= 0 else None
+                for j in tree.owner_index(some, range(tree.n_nodes)).tolist()] == \
+            [owner[v] for v in range(tree.n_nodes)]
+        for _ in range(3):
+            tau = random_stopping_time(tree, rng)
+            nu = random_stopping_time(tree, rng, hi=tau)
+            z = random_claim(rng, tree, at=nu)
+            assert lift(tree, z, tau) == oracles.lift_scan(tree, z, tau)
+            xs = [random_claim(rng, tree, at=tau) for _ in range(int(rng.integers(1, 4)))]
+            assert essential_supremum(tree, xs) == oracles.essential_supremum_scan(tree, xs)
+            for x in xs:
+                got = conditional_expectation(tree, q, x, nu)
+                want = oracles.conditional_expectation_walk(tree, q, x, nu)
+                assert [(a, repr(v)) for a, v in got.values.items()] == \
+                    [(a, repr(v)) for a, v in want.values.items()]
+                assert same_up_to_rounding(
+                    got.values, oracles.conditional_expectation_scan(tree, q, x, nu).values)
+                zero_mass += int(np.isnan(got.array).sum())
+    assert zero_mass > 50
 
 
 def test_enumerations_match_recursive_lists_element_for_element():
