@@ -22,7 +22,8 @@ from .errors import (EmptyGoodDealSet, EnumerationOverflow, NoMartingaleMeasure,
 from .lp import EQ, GE, LE, LinearProgram, solve
 from .pricing import backward_pass, price, random_stopping_time
 from .report import CheckReport
-from .scenario import ScenarioModel, minimal_penalty
+from .scenario import (_BATCH, ScenarioModel, _cap_supports, _kernel_max,
+                       minimal_penalty)
 from .settings import DEFAULT, Settings
 from .tree import (Claim, FiltrationTree, Measure, StoppingTime,
                    lift_to_leaves, precedes, require_finite,
@@ -322,12 +323,10 @@ def check_strong_admissibility(model: ScenarioModel, assets: Sequence[AssetProce
     # penalty floor: minimal penalty >= max(0, bid - E_R Y, E_R Y - ask)
     rng = np.random.default_rng(seed)
     menus = {v: np.array([e.kernel for e in model.menus[v]]) for v in tree.internal_nodes()}
-    leaves = frozenset(tree.leaves)
     taus = [q.payoff.at for q in quotes] + [StoppingTime.at_horizon(tree)]
     for i in range(n_measures):
         mixed = {v: rng.dirichlet(np.ones(len(k))) @ k for v, k in menus.items()}
-        r = Measure.from_leaf_masses(tree, tree.forward_mass(tree.root, leaves,
-                                                             mixed.__getitem__))
+        r = Measure.from_leaf_masses(tree, tree.product_down(mixed)[list(tree.leaves)])
         for tau in taus:
             floor = 0.0
             for q in quotes:
@@ -404,10 +403,8 @@ def _kernel_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess], x: Clai
     steps = []
     for (t, k), (nodes, kids) in tree.levels(tree.leaves).items():
         size = k if np.isfinite(cap[nodes]).any() else min(k, len(assets) + 1)
-        count = sum(math.comb(k, s) for s in range(1, size + 1))
-        if count > settings.max_enum:
-            raise EnumerationOverflow(f"{count} kernel supports per node at time {t} "
-                                      f"(arity {k}) exceed the cap {settings.max_enum}")
+        _cap_supports(k, range(1, size + 1), settings,
+                      f"kernel supports per node at time {t} (arity {k})")
         steps.append((nodes, kids, size))
     values = np.empty((2, tree.n_nodes))      # the lower side negated, the upper side
     values[:, list(tree.leaves)] = np.outer([-1.0, 1.0], lift_to_leaves(tree, x))
@@ -429,49 +426,6 @@ def _kernel_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess], x: Clai
             raise EmptyGoodDealSet(f"caps exclude every martingale kernel at node {node}")
         raise NoMartingaleMeasure(f"no martingale kernel at node {node}")
     return -float(values[0, tree.root]), float(values[1, tree.root]), charged
-
-
-def _kernel_max(p: np.ndarray, drift: np.ndarray, cap: np.ndarray, v: np.ndarray,
-                size: int, settings: Settings) -> np.ndarray:
-    """Max of q . v[i, g] over the kernels of K_g giving no weight to children
-    with v[i, g] = -inf, for a stack of nodes g and objectives i; -inf where
-    there is none.
-
-    In y = q / sqrt(p), K_g is a slice of the nonnegative orthant in the ball
-    of radius cap.  An optimum charging exactly the children T is optimal on
-    T's slice {A_T y = e_1} in the ball: the least-norm point y0 plus the
-    objective projected on the slice, scaled to the sphere (Cerny-Hodges;
-    Cochrane-Saa-Requejo), or y0 without a cap or projection.  Supports of
-    up to ``size`` children are tried (a vertex has at most one more than
-    the assets); a candidate counts if it solves its system and is
-    nonnegative and within the cap to the feasibility tolerance."""
-    m, g, k = v.shape
-    tol = settings.feasibility_tol
-    root_p, live = np.sqrt(p), ~np.isinf(v)
-    w, cap2 = root_p * np.where(live, v, 0.0), cap ** 2
-    room = np.where(np.isfinite(cap2), cap2, 0.0)[:, None]
-    best = np.full((m, g), -np.inf)
-    for s in range(1, size + 1):
-        sups = np.array(list(itertools.combinations(range(k), s)))
-        for lo in range(0, len(sups), max(1, _BATCH // (m * g))):
-            sup = sups[lo:lo + max(1, _BATCH // (m * g))]
-            rp, ws = root_p[:, sup], w[:, :, sup]
-            a = np.concatenate([rp[:, :, None, :],
-                                np.einsum("gcsd,gcs->gcds", drift[:, sup], rp)], axis=2)
-            pinv = np.linalg.pinv(a)
-            y0 = pinv[..., 0]
-            r = ws - np.einsum("gcst,igct->igcs", pinv @ a, ws)
-            rn = np.linalg.norm(r, axis=-1)
-            step = np.sqrt(np.maximum(room - (y0 ** 2).sum(-1), 0.0))
-            step = np.divide(step, rn, out=np.zeros_like(rn),
-                             where=rn > settings.rank_tol * (1.0 + np.abs(ws).sum(-1)))
-            y = y0 + step[..., None] * r
-            res = np.einsum("gcrs,igcs->igcr", a, y) - np.eye(a.shape[2])[0]
-            ok = (live[:, :, sup].all(-1) & (rp * y >= -tol).all(-1)
-                  & (np.abs(res).max(-1) <= tol * (1.0 + np.abs(a).max((-2, -1))))
-                  & ((y ** 2).sum(-1) <= cap2[:, None] * (1.0 + tol)))
-            best = np.maximum(best, np.where(ok, (ws * y).sum(-1), -np.inf).max(-1))
-    return best
 
 
 # -- portfolio constraints ---------------------------------------------------
@@ -532,10 +486,6 @@ def _spot(tree: FiltrationTree, assets: Sequence[AssetProcess]) -> np.ndarray:
         asset.validate(tree)
     return np.array([[a.values[v] for a in assets] for v in range(tree.n_nodes)],
                     dtype=float).reshape(tree.n_nodes, len(assets))
-
-
-# equalizer systems solved per stacked batch; bounds the working memory
-_BATCH = 1 << 16
 
 
 def _game_bounds(pay: np.ndarray, size: int,

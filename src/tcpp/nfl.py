@@ -7,11 +7,12 @@ a global LP: the model has no free lunch exactly when every internal node
 has a zero-penalty entry and those entries together charge every child.
 The free-lunch certificate is a scaled indicator of the leaves below the
 first uncharged edge; the measure certificate is the product of each
-node's uniform mixture of zero-penalty kernels.  Both cost
-O(nodes x menu x arity).  :func:`nfl_verdict` then corroborates the
-certificate: its minimal penalty, the martingale sandwich on sampled claims
-and stopping times, and sampled zero-cost strategies.  A model with a
-negative penalty is rejected with :class:`NegativePenalty`.
+node's uniform mixture of zero-penalty kernels, carried down the level
+groups in one top-down product.  Both cost O(nodes x menu x arity).
+:func:`nfl_verdict` then corroborates the certificate: its minimal penalty
+(one support search per level group, no LP), the martingale sandwich on
+sampled claims and stopping times, and sampled zero-cost strategies.  A
+model with a negative penalty is rejected with :class:`NegativePenalty`.
 """
 from __future__ import annotations
 
@@ -110,9 +111,8 @@ def find_zero_penalty_equivalent_measure(model: ScenarioModel,
     zero = _zero_penalty_family(model, settings)
     if uncharged_edges(model, zero, settings.equivalence_floor):
         return None
-    mass = tree.forward_mass(tree.root, frozenset(tree.leaves),
-                             lambda v: uniform_mixture(zero[v]))
-    return Measure.from_leaf_masses(tree, mass)
+    mass = tree.product_down({v: uniform_mixture(entries) for v, entries in zero.items()})
+    return Measure.from_leaf_masses(tree, mass[list(tree.leaves)])
 
 
 @dataclass

@@ -3,7 +3,9 @@
 A rectangular menu family is the computational form of a time-consistent
 pricing procedure: each internal node carries a finite list of (kernel,
 one-step penalty) entries chosen independently, which makes the family
-stable under pasting and the penalty cocycle hold by construction.
+stable under pasting and the penalty cocycle hold by construction.  So
+penalties, measures and the minimal penalty all follow the level groups
+of ``FiltrationTree.levels``, with no LP.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import EnumerationOverflow, TcppError
-from .lp import EQ, LinearProgram, solve
 from .report import CheckReport
 from .settings import DEFAULT, Settings
 from .tree import (Claim, FiltrationTree, Measure, StoppingTime, precedes,
@@ -233,9 +234,8 @@ def selection_to_measure(model: ScenarioModel, sel: MeasureSelection) -> Measure
     """Density per leaf: product of chosen kernel weights along the path / P."""
     tree = model.tree
     choice = _check_selection(model, sel)
-    mass = tree.forward_mass(tree.root, frozenset(tree.leaves),
-                             lambda v: model.menus[v][choice[v]].kernel)
-    return Measure({leaf: mass[leaf] / tree.leaf_weights[leaf] for leaf in tree.leaves})
+    mass = tree.product_down({v: model.menus[v][i].kernel for v, i in choice.items()})
+    return Measure.from_leaf_masses(tree, mass[list(tree.leaves)])
 
 
 def _one_step(values: np.ndarray, kids: np.ndarray, kernel: np.ndarray,
@@ -379,25 +379,6 @@ def subtree_duals(model: ScenarioModel, node: int, tau: StoppingTime,
     return duals[node]
 
 
-def _one_step_conjugate(entries: Sequence[MenuEntry], kernel: Sequence[float],
-                        settings: Settings) -> float:
-    """Least mixture penalty of menu entries whose kernels mix to ``kernel``:
-    the conjugate of the one-step map max_j (q_j . x - p_j), +inf outside
-    the convex hull of the menu kernels."""
-    if len(kernel) == 1:
-        # one child: every kernel is (1,), so the LP's optimum is the
-        # cheapest entry on its own
-        return min(e.penalty for e in entries)
-    lp = LinearProgram(
-        objective=[e.penalty for e in entries],
-        constraints=[([e.kernel[i] for e in entries], EQ, q) for i, q in enumerate(kernel)]
-        + [([1.0] * len(entries), EQ, 1.0)],
-        sense="min",
-    )
-    sol = solve(lp, settings)
-    return math.inf if sol.status == "infeasible" else sol.value
-
-
 def minimal_penalty(model: ScenarioModel, r: Measure, sigma: StoppingTime,
                     tau: StoppingTime, settings: Settings = DEFAULT) -> Claim:
     """Convex conjugate of the pricing map at R, atom by atom.
@@ -405,30 +386,105 @@ def minimal_penalty(model: ScenarioModel, r: Measure, sigma: StoppingTime,
     Menus chosen independently per node make penalties add up along the
     tree (the cocycle), so the conjugate between sigma and tau is E_R of the
     one-step conjugates at R's conditional kernels on the nodes from sigma
-    down to tau: one LP over the node's menu per node R charges.  Values
-    are in [0, +inf]; +inf marks atoms below which one of R's conditional
-    kernels falls outside the convex hull of the menu kernels, and NaN
-    marks atoms R does not charge (the conjugate is an R-a.s. object).
+    down to tau, summed up in the same pass.  The one-step conjugate at a
+    kernel k, min sum_j l_j p_j over l >= 0, sum_j l_j = 1, sum_j l_j q_j = k,
+    is :func:`_kernel_max` over the menu entries with drift q_j - k, no cap
+    and objective -p, for a level group at once; supports of up to arity + 1
+    entries hold every vertex.  Values are in [0, +inf]; +inf marks atoms
+    below which one of R's conditional kernels falls outside the convex hull
+    of the menu kernels, and NaN marks atoms R does not charge (the
+    conjugate is an R-a.s. object).  ``settings.max_enum`` caps the mixtures
+    of two or more entries tried per node.
     """
     tree = model.tree
+    validate_stopping_time(tree, sigma)
+    validate_stopping_time(tree, tau)
     if not precedes(tree, sigma, tau):
         raise TcppError("minimal_penalty requires sigma <= tau")
-    mass = r.node_masses(tree).tolist()
-    vals: dict[int, float] = {}
-    for a in sigma.cut:
-        if mass[a] <= 0.0:
-            vals[a] = math.nan
+    mass = r.node_masses(tree)
+    total = np.zeros(tree.n_nodes)     # R-mass times the conjugates down to tau
+    for nodes, kids, kernels, penalties in model.steps(tau.cut):
+        _, w, k = kernels.shape
+        size = min(w, k + 1) if k > 1 else 1    # one child: every kernel is (1,)
+        _cap_supports(w, range(2, size + 1), settings, f"menu mixtures per node at time "
+                      f"{tree.times[nodes[0]]} (arity {k}, {w} menu entries)")
+        total[nodes] = total[kids].sum(axis=1)
+        live = mass[nodes] > 0.0
+        if not live.any():
             continue
-        total = 0.0
-        for v in tree.between(a, tau.cut):
-            if v in tau.cut or mass[v] <= 0.0:
-                continue
-            kernel = [mass[c] / mass[v] for c in tree.children[v]]
-            total += mass[v] * _one_step_conjugate(model.menus[v], kernel, settings)
-            if total == math.inf:
-                break
-        vals[a] = max(0.0, total / mass[a])
-    return Claim(sigma, vals)
+        m = mass[nodes[live]]
+        if k == 1:
+            conj = penalties[live].min(axis=1)
+        else:
+            drift = kernels[live] - (mass[kids[live]] / m[:, None])[:, None, :]
+            conj = -_kernel_max(np.ones(drift.shape[:2]), drift, np.full(len(m), np.inf),
+                                -penalties[None, live], size, settings)[0]
+        total[nodes[live]] += m * conj
+    atoms = sigma.index
+    charged = mass[atoms] > 0.0
+    out = np.full(len(atoms), np.nan)
+    out[charged] = np.maximum(0.0, total[atoms[charged]] / mass[atoms[charged]])
+    return Claim(sigma, out)
+
+
+def _cap_supports(n: int, sizes: range, settings: Settings, what: str) -> None:
+    """Raise :class:`EnumerationOverflow` before a search over the supports
+    of ``sizes`` of ``n`` columns when they outnumber ``settings.max_enum``;
+    ``what`` names the supports per node."""
+    count = sum(math.comb(n, s) for s in sizes)
+    if count > settings.max_enum:
+        raise EnumerationOverflow(f"{count} {what} exceed the cap {settings.max_enum}")
+
+
+# linear systems solved per stacked batch here and in ``market``; bounds the
+# working memory
+_BATCH = 1 << 16
+
+
+def _kernel_max(p: np.ndarray, drift: np.ndarray, cap: np.ndarray, v: np.ndarray,
+                size: int, settings: Settings) -> np.ndarray:
+    """Max of q . v[i, g] over the kernels of K_g giving no weight to children
+    with v[i, g] = -inf, for a stack of nodes g and objectives i; -inf where
+    there is none: K_g = {q >= 0, sum q = 1, q . drift[g] = 0,
+    sum q^2/p[g] <= cap[g]^2}, as in ``market._kernel_bounds``.
+
+    In y = q / sqrt(p), K_g is a slice of the nonnegative orthant in the ball
+    of radius cap.  An optimum charging exactly the children T is optimal on
+    T's slice {A_T y = e_1} in the ball: the least-norm point y0 plus the
+    objective projected on the slice, scaled to the sphere (Cerny-Hodges;
+    Cochrane-Saa-Requejo), or y0 without a cap or projection.  Supports of
+    up to ``size`` children are tried (a vertex has at most one more than
+    the assets); a candidate counts if it solves its system and is
+    nonnegative and within the cap to the feasibility tolerance."""
+    m, g, k = v.shape
+    tol = settings.feasibility_tol
+    root_p, live = np.sqrt(p), ~np.isinf(v)
+    w, cap2 = root_p * np.where(live, v, 0.0), cap ** 2
+    room = np.where(np.isfinite(cap2), cap2, 0.0)[:, None]
+    capped = bool(np.isfinite(cap).any())      # without a cap, y0 is the candidate
+    best = np.full((m, g), -np.inf)
+    for s in range(1, size + 1):
+        sups = np.array(list(itertools.combinations(range(k), s)))
+        for lo in range(0, len(sups), max(1, _BATCH // (m * g))):
+            sup = sups[lo:lo + max(1, _BATCH // (m * g))]
+            rp, ws = root_p[:, sup], w[:, :, sup]
+            a = np.concatenate([rp[:, :, None, :],
+                                np.einsum("gcsd,gcs->gcds", drift[:, sup], rp)], axis=2)
+            pinv = np.linalg.pinv(a)
+            y = pinv[None, ..., 0]
+            if capped:
+                r = ws - np.einsum("gcst,igct->igcs", pinv @ a, ws)
+                rn = np.linalg.norm(r, axis=-1)
+                step = np.sqrt(np.maximum(room - (y ** 2).sum(-1), 0.0))
+                step = np.divide(step, rn, out=np.zeros_like(rn),
+                                 where=rn > settings.rank_tol * (1.0 + np.abs(ws).sum(-1)))
+                y = y + step[..., None] * r
+            res = np.einsum("gcrs,igcs->igcr", a, y) - np.eye(a.shape[2])[0]
+            ok = (live[:, :, sup].all(-1) & (rp * y >= -tol).all(-1)
+                  & (np.abs(res).max(-1) <= tol * (1.0 + np.abs(a).max((-2, -1))))
+                  & ((y ** 2).sum(-1) <= cap2[:, None] * (1.0 + tol)))
+            best = np.maximum(best, np.where(ok, (ws * y).sum(-1), -np.inf).max(-1))
+    return best
 
 
 def uniform_mixture(entries: Sequence[MenuEntry]) -> tuple[float, ...]:

@@ -16,12 +16,13 @@ entries; ``levels`` groups the nodes strictly above a cut by (time, arity),
 deepest first, as arrays of nodes and of their children: the order of every
 backward induction, which handles one group in array operations, and of
 ``sum_up``, which sums a measure's leaf masses, or a claim's values times
-masses, up to every node; ``between`` lists the nodes from a top node down
-to a cut level by level, for the walks that follow a subtree; and
-``first_stops`` walks a subtree in preorder, skipping below each stop.  No
-walk recurses, so depth is bounded by memory, not by Python's recursion
-limit.  A claim holds its values as one array in the order of its sorted
-cut.
+masses, up to every node, and, reversed, of ``product_down``, which
+carries one-step kernels' mass down from the root; ``between`` lists the
+nodes from a top node down to a cut level by level, for the walks that
+follow a subtree; and ``first_stops`` walks a subtree in preorder,
+skipping below each stop.  No walk recurses, so depth is bounded by memory,
+not by Python's recursion limit.  A claim holds its values as one array in
+the order of its sorted cut.
 """
 from __future__ import annotations
 
@@ -213,20 +214,16 @@ class FiltrationTree:
                 i += 1
         return out
 
-    def forward_mass(self, top: int, cut: frozenset[int],
-                     kernel: Callable[[int], Sequence[float]]) -> dict[int, float]:
-        """Mass that the one-step ``kernel(v)`` laws carry from ``top`` to
-        each cut node below it: the product of weights along the path."""
-        mass = {top: 1.0}
-        out: dict[int, float] = {}
-        for v in reversed(self.between(top, cut)):
-            m = mass.pop(v)
-            if v in cut:
-                out[v] = m
-            else:
-                for w, c in zip(kernel(v), self.children[v]):
-                    mass[c] = m * w
-        return out
+    def product_down(self, kernel: Mapping[int, Sequence[float]]) -> np.ndarray:
+        """The mass that the one-step laws ``kernel[v]`` of the internal
+        nodes carry from the root to every node: one level group of
+        :meth:`levels` at a time, shallowest first, each child's mass its
+        parent's times its weight; the mirror of :meth:`sum_up`."""
+        mass = np.zeros(self.n_nodes)
+        mass[self.root] = 1.0
+        for nodes, kids in reversed(self._levels.values()):
+            mass[kids] = mass[nodes, None] * np.array([kernel[v] for v in nodes.tolist()])
+        return mass
 
     def path(self, leaf: int) -> tuple[int, ...]:
         out = [leaf]

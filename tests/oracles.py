@@ -177,6 +177,23 @@ def node_masses_walk(tree, r) -> dict[int, float]:
     return mass
 
 
+def forward_mass(tree, top: int, cut, kernel) -> dict[int, float]:
+    """Mass that the one-step ``kernel(v)`` laws carry from ``top`` to
+    each cut node below it: the product of weights along the path, walked
+    node by node; ``FiltrationTree.forward_mass`` before
+    ``FiltrationTree.product_down`` took a level group at a time."""
+    mass = {top: 1.0}
+    out: dict[int, float] = {}
+    for v in reversed(tree.between(top, cut)):
+        m = mass.pop(v)
+        if v in cut:
+            out[v] = m
+        else:
+            for w, c in zip(kernel(v), tree.children[v]):
+                mass[c] = m * w
+    return out
+
+
 def conditional_expectation_walk(tree, q, x, sigma):
     """E_Q(X | F_sigma) from dicts, in the order of sums of the array
     version: the masses and the mass-weighted values summed up from below,
@@ -432,6 +449,64 @@ def dead_leaves_path_walk(model) -> list[tuple[int, int, int]]:
                 dead.append((leaf, a, b))
                 break
     return dead
+
+
+# -- the minimal penalty with one LP per node ------------------------------------
+# ``tcpp.scenario.minimal_penalty`` as first written node by node: the walk
+# from each atom down to tau, with the one-step conjugate solved as an LP over
+# the node's menu.  The library now takes a level group at a time through
+# the bounds' support search.
+
+def _one_step_conjugate(entries: Sequence[MenuEntry], kernel: Sequence[float],
+                        settings: Settings) -> float:
+    """Least mixture penalty of menu entries whose kernels mix to ``kernel``:
+    the conjugate of the one-step map max_j (q_j . x - p_j), +inf outside
+    the convex hull of the menu kernels."""
+    if len(kernel) == 1:
+        # one child: every kernel is (1,), so the LP's optimum is the
+        # cheapest entry on its own
+        return min(e.penalty for e in entries)
+    lp = LinearProgram(
+        objective=[e.penalty for e in entries],
+        constraints=[([e.kernel[i] for e in entries], EQ, q) for i, q in enumerate(kernel)]
+        + [([1.0] * len(entries), EQ, 1.0)],
+        sense="min",
+    )
+    sol = solve(lp, settings)
+    return math.inf if sol.status == "infeasible" else sol.value
+
+
+def minimal_penalty_node_lp(model: ScenarioModel, r: Measure, sigma: StoppingTime,
+                            tau: StoppingTime, settings: Settings = DEFAULT) -> Claim:
+    """Convex conjugate of the pricing map at R, atom by atom.
+
+    Menus chosen independently per node make penalties add up along the
+    tree (the cocycle), so the conjugate between sigma and tau is E_R of the
+    one-step conjugates at R's conditional kernels on the nodes from sigma
+    down to tau: one LP over the node's menu per node R charges.  Values
+    are in [0, +inf]; +inf marks atoms below which one of R's conditional
+    kernels falls outside the convex hull of the menu kernels, and NaN
+    marks atoms R does not charge (the conjugate is an R-a.s. object).
+    """
+    tree = model.tree
+    if not precedes(tree, sigma, tau):
+        raise TcppError("minimal_penalty requires sigma <= tau")
+    mass = r.node_masses(tree).tolist()
+    vals: dict[int, float] = {}
+    for a in sigma.cut:
+        if mass[a] <= 0.0:
+            vals[a] = math.nan
+            continue
+        total = 0.0
+        for v in tree.between(a, tau.cut):
+            if v in tau.cut or mass[v] <= 0.0:
+                continue
+            kernel = [mass[c] / mass[v] for c in tree.children[v]]
+            total += mass[v] * _one_step_conjugate(model.menus[v], kernel, settings)
+            if total == math.inf:
+                break
+        vals[a] = max(0.0, total / mass[a])
+    return Claim(sigma, vals)
 
 
 # -- constrained pricing, one LP per node -----------------------------------------

@@ -15,9 +15,9 @@ from tcpp.market import (AssetProcess, ConstraintSet, GoodDealCaps,
                          QuotedOption, calibrated_bounds, check_extends_dynamics,
                          good_deal_bounds, mme_bounds, constrained_price)
 from tcpp.nfl import nfl_verdict
+from counterexamples import non_rectangular_counterexample
 from tcpp.pricing import (american_price, backward_pass, check_axioms,
-                          check_supermartingale, check_time_consistency,
-                          non_rectangular_counterexample, price,
+                          check_supermartingale, check_time_consistency, price,
                           random_stopping_time)
 from tcpp.scenario import (MenuEntry, PenaltyProcess, ScenarioModel,
                            check_cocycle, enumerate_selections,

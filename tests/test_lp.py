@@ -231,14 +231,15 @@ def _cut_loop_lps(cap: float, max_cut_rounds: int) -> list:
 def infeasible_cut_round():
     """The first LP that ``solve`` calls infeasible, at every cap 1.05:
     round 9 of the lower bound; and a feasible point of it."""
+    from oracles import forward_mass
     from tcpp.tree import FiltrationTree
 
     lp = _cut_loop_lps(1.05, 9)[8]
     # leaf masses of the product measure with kernel (3/14, 5/14, 6/14) at
     # every node: a martingale kernel of second moment 15/14 < 1.05^2
     tree = FiltrationTree.trinomial(4)
-    mass = tree.forward_mass(tree.root, frozenset(tree.leaves),
-                             lambda v: (3 / 14, 5 / 14, 6 / 14))
+    mass = forward_mass(tree, tree.root, frozenset(tree.leaves),
+                        lambda v: (3 / 14, 5 / 14, 6 / 14))
     return lp, np.array([mass[b] for b in tree.leaves])
 
 

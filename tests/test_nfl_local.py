@@ -1,19 +1,23 @@
 """Node-local no-free-lunch and minimal penalties against the global
 formulations in ``oracles``: every selection enumerated into one dense LP."""
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import oracles
-from gen import killed_leaf_model, random_model, random_tree
-from tcpp.errors import NegativePenalty
+import tcpp.lp
+from gen import (killed_leaf_model, random_irregular_tree, random_model,
+                 random_tree, relabelled)
+from tcpp.errors import EnumerationOverflow, NegativePenalty, TcppError
 from tcpp.nfl import (find_static_free_lunch,
                       find_zero_penalty_equivalent_measure, nfl_verdict)
 from tcpp.pricing import price, random_stopping_time
-from tcpp.scenario import (MenuEntry, ScenarioModel, check_nondegenerate,
-                           enumerate_selections, minimal_penalty,
-                           selection_to_measure)
+from tcpp.scenario import (MeasureSelection, MenuEntry, ScenarioModel,
+                           check_nondegenerate, enumerate_selections,
+                           minimal_penalty, selection_to_measure)
+from tcpp.settings import Settings
 from tcpp.tree import FiltrationTree, Measure, StoppingTime
 
 TOL = 1e-9
@@ -138,6 +142,93 @@ def test_minimal_penalty_matches_global_oracle_at_inner_cuts():
                             "inf" if math.isinf(got.values[a]) else "finite")
                     seen[kind] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_minimal_penalty_matches_node_lp_oracle():
+    # regular, irregular (one-child nodes) and relabelled trees, some with a
+    # killed edge; measures from selections, the certificate, a mixture of
+    # the two selections, and arbitrary densities, one of them zero below
+    # the root's first child where it has another; the whole tree and a
+    # random inner cut pair
+    rng = np.random.default_rng(61)
+    seen = {"finite": 0, "inf": 0, "nan": 0}
+    for k in range(90):
+        tree = [random_tree, random_irregular_tree, random_tree][k % 3](rng)
+        if k % 3 == 2:
+            tree = relabelled(tree, rng)
+        if k % 4 == 3 and k % 3 != 1:
+            model = killed_leaf_model(rng, tree)[0]
+        else:
+            model = random_model(rng, tree, max_entries=4, include_reference=k % 5 == 0)
+        sels = [MeasureSelection.of({v: int(rng.integers(len(model.menus[v])))
+                                     for v in tree.internal_nodes()}) for _ in range(2)]
+        measures = [selection_to_measure(model, sel) for sel in sels]
+        w = rng.dirichlet(np.ones(2))
+        measures.append(Measure.from_leaf_masses(
+            tree, w[0] * measures[0].leaf_masses(tree) + w[1] * measures[1].leaf_masses(tree)))
+        for kill in (False, len(tree.children[tree.root]) > 1):
+            masses = rng.dirichlet(np.ones(len(tree.leaves)))
+            if kill:
+                masses[tree.owner_index([tree.children[tree.root][0]], tree.leaves) == 0] = 0.0
+            measures.append(Measure.from_leaf_masses(tree, masses / masses.sum()))
+        cert = find_zero_penalty_equivalent_measure(model)
+        measures += [cert] if cert is not None else []
+        for r in measures:
+            inner = random_stopping_time(tree, rng)
+            pairs = [(StoppingTime.at_root(tree), StoppingTime.at_horizon(tree)),
+                     (random_stopping_time(tree, rng, hi=inner), inner)]
+            for sigma, tau in pairs:
+                got = minimal_penalty(model, r, sigma, tau).array
+                want = oracles.minimal_penalty_node_lp(model, r, sigma, tau).array
+                assert (np.isnan(got) == np.isnan(want)).all(), (k, got, want)
+                assert (np.isinf(got) == np.isinf(want)).all(), (k, got, want)
+                fin = np.isfinite(want)
+                assert (np.abs(got[fin] - want[fin])
+                        <= 1e-12 * np.maximum(1.0, np.abs(want[fin]))).all(), (k, got, want)
+                seen["nan"] += int(np.isnan(want).sum())
+                seen["inf"] += int(np.isinf(want).sum())
+                seen["finite"] += int(fin.sum())
+    assert min(seen.values()) >= 20, seen
+
+
+def test_minimal_penalty_mixture_count_is_capped():
+    # four entries at arity 2 give C(4,2) + C(4,3) = 10 mixtures per node of
+    # time 1, three at the root 4; the single entries are not counted
+    rng = np.random.default_rng(3)
+    tree = FiltrationTree.binomial(2)
+    model = ScenarioModel(tree, {v: [MenuEntry(tuple(rng.dirichlet([2.0, 2.0])), float(p))
+                                     for p in [0.0] + [0.1] * (3 if v else 2)]
+                                 for v in tree.internal_nodes()})
+    r = selection_to_measure(model, MeasureSelection.of({0: 1, 1: 2, 2: 0}))
+    root, horizon = StoppingTime.at_root(tree), StoppingTime.at_horizon(tree)
+    got = minimal_penalty(model, r, root, horizon, Settings(max_enum=10))
+    want = oracles.minimal_penalty_node_lp(model, r, root, horizon)
+    assert got.values[0] == pytest.approx(want.values[0], rel=1e-12)
+    with pytest.raises(EnumerationOverflow, match=r"^10 menu mixtures per node at time 1 "
+                       r"\(arity 2, 4 menu entries\) exceed the cap 9$"):
+        minimal_penalty(model, r, root, horizon, Settings(max_enum=9))
+
+
+def test_minimal_penalty_rejects_cuts_that_are_no_stopping_times():
+    tree = FiltrationTree.binomial(2)
+    model = ScenarioModel.reference(tree)
+    r = Measure.reference(tree)
+    root, horizon = StoppingTime.at_root(tree), StoppingTime.at_horizon(tree)
+    for sigma, tau in [(root, StoppingTime.of([1])), (StoppingTime.of([2]), horizon)]:
+        with pytest.raises(TcppError, match="meets the cut 0 times"):
+            minimal_penalty(model, r, sigma, tau)
+
+
+def test_nfl_verdict_solves_no_lp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lp.solve called")
+    solve = tcpp.lp.solve
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tcpp") and getattr(module, "solve", None) is solve:
+            monkeypatch.setattr(module, "solve", refuse)
+    verdicts = {nfl_verdict(model, n_samples=6, n_strategies=2).no_free_lunch
+                for model in mixed_models()[:12]}
+    assert verdicts == {True, False}
 
 
 def test_nondegeneracy_matches_path_walk():

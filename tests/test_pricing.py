@@ -9,10 +9,11 @@ from gen import (claim_pairs, random_claim, random_irregular_tree, random_model,
                  random_tree)
 from tcpp.scenario import (MenuEntry, PenaltyProcess, ScenarioModel,
                            check_cocycle, enumerate_selections)
+from counterexamples import (deterministic_vs_stopping_counterexample,
+                             non_rectangular_counterexample)
 from tcpp.pricing import (american_price, bid_ask, chain_prices,
                           check_axioms, check_sublinear, check_supermartingale,
-                          check_time_consistency, enumerate_stop_sets,
-                          non_rectangular_counterexample, price,
+                          check_time_consistency, enumerate_stop_sets, price,
                           price_process, random_stopping_time)
 from tcpp.errors import TcppError
 from tcpp.nfl import find_zero_penalty_equivalent_measure
@@ -399,7 +400,6 @@ def test_american_from_a_later_cut():
 
 
 def test_deterministic_chains_pass_but_random_sigma_fails():
-    from tcpp.pricing import deterministic_vs_stopping_counterexample
     evaluator, mixed = deterministic_vs_stopping_counterexample()
     tree = evaluator.tree
     rng = np.random.default_rng(37)

@@ -9,11 +9,12 @@ import oracles
 from gen import (deep_chain_model, random_claim, random_irregular_tree, random_model,
                  random_tree, relabelled)
 from tcpp.errors import EnumerationOverflow, TcppError
-from tcpp.nfl import nfl_verdict
+from tcpp.nfl import find_zero_penalty_equivalent_measure, nfl_verdict
 from tcpp.pricing import (american_price, enumerate_stop_sets, price,
                           random_stopping_time)
 from tcpp.scenario import (MeasureSelection, PenaltyProcess, ScenarioModel,
-                           check_cocycle, minimal_penalty, subtree_duals)
+                           check_cocycle, minimal_penalty, selection_to_measure,
+                           subtree_duals)
 from tcpp.tree import (Claim, FiltrationTree, Measure, StoppingTime,
                        conditional_expectation, essential_supremum, lift, precedes,
                        validate_stopping_time)
@@ -132,6 +133,38 @@ def test_array_claims_and_masses_match_their_dict_versions():
                     got.values, oracles.conditional_expectation_scan(tree, q, x, nu).values)
                 zero_mass += int(np.isnan(got.array).sum())
     assert zero_mass > 50
+
+
+def test_product_down_matches_forward_mass_bit_for_bit():
+    # the same multiplications as the path walk, so the same bits: for
+    # weights with zeros, for a selection's measure and for the certificate,
+    # the uniform mixture of the zero-penalty kernels summed in menu order
+    rng = np.random.default_rng(71)
+    for i in range(60):
+        tree = (random_irregular_tree if i % 3 else random_tree)(rng)
+        if i % 2:
+            tree = relabelled(tree, rng)
+        weights = {v: tuple(np.where(rng.random(len(kids)) < 0.2, 0.0,
+                                     rng.uniform(0.0, 1.0, len(kids))).tolist())
+                   for v, kids in enumerate(tree.children) if kids}
+        mass = tree.product_down(weights)
+        tau = random_stopping_time(tree, rng)
+        want = oracles.forward_mass(tree, tree.root, tau.cut, weights.__getitem__)
+        assert mass[tau.index].tolist() == [want[b] for b in tau.sorted()]
+
+        model = random_model(rng, tree, sublinear=i % 4 == 0, include_reference=i % 4 == 1)
+        choice = {v: int(rng.integers(len(model.menus[v]))) for v in tree.internal_nodes()}
+        want = oracles.forward_mass(tree, tree.root, frozenset(tree.leaves),
+                                    lambda v: model.menus[v][choice[v]].kernel)
+        assert selection_to_measure(model, MeasureSelection.of(choice)).density == \
+            {b: want[b] / tree.leaf_weights[b] for b in tree.leaves}
+        zero = {v: [e.kernel for e in entries if e.penalty <= 1e-9]
+                for v, entries in model.menus.items()}
+        want = oracles.forward_mass(tree, tree.root, frozenset(tree.leaves),
+                                    lambda v: tuple(sum(col) / len(zero[v])
+                                                    for col in zip(*zero[v])))
+        assert find_zero_penalty_equivalent_measure(model).density == \
+            {b: want[b] / tree.leaf_weights[b] for b in tree.leaves}
 
 
 def test_enumerations_match_recursive_lists_element_for_element():
