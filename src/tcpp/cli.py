@@ -4,7 +4,7 @@ Exit codes: 0 pass/success, 1 check failure (witnesses printed), 2 input
 error.  ``--format machine`` emits one ``key<TAB>value`` record per line.
 All randomized checks honor ``--seed``.  ``TCPP_MAX_ENUM`` caps the kernel
 and support enumerations per node (``constrained``, ``bounds``, and the
-menu mixtures of the minimal penalty that ``nfl`` checks), and the
+menu-entry supports of the minimal penalty that ``nfl`` checks), and the
 reference enumerators.
 """
 from __future__ import annotations

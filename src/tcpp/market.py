@@ -403,7 +403,7 @@ def _kernel_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess], x: Clai
     steps = []
     for (t, k), (nodes, kids) in tree.levels(tree.leaves).items():
         size = k if np.isfinite(cap[nodes]).any() else min(k, len(assets) + 1)
-        _cap_supports(k, range(1, size + 1), settings,
+        _cap_supports(k, size, settings,
                       f"kernel supports per node at time {t} (arity {k})")
         steps.append((nodes, kids, size))
     values = np.empty((2, tree.n_nodes))      # the lower side negated, the upper side

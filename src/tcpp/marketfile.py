@@ -42,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from itertools import chain, compress, groupby
+from itertools import chain, groupby
 from typing import Callable
 
 import numpy as np

@@ -234,7 +234,7 @@ def selection_to_measure(model: ScenarioModel, sel: MeasureSelection) -> Measure
     """Density per leaf: product of chosen kernel weights along the path / P."""
     tree = model.tree
     choice = _check_selection(model, sel)
-    mass = tree.product_down({v: model.menus[v][i].kernel for v, i in choice.items()})
+    mass = tree.product_down({v: menu[choice[v]].kernel for v, menu in model.menus.items()})
     return Measure.from_leaf_masses(tree, mass[list(tree.leaves)])
 
 
@@ -386,52 +386,58 @@ def minimal_penalty(model: ScenarioModel, r: Measure, sigma: StoppingTime,
     Menus chosen independently per node make penalties add up along the
     tree (the cocycle), so the conjugate between sigma and tau is E_R of the
     one-step conjugates at R's conditional kernels on the nodes from sigma
-    down to tau, summed up in the same pass.  The one-step conjugate at a
-    kernel k, min sum_j l_j p_j over l >= 0, sum_j l_j = 1, sum_j l_j q_j = k,
-    is :func:`_kernel_max` over the menu entries with drift q_j - k, no cap
-    and objective -p, for a level group at once; supports of up to arity + 1
-    entries hold every vertex.  Values are in [0, +inf]; +inf marks atoms
-    below which one of R's conditional kernels falls outside the convex hull
-    of the menu kernels, and NaN marks atoms R does not charge (the
-    conjugate is an R-a.s. object).  ``settings.max_enum`` caps the mixtures
-    of two or more entries tried per node.
+    down to tau, each weighted by R's mass and added to its sigma atom.
+    The one-step conjugate at a kernel k, min sum_j l_j p_j over l >= 0,
+    sum_j l_j = 1, sum_j l_j q_j = k, is :func:`_kernel_max` over the menu
+    entries with drift q_j - k, no cap and objective -p, for a level group
+    at once.  Its constraints have rank at most the arity (the kernels'
+    weights sum to one), so supports of up to arity entries hold every
+    vertex: the search solves sum_s C(entries, s) systems per node, which
+    ``settings.max_enum`` caps; on menus beyond a handful of entries that
+    is far more work than one LP per node.  Values are in [0, +inf]; +inf
+    marks atoms below which one of R's conditional kernels falls outside the
+    convex hull of the menu kernels, and NaN marks atoms R does not charge
+    (the conjugate is an R-a.s. object).
     """
     tree = model.tree
     validate_stopping_time(tree, sigma)
     validate_stopping_time(tree, tau)
     if not precedes(tree, sigma, tau):
         raise TcppError("minimal_penalty requires sigma <= tau")
+    atoms = sigma.index
+    owner = tree.owner_index(atoms, np.arange(tree.n_nodes))    # the sigma atom over a node
     mass = r.node_masses(tree)
-    total = np.zeros(tree.n_nodes)     # R-mass times the conjugates down to tau
+    conj = np.zeros(tree.n_nodes)      # R-mass times the one-step conjugate
     for nodes, kids, kernels, penalties in model.steps(tau.cut):
         _, w, k = kernels.shape
-        size = min(w, k + 1) if k > 1 else 1    # one child: every kernel is (1,)
-        _cap_supports(w, range(2, size + 1), settings, f"menu mixtures per node at time "
-                      f"{tree.times[nodes[0]]} (arity {k}, {w} menu entries)")
-        total[nodes] = total[kids].sum(axis=1)
-        live = mass[nodes] > 0.0
-        if not live.any():
+        if k == 1:      # one child: every kernel is (1,), so the least penalty
+            conj[nodes] = mass[nodes] * penalties.min(axis=1)
             continue
-        m = mass[nodes[live]]
-        if k == 1:
-            conj = penalties[live].min(axis=1)
-        else:
-            drift = kernels[live] - (mass[kids[live]] / m[:, None])[:, None, :]
-            conj = -_kernel_max(np.ones(drift.shape[:2]), drift, np.full(len(m), np.inf),
-                                -penalties[None, live], size, settings)[0]
-        total[nodes[live]] += m * conj
-    atoms = sigma.index
+        keep = owner[nodes] >= 0
+        if not keep.any():
+            continue
+        _cap_supports(w, min(w, k), settings, f"menu supports per node at time "
+                      f"{tree.times[nodes[0]]} (arity {k}, {w} menu entries)")
+        keep &= mass[nodes] > 0.0
+        nodes, m = nodes[keep], mass[nodes[keep]]
+        if len(nodes):
+            drift = kernels[keep] - (mass[kids[keep]] / m[:, None])[:, None, :]
+            best = _kernel_max(np.ones(drift.shape[:2]), drift, np.full(len(m), np.inf),
+                               -penalties[None, keep], min(w, k), settings)[0]
+            conj[nodes] = m * -best
+    inside = owner >= 0
+    total = np.bincount(owner[inside], conj[inside], len(atoms))
     charged = mass[atoms] > 0.0
     out = np.full(len(atoms), np.nan)
-    out[charged] = np.maximum(0.0, total[atoms[charged]] / mass[atoms[charged]])
+    out[charged] = np.maximum(0.0, total[charged] / mass[atoms[charged]])
     return Claim(sigma, out)
 
 
-def _cap_supports(n: int, sizes: range, settings: Settings, what: str) -> None:
+def _cap_supports(n: int, size: int, settings: Settings, what: str) -> None:
     """Raise :class:`EnumerationOverflow` before a search over the supports
-    of ``sizes`` of ``n`` columns when they outnumber ``settings.max_enum``;
+    of 1 to ``size`` of ``n`` columns when they outnumber ``settings.max_enum``;
     ``what`` names the supports per node."""
-    count = sum(math.comb(n, s) for s in sizes)
+    count = sum(math.comb(n, s) for s in range(1, size + 1))
     if count > settings.max_enum:
         raise EnumerationOverflow(f"{count} {what} exceed the cap {settings.max_enum}")
 
@@ -461,7 +467,6 @@ def _kernel_max(p: np.ndarray, drift: np.ndarray, cap: np.ndarray, v: np.ndarray
     root_p, live = np.sqrt(p), ~np.isinf(v)
     w, cap2 = root_p * np.where(live, v, 0.0), cap ** 2
     room = np.where(np.isfinite(cap2), cap2, 0.0)[:, None]
-    capped = bool(np.isfinite(cap).any())      # without a cap, y0 is the candidate
     best = np.full((m, g), -np.inf)
     for s in range(1, size + 1):
         sups = np.array(list(itertools.combinations(range(k), s)))
@@ -471,14 +476,13 @@ def _kernel_max(p: np.ndarray, drift: np.ndarray, cap: np.ndarray, v: np.ndarray
             a = np.concatenate([rp[:, :, None, :],
                                 np.einsum("gcsd,gcs->gcds", drift[:, sup], rp)], axis=2)
             pinv = np.linalg.pinv(a)
-            y = pinv[None, ..., 0]
-            if capped:
-                r = ws - np.einsum("gcst,igct->igcs", pinv @ a, ws)
-                rn = np.linalg.norm(r, axis=-1)
-                step = np.sqrt(np.maximum(room - (y ** 2).sum(-1), 0.0))
-                step = np.divide(step, rn, out=np.zeros_like(rn),
-                                 where=rn > settings.rank_tol * (1.0 + np.abs(ws).sum(-1)))
-                y = y + step[..., None] * r
+            y0 = pinv[..., 0]
+            r = ws - np.einsum("gcst,igct->igcs", pinv @ a, ws)
+            rn = np.linalg.norm(r, axis=-1)
+            step = np.sqrt(np.maximum(room - (y0 ** 2).sum(-1), 0.0))
+            step = np.divide(step, rn, out=np.zeros_like(rn),
+                             where=rn > settings.rank_tol * (1.0 + np.abs(ws).sum(-1)))
+            y = y0 + step[..., None] * r
             res = np.einsum("gcrs,igcs->igcr", a, y) - np.eye(a.shape[2])[0]
             ok = (live[:, :, sup].all(-1) & (rp * y >= -tol).all(-1)
                   & (np.abs(res).max(-1) <= tol * (1.0 + np.abs(a).max((-2, -1))))

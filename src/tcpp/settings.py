@@ -25,10 +25,10 @@ class Settings:
                       (products of many edge weights) may fall below it
     max_enum          cap on the game kernels tried per node in constrained
                       pricing, on the kernel supports tried per node by the
-                      martingale and good-deal bounds, on the mixtures of two
-                      or more menu entries tried per node by the minimal
-                      penalty, and on the reference enumerators of
-                      selections and stopping times
+                      martingale and good-deal bounds, on the menu-entry
+                      supports (at most arity entries each) tried per node
+                      by the minimal penalty, and on the reference
+                      enumerators of selections and stopping times
     """
 
     feasibility_tol: float = 1e-9

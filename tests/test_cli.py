@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
+import tcpp.pricing
+import tcpp.scenario
 from gen import deep_chain_model, random_claim, random_model, random_tree
 from tcpp.cli import main
 from tcpp.errors import MarketFileError, TcppError
@@ -248,7 +250,14 @@ def _binomial_two_entries(periods: int = 4) -> ScenarioModel:
 
 @pytest.mark.parametrize("case", ["demo", "binomial H=4", "chain H=1201"])
 def test_nfl_enumerates_nothing(case, monkeypatch, capsys, tmp_path):
-    # with the enumeration cap at 1 any enumeration would exit 2
+    # the reference enumerators raise, and the cap is the minimal penalty's
+    # own search: at most 2 + 1 menu supports per node (2 entries at arity 2)
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerator called")
+    for module, name in [(tcpp.scenario, "enumerate_selections"),
+                         (tcpp.scenario, "subtree_duals"),
+                         (tcpp.pricing, "enumerate_stop_sets")]:
+        monkeypatch.setattr(module, name, refuse)
     if case == "demo":
         path = BINOMIAL
     else:
@@ -256,7 +265,7 @@ def test_nfl_enumerates_nothing(case, monkeypatch, capsys, tmp_path):
         path = tmp_path / "model.market"
         path.write_text(serialize_market(MarketData(model.tree, model)))
     tree = parse_market_file(str(path)).tree
-    monkeypatch.setenv("TCPP_MAX_ENUM", "1")
+    monkeypatch.setenv("TCPP_MAX_ENUM", "3")
     code = main(["nfl", "--market", str(path), "--format", "machine"])
     out = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
     assert code == 0

@@ -1,6 +1,7 @@
 """Node-local no-free-lunch and minimal penalties against the global
 formulations in ``oracles``: every selection enumerated into one dense LP."""
 import math
+import re
 import sys
 
 import numpy as np
@@ -192,21 +193,24 @@ def test_minimal_penalty_matches_node_lp_oracle():
 
 
 def test_minimal_penalty_mixture_count_is_capped():
-    # four entries at arity 2 give C(4,2) + C(4,3) = 10 mixtures per node of
-    # time 1, three at the root 4; the single entries are not counted
+    # four entries at arity 2 give C(4,1) + C(4,2) = 10 supports per node of
+    # time 1, five at the root 15; a sigma at time 1 counts no root support
     rng = np.random.default_rng(3)
     tree = FiltrationTree.binomial(2)
     model = ScenarioModel(tree, {v: [MenuEntry(tuple(rng.dirichlet([2.0, 2.0])), float(p))
-                                     for p in [0.0] + [0.1] * (3 if v else 2)]
+                                     for p in [0.0] + [0.1] * (3 if v else 4)]
                                  for v in tree.internal_nodes()})
     r = selection_to_measure(model, MeasureSelection.of({0: 1, 1: 2, 2: 0}))
-    root, horizon = StoppingTime.at_root(tree), StoppingTime.at_horizon(tree)
-    got = minimal_penalty(model, r, root, horizon, Settings(max_enum=10))
-    want = oracles.minimal_penalty_node_lp(model, r, root, horizon)
-    assert got.values[0] == pytest.approx(want.values[0], rel=1e-12)
-    with pytest.raises(EnumerationOverflow, match=r"^10 menu mixtures per node at time 1 "
-                       r"\(arity 2, 4 menu entries\) exceed the cap 9$"):
-        minimal_penalty(model, r, root, horizon, Settings(max_enum=9))
+    root, inner = StoppingTime.at_root(tree), StoppingTime.of([1, 2])
+    horizon = StoppingTime.at_horizon(tree)
+    for sigma, cap, top in [(root, 15, "15 menu supports per node at time 0 (arity 2, 5"),
+                            (inner, 10, "10 menu supports per node at time 1 (arity 2, 4")]:
+        got = minimal_penalty(model, r, sigma, horizon, Settings(max_enum=cap))
+        want = oracles.minimal_penalty_node_lp(model, r, sigma, horizon)
+        assert got.array == pytest.approx(want.array, rel=1e-12)
+        with pytest.raises(EnumerationOverflow, match=rf"^{re.escape(top)} menu entries\) "
+                           rf"exceed the cap {cap - 1}$"):
+            minimal_penalty(model, r, sigma, horizon, Settings(max_enum=cap - 1))
 
 
 def test_minimal_penalty_rejects_cuts_that_are_no_stopping_times():

@@ -158,6 +158,10 @@ def test_product_down_matches_forward_mass_bit_for_bit():
                                     lambda v: model.menus[v][choice[v]].kernel)
         assert selection_to_measure(model, MeasureSelection.of(choice)).density == \
             {b: want[b] / tree.leaf_weights[b] for b in tree.leaves}
+        # a key beyond the internal nodes, here a leaf's, is not read
+        extra = MeasureSelection.of({**choice, tree.leaves[0]: 0})
+        assert selection_to_measure(model, extra).density == \
+            {b: want[b] / tree.leaf_weights[b] for b in tree.leaves}
         zero = {v: [e.kernel for e in entries if e.penalty <= 1e-9]
                 for v, entries in model.menus.items()}
         want = oracles.forward_mass(tree, tree.root, frozenset(tree.leaves),
