@@ -113,9 +113,10 @@ def cmd_check_tcpp(args, out: Output) -> int:
     out.report(tc)
 
     cocycle_ok = True
+    internal = np.flatnonzero(model.menu_sizes)
     for _ in range(8):
-        sel = MeasureSelection.of({v: int(rng.integers(len(model.menus[v])))
-                                   for v in tree.internal_nodes()})
+        draw = rng.integers(model.menu_sizes[internal])     # one draw per node, ascending
+        sel = MeasureSelection(tuple(zip(internal.tolist(), draw.tolist())))
         rep = check_cocycle(PenaltyProcess.from_selection(model, sel), model)
         if not rep.passed:
             cocycle_ok = False
@@ -231,6 +232,20 @@ _COMMANDS = {
     "american": cmd_american,
 }
 
+# the options besides --market, --tol and --format, each with the commands
+# that read it; --claim stays optional, so that main names the command that
+# misses it
+_OPTIONS = {
+    "claim": (("price", "bounds", "constrained", "american"),
+              dict(help="claim or payoff-process file")),
+    "at": (("price", "american"),
+           dict(default="root", help="cut: root, horizon, t:<k>, or node ids 'a,b,c'")),
+    "seed": (("check-tcpp", "nfl", "extends"), dict(type=int, default=20240101)),
+    "samples": (("check-tcpp",), dict(type=int, default=200)),
+    "kind": (("bounds",), dict(choices=["mme", "calibrated", "good-deal"], default="mme")),
+    "good-deal-cap": (("bounds",), dict(type=float, default=None)),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -240,16 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--market", required=True, help="market document")
-        sp.add_argument("--claim", help="claim or payoff-process file")
-        sp.add_argument("--at", default="root",
-                        help="cut: root, horizon, t:<k>, or node ids 'a,b,c'")
-        sp.add_argument("--seed", type=int, default=20240101)
+        for option, (commands, spec) in _OPTIONS.items():
+            if name in commands:
+                sp.add_argument(f"--{option}", **spec)
         sp.add_argument("--tol", type=float, default=None,
                         help="override the feasibility tolerance")
-        sp.add_argument("--samples", type=int, default=200)
-        sp.add_argument("--good-deal-cap", type=float, default=None)
-        sp.add_argument("--kind", choices=["mme", "calibrated", "good-deal"],
-                        default="mme")
         sp.add_argument("--format", choices=["text", "machine"], default="text")
     return p
 
@@ -257,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out = Output(machine=args.format == "machine")
-    needs_claim = args.command in ("price", "bounds", "constrained", "american")
+    needs_claim = args.command in _OPTIONS["claim"][0]
     try:
         if needs_claim and not args.claim:
             raise TcppError(f"{args.command} requires --claim")

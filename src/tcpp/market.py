@@ -322,10 +322,14 @@ def check_strong_admissibility(model: ScenarioModel, assets: Sequence[AssetProce
 
     # penalty floor: minimal penalty >= max(0, bid - E_R Y, E_R Y - ask)
     rng = np.random.default_rng(seed)
-    menus = {v: np.array([e.kernel for e in model.menus[v]]) for v in tree.internal_nodes()}
     taus = [q.payoff.at for q in quotes] + [StoppingTime.at_horizon(tree)]
     for i in range(n_measures):
-        mixed = {v: rng.dirichlet(np.ones(len(k))) @ k for v, k in menus.items()}
+        weights = np.zeros((tree.n_nodes, model.menu_sizes.max()))
+        for v in np.flatnonzero(model.menu_sizes).tolist():      # one draw per node, ascending
+            weights[v, :model.menu_sizes[v]] = rng.dirichlet(np.ones(model.menu_sizes[v]))
+        mixed = np.zeros((tree.n_nodes, max(map(len, tree.children))))
+        for nodes, _, k, _ in model.steps(tree.leaves):
+            mixed[nodes, :k.shape[2]] = np.einsum("ge,gek->gk", weights[nodes, :k.shape[1]], k)
         r = Measure.from_leaf_masses(tree, tree.product_down(mixed)[list(tree.leaves)])
         for tau in taus:
             floor = 0.0

@@ -23,8 +23,7 @@ import numpy as np
 from .errors import InconsistentVerdicts, NegativePenalty, TcppError
 from .pricing import backward_pass, price, random_stopping_time
 from .report import CheckReport
-from .scenario import (MenuEntry, ScenarioModel, minimal_penalty,
-                       uncharged_edges, uniform_mixture)
+from .scenario import ScenarioModel, minimal_penalty, uncharged_edges
 from .settings import DEFAULT, Settings
 from .tree import (Claim, FiltrationTree, Measure, StoppingTime, lift,
                    precedes, stacked_conditional_expectation)
@@ -36,8 +35,7 @@ class FreeLunchCertificate:
 
     kind 'static-arbitrage-claim': a nonnegative nonzero claim with
     nonpositive root ask price.  kind 'zero-penalty-equivalent-measure': an
-    equivalent measure with zero minimal penalty.  kind 'none' when the
-    model admits free lunches but no certificate is requested.
+    equivalent measure with zero minimal penalty.
     """
 
     kind: str
@@ -51,21 +49,22 @@ class FreeLunchCertificate:
             raise TcppError("a measure certificate must carry exactly a measure")
 
 
-def _zero_penalty_family(model: ScenarioModel,
-                         settings: Settings) -> dict[int, list[MenuEntry]]:
-    """Entries of penalty at most ``feasibility_tol`` at each internal node.
+def _zero_penalty_mixture(model: ScenarioModel,
+                          settings: Settings) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's uniform mixture of its entries of penalty at most
+    ``feasibility_tol``, and its row of packed penalties (padding repeats one).
 
     The node-local criteria below hold for nonnegative penalties only, so a
     negative one is rejected here, naming its node.
     """
-    for node, entries in sorted(model.menus.items()):
-        for idx, e in enumerate(entries):
-            if e.penalty < 0.0:
-                raise NegativePenalty(
-                    f"menu entry {idx} at node {node} has negative penalty "
-                    f"{e.penalty!r}; no-free-lunch needs nonnegative penalties")
-    return {node: [e for e in entries if e.penalty <= settings.feasibility_tol]
-            for node, entries in model.menus.items()}
+    pens = np.full((model.tree.n_nodes, model.menu_sizes.max()), np.nan)
+    for nodes, _, _, penalties in model.steps(model.tree.leaves):
+        pens[nodes, :penalties.shape[1]] = penalties
+    for node, idx in np.argwhere(pens < 0.0)[:1].tolist():
+        raise NegativePenalty(
+            f"menu entry {idx} at node {node} has negative penalty "
+            f"{pens[node, idx].item()!r}; no-free-lunch needs nonnegative penalties")
+    return model.mixture(settings.feasibility_tol), pens
 
 
 def find_static_free_lunch(model: ScenarioModel,
@@ -81,13 +80,13 @@ def find_static_free_lunch(model: ScenarioModel,
     """
     tree = model.tree
     tol = settings.feasibility_tol
-    zero = _zero_penalty_family(model, settings)
-    edges = uncharged_edges(model, zero, settings.equivalence_floor)
+    mix, pens = _zero_penalty_mixture(model, settings)
+    edges = uncharged_edges(model, mix, settings.equivalence_floor)
     if not edges:
         return None
     v, c = edges[0]
-    top = c if zero[v] else v
-    eps = min((e.penalty for e in model.menus[v] if e.penalty > tol), default=1.0)
+    top = c if mix[v].any() else v      # a kept entry's kernel puts weight somewhere
+    eps = min(pens[v][pens[v] > tol].tolist(), default=1.0)
     below = tree.owner_index([top], tree.leaves) == 0
     claim = Claim(StoppingTime.at_horizon(tree), np.where(below, eps, 0.0))
     root_price = price(model, claim, StoppingTime.at_root(tree)).values[tree.root]
@@ -108,11 +107,10 @@ def find_zero_penalty_equivalent_measure(model: ScenarioModel,
     products of many edge weights, fall below the floor.
     """
     tree = model.tree
-    zero = _zero_penalty_family(model, settings)
-    if uncharged_edges(model, zero, settings.equivalence_floor):
+    mix = _zero_penalty_mixture(model, settings)[0]
+    if uncharged_edges(model, mix, settings.equivalence_floor):
         return None
-    mass = tree.product_down({v: uniform_mixture(entries) for v, entries in zero.items()})
-    return Measure.from_leaf_masses(tree, mass[list(tree.leaves)])
+    return Measure.from_leaf_masses(tree, tree.product_down(mix)[list(tree.leaves)])
 
 
 @dataclass

@@ -227,15 +227,15 @@ def check_sublinear(model: ScenarioModel, n_samples: int = 20,
         scaled, lam_base = top[..., 1:], cols[1:] * top[..., :1]
         hit = (scaled > lam_base + 1e-9 * (1 + np.abs(scaled))) & (
             (penalties > 0.0) & (np.arange(w) < model.menu_sizes[nodes, None]))[..., None]
-        hits += [(int(nodes[i]), int(e), int(j), float(scaled[i, e, j]), float(lam_base[i, e, j]))
+        hits += [(int(nodes[i]), j, float(scaled[i, e, j]), float(lam_base[i, e, j]),
+                  kernels[i, e].tolist())
                  for i, e, j in np.argwhere(hit)[:1]]       # the group's first, nodes ascending
     if hits:
-        node, e, j, scaled_price, lam_price = min(hits)
+        node, j, scaled_price, lam_price, kernel = min(hits)
         kids = tree.children[node]
         off = sorted(set(tree.leaves) - set(tree.subtree_leaves(node)))
         nu = StoppingTime.of([node] + off)
         tau = StoppingTime.of(list(kids) + off)
-        kernel = model.menus[node][e].kernel
         x = Claim(tau, {**dict(zip(kids, kernel)), **dict.fromkeys(off, 0.0)})
         return SublinearReport(False, (x, scales[j], nu, scaled_price, lam_price))
     return SublinearReport(False, None,

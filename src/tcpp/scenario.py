@@ -133,18 +133,12 @@ class ScenarioModel:
         slot = np.arange(size.max())
         entry = first[nodes, None] + np.where(slot < size, slot, 0)
         widths = np.maximum.reduceat(size[:, 0], starts).tolist()
+        self._row = np.zeros(tree.n_nodes, dtype=int)      # a node's row in its group
+        self._row[nodes] = np.arange(len(nodes)) - np.repeat(starts, counts)
         self.packed: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         for (t, k), a, g, w in zip(groups, starts.tolist(), counts, widths):
             rows = entry[a:a + g, :w]
             self.packed[t, k] = (kernels[rows, :k], table.penalties[rows])
-
-    @functools.cached_property
-    def _row(self) -> np.ndarray:
-        """Each internal node's row in its level group's ``packed`` arrays."""
-        row = np.zeros(self.tree.n_nodes, dtype=int)
-        for nodes, _ in self.tree.levels(self.tree.leaves).values():
-            row[nodes] = np.arange(len(nodes))
-        return row
 
     @functools.cached_property
     def menus(self) -> dict[int, tuple[MenuEntry, ...]]:
@@ -157,30 +151,41 @@ class ScenarioModel:
                 out[v] = tuple(map(MenuEntry, map(tuple, ks[:size]), ps[:size]))
         return {v: out[v] for v in self._order}
 
-    def steps(self, cut: Iterable[int], choice: Mapping[int, int] | None = None
+    def steps(self, cut: Iterable[int], choice: np.ndarray | None = None
               ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """Per level group of ``tree.levels(cut)``: its nodes, their children
-        and their rows of ``packed``; with ``choice``, only the chosen entry's
-        kernel ``(g, arity)`` and penalty ``(g,)``."""
+        and their rows of ``packed``; with ``choice`` (an entry per node), only
+        the chosen entry's kernel ``(g, arity)`` and penalty ``(g,)``."""
         for key, (nodes, kids) in self.tree.levels(cut).items():
             kernels, penalties = self.packed[key]
             if choice is not None:
-                rows = (self._row[nodes], [choice[v] for v in nodes.tolist()])
+                rows = (self._row[nodes], choice[nodes])
                 kernels, penalties = kernels[rows], penalties[rows]
             elif len(nodes) < len(kernels):
                 kernels, penalties = kernels[self._row[nodes]], penalties[self._row[nodes]]
             yield nodes, kids, kernels, penalties
 
+    def mixture(self, max_penalty: float = math.inf) -> np.ndarray:
+        """Each internal node's equal-weight mixture of its entries of penalty
+        at most ``max_penalty``, as its row of a ``(n_nodes, widest arity)``
+        array: kernels added in menu order, a zero row where none is kept."""
+        out = np.zeros((self.tree.n_nodes, max(map(len, self.tree.children))))
+        for nodes, _, kernels, penalties in self.steps(self.tree.leaves):
+            keep = (penalties <= max_penalty) & (np.arange(penalties.shape[1])
+                                                 < self.menu_sizes[nodes, None])
+            total = sum(np.where(keep[..., None], kernels, 0.0).swapaxes(0, 1))
+            out[nodes, :kernels.shape[2]] = total / np.maximum(keep.sum(axis=1), 1)[:, None]
+        return out
+
     def normalization_findings(self) -> list[tuple[int, str]]:
         """Nodes whose menu penalties break the zero-at-minimum normalization."""
-        out = []
-        for node, entries in sorted(self.menus.items()):
-            pens = [e.penalty for e in entries]
-            if min(pens) < -1e-12:
-                out.append((node, f"negative penalty {min(pens)!r}"))
-            elif min(pens) > 1e-12:
-                out.append((node, f"smallest penalty is {min(pens)!r}, expected 0"))
-        return out
+        low = np.zeros(self.tree.n_nodes)
+        for nodes, _, _, penalties in self.steps(self.tree.leaves):
+            low[nodes] = penalties.min(axis=1)      # padding repeats an entry
+        bad = np.flatnonzero(np.abs(low) > 1e-12).tolist()
+        return [(v, f"negative penalty {p!r}" if p < -1e-12
+                 else f"smallest penalty is {p!r}, expected 0")
+                for v, p in zip(bad, low[bad].tolist())]
 
     def is_sublinear(self) -> bool:
         return all((penalties == 0.0).all() for _, penalties in self.packed.values())
@@ -209,13 +214,16 @@ class MeasureSelection:
         return dict(self.choice)
 
 
-def _check_selection(model: ScenarioModel, sel: MeasureSelection) -> dict[int, int]:
-    choice = sel.as_dict()
-    for node in model.tree.internal_nodes():
-        if node not in choice:
-            raise TcppError(f"selection misses internal node {node}")
-        if not 0 <= choice[node] < len(model.menus[node]):
-            raise TcppError(f"selection index {choice[node]} out of range at node {node}")
+def _check_selection(model: ScenarioModel, sel: MeasureSelection) -> np.ndarray:
+    """The entry index per node; keys of leaves or outside the tree are not read."""
+    n, sizes = model.tree.n_nodes, model.menu_sizes
+    nodes, idx = np.array(sel.choice, dtype=int).reshape(-1, 2).T
+    keep = (nodes >= 0) & (nodes < n)
+    choice, given = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
+    choice[nodes[keep]], given[nodes[keep]] = idx[keep], True
+    for v in np.flatnonzero((sizes > 0) & ~(given & (choice >= 0) & (choice < sizes)))[:1]:
+        raise TcppError(f"selection index {choice[v]} out of range at node {v}" if given[v]
+                        else f"selection misses internal node {v}")
     return choice
 
 
@@ -233,9 +241,10 @@ def enumerate_selections(model: ScenarioModel,
 def selection_to_measure(model: ScenarioModel, sel: MeasureSelection) -> Measure:
     """Density per leaf: product of chosen kernel weights along the path / P."""
     tree = model.tree
-    choice = _check_selection(model, sel)
-    mass = tree.product_down({v: menu[choice[v]].kernel for v, menu in model.menus.items()})
-    return Measure.from_leaf_masses(tree, mass[list(tree.leaves)])
+    kernel = np.zeros((tree.n_nodes, max(map(len, tree.children))))
+    for nodes, _, k, _ in model.steps(tree.leaves, _check_selection(model, sel)):
+        kernel[nodes, :k.shape[1]] = k
+    return Measure.from_leaf_masses(tree, tree.product_down(kernel)[list(tree.leaves)])
 
 
 def _one_step(values: np.ndarray, kids: np.ndarray, kernel: np.ndarray,
@@ -246,7 +255,7 @@ def _one_step(values: np.ndarray, kids: np.ndarray, kernel: np.ndarray,
 
 
 def cumulative_penalties(model: ScenarioModel, sel: MeasureSelection,
-                         tau: StoppingTime | None = None) -> dict[int, float]:
+                         tau: StoppingTime | None = None) -> np.ndarray:
     """Expected sum of chosen one-step penalties from each node to tau.
 
     Defined through the chosen kernels themselves, so values exist even on
@@ -261,7 +270,7 @@ def cumulative_penalties(model: ScenarioModel, sel: MeasureSelection,
     g = np.zeros(tree.n_nodes)
     for nodes, kids, kernel, penalty in model.steps(tau.cut, choice):
         g[nodes] = _one_step(g, kids, kernel, penalty)
-    return dict(enumerate(g.tolist()))
+    return g
 
 
 def aggregate_penalty(model: ScenarioModel, sel: MeasureSelection,
@@ -270,16 +279,15 @@ def aggregate_penalty(model: ScenarioModel, sel: MeasureSelection,
     tree = model.tree
     if not precedes(tree, nu, tau):
         raise TcppError("aggregate_penalty requires nu <= tau")
-    g = cumulative_penalties(model, sel, tau)
-    return Claim(nu, {a: g[a] for a in nu.cut})
+    return Claim(nu, cumulative_penalties(model, sel, tau)[nu.index])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PenaltyProcess:
-    """Cumulative penalty-to-horizon per node, for one selection."""
+    """Cumulative penalty-to-horizon, a value per node, for one selection."""
 
     selection: MeasureSelection
-    values: Mapping[int, float]
+    values: np.ndarray
 
     @staticmethod
     def from_selection(model: ScenarioModel, sel: MeasureSelection) -> "PenaltyProcess":
@@ -298,22 +306,19 @@ def check_cocycle(penalty: PenaltyProcess, model: ScenarioModel,
     """
     tree = model.tree
     choice = _check_selection(model, penalty.selection)
-    vals = penalty.values
+    given = penalty.values
+    if np.shape(given) != (tree.n_nodes,):
+        raise TcppError(f"a penalty process needs {tree.n_nodes} values, got {np.shape(given)}")
     report = CheckReport(check="cocycle", passed=True)
-    missing = [v for v in range(tree.n_nodes) if v not in vals]
-    if missing:
-        raise TcppError(f"penalty process undefined on nodes {missing}")
-    for leaf in tree.leaves:
-        if abs(vals[leaf]) > tol:
-            report.add(f"node {leaf}", f"horizon value {vals[leaf]!r} is not 0")
-    given = np.array([vals[v] for v in range(tree.n_nodes)], dtype=float)
+    for leaf in np.array(tree.leaves)[np.abs(given[list(tree.leaves)]) > tol].tolist():
+        report.add(f"node {leaf}", f"horizon value {given[leaf].item()!r} is not 0")
     steps = list(model.steps(tree.leaves, choice))
     expect = given.copy()
     for nodes, kids, kernel, pen in steps:
         expect[nodes] = _one_step(given, kids, kernel, pen)
     for node in np.flatnonzero(np.abs(given - expect) > tol).tolist():
         report.add(f"node {node}",
-                   f"value {vals[node]:.12g} != one-step penalty + expected "
+                   f"value {given[node]:.12g} != one-step penalty + expected "
                    f"continuation {expect[node]:.12g}")
 
     # deterministic-time identity: supplied horizon cumulants joined by
@@ -491,30 +496,23 @@ def _kernel_max(p: np.ndarray, drift: np.ndarray, cap: np.ndarray, v: np.ndarray
     return best
 
 
-def uniform_mixture(entries: Sequence[MenuEntry]) -> tuple[float, ...]:
-    """Kernel of the equal-weight mixture of the entries' kernels."""
-    return tuple(sum(col) / len(entries) for col in zip(*(e.kernel for e in entries)))
-
-
-def uncharged_edges(model: ScenarioModel, family: Mapping[int, Sequence[MenuEntry]],
+def uncharged_edges(model: ScenarioModel, mixture: np.ndarray,
                     floor: float = 0.0) -> list[tuple[int, int]]:
-    """Edges (v, c), in preorder of v, to which the uniform mixture of the
-    entries ``family[v]`` gives weight at most ``floor``; every edge of a
-    node whose family is empty is listed.
+    """Edges (v, c), in preorder of v, to which v's row of ``mixture`` (of
+    :meth:`ScenarioModel.mixture`) gives weight at most ``floor``.
 
-    With ``floor`` 0, a leaf is charged by some selection of family entries
-    exactly when no edge on its path is listed, so the union of selection
-    supports is decided edge by edge without enumeration.
+    With ``floor`` 0 and the mixtures of a family of entries, a leaf is
+    charged by some selection of family entries exactly when no edge on its
+    path is listed, so the union of selection supports is decided edge by
+    edge without enumeration.
     """
     tree = model.tree
-    out = []
-    for v in tree.preorder:
-        kids = tree.children[v]
-        if not kids:
-            continue
-        weights = uniform_mixture(family[v]) if family[v] else (0.0,) * len(kids)
-        out.extend((v, c) for w, c in zip(weights, kids) if w <= floor)
-    return out
+    weight, parent = np.full(tree.n_nodes, np.inf), np.zeros(tree.n_nodes, dtype=int)
+    for nodes, kids in tree.levels(tree.leaves).values():     # per edge, by its head
+        weight[kids], parent[kids] = mixture[nodes, :kids.shape[1]], nodes[:, None]
+    heads, enter = np.flatnonzero(weight <= floor), np.asarray(tree.enter)
+    heads = heads[np.lexsort((enter[heads], enter[parent[heads]]))]
+    return list(zip(parent[heads].tolist(), heads.tolist()))
 
 
 def check_nondegenerate(model: ScenarioModel) -> CheckReport:
@@ -526,11 +524,9 @@ def check_nondegenerate(model: ScenarioModel) -> CheckReport:
     """
     tree = model.tree
     report = CheckReport(check="non-degeneracy", passed=True)
-    tail = {c: v for v, c in uncharged_edges(model, model.menus)}
-    heads = list(tail)
-    dead = [(leaf, tail[heads[i]], heads[i])
-            for leaf, i in zip(tree.leaves, tree.owner_index(heads, tree.leaves).tolist())
-            if i >= 0]
+    edges = uncharged_edges(model, model.mixture())
+    owner = tree.owner_index([c for _, c in edges], tree.leaves).tolist()
+    dead = [(leaf, *edges[i]) for leaf, i in zip(tree.leaves, owner) if i >= 0]
     for leaf, a, b in dead:
         report.add(f"leaf {leaf}",
                    f"every kernel at node {a} kills the edge to node {b}")

@@ -214,15 +214,15 @@ class FiltrationTree:
                 i += 1
         return out
 
-    def product_down(self, kernel: Mapping[int, Sequence[float]]) -> np.ndarray:
-        """The mass that the one-step laws ``kernel[v]`` of the internal
-        nodes carry from the root to every node: one level group of
-        :meth:`levels` at a time, shallowest first, each child's mass its
-        parent's times its weight; the mirror of :meth:`sum_up`."""
+    def product_down(self, kernel: np.ndarray) -> np.ndarray:
+        """The mass that the one-step laws of the internal nodes, a row of
+        ``kernel`` per node, carry from the root to every node: one level
+        group of :meth:`levels` at a time, shallowest first, each child's mass
+        its parent's times its weight; the mirror of :meth:`sum_up`."""
         mass = np.zeros(self.n_nodes)
         mass[self.root] = 1.0
         for nodes, kids in reversed(self._levels.values()):
-            mass[kids] = mass[nodes, None] * np.array([kernel[v] for v in nodes.tolist()])
+            mass[kids] = mass[nodes, None] * kernel[nodes, :kids.shape[1]]
         return mass
 
     def path(self, leaf: int) -> tuple[int, ...]:
@@ -306,6 +306,11 @@ class StoppingTime:
 
 
 def validate_stopping_time(tree: FiltrationTree, tau: StoppingTime) -> None:
+    """Raise unless ``tau`` is a stopping time of ``tree``.  A cut that
+    passed is marked in its ``__dict__`` (as ``cached_property`` stores
+    ``index``) with the tree it passed on, and is not checked on it again."""
+    if tau.__dict__.get("_valid_on") is tree:
+        return
     n = tree.n_nodes
     for v in tau.cut:
         if not 0 <= v < n:
@@ -319,6 +324,7 @@ def validate_stopping_time(tree: FiltrationTree, tau: StoppingTime) -> None:
         leaves += before[end] - before[tree.enter[v]]
     else:
         if leaves == len(tree.leaves):
+            tau.__dict__["_valid_on"] = tree
             return
     # name the first leaf whose path misses the cut or meets it twice
     hits = tree.cover(tau.index)[tree._span[0][list(tree.leaves)]]

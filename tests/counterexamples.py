@@ -7,6 +7,8 @@ branch.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from oracles import forward_mass
 from tcpp.errors import TcppError
 from tcpp.scenario import (MeasureSelection, MenuEntry, PenaltyProcess,
@@ -72,7 +74,7 @@ def non_rectangular_counterexample() -> tuple[TabularEvaluator, ScenarioModel, P
     }
     model = ScenarioModel(tree, menus)
     sel = MeasureSelection.of({0: 1, 1: 1, 2: 1})
-    supplied = {v: 0.0 for v in range(tree.n_nodes)}
+    supplied = np.zeros(tree.n_nodes)
     supplied[0] = 0.30        # tabulated alpha_{0,2}; cocycle demands 0.15
     supplied[1] = supplied[2] = 0.05
     penalty = PenaltyProcess(sel, supplied)

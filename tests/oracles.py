@@ -451,6 +451,46 @@ def dead_leaves_path_walk(model) -> list[tuple[int, int, int]]:
     return dead
 
 
+# -- menus read entry by entry -------------------------------------------------
+# The zero-penalty mixtures, the uncharged-edge walk and the selection check
+# as they read the ``MenuEntry`` view node by node; ``tcpp.scenario`` now
+# reads the packed level groups into node-indexed arrays.
+
+def uniform_mixture(entries: Sequence[MenuEntry]) -> tuple[float, ...]:
+    """Kernel of the equal-weight mixture of the entries' kernels."""
+    return tuple(sum(col) / len(entries) for col in zip(*(e.kernel for e in entries)))
+
+
+def uncharged_edges_walk(model, family, floor: float = 0.0) -> list[tuple[int, int]]:
+    """Edges (v, c), in preorder of v, to which the uniform mixture of the
+    entries ``family[v]`` gives weight at most ``floor``; every edge of a
+    node whose family is empty is listed.
+
+    With ``floor`` 0, a leaf is charged by some selection of family entries
+    exactly when no edge on its path is listed, so the union of selection
+    supports is decided edge by edge without enumeration.
+    """
+    tree = model.tree
+    out = []
+    for v in tree.preorder:
+        kids = tree.children[v]
+        if not kids:
+            continue
+        weights = uniform_mixture(family[v]) if family[v] else (0.0,) * len(kids)
+        out.extend((v, c) for w, c in zip(weights, kids) if w <= floor)
+    return out
+
+
+def check_selection_dict(model, sel) -> dict[int, int]:
+    choice = sel.as_dict()
+    for node in model.tree.internal_nodes():
+        if node not in choice:
+            raise TcppError(f"selection misses internal node {node}")
+        if not 0 <= choice[node] < len(model.menus[node]):
+            raise TcppError(f"selection index {choice[node]} out of range at node {node}")
+    return choice
+
+
 # -- the minimal penalty with one LP per node ------------------------------------
 # ``tcpp.scenario.minimal_penalty`` as first written node by node: the walk
 # from each atom down to tau, with the one-step conjugate solved as an LP over

@@ -8,7 +8,8 @@ import pytest
 import oracles
 import tcpp.pricing
 import tcpp.scenario
-from gen import deep_chain_model, random_claim, random_model, random_tree
+from gen import (deep_chain_model, killed_leaf_model, random_claim, random_model,
+                 random_tree)
 from tcpp.cli import main
 from tcpp.errors import MarketFileError, TcppError
 from tcpp.market import AssetProcess, GoodDealCaps, QuotedOption
@@ -462,3 +463,73 @@ def test_setting_out_of_range_names_its_line(line, capsys, tmp_path):
     assert main(["nfl", "--market", str(path)]) == 2
     key = line.split()[1]
     assert f"line 4: setting {key} must be finite and at least 0" in capsys.readouterr().err
+
+
+def test_an_option_the_command_does_not_read_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["nfl", "--market", BINOMIAL, "--samples", "3"])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_one_integers_call_draws_one_scalar_call_per_node():
+    # check-tcpp draws a cocycle selection's entries with one call
+    rng = np.random.default_rng(5)
+    for i in range(200):
+        sizes = rng.integers(1, 2 if i % 10 == 0 else 6, int(rng.integers(1, 80)))
+        seed = int(rng.integers(1 << 30))
+        one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert one.integers(sizes).tolist() == [int(each.integers(s)) for s in sizes.tolist()]
+        assert one.random() == each.random()
+
+
+def _write_market(tmp_path, name: str, model: ScenarioModel, rng) -> tuple[str, str, str]:
+    """A market file with the model, a claim at the horizon and a payoff
+    process on every node."""
+    tree = model.tree
+    paths = [str(tmp_path / f"{name}.{ext}") for ext in ("market", "claim", "process")]
+    with open(paths[0], "w") as fh:
+        fh.write(serialize_market(MarketData(tree, model)))
+    for path, nodes in zip(paths[1:], (tree.leaves, range(tree.n_nodes))):
+        with open(path, "w") as fh:
+            fh.writelines(f"value {v} {rng.uniform(-1.0, 2.0)!r}\n" for v in nodes)
+    return tuple(paths)
+
+
+def test_no_command_reads_the_menu_entry_view(monkeypatch, capsys, tmp_path):
+    """All eight commands print the same with ``ScenarioModel.menus``
+    raising: on the demos and on a free-lunch, a degenerate (killed leaf)
+    and a negative-penalty market."""
+    rng = np.random.default_rng(83)
+    tree = random_tree(rng, max_periods=2)
+    menus = dict(random_model(rng, tree).menus)
+    k = len(tree.children[tree.root])
+    menus[tree.root] = [MenuEntry((0.0,) + (1.0 / (k - 1),) * (k - 1), 0.0),
+                        MenuEntry((1.0 / k,) * k, 0.25)]
+    free_lunch = ScenarioModel(tree, menus)
+    degenerate = killed_leaf_model(rng, random_tree(rng, max_periods=2))[0]
+    menus = dict(random_model(rng, tree).menus)
+    v = tree.internal_nodes()[-1]
+    menus[v] = menus[v] + (MenuEntry(menus[v][0].kernel, -0.1),)
+    negative = ScenarioModel(tree, menus)
+    markets = [(BINOMIAL, CALL, PUT), (TRINOMIAL, DIGITAL, DIGITAL)] + [
+        _write_market(tmp_path, name, model, rng) for name, model in
+        (("free", free_lunch), ("degenerate", degenerate), ("negative", negative))]
+    argvs = []
+    for market, claim, process in markets:
+        m = ["--market", market]
+        argvs += [["price", *m, "--claim", claim], ["price", *m, "--claim", claim, "--at", "t:1"],
+                  ["check-tcpp", *m, "--samples", "20"], ["nfl", *m],
+                  ["bounds", *m, "--claim", claim], ["calibrate", *m], ["extends", *m],
+                  ["constrained", *m, "--claim", claim], ["american", *m, "--claim", process]]
+
+    def run(argv):
+        code = main(argv + ["--format", "machine"])
+        return code, capsys.readouterr()
+
+    want = [run(argv) for argv in argvs]
+    def refuse(self):
+        raise AssertionError("a command read ScenarioModel.menus")
+    monkeypatch.setattr(ScenarioModel, "menus", property(refuse))
+    assert [run(argv) for argv in argvs] == want
+    assert {code for code, _ in want} == {0, 1, 2}

@@ -17,7 +17,8 @@ from tcpp.nfl import (find_static_free_lunch,
 from tcpp.pricing import price, random_stopping_time
 from tcpp.scenario import (MeasureSelection, MenuEntry, ScenarioModel,
                            check_nondegenerate, enumerate_selections,
-                           minimal_penalty, selection_to_measure)
+                           minimal_penalty, selection_to_measure,
+                           uncharged_edges)
 from tcpp.settings import Settings
 from tcpp.tree import FiltrationTree, Measure, StoppingTime
 
@@ -284,3 +285,59 @@ def test_negative_penalty_rejected_naming_the_node():
                    find_zero_penalty_equivalent_measure):
         with pytest.raises(NegativePenalty, match=r"node 2 .*-0\.25"):
             search(model)
+
+
+# -- the packed menus against the entry-by-entry oracles -------------------------
+
+def menu_models(seed: int, count: int):
+    """Random models of 1-4 entries (so one level group pads its short
+    menus) on regular and irregular trees (one-child nodes), mixed models
+    (empty zero-penalty families, edges killed by the zero-penalty entries
+    or by every entry) and killed-leaf models on regular ones; every fourth
+    tree relabelled."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        kind = i % 4
+        tree = random_irregular_tree(rng) if kind == 0 else random_tree(rng)
+        if i % 8 >= 6:
+            tree = relabelled(tree, rng)
+        if kind < 2:
+            yield random_model(rng, tree, max_entries=4)
+        elif kind == 2:
+            yield mixed_model(rng, tree)
+        else:
+            yield killed_leaf_model(rng, tree)[0]
+
+
+def test_mixtures_match_the_uniform_mixture_of_the_entries_bit_for_bit():
+    empty = ragged = one_child = 0
+    for model in menu_models(41, 150):
+        tree = model.tree
+        width = max(map(len, tree.children))
+        ragged += any(len(set(model.menu_sizes[nodes].tolist())) > 1
+                      for nodes, _ in tree.levels(tree.leaves).values())
+        one_child += 1 in map(len, tree.children)
+        for cap in (math.inf, TOL, 0.1, -1.0):
+            mix = model.mixture(cap)
+            assert mix.shape == (tree.n_nodes, width)
+            assert not mix[list(tree.leaves)].any()
+            for v, entries in model.menus.items():
+                kept = [e for e in entries if e.penalty <= cap]
+                empty += not kept
+                want = oracles.uniform_mixture(kept) if kept else (0.0,) * len(tree.children[v])
+                assert mix[v].tolist() == list(want) + [0.0] * (width - len(want))
+    assert empty > 100 and ragged > 20 and one_child > 10
+
+
+def test_uncharged_edges_match_the_preorder_walk_in_content_and_order():
+    listed = 0
+    for model in menu_models(43, 150):
+        for cap in (math.inf, TOL, -1.0):
+            family = {v: [e for e in entries if e.penalty <= cap]
+                      for v, entries in model.menus.items()}
+            mix = model.mixture(cap)
+            for floor in (0.0, 1e-12, 0.2):
+                got = uncharged_edges(model, mix, floor)
+                assert got == oracles.uncharged_edges_walk(model, family, floor)
+                listed += len(got) > 1
+    assert listed > 200

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 import oracles
-from gen import random_claim, random_model, random_tree
+from gen import random_claim, random_irregular_tree, random_model, random_tree
 from tcpp.errors import EnumerationOverflow, TcppError
 from tcpp.scenario import (MeasureSelection, MenuEntry, PenaltyProcess,
-                           ScenarioModel, aggregate_penalty, check_cocycle,
-                           check_nondegenerate, cumulative_penalties,
-                           enumerate_selections, minimal_penalty,
-                           selection_to_measure)
+                           ScenarioModel, _check_selection, aggregate_penalty,
+                           check_cocycle, check_nondegenerate,
+                           cumulative_penalties, enumerate_selections,
+                           minimal_penalty, selection_to_measure)
 from tcpp.settings import Settings
 from tcpp.tree import Claim, FiltrationTree, Measure, StoppingTime, precedes
 from tcpp.pricing import price
@@ -138,7 +138,7 @@ def test_check_cocycle_accepts_construction_and_flags_perturbation():
     sel = next(iter(enumerate_selections(model)))
     proc = PenaltyProcess.from_selection(model, sel)
     assert check_cocycle(proc, model).passed
-    bad_vals = dict(proc.values)
+    bad_vals = proc.values.copy()
     victim = tree.internal_nodes()[0]
     bad_vals[victim] += 0.01
     rep = check_cocycle(PenaltyProcess(sel, bad_vals), model)
@@ -158,7 +158,7 @@ def test_cocycle_deterministic_weaker_than_stopping_times():
     sel = MeasureSelection.of({0: 0, 1: 0, 2: 0})
     true_vals = cumulative_penalties(model, sel)
     eps = 0.05
-    vals = dict(true_vals)
+    vals = true_vals.copy()
     vals[1] += eps / 0.5
     vals[2] -= eps / 0.5
     proc = PenaltyProcess(sel, vals)
@@ -275,3 +275,54 @@ def test_price_matches_enumeration_for_scenario_examples():
     sigma = StoppingTime.at_time(tree, 1)
     x = random_claim(rng, tree)
     assert price(model, x, sigma).allclose(oracles.price_enumerated(model, x, sigma), 1e-9)
+
+
+def test_selection_check_matches_the_dict_loop():
+    """Missing nodes, indexes out of range on either side, leaf keys and
+    keys outside the tree: the same message naming the same node, or the
+    same entry per internal node."""
+    rng = np.random.default_rng(61)
+    errors = set()
+    for i in range(300):
+        tree = (random_irregular_tree if i % 2 else random_tree)(rng)
+        model = random_model(rng, tree, max_entries=4)
+        internal = tree.internal_nodes()
+        choice = {v: int(rng.integers(model.menu_sizes[v])) for v in internal}
+        for _ in range(int(rng.integers(0, 3))):
+            v = internal[int(rng.integers(len(internal)))]
+            spoil = int(rng.integers(5))
+            if spoil == 0:
+                choice.pop(v, None)
+            elif spoil == 1:
+                choice[v] = int(model.menu_sizes[v] + rng.integers(0, 3))
+            elif spoil == 2:
+                choice[v] = -1 - int(rng.integers(0, 3))
+            elif spoil == 3:
+                choice[tree.leaves[int(rng.integers(len(tree.leaves)))]] = 9
+            else:
+                choice[int(rng.choice([-2, tree.n_nodes, tree.n_nodes + 7]))] = 0
+        sel = MeasureSelection.of(choice)
+        try:
+            want = oracles.check_selection_dict(model, sel)
+        except TcppError as exc:
+            with pytest.raises(TcppError) as err:
+                _check_selection(model, sel)
+            assert str(err.value) == str(exc)
+            errors.add(str(exc).split(" ")[1])
+        else:
+            got = _check_selection(model, sel)
+            assert got[list(internal)].tolist() == [want[v] for v in internal]
+    assert errors == {"misses", "index"}
+
+
+def test_check_cocycle_flags_a_horizon_value_and_refuses_a_short_process():
+    tree = FiltrationTree.binomial(2)
+    model = ScenarioModel.reference(tree)
+    sel = MeasureSelection.of({v: 0 for v in tree.internal_nodes()})
+    values = PenaltyProcess.from_selection(model, sel).values.copy()
+    values[3] = 0.5
+    rep = check_cocycle(PenaltyProcess(sel, values), model)
+    assert (rep.findings[0].where, rep.findings[0].message) == \
+        ("node 3", "horizon value 0.5 is not 0")
+    with pytest.raises(TcppError, match="needs 7 values"):
+        check_cocycle(PenaltyProcess(sel, values[:4]), model)

@@ -201,3 +201,21 @@ def test_lift_and_claim_algebra():
     assert (2.0 * z - z).allclose(z, 0.0)
     with pytest.raises(TcppError):
         Claim(StoppingTime.at_time(tree, 1), {1: 2.0})  # missing cut node
+
+
+def test_a_cut_validated_on_one_tree_is_checked_on_another():
+    binomial, trinomial, big = (FiltrationTree.binomial(2), FiltrationTree.trinomial(2),
+                                FiltrationTree.binomial(4))
+    cut = StoppingTime.of([1, 2])
+    validate_stopping_time(binomial, cut)
+    validate_stopping_time(binomial, cut)       # marked: returns at once
+    assert cut == StoppingTime.of([1, 2]) and hash(cut) == hash(StoppingTime.of([1, 2]))
+    with pytest.raises(TcppError, match="meets the cut 0 times"):
+        validate_stopping_time(trinomial, cut)   # root's third child missed
+    validate_stopping_time(FiltrationTree.binomial(2), cut)   # an equal tree
+    with pytest.raises(TcppError):
+        validate_stopping_time(trinomial, cut)
+    deep = StoppingTime.at_time(big, 4)
+    validate_stopping_time(big, deep)
+    with pytest.raises(ForeignNode):
+        validate_stopping_time(binomial, deep)

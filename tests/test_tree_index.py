@@ -147,7 +147,10 @@ def test_product_down_matches_forward_mass_bit_for_bit():
         weights = {v: tuple(np.where(rng.random(len(kids)) < 0.2, 0.0,
                                      rng.uniform(0.0, 1.0, len(kids))).tolist())
                    for v, kids in enumerate(tree.children) if kids}
-        mass = tree.product_down(weights)
+        rows = np.zeros((tree.n_nodes, max(map(len, tree.children))))
+        for v, w in weights.items():
+            rows[v, :len(w)] = w
+        mass = tree.product_down(rows)
         tau = random_stopping_time(tree, rng)
         want = oracles.forward_mass(tree, tree.root, tau.cut, weights.__getitem__)
         assert mass[tau.index].tolist() == [want[b] for b in tau.sorted()]
@@ -207,7 +210,7 @@ def test_cocycle_deterministic_identity_matches_pairwise_scan():
         base = PenaltyProcess.from_selection(model, sel)
         node = int(rng.integers(tree.n_nodes))
         for bump in (0.0, 1e-12, 1e-6):
-            values = dict(base.values)
+            values = base.values.copy()
             values[node] += bump
             penalty = PenaltyProcess(sel, values)
             got = check_cocycle(penalty, model).info["deterministic_passed"]
