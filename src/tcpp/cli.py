@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -247,7 +248,10 @@ _OPTIONS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing leaves
+    it unchanged, so each call of :func:`main` reuses it."""
     p = argparse.ArgumentParser(
         prog="tcpp",
         description="Time-consistent bid-ask pricing on finite event trees.")

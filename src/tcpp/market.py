@@ -6,7 +6,10 @@ constrained pricing one over per-node matrix games, each solved a level
 group of ``FiltrationTree.levels`` at a time in array operations.  Suprema
 over the equivalent measures equal those over the closure for linear
 objectives; an edge-by-edge check reports whether equivalent ones exist.
-Calibration still solves LPs over leaf masses.
+Calibration projects P on the martingale measures that price the quotes
+inside their bands, in relative entropy, through a dual whose value is the
+same kind of induction, over node-local log-partition functions.  LPs
+remain only in the quote-penalized bounds and in :class:`ConstraintSet`.
 """
 from __future__ import annotations
 
@@ -209,24 +212,6 @@ def _martingale_rows(tree: FiltrationTree,
     return rows
 
 
-def _equivalence_margin(tree: FiltrationTree, rows, extra_rows, settings: Settings):
-    """Solution of: maximize the minimum density over the polytope, the
-    leaf masses followed by the margin."""
-    nl = len(tree.leaves)
-    w = [tree.leaf_weights[v] for v in tree.leaves]
-    lp = LinearProgram(
-        objective=[0.0] * nl + [1.0],
-        constraints=[(r + [0.0], rel, b) for r, rel, b in rows + extra_rows]
-        + [([1.0 if j == i else 0.0 for j in range(nl)] + [-w[i]], GE, 0.0)
-           for i in range(nl)],
-        sense="max",
-    )
-    sol = solve(lp, settings)
-    if sol.status != "optimal":
-        raise NoMartingaleMeasure("martingale polytope is empty")
-    return sol
-
-
 @dataclass
 class MmeBounds:
     lower: float
@@ -271,30 +256,289 @@ def check_price_in_mme_bounds(model: ScenarioModel, assets: Sequence[AssetProces
 
 # -- calibration -------------------------------------------------------------
 
-def _quote_rows(tree: FiltrationTree, quotes: Sequence[QuotedOption]
-                ) -> list[tuple[list[float], str, float]]:
-    rows = []
-    for q in quotes:
-        coef = list(lift_to_leaves(tree, q.payoff))
-        rows.append((coef, GE, q.bid))
-        rows.append((coef, LE, q.ask))
-    return rows
-
-
 def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
                          quotes: Sequence[QuotedOption],
                          settings: Settings = DEFAULT) -> Measure | None:
-    """Equivalent martingale measure reproducing every quote inside its band,
-    found by maximizing the minimum density; None when only degenerate
-    (non-equivalent) solutions exist."""
-    rows = _martingale_rows(tree, assets)
+    """The martingale measure closest to P in relative entropy among those
+    pricing every quote inside its band (the I-projection of P; Avellaneda,
+    Friedman, Holmes and Samperi), or None when it is not equivalent to P.
+
+    The projection charges every leaf that some such measure charges
+    (Csiszar), so None means that no equivalent one exists.  It is found
+    through the dual, concave in one multiplier theta_i per quote,
+    D(theta) = V(root) - sum_i max(theta_i ask_i, theta_i bid_i), where V is
+    theta . g on the leaves and, one level group at a time,
+    V(n) = max_h -log sum_c p_c exp(-V(c) - h . dS_c) (:func:`_entropy_pass`).
+    Its maximizer's kernels q_c, proportional to p_c exp(-V(c) - h . dS_c),
+    make the projection.  Newton steps on the smooth piece of theta's signs
+    climb D, each moving no leaf exponent theta . g by more than a radius
+    that doubles on a step that rises as predicted and halves otherwise; a
+    coordinate stops at 0 where its price enters its band, so theta = 0
+    ends the search at once when every price under the first measure is
+    already inside its band.
+
+    None when some edge is charged by no martingale kernel (the test of
+    :func:`_kernel_bounds`), before any step; when the bands miss the
+    attainable prices: D exceeds -log of the smallest leaf weight, which
+    bounds KL(Q|P) for every Q; and when D's maximum is not attained: the
+    climb flattens out along a ray that recedes (:func:`_recedes`), or ends
+    with a price outside its band by more than ``feasibility_tol`` or a
+    leaf density at or below ``equivalence_floor``.  A kernel of the result
+    that misses the martingale condition by more than ``feasibility_tol``
+    raises :class:`NumericalBreakdown` naming its node.
+    """
+    zero = Claim.constant(StoppingTime.at_root(tree), 0.0)
     try:
-        sol = _equivalence_margin(tree, rows, _quote_rows(tree, quotes), settings)
+        if not _kernel_bounds(tree, assets, zero, np.full(tree.n_nodes, np.inf), settings)[2]:
+            return None
     except NoMartingaleMeasure:
         return None
-    if sol.value <= settings.equivalence_floor:
+    spot = _spot(tree, assets)
+    leaves = list(tree.leaves)
+    weight = np.array([tree.leaf_weights[v] for v in leaves])
+    pay = np.array([lift_to_leaves(tree, q.payoff) for q in quotes]).reshape(-1, len(leaves)).T
+    bid, ask = np.array([(q.bid, q.ask) for q in quotes]).reshape(-1, 2).T
+    p_mass = np.zeros(tree.n_nodes)
+    p_mass[leaves] = weight
+    tree.sum_up(p_mass)
+    steps = [(nodes, kids, p_mass[kids] / p_mass[nodes, None], spot[kids] - spot[nodes][:, None, :])
+             for nodes, kids in tree.levels(leaves).values()]
+
+    def climb(theta: np.ndarray) -> tuple[float, _EntropyPass]:
+        at = _entropy_pass(tree, steps, pay, theta)
+        return at.value - float(np.maximum(theta * ask, theta * bid).sum()), at
+
+    theta = np.zeros(len(quotes))
+    value, at = climb(theta)
+    # replicable combinations: null directions of -H, the same at every
+    # theta since every measure prices them alike, found at the first
+    lam, vec = np.linalg.eigh(-at.hess)
+    scale = float(np.abs(pay).max(initial=0.0)) ** 2
+    null = vec[:, lam <= settings.rank_tol * max(float(lam.max(initial=0.0)), scale)]
+    bound = -math.log(weight.min())
+    radius, last = 4.0, np.inf
+    while value <= bound + _ROUNDING * (1.0 + bound):
+        over, under = at.price - ask, at.price - bid
+        grad = np.where(theta > 0, over, np.where(theta < 0, under, np.where(
+            over > 0, over, np.where(under < 0, under, 0.0))))
+        step, linear = _ascent(theta, grad, at.hess, null, settings)
+        # the first coordinate the step takes through 0 stops it there
+        cross = np.flatnonzero((theta != 0) & (theta * step < 0))
+        ratio = -theta[cross] / step[cross]
+        reach = ratio.min(initial=np.inf)
+        moves = float(np.abs(pay @ step).max(initial=0.0))      # largest move of a leaf exponent
+        gain = float(grad @ step)
+        flat = not linear and gain <= _ROUNDING * (tree.horizon + 1.0) * (
+            1.0 + abs(at.value) + abs(value - at.value))
+        if flat:
+            # D's rise is below its rounding: done after this step once it
+            # is short too; a long one is taken while steps shorten, unless
+            # its ray recedes (D's supremum lies at infinity)
+            if not moves < last:
+                break
+            if moves <= math.sqrt(_ROUNDING):
+                last = 0.0
+            elif _recedes(tree, assets, pay, bid, ask, step / moves, settings):
+                return None
+            else:
+                last = moves
+            t = min(1.0, reach)
+        else:
+            t = min(np.inf if linear else 1.0, reach, radius / max(moves, _TINY))
+        trial = theta + t * step
+        if t == reach:
+            trial[cross[ratio.argmin()]] = 0.0
+        if np.array_equal(trial, theta):
+            break
+        trial_value, trial_at = climb(trial)
+        if flat or trial_value >= value + 1e-4 * t * gain:
+            radius = max(radius, 2.0 * t * moves)
+            theta, value, at = trial, trial_value, trial_at
+        else:
+            radius = 0.5 * t * moves
+    else:
+        return None                     # above every feasible measure's entropy
+    inside = (at.price >= bid - settings.feasibility_tol) & (at.price <= ask + settings.feasibility_tol)
+    if not inside.all() or (at.mass[leaves] / weight).min() <= settings.equivalence_floor:
         return None
-    return Measure.from_leaf_masses(tree, sol.point[:len(tree.leaves)])
+    for nodes, kids, _, drift in steps:
+        gap = np.abs(np.einsum("gc,gcd->gd", at.mass[kids] / at.mass[nodes, None], drift))
+        off = gap.max(1, initial=0.0) > settings.feasibility_tol * (1.0 + np.abs(spot[nodes]).max(1, initial=0.0))
+        if off.any():
+            i = int(off.argmax())
+            raise NumericalBreakdown(f"calibrated kernel at node {nodes[i]} misses the martingale "
+                                     f"condition by {gap[i].max()!r}")
+    return Measure.from_leaf_masses(tree, at.mass[leaves])
+
+
+def _recedes(tree: FiltrationTree, assets: Sequence[AssetProcess], pay: np.ndarray,
+             bid: np.ndarray, ask: np.ndarray, r: np.ndarray, settings: Settings) -> bool:
+    """Whether D's supremum lies at infinity along r, scaled so that r . g
+    is at most 1 in size: D(t r) / t tends to the least price of r . g over
+    the martingale measures less sum_i max(r_i ask_i, r_i bid_i), and where
+    that is 0 while r . g does not replicate, only measures of least price,
+    none of them equivalent, meet the bands.  Both compare to the square
+    root of ``feasibility_tol``, as r is known from Newton steps."""
+    x = Claim(StoppingTime.at_horizon(tree), pay @ r)
+    lo, hi, _ = _kernel_bounds(tree, assets, x, np.full(tree.n_nodes, np.inf), settings)
+    tol = math.sqrt(settings.feasibility_tol)
+    return lo >= float(np.maximum(r * ask, r * bid).sum()) - tol and hi > lo + tol
+
+
+# rounding of a sum of a few exponentials and logarithms, relative to its
+# size; curvature below _TINY counts as none, so that its inverse is finite
+_ROUNDING = 64.0 * np.finfo(float).eps
+_TINY = math.sqrt(np.finfo(float).tiny)
+
+
+@dataclass
+class _EntropyPass:
+    value: float          # V(root)
+    price: np.ndarray     # E_Q g, one per quote
+    hess: np.ndarray      # the Hessian of V(root) in theta
+    mass: np.ndarray      # Q's mass of every node
+
+
+def _entropy_pass(tree: FiltrationTree, steps, pay: np.ndarray,
+                  theta: np.ndarray) -> _EntropyPass:
+    """V, the measure Q of the maximizing kernels, its quote prices and the
+    Hessian of V(root) in theta: one backward induction over ``steps`` (a
+    level group's nodes, children, reference kernels and asset moves), the
+    hedges of :func:`_hedge`, and one product down.  The prices J(n) =
+    E_q J(c), J = g on the leaves, are V's gradient at every node (envelope
+    theorem); the Hessian adds, per node n, -Q(n) times the covariance of
+    J(c) under q that is left after regressing J(c) on dS_c."""
+    n, leaves = tree.n_nodes, list(tree.leaves)
+    value, price = np.zeros(n), np.zeros((n, pay.shape[1]))
+    value[leaves], price[leaves] = pay @ theta, pay
+    kernel = np.zeros((n, max(map(len, tree.children))))
+    resid = []
+    for nodes, kids, p, drift in steps:
+        q, value[nodes] = _hedge(p, value[kids], drift)
+        kernel[nodes, :q.shape[1]] = q
+        price[nodes] = np.einsum("gc,gck->gk", q, price[kids])
+        dj = price[kids] - price[nodes][:, None]
+        cjd = np.einsum("gc,gck,gcd->gkd", q, dj, drift)
+        css = np.einsum("gc,gcd,gce->gde", q, drift, drift)
+        resid.append(np.einsum("gc,gck,gcl->gkl", q, dj, dj)
+                     - np.einsum("gkd,gld->gkl", cjd, _solve_psd(css[:, None], cjd)))
+    mass = tree.product_down(kernel)
+    hess = -sum(np.einsum("g,gkl->kl", mass[nodes], r) for (nodes, *_), r in zip(steps, resid))
+    return _EntropyPass(float(value[tree.root]), price[tree.root], hess, mass)
+
+
+def _hedge(p: np.ndarray, v: np.ndarray, drift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node of a level group, the hedge minimizing the convex
+    f(h) = log sum_c p_c exp(-v_c - h . drift_c).  The gradient
+    is -E_q drift, the martingale gap of the kernel q, proportional to
+    p_c exp(-v_c - h . drift_c), and the Hessian is q's covariance of drift.
+
+    Newton steps move no exponent by more than the node's radius, which
+    doubles on a step that lowers f by a part of the predicted fall and
+    halves otherwise, until a step no longer moves h.  Where the covariance
+    sees no curvature along the gap (children beyond the floats' reach)
+    the step follows the gap.  Once the predicted fall is below f's
+    rounding, full Newton steps go on while each halves the gap, which
+    leaves it at the rounding of the floats; a node whose gap is there
+    already stops.  Returns the kernels and the values -f."""
+    base = v.min(1, initial=np.inf)
+    v = v - base[:, None]
+    # start where the exponents -v - h . drift spread least under p: the
+    # weighted least-squares fit of -v by the hedge
+    dv, dd = v - (p * v).sum(1, keepdims=True), drift - np.einsum("gc,gcd->gd", p, drift)[:, None]
+    h = -_solve_psd(np.einsum("gc,gcd,gce->gde", p, dd, dd), np.einsum("gc,gcd,gc->gd", p, dd, dv))
+    f, q = _log_partition(p, v, drift, h)
+    gap = np.einsum("gc,gcd->gd", q, drift)
+    radius = np.full(len(h), 4.0)
+    rounding = 4.0 * np.finfo(float).eps * np.abs(drift).max((1, 2), initial=0.0)
+    todo = np.flatnonzero(np.abs(gap).max(1, initial=0.0) > rounding)
+    while len(todo):
+        qi, di, gi = q[todo], drift[todo], gap[todo]
+        dev = di - gi[:, None]
+        step = _solve_psd(np.einsum("gc,gcd,gce->gde", qi, dev, dev), gi)
+        stuck = ~step.any(1)
+        step = np.where(stuck[:, None], gi, step)
+        fall = (step * gi).sum(1)
+        polish = ~stuck & (fall <= _ROUNDING * (1.0 + np.abs(f[todo])))
+        moves = np.abs(np.einsum("gcd,gd->gc", di, step)).max(1, initial=0.0)
+        t = radius[todo] / np.maximum(moves, _TINY)
+        t = np.where(polish, 1.0, np.where(stuck, t, np.minimum(1.0, t)))
+        trial = h[todo] + t[:, None] * step
+        ft, qt = _log_partition(p[todo], v[todo], di, trial)
+        gt = np.einsum("gc,gcd->gd", qt, di)
+        size, was = np.abs(gt).max(1, initial=0.0), np.abs(gi).max(1, initial=0.0)
+        ok = np.where(polish, size <= 0.5 * was, ft < f[todo] - 1e-4 * t * fall)
+        moved = (trial != h[todo]).any(1)
+        acc = todo[ok]
+        h[acc], f[acc], q[acc], gap[acc] = trial[ok], ft[ok], qt[ok], gt[ok]
+        radius[todo] = np.where(ok, np.maximum(radius[todo], 2.0 * t * moves), 0.5 * t * moves)
+        todo = todo[(ok | ~polish & moved) & (fall > 0) & (np.where(ok, size, was) > rounding[todo])]
+    return q, base - f
+
+
+def _solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^+ b for a stack of symmetric positive semidefinite matrices ``a``
+    (broadcast over ``b``'s leading axes), dropping eigenvalues below
+    ``_TINY`` or a 1e-15 part of the largest, so that no quotient overflows."""
+    lam, vec = np.linalg.eigh(a)
+    keep = lam > np.maximum(1e-15 * lam.max(-1, keepdims=True, initial=0.0), _TINY)
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
+    return np.einsum("...de,...e,...fe,...f->...d", vec, inv, vec, b)
+
+
+def _log_partition(p: np.ndarray, v: np.ndarray, drift: np.ndarray,
+                   h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log sum_c p_c exp(-v_c - h . drift_c) per node, and the normalized terms."""
+    z = -v - np.einsum("gcd,gd->gc", drift, h)
+    top = z.max(1)
+    w = p * np.exp(z - top[:, None])
+    s = w.sum(1)
+    return top + np.log(s), w / s[:, None]
+
+
+def _ascent(theta: np.ndarray, grad: np.ndarray, hess: np.ndarray, null: np.ndarray,
+            settings: Settings) -> tuple[np.ndarray, bool]:
+    """A step up D from theta, and whether D is linear along it.
+
+    The free coordinates are those off 0 and those at 0 whose gradient
+    leaves the band; a coordinate at 0 that the step would take to the
+    side its gradient does not point to is held at 0 instead.  ``null``
+    spans the combinations of quotes that replicate, along which every
+    measure prices alike and D is linear; a gradient component along the
+    free ones above ``feasibility_tol`` is followed first.  Otherwise the
+    step is Newton's, -H^-1 grad on the rest."""
+    free = (theta != 0) | (grad != 0)
+    while free.any():
+        idx = np.flatnonzero(free)
+        lin, rest = _replicable_on(null, free)
+        g = grad[idx]
+        along = lin @ (lin.T @ g)
+        linear = bool(np.abs(along).max(initial=0.0) > settings.feasibility_tol)
+        if linear:
+            sub = along
+        else:
+            sub = rest @ _solve_psd(rest.T @ -hess[np.ix_(idx, idx)] @ rest, rest.T @ g)
+        held = (theta[idx] == 0) & (sub * g < 0)
+        if not held.any():
+            step = np.zeros(len(theta))
+            step[idx] = sub
+            return step, linear
+        free[idx[held]] = False
+    return np.zeros(len(theta)), False
+
+
+def _replicable_on(null: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases, over the ``free`` coordinates, of the combinations
+    in the span of ``null`` that are zero off them, and of the rest."""
+    a = np.eye(null.shape[1])
+    if (~free).any() and null.shape[1]:
+        _, s, vt = np.linalg.svd(null[~free])
+        a = vt[int((s > 1e-9).sum()):].T
+    lin = null[free] @ a
+    if not lin.shape[1]:
+        return lin, np.eye(int(free.sum()))
+    u = np.linalg.svd(lin)[0]
+    return u[:, :lin.shape[1]], u[:, lin.shape[1]:]
 
 
 def check_strong_admissibility(model: ScenarioModel, assets: Sequence[AssetProcess],

@@ -22,7 +22,10 @@ class Settings:
                       accepted as equivalent; the no-free-lunch searches and
                       the martingale bounds apply it per edge, to each
                       one-step weight, so that leaf masses on deep trees
-                      (products of many edge weights) may fall below it
+                      (products of many edge weights) may fall below it;
+                      calibration applies it per edge to the martingale
+                      kernels before its search, and then to every leaf
+                      density dQ/dP of the measure it returns
     max_enum          cap on the game kernels tried per node in constrained
                       pricing, on the kernel supports tried per node by the
                       martingale and good-deal bounds, on the menu-entry

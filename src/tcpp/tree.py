@@ -121,6 +121,10 @@ class FiltrationTree:
         self._p_mass = self.sum_up(mass).tolist()
 
     # -- basic queries ----------------------------------------------------
+    @functools.cached_property
+    def _horizon_cut(self) -> "StoppingTime":
+        return StoppingTime(frozenset(self.leaves))
+
     @property
     def n_nodes(self) -> int:
         return len(self.times)
@@ -292,7 +296,9 @@ class StoppingTime:
 
     @staticmethod
     def at_horizon(tree: FiltrationTree) -> "StoppingTime":
-        return StoppingTime(frozenset(tree.leaves))
+        """The leaves, one object per tree, so that the mark of
+        :func:`validate_stopping_time` stays on it."""
+        return tree._horizon_cut
 
     @functools.cached_property
     def index(self) -> np.ndarray:

@@ -18,6 +18,14 @@ def random_tree(rng: np.random.Generator, max_periods: int = 3,
     return FiltrationTree.from_branching(branching, list(w))
 
 
+def random_trinomial(rng: np.random.Generator, periods: int) -> FiltrationTree:
+    """Trinomial tree of ``periods`` periods with random leaf weights."""
+    n_leaves = 3 ** periods
+    w = rng.dirichlet(np.full(n_leaves, 3.0))
+    w = (w + 0.02) / (1.0 + 0.02 * n_leaves)
+    return FiltrationTree.trinomial(periods, list(w))
+
+
 def relabelled(tree: FiltrationTree, rng: np.random.Generator) -> FiltrationTree:
     """The same tree under shuffled node ids, so that id order, level order
     and preorder all disagree."""

@@ -9,7 +9,7 @@ from hypothesis import settings as hsettings
 from hypothesis import strategies as st
 
 from gen import (martingale_assets, random_claim, random_irregular_tree, random_tree,
-                 relabelled)
+                 random_trinomial, relabelled)
 from oracles import good_deal_bounds_cuts, good_deal_segment_oracle, mme_bounds_lp
 from tcpp.errors import (EmptyGoodDealSet, EnumerationOverflow, NoMartingaleMeasure,
                          TcppError)
@@ -112,10 +112,12 @@ def test_non_finite_claim_rejected():
 
 # -- properties over random trees ----------------------------------------------
 
-def martingale_market(rng: np.random.Generator, n_assets: int):
-    """A random tree and assets that are martingales under one kernel near P
-    at every node, with a random claim at the horizon."""
-    tree = random_tree(rng, max_periods=4, max_branch=4)
+def martingale_market(rng: np.random.Generator, n_assets: int, trinomial: bool = False):
+    """A random tree, or a trinomial one of 1-3 periods, and assets that are
+    martingales under one kernel near P at every node, with a random claim
+    at the horizon."""
+    tree = (random_trinomial(rng, int(rng.integers(1, 4))) if trinomial
+            else random_tree(rng, max_periods=4, max_branch=4))
     assets = martingale_assets(rng, tree, n_assets)
     x = Claim(StoppingTime.at_horizon(tree),
               {b: float(rng.uniform(-1.0, 1.0)) for b in tree.leaves})
@@ -133,9 +135,10 @@ PROPERTY = hsettings(derandomize=True, database=None, max_examples=30, deadline=
 
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), n_assets=st.integers(1, 2),
-       caps=st.lists(st.floats(1.0, 3.0), min_size=2, max_size=2, unique=True))
-def test_good_deal_sets_nest_inside_the_martingale_bounds(seed, n_assets, caps):
-    tree, assets, x = martingale_market(np.random.default_rng(seed), n_assets)
+       caps=st.lists(st.floats(1.0, 3.0), min_size=2, max_size=2, unique=True),
+       trinomial=st.booleans())
+def test_good_deal_sets_nest_inside_the_martingale_bounds(seed, n_assets, caps, trinomial):
+    tree, assets, x = martingale_market(np.random.default_rng(seed), n_assets, trinomial)
     base = mme_bounds(tree, assets, x)
     assert good_deal_bounds(tree, assets, GoodDealCaps.uniform(INF), x) == tuple(base)
     small, large = sorted(caps)

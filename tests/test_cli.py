@@ -472,6 +472,24 @@ def test_an_option_the_command_does_not_read_exits_two(capsys):
     assert "--samples" in capsys.readouterr().err
 
 
+def test_main_builds_the_parser_once_and_a_usage_error_leaves_it_unchanged(capsys, monkeypatch):
+    import tcpp.cli
+    built = []
+    parse = tcpp.cli.argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(tcpp.cli.argparse.ArgumentParser, "parse_args",
+                        lambda self, *a, **k: built.append(self) or parse(self, *a, **k))
+    argv = ["price", "--market", BINOMIAL, "--claim", CALL, "--format", "machine"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["price", "--market", BINOMIAL, "--claim", CALL, "--no-such-option"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert len(built) == 3 and built[0] is built[1] is built[2] is tcpp.cli.build_parser()
+
+
 def test_one_integers_call_draws_one_scalar_call_per_node():
     # check-tcpp draws a cocycle selection's entries with one call
     rng = np.random.default_rng(5)

@@ -203,6 +203,16 @@ def test_lift_and_claim_algebra():
         Claim(StoppingTime.at_time(tree, 1), {1: 2.0})  # missing cut node
 
 
+def test_the_horizon_is_one_cut_per_tree_and_keeps_its_mark():
+    tree, other = FiltrationTree.binomial(3), FiltrationTree.binomial(3)
+    horizon = StoppingTime.at_horizon(tree)
+    assert StoppingTime.at_horizon(tree) is horizon
+    assert StoppingTime.at_horizon(other) is not horizon and StoppingTime.at_horizon(other) == horizon
+    assert horizon.cut == frozenset(tree.leaves)
+    validate_stopping_time(tree, horizon)
+    assert StoppingTime.at_horizon(tree).__dict__["_valid_on"] is tree
+
+
 def test_a_cut_validated_on_one_tree_is_checked_on_another():
     binomial, trinomial, big = (FiltrationTree.binomial(2), FiltrationTree.trinomial(2),
                                 FiltrationTree.binomial(4))
