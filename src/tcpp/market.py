@@ -9,7 +9,9 @@ objectives; an edge-by-edge check reports whether equivalent ones exist.
 Calibration projects P on the martingale measures that price the quotes
 inside their bands, in relative entropy, through a dual whose value is the
 same kind of induction, over node-local log-partition functions.  LPs
-remain only in the quote-penalized bounds and in :class:`ConstraintSet`.
+remain in the quote-penalized bounds, in :class:`ConstraintSet`, and in
+calibration's fallback over leaf masses, for the verdicts that the
+projection leaves open.
 """
 from __future__ import annotations
 
@@ -261,11 +263,11 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
                          settings: Settings = DEFAULT) -> Measure | None:
     """The martingale measure closest to P in relative entropy among those
     pricing every quote inside its band (the I-projection of P; Avellaneda,
-    Friedman, Holmes and Samperi), or None when it is not equivalent to P.
+    Friedman, Holmes and Samperi), or None when no equivalent one exists.
 
     The projection charges every leaf that some such measure charges
-    (Csiszar), so None means that no equivalent one exists.  It is found
-    through the dual, concave in one multiplier theta_i per quote,
+    (Csiszar), so in exact arithmetic it is equivalent when any is.  It is
+    found through the dual, concave in one multiplier theta_i per quote,
     D(theta) = V(root) - sum_i max(theta_i ask_i, theta_i bid_i), where V is
     theta . g on the leaves and, one level group at a time,
     V(n) = max_h -log sum_c p_c exp(-V(c) - h . dS_c) (:func:`_entropy_pass`).
@@ -281,28 +283,31 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
     :func:`_kernel_bounds`), before any step; when the bands miss the
     attainable prices: D exceeds -log of the smallest leaf weight, which
     bounds KL(Q|P) for every Q; and when D's maximum is not attained: the
-    climb flattens out along a ray that recedes (:func:`_recedes`), or ends
-    with a price outside its band by more than ``feasibility_tol`` or a
-    leaf density at or below ``equivalence_floor``.  A kernel of the result
-    that misses the martingale condition by more than ``feasibility_tol``
-    raises :class:`NumericalBreakdown` naming its node.
+    climb flattens out along a ray that recedes (:func:`_recedes`).  The
+    leaf-mass LP of :func:`_calibration_lp` decides instead where the
+    projection cannot: when the climb ends with a price outside its band by
+    more than ``feasibility_tol`` or a leaf density at or below
+    ``equivalence_floor`` (tilts that multiply along the paths can take the
+    projection's densities far below those of another calibrated measure),
+    and when a node's kernel supports exceed ``max_enum``.  A kernel of the
+    result that misses the martingale condition by more than
+    ``feasibility_tol`` raises :class:`NumericalBreakdown` naming its node.
     """
+    spot = _spot(tree, assets)
+    steps = _level_steps(tree, spot)
     zero = Claim.constant(StoppingTime.at_root(tree), 0.0)
     try:
-        if not _kernel_bounds(tree, assets, zero, np.full(tree.n_nodes, np.inf), settings)[2]:
+        if not _kernel_bounds(tree, assets, zero, np.full(tree.n_nodes, np.inf), settings,
+                              steps)[2]:
             return None
     except NoMartingaleMeasure:
         return None
-    spot = _spot(tree, assets)
+    except EnumerationOverflow:
+        return _calibration_lp(tree, assets, quotes, settings)
     leaves = list(tree.leaves)
     weight = np.array([tree.leaf_weights[v] for v in leaves])
     pay = np.array([lift_to_leaves(tree, q.payoff) for q in quotes]).reshape(-1, len(leaves)).T
     bid, ask = np.array([(q.bid, q.ask) for q in quotes]).reshape(-1, 2).T
-    p_mass = np.zeros(tree.n_nodes)
-    p_mass[leaves] = weight
-    tree.sum_up(p_mass)
-    steps = [(nodes, kids, p_mass[kids] / p_mass[nodes, None], spot[kids] - spot[nodes][:, None, :])
-             for nodes, kids in tree.levels(leaves).values()]
 
     def climb(theta: np.ndarray) -> tuple[float, _EntropyPass]:
         at = _entropy_pass(tree, steps, pay, theta)
@@ -338,7 +343,7 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
                 break
             if moves <= math.sqrt(_ROUNDING):
                 last = 0.0
-            elif _recedes(tree, assets, pay, bid, ask, step / moves, settings):
+            elif _recedes(tree, assets, steps, pay, bid, ask, step / moves, settings):
                 return None
             else:
                 last = moves
@@ -360,7 +365,7 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
         return None                     # above every feasible measure's entropy
     inside = (at.price >= bid - settings.feasibility_tol) & (at.price <= ask + settings.feasibility_tol)
     if not inside.all() or (at.mass[leaves] / weight).min() <= settings.equivalence_floor:
-        return None
+        return _calibration_lp(tree, assets, quotes, settings)
     for nodes, kids, _, drift in steps:
         gap = np.abs(np.einsum("gc,gcd->gd", at.mass[kids] / at.mass[nodes, None], drift))
         off = gap.max(1, initial=0.0) > settings.feasibility_tol * (1.0 + np.abs(spot[nodes]).max(1, initial=0.0))
@@ -371,8 +376,9 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
     return Measure.from_leaf_masses(tree, at.mass[leaves])
 
 
-def _recedes(tree: FiltrationTree, assets: Sequence[AssetProcess], pay: np.ndarray,
-             bid: np.ndarray, ask: np.ndarray, r: np.ndarray, settings: Settings) -> bool:
+def _recedes(tree: FiltrationTree, assets: Sequence[AssetProcess], steps: list,
+             pay: np.ndarray, bid: np.ndarray, ask: np.ndarray, r: np.ndarray,
+             settings: Settings) -> bool:
     """Whether D's supremum lies at infinity along r, scaled so that r . g
     is at most 1 in size: D(t r) / t tends to the least price of r . g over
     the martingale measures less sum_i max(r_i ask_i, r_i bid_i), and where
@@ -380,9 +386,52 @@ def _recedes(tree: FiltrationTree, assets: Sequence[AssetProcess], pay: np.ndarr
     none of them equivalent, meet the bands.  Both compare to the square
     root of ``feasibility_tol``, as r is known from Newton steps."""
     x = Claim(StoppingTime.at_horizon(tree), pay @ r)
-    lo, hi, _ = _kernel_bounds(tree, assets, x, np.full(tree.n_nodes, np.inf), settings)
+    lo, hi, _ = _kernel_bounds(tree, assets, x, np.full(tree.n_nodes, np.inf), settings, steps)
     tol = math.sqrt(settings.feasibility_tol)
     return lo >= float(np.maximum(r * ask, r * bid).sum()) - tol and hi > lo + tol
+
+
+def _calibration_lp(tree: FiltrationTree, assets: Sequence[AssetProcess],
+                    quotes: Sequence[QuotedOption], settings: Settings) -> Measure | None:
+    """The martingale measure pricing every quote inside its band with the
+    largest least density dQ/dP, from one LP over the leaf masses; None when
+    that density is at most ``equivalence_floor``."""
+    rows = _martingale_rows(tree, assets)
+    try:
+        sol = _equivalence_margin(tree, rows, _quote_rows(tree, quotes), settings)
+    except NoMartingaleMeasure:
+        return None
+    if sol.value <= settings.equivalence_floor:
+        return None
+    return Measure.from_leaf_masses(tree, sol.point[:len(tree.leaves)])
+
+
+def _equivalence_margin(tree: FiltrationTree, rows, extra_rows, settings: Settings):
+    """Solution of: maximize the minimum density over the polytope, the
+    leaf masses followed by the margin."""
+    nl = len(tree.leaves)
+    w = [tree.leaf_weights[v] for v in tree.leaves]
+    lp = LinearProgram(
+        objective=[0.0] * nl + [1.0],
+        constraints=[(r + [0.0], rel, b) for r, rel, b in rows + extra_rows]
+        + [([1.0 if j == i else 0.0 for j in range(nl)] + [-w[i]], GE, 0.0)
+           for i in range(nl)],
+        sense="max",
+    )
+    sol = solve(lp, settings)
+    if sol.status != "optimal":
+        raise NoMartingaleMeasure("martingale polytope is empty")
+    return sol
+
+
+def _quote_rows(tree: FiltrationTree, quotes: Sequence[QuotedOption]
+                ) -> list[tuple[list[float], str, float]]:
+    rows = []
+    for q in quotes:
+        coef = list(lift_to_leaves(tree, q.payoff))
+        rows.append((coef, GE, q.bid))
+        rows.append((coef, LE, q.ask))
+    return rows
 
 
 # rounding of a sum of a few exponentials and logarithms, relative to its
@@ -632,10 +681,12 @@ def good_deal_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess],
 
 
 def _kernel_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess], x: Claim,
-                   cap: np.ndarray, settings: Settings) -> tuple[float, float, bool]:
+                   cap: np.ndarray, settings: Settings,
+                   steps: list | None = None) -> tuple[float, float, bool]:
     """Extremes of E_Q x over the measures whose kernel at each node n lies in
     K_n = {q >= 0, sum q = 1, q . (S(c) - S(n)) = 0, sum q_c^2/p_c <= cap[n]^2},
-    and whether one of them is equivalent to P.
+    and whether one of them is equivalent to P; ``steps`` are those of
+    :func:`_level_steps`, built here when not given.
 
     The family is stable under pasting, so a bound is the induction
     U(n) = max over q in K_n of q . U(children).  An empty K_n gives -inf,
@@ -647,22 +698,21 @@ def _kernel_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess], x: Clai
     charging kernels is one."""
     validate_stopping_time(tree, x.at)
     require_finite(x, "claim value")
-    spot = _spot(tree, assets)
-    steps = []
-    for (t, k), (nodes, kids) in tree.levels(tree.leaves).items():
-        size = k if np.isfinite(cap[nodes]).any() else min(k, len(assets) + 1)
-        _cap_supports(k, size, settings,
-                      f"kernel supports per node at time {t} (arity {k})")
-        steps.append((nodes, kids, size))
+    if steps is None:
+        steps = _level_steps(tree, _spot(tree, assets))
+    sizes = []
+    for nodes, kids, *_ in steps:
+        k = kids.shape[1]
+        sizes.append(k if np.isfinite(cap[nodes]).any() else min(k, len(assets) + 1))
+        _cap_supports(k, sizes[-1], settings,
+                      f"kernel supports per node at time {tree.times[nodes[0]]} (arity {k})")
     values = np.empty((2, tree.n_nodes))      # the lower side negated, the upper side
     values[:, list(tree.leaves)] = np.outer([-1.0, 1.0], lift_to_leaves(tree, x))
     charged = True
-    for nodes, kids, size in steps:
+    for (nodes, kids, p, drift), size in zip(steps, sizes):
         v = values[:, kids]
         edges = np.where(np.isinf(v).any(0), -np.inf, np.eye(kids.shape[1])[:, None, :])
-        out = _kernel_max(np.array([tree.p_kernel(n) for n in nodes]),
-                          spot[kids] - spot[nodes][:, None, :], cap[nodes],
-                          np.concatenate([v, edges]), size, settings)
+        out = _kernel_max(p, drift, cap[nodes], np.concatenate([v, edges]), size, settings)
         values[:, nodes] = out[:2]
         charged &= bool((out[2:] > settings.equivalence_floor).all())
     dead = np.isinf(values).any(0)
@@ -670,7 +720,7 @@ def _kernel_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess], x: Clai
         node = next(v for v in tree.preorder
                     if dead[v] and not dead[list(tree.children[v])].any())
         if np.isfinite(cap).any():
-            _kernel_bounds(tree, assets, x, np.full(tree.n_nodes, np.inf), settings)
+            _kernel_bounds(tree, assets, x, np.full(tree.n_nodes, np.inf), settings, steps)
             raise EmptyGoodDealSet(f"caps exclude every martingale kernel at node {node}")
         raise NoMartingaleMeasure(f"no martingale kernel at node {node}")
     return -float(values[0, tree.root]), float(values[1, tree.root]), charged
@@ -726,6 +776,16 @@ def constrained_price(tree: FiltrationTree, assets: Sequence[AssetProcess],
                 f"{lower[i]!r} and its hedge certificate {upper[i]!r} disagree")
         values[nodes] = lower
     return Claim(StoppingTime.at_root(tree), values[[tree.root]])
+
+
+def _level_steps(tree: FiltrationTree, spot: np.ndarray
+                 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Per level group of :meth:`FiltrationTree.levels` above the leaves,
+    deepest first: its nodes, their children (a row per node), the reference
+    kernels and the moves of the assets (``spot``, of :func:`_spot`)."""
+    return [(nodes, kids, np.array([tree.p_kernel(n) for n in nodes]),
+             spot[kids] - spot[nodes][:, None, :])
+            for nodes, kids in tree.levels(tree.leaves).values()]
 
 
 def _spot(tree: FiltrationTree, assets: Sequence[AssetProcess]) -> np.ndarray:

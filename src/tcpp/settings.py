@@ -25,10 +25,15 @@ class Settings:
                       (products of many edge weights) may fall below it;
                       calibration applies it per edge to the martingale
                       kernels before its search, and then to every leaf
-                      density dQ/dP of the measure it returns
+                      density dQ/dP of the measure it returns; a projection
+                      whose least density is at or below it goes to a
+                      leaf-mass LP, which applies it to the largest least
+                      density
     max_enum          cap on the game kernels tried per node in constrained
                       pricing, on the kernel supports tried per node by the
-                      martingale and good-deal bounds, on the menu-entry
+                      martingale and good-deal bounds (calibration, which
+                      tests its edges with them, goes to a leaf-mass LP
+                      where they exceed it), on the menu-entry
                       supports (at most arity entries each) tried per node
                       by the minimal penalty, and on the reference
                       enumerators of selections and stopping times

@@ -12,7 +12,7 @@ from tcpp.errors import (EmptyGoodDealSet, ForeignNode, MarketFileError,
                          NoMartingaleMeasure, NumericalBreakdown, TcppError)
 from tcpp.lp import EQ, GE, LE, LinearProgram, solve
 from tcpp.market import (AssetProcess, ConstraintSet, GoodDealCaps, QuotedOption,
-                         _martingale_rows)
+                         _calibration_lp, _equivalence_margin, _martingale_rows)
 from tcpp.marketfile import MarketData
 from tcpp.pricing import (SublinearReport, backward_pass, enumerate_stop_sets,
                           price)
@@ -641,39 +641,12 @@ def american_enumerated(model, payoff, nu, tau, settings=DEFAULT):
 
 
 # -- martingale and good-deal bounds and calibration over leaf masses --------------
-# The dense leaf-mass LPs behind ``tcpp.market.mme_bounds`` and
-# ``calibration_feasible`` and the cutting-plane loop behind ``good_deal_bounds``,
-# before the bounds became one node-local induction and calibration a
-# relative-entropy projection; kept as the references they are compared with.
-# The cut loop's two settings are parameters here.
-
-def _equivalence_margin(tree: FiltrationTree, rows, extra_rows, settings: Settings):
-    """Solution of: maximize the minimum density over the polytope, the
-    leaf masses followed by the margin."""
-    nl = len(tree.leaves)
-    w = [tree.leaf_weights[v] for v in tree.leaves]
-    lp = LinearProgram(
-        objective=[0.0] * nl + [1.0],
-        constraints=[(r + [0.0], rel, b) for r, rel, b in rows + extra_rows]
-        + [([1.0 if j == i else 0.0 for j in range(nl)] + [-w[i]], GE, 0.0)
-           for i in range(nl)],
-        sense="max",
-    )
-    sol = solve(lp, settings)
-    if sol.status != "optimal":
-        raise NoMartingaleMeasure("martingale polytope is empty")
-    return sol
-
-
-def _quote_rows(tree: FiltrationTree, quotes: Sequence[QuotedOption]
-                ) -> list[tuple[list[float], str, float]]:
-    rows = []
-    for q in quotes:
-        coef = list(lift_to_leaves(tree, q.payoff))
-        rows.append((coef, GE, q.bid))
-        rows.append((coef, LE, q.ask))
-    return rows
-
+# The dense leaf-mass LP behind ``tcpp.market.mme_bounds`` and the
+# cutting-plane loop behind ``good_deal_bounds``, before the bounds became one
+# node-local induction, and the leaf-mass LP of calibration, which
+# ``calibration_feasible`` now runs only where its relative-entropy projection
+# cannot decide; kept as the references they are compared with.  The cut
+# loop's two settings are parameters here.
 
 def calibration_feasible_lp(tree: FiltrationTree, assets: Sequence[AssetProcess],
                             quotes: Sequence[QuotedOption],
@@ -681,14 +654,7 @@ def calibration_feasible_lp(tree: FiltrationTree, assets: Sequence[AssetProcess]
     """Equivalent martingale measure reproducing every quote inside its band,
     found by maximizing the minimum density; None when only degenerate
     (non-equivalent) solutions exist."""
-    rows = _martingale_rows(tree, assets)
-    try:
-        sol = _equivalence_margin(tree, rows, _quote_rows(tree, quotes), settings)
-    except NoMartingaleMeasure:
-        return None
-    if sol.value <= settings.equivalence_floor:
-        return None
-    return Measure.from_leaf_masses(tree, sol.point[:len(tree.leaves)])
+    return _calibration_lp(tree, assets, quotes, settings)
 
 
 def mme_bounds_lp(tree, assets, x, settings=DEFAULT) -> tuple[float, float, float]:

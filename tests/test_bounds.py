@@ -133,7 +133,8 @@ PROPERTY = hsettings(derandomize=True, database=None, max_examples=30, deadline=
                                             HealthCheck.too_slow])
 
 
-@PROPERTY
+# twice the examples, so that each tree family keeps about PROPERTY's number
+@hsettings(PROPERTY, max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), n_assets=st.integers(1, 2),
        caps=st.lists(st.floats(1.0, 3.0), min_size=2, max_size=2, unique=True),
        trinomial=st.booleans())

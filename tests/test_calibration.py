@@ -1,6 +1,8 @@
 """Calibration by relative-entropy projection, against the leaf-mass LP and
 the price bounds."""
+import dataclasses
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import tcpp.market
 from gen import martingale_assets, random_claim, random_trinomial
 from oracles import calibration_feasible_lp, trinomial_mme_family
 from tcpp.cli import main
-from tcpp.errors import NumericalBreakdown
+from tcpp.errors import EnumerationOverflow, NumericalBreakdown
 from tcpp.market import (AssetProcess, QuotedOption, calibrated_bounds,
                          calibration_feasible, mme_bounds)
 from tcpp.marketfile import parse_market_file
@@ -19,6 +21,14 @@ from tcpp.tree import Claim, FiltrationTree, StoppingTime, lift_to_leaves
 
 DEMOS = os.path.join(os.path.dirname(__file__), "..", "demos")
 MARKETS = os.path.join(os.path.dirname(__file__), "markets")
+
+
+def _project(*args):
+    """:func:`calibration_feasible` decided by the projection alone: the
+    leaf-mass LP it falls back on refuses."""
+    with mock.patch.object(tcpp.market, "_calibration_lp",
+                           side_effect=AssertionError("fell back on the leaf-mass LP")):
+        return calibration_feasible(*args)
 
 
 def _kl(tree, q) -> float:
@@ -44,9 +54,11 @@ def _assert_calibrated(tree, assets, quotes, q) -> None:
 
 
 def _market(rng, kind: str):
-    """A seeded trinomial market of 1-4 periods, 1-2 assets and 1-3 quotes,
-    some maturing at inner cuts, with a band or a node of the given kind."""
-    tree = random_trinomial(rng, int(rng.integers(1, 5)) if kind != "inner" else 3)
+    """A seeded trinomial market of 1-4 periods (5 when ``deep``, with a
+    point band), 1-2 assets and 1-3 quotes, some maturing at inner cuts,
+    with a band or a node of the given kind."""
+    periods = {"inner": 3, "deep": 5}.get(kind, int(rng.integers(1, 5)))
+    tree = random_trinomial(rng, periods)
     assets = martingale_assets(rng, tree, int(rng.integers(1, 3)))
     if kind in ("no-kernel", "edge-kernel"):
         # the assets all rise at a node above the leaves, or all but one stays
@@ -70,13 +82,15 @@ def _market(rng, kind: str):
             ask = bid + 0.1
         elif kind == "edge" and i == 0:
             bid, ask = (hi, hi + 0.1) if rng.random() < 0.5 else (lo - 0.1, lo)
+        elif kind == "deep" and i == 0:
+            bid = ask = rng.uniform(lo, hi)     # binds: tilts multiply along the paths
         else:
             bid, ask = sorted(rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), 2))
         quotes.append(QuotedOption(f"Q{i}", x, float(bid), float(ask)))
     return tree, assets, quotes
 
 
-KINDS = ("inside", "inner", "disjoint", "edge", "no-kernel", "edge-kernel")
+KINDS = ("inside", "inner", "disjoint", "edge", "no-kernel", "edge-kernel", "deep")
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -84,7 +98,7 @@ KINDS = ("inside", "inner", "disjoint", "edge", "no-kernel", "edge-kernel")
 def test_the_projection_agrees_with_the_leaf_mass_lp(kind, seed):
     rng = np.random.default_rng(1000 * KINDS.index(kind) + seed)
     tree, assets, quotes = _market(rng, kind)
-    got = calibration_feasible(tree, assets, quotes)
+    got = _project(tree, assets, quotes)
     want = calibration_feasible_lp(tree, assets, quotes)
     assert (got is None) == (want is None)
     if got is not None:
@@ -95,15 +109,15 @@ def test_the_projection_agrees_with_the_leaf_mass_lp(kind, seed):
 
 
 def test_the_instances_cover_both_verdicts_and_bands_at_the_edge():
-    verdicts = {kind: {calibration_feasible(*_market(np.random.default_rng(1000 * i + s), kind))
+    verdicts = {kind: {_project(*_market(np.random.default_rng(1000 * i + s), kind))
                        is not None for s in range(8)} for i, kind in enumerate(KINDS)}
     assert verdicts["inside"] == {True, False} and verdicts["edge"] == {True, False}
-    assert True in verdicts["inner"]
+    assert True in verdicts["inner"] and verdicts["deep"] == {True, False}
 
 
 def test_a_multiplier_held_at_zero_agrees_with_the_leaf_mass_lp():
     md = parse_market_file(os.path.join(MARKETS, "held_at_zero.market"))
-    got = calibration_feasible(md.tree, md.assets, md.quotes)
+    got = _project(md.tree, md.assets, md.quotes)
     want = calibration_feasible_lp(md.tree, md.assets, md.quotes)
     assert got is not None and want is not None
     _assert_calibrated(md.tree, md.assets, md.quotes, got)
@@ -120,17 +134,36 @@ def test_a_band_at_the_edge_of_a_claim_far_from_zero_is_infeasible(offset):
     x = Claim(StoppingTime.at_horizon(tree), {1: offset + 1.0, 2: offset, 3: offset})
     quote = QuotedOption("D", x, offset + 1 / 3, offset + 0.5)
     assert calibration_feasible_lp(tree, [s], [quote]) is None
-    assert calibration_feasible(tree, [s], [quote]) is None
+    assert _project(tree, [s], [quote]) is None
 
 
-@pytest.mark.xfail(strict=True, reason="the projection of a point band near the edge of its "
-                   "attainable prices has leaf densities far below equivalence_floor, "
-                   "although an equivalent calibrated measure above it exists")
-def test_a_steep_projection_agrees_with_the_leaf_mass_lp():
+def test_a_steep_projection_falls_back_on_the_leaf_mass_lp():
+    # a point band near the edge of its attainable prices: the projection's
+    # least density is far below equivalence_floor, while the LP's measure,
+    # equivalent and calibrated, has one above 1e-3
     md = parse_market_file(os.path.join(MARKETS, "steep_projection.market"))
     want = calibration_feasible_lp(md.tree, md.assets, md.quotes)
     assert want is not None and min(want.density.values()) > 1e-3
-    assert calibration_feasible(md.tree, md.assets, md.quotes) is not None
+    with pytest.raises(AssertionError, match="fell back"):
+        _project(md.tree, md.assets, md.quotes)
+    got = calibration_feasible(md.tree, md.assets, md.quotes)
+    _assert_calibrated(md.tree, md.assets, md.quotes, got)
+    assert got == want
+
+
+def test_nodes_with_too_many_kernel_supports_fall_back_on_the_leaf_mass_lp():
+    # 2 assets on the trinomial: 3 + 3 + 1 supports per node, above a cap of 6
+    rng = np.random.default_rng(7)
+    tree, assets, quotes = _market(rng, "inside")
+    while len(assets) < 2:
+        tree, assets, quotes = _market(rng, "inside")
+    small = dataclasses.replace(DEFAULT, max_enum=6)
+    with pytest.raises(EnumerationOverflow):
+        mme_bounds(tree, assets, quotes[0].payoff, small)
+    with pytest.raises(AssertionError, match="fell back"):
+        _project(tree, assets, quotes, small)
+    got = calibration_feasible(tree, assets, quotes, small)
+    assert got is not None and got == calibration_feasible_lp(tree, assets, quotes, small)
 
 
 def test_the_hedge_solve_meets_the_martingale_condition_at_wide_exponent_spreads():
@@ -149,13 +182,14 @@ def test_the_hedge_solve_meets_the_martingale_condition_at_wide_exponent_spreads
 def test_a_kernel_off_the_martingale_condition_raises(monkeypatch):
     tree = FiltrationTree.trinomial(1)
     s = AssetProcess("S", {0: 1.0, 1: 2.0, 2: 1.0, 3: 0.5})
-    assert calibration_feasible(tree, [s], []) is not None
+    assert _project(tree, [s], []) is not None
     monkeypatch.setattr(tcpp.market, "_hedge", lambda p, v, drift: (p, np.zeros(len(p))))
     with pytest.raises(NumericalBreakdown, match="martingale condition"):
-        calibration_feasible(tree, [s], [])
+        _project(tree, [s], [])
 
 
 def test_calibration_solves_no_lp(monkeypatch):
+    # none of these markets needs the leaf-mass fallback
     def refuse(*args, **kwargs):
         raise AssertionError("lp.solve called")
     monkeypatch.setattr(tcpp.lp, "solve", refuse)
@@ -170,7 +204,7 @@ def test_without_binding_quotes_it_is_the_minimal_entropy_martingale_measure():
     # asset (2, 1, 0.5) from 1 on the uniform trinomial: q = (t/2, 1 - 1.5t, t)
     tree = FiltrationTree.trinomial(1)
     s = AssetProcess("S", {0: 1.0, 1: 2.0, 2: 1.0, 3: 0.5})
-    q = calibration_feasible(tree, [s], [])
+    q = _project(tree, [s], [])
     t = np.linspace(1e-9, 2 / 3 - 1e-9, 200001)
     grid = np.array(trinomial_mme_family(t)) * 3.0
     kl = (grid * np.log(grid)).sum(0) / 3.0
@@ -179,9 +213,9 @@ def test_without_binding_quotes_it_is_the_minimal_entropy_martingale_measure():
     # a band that already holds the price stops at theta = 0: the same measure
     digital = Claim(StoppingTime.at_horizon(tree), {1: 1.0, 2: 0.0, 3: 0.0})
     e = q.density[1] / 3.0
-    assert calibration_feasible(tree, [s], [QuotedOption("D", digital, e - 0.01, e + 0.01)]) == q
+    assert _project(tree, [s], [QuotedOption("D", digital, e - 0.01, e + 0.01)]) == q
     # a band below the price binds at its ask, the demo market's case
-    bound = calibration_feasible(tree, [s], [QuotedOption("D", digital, 0.1, 0.2)])
+    bound = _project(tree, [s], [QuotedOption("D", digital, 0.1, 0.2)])
     assert np.abs(np.array([bound.density[v] for v in tree.leaves]) - [0.6, 1.2, 1.2]).max() <= 1e-12
 
 
@@ -190,26 +224,26 @@ def test_replicable_quotes_and_a_payoff_quoted_twice():
     tree = FiltrationTree.binomial(2)
     s = AssetProcess("S", {0: 1.0, 1: 2.0, 2: 0.5, 3: 4.0, 4: 1.0, 5: 1.0, 6: 0.25})
     early = Claim(StoppingTime.at_time(tree, 1), {1: 1.0, 2: 0.0})
-    assert calibration_feasible(tree, [s], [QuotedOption("E", early, 1 / 3, 1 / 3)]) is not None
-    assert calibration_feasible(tree, [s], [QuotedOption("E", early, 0.34, 0.34)]) is None
+    assert _project(tree, [s], [QuotedOption("E", early, 1 / 3, 1 / 3)]) is not None
+    assert _project(tree, [s], [QuotedOption("E", early, 0.34, 0.34)]) is None
     # a trinomial payoff quoted by two dealers, both asks below its price
     # under the first measure: the bands overlap or do not
     tree = FiltrationTree.trinomial(1)
     s = AssetProcess("S", {0: 1.0, 1: 2.0, 2: 1.0, 3: 0.5})
     digital = Claim(StoppingTime.at_horizon(tree), {1: 1.0, 2: 0.0, 3: 0.0})
-    assert calibration_feasible(tree, [s], []).density[1] / 3.0 > 0.2
+    assert _project(tree, [s], []).density[1] / 3.0 > 0.2
     both = [QuotedOption("A", digital, 0.05, 0.15), QuotedOption("B", digital, 0.1, 0.2)]
-    q = calibration_feasible(tree, [s], both)
+    q = _project(tree, [s], both)
     _assert_calibrated(tree, [s], both, q)
     assert abs(q.density[1] / 3.0 - 0.15) <= 1e-9      # the intersection's end nearest P
     for apart in ([QuotedOption("A", digital, 0.05, 0.1), QuotedOption("B", digital, 0.12, 0.3)],
                   [QuotedOption("A", digital, 0.05, 0.1), QuotedOption("B", digital, 0.12, 0.2)]):
-        assert calibration_feasible(tree, [s], apart) is None
+        assert _project(tree, [s], apart) is None
     # the asset itself, quoted outside its price 1: D climbs without end
     forward = Claim(StoppingTime.at_horizon(tree), {1: 2.0, 2: 1.0, 3: 0.5})
-    assert calibration_feasible(tree, [s], [QuotedOption("F", forward, 1.1, 1.2)]) is None
-    assert calibration_feasible(tree, [s], [QuotedOption("F", forward, 0.9, 1.1),
-                                            QuotedOption("D", digital, 0.1, 0.2)]) is not None
+    assert _project(tree, [s], [QuotedOption("F", forward, 1.1, 1.2)]) is None
+    assert _project(tree, [s], [QuotedOption("F", forward, 0.9, 1.1),
+                                QuotedOption("D", digital, 0.1, 0.2)]) is not None
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -218,7 +252,7 @@ def test_prices_under_the_calibrated_measure_lie_inside_both_bounds(seed):
     q = None
     while q is None:
         tree, assets, quotes = _market(rng, "inside")
-        q = calibration_feasible(tree, assets, quotes)
+        q = _project(tree, assets, quotes)
     for _ in range(3):
         x = random_claim(rng, tree)
         e = float(lift_to_leaves(tree, x) @ q.leaf_masses(tree))
