@@ -8,10 +8,12 @@ over the equivalent measures equal those over the closure for linear
 objectives; an edge-by-edge check reports whether equivalent ones exist.
 Calibration projects P on the martingale measures that price the quotes
 inside their bands, in relative entropy, through a dual whose value is the
-same kind of induction, over node-local log-partition functions.  LPs
-remain in the quote-penalized bounds, in :class:`ConstraintSet`, and in
-calibration's fallback over leaf masses, for the verdicts that the
-projection leaves open.
+same kind of induction, over node-local log-partition functions.  The
+quote-penalized bounds generate extreme martingale measures by the upper
+induction over each node's vertex kernels, and weigh their 2k + 1 pieces
+in a master LP of 2k + 2 variables for k quotes.  LPs remain in that
+master, in :class:`ConstraintSet`, and in calibration's fallback over leaf
+masses, for the verdicts that the projection leaves open.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .lp import EQ, GE, LE, LinearProgram, solve
 from .pricing import backward_pass, price, random_stopping_time
 from .report import CheckReport
 from .scenario import (_BATCH, ScenarioModel, _cap_supports, _kernel_max,
-                       minimal_penalty)
+                       _vertex_kernels, minimal_penalty)
 from .settings import DEFAULT, Settings
 from .tree import (Claim, FiltrationTree, Measure, StoppingTime,
                    lift_to_leaves, precedes, require_finite,
@@ -641,32 +643,137 @@ def check_strong_admissibility(model: ScenarioModel, assets: Sequence[AssetProce
 def calibrated_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess],
                       quotes: Sequence[QuotedOption], x: Claim,
                       settings: Settings = DEFAULT) -> tuple[float, float]:
-    """Quote-penalized price bounds: extremes of E_Q(X) -/+ beta(Q) where
-    beta is the worst quote-band violation of Q; always nested inside the
-    unquoted bounds."""
-    rows = _martingale_rows(tree, assets)
-    nl = len(tree.leaves)
-    cx = lift_to_leaves(tree, x)
-    cy = [lift_to_leaves(tree, q.payoff) for q in quotes]
+    """Quote-penalized price bounds: extremes of E_Q(X) -/+ beta(Q) over the
+    martingale measures M, where beta is the worst quote-band violation of
+    Q; always nested inside the unquoted bounds.
 
-    def one_side(sense: str) -> float:
-        cons = [(r + [0.0], rel, b) for r, rel, b in rows]
-        cons.append((list(-cx) + [1.0], LE if sense == "max" else GE, 0.0))
-        for q, c in zip(quotes, cy):
-            if sense == "max":
-                cons.append((list(-(cx + c)) + [1.0], LE, -q.bid))
-                cons.append((list(-(cx - c)) + [1.0], LE, q.ask))
-            else:
-                cons.append((list(-(cx - c)) + [1.0], GE, q.bid))
-                cons.append((list(-(cx + c)) + [1.0], GE, -q.ask))
-        lp = LinearProgram([0.0] * nl + [1.0], cons,
-                           lower=[0.0] * nl + [-np.inf], sense=sense)
-        sol = solve(lp, settings)
-        if sol.status != "optimal":
-            raise NoMartingaleMeasure(f"calibrated bound LP is {sol.status}")
-        return sol.value
+    The upper bound is max over Q in M of min_i l_i(Q), over the 2k + 1
+    affine pieces l_0 = E_Q X and, per quote j, E_Q X + E_Q Y_j - bid_j and
+    E_Q X - E_Q Y_j + ask_j; the lower bound is minus the upper bound of -X.
+    It equals min over the simplex of psi(lam) = max over Q of sum lam_i l_i(Q),
+    found by column generation (Kelley): psi(lam) is one upper induction on
+    the leaf claim sum lam_i l_i, over each node's vertex kernels
+    (:func:`_vertex_table`, built once for both sides), and the product of
+    its argmax kernels is the measure whose pieces are the new column.  The
+    master is min over lam of the largest of the columns' sum lam_i l_i: the
+    least piece while there is one column, then one :func:`tcpp.lp.solve` on
+    2k + 2 variables.  The lower end of the bracket is attained by a
+    martingale measure, a column or the master's mixture of columns; the
+    upper end is the least psi seen, a bound by weak duality.  The lower end
+    is returned once the two meet to the rounding of the induction.
 
-    return one_side("min"), one_side("max")
+    A node whose kernel supports exceed ``max_enum`` raises
+    :class:`EnumerationOverflow`, as in :func:`mme_bounds`; an empty M raises
+    :class:`NoMartingaleMeasure` naming the node whose own kernels are
+    empty; a bracket still open after ``_ROUNDS`` rounds raises
+    :class:`NumericalBreakdown`.
+    """
+    validate_stopping_time(tree, x.at)
+    require_finite(x, "claim value")
+    table = _vertex_table(tree, assets, settings)
+    pay = np.column_stack([lift_to_leaves(tree, c) for c in [x] + [q.payoff for q in quotes]])
+    bid, ask = np.array([(q.bid, q.ask) for q in quotes]).reshape(-1, 2).T
+    low = 0.0 - _quoted_sup(tree, table, pay * np.r_[-1.0, np.ones(len(quotes))], bid, ask, settings)
+    return low, _quoted_sup(tree, table, pay, bid, ask, settings)
+
+
+# column-generation rounds per calibrated bound; seeded trinomial markets of
+# 1-6 periods with up to 4 quotes needed at most 18 for both bounds together
+_ROUNDS = 100
+
+
+def _quoted_sup(tree: FiltrationTree, table: list, pay: np.ndarray, bid: np.ndarray,
+                ask: np.ndarray, settings: Settings) -> float:
+    """max over Q in M of min_i l_i(Q), where ``pay`` holds X and then the
+    quotes' payoffs on the leaves, by the search of :func:`calibrated_bounds`."""
+    k = len(bid)
+    pieces = np.zeros((2 * k + 1, k + 1))     # l = pieces @ E_Q pay + offset
+    pieces[:, 0] = 1.0
+    pieces[1:, 1:] = np.concatenate([np.eye(k), -np.eye(k)])
+    offset = np.concatenate([[0.0], -bid, ask])
+    scale = 1.0 + np.abs(pay).max(0, initial=0.0).sum() + np.abs(offset).max()
+    tol = _ROUNDING * (tree.horizon + 1) * scale
+    lam = np.eye(2 * k + 1)[0]
+    cols, lower, upper = [], -np.inf, np.inf
+    for _ in range(_ROUNDS):
+        value, mean = _upper_column(tree, table, pay @ (pieces.T @ lam), pay)
+        upper = min(upper, value + float(lam @ offset))
+        cols.append(pieces @ mean + offset)
+        lower = max(lower, float(cols[-1].min()))
+        if upper - lower <= tol:
+            return lower
+        if len(cols) == 1:
+            lam = np.eye(2 * k + 1)[cols[0].argmin()]
+            continue
+        lam, master = _master(cols, settings)
+        lower = max(lower, master)
+        if upper - lower <= tol:
+            return lower
+    raise NumericalBreakdown(
+        f"calibrated bound: the bracket [{lower!r}, {upper!r}] is still open after "
+        f"{_ROUNDS} rounds ({k} quotes, {tree.n_nodes} nodes)")
+
+
+def _master(cols: list, settings: Settings) -> tuple[np.ndarray, float]:
+    """The weights lam on the simplex that minimize the largest of the
+    columns' sum lam_i l_i, and that least value, from one LP in lam and s.
+    The LP's tolerances are absolute, so it reads the columns scaled by a
+    power of 2 to at most 1 in size, which rounds nothing."""
+    n = len(cols[0])
+    size = 2.0 ** int(np.frexp(np.abs(cols).max())[1])
+    lp = LinearProgram([0.0] * n + [1.0],
+                       [(list(c / size) + [-1.0], LE, 0.0) for c in cols]
+                       + [([1.0] * n + [0.0], EQ, 1.0)],
+                       lower=[0.0] * n + [-np.inf], sense="min")
+    sol = solve(lp, settings)
+    if sol.status != "optimal":
+        raise NumericalBreakdown(f"calibrated bound: the master LP over {len(cols)} columns "
+                                 f"is {sol.status}")
+    return np.maximum(sol.point[:n], 0.0), size * float(sol.value)
+
+
+def _upper_column(tree: FiltrationTree, table: list, claim: np.ndarray,
+                  pay: np.ndarray) -> tuple[float, np.ndarray]:
+    """max over Q in M of E_Q of the leaf claim, by an induction over the
+    vertex kernels of ``table``, and E_Q of each column of ``pay`` under the
+    product Q of the argmax kernels."""
+    leaves = list(tree.leaves)
+    values = np.zeros(tree.n_nodes)
+    values[leaves] = claim
+    kernel = np.zeros((tree.n_nodes, max(map(len, tree.children))))
+    for nodes, kids, kernels, ok in table:
+        cand = np.where(ok, np.einsum("gsk,gk->gs", kernels, values[kids]), -np.inf)
+        best = cand.argmax(1)
+        rows = np.arange(len(nodes))
+        values[nodes] = cand[rows, best]
+        kernel[nodes, :kids.shape[1]] = kernels[rows, best]
+    return float(values[tree.root]), pay.T @ tree.product_down(kernel)[leaves]
+
+
+def _vertex_table(tree: FiltrationTree, assets: Sequence[AssetProcess],
+                  settings: Settings) -> list:
+    """Per level group of :func:`_level_steps`, deepest first: the nodes that
+    have a martingale kernel, their children, their vertex kernels
+    (:func:`_vertex_kernels`) and a mask of the usable ones, martingale
+    kernels whose support holds no child without one.  The support decides,
+    not the weights, so no zero weight meets a child that has no value.
+    Raises :class:`NoMartingaleMeasure` when the root has none."""
+    alive = np.ones(tree.n_nodes, dtype=bool)
+    table = []
+    for nodes, kids, p, drift in _level_steps(tree, _spot(tree, assets)):
+        k = kids.shape[1]
+        size = min(k, len(assets) + 1)
+        _cap_supports(k, size, settings,
+                      f"kernel supports per node at time {tree.times[nodes[0]]} (arity {k})")
+        kernels, ok, member = _vertex_kernels(p, drift, size, settings)
+        ok &= ~(member & ~alive[kids][:, None, :]).any(-1)
+        alive[nodes] = keep = ok.any(1)
+        table.append((nodes[keep], kids[keep], kernels[keep], ok[keep]))
+    if not alive[tree.root]:
+        node = next(v for v in tree.preorder
+                    if not alive[v] and alive[list(tree.children[v])].all())
+        raise NoMartingaleMeasure(f"no martingale kernel at node {node}")
+    return table
 
 
 # -- good-deal bounds and the node-local induction behind both bounds --------

@@ -468,32 +468,81 @@ def _kernel_max(p: np.ndarray, drift: np.ndarray, cap: np.ndarray, v: np.ndarray
     the assets); a candidate counts if it solves its system and is
     nonnegative and within the cap to the feasibility tolerance."""
     m, g, k = v.shape
-    tol = settings.feasibility_tol
     root_p, live = np.sqrt(p), ~np.isinf(v)
     w, cap2 = root_p * np.where(live, v, 0.0), cap ** 2
     room = np.where(np.isfinite(cap2), cap2, 0.0)[:, None]
     best = np.full((m, g), -np.inf)
+    for sup in _support_batches(k, size, m * g):
+        rp, ws = root_p[:, sup], w[:, :, sup]
+        a, pinv = _slice_systems(rp, drift[:, sup])
+        y0 = pinv[..., 0]
+        r = ws - np.einsum("gcst,igct->igcs", pinv @ a, ws)
+        rn = np.linalg.norm(r, axis=-1)
+        step = np.sqrt(np.maximum(room - (y0 ** 2).sum(-1), 0.0))
+        step = np.divide(step, rn, out=np.zeros_like(rn),
+                         where=rn > settings.rank_tol * (1.0 + np.abs(ws).sum(-1)))
+        y = y0 + step[..., None] * r
+        ok = (live[:, :, sup].all(-1) & _on_slice(a, rp, y, settings)
+              & ((y ** 2).sum(-1) <= cap2[:, None] * (1.0 + settings.feasibility_tol)))
+        best = np.maximum(best, np.where(ok, (ws * y).sum(-1), -np.inf).max(-1))
+    return best
+
+
+def _vertex_kernels(p: np.ndarray, drift: np.ndarray, size: int,
+                    settings: Settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidates of :func:`_kernel_max` without a cap, which hold every
+    vertex of K_g = {q >= 0, sum q = 1, q . drift[g] = 0} and do not depend on
+    any objective: per node g and support T of up to ``size`` children, the
+    least-norm kernel charging only T.  Returns the kernels ``(g, supports,
+    arity)``, a mask ``(g, supports)`` of those in K_g to the feasibility
+    tolerance, and the supports as a mask ``(supports, arity)``; supports
+    in no node's K_g are left out."""
+    g, k = p.shape
+    root_p = np.sqrt(p)
+    kernels, ok, member = [], [], []
+    for sup in _support_batches(k, size, g):
+        rp = root_p[:, sup]
+        a, pinv = _slice_systems(rp, drift[:, sup])
+        y0 = pinv[..., 0]
+        q = np.zeros((g, len(sup), k))
+        np.put_along_axis(q, np.broadcast_to(sup, q.shape[:2] + sup.shape[1:]), rp * y0, axis=2)
+        kernels.append(q)
+        ok.append(_on_slice(a, rp, y0[None], settings)[0])
+        member.append(np.eye(k, dtype=bool)[sup].any(1))
+    kernels, ok, member = (np.concatenate(z, axis=i)
+                           for z, i in ((kernels, 1), (ok, 1), (member, 0)))
+    some = ok.any(0)
+    return kernels[:, some], ok[:, some], member[some]
+
+
+def _support_batches(k: int, size: int, stack: int) -> Iterator[np.ndarray]:
+    """The supports of 1 to ``size`` of ``k`` children, as index rows of one
+    size per batch, in batches that keep ``stack`` systems per support within
+    ``_BATCH`` in all."""
+    step = max(1, _BATCH // stack)
     for s in range(1, size + 1):
         sups = np.array(list(itertools.combinations(range(k), s)))
-        for lo in range(0, len(sups), max(1, _BATCH // (m * g))):
-            sup = sups[lo:lo + max(1, _BATCH // (m * g))]
-            rp, ws = root_p[:, sup], w[:, :, sup]
-            a = np.concatenate([rp[:, :, None, :],
-                                np.einsum("gcsd,gcs->gcds", drift[:, sup], rp)], axis=2)
-            pinv = np.linalg.pinv(a)
-            y0 = pinv[..., 0]
-            r = ws - np.einsum("gcst,igct->igcs", pinv @ a, ws)
-            rn = np.linalg.norm(r, axis=-1)
-            step = np.sqrt(np.maximum(room - (y0 ** 2).sum(-1), 0.0))
-            step = np.divide(step, rn, out=np.zeros_like(rn),
-                             where=rn > settings.rank_tol * (1.0 + np.abs(ws).sum(-1)))
-            y = y0 + step[..., None] * r
-            res = np.einsum("gcrs,igcs->igcr", a, y) - np.eye(a.shape[2])[0]
-            ok = (live[:, :, sup].all(-1) & (rp * y >= -tol).all(-1)
-                  & (np.abs(res).max(-1) <= tol * (1.0 + np.abs(a).max((-2, -1))))
-                  & ((y ** 2).sum(-1) <= cap2[:, None] * (1.0 + tol)))
-            best = np.maximum(best, np.where(ok, (ws * y).sum(-1), -np.inf).max(-1))
-    return best
+        for lo in range(0, len(sups), step):
+            yield sups[lo:lo + step]
+
+
+def _slice_systems(rp: np.ndarray, drift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node g and support of a batch, with ``rp`` the square roots of
+    the reference weights on the support and ``drift`` the children's moves:
+    the system A_T y = e_1 (sum q = 1, q . drift = 0 in y = q / sqrt(p)) and
+    its pseudo-inverse, whose first column is the least-norm solution."""
+    a = np.concatenate([rp[:, :, None, :], np.einsum("gcsd,gcs->gcds", drift, rp)], axis=2)
+    return a, np.linalg.pinv(a)
+
+
+def _on_slice(a: np.ndarray, rp: np.ndarray, y: np.ndarray, settings: Settings) -> np.ndarray:
+    """Whether points y (one per objective, node and support) solve their
+    systems ``a`` and give kernels sqrt(p) y that are nonnegative, both to
+    the feasibility tolerance."""
+    tol = settings.feasibility_tol
+    res = np.einsum("gcrs,igcs->igcr", a, y) - np.eye(a.shape[2])[0]
+    return ((rp * y >= -tol).all(-1)
+            & (np.abs(res).max(-1) <= tol * (1.0 + np.abs(a).max((-2, -1)))))
 
 
 def uncharged_edges(model: ScenarioModel, mixture: np.ndarray,

@@ -12,8 +12,8 @@ class Settings:
     finite and nonnegative, or the record raises naming it.
 
     feasibility_tol   constraint satisfaction / pass-fail tolerance, also for
-                      the one-step kernels of the martingale and good-deal
-                      bounds (sign, martingale rows and cap)
+                      the one-step kernels of the martingale, calibrated and
+                      good-deal bounds (sign, martingale rows and cap)
     rank_tol          pivot magnitude below which a tableau entry is treated as zero,
                       and |det| over the product of row norms below which a
                       game kernel of constrained pricing counts as singular
@@ -31,12 +31,13 @@ class Settings:
                       density
     max_enum          cap on the game kernels tried per node in constrained
                       pricing, on the kernel supports tried per node by the
-                      martingale and good-deal bounds (calibration, which
-                      tests its edges with them, goes to a leaf-mass LP
-                      where they exceed it), on the menu-entry
-                      supports (at most arity entries each) tried per node
-                      by the minimal penalty, and on the reference
-                      enumerators of selections and stopping times
+                      martingale, calibrated and good-deal bounds (the
+                      calibrated bounds build their vertex kernels from
+                      them; calibration, which tests its edges with them,
+                      goes to a leaf-mass LP where they exceed it), on the
+                      menu-entry supports (at most arity entries each)
+                      tried per node by the minimal penalty, and on the
+                      reference enumerators of selections and stopping times
     """
 
     feasibility_tol: float = 1e-9

@@ -640,13 +640,13 @@ def american_enumerated(model, payoff, nu, tau, settings=DEFAULT):
     return Claim(nu, vals), best_sets
 
 
-# -- martingale and good-deal bounds and calibration over leaf masses --------------
-# The dense leaf-mass LP behind ``tcpp.market.mme_bounds`` and the
-# cutting-plane loop behind ``good_deal_bounds``, before the bounds became one
-# node-local induction, and the leaf-mass LP of calibration, which
-# ``calibration_feasible`` now runs only where its relative-entropy projection
-# cannot decide; kept as the references they are compared with.  The cut
-# loop's two settings are parameters here.
+# -- martingale, calibrated and good-deal bounds and calibration over leaf masses --
+# The dense leaf-mass LPs behind ``tcpp.market.mme_bounds`` and
+# ``calibrated_bounds`` and the cutting-plane loop behind ``good_deal_bounds``,
+# before the bounds became node-local inductions, and the leaf-mass LP of
+# calibration, which ``calibration_feasible`` now runs only where its
+# relative-entropy projection cannot decide; kept as the references they are
+# compared with.  The cut loop's two settings are parameters here.
 
 def calibration_feasible_lp(tree: FiltrationTree, assets: Sequence[AssetProcess],
                             quotes: Sequence[QuotedOption],
@@ -655,6 +655,37 @@ def calibration_feasible_lp(tree: FiltrationTree, assets: Sequence[AssetProcess]
     found by maximizing the minimum density; None when only degenerate
     (non-equivalent) solutions exist."""
     return _calibration_lp(tree, assets, quotes, settings)
+
+
+def calibrated_bounds_lp(tree: FiltrationTree, assets: Sequence[AssetProcess],
+                         quotes: Sequence[QuotedOption], x: Claim,
+                         settings: Settings = DEFAULT) -> tuple[float, float]:
+    """Quote-penalized price bounds: extremes of E_Q(X) -/+ beta(Q) where
+    beta is the worst quote-band violation of Q, each from one LP over the
+    leaf masses and the bound."""
+    rows = _martingale_rows(tree, assets)
+    nl = len(tree.leaves)
+    cx = lift_to_leaves(tree, x)
+    cy = [lift_to_leaves(tree, q.payoff) for q in quotes]
+
+    def one_side(sense: str) -> float:
+        cons = [(r + [0.0], rel, b) for r, rel, b in rows]
+        cons.append((list(-cx) + [1.0], LE if sense == "max" else GE, 0.0))
+        for q, c in zip(quotes, cy):
+            if sense == "max":
+                cons.append((list(-(cx + c)) + [1.0], LE, -q.bid))
+                cons.append((list(-(cx - c)) + [1.0], LE, q.ask))
+            else:
+                cons.append((list(-(cx - c)) + [1.0], GE, q.bid))
+                cons.append((list(-(cx + c)) + [1.0], GE, -q.ask))
+        lp = LinearProgram([0.0] * nl + [1.0], cons,
+                           lower=[0.0] * nl + [-np.inf], sense=sense)
+        sol = solve(lp, settings)
+        if sol.status != "optimal":
+            raise NoMartingaleMeasure(f"calibrated bound LP is {sol.status}")
+        return sol.value
+
+    return one_side("min"), one_side("max")
 
 
 def mme_bounds_lp(tree, assets, x, settings=DEFAULT) -> tuple[float, float, float]:

@@ -169,8 +169,8 @@ def test_calibrated_bounds_examples():
 
 
 def test_calibrated_bounds_grid_oracle():
-    # one-parameter martingale family: q = (t/2, 1-1.5t, t); compare the LP
-    # against a fine grid of beta-penalized expectations
+    # one-parameter martingale family: q = (t/2, 1-1.5t, t); compare the
+    # calibrated bounds against a fine grid of beta-penalized expectations
     tree, s = trinomial_market()
     x = digital(tree)
     y = Claim(StoppingTime.at_horizon(tree), {1: 0.0, 2: 1.0, 3: 0.0})
