@@ -741,39 +741,65 @@ def _upper_column(tree: FiltrationTree, table: list, claim: np.ndarray,
     values = np.zeros(tree.n_nodes)
     values[leaves] = claim
     kernel = np.zeros((tree.n_nodes, max(map(len, tree.children))))
-    for nodes, kids, kernels, ok in table:
-        cand = np.where(ok, np.einsum("gsk,gk->gs", kernels, values[kids]), -np.inf)
-        best = cand.argmax(1)
-        rows = np.arange(len(nodes))
-        values[nodes] = cand[rows, best]
-        kernel[nodes, :kids.shape[1]] = kernels[rows, best]
+    for nodes, start, owner, child, sup, weights in table:
+        cand = (weights * values[child]).sum(1)
+        top = np.maximum.reduceat(cand, start)
+        best = np.minimum.reduceat(np.where(cand == top[owner], np.arange(len(cand)), len(cand)),
+                                   start)
+        values[nodes] = top
+        kernel[nodes[:, None], sup[best]] = weights[best]
     return float(values[tree.root]), pay.T @ tree.product_down(kernel)[leaves]
 
 
 def _vertex_table(tree: FiltrationTree, assets: Sequence[AssetProcess],
                   settings: Settings) -> list:
-    """Per level group of :func:`_level_steps`, deepest first: the nodes that
-    have a martingale kernel, their children, their vertex kernels
-    (:func:`_vertex_kernels`) and a mask of the usable ones, martingale
-    kernels whose support holds no child without one.  The support decides,
-    not the weights, so no zero weight meets a child that has no value.
-    Raises :class:`NoMartingaleMeasure` when the root has none."""
+    """Per level group of :func:`_level_steps`, deepest first, that has a
+    node with a martingale kernel: the usable vertex kernels of
+    :func:`_vertex_kernels`, those whose support holds no child without a
+    kernel, as one list sorted by node.  An entry holds the nodes that have
+    one, where each node's vertices start in the list, the rank of each
+    vertex's node, and each vertex's children (as tree nodes), support row
+    and weights.  The support decides, not the weights, so no zero weight
+    meets a child that has no value; a node without a kernel is charged by
+    no usable vertex, so it is never read.  The table holds 3 * (assets + 1)
+    + 1 numbers per usable vertex, whose count per node the supports tried,
+    at most ``max_enum``, bound.  Raises :class:`NoMartingaleMeasure` when
+    the root has none."""
     alive = np.ones(tree.n_nodes, dtype=bool)
     table = []
     for nodes, kids, p, drift in _level_steps(tree, _spot(tree, assets)):
-        k = kids.shape[1]
-        size = min(k, len(assets) + 1)
-        _cap_supports(k, size, settings,
-                      f"kernel supports per node at time {tree.times[nodes[0]]} (arity {k})")
-        kernels, ok, member = _vertex_kernels(p, drift, size, settings)
-        ok &= ~(member & ~alive[kids][:, None, :]).any(-1)
-        alive[nodes] = keep = ok.any(1)
-        table.append((nodes[keep], kids[keep], kernels[keep], ok[keep]))
+        size = _kernel_support_size(tree, nodes, kids.shape[1], len(assets), settings)
+        node, sup, width, weights = _vertex_kernels(p, drift, size, settings)
+        child = kids[node[:, None], sup]
+        fine = ~((np.arange(size) < width[:, None]) & ~alive[child]).any(1)
+        node = node[fine]
+        head = np.diff(node, prepend=-1) != 0
+        alive[nodes] = False
+        alive[nodes[node[head]]] = True
+        if head.any():
+            table.append((nodes[node[head]], np.flatnonzero(head), np.cumsum(head) - 1,
+                          child[fine], sup[fine], weights[fine]))
     if not alive[tree.root]:
-        node = next(v for v in tree.preorder
-                    if not alive[v] and alive[list(tree.children[v])].all())
-        raise NoMartingaleMeasure(f"no martingale kernel at node {node}")
+        raise NoMartingaleMeasure(f"no martingale kernel at node {_first_dead(tree, ~alive)}")
     return table
+
+
+def _kernel_support_size(tree: FiltrationTree, nodes: np.ndarray, k: int, n_assets: int,
+                         settings: Settings, capped: bool = False) -> int:
+    """The most children a kernel of a level group of arity ``k`` needs in its
+    support: assets + 1 for a vertex of the martingale kernels, all ``k``
+    under a second-moment cap.  Raises :class:`EnumerationOverflow` when the
+    supports of 1 to that many children exceed ``max_enum``."""
+    size = k if capped else min(k, n_assets + 1)
+    _cap_supports(k, size, settings,
+                  f"kernel supports per node at time {tree.times[nodes[0]]} (arity {k})")
+    return size
+
+
+def _first_dead(tree: FiltrationTree, dead: np.ndarray) -> int:
+    """The first node in preorder that is ``dead`` while no child of it is:
+    the node whose own kernels are empty."""
+    return next(v for v in tree.preorder if dead[v] and not dead[list(tree.children[v])].any())
 
 
 # -- good-deal bounds and the node-local induction behind both bounds --------
@@ -807,12 +833,9 @@ def _kernel_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess], x: Clai
     require_finite(x, "claim value")
     if steps is None:
         steps = _level_steps(tree, _spot(tree, assets))
-    sizes = []
-    for nodes, kids, *_ in steps:
-        k = kids.shape[1]
-        sizes.append(k if np.isfinite(cap[nodes]).any() else min(k, len(assets) + 1))
-        _cap_supports(k, sizes[-1], settings,
-                      f"kernel supports per node at time {tree.times[nodes[0]]} (arity {k})")
+    sizes = [_kernel_support_size(tree, nodes, kids.shape[1], len(assets), settings,
+                                  bool(np.isfinite(cap[nodes]).any()))
+             for nodes, kids, *_ in steps]
     values = np.empty((2, tree.n_nodes))      # the lower side negated, the upper side
     values[:, list(tree.leaves)] = np.outer([-1.0, 1.0], lift_to_leaves(tree, x))
     charged = True
@@ -824,8 +847,7 @@ def _kernel_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess], x: Clai
         charged &= bool((out[2:] > settings.equivalence_floor).all())
     dead = np.isinf(values).any(0)
     if dead[tree.root]:
-        node = next(v for v in tree.preorder
-                    if dead[v] and not dead[list(tree.children[v])].any())
+        node = _first_dead(tree, dead)
         if np.isfinite(cap).any():
             _kernel_bounds(tree, assets, x, np.full(tree.n_nodes, np.inf), settings, steps)
             raise EmptyGoodDealSet(f"caps exclude every martingale kernel at node {node}")

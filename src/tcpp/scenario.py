@@ -488,31 +488,37 @@ def _kernel_max(p: np.ndarray, drift: np.ndarray, cap: np.ndarray, v: np.ndarray
     return best
 
 
-def _vertex_kernels(p: np.ndarray, drift: np.ndarray, size: int,
-                    settings: Settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _vertex_kernels(p: np.ndarray, drift: np.ndarray, size: int, settings: Settings
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The candidates of :func:`_kernel_max` without a cap, which hold every
     vertex of K_g = {q >= 0, sum q = 1, q . drift[g] = 0} and do not depend on
     any objective: per node g and support T of up to ``size`` children, the
-    least-norm kernel charging only T.  Returns the kernels ``(g, supports,
-    arity)``, a mask ``(g, supports)`` of those in K_g to the feasibility
-    tolerance, and the supports as a mask ``(supports, arity)``; supports
-    in no node's K_g are left out."""
+    least-norm kernel charging only T.  Returns those in K_g to the
+    feasibility tolerance, sorted by node: their nodes, their supports as
+    rows of ``size`` distinct children whose first s are the support's s
+    (the rest pad it with the first others), those counts s, and the
+    weights on the rows, zero on the padding.  The rest are dropped batch by
+    batch, so memory grows with the vertices found, not the supports."""
     g, k = p.shape
     root_p = np.sqrt(p)
-    kernels, ok, member = [], [], []
+    out = [(np.zeros(0, dtype=np.intp), np.zeros((0, size), dtype=np.intp),
+            np.zeros(0, dtype=np.intp), np.zeros((0, size)))]
     for sup in _support_batches(k, size, g):
         rp = root_p[:, sup]
         a, pinv = _slice_systems(rp, drift[:, sup])
         y0 = pinv[..., 0]
-        q = np.zeros((g, len(sup), k))
-        np.put_along_axis(q, np.broadcast_to(sup, q.shape[:2] + sup.shape[1:]), rp * y0, axis=2)
-        kernels.append(q)
-        ok.append(_on_slice(a, rp, y0[None], settings)[0])
-        member.append(np.eye(k, dtype=bool)[sup].any(1))
-    kernels, ok, member = (np.concatenate(z, axis=i)
-                           for z, i in ((kernels, 1), (ok, 1), (member, 0)))
-    some = ok.any(0)
-    return kernels[:, some], ok[:, some], member[some]
+        node, i = np.nonzero(_on_slice(a, rp, y0[None], settings)[0])
+        s = sup.shape[1]
+        rows, weights = sup[i], np.zeros((len(i), size))
+        weights[:, :s] = (rp * y0)[node, i]
+        if s < size:
+            member = np.zeros((len(i), k), dtype=bool)
+            member[np.arange(len(i))[:, None], rows] = True
+            rows = np.concatenate([rows, np.argsort(member, axis=1, kind="stable")[:, :size - s]], 1)
+        out.append((node, rows, np.full(len(i), s), weights))
+    node, rows, width, weights = (np.concatenate(z) for z in zip(*out))
+    order = np.argsort(node, kind="stable")
+    return node[order], rows[order], width[order], weights[order]
 
 
 def _support_batches(k: int, size: int, stack: int) -> Iterator[np.ndarray]:

@@ -32,8 +32,11 @@ class Settings:
     max_enum          cap on the game kernels tried per node in constrained
                       pricing, on the kernel supports tried per node by the
                       martingale, calibrated and good-deal bounds (the
-                      calibrated bounds build their vertex kernels from
-                      them; calibration, which tests its edges with them,
+                      calibrated bounds keep the vertex kernels among them,
+                      3 * (assets + 1) + 1 numbers each, so their memory
+                      grows with the nodes of a level group times the
+                      vertices per node, at most this cap; calibration,
+                      which tests its edges with them,
                       goes to a leaf-mass LP where they exceed it), on the
                       menu-entry supports (at most arity entries each)
                       tried per node by the minimal penalty, and on the

@@ -7,13 +7,14 @@ import pytest
 
 import tcpp.lp
 import tcpp.market
-from gen import martingale_assets, random_claim, random_trinomial
+from gen import martingale_assets, random_claim, random_irregular_tree, random_trinomial
 from oracles import calibrated_bounds_lp
 from tcpp.cli import main
 from tcpp.errors import NoMartingaleMeasure
 from tcpp.market import AssetProcess, QuotedOption, calibrated_bounds, mme_bounds
 from tcpp.pricing import price
 from tcpp.scenario import MenuEntry, ScenarioModel
+from tcpp.settings import DEFAULT
 from tcpp.tree import Claim, FiltrationTree, StoppingTime
 
 DEMOS = os.path.join(os.path.dirname(__file__), "..", "demos")
@@ -23,14 +24,18 @@ DIGITAL = os.path.join(DEMOS, "trinomial_digital.claim")
 KINDS = ("inside", "disjoint", "dead", "killed")
 
 
-def _market(rng, kind: str):
+def _market(rng, kind: str, irregular: bool = False):
     """A seeded trinomial market of 1-4 periods, 1-2 assets and 1-3 quotes,
     some maturing at inner cuts.  ``disjoint``: the first two quotes are one
     payoff with bands apart; ``dead``: one node below the root (the root on
     one period) whose assets rise on every child, so it has no martingale
     kernel; ``killed``: a node above the leaves whose assets stay on its
-    first child and rise on the others, so its one kernel kills two edges."""
-    tree = random_trinomial(rng, int(rng.integers(1, 5)))
+    first child and rise on the others, so its one kernel kills two edges.
+    ``irregular``: a tree of 1-3 periods whose arities, 1 to 4, are drawn
+    per node, so a level group of one time and arity may hold only the
+    node without a kernel."""
+    tree = random_irregular_tree(rng, 3, 4) if irregular else \
+        random_trinomial(rng, int(rng.integers(1, 5)))
     assets = martingale_assets(rng, tree, int(rng.integers(1, 3)))
     if kind in ("dead", "killed"):
         inner = [v for v in tree.internal_nodes() if v != tree.root or tree.horizon == 1]
@@ -100,6 +105,68 @@ def test_the_instances_cover_dead_subtrees_below_a_live_root_and_a_dead_root():
                 answered[kind].add(False)
     assert answered["dead"] == {True, False} and True in answered["killed"]
     assert answered["inside"] == answered["disjoint"] == {True}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(20))
+def test_calibrated_bounds_on_irregular_trees_with_a_dead_node_agree_with_the_leaf_mass_lp(seed):
+    rng = np.random.default_rng(500 + seed)
+    tree, assets, quotes = _market(rng, "dead", irregular=True)
+    for _ in range(2):
+        got, want = _both(tree, assets, quotes, random_claim(rng, tree))
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.abs(np.subtract(got, want)).max() <= 1e-9, (got, want)
+
+
+def test_the_irregular_instances_cover_a_level_group_without_a_kernel_below_a_live_root():
+    # a level group whose nodes all lack a kernel has no entry in the table
+    groups = []
+    for seed in range(20):
+        tree, assets, _ = _market(np.random.default_rng(500 + seed), "dead", irregular=True)
+        try:
+            table = tcpp.market._vertex_table(tree, assets, DEFAULT)
+        except NoMartingaleMeasure:
+            continue
+        groups.append(len(tree.levels(tree.leaves)) - len(table))
+    assert max(groups) >= 1 and min(groups) == 0
+
+
+def _mixed_arity_market():
+    # the root has children 1 (arity 2), 2 and 3 (arity 3); the asset rises
+    # on both children of node 1, so the level group of time 1 and arity 2
+    # has no martingale kernel, while the root charges only 2 and 3
+    tree = FiltrationTree([0, 1, 1, 1] + [2] * 8, [None, 0, 0, 0, 1, 1, 2, 2, 2, 3, 3, 3],
+                          {b: 0.125 for b in range(4, 12)})
+    vals = [1.0, 1.5, 0.5, 2.0, 1.7, 1.9, 1.0, 0.5, 0.25, 3.0, 2.0, 1.0]
+    return tree, AssetProcess("S", dict(enumerate(vals)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_level_group_without_a_kernel_below_a_live_root_is_left_out():
+    tree, s = _mixed_arity_market()
+    assert len(tcpp.market._vertex_table(tree, [s], DEFAULT)) == len(tree.levels(tree.leaves)) - 1
+    rng = np.random.default_rng(7)
+    for n_quotes in (0, 1, 2, 2):
+        quotes = [QuotedOption(f"Y{i}", random_claim(rng, tree), *sorted(rng.uniform(-1.0, 2.0, 2)))
+                  for i in range(n_quotes)]
+        got, want = _both(tree, [s], quotes, random_claim(rng, tree))
+        assert np.abs(np.subtract(got, want)).max() <= 1e-9, (got, want)
+
+
+def test_calibrated_bounds_on_a_wide_market_agree_with_the_leaf_mass_lp():
+    # 12 children per node and 3 assets: vertices of 1 to 4 children, most
+    # padded to rows of 4, out of 793 supports per node
+    k = 12
+    tree = FiltrationTree([0] + [1] * k + [2] * k * k,
+                          [None] + [0] * k + [1 + i // k for i in range(k * k)],
+                          {b: 1.0 / k ** 2 for b in range(1 + k, 1 + k + k * k)})
+    rng = np.random.default_rng(11)
+    assets = martingale_assets(rng, tree, 3)
+    y = random_claim(rng, tree)
+    quote = QuotedOption("Y", y, *sorted(rng.uniform(-0.5, 1.5, 2)))
+    got, want = _both(tree, assets, [quote], random_claim(rng, tree))
+    assert np.abs(np.subtract(got, want)).max() <= 1e-9, (got, want)
 
 
 def _dead_child_market():
