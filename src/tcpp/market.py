@@ -17,9 +17,11 @@ masses, for the verdicts that the projection leaves open.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -37,21 +39,56 @@ from .tree import (Claim, FiltrationTree, Measure, StoppingTime,
                    validate_stopping_time)
 
 
-@dataclass(frozen=True)
 class AssetProcess:
-    """Discounted price of one reference asset, defined on every node."""
+    """Discounted price of one reference asset, defined on every node.
 
-    name: str
-    values: Mapping[int, float]
+    The values are one read-only float array indexed by node, NaN where the
+    asset is undefined, given as that array or as a mapping from the nodes;
+    ``values`` is their mapping view, of Python floats, built on first use
+    from an array and kept as given from a mapping.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", {v: float(x) for v, x in self.values.items()})
-        require_finite(self.values, f"asset {self.name}: value")
+    def __init__(self, name: str, values: Mapping[int, float] | np.ndarray):
+        self.name = name
+        if isinstance(values, Mapping):
+            view = {v: float(x) for v, x in values.items()}
+            require_finite(view, f"asset {name}: value")
+            self.values = MappingProxyType(view)
+            array = np.fromiter(map(view.get, range(len(view)), itertools.repeat(np.nan)), float,
+                                len(view))
+        else:
+            array = np.array(values, dtype=float)
+            if np.isinf(array).any():
+                require_finite(dict(enumerate(array.tolist())), f"asset {name}: value")
+        array.flags.writeable = False
+        self.array = array
 
-    def validate(self, tree: FiltrationTree) -> None:
-        missing = [v for v in range(tree.n_nodes) if v not in self.values]
+    @functools.cached_property
+    def values(self) -> Mapping[int, float]:
+        return MappingProxyType({v: x for v, x in enumerate(self.array.tolist()) if x == x})
+
+    def on(self, tree: FiltrationTree) -> np.ndarray:
+        """The value at every node of ``tree``, one array; raise naming the
+        nodes where the asset is undefined."""
+        n = tree.n_nodes
+        head = self.array[:n]
+        if len(head) == n and not np.isnan(head).any():
+            return head
+        missing = [v for v in range(n) if v not in self.values]
         if missing:
             raise TcppError(f"asset {self.name} undefined on nodes {missing}")
+        return np.fromiter(map(self.values.__getitem__, range(n)), float, n)
+
+    def validate(self, tree: FiltrationTree) -> None:
+        self.on(tree)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AssetProcess):
+            return NotImplemented
+        return self.name == other.name and self.values == other.values
+
+    def __repr__(self) -> str:
+        return f"AssetProcess({self.name!r}, {dict(self.values)})"
 
 
 @dataclass(frozen=True)
@@ -150,12 +187,14 @@ class GoodDealCaps:
 
     def on(self, tree: FiltrationTree) -> np.ndarray:
         """The cap of every node, infinite at the leaves."""
-        internal = tree.internal_nodes()
-        stray = set(self.per_node) - set(internal)
+        stray = [v for v in self.per_node if not (0 <= v < tree.n_nodes and tree.arity[v])]
         if stray:
             raise TcppError(f"good-deal cap on node {min(stray)}, which is not an internal node")
-        out = np.full(tree.n_nodes, np.inf)
-        out[list(internal)] = [self.cap(v) for v in internal]
+        internal = tree.arity > 0
+        out = np.where(internal, np.nan if self.default is None else self.default, np.inf)
+        out[list(self.per_node)] = list(self.per_node.values())
+        if np.isnan(out).any():
+            self.cap(int(np.isnan(out).argmax()))      # raises, naming the node
         return out
 
 
@@ -462,7 +501,7 @@ def _entropy_pass(tree: FiltrationTree, steps, pay: np.ndarray,
     n, leaves = tree.n_nodes, list(tree.leaves)
     value, price = np.zeros(n), np.zeros((n, pay.shape[1]))
     value[leaves], price[leaves] = pay @ theta, pay
-    kernel = np.zeros((n, max(map(len, tree.children))))
+    kernel = np.zeros((n, int(tree.arity.max())))
     resid = []
     for nodes, kids, p, drift in steps:
         q, value[nodes] = _hedge(p, value[kids], drift)
@@ -622,7 +661,7 @@ def check_strong_admissibility(model: ScenarioModel, assets: Sequence[AssetProce
         weights = np.zeros((tree.n_nodes, model.menu_sizes.max()))
         for v in np.flatnonzero(model.menu_sizes).tolist():      # one draw per node, ascending
             weights[v, :model.menu_sizes[v]] = rng.dirichlet(np.ones(model.menu_sizes[v]))
-        mixed = np.zeros((tree.n_nodes, max(map(len, tree.children))))
+        mixed = np.zeros((tree.n_nodes, int(tree.arity.max())))
         for nodes, _, k, _ in model.steps(tree.leaves):
             mixed[nodes, :k.shape[2]] = np.einsum("ge,gek->gk", weights[nodes, :k.shape[1]], k)
         r = Measure.from_leaf_masses(tree, tree.product_down(mixed)[list(tree.leaves)])
@@ -740,7 +779,7 @@ def _upper_column(tree: FiltrationTree, table: list, claim: np.ndarray,
     leaves = list(tree.leaves)
     values = np.zeros(tree.n_nodes)
     values[leaves] = claim
-    kernel = np.zeros((tree.n_nodes, max(map(len, tree.children))))
+    kernel = np.zeros((tree.n_nodes, int(tree.arity.max())))
     for nodes, start, owner, child, sup, weights in table:
         cand = (weights * values[child]).sum(1)
         top = np.maximum.reduceat(cand, start)
@@ -912,17 +951,17 @@ def _level_steps(tree: FiltrationTree, spot: np.ndarray
     """Per level group of :meth:`FiltrationTree.levels` above the leaves,
     deepest first: its nodes, their children (a row per node), the reference
     kernels and the moves of the assets (``spot``, of :func:`_spot`)."""
-    return [(nodes, kids, np.array([tree.p_kernel(n) for n in nodes]),
-             spot[kids] - spot[nodes][:, None, :])
+    mass = tree._p_mass
+    return [(nodes, kids, mass[kids] / mass[nodes, None], spot[kids] - spot[nodes][:, None, :])
             for nodes, kids in tree.levels(tree.leaves).values()]
 
 
 def _spot(tree: FiltrationTree, assets: Sequence[AssetProcess]) -> np.ndarray:
     """Asset values as a (node, asset) array, each checked to cover the tree."""
-    for asset in assets:
-        asset.validate(tree)
-    return np.array([[a.values[v] for a in assets] for v in range(tree.n_nodes)],
-                    dtype=float).reshape(tree.n_nodes, len(assets))
+    spot = np.empty((tree.n_nodes, len(assets)))
+    for j, asset in enumerate(assets):
+        spot[:, j] = asset.on(tree)
+    return spot
 
 
 def _game_bounds(pay: np.ndarray, size: int,

@@ -18,14 +18,26 @@ nonnegative.  ``set`` lines for retired settings (``_IGNORED_SETTINGS``;
 every LP solve is verified) are ignored.
 Where a record repeats, the later line wins; menu lines add entries.
 
-Parsing is in blocks.  One pass over the lines sorts every record into a
-block by its first word and token count, keeping only its line number and
-text.  Each block is then split into one flat token list and read as
-columns: numbers are converted a column at a time, and the fixed words,
-finiteness and the other checks of single lines run over whole columns; a
-block's tokens are released once it is read.  The tree and the scenario
-model are built from the resulting arrays (the menus as a
-:class:`~tcpp.scenario.MenuTable`).
+Parsing is in blocks.  Line breaks other than ``\n`` and comments are
+normalized away first, and only where the text has them; line numbers are
+counted in newlines, so they are the numbers of the lines as written.  One
+regular expression then finds the runs: the maximal spans of consecutive
+non-blank lines that share a first word.  Each run is split into tokens
+once.  A run of n lines and T tokens is one block of n lines of w tokens
+when its tokens line up: T = n w, the first word occurs n times in all,
+and it sits at every w-th token.  The word starts every line, so it starts
+nothing else, and every line has w tokens.  A run that fails this test (a
+line of another token count, or a name equal to the record word, as in
+``asset asset 0 1.0``) is split line by line.  Lines of one first word and
+token count form one block, wherever they sit in the file; each block's
+tokens are read as columns: numbers are converted a column at a time, and
+the fixed words, finiteness and the other checks of single lines run over
+whole columns; a block's tokens are released once it is read.  The tree,
+the scenario model (its menus as a :class:`~tcpp.scenario.MenuTable`) and
+the assets (one array each, filled by one scatter) are built from the
+resulting arrays.  What :func:`serialize_market` writes for a tree whose
+internal nodes share one arity, such as a binomial or trinomial market, is
+read without the line-by-line split.
 
 Errors name a line where one is to blame.  A block whose column checks fail
 is checked again line by line, in the order the format applies the checks,
@@ -41,9 +53,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import chain, groupby
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -104,25 +117,56 @@ def _int(token: str, line: int, what: str) -> int:
 _ARGS = {"horizon": 1, "node": 3, "weight": 2, "asset": 3, "quote": 5, "payoff": 3,
          "cap": 2, "set": 2}     # arguments per line; menu takes 4 or more, vertex 1 or more
 
-_Blocks = dict[tuple[str, int], tuple[list[int], list[str]]]
+# lines of one first word and token count: the word, the count, the lines'
+# numbers and their tokens, first words included
+_Chunk = tuple[str, int, list[int], list[str]]
+# the line breaks of str.splitlines other than "\n"
+_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_COMMENT = re.compile(r"#[^\n]*")
+# a maximal run of consecutive lines that share a first word, from a line's
+# start; ``\s`` is the whitespace of ``str.split``
+_RUN = re.compile(r"^[^\S\n]*(\S+)[^\n]*(?:\n[^\S\n]*\1(?!\S)[^\n]*)*", re.MULTILINE)
 
 
-def _blocks(text: str) -> _Blocks:
-    """The non-blank lines by (first word, token count): their line numbers
-    and their text, comments cut off."""
-    blocks: _Blocks = {}
-    kind, width = None, 0
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0] if "#" in raw else raw
+def _runs(text: str) -> Iterator[_Chunk]:
+    """The non-blank lines in file order, in chunks of one first word and
+    token count: a run whose tokens line up as one chunk, any other run
+    split line by line."""
+    if any(map(text.__contains__, _BREAKS)):
+        text = "\n".join(text.splitlines())
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    ln, pos = 1, 0
+    for run in _RUN.finditer(text):
+        ln += text.count("\n", pos, run.start())
+        pos = run.start()
+        word, body = run[1], run[0]
+        toks = body.split()
+        n = body.count("\n") + 1
+        width = len(toks) // n
+        # the word starts each of the n lines; met n times in all, and at
+        # every width-th token, it starts nothing else: every line has width tokens
+        if (len(toks) == n * width and (body.count(word) == n or toks.count(word) == n)
+                and toks[::width].count(word) == n):
+            del body
+            yield word, width, list(range(ln, ln + n)), toks
+        else:
+            yield from _split_lines(word, body, ln)
+        del toks        # each run's tokens live no longer than its reader needs them
+
+
+def _split_lines(word: str, body: str, ln: int) -> Iterator[_Chunk]:
+    """A run of lines that start with ``word`` but differ in token count,
+    split line by line into one chunk per count; ``ln`` is the number of its
+    first line."""
+    chunks: dict[int, tuple[list[int], list[str]]] = {}
+    for i, line in enumerate(body.split("\n")):
         parts = line.split()
-        if not parts:
-            continue
-        if parts[0] != kind or len(parts) != width:     # else the block of the line before
-            kind, width = parts[0], len(parts)
-            lines, texts = blocks.setdefault((kind, width), ([], []))
-        lines.append(ln)
-        texts.append(line)
-    return blocks
+        lines, toks = chunks.setdefault(len(parts), ([], []))
+        lines.append(ln + i)
+        toks += parts
+    for width, (lines, toks) in chunks.items():
+        yield word, width, lines, toks
 
 
 def _floats(toks: list[str], width: int, cols: list[int]) -> np.ndarray:
@@ -169,10 +213,19 @@ def _read_block(kind: str, width: int, toks: list[str]):
         ids = list(map(int, col(1)))
         if len(set(ids)) != n:
             raise ValueError("node defined twice")
-        return ids, list(map(int, col(2))), [None if tok == "-" else int(tok) for tok in col(3)]
+        parents, roots = col(3), []
+        for _ in range(parents.count("-")):
+            roots.append(parents.index("-", roots[-1] + 1 if roots else 0))
+            parents[roots[-1]] = "0"
+        parents = list(map(int, parents))
+        for i in roots:
+            parents[i] = None
+        return ids, list(map(int, col(2))), parents
     if kind == "weight":
         return list(map(int, col(1))), _finite(col(2))
-    if kind in ("asset", "payoff"):
+    if kind == "asset":
+        return col(1), list(map(int, col(2))), _floats(toks, width, [3])[0]
+    if kind == "payoff":
         return col(1), list(map(int, col(2))), _finite(col(3))
     if kind == "quote":
         if col(2).count("bid") != n or col(4).count("ask") != n:
@@ -262,17 +315,36 @@ def _check_line(kind: str, args: list[str], ln: int, seen: set[int]) -> None:
         raise MarketFileError(f"unknown record {kind!r}", ln)
 
 
-def _read_blocks(blocks: _Blocks, read: Callable[[str, int, list[str]], object],
+def _read_blocks(text: str, read: Callable[[str, int, list[str]], object],
                  check: Callable[[str, list[str], int, set[int]], None]) -> dict[str, list]:
-    """``read(kind, width, toks)`` of every block, as ``(lines, columns)``
-    per kind, each block's tokens released once read.  Where blocks are at
-    fault, raise the fault of the earliest line, named by ``check``."""
+    """``read(kind, width, toks)`` of every block, the lines of one first
+    word and token count, as ``(lines, columns)`` per kind.  Where each
+    block is one chunk of :func:`_runs`, as in what the serializer writes,
+    each is read as it is found and its tokens released.  Where a block
+    spans chunks, or a read fails, the blocks are gathered whole and read
+    again; where blocks are at fault, raise the fault of the earliest line,
+    named by ``check``."""
     out: dict[str, list] = {}
-    faults: list[MarketFileError] = []
+    read_keys: set[tuple[str, int]] = set()
+    for kind, width, lines, toks in _runs(text):
+        if (kind, width) in read_keys:
+            break
+        read_keys.add((kind, width))
+        try:
+            out.setdefault(kind, []).append((lines, read(kind, width, toks)))
+        except ValueError:
+            break
+        del toks
+    else:
+        return out
+    blocks: dict[tuple[str, int], tuple[list[int], list[str]]] = {}
+    for kind, width, lines, toks in _runs(text):
+        block_lines, block_toks = blocks.setdefault((kind, width), ([], []))
+        block_lines += lines
+        block_toks += toks
+    out, faults = {}, []
     while blocks:
-        (kind, width), (lines, text) = blocks.popitem()
-        toks = " ".join(text).split()       # the block's tokens, first words included
-        del text
+        (kind, width), (lines, toks) = blocks.popitem()
         try:
             out.setdefault(kind, []).append((lines, read(kind, width, toks)))
         except ValueError:
@@ -303,43 +375,67 @@ def _by_name(names: list[str], nodes: list[int], vals: list[float]
     return out
 
 
+def _asset_values(names: list[str], nodes: list[int], vals: np.ndarray, n: int
+                  ) -> list[tuple[str, np.ndarray | dict[int, float]]]:
+    """Values per name, names ascending: an array over the ``n`` nodes, NaN
+    where a node has no line, filled by one scatter of each node's last line;
+    a dict, a later line overriding, where a name's lines name a node outside
+    the tree."""
+    distinct = sorted(set(names))
+    column = np.array(names) if len(distinct) > 1 else None
+    out = []
+    for name in distinct:
+        rows = np.arange(len(names)) if column is None else (column == name).nonzero()[0]
+        at = list(map(nodes.__getitem__, rows.tolist()))
+        if min(at) < 0 or max(at) >= n:
+            out.append((name, dict(zip(at, vals[rows].tolist()))))
+            continue
+        last = np.full(n, -1)
+        np.maximum.at(last, at, rows)
+        out.append((name, np.where(last >= 0, vals[last], np.nan)))
+    return out
+
+
 def _menu_table(blocks: list) -> MenuTable:
     """The menu lines' entries in menu order: nodes by their first line,
     each node's entries by line."""
-    lines = list(chain.from_iterable(ls for ls, _ in blocks))
-    nodes = list(chain.from_iterable(cols[0] for _, cols in blocks))
+    lines = np.concatenate([ls for ls, _ in blocks])
+    nodes = np.concatenate([np.array(cols[0]) for _, cols in blocks])   # object if huge
     arity = np.repeat([cols[1].shape[1] for _, cols in blocks], [len(ls) for ls, _ in blocks])
     weights = np.concatenate([cols[1].ravel() for _, cols in blocks])
     penalties = np.concatenate([cols[2] for _, cols in blocks])
-    by_line = sorted(range(len(lines)), key=lines.__getitem__)
-    keys = list(dict.fromkeys(map(nodes.__getitem__, by_line)))
-    rank = list(map(dict(zip(keys, range(len(keys)))).__getitem__, nodes))
-    entry = sorted(by_line, key=rank.__getitem__)           # stable: by line
-    if entry != list(range(len(entry))):                    # not yet in menu order
-        entry = np.array(entry)
+    by_line = lines.argsort()
+    keys, first, key_of = np.unique(nodes[by_line], return_index=True, return_inverse=True)
+    order = first.argsort()                         # the nodes by their first line
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    rank = rank[key_of]                             # each entry's node's, in line order
+    entry = by_line[rank.argsort(kind="stable")]    # by node, then by line
+    if (entry != np.arange(len(entry))).any():      # not yet in menu order
         start = np.cumsum(arity) - arity
         arity, penalties = arity[entry], penalties[entry]
         weights = weights[np.repeat(start[entry] - (np.cumsum(arity) - arity), arity)
                           + np.arange(len(weights))]
-    return MenuTable(keys, np.bincount(rank), arity, weights, penalties)
+    return MenuTable(keys[order].tolist(), np.bincount(rank), arity, weights, penalties)
 
 
 def parse_market_text(text: str) -> MarketData:
-    read = _read_blocks(_blocks(text), _read_block, _check_line)
+    read = _read_blocks(text, _read_block, _check_line)
 
     if "node" not in read:
         raise MarketFileError("document defines no nodes")
     [(lines, (ids, times, parents))] = read["node"]
     nid_line = lines[0]
-    if sorted(ids) != list(range(len(ids))):
+    if min(ids) != 0 or max(ids) != len(ids) - 1:       # the ids are distinct
         raise MarketFileError("node ids must be contiguous from 0", nid_line)
-    row = sorted(range(len(ids)), key=ids.__getitem__)     # the row of each node id
+    row = np.empty(len(ids), dtype=int)
+    row[ids] = np.arange(len(ids))                       # the row of each node id
     weights = {}
     for _, (leaves, w) in read.get("weight", ()):
         weights.update(zip(leaves, w))
     try:
-        tree = FiltrationTree(list(map(times.__getitem__, row)),
-                              list(map(parents.__getitem__, row)), weights)
+        tree = FiltrationTree(np.asarray(times)[row], np.array(parents, dtype=object)[row],
+                              weights)
     except TcppError as exc:
         raise MarketFileError(f"invalid tree: {exc}", nid_line)
     for lines, horizons in read.get("horizon", ()):
@@ -355,17 +451,15 @@ def parse_market_text(text: str) -> MarketData:
         except TcppError as exc:
             raise MarketFileError(f"invalid scenario model: {exc}", first_ln)
 
-    assets: dict[str, dict[int, float]] = {}
-    for _, cols in read.get("asset", ()):
-        assets = _by_name(*cols)
     asset_list = []
-    for name in sorted(assets):
-        ap = AssetProcess(name, assets[name])
+    for _, cols in read.get("asset", ()):
+        asset_list = [AssetProcess(name, values)
+                      for name, values in _asset_values(*cols, tree.n_nodes)]
+    for ap in asset_list:
         try:
             ap.validate(tree)
         except TcppError as exc:
-            raise MarketFileError(f"asset {name}: {exc}")
-        asset_list.append(ap)
+            raise MarketFileError(f"asset {ap.name}: {exc}")
 
     quote_heads: dict[str, tuple[float, float, int]] = {}
     for lines, (names, bids, asks) in read.get("quote", ()):
@@ -431,8 +525,8 @@ def serialize_market(md: MarketData) -> str:
                 ker = " ".join(repr(float(p)) for p in e.kernel)
                 out.append(f"menu {node} kernel {ker} penalty {float(e.penalty)!r}")
     for asset in md.assets:
-        for v in range(tree.n_nodes):
-            out.append(f"asset {asset.name} {v} {float(asset.values[v])!r}")
+        for v, x in enumerate(asset.on(tree).tolist()):
+            out.append(f"asset {asset.name} {v} {x!r}")
     for q in md.quotes:
         out.append(f"quote {q.name} bid {float(q.bid)!r} ask {float(q.ask)!r}")
         for v in q.payoff.at.sorted():
@@ -474,7 +568,7 @@ def parse_claim_text(text: str, tree: FiltrationTree,
     With ``full_process`` the values must cover every node (an adapted
     payoff process); otherwise the nodes must form a stopping time.
     """
-    read = _read_blocks(_blocks(text), _read_claim_block, _check_claim_line)
+    read = _read_blocks(text, _read_claim_block, _check_claim_line)
     nodes, values = [], np.zeros(0)
     for _, block in read.get("value", ()):
         nodes, values = block

@@ -80,8 +80,7 @@ class ScenarioModel:
             extra = set(table.nodes) - internal
             raise TcppError(f"menus must cover exactly the internal nodes "
                             f"(missing {sorted(missing)}, extra {sorted(extra)})")
-        n_kids = np.fromiter(map(len, tree.children), int, tree.n_nodes)
-        wrong_arity = table.arity != np.repeat(n_kids[table.nodes], table.sizes)
+        wrong_arity = table.arity != np.repeat(tree.arity[table.nodes], table.sizes)
         # the kernels as rows padded with zeros to the widest; a left-to-right
         # sum over a row is then the kernel's own sum, as zeros change none
         width = int(table.arity.max(initial=0))
@@ -109,7 +108,7 @@ class ScenarioModel:
             kernel = kernels[e, :table.arity[e]].tolist()
             if wrong_arity[e]:
                 raise TcppError(f"kernel {idx} at node {node} has arity "
-                                f"{len(kernel)}, expected {n_kids[node]}")
+                                f"{len(kernel)}, expected {tree.arity[node]}")
             if negative[e]:
                 raise TcppError(f"kernel {idx} at node {node} has a negative weight")
             if not abs(sum(kernel) - 1.0) <= 1e-9:      # NaN and inf fail too
@@ -169,7 +168,7 @@ class ScenarioModel:
         """Each internal node's equal-weight mixture of its entries of penalty
         at most ``max_penalty``, as its row of a ``(n_nodes, widest arity)``
         array: kernels added in menu order, a zero row where none is kept."""
-        out = np.zeros((self.tree.n_nodes, max(map(len, self.tree.children))))
+        out = np.zeros((self.tree.n_nodes, int(self.tree.arity.max())))
         for nodes, _, kernels, penalties in self.steps(self.tree.leaves):
             keep = (penalties <= max_penalty) & (np.arange(penalties.shape[1])
                                                  < self.menu_sizes[nodes, None])
@@ -241,7 +240,7 @@ def enumerate_selections(model: ScenarioModel,
 def selection_to_measure(model: ScenarioModel, sel: MeasureSelection) -> Measure:
     """Density per leaf: product of chosen kernel weights along the path / P."""
     tree = model.tree
-    kernel = np.zeros((tree.n_nodes, max(map(len, tree.children))))
+    kernel = np.zeros((tree.n_nodes, int(tree.arity.max())))
     for nodes, _, k, _ in model.steps(tree.leaves, _check_selection(model, sel)):
         kernel[nodes, :k.shape[1]] = k
     return Measure.from_leaf_masses(tree, tree.product_down(kernel)[list(tree.leaves)])

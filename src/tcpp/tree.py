@@ -9,10 +9,13 @@ Every ancestry question goes through one index built when the tree is:
 the preorder interval ``[enter[v], exit[v])`` of each node, so that ``a``
 is an ancestor-or-self of ``b`` exactly when ``b``'s entry falls inside
 ``a``'s interval, and the leaves below a node are a slice of the leaves in
-preorder.  A cut is a stopping time when its intervals are
-disjoint and their leaf counts add up to the number of leaves; the owner
-of a node in a cut is found by one ``searchsorted`` over the cut's sorted
-entries; ``levels`` groups the nodes strictly above a cut by (time, arity),
+preorder.  The index comes from the parent array in array operations:
+children by a stable sort, subtree sizes bottom-up and preorder entries
+top-down one time level at a time, the level groups by one sort; errors
+name the first offending node, in id order.  A cut is a stopping time when
+its intervals are disjoint and their leaf counts add up to the number of
+leaves; the owner of a node in a cut is found by one ``searchsorted`` over
+the cut's sorted entries; ``levels`` groups the nodes strictly above a cut by (time, arity),
 deepest first, as arrays of nodes and of their children: the order of every
 backward induction, which handles one group in array operations, and of
 ``sum_up``, which sums a measure's leaf masses, or a claim's values times
@@ -31,7 +34,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from itertools import chain
+from itertools import filterfalse
 from types import MappingProxyType
 
 import numpy as np
@@ -39,88 +42,139 @@ import numpy as np
 from .errors import ForeignNode, MassMismatch, TcppError
 
 
+def _ints(values: Sequence) -> np.ndarray:
+    """Integers as an int array, or as Python ints in an object array where
+    one reaches 2**62 in size, so that no check on them overflows."""
+    try:
+        out = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+    if len(out) and (out.min() <= -2**62 or out.max() >= 2**62):
+        return np.array(values, dtype=object)
+    return out
+
+
 class FiltrationTree:
-    """Event tree for (Omega, F, (F_t), P) with reference leaf weights."""
+    """Event tree for (Omega, F, (F_t), P) with reference leaf weights.
+
+    ``times`` and ``parents`` (None at the root) come one per node, as
+    sequences or arrays.  ``arity`` holds each node's number of children as
+    a read-only array; ``children``, their ids, is built on first use.
+    """
 
     def __init__(self, times: Sequence[int], parents: Sequence[int | None],
                  leaf_weights: Mapping[int, float]):
         n = len(times)
         if len(parents) != n:
             raise TcppError("times and parents must have equal length")
-        self.times = tuple(map(int, times))
-        self.parents = tuple(parents)
-        children: list[list[int]] = [[] for _ in range(n)]
-        for node, par in enumerate(self.parents):
-            if par is not None:
-                if not 0 <= par < n:
-                    raise ForeignNode(f"node {node} has parent {par} outside the tree")
-                children[par].append(node)
-        if self.parents.count(None) != 1:
-            raise TcppError(f"expected exactly one root, found {self.parents.count(None)}")
-        self.root = self.parents.index(None)
-        if self.times[self.root] != 0:
+        given = tuple(parents)
+        par, roots = list(given), []
+        for _ in range(given.count(None)):
+            roots.append(given.index(None, roots[-1] + 1 if roots else 0))
+            par[roots[-1]] = -1
+        par = _ints(par)
+        foreign = (par < 0) | (par >= n)
+        foreign[roots] = False
+        if foreign.any():
+            node = int(foreign.argmax())
+            raise ForeignNode(f"node {node} has parent {given[node]} outside the tree")
+        if len(roots) != 1:
+            raise TcppError(f"expected exactly one root, found {len(roots)}")
+        self.root = root = roots[0]
+        par = par.astype(int, copy=False)
+        t = _ints(times)
+        if t[root] != 0:
             raise TcppError("root must sit at time 0")
-        self.children = tuple(map(tuple, children))
-        self.horizon = max(self.times)
+        self.horizon = int(t.max())
         if self.horizon < 1:
             raise TcppError("horizon must be at least 1")
-        for node, par in enumerate(self.parents):
-            if par is not None and self.times[node] != self.times[par] + 1:
-                raise TcppError(f"node {node} is not one period after its parent")
-            if not children[node] and self.times[node] != self.horizon:
-                raise TcppError(f"leaf {node} is not at the horizon")
-        self.leaves = tuple(v for v in range(n) if not children[v])
-        missing = [v for v in self.leaves if v not in leaf_weights]
+        arity = np.bincount(par[par >= 0], minlength=n)
+        late = t != t[par] + 1
+        late[root] = False
+        bad = late | ((arity == 0) & (t != self.horizon))
+        if bad.any():
+            node = int(bad.argmax())
+            raise TcppError(f"node {node} is not one period after its parent" if late[node]
+                            else f"leaf {node} is not at the horizon")
+        t = t.astype(int, copy=False)
+        self.times = tuple(t.tolist())
+        parent_list = par.tolist()
+        parent_list[root] = None
+        self.parents = tuple(parent_list)
+        # children grouped by parent, each group ascending: kids[first[v]:first[v + 1]]
+        kids = par.argsort(kind="stable")[1:]
+        first = np.zeros(n + 1, dtype=int)
+        first[1:] = arity.cumsum()
+        self._kids, self._first = kids, first
+        is_leaf = arity == 0
+        leaves = is_leaf.nonzero()[0]
+        self.leaves = tuple(leaves.tolist())
+        missing = list(filterfalse(leaf_weights.__contains__, self.leaves))
         if missing:
             raise TcppError(f"missing leaf weights for {missing}")
-        w = np.array([float(leaf_weights[v]) for v in self.leaves])
-        if np.any(w <= 0):
+        w = np.fromiter(map(float, map(leaf_weights.__getitem__, self.leaves)), float,
+                        len(self.leaves))
+        if (w <= 0).any():
             raise TcppError("every leaf weight must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-9:
             raise TcppError(f"leaf weights sum to {w.sum()!r}, expected 1")
         self.leaf_weights = dict(zip(self.leaves, w.tolist()))
         self.leaf_index = dict(zip(self.leaves, range(len(self.leaves))))
+        arity.flags.writeable = False
+        self.arity = arity
 
         # preorder intervals: the subtree of v is preorder[enter[v]:exit[v]],
         # and the leaves below it are _pre_leaves[_leaves_before[enter[v]]:
-        # _leaves_before[exit[v]]]
-        order, stack = [], [self.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack += self.children[v][::-1]
-        self.preorder = tuple(order)
-        self.enter = [0] * n
-        self._leaves_before = [0] * (n + 1)
-        count = 0
-        for i, v in enumerate(order):
-            self.enter[v] = i
-            self._leaves_before[i] = count
-            if not children[v]:
-                count += 1
-        self._leaves_before[n] = count
-        self._pre_leaves = tuple(v for v in order if not children[v])
-        self.exit = [0] * n
-        for v in reversed(order):
-            kids = children[v]
-            self.exit[v] = self.exit[kids[-1]] if kids else self.enter[v] + 1
-        self._span = np.array([self.enter, self.exit])
+        # _leaves_before[exit[v]]].  Subtree sizes add up one time level at a
+        # time, bottom-up; a child enters one after its parent plus the sizes
+        # of its elder siblings, one level at a time, top-down.
+        by_time = t.argsort(kind="stable")
+        level = np.bincount(t).cumsum().tolist()          # nodes up to each time
+        levels = [by_time[a:b] for a, b in zip(level[:-1], level[1:])]
+        size = np.ones(n, dtype=int)
+        for nodes in reversed(levels):
+            np.add.at(size, par[nodes], size[nodes])
+        elder = np.zeros(n, dtype=int)
+        elder[1:] = size[kids].cumsum()
+        offset = np.zeros(n, dtype=int)
+        offset[kids] = 1 + elder[:-1] - elder[first[:-1]].repeat(arity)
+        enter = np.zeros(n, dtype=int)
+        for nodes in levels:
+            enter[nodes] = enter[par[nodes]] + offset[nodes]
+        self._span = np.array([enter, enter + size])
+        order = np.empty(n, dtype=int)
+        order[enter] = np.arange(n)
+        self.preorder = tuple(order.tolist())
+        self.enter, self.exit = self._span.tolist()
+        before = np.zeros(n + 1, dtype=int)
+        before[1:] = is_leaf[order].cumsum()
+        self._leaves_before = before
+        self._pre_leaves = tuple(order[is_leaf[order]].tolist())
+        self._times = t
         # internal nodes by (time, arity), deepest first, ascending within a
-        # group
-        groups: dict[tuple[int, int], list[int]] = {}
-        for v in range(n):
-            if children[v]:
-                groups.setdefault((-self.times[v], len(children[v])), []).append(v)
+        # group, from one stable sort
+        internal = (~is_leaf).nonzero()[0]
+        key = (n + 1) * (self.horizon - t[internal]) + arity[internal]
+        by_key = key.argsort(kind="stable")
+        internal, key = internal[by_key], key[by_key]
+        bounds = [0, *((key[1:] != key[:-1]).nonzero()[0] + 1).tolist(), len(key)]
         self._levels = {}
-        for (t, k), nodes in sorted(groups.items()):
-            kids = np.fromiter(chain.from_iterable(map(children.__getitem__, nodes)), int,
-                               len(nodes) * k).reshape(len(nodes), k)
-            self._levels[-t, k] = (np.array(nodes), kids)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            nodes = internal[a:b]
+            k = int(arity[nodes[0]])
+            self._levels[int(t[nodes[0]]), k] = (nodes, kids[first[nodes, None] + np.arange(k)])
         mass = np.zeros(n)
-        mass[list(self.leaves)] = w
-        self._p_mass = self.sum_up(mass).tolist()
+        mass[leaves] = w
+        self._p_mass = self.sum_up(mass)
+        self._p_mass.flags.writeable = False
 
     # -- basic queries ----------------------------------------------------
+    @functools.cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """The children of every node, ascending; built on first use."""
+        flat, bounds = self._kids.tolist(), self._first.tolist()
+        return tuple(map(tuple, map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:]))))
+
     @functools.cached_property
     def _horizon_cut(self) -> "StoppingTime":
         return StoppingTime(frozenset(self.leaves))
@@ -130,10 +184,10 @@ class FiltrationTree:
         return len(self.times)
 
     def nodes_at(self, t: int) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n_nodes) if self.times[v] == t)
+        return tuple(np.flatnonzero(self._times == t).tolist())
 
     def internal_nodes(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n_nodes) if self.children[v])
+        return tuple(np.flatnonzero(self.arity).tolist())
 
     def subtree_leaves(self, node: int) -> tuple[int, ...]:
         """The leaves below ``node`` in preorder."""
@@ -142,8 +196,8 @@ class FiltrationTree:
 
     def p_kernel(self, node: int) -> tuple[float, ...]:
         """Reference one-step transition law at an internal node."""
-        total = self._p_mass[node]
-        return tuple(self._p_mass[c] / total for c in self.children[node])
+        kids = self._kids[self._first[node]:self._first[node + 1]]
+        return tuple((self._p_mass[kids] / self._p_mass[node]).tolist())
 
     def is_ancestor(self, a: int, b: int) -> bool:
         """True when a is an ancestor of b or equal to it."""
@@ -318,20 +372,18 @@ def validate_stopping_time(tree: FiltrationTree, tau: StoppingTime) -> None:
     if tau.__dict__.get("_valid_on") is tree:
         return
     n = tree.n_nodes
-    for v in tau.cut:
-        if not 0 <= v < n:
-            raise ForeignNode(f"stopping time references node {v} outside the tree")
-    before = tree._leaves_before        # leaves ahead of each preorder position
-    leaves, end = 0, 0
-    for v in sorted(tau.cut, key=tree.enter.__getitem__):
-        if tree.enter[v] < end:
-            break
-        end = tree.exit[v]
-        leaves += before[end] - before[tree.enter[v]]
-    else:
-        if leaves == len(tree.leaves):
-            tau.__dict__["_valid_on"] = tree
-            return
+    if tau.cut and not (0 <= min(tau.cut) and max(tau.cut) < n):
+        v = next(v for v in tau.cut if not 0 <= v < n)
+        raise ForeignNode(f"stopping time references node {v} outside the tree")
+    # the cut's intervals in preorder: disjoint, and their leaves add up to all
+    enter, leave = tree._span[:, tau.index]
+    order = enter.argsort()
+    enter, leave = enter[order], leave[order]
+    before = tree._leaves_before
+    if ((enter[1:] >= leave[:-1]).all()
+            and (before[leave] - before[enter]).sum() == len(tree.leaves)):
+        tau.__dict__["_valid_on"] = tree
+        return
     # name the first leaf whose path misses the cut or meets it twice
     hits = tree.cover(tau.index)[tree._span[0][list(tree.leaves)]]
     i = int((hits != 1).argmax())

@@ -100,6 +100,82 @@ def binomial_constrained_oracle(tree, asset, h_set, leaf_values: dict,
     return node_value(tree.root)
 
 
+# -- the tree's index built node by node ----------------------------------------
+
+def tree_by_node(times, parents, leaf_weights) -> dict:
+    """The index attributes of ``FiltrationTree(times, parents, leaf_weights)``
+    as its constructor built them node by node, raising the same errors:
+    children by appending, preorder by a stack walk, entries and leaf counts
+    by one pass over the preorder, exits from the last child, level groups
+    (deepest first) by a dict over the nodes, and P's node masses child by
+    child."""
+    n = len(times)
+    if len(parents) != n:
+        raise TcppError("times and parents must have equal length")
+    times, parents = tuple(map(int, times)), tuple(parents)
+    children: list[list[int]] = [[] for _ in range(n)]
+    for node, par in enumerate(parents):
+        if par is not None:
+            if not 0 <= par < n:
+                raise ForeignNode(f"node {node} has parent {par} outside the tree")
+            children[par].append(node)
+    if parents.count(None) != 1:
+        raise TcppError(f"expected exactly one root, found {parents.count(None)}")
+    root = parents.index(None)
+    if times[root] != 0:
+        raise TcppError("root must sit at time 0")
+    horizon = max(times)
+    if horizon < 1:
+        raise TcppError("horizon must be at least 1")
+    for node, par in enumerate(parents):
+        if par is not None and times[node] != times[par] + 1:
+            raise TcppError(f"node {node} is not one period after its parent")
+        if not children[node] and times[node] != horizon:
+            raise TcppError(f"leaf {node} is not at the horizon")
+    leaves = [v for v in range(n) if not children[v]]
+    missing = [v for v in leaves if v not in leaf_weights]
+    if missing:
+        raise TcppError(f"missing leaf weights for {missing}")
+    w = np.array([float(leaf_weights[v]) for v in leaves])
+    if np.any(w <= 0):
+        raise TcppError("every leaf weight must be strictly positive")
+    if abs(w.sum() - 1.0) > 1e-9:
+        raise TcppError(f"leaf weights sum to {w.sum()!r}, expected 1")
+    order, stack = [], [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack += children[v][::-1]
+    enter, before, count = [0] * n, [0] * (n + 1), 0
+    for i, v in enumerate(order):
+        enter[v], before[i] = i, count
+        count += not children[v]
+    before[n] = count
+    exit_ = [0] * n
+    for v in reversed(order):
+        exit_[v] = exit_[children[v][-1]] if children[v] else enter[v] + 1
+    groups: dict[tuple[int, int], list[int]] = {}
+    for v in range(n):
+        if children[v]:
+            groups.setdefault((-times[v], len(children[v])), []).append(v)
+    levels = [((-t, k), (nodes, [tuple(children[v]) for v in nodes]))
+              for (t, k), nodes in sorted(groups.items())]
+    mass = [0.0] * n
+    for v, x in zip(leaves, w.tolist()):
+        mass[v] = x
+    for _, (nodes, kids) in levels:
+        for v, row in zip(nodes, kids):
+            acc = 0.0
+            for c in row:
+                acc = acc + mass[c]
+            mass[v] = acc
+    return {"times": times, "parents": parents, "root": root, "horizon": horizon,
+            "children": tuple(map(tuple, children)), "leaves": tuple(leaves),
+            "preorder": tuple(order), "enter": enter, "exit": exit_,
+            "_leaves_before": before, "_pre_leaves": tuple(v for v in order if not children[v]),
+            "levels": levels, "_p_mass": mass}
+
+
 # -- tree walks as first written: path scans and recursion ---------------------
 # Reference implementations of what ``tcpp.tree`` now answers from its
 # preorder interval index; tests require the two to agree exactly.

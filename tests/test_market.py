@@ -4,7 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from gen import random_claim, random_model, random_tree
+from gen import (random_claim, random_irregular_tree, random_model, random_tree,
+                 relabelled)
 from oracles import binomial_constrained_oracle, price_enumerated
 from tcpp.errors import NoMartingaleMeasure, TcppError
 from tcpp.market import (AssetProcess, ConstraintSet, GoodDealCaps,
@@ -259,6 +260,46 @@ def test_good_deal_cap_off_the_internal_nodes_rejected():
     for node in (2, 99):      # a leaf, and no node at all
         with pytest.raises(TcppError, match=f"node {node}, which is not an internal node"):
             good_deal_bounds(tree, [s], GoodDealCaps(1.5, {node: 1.2}), digital(tree))
+
+
+def test_cap_arrays_match_the_caps_node_by_node():
+    rng = np.random.default_rng(23)
+    failed = 0
+    for i in range(60):
+        tree = relabelled(random_irregular_tree(rng), rng) if i % 2 else random_tree(rng)
+        internal = tree.internal_nodes()
+        picked = rng.choice(internal, size=int(rng.integers(0, len(internal) + 1)),
+                            replace=False)
+        caps = GoodDealCaps(None if i % 3 == 0 else float(rng.uniform(1.0, 2.0)),
+                            {int(v): float(rng.uniform(1.0, 3.0)) for v in picked})
+        try:
+            want = [caps.cap(v) if tree.children[v] else np.inf for v in range(tree.n_nodes)]
+        except TcppError as exc:
+            failed += 1
+            with pytest.raises(TcppError, match=f"^{exc}$"):
+                caps.on(tree)
+            continue
+        assert caps.on(tree).tolist() == want
+    assert 0 < failed < 60
+
+
+def test_assets_hold_one_array_per_node():
+    tree = FiltrationTree.binomial(2)
+    values = {v: 1.0 + v for v in range(tree.n_nodes)}
+    by_map, by_array = AssetProcess("S", values), AssetProcess("S", np.arange(1.0, 8.0))
+    assert by_map == by_array and by_map.values == by_array.values == values
+    assert by_map.on(tree).tolist() == by_array.on(tree).tolist() == list(values.values())
+    assert AssetProcess("T", values) != by_map
+    # nodes beyond the tree are ignored; the nodes it misses are named
+    assert AssetProcess("S", {**values, 99: 5.0, -1: 2.0}).on(tree).tolist() == \
+        list(values.values())
+    for partial, missing in (({0: 1.0, 1: 2.0, 5: 3.0}, "2, 3, 4, 6"),
+                             (np.array([1.0, np.nan, 2.0]), "1, 3, 4, 5, 6")):
+        with pytest.raises(TcppError, match=rf"undefined on nodes \[{missing}\]$"):
+            AssetProcess("S", partial).validate(tree)
+    for bad in ({0: 1.0, 1: float("inf")}, np.array([1.0, np.inf])):
+        with pytest.raises(TcppError, match="value inf at node 1 is not finite"):
+            AssetProcess("S", bad)
 
 
 @pytest.mark.parametrize("bid,ask,pay", [

@@ -9,6 +9,7 @@ import oracles
 from gen import (deep_chain_model, random_claim, random_irregular_tree, random_model,
                  random_tree, relabelled)
 from tcpp.errors import EnumerationOverflow, TcppError
+from tcpp.market import _level_steps
 from tcpp.nfl import find_zero_penalty_equivalent_measure, nfl_verdict
 from tcpp.pricing import (american_price, enumerate_stop_sets, price,
                           random_stopping_time)
@@ -49,6 +50,110 @@ def bad_cuts(tree: FiltrationTree, tau: StoppingTime, rng: np.random.Generator):
     size = int(rng.integers(1, tree.n_nodes + 1))
     out.append(StoppingTime.of(int(u) for u in rng.choice(tree.n_nodes, size, replace=False)))
     return out
+
+
+def built(build, times, parents, weights):
+    """The index attributes of a tree built by ``build``, or the error's type
+    and text."""
+    try:
+        out = build(times, parents, weights)
+    except TcppError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, dict):               # the node-by-node constructor
+        return out
+    return {"times": out.times, "parents": out.parents, "root": out.root,
+            "horizon": out.horizon, "children": out.children, "leaves": out.leaves,
+            "preorder": out.preorder, "enter": out.enter, "exit": out.exit,
+            "_leaves_before": out._leaves_before.tolist(), "_pre_leaves": out._pre_leaves,
+            "levels": [(key, (nodes.tolist(), list(map(tuple, kids.tolist()))))
+                       for key, (nodes, kids) in out._levels.items()],
+            "_p_mass": out._p_mass.tolist()}
+
+
+def malformed(rng: np.random.Generator, times: list, parents: list, weights: dict,
+              fault: str) -> None:
+    """One fault of the named kind, in place."""
+    n = len(times)
+    root = parents.index(None)
+    others = [v for v in range(n) if v != root]
+    v = others[int(rng.integers(len(others)))]
+    leaves = sorted(weights)
+    if fault == "foreign parent":
+        parents[v] = (-1, n, n + 3, 10**20)[int(rng.integers(4))]
+    elif fault == "no root":
+        parents[root] = v
+    elif fault == "two roots":
+        parents[v] = None
+    elif fault == "root off time 0":
+        times[root] = (1, -1, 10**20)[int(rng.integers(3))]
+    elif fault == "period gap":
+        times[v] += (1, -1, 2, 10**20)[int(rng.integers(4))]
+    elif fault == "far times":            # a child one period after its parent in int64
+        times[v] = 2**63 - 1
+        for c in range(n):
+            if parents[c] == v:
+                times[c] = -2**63
+    elif fault == "short leaf":           # a new leaf one period below the root
+        times.append(1)
+        parents.append(root)
+        weights[n] = 0.0 if rng.random() < 0.5 else 0.1
+    elif fault == "missing weight":
+        del weights[leaves[int(rng.integers(len(leaves)))]]
+    elif fault == "nonpositive weight":
+        weights[leaves[int(rng.integers(len(leaves)))]] = (0.0, -0.25)[int(rng.integers(2))]
+    elif fault == "unnormalised":
+        weights[leaves[int(rng.integers(len(leaves)))]] *= 1.5
+
+
+# each fault and a phrase of the error it is meant to raise
+TREE_FAULTS = {"foreign parent": "outside the tree", "no root": "found 0",
+               "two roots": "found 2", "root off time 0": "at time 0",
+               "period gap": "one period after", "far times": "one period after",
+               "short leaf": "not at the horizon",
+               "missing weight": "missing leaf weights", "nonpositive weight": "strictly positive",
+               "unnormalised": "weights sum to"}
+
+
+def test_array_built_tree_matches_the_node_by_node_constructor():
+    rng = np.random.default_rng(16)
+    for i in range(200):
+        tree = relabelled(random_irregular_tree(rng, max_periods=4), rng) if i % 4 \
+            else random_tree(rng)
+        args = (list(tree.times), list(tree.parents), dict(tree.leaf_weights))
+        assert built(FiltrationTree, *args) == built(oracles.tree_by_node, *args)
+    chain = deep_chain_model().tree
+    args = (chain.times, chain.parents, chain.leaf_weights)
+    assert built(FiltrationTree, *args) == built(oracles.tree_by_node, *args)
+
+
+@pytest.mark.parametrize("fault", TREE_FAULTS)
+def test_malformed_trees_fail_as_the_node_by_node_constructor(fault):
+    rng = np.random.default_rng(list(TREE_FAULTS).index(fault))
+    meant = 0
+    for i in range(40):
+        tree = random_irregular_tree(rng, max_periods=3)
+        if i % 2:
+            tree = relabelled(tree, rng)
+        times, parents, weights = list(tree.times), list(tree.parents), dict(tree.leaf_weights)
+        malformed(rng, times, parents, weights, fault)
+        want = built(oracles.tree_by_node, times, parents, weights)
+        assert built(FiltrationTree, times, parents, weights) == want
+        meant += isinstance(want, tuple) and TREE_FAULTS[fault] in want[1]
+    assert meant >= 10
+    with pytest.raises(TcppError, match="equal length"):
+        FiltrationTree([0, 1], [None], {1: 1.0})
+
+
+def test_node_lists_and_reference_kernels_match_node_by_node():
+    rng = np.random.default_rng(17)
+    for i in range(40):
+        tree = relabelled(random_irregular_tree(rng), rng) if i % 2 else random_tree(rng)
+        for t in range(-1, tree.horizon + 2):
+            assert tree.nodes_at(t) == tuple(v for v in range(tree.n_nodes) if tree.times[v] == t)
+        assert tree.internal_nodes() == tuple(v for v in range(tree.n_nodes)
+                                              if tree.children[v])
+        for nodes, kids, p, _ in _level_steps(tree, np.zeros((tree.n_nodes, 0))):
+            assert p.tolist() == [list(tree.p_kernel(v)) for v in nodes.tolist()]
 
 
 def test_validate_matches_path_scan_on_valid_and_invalid_cuts():
