@@ -400,23 +400,21 @@ def _menu_table(blocks: list) -> MenuTable:
     """The menu lines' entries in menu order: nodes by their first line,
     each node's entries by line."""
     lines = np.concatenate([ls for ls, _ in blocks])
-    nodes = np.concatenate([np.array(cols[0]) for _, cols in blocks])   # object if huge
+    nodes = list(chain.from_iterable(cols[0] for _, cols in blocks))
     arity = np.repeat([cols[1].shape[1] for _, cols in blocks], [len(ls) for ls, _ in blocks])
     weights = np.concatenate([cols[1].ravel() for _, cols in blocks])
     penalties = np.concatenate([cols[2] for _, cols in blocks])
     by_line = lines.argsort()
-    keys, first, key_of = np.unique(nodes[by_line], return_index=True, return_inverse=True)
-    order = first.argsort()                         # the nodes by their first line
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    rank = rank[key_of]                             # each entry's node's, in line order
-    entry = by_line[rank.argsort(kind="stable")]    # by node, then by line
-    if (entry != np.arange(len(entry))).any():      # not yet in menu order
+    keys = list(dict.fromkeys(map(nodes.__getitem__, by_line.tolist())))
+    rank = np.fromiter(map(dict(zip(keys, range(len(keys)))).__getitem__, nodes), int,
+                       len(nodes))
+    entry = np.lexsort((lines, rank))                   # by node, then by line
+    if (entry != np.arange(len(entry))).any():          # not yet in menu order
         start = np.cumsum(arity) - arity
         arity, penalties = arity[entry], penalties[entry]
         weights = weights[np.repeat(start[entry] - (np.cumsum(arity) - arity), arity)
                           + np.arange(len(weights))]
-    return MenuTable(keys[order].tolist(), np.bincount(rank), arity, weights, penalties)
+    return MenuTable(keys, np.bincount(rank), arity, weights, penalties)
 
 
 def parse_market_text(text: str) -> MarketData:
@@ -428,14 +426,15 @@ def parse_market_text(text: str) -> MarketData:
     nid_line = lines[0]
     if min(ids) != 0 or max(ids) != len(ids) - 1:       # the ids are distinct
         raise MarketFileError("node ids must be contiguous from 0", nid_line)
-    row = np.empty(len(ids), dtype=int)
-    row[ids] = np.arange(len(ids))                       # the row of each node id
+    if ids != list(range(len(ids))):
+        row = np.empty(len(ids), dtype=int)
+        row[ids] = np.arange(len(ids))                   # the row of each node id
+        times, parents = np.asarray(times)[row], np.array(parents, dtype=object)[row]
     weights = {}
     for _, (leaves, w) in read.get("weight", ()):
         weights.update(zip(leaves, w))
     try:
-        tree = FiltrationTree(np.asarray(times)[row], np.array(parents, dtype=object)[row],
-                              weights)
+        tree = FiltrationTree(times, parents, weights)
     except TcppError as exc:
         raise MarketFileError(f"invalid tree: {exc}", nid_line)
     for lines, horizons in read.get("horizon", ()):

@@ -49,7 +49,7 @@ def _ints(values: Sequence) -> np.ndarray:
         out = np.asarray(values, dtype=np.int64)
     except OverflowError:
         return np.array(values, dtype=object)
-    if len(out) and (out.min() <= -2**62 or out.max() >= 2**62):
+    if len(out) and not -2**62 < out.min() <= out.max() < 2**62:
         return np.array(values, dtype=object)
     return out
 
@@ -101,11 +101,6 @@ class FiltrationTree:
         parent_list = par.tolist()
         parent_list[root] = None
         self.parents = tuple(parent_list)
-        # children grouped by parent, each group ascending: kids[first[v]:first[v + 1]]
-        kids = par.argsort(kind="stable")[1:]
-        first = np.zeros(n + 1, dtype=int)
-        first[1:] = arity.cumsum()
-        self._kids, self._first = kids, first
         is_leaf = arity == 0
         leaves = is_leaf.nonzero()[0]
         self.leaves = tuple(leaves.tolist())
@@ -119,10 +114,14 @@ class FiltrationTree:
         if abs(w.sum() - 1.0) > 1e-9:
             raise TcppError(f"leaf weights sum to {w.sum()!r}, expected 1")
         self.leaf_weights = dict(zip(self.leaves, w.tolist()))
-        self.leaf_index = dict(zip(self.leaves, range(len(self.leaves))))
         arity.flags.writeable = False
-        self.arity = arity
+        self.arity, self._times, self._leaf_mass = arity, t, w
 
+        # children grouped by parent, each group ascending: kids[first[v]:first[v + 1]]
+        kids = par.argsort(kind="stable")[1:]
+        first = np.zeros(n + 1, dtype=int)
+        first[1:] = arity.cumsum()
+        self._kids, self._first = kids, first
         # preorder intervals: the subtree of v is preorder[enter[v]:exit[v]],
         # and the leaves below it are _pre_leaves[_leaves_before[enter[v]]:
         # _leaves_before[exit[v]]].  Subtree sizes add up one time level at a
@@ -142,15 +141,11 @@ class FiltrationTree:
         for nodes in levels:
             enter[nodes] = enter[par[nodes]] + offset[nodes]
         self._span = np.array([enter, enter + size])
-        order = np.empty(n, dtype=int)
-        order[enter] = np.arange(n)
-        self.preorder = tuple(order.tolist())
         self.enter, self.exit = self._span.tolist()
-        before = np.zeros(n + 1, dtype=int)
-        before[1:] = is_leaf[order].cumsum()
-        self._leaves_before = before
-        self._pre_leaves = tuple(order[is_leaf[order]].tolist())
-        self._times = t
+        self._order = np.empty(n, dtype=int)
+        self._order[enter] = np.arange(n)
+        self._leaves_before = np.zeros(n + 1, dtype=int)
+        self._leaves_before[1:] = is_leaf[self._order].cumsum()
         # internal nodes by (time, arity), deepest first, ascending within a
         # group, from one stable sort
         internal = (~is_leaf).nonzero()[0]
@@ -158,15 +153,12 @@ class FiltrationTree:
         by_key = key.argsort(kind="stable")
         internal, key = internal[by_key], key[by_key]
         bounds = [0, *((key[1:] != key[:-1]).nonzero()[0] + 1).tolist(), len(key)]
+        head, slot = first[internal], np.arange(int(arity.max()))
         self._levels = {}
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            nodes = internal[a:b]
-            k = int(arity[nodes[0]])
-            self._levels[int(t[nodes[0]]), k] = (nodes, kids[first[nodes, None] + np.arange(k)])
-        mass = np.zeros(n)
-        mass[leaves] = w
-        self._p_mass = self.sum_up(mass)
-        self._p_mass.flags.writeable = False
+        for a, b, group in zip(bounds[:-1], bounds[1:], key[bounds[:-1]].tolist()):
+            depth, k = divmod(group, n + 1)
+            self._levels[self.horizon - depth, k] = (internal[a:b],
+                                                     kids[head[a:b, None] + slot[:k]])
 
     # -- basic queries ----------------------------------------------------
     @functools.cached_property
@@ -174,6 +166,29 @@ class FiltrationTree:
         """The children of every node, ascending; built on first use."""
         flat, bounds = self._kids.tolist(), self._first.tolist()
         return tuple(map(tuple, map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:]))))
+
+    @functools.cached_property
+    def preorder(self) -> tuple[int, ...]:
+        return tuple(self._order.tolist())
+
+    @functools.cached_property
+    def _pre_leaves(self) -> tuple[int, ...]:
+        """The leaves in preorder."""
+        return tuple(self._order[self.arity[self._order] == 0].tolist())
+
+    @functools.cached_property
+    def leaf_index(self) -> dict[int, int]:
+        """The position of each leaf in ``leaves``."""
+        return dict(zip(self.leaves, range(len(self.leaves))))
+
+    @functools.cached_property
+    def _p_mass(self) -> np.ndarray:
+        """P's mass at every node, read-only."""
+        mass = np.zeros(self.n_nodes)
+        mass[list(self.leaves)] = self._leaf_mass
+        mass = self.sum_up(mass)
+        mass.flags.writeable = False
+        return mass
 
     @functools.cached_property
     def _horizon_cut(self) -> "StoppingTime":
@@ -376,12 +391,10 @@ def validate_stopping_time(tree: FiltrationTree, tau: StoppingTime) -> None:
         v = next(v for v in tau.cut if not 0 <= v < n)
         raise ForeignNode(f"stopping time references node {v} outside the tree")
     # the cut's intervals in preorder: disjoint, and their leaves add up to all
-    enter, leave = tree._span[:, tau.index]
-    order = enter.argsort()
-    enter, leave = enter[order], leave[order]
-    before = tree._leaves_before
-    if ((enter[1:] >= leave[:-1]).all()
-            and (before[leave] - before[enter]).sum() == len(tree.leaves)):
+    span = tree._span[:, tau.index]
+    span = span[:, span[0].argsort()]
+    if ((span[0, 1:] >= span[1, :-1]).all()
+            and np.diff(tree._leaves_before[span], axis=0).sum() == len(tree.leaves)):
         tau.__dict__["_valid_on"] = tree
         return
     # name the first leaf whose path misses the cut or meets it twice
