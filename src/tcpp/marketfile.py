@@ -491,7 +491,7 @@ def parse_market_text(text: str) -> MarketData:
             else:
                 per_node[node] = (cap, ln)
         for node, (_, ln) in per_node.items():
-            if not (0 <= node < tree.n_nodes and tree.children[node]):
+            if not (0 <= node < tree.n_nodes and tree.arity[node]):
                 raise MarketFileError(f"cap node {node} is not an internal node of the tree",
                                       ln)
         caps = GoodDealCaps(default, {v: c for v, (c, _) in per_node.items()})

@@ -114,6 +114,7 @@ class FiltrationTree:
         if abs(w.sum() - 1.0) > 1e-9:
             raise TcppError(f"leaf weights sum to {w.sum()!r}, expected 1")
         self.leaf_weights = dict(zip(self.leaves, w.tolist()))
+        self.leaf_index = dict(zip(self.leaves, range(len(self.leaves))))
         arity.flags.writeable = False
         self.arity, self._times, self._leaf_mass = arity, t, w
 
@@ -121,31 +122,7 @@ class FiltrationTree:
         kids = par.argsort(kind="stable")[1:]
         first = np.zeros(n + 1, dtype=int)
         first[1:] = arity.cumsum()
-        self._kids, self._first = kids, first
-        # preorder intervals: the subtree of v is preorder[enter[v]:exit[v]],
-        # and the leaves below it are _pre_leaves[_leaves_before[enter[v]]:
-        # _leaves_before[exit[v]]].  Subtree sizes add up one time level at a
-        # time, bottom-up; a child enters one after its parent plus the sizes
-        # of its elder siblings, one level at a time, top-down.
-        by_time = t.argsort(kind="stable")
-        level = np.bincount(t).cumsum().tolist()          # nodes up to each time
-        levels = [by_time[a:b] for a, b in zip(level[:-1], level[1:])]
-        size = np.ones(n, dtype=int)
-        for nodes in reversed(levels):
-            np.add.at(size, par[nodes], size[nodes])
-        elder = np.zeros(n, dtype=int)
-        elder[1:] = size[kids].cumsum()
-        offset = np.zeros(n, dtype=int)
-        offset[kids] = 1 + elder[:-1] - elder[first[:-1]].repeat(arity)
-        enter = np.zeros(n, dtype=int)
-        for nodes in levels:
-            enter[nodes] = enter[par[nodes]] + offset[nodes]
-        self._span = np.array([enter, enter + size])
-        self.enter, self.exit = self._span.tolist()
-        self._order = np.empty(n, dtype=int)
-        self._order[enter] = np.arange(n)
-        self._leaves_before = np.zeros(n + 1, dtype=int)
-        self._leaves_before[1:] = is_leaf[self._order].cumsum()
+        self._par, self._kids, self._first = par, kids, first
         # internal nodes by (time, arity), deepest first, ascending within a
         # group, from one stable sort
         internal = (~is_leaf).nonzero()[0]
@@ -153,12 +130,62 @@ class FiltrationTree:
         by_key = key.argsort(kind="stable")
         internal, key = internal[by_key], key[by_key]
         bounds = [0, *((key[1:] != key[:-1]).nonzero()[0] + 1).tolist(), len(key)]
-        head, slot = first[internal], np.arange(int(arity.max()))
+        # the children of every internal node as a row, padded past its arity
+        rows = kids[np.minimum(first[internal, None] + np.arange(arity.max()), n - 2)]
         self._levels = {}
         for a, b, group in zip(bounds[:-1], bounds[1:], key[bounds[:-1]].tolist()):
             depth, k = divmod(group, n + 1)
-            self._levels[self.horizon - depth, k] = (internal[a:b],
-                                                     kids[head[a:b, None] + slot[:k]])
+            self._levels[self.horizon - depth, k] = (internal[a:b], rows[a:b, :k])
+
+    # -- the preorder index, built on first use ----------------------------
+    @functools.cached_property
+    def _span(self) -> np.ndarray:
+        """Each node's preorder interval [enter, exit) as two rows.  Subtree
+        sizes add up one time level at a time, bottom-up; a child enters one
+        after its parent plus the sizes of its elder siblings, one level at a
+        time, top-down."""
+        n, par, kids, first = self.n_nodes, self._par, self._kids, self._first
+        by_time = self._times.argsort(kind="stable")
+        level = np.bincount(self._times).cumsum().tolist()     # nodes up to each time
+        levels = [by_time[a:b] for a, b in zip(level[:-1], level[1:])]
+        size = np.ones(n, dtype=int)
+        for nodes in reversed(levels):
+            np.add.at(size, par[nodes], size[nodes])
+        elder = np.zeros(n, dtype=int)
+        elder[1:] = size[kids].cumsum()
+        offset = np.zeros(n, dtype=int)
+        offset[kids] = 1 + elder[:-1] - elder[first[:-1]].repeat(self.arity)
+        enter = np.zeros(n, dtype=int)
+        for nodes in levels:
+            enter[nodes] = enter[par[nodes]] + offset[nodes]
+        return np.array([enter, enter + size])
+
+    @functools.cached_property
+    def enter(self) -> list[int]:
+        return self._span[0].tolist()
+
+    @functools.cached_property
+    def exit(self) -> list[int]:
+        return self._span[1].tolist()
+
+    @functools.cached_property
+    def _order(self) -> np.ndarray:
+        """The nodes in preorder."""
+        order = np.empty(self.n_nodes, dtype=int)
+        order[self._span[0]] = np.arange(self.n_nodes)
+        return order
+
+    @functools.cached_property
+    def _leaves_before(self) -> np.ndarray:
+        """How many leaves come before each preorder position, and in all."""
+        before = np.zeros(self.n_nodes + 1, dtype=int)
+        before[1:] = (self.arity[self._order] == 0).cumsum()
+        return before
+
+    @functools.cached_property
+    def _leaf_enter(self) -> np.ndarray:
+        """The preorder position of each leaf, in the order of ``leaves``."""
+        return self._span[0][self.arity == 0]
 
     # -- basic queries ----------------------------------------------------
     @functools.cached_property
@@ -177,11 +204,6 @@ class FiltrationTree:
         return tuple(self._order[self.arity[self._order] == 0].tolist())
 
     @functools.cached_property
-    def leaf_index(self) -> dict[int, int]:
-        """The position of each leaf in ``leaves``."""
-        return dict(zip(self.leaves, range(len(self.leaves))))
-
-    @functools.cached_property
     def _p_mass(self) -> np.ndarray:
         """P's mass at every node, read-only."""
         mass = np.zeros(self.n_nodes)
@@ -192,7 +214,11 @@ class FiltrationTree:
 
     @functools.cached_property
     def _horizon_cut(self) -> "StoppingTime":
-        return StoppingTime(frozenset(self.leaves))
+        return _valid(StoppingTime(frozenset(self.leaves)), self)
+
+    @functools.cached_property
+    def _root_cut(self) -> "StoppingTime":
+        return _valid(StoppingTime(frozenset({self.root})), self)
 
     @property
     def n_nodes(self) -> int:
@@ -353,11 +379,12 @@ class StoppingTime:
 
     @staticmethod
     def of(nodes: Iterable[int]) -> "StoppingTime":
-        return StoppingTime(frozenset(int(v) for v in nodes))
+        return StoppingTime(frozenset(map(int, nodes)))
 
     @staticmethod
     def at_root(tree: FiltrationTree) -> "StoppingTime":
-        return StoppingTime(frozenset({tree.root}))
+        """The root, one object per tree, as :meth:`at_horizon`."""
+        return tree._root_cut
 
     @staticmethod
     def at_time(tree: FiltrationTree, t: int) -> "StoppingTime":
@@ -372,12 +399,19 @@ class StoppingTime:
     @functools.cached_property
     def index(self) -> np.ndarray:
         """The cut's nodes ascending, read-only: the order of a claim's values."""
-        out = np.array(sorted(self.cut), dtype=int)
+        out = np.fromiter(self.cut, int, len(self.cut))
+        out.sort()
         out.flags.writeable = False
         return out
 
     def sorted(self) -> tuple[int, ...]:
         return tuple(self.index.tolist())
+
+
+def _valid(tau: StoppingTime, tree: FiltrationTree) -> StoppingTime:
+    """Mark ``tau`` as a stopping time of ``tree``."""
+    tau.__dict__["_valid_on"] = tree
+    return tau
 
 
 def validate_stopping_time(tree: FiltrationTree, tau: StoppingTime) -> None:
@@ -390,15 +424,14 @@ def validate_stopping_time(tree: FiltrationTree, tau: StoppingTime) -> None:
     if tau.cut and not (0 <= min(tau.cut) and max(tau.cut) < n):
         v = next(v for v in tau.cut if not 0 <= v < n)
         raise ForeignNode(f"stopping time references node {v} outside the tree")
-    # the cut's intervals in preorder: disjoint, and their leaves add up to all
-    span = tree._span[:, tau.index]
-    span = span[:, span[0].argsort()]
-    if ((span[0, 1:] >= span[1, :-1]).all()
-            and np.diff(tree._leaves_before[span], axis=0).sum() == len(tree.leaves)):
-        tau.__dict__["_valid_on"] = tree
+    if tau.cut == tree._horizon_cut.cut:
+        _valid(tau, tree)
         return
-    # name the first leaf whose path misses the cut or meets it twice
-    hits = tree.cover(tau.index)[tree._span[0][list(tree.leaves)]]
+    # how often the path to each leaf meets the cut: once on a stopping time
+    hits = tree.cover(tau.index)[tree._leaf_enter]
+    if (hits == 1).all():
+        _valid(tau, tree)
+        return
     i = int((hits != 1).argmax())
     raise TcppError(f"path to leaf {tree.leaves[i]} meets the cut {hits[i]} times, expected 1")
 

@@ -213,6 +213,15 @@ def test_the_horizon_is_one_cut_per_tree_and_keeps_its_mark():
     assert StoppingTime.at_horizon(tree).__dict__["_valid_on"] is tree
 
 
+def test_the_root_is_one_cut_per_tree_and_keeps_its_mark():
+    tree, other = FiltrationTree.binomial(3), FiltrationTree.binomial(3)
+    root = StoppingTime.at_root(tree)
+    assert StoppingTime.at_root(tree) is root and root.cut == frozenset({tree.root})
+    assert StoppingTime.at_root(other) is not root and StoppingTime.at_root(other) == root
+    validate_stopping_time(tree, root)
+    assert StoppingTime.at_root(tree).__dict__["_valid_on"] is tree
+
+
 def test_a_cut_validated_on_one_tree_is_checked_on_another():
     binomial, trinomial, big = (FiltrationTree.binomial(2), FiltrationTree.trinomial(2),
                                 FiltrationTree.binomial(4))
