@@ -5,27 +5,27 @@ the horizon and carry the strictly positive reference weights P.  Stopping
 times are antichains of nodes hit exactly once by every root-to-leaf path,
 so measurability is structural rather than numerical.
 
-Every ancestry question goes through one index built when the tree is:
-the preorder interval ``[enter[v], exit[v])`` of each node, so that ``a``
-is an ancestor-or-self of ``b`` exactly when ``b``'s entry falls inside
-``a``'s interval, and the leaves below a node are a slice of the leaves in
-preorder.  The index comes from the parent array in array operations:
+Every ancestry question goes through one index, built on first use: the
+preorder interval ``[enter[v], exit[v])`` of each node, so that ``a`` is an
+ancestor-or-self of ``b`` exactly when ``b``'s entry falls inside ``a``'s
+interval, and the leaves below a node are a slice of the leaves in
+preorder.  The tree comes from its parent array in array operations:
 children by a stable sort, subtree sizes bottom-up and preorder entries
 top-down one time level at a time, the level groups by one sort; errors
 name the first offending node, in id order.  A cut is a stopping time when
-its intervals are disjoint and their leaf counts add up to the number of
-leaves; the owner of a node in a cut is found by one ``searchsorted`` over
-the cut's sorted entries; ``levels`` groups the nodes strictly above a cut by (time, arity),
-deepest first, as arrays of nodes and of their children: the order of every
-backward induction, which handles one group in array operations, and of
-``sum_up``, which sums a measure's leaf masses, or a claim's values times
-masses, up to every node, and, reversed, of ``product_down``, which
-carries one-step kernels' mass down from the root; ``between`` lists the
-nodes from a top node down to a cut level by level, for the walks that
-follow a subtree; and ``first_stops`` walks a subtree in preorder,
-skipping below each stop.  No walk recurses, so depth is bounded by memory,
-not by Python's recursion limit.  A claim holds its values as one array in
-the order of its sorted cut.
+the path to every leaf meets it once, as one cover count of its intervals
+shows; the owner of a node in a cut is found by one ``searchsorted`` over
+the cut's sorted entries; ``levels`` groups the nodes strictly above a cut
+by (time, arity), deepest first, as arrays of nodes and of their children:
+the order of every backward induction, which handles one group in array
+operations, and of ``sum_up``, which sums a measure's leaf masses, or a
+claim's values times masses, up to every node, and, reversed, of
+``product_down``, which carries one-step kernels' mass down from the root;
+``between`` lists the nodes from a top node down to a cut level by level,
+for the walks that follow a subtree; and ``first_stops`` walks a subtree
+in preorder, skipping below each stop.  No walk recurses, so depth is
+bounded by memory, not by Python's recursion limit.  A claim holds its
+values as one array in the order of its sorted cut.
 """
 from __future__ import annotations
 
@@ -140,10 +140,12 @@ class FiltrationTree:
     # -- the preorder index, built on first use ----------------------------
     @functools.cached_property
     def _span(self) -> np.ndarray:
-        """Each node's preorder interval [enter, exit) as two rows.  Subtree
-        sizes add up one time level at a time, bottom-up; a child enters one
-        after its parent plus the sizes of its elder siblings, one level at a
-        time, top-down."""
+        """Each node's preorder interval [enter, exit) as two rows: the
+        subtree of v is preorder[enter[v]:exit[v]], and the leaves below it
+        _pre_leaves[_leaves_before[enter[v]]:_leaves_before[exit[v]]].
+        Subtree sizes add up one time level at a time, bottom-up; a child
+        enters one after its parent plus the sizes of its elder siblings, one
+        level at a time, top-down."""
         n, par, kids, first = self.n_nodes, self._par, self._kids, self._first
         by_time = self._times.argsort(kind="stable")
         level = np.bincount(self._times).cumsum().tolist()     # nodes up to each time
@@ -214,11 +216,7 @@ class FiltrationTree:
 
     @functools.cached_property
     def _horizon_cut(self) -> "StoppingTime":
-        return _valid(StoppingTime(frozenset(self.leaves)), self)
-
-    @functools.cached_property
-    def _root_cut(self) -> "StoppingTime":
-        return _valid(StoppingTime(frozenset({self.root})), self)
+        return StoppingTime(frozenset(self.leaves))
 
     @property
     def n_nodes(self) -> int:
@@ -383,8 +381,7 @@ class StoppingTime:
 
     @staticmethod
     def at_root(tree: FiltrationTree) -> "StoppingTime":
-        """The root, one object per tree, as :meth:`at_horizon`."""
-        return tree._root_cut
+        return StoppingTime(frozenset({tree.root}))
 
     @staticmethod
     def at_time(tree: FiltrationTree, t: int) -> "StoppingTime":
@@ -408,12 +405,6 @@ class StoppingTime:
         return tuple(self.index.tolist())
 
 
-def _valid(tau: StoppingTime, tree: FiltrationTree) -> StoppingTime:
-    """Mark ``tau`` as a stopping time of ``tree``."""
-    tau.__dict__["_valid_on"] = tree
-    return tau
-
-
 def validate_stopping_time(tree: FiltrationTree, tau: StoppingTime) -> None:
     """Raise unless ``tau`` is a stopping time of ``tree``.  A cut that
     passed is marked in its ``__dict__`` (as ``cached_property`` stores
@@ -424,13 +415,14 @@ def validate_stopping_time(tree: FiltrationTree, tau: StoppingTime) -> None:
     if tau.cut and not (0 <= min(tau.cut) and max(tau.cut) < n):
         v = next(v for v in tau.cut if not 0 <= v < n)
         raise ForeignNode(f"stopping time references node {v} outside the tree")
-    if tau.cut == tree._horizon_cut.cut:
-        _valid(tau, tree)
+    # the root alone and the leaves are stopping times of every tree; else
+    # count how often the path to each leaf meets the cut: once on a stopping time
+    if tau.cut == {tree.root} or tau.cut == tree._horizon_cut.cut:
+        tau.__dict__["_valid_on"] = tree
         return
-    # how often the path to each leaf meets the cut: once on a stopping time
     hits = tree.cover(tau.index)[tree._leaf_enter]
     if (hits == 1).all():
-        _valid(tau, tree)
+        tau.__dict__["_valid_on"] = tree
         return
     i = int((hits != 1).argmax())
     raise TcppError(f"path to leaf {tree.leaves[i]} meets the cut {hits[i]} times, expected 1")

@@ -1,5 +1,7 @@
 """Event-tree, stopping-time, claim, and measure behavior."""
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -213,13 +215,21 @@ def test_the_horizon_is_one_cut_per_tree_and_keeps_its_mark():
     assert StoppingTime.at_horizon(tree).__dict__["_valid_on"] is tree
 
 
-def test_the_root_is_one_cut_per_tree_and_keeps_its_mark():
-    tree, other = FiltrationTree.binomial(3), FiltrationTree.binomial(3)
-    root = StoppingTime.at_root(tree)
-    assert StoppingTime.at_root(tree) is root and root.cut == frozenset({tree.root})
-    assert StoppingTime.at_root(other) is not root and StoppingTime.at_root(other) == root
-    validate_stopping_time(tree, root)
-    assert StoppingTime.at_root(tree).__dict__["_valid_on"] is tree
+def test_a_tree_is_freed_without_the_cycle_collector_once_its_cuts_are_checked():
+    # a tree that held a cut marked with that tree would live until the
+    # cycle collector ran, arrays and all, after every command
+    gc.disable()
+    try:
+        tree = FiltrationTree.binomial(3)
+        cuts = [StoppingTime.at_root(tree), StoppingTime.of(tree.leaves),
+                StoppingTime.at_time(tree, 2)]
+        for tau in cuts:
+            validate_stopping_time(tree, tau)
+        probe = weakref.ref(tree)
+        del tree, cuts, tau
+        assert probe() is None
+    finally:
+        gc.enable()
 
 
 def test_a_cut_validated_on_one_tree_is_checked_on_another():
