@@ -42,6 +42,10 @@ import numpy as np
 from .errors import ForeignNode, MassMismatch, TcppError
 
 
+# trees of at most this many nodes build their preorder index by one walk
+_WALKED = 64
+
+
 def _ints(values: Sequence) -> np.ndarray:
     """Integers as an int array, or as Python ints in an object array where
     one reaches 2**62 in size, so that no check on them overflows."""
@@ -145,8 +149,21 @@ class FiltrationTree:
         _pre_leaves[_leaves_before[enter[v]]:_leaves_before[exit[v]]].
         Subtree sizes add up one time level at a time, bottom-up; a child
         enters one after its parent plus the sizes of its elder siblings, one
-        level at a time, top-down."""
+        level at a time, top-down.  On a few nodes one walk down the
+        children costs less than the array steps, and takes their place."""
         n, par, kids, first = self.n_nodes, self._par, self._kids, self._first
+        if n <= _WALKED:
+            order, stack, children = [], [self.root], self.children
+            while stack:
+                v = stack.pop()
+                order.append(v)
+                stack += children[v][::-1]
+            size, parents = [1] * n, self.parents
+            for v in reversed(order[1:]):
+                size[parents[v]] += size[v]
+            enter = np.empty(n, dtype=int)
+            enter[order] = range(n)
+            return np.array([enter, enter + size])
         by_time = self._times.argsort(kind="stable")
         level = np.bincount(self._times).cumsum().tolist()     # nodes up to each time
         levels = [by_time[a:b] for a, b in zip(level[:-1], level[1:])]

@@ -180,7 +180,7 @@ def test_block_claim_parser_agrees_with_the_line_parser(full_process):
 # same lines, tokens and line numbers as the line-by-line parser whatever the
 # line breaks, spaces, names and comments.
 
-BREAKS = ("\r\n", "\r", "\v", "\f", "\x1c", "\x85", " ")
+BREAKS = ("\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028")
 LAYOUTS = ("line breaks", "no-break space", "record word names", "no final newline",
            "mixed arities", "comment line in a run")
 

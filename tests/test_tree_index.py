@@ -9,6 +9,7 @@ import oracles
 from gen import (deep_chain_model, random_claim, random_irregular_tree, random_model,
                  random_tree, relabelled)
 from tcpp.errors import EnumerationOverflow, TcppError
+from tcpp import tree as tree_module
 from tcpp.market import _level_steps
 from tcpp.nfl import find_zero_penalty_equivalent_measure, nfl_verdict
 from tcpp.pricing import (american_price, enumerate_stop_sets, price,
@@ -114,7 +115,9 @@ TREE_FAULTS = {"foreign parent": "outside the tree", "no root": "found 0",
                "unnormalised": "weights sum to"}
 
 
-def test_array_built_tree_matches_the_node_by_node_constructor():
+@pytest.mark.parametrize("walked", [0, 10**9], ids=["level steps", "walk"])
+def test_array_built_tree_matches_the_node_by_node_constructor(walked, monkeypatch):
+    monkeypatch.setattr(tree_module, "_WALKED", walked)     # the preorder index either way
     rng = np.random.default_rng(16)
     for i in range(200):
         tree = relabelled(random_irregular_tree(rng, max_periods=4), rng) if i % 4 \
