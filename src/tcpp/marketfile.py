@@ -32,7 +32,9 @@ line of another token count, or a name equal to the record word, as in
 token count form one block, wherever they sit in the file; each block's
 tokens are read as columns: numbers are converted a column at a time, and
 the fixed words, finiteness and the other checks of single lines run over
-whole columns; a block's tokens are released once it is read.  The tree,
+whole columns.  Where every block is one run, each is read as it is found
+and its tokens released; where a block spans runs, or a read fails, the
+blocks are gathered whole and read again.  The tree,
 the scenario model (its menus as a :class:`~tcpp.scenario.MenuTable`) and
 the assets (one array each, filled by one scatter) are built from the
 resulting arrays.  What :func:`serialize_market` writes for a tree whose
