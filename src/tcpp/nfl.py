@@ -9,24 +9,34 @@ The free-lunch certificate is a scaled indicator of the leaves below the
 first uncharged edge; the measure certificate is the product of each
 node's uniform mixture of zero-penalty kernels, carried down the level
 groups in one top-down product.  Both cost O(nodes x menu x arity).
-:func:`nfl_verdict` then corroborates the certificate: its minimal penalty
-(one support search per level group, no LP), the martingale sandwich on
-sampled claims and stopping times, and sampled zero-cost strategies.  A
-model with a negative penalty is rejected with :class:`NegativePenalty`.
+Both searches read one computation of the zero-penalty mixtures and their
+uncharged edges.  :func:`nfl_verdict` then corroborates the certificate:
+its minimal penalty (one support search per level group, no LP), the
+martingale sandwich on sampled claims and stopping times (one ask, one bid
+and one expectation pass over every sample, compared on the sampled cuts
+in one masked comparison), and sampled zero-cost strategies, each with
+nonpositive expectation under the measure.  However many strategies it
+draws, they cost two passes from the horizon: one over every W, Y and -Y
+samples them, and one over every X0, Z and -Y validates them; the
+one-strategy :func:`sample_zero_cost` and :func:`validate_zero_cost` are
+the same code.  A model with a negative penalty is rejected with
+:class:`NegativePenalty`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InconsistentVerdicts, NegativePenalty, TcppError
-from .pricing import backward_pass, price, random_stopping_time
+from .pricing import _columns, backward_pass, price, random_stopping_time
 from .report import CheckReport
 from .scenario import ScenarioModel, minimal_penalty, uncharged_edges
 from .settings import DEFAULT, Settings
 from .tree import (Claim, FiltrationTree, Measure, StoppingTime, lift,
-                   precedes, stacked_conditional_expectation)
+                   require_finite, stacked_conditional_expectation,
+                   validate_stopping_time)
 
 
 @dataclass
@@ -49,10 +59,12 @@ class FreeLunchCertificate:
             raise TcppError("a measure certificate must carry exactly a measure")
 
 
-def _zero_penalty_mixture(model: ScenarioModel,
-                          settings: Settings) -> tuple[np.ndarray, np.ndarray]:
+def _zero_penalty_family(model: ScenarioModel, settings: Settings
+                         ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
     """Each node's uniform mixture of its entries of penalty at most
-    ``feasibility_tol``, and its row of packed penalties (padding repeats one).
+    ``feasibility_tol``, its row of packed penalties (padding repeats one),
+    and the edges that the mixture leaves uncharged (see
+    :func:`uncharged_edges`): what both searches below read.
 
     The node-local criteria below hold for nonnegative penalties only, so a
     negative one is rejected here, naming its node.
@@ -64,7 +76,8 @@ def _zero_penalty_mixture(model: ScenarioModel,
         raise NegativePenalty(
             f"menu entry {idx} at node {node} has negative penalty "
             f"{pens[node, idx].item()!r}; no-free-lunch needs nonnegative penalties")
-    return model.mixture(settings.feasibility_tol), pens
+    mix = model.mixture(settings.feasibility_tol)
+    return mix, pens, uncharged_edges(model, mix, settings.equivalence_floor)
 
 
 def find_static_free_lunch(model: ScenarioModel,
@@ -78,10 +91,14 @@ def find_static_free_lunch(model: ScenarioModel,
     weight, and every other entry pays at least eps to charge it.  Where v
     has no zero-penalty entry at all, the claim covers every leaf below v.
     """
+    return _static_free_lunch(model, settings, *_zero_penalty_family(model, settings))
+
+
+def _static_free_lunch(model: ScenarioModel, settings: Settings, mix: np.ndarray,
+                       pens: np.ndarray, edges: list[tuple[int, int]]
+                       ) -> FreeLunchCertificate | None:
     tree = model.tree
     tol = settings.feasibility_tol
-    mix, pens = _zero_penalty_mixture(model, settings)
-    edges = uncharged_edges(model, mix, settings.equivalence_floor)
     if not edges:
         return None
     v, c = edges[0]
@@ -106,9 +123,13 @@ def find_zero_penalty_equivalent_measure(model: ScenarioModel,
     makes, so the two cannot disagree on deep trees whose leaf masses, as
     products of many edge weights, fall below the floor.
     """
-    tree = model.tree
-    mix = _zero_penalty_mixture(model, settings)[0]
-    if uncharged_edges(model, mix, settings.equivalence_floor):
+    mix, _, edges = _zero_penalty_family(model, settings)
+    return _zero_penalty_measure(model.tree, mix, edges)
+
+
+def _zero_penalty_measure(tree: FiltrationTree, mix: np.ndarray,
+                          edges: list[tuple[int, int]]) -> Measure | None:
+    if edges:
         return None
     return Measure.from_leaf_masses(tree, tree.product_down(mix)[list(tree.leaves)])
 
@@ -130,47 +151,142 @@ class ZeroCostStrategy:
 
 def validate_zero_cost(model: ScenarioModel, strat: ZeroCostStrategy,
                        tol: float = 1e-9) -> None:
+    """Raise :class:`TcppError` unless ``strat`` costs nothing; see
+    :func:`validate_zero_cost_batch`."""
+    validate_zero_cost_batch(model, [strat], tol)
+
+
+def validate_zero_cost_batch(model: ScenarioModel, strats: Sequence[ZeroCostStrategy],
+                             tol: float = 1e-9) -> None:
+    """Raise :class:`TcppError` unless every strategy costs nothing: the root
+    ask of X0 is at most ``tol``, the swap times are nondecreasing, and at
+    every atom of each swap time the ask of Z is at most the bid of Y plus
+    ``tol``.  Every X0, Z and -Y at one cut is a column of one backward pass
+    from that cut, so strategies sampled from the horizon cost one pass in
+    all.  The first failure, in strategy and swap order, is raised naming
+    the strategy, the swap and the atom.
+    """
     tree = model.tree
-    root = StoppingTime.at_root(tree)
-    p0 = price(model, strat.initial, root).values[tree.root]
-    if p0 > tol:
-        raise TcppError(f"initial claim has positive root price {p0!r}")
-    prev: StoppingTime | None = None
-    for tau, z, y in strat.swaps:
-        if prev is not None and not precedes(tree, prev, tau):
-            raise TcppError("swap times must be nondecreasing")
-        prev = tau
-        ask_z = price(model, z, tau)
-        bid_y = -price(model, -y, tau)
-        short = ask_z.array > bid_y.array + tol
-        if short.any():
-            raise TcppError(f"swap not self-financing at atom {tau.index[short.argmax()]}")
+    at: dict[StoppingTime, list[Claim]] = {}
+
+    def column(x: Claim) -> tuple[StoppingTime, int]:
+        """Where ``x`` sits: its cut's pass and its column in it."""
+        validate_stopping_time(tree, x.at)
+        require_finite(x, "claim value")
+        claims = at.setdefault(x.at, [])
+        claims.append(x)
+        return x.at, len(claims) - 1
+
+    where = [(column(s.initial), [(tau, column(z), column(-y)) for tau, z, y in s.swaps])
+             for s in strats]
+    passes = {cut: backward_pass(model, cut, _columns(tree, cut, xs)) for cut, xs in at.items()}
+    for i, (x0, swaps) in enumerate(where):
+        p0 = passes[x0[0]][tree.root, x0[1]]
+        if p0 > tol:
+            raise TcppError(f"strategy {i} initial claim atom {tree.root}: "
+                            f"positive root price {p0.item()!r}")
+        prev: StoppingTime | None = None
+        for j, (tau, z, neg_y) in enumerate(swaps):
+            validate_stopping_time(tree, tau)
+            if prev is not None:
+                early = tree.owner_index(prev.index, tau.index) < 0   # none of prev above
+                if early.any():
+                    raise TcppError(f"strategy {i} swap {j} atom {tau.index[early.argmax()]}: "
+                                    f"swap times must be nondecreasing, and this atom "
+                                    f"comes before swap {j - 1}'s time")
+            prev = tau
+            ask_z, bid_y = passes[z[0]][tau.index, z[1]], -passes[neg_y[0]][tau.index, neg_y[1]]
+            below = np.isnan(ask_z) | np.isnan(bid_y)       # the pass stops at the claim's cut
+            if below.any():
+                raise TcppError(f"strategy {i} swap {j} atom {tau.index[below.argmax()]}: "
+                                f"pricing time must precede the claim's stopping time")
+            short = ask_z > bid_y + tol
+            if short.any():
+                r = short.argmax()
+                raise TcppError(f"strategy {i} swap {j} atom {tau.index[r]}: swap not "
+                                f"self-financing, ask of Z above bid of Y by "
+                                f"{(ask_z[r] - bid_y[r]).item()!r}")
+
+
+def _draw_zero_cost(tree: FiltrationTree, seed: int, n_swaps: int
+                    ) -> tuple[np.ndarray, list[tuple[StoppingTime, np.ndarray]]]:
+    """The random numbers of one strategy: W at the leaves, then each swap's
+    time and Y, from one generator seeded ``seed``."""
+    rng = np.random.default_rng(seed)
+    n = len(tree.leaves)
+    w = rng.uniform(-1.0, 1.0, n)
+    swaps, current = [], StoppingTime.at_root(tree)
+    for _ in range(n_swaps):
+        current = random_stopping_time(tree, rng, lo=current)
+        swaps.append((current, rng.uniform(0.0, 1.0, n)))
+    return w, swaps
 
 
 def sample_zero_cost(model: ScenarioModel, seed: int = 0,
                      n_swaps: int = 2) -> ZeroCostStrategy:
     """Random strategy attainable at zero cost; the self-financing
-    inequality binds through a bid-ask spread shift."""
+    inequality binds through a bid-ask spread shift.  See
+    :func:`sample_zero_cost_batch`."""
+    return sample_zero_cost_batch(model, [(seed, n_swaps)])[0]
+
+
+def sample_zero_cost_batch(model: ScenarioModel,
+                           draws: Sequence[tuple[int, int]]) -> list[ZeroCostStrategy]:
+    """One zero-cost strategy per ``(seed, n_swaps)``, checked by
+    :func:`validate_zero_cost_batch`.
+
+    X0 is a uniform claim W at the horizon less its root ask; each swap
+    draws a later stopping time and a uniform claim Y >= 0 at the horizon,
+    and Z is Y less its bid-ask spread at that time, lifted to the leaves.
+    Every W, Y and -Y is a column of one backward pass from the horizon,
+    whose rows give the root asks and the spreads at every swap time.
+    """
     tree = model.tree
-    rng = np.random.default_rng(seed)
+    if not draws:
+        return []
     horizon = StoppingTime.at_horizon(tree)
-    root = StoppingTime.at_root(tree)
+    drawn = [_draw_zero_cost(tree, seed, n_swaps) for seed, n_swaps in draws]
+    ws = [w for w, _ in drawn]
+    ys = [y for _, swaps in drawn for _, y in swaps]
+    values = np.full((tree.n_nodes, len(ws) + 2 * len(ys)), np.nan)
+    values[horizon.index] = np.column_stack(ws + ys + [-y for y in ys])
+    out = backward_pass(model, horizon, values)
+    ask, neg_bid = out[:, len(ws):len(ws) + len(ys)], out[:, len(ws) + len(ys):]
+    strats, k = [], 0
+    for i, (w, swaps) in enumerate(drawn):
+        x0 = Claim(horizon, w - out[tree.root, i])
+        strat = ZeroCostStrategy(x0, [])
+        for tau, y in swaps:
+            spread = ask[tau.index, k] + neg_bid[tau.index, k]      # ask less bid
+            z = y - spread[tree.owner_index(tau.index, horizon.index)]
+            strat.swaps.append((tau, Claim(horizon, z), Claim(horizon, y)))
+            k += 1
+        strats.append(strat)
+    del values, out, ask, neg_bid       # so that the two passes never hold memory at once
+    validate_zero_cost_batch(model, strats)
+    return strats
 
-    w = Claim(horizon, rng.uniform(-1.0, 1.0, len(tree.leaves)))
-    x0 = w - price(model, w, root).values[tree.root]
 
-    swaps = []
-    current = StoppingTime.at_root(tree)
-    for _ in range(n_swaps):
-        current = random_stopping_time(tree, rng, lo=current)
-        y = Claim(horizon, rng.uniform(0.0, 1.0, len(tree.leaves)))
-        ask_y = price(model, y, current)
-        bid_y = -price(model, -y, current)
-        z = y - lift(tree, ask_y - bid_y, horizon)
-        swaps.append((current, z, y))
-    strat = ZeroCostStrategy(x0, swaps)
-    validate_zero_cost(model, strat)
-    return strat
+def _broken_sandwich(model: ScenarioModel, measure: Measure, rng: np.random.Generator,
+                     n_samples: int, tol: float) -> np.ndarray:
+    """Draw ``n_samples`` uniform claims at the horizon, every other one
+    with a random stopping time (the root otherwise), and return the
+    (sample, atom) pairs, sample by sample and atoms ascending, where
+    bid <= E_R(X | F_sigma) <= ask fails under ``measure``.  Every sample is
+    priced, and its conditional expectations taken, at every node by one
+    stacked ask, bid and expectation pass each, and compared on its cut's
+    rows in one masked comparison."""
+    tree = model.tree
+    horizon = StoppingTime.at_horizon(tree)
+    xs = np.full((tree.n_nodes, n_samples), np.nan)
+    on_cut = np.zeros((tree.n_nodes, n_samples), dtype=bool)
+    for i in range(n_samples):
+        xs[horizon.index, i] = rng.uniform(-1.0, 1.0, len(tree.leaves))
+        sigma = random_stopping_time(tree, rng) if i % 2 else StoppingTime.at_root(tree)
+        on_cut[sigma.index, i] = True
+    ask, neg_bid = backward_pass(model, horizon, xs), backward_pass(model, horizon, -xs)
+    e = stacked_conditional_expectation(tree, measure.node_masses(tree), horizon, xs)
+    return np.argwhere((on_cut & ~((-neg_bid - tol <= e) & (e <= ask + tol))).T)
 
 
 @dataclass
@@ -200,8 +316,9 @@ def nfl_verdict(model: ScenarioModel, seed: int = 0, n_samples: int = 50,
     rng = np.random.default_rng(seed)
     checks = CheckReport(check="no free lunch", passed=True)
 
-    static = find_static_free_lunch(model, settings)          # condition ii
-    measure = find_zero_penalty_equivalent_measure(model, settings)  # iii
+    family = _zero_penalty_family(model, settings)
+    static = _static_free_lunch(model, settings, *family)           # condition ii
+    measure = _zero_penalty_measure(tree, family[0], family[2])     # iii
     verdict_ii = static is None
     verdict_iii = measure is not None
     if verdict_ii != verdict_iii:
@@ -216,28 +333,18 @@ def nfl_verdict(model: ScenarioModel, seed: int = 0, n_samples: int = 50,
         checks.info["certificate_penalty"] = pen
         checks.info["min_density"] = min(measure.density.values())
         # iv: sandwich under the certificate measure on sampled claims at
-        # sampled stopping times; every sample priced, and its conditional
-        # expectations taken, at every node by one stacked ask, bid and
-        # expectation pass each
-        xs = np.full((tree.n_nodes, n_samples), np.nan)
-        sigmas = []
-        for i in range(n_samples):
-            xs[horizon.index, i] = rng.uniform(-1.0, 1.0, len(tree.leaves))
-            sigmas.append(random_stopping_time(tree, rng) if i % 2 else root)
-        ask, neg_bid = backward_pass(model, horizon, xs), backward_pass(model, horizon, -xs)
-        e = stacked_conditional_expectation(tree, measure.node_masses(tree), horizon, xs)
-        for i, sigma in enumerate(sigmas):
-            rows = sigma.index
-            inside = (-neg_bid[rows, i] - tol <= e[rows, i]) & (e[rows, i] <= ask[rows, i] + tol)
-            for a in rows[~inside].tolist():
-                checks.add(f"sample {i} atom {a}",
-                           "martingale sandwich broken under certificate measure")
-        # i: sampled zero-cost strategies have nonpositive expectation
-        masses = measure.leaf_masses(tree)
-        for i in range(n_strategies):
-            strat = sample_zero_cost(model, seed=seed + 1 + i,
-                                     n_swaps=int(rng.integers(0, 3)))
-            ev = float(masses @ strat.payoff(tree).array)
+        # sampled stopping times
+        for i, a in _broken_sandwich(model, measure, rng, n_samples, tol).tolist():
+            checks.add(f"sample {i} atom {a}",
+                       "martingale sandwich broken under certificate measure")
+        # i: sampled zero-cost strategies have nonpositive expectation, all
+        # sampled by one pass and validated by another
+        strats = sample_zero_cost_batch(
+            model, [(seed + 1 + i, int(rng.integers(0, 3))) for i in range(n_strategies)])
+        payoffs = np.empty((len(tree.leaves), len(strats)))
+        for i, strat in enumerate(strats):
+            payoffs[:, i] = strat.payoff(tree).array
+        for i, ev in enumerate((measure.leaf_masses(tree) @ payoffs).tolist()):
             if ev > tol:
                 checks.add(f"strategy {i}",
                            f"zero-cost payoff has positive expectation {ev!r}")

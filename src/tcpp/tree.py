@@ -406,8 +406,8 @@ class StoppingTime:
 
     @staticmethod
     def at_horizon(tree: FiltrationTree) -> "StoppingTime":
-        """The leaves, one object per tree, so that the mark of
-        :func:`validate_stopping_time` stays on it."""
+        """The leaves, one object per tree, which
+        :func:`validate_stopping_time` accepts without a check."""
         return tree._horizon_cut
 
     @functools.cached_property
@@ -425,8 +425,10 @@ class StoppingTime:
 def validate_stopping_time(tree: FiltrationTree, tau: StoppingTime) -> None:
     """Raise unless ``tau`` is a stopping time of ``tree``.  A cut that
     passed is marked in its ``__dict__`` (as ``cached_property`` stores
-    ``index``) with the tree it passed on, and is not checked on it again."""
-    if tau.__dict__.get("_valid_on") is tree:
+    ``index``) with the tree it passed on, and is not checked on it again.
+    The tree's own horizon cut is accepted by identity and never marked:
+    the tree holds it, so a mark would make the two a reference cycle."""
+    if tau.__dict__.get("_valid_on") is tree or tau is tree._horizon_cut:
         return
     n = tree.n_nodes
     if tau.cut and not (0 <= min(tau.cut) and max(tau.cut) < n):

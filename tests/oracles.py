@@ -8,20 +8,24 @@ from typing import Sequence
 
 import numpy as np
 
-from tcpp.errors import (EmptyGoodDealSet, ForeignNode, MarketFileError,
-                         NoMartingaleMeasure, NumericalBreakdown, TcppError)
+from tcpp.errors import (EmptyGoodDealSet, ForeignNode, InconsistentVerdicts,
+                         MarketFileError, NoMartingaleMeasure, NumericalBreakdown,
+                         TcppError)
 from tcpp.lp import EQ, GE, LE, LinearProgram, solve
 from tcpp.market import (AssetProcess, ConstraintSet, GoodDealCaps, QuotedOption,
                          _calibration_lp, _equivalence_margin, _martingale_rows)
 from tcpp.marketfile import MarketData
+from tcpp.nfl import (FreeLunchCertificate, NflReport, ZeroCostStrategy,
+                      find_static_free_lunch, find_zero_penalty_equivalent_measure)
 from tcpp.pricing import (SublinearReport, backward_pass, enumerate_stop_sets,
-                          price)
+                          price, random_stopping_time)
 from tcpp.report import CheckReport
 from tcpp.scenario import (MenuEntry, ScenarioModel, cumulative_penalties,
-                           subtree_duals)
+                           minimal_penalty, subtree_duals)
 from tcpp.settings import DEFAULT, Settings
-from tcpp.tree import (Claim, FiltrationTree, Measure, StoppingTime,
-                       lift_to_leaves, precedes, validate_stopping_time)
+from tcpp.tree import (Claim, FiltrationTree, Measure, StoppingTime, lift,
+                       lift_to_leaves, precedes, stacked_conditional_expectation,
+                       validate_stopping_time)
 
 
 def trinomial_mme_family(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -964,6 +968,103 @@ def check_sublinear_per_claim(model: ScenarioModel, n_samples: int = 20,
     return SublinearReport(False, None,
                            "positive penalties never strictly active; "
                            "pricing is positively homogeneous anyway")
+
+
+# -- nfl's zero-cost strategies as first written: one price call per claim -------
+# ``tcpp.nfl`` now samples and validates every strategy of a verdict in two
+# stacked passes; these are the sampler, the validator and the verdict that
+# priced one claim per pass and compared the sandwich sample by sample.
+
+def validate_zero_cost_by_price(model, strat, tol: float = 1e-9) -> None:
+    tree = model.tree
+    root = StoppingTime.at_root(tree)
+    p0 = price(model, strat.initial, root).values[tree.root]
+    if p0 > tol:
+        raise TcppError(f"initial claim has positive root price {p0!r}")
+    prev = None
+    for tau, z, y in strat.swaps:
+        if prev is not None and not precedes(tree, prev, tau):
+            raise TcppError("swap times must be nondecreasing")
+        prev = tau
+        ask_z = price(model, z, tau)
+        bid_y = -price(model, -y, tau)
+        short = ask_z.array > bid_y.array + tol
+        if short.any():
+            raise TcppError(f"swap not self-financing at atom {tau.index[short.argmax()]}")
+
+
+def sample_zero_cost_by_price(model, seed: int = 0, n_swaps: int = 2):
+    """Random strategy attainable at zero cost, each W, Y and -Y priced by
+    its own pass and validated claim by claim."""
+    tree = model.tree
+    rng = np.random.default_rng(seed)
+    horizon = StoppingTime.at_horizon(tree)
+    root = StoppingTime.at_root(tree)
+    w = Claim(horizon, rng.uniform(-1.0, 1.0, len(tree.leaves)))
+    x0 = w - price(model, w, root).values[tree.root]
+    swaps = []
+    current = StoppingTime.at_root(tree)
+    for _ in range(n_swaps):
+        current = random_stopping_time(tree, rng, lo=current)
+        y = Claim(horizon, rng.uniform(0.0, 1.0, len(tree.leaves)))
+        ask_y = price(model, y, current)
+        bid_y = -price(model, -y, current)
+        z = y - lift(tree, ask_y - bid_y, horizon)
+        swaps.append((current, z, y))
+    strat = ZeroCostStrategy(x0, swaps)
+    validate_zero_cost_by_price(model, strat)
+    return strat
+
+
+def nfl_verdict_by_price(model, seed: int = 0, n_samples: int = 50,
+                         n_strategies: int = 20, settings=DEFAULT) -> NflReport:
+    tree = model.tree
+    root = StoppingTime.at_root(tree)
+    horizon = StoppingTime.at_horizon(tree)
+    tol = settings.feasibility_tol
+    rng = np.random.default_rng(seed)
+    checks = CheckReport(check="no free lunch", passed=True)
+    static = find_static_free_lunch(model, settings)
+    measure = find_zero_penalty_equivalent_measure(model, settings)
+    if (static is None) != (measure is not None):
+        raise InconsistentVerdicts("static and measure searches disagree")
+    if measure is not None:
+        pen = minimal_penalty(model, measure, root, horizon, settings).values[tree.root]
+        if pen > tol:
+            raise InconsistentVerdicts(f"certificate measure has penalty {pen!r}")
+        checks.info["certificate_penalty"] = pen
+        checks.info["min_density"] = min(measure.density.values())
+        xs = np.full((tree.n_nodes, n_samples), np.nan)
+        sigmas = []
+        for i in range(n_samples):
+            xs[horizon.index, i] = rng.uniform(-1.0, 1.0, len(tree.leaves))
+            sigmas.append(random_stopping_time(tree, rng) if i % 2 else root)
+        ask, neg_bid = backward_pass(model, horizon, xs), backward_pass(model, horizon, -xs)
+        e = stacked_conditional_expectation(tree, measure.node_masses(tree), horizon, xs)
+        for i, sigma in enumerate(sigmas):
+            rows = sigma.index
+            inside = (-neg_bid[rows, i] - tol <= e[rows, i]) & (e[rows, i] <= ask[rows, i] + tol)
+            for a in rows[~inside].tolist():
+                checks.add(f"sample {i} atom {a}",
+                           "martingale sandwich broken under certificate measure")
+        masses = measure.leaf_masses(tree)
+        for i in range(n_strategies):
+            strat = sample_zero_cost_by_price(model, seed=seed + 1 + i,
+                                              n_swaps=int(rng.integers(0, 3)))
+            ev = float(masses @ strat.payoff(tree).array)
+            if ev > tol:
+                checks.add(f"strategy {i}", f"zero-cost payoff has positive expectation {ev!r}")
+        cert = FreeLunchCertificate("zero-penalty-equivalent-measure", measure=measure)
+    else:
+        p = price(model, static.claim, root).values[tree.root]
+        if p > tol:
+            raise InconsistentVerdicts(f"static certificate priced at {p!r} > 0")
+        checks.info["certificate_price"] = p
+        checks.info["iv_refuted_by"] = "certificate claim"
+        cert = static
+    if not checks.passed:
+        raise InconsistentVerdicts("sampled corroboration failed: " + checks.summary())
+    return NflReport(no_free_lunch=static is None, certificate=cert, checks=checks)
 
 
 # -- check_axioms atom by atom -----------------------------------------------------

@@ -9,6 +9,8 @@ import pytest
 
 from gen import random_claim, random_tree
 from tcpp.errors import ForeignNode, MassMismatch, TcppError
+from tcpp.nfl import nfl_verdict
+from tcpp.scenario import MenuEntry, ScenarioModel
 from tcpp.tree import (Claim, FiltrationTree, Measure, StoppingTime,
                        conditional_expectation, essential_supremum, lift,
                        paste_measures, precedes, sigma_algebra_nodes,
@@ -212,7 +214,7 @@ def test_the_horizon_is_one_cut_per_tree_and_keeps_its_mark():
     assert StoppingTime.at_horizon(other) is not horizon and StoppingTime.at_horizon(other) == horizon
     assert horizon.cut == frozenset(tree.leaves)
     validate_stopping_time(tree, horizon)
-    assert StoppingTime.at_horizon(tree).__dict__["_valid_on"] is tree
+    assert "_valid_on" not in StoppingTime.at_horizon(tree).__dict__
 
 
 def test_a_tree_is_freed_without_the_cycle_collector_once_its_cuts_are_checked():
@@ -222,11 +224,19 @@ def test_a_tree_is_freed_without_the_cycle_collector_once_its_cuts_are_checked()
     try:
         tree = FiltrationTree.binomial(3)
         cuts = [StoppingTime.at_root(tree), StoppingTime.of(tree.leaves),
-                StoppingTime.at_time(tree, 2)]
+                StoppingTime.at_time(tree, 2), StoppingTime.at_horizon(tree)]
         for tau in cuts:
             validate_stopping_time(tree, tau)
         probe = weakref.ref(tree)
         del tree, cuts, tau
+        assert probe() is None
+        # and once a whole verdict has priced, sampled and checked on it
+        tree = FiltrationTree.binomial(2)
+        model = ScenarioModel(tree, {v: [MenuEntry((0.5, 0.5), 0.0), MenuEntry((0.7, 0.3), 0.1)]
+                                     for v in tree.internal_nodes()})
+        assert nfl_verdict(model, n_samples=4, n_strategies=3).no_free_lunch
+        probe = weakref.ref(tree)
+        del tree, model
         assert probe() is None
     finally:
         gc.enable()
