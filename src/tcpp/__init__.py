@@ -1,7 +1,7 @@
 """Time-consistent bid-ask pricing procedures on finite event trees."""
 
 from .settings import DEFAULT, Settings
-from .tree import (Claim, FiltrationTree, Measure, StoppingTime,
+from .tree import (Claim, ClaimStack, FiltrationTree, Measure, StoppingTime,
                    conditional_expectation, essential_supremum, lift,
                    paste_measures, precedes, sigma_algebra_nodes)
 from .scenario import (MeasureSelection, MenuEntry, MenuTable, PenaltyProcess,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT", "Settings",
-    "Claim", "FiltrationTree", "Measure", "StoppingTime",
+    "Claim", "ClaimStack", "FiltrationTree", "Measure", "StoppingTime",
     "conditional_expectation", "essential_supremum", "lift", "paste_measures",
     "precedes", "sigma_algebra_nodes",
     "MeasureSelection", "MenuEntry", "MenuTable", "PenaltyProcess", "ScenarioModel",

@@ -6,6 +6,14 @@ All randomized checks honor ``--seed``.  ``TCPP_MAX_ENUM`` caps the kernel
 and support enumerations per node (``constrained``, ``bounds``, and the
 menu-entry supports of the minimal penalty that ``nfl`` checks), and the
 reference enumerators.
+
+``check-tcpp`` draws its samples as one array and hands it to the checks as
+a :class:`~tcpp.tree.ClaimStack`, with no claim object each: the axioms
+price each cut's property families as the columns of one backward pass,
+chunked by a fixed node x column cell budget (``scenario._CELLS``); the
+time-consistency chains share one direct pass and take one per distinct
+intermediate time; the 8 cocycle selections are the columns of one
+induction.  ``--samples`` must be at least 1.
 """
 from __future__ import annotations
 
@@ -26,9 +34,9 @@ from .nfl import nfl_verdict
 from .pricing import (american_price, bid_ask, check_axioms, check_sublinear,
                       check_time_consistency, random_stopping_time)
 from .report import CheckReport
-from .scenario import (MeasureSelection, PenaltyProcess, check_cocycle,
+from .scenario import (MeasureSelection, PenaltyProcess, check_cocycle_batch,
                        check_nondegenerate)
-from .tree import Claim, FiltrationTree, StoppingTime, validate_stopping_time
+from .tree import ClaimStack, FiltrationTree, StoppingTime, validate_stopping_time
 
 
 class Output:
@@ -96,32 +104,33 @@ def cmd_price(args, out: Output) -> int:
 
 
 def cmd_check_tcpp(args, out: Output) -> int:
+    if args.samples < 1:
+        raise TcppError(f"--samples must be at least 1, got {args.samples}")
     md = _load(args)
     model = _need_model(md)
     tree = md.tree
     rng = np.random.default_rng(args.seed)
     horizon = StoppingTime.at_horizon(tree)
     draws = rng.uniform(-2, 2, size=(args.samples, 2, len(tree.leaves)))
-    samples = [(Claim(horizon, x), Claim(horizon, y)) for x, y in draws]
-    axioms = check_axioms(model, samples, seed=args.seed)
+    axioms = check_axioms(model, ClaimStack(horizon, draws), seed=args.seed)
     out.report(axioms)
 
     chains = []
     for _ in range(5):
         sigma = random_stopping_time(tree, rng)
         chains.append((StoppingTime.at_root(tree), sigma, horizon))
-    tc = check_time_consistency(model, chains, [x for x, _ in samples[:50]])
+    tc = check_time_consistency(model, chains, ClaimStack(horizon, draws[:50, 0]))
     out.report(tc)
 
-    cocycle_ok = True
     internal = np.flatnonzero(model.menu_sizes)
-    for _ in range(8):
-        draw = rng.integers(model.menu_sizes[internal])     # one draw per node, ascending
-        sel = MeasureSelection(tuple(zip(internal.tolist(), draw.tolist())))
-        rep = check_cocycle(PenaltyProcess.from_selection(model, sel), model)
+    sels = [MeasureSelection(tuple(zip(internal.tolist(),       # one draw per node, ascending
+                                       rng.integers(model.menu_sizes[internal]).tolist())))
+            for _ in range(8)]
+    cocycle = check_cocycle_batch(PenaltyProcess.from_selections(model, sels), model)
+    for rep in cocycle:
         if not rep.passed:
-            cocycle_ok = False
             out.report(rep)
+    cocycle_ok = all(rep.passed for rep in cocycle)
     out.emit("check.cocycle", "pass" if cocycle_ok else "FAIL")
 
     nd = check_nondegenerate(model)

@@ -142,10 +142,14 @@ class ZeroCostStrategy:
     swaps: list[tuple[StoppingTime, Claim, Claim]] = field(default_factory=list)
 
     def payoff(self, tree: FiltrationTree) -> Claim:
+        """X0 plus every Z less its Y, each lifted to the horizon."""
         horizon = StoppingTime.at_horizon(tree)
-        total = self.initial if self.initial.at == horizon else lift(tree, self.initial, horizon)
+
+        def at_horizon(x: Claim) -> Claim:
+            return x if x.at == horizon else lift(tree, x, horizon)
+        total = at_horizon(self.initial)
         for _, z, y in self.swaps:
-            total = total + z - y
+            total = total + at_horizon(z) - at_horizon(y)
         return total
 
 

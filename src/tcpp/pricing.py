@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .errors import EnumerationOverflow, TcppError
 from .report import CheckReport
-from .scenario import ScenarioModel, minimal_penalty
+from .scenario import _CELLS, ScenarioModel, minimal_penalty
 from .settings import DEFAULT, Settings
-from .tree import (Claim, FiltrationTree, Measure, StoppingTime, lift,
+from .tree import (Claim, ClaimStack, FiltrationTree, Measure, StoppingTime, lift,
                    precedes, require_finite, stacked_conditional_expectation,
                    validate_stopping_time)
 
@@ -111,63 +111,93 @@ def check_axioms(model: ScenarioModel, samples: Sequence[tuple[Claim, Claim]],
     """Verify monotonicity, translation invariance, convexity, normalization.
 
     Each sample is a pair of claims at a common stopping time; conditioning
-    times run over all deterministic cuts preceding it.  Each property is one
-    comparison over every sample and atom; violations are reported with the
-    sample index and atom as witnesses, atoms ascending.
+    times run over all deterministic cuts preceding it.  The samples at one
+    cut are checked together, cut after cut in the order they first appear;
+    a :class:`ClaimStack` of pairs is read as its array, with no claim
+    built.  Every claim a property compares is a column of one stacked
+    backward pass from the cut: X, Y, min(X, Y), the convex combinations
+    and X shifted at each time up to the cut, in chunks of samples that
+    keep a pass within ``scenario._CELLS`` node-column cells.  The zero
+    claim has a pass of its own, as a pass of one column rounds
+    differently.  Each property is then one comparison over its slice of
+    the result.  Violations are reported with the sample index and atom as
+    witnesses: property by property (normalization with monotonicity, each
+    lambda, each shift time), then by atom, then by sample.
     """
+    if isinstance(samples, ClaimStack) and samples.array.shape[1:2] == (2,):
+        groups = [(samples.at, range(len(samples)), samples.array[:, 0], samples.array[:, 1])]
+    else:
+        cuts: dict[StoppingTime, list[int]] = {}
+        for i, (x, y) in enumerate(samples):
+            if x.at != y.at:
+                raise TcppError(f"sample {i} mixes stopping times")
+            cuts.setdefault(x.at, []).append(i)
+        groups = [(tau, idxs, np.array([samples[i][0].array for i in idxs]),
+                   np.array([samples[i][1].array for i in idxs]))
+                  for tau, idxs in cuts.items()]
     tree = model.tree
     times = np.array(tree.times)
     rng = np.random.default_rng(seed)
     report = CheckReport(check="pricing axioms", passed=True)
     for node, msg in model.normalization_findings():
         report.add(f"node {node}", f"normalization: {msg}")
-
-    groups: dict[frozenset, list[int]] = {}
-    for i, (x, y) in enumerate(samples):
-        if x.at != y.at:
-            raise TcppError(f"sample {i} mixes stopping times")
-        groups.setdefault(x.at.cut, []).append(i)
-
-    for cut, idxs in groups.items():
-        tau = StoppingTime(cut)
+    lam = np.array(lambdas, dtype=float)
+    n_lam = len(lam)
+    for tau, idxs, xs, ys in groups:
         validate_stopping_time(tree, tau)
-        X = _columns(tree, tau, [samples[i][0] for i in idxs])
-        Y = _columns(tree, tau, [samples[i][1] for i in idxs])
-        vx, vy = backward_pass(model, tau, X), backward_pass(model, tau, Y)
-        vmin = backward_pass(model, tau, np.minimum(X, Y))
-        vzero = backward_pass(model, tau, np.zeros((tree.n_nodes, 1)))[:, 0]
-        t_max = min(tree.times[b] for b in cut)
+        owner = tree.ancestors_by_time(tau.index)       # each cut node's atom at each time
+        t_max = len(owner) - 1
         sigma = np.flatnonzero(times <= t_max)      # the atoms of the times up to t_max
-
-        norm = np.abs(vzero[sigma]) > tol
-        mono = vmin[sigma] > np.minimum(vx[sigma], vy[sigma]) + tol
-        for r in np.flatnonzero(norm | mono.any(axis=1)):
-            a = sigma[r]
-            if norm[r]:
-                report.add(f"atom {a}", f"normalization: price of 0 is {float(vzero[a])!r}")
-            for j in np.flatnonzero(mono[r]):
-                report.add(f"sample {idxs[j]} atom {a}",
-                           f"monotonicity: min claim priced {vmin[a, j]:.15g} above "
-                           f"{min(vx[a, j], vy[a, j]):.15g}")
-        for lam in lambdas:
-            vc = backward_pass(model, tau, lam * X + (1 - lam) * Y)[sigma]
-            rhs = lam * vx[sigma] + (1 - lam) * vy[sigma]
-            for r, j in np.argwhere(vc > rhs + tol):
-                report.add(f"sample {idxs[j]} atom {sigma[r]}",
-                           f"convexity at lambda={lam}: {vc[r, j]:.15g} > {rhs[r, j]:.15g}")
-        # translation invariance with a random F_sigma-measurable shift
+        # translation invariance with a random F_t-measurable shift for each
+        # t: z holds each atom's shift, and each cut node takes its atom's
+        z = np.zeros(tree.n_nodes)
         for t in range(t_max + 1):
             atoms = np.flatnonzero(times == t)
-            z = np.zeros(tree.n_nodes)
             z[atoms] = rng.uniform(-2.0, 2.0, len(atoms))
-            # each cut node takes the shift of its atom
-            z[tau.index] = z[atoms[tree.owner_index(atoms, tau.index)]]
-            vt = backward_pass(model, tau, X + z[:, None])[atoms]
-            for r, j in np.argwhere(np.abs(vt - (vx[atoms] + z[atoms, None])) > tol):
+        shifts = z[owner.T]
+        vzero = backward_pass(model, tau, np.zeros((tree.n_nodes, 1)))[:, 0]
+        # each finding keyed by its column, atom and sample; normalization
+        # comes first at each atom, with monotonicity's min(X, Y) column
+        found = [((2, a, -1), f"atom {a}", f"normalization: price of 0 is {float(vzero[a])!r}")
+                 for a in sigma[np.abs(vzero[sigma]) > tol].tolist()]
+        width = 3 + n_lam + t_max + 1       # columns per sample
+        shifted = 3 + n_lam + times[sigma]      # the column of X shifted at each atom's time
+        atoms, rows = sigma.tolist(), np.arange(len(sigma))
+        step = max(1, _CELLS // (tree.n_nodes * width))
+        for lo in range(0, len(xs), step):
+            x, y = xs[lo:lo + step].T, ys[lo:lo + step].T
+            stack = np.empty((tree.n_nodes, width, x.shape[1]))    # rows off the cut are not read
+            stack[tau.index, 0], stack[tau.index, 1] = x, y
+            stack[tau.index, 2] = np.minimum(x, y)
+            stack[tau.index, 3:3 + n_lam] = lam[:, None] * x[:, None] + (1 - lam)[:, None] * y[:, None]
+            stack[tau.index, 3 + n_lam:] = x[:, None] + shifts[:, :, None]
+            v = backward_pass(model, tau, stack.reshape(tree.n_nodes, -1)).reshape(stack.shape)
+            v = v if len(sigma) == tree.n_nodes else v[sigma]
+            vx, vy = v[:, 0], v[:, 1]
+            for r, j in _hits(v[:, 2] > np.minimum(vx, vy) + tol):
+                found.append(((2, atoms[r], lo + j), f"sample {idxs[lo + j]} atom {atoms[r]}",
+                              f"monotonicity: min claim priced {v[r, 2, j]:.15g} above "
+                              f"{min(vx[r, j], vy[r, j]):.15g}"))
+            rhs = lam[:, None] * vx[:, None] + (1 - lam)[:, None] * vy[:, None]
+            for r, e, j in _hits(v[:, 3:3 + n_lam] > rhs + tol):
+                found.append(((3 + e, atoms[r], lo + j), f"sample {idxs[lo + j]} atom {atoms[r]}",
+                              f"convexity at lambda={lambdas[e]}: {v[r, 3 + e, j]:.15g} > "
+                              f"{rhs[r, e, j]:.15g}"))
+            vt = v[rows, shifted]
+            for r, j in _hits(np.abs(vt - (vx + z[sigma, None])) > tol):
                 a = atoms[r]
-                report.add(f"sample {idxs[j]} atom {a}", f"translation invariance off by "
-                           f"{abs(vt[r, j] - vx[a, j] - z[a]):.3e}")
+                found.append(((int(shifted[r]), a, lo + j), f"sample {idxs[lo + j]} atom {a}",
+                              f"translation invariance off by "
+                              f"{abs(vt[r, j] - vx[r, j] - z[a]):.3e}"))
+        for _, where, message in sorted(found, key=lambda f: f[0]):
+            report.add(where, message)
     return report
+
+
+def _hits(mask: np.ndarray) -> list[list[int]]:
+    """The indices of the true entries of ``mask``, row-major; a test first,
+    as ``np.argwhere`` costs far more when there are none."""
+    return np.argwhere(mask).tolist() if mask.any() else []
 
 
 @dataclass
@@ -246,44 +276,111 @@ def check_sublinear(model: ScenarioModel, n_samples: int = 20,
 def chain_prices(model: ScenarioModel, nu: StoppingTime, sigma: StoppingTime,
                  tau: StoppingTime, xs: Sequence[Claim]) -> tuple[np.ndarray, np.ndarray]:
     """Direct and two-step ask prices at nu of each claim at tau, a row per
-    node of ``nu.sorted()`` and a column per claim, from two stacked passes:
-    one from tau over every claim, one from sigma over the values it leaves
-    there."""
+    node of ``nu.sorted()`` and a column per claim: the one-chain case of
+    :func:`_chain_prices`, two stacked passes."""
     for st in (nu, sigma, tau):
         validate_stopping_time(model.tree, st)
     for x in xs:
         require_finite(x, "claim value")
-    direct = backward_pass(model, tau, _columns(model.tree, tau, xs))
-    composed = backward_pass(model, sigma, direct)
-    return direct[nu.index], composed[nu.index]
+    return next(_chain_prices(model, tau, _columns(model.tree, tau, xs), [(nu, sigma)]))
+
+
+def _chain_prices(model: ScenarioModel, tau: StoppingTime, values: np.ndarray,
+                  chains: Sequence[tuple[StoppingTime, StoppingTime]]
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For each chain ``(nu, sigma)`` ending at tau, the direct and two-step
+    prices at nu of the claims at tau in the columns of ``values``: one pass
+    from tau over every claim, shared by every chain, and one pass from each
+    distinct sigma over the values it leaves there."""
+    direct = backward_pass(model, tau, values)
+    composed: dict[StoppingTime, np.ndarray] = {}
+    for nu, sigma in chains:
+        if sigma not in composed:
+            composed[sigma] = backward_pass(model, sigma, direct)
+        yield direct[nu.index], composed[sigma][nu.index]
 
 
 def check_time_consistency(evaluator: ScenarioModel | Evaluator,
                            chains: Sequence[tuple[StoppingTime, StoppingTime, StoppingTime]],
                            samples: Sequence[Claim],
                            tol: float = 1e-9) -> CheckReport:
-    """Compare direct pricing against two-step composition over each chain:
-    for a scenario model by :func:`chain_prices`, else claim by claim."""
+    """Compare direct pricing against two-step composition over each chain.
+
+    For a scenario model every chain is checked first, in order; then the
+    chains that end at one cut share that cut's direct pass over its
+    samples, and one composed pass per distinct sigma (:func:`_chain_prices`).
+    A :class:`ClaimStack` of samples is read as its array, with no claim
+    built.  Any other evaluator prices claim by claim.  Findings come chain
+    by chain, then sample by sample, atoms ascending.
+    """
     tree = evaluator.tree
     report = CheckReport(check="time consistency", passed=True)
-    for ci, (nu, sigma, tau) in enumerate(chains):
-        if not (precedes(tree, nu, sigma) and precedes(tree, sigma, tau)):
-            raise TcppError(f"chain {ci} is not ordered")
-        idxs = [si for si, x in enumerate(samples) if x.at == tau]
-        xs = [samples[si] for si in idxs]
-        if isinstance(evaluator, ScenarioModel):
-            direct, composed = chain_prices(evaluator, nu, sigma, tau, xs)
-        else:
+    if not isinstance(evaluator, ScenarioModel):
+        for ci, (nu, sigma, tau) in enumerate(chains):
+            _require_ordered(tree, ci, nu, sigma, tau)
+            idxs = [si for si, x in enumerate(samples) if x.at == tau]
+            xs = [samples[si] for si in idxs]
             shape = (len(xs), len(nu.cut))
             direct = np.reshape([evaluator.price(x, nu).array for x in xs], shape).T
             composed = np.reshape([evaluator.price(evaluator.price(x, sigma), nu).array
                                    for x in xs], shape).T
-        for j, r in np.argwhere((np.abs(direct - composed) > tol).T):    # sample-major
-            a = int(nu.index[r])
-            report.add(f"chain {ci} sample {idxs[j]} atom {a}",
-                       f"direct {direct[r, j]:.12g} != composed {composed[r, j]:.12g}")
-            report.info.setdefault("witness_node", a)
+            _chain_findings(report, ci, nu, idxs, direct, composed, tol)
+        return report
+
+    blocks: dict[StoppingTime, tuple[Sequence[int], np.ndarray]] = {}
+    for ci, (nu, sigma, tau) in enumerate(chains):
+        _require_ordered(tree, ci, nu, sigma, tau)
+        for st in (nu, sigma, tau):
+            validate_stopping_time(tree, st)
+        if tau not in blocks:
+            blocks[tau] = _samples_at(tree, samples, tau)
+    prices: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for tau, (_, values) in blocks.items():
+        ends = [ci for ci, chain in enumerate(chains) if chain[2] == tau]
+        prices.update(zip(ends, _chain_prices(evaluator, tau, values,
+                                              [chains[ci][:2] for ci in ends])))
+    for ci, (nu, _, tau) in enumerate(chains):
+        _chain_findings(report, ci, nu, blocks[tau][0], *prices[ci], tol)
     return report
+
+
+def _samples_at(tree: FiltrationTree, samples: Sequence[Claim], tau: StoppingTime
+                ) -> tuple[Sequence[int], np.ndarray]:
+    """The indices of the samples at tau and their values as the columns of
+    a node-indexed array, each checked finite in sample order."""
+    if not isinstance(samples, ClaimStack) or samples.array.ndim != 2:
+        idxs = [si for si, x in enumerate(samples) if x.at == tau]
+        for si in idxs:
+            require_finite(samples[si], "claim value")
+        return idxs, _columns(tree, tau, [samples[si] for si in idxs])
+    if samples.at != tau:
+        return [], np.empty((tree.n_nodes, 0))
+    xs = samples.array
+    bad = ~np.isfinite(xs)
+    if bad.any():
+        i = bad.any(axis=1).argmax()
+        j = bad[i].argmax()
+        raise TcppError(f"claim value {xs[i, j].item()!r} at node {tau.index[j]} is not finite")
+    values = np.empty((tree.n_nodes, len(xs)))       # rows off the cut are not read
+    values[tau.index] = xs.T
+    return range(len(xs)), values
+
+
+def _require_ordered(tree: FiltrationTree, ci: int, nu: StoppingTime,
+                     sigma: StoppingTime, tau: StoppingTime) -> None:
+    if not (precedes(tree, nu, sigma) and precedes(tree, sigma, tau)):
+        raise TcppError(f"chain {ci} is not ordered")
+
+
+def _chain_findings(report: CheckReport, ci: int, nu: StoppingTime, idxs: Sequence[int],
+                    direct: np.ndarray, composed: np.ndarray, tol: float) -> None:
+    """Chain ``ci``'s disagreements of more than tol, sample by sample and
+    atoms ascending; the first names ``info['witness_node']``."""
+    for j, r in _hits((np.abs(direct - composed) > tol).T):
+        a = int(nu.index[r])
+        report.add(f"chain {ci} sample {idxs[j]} atom {a}",
+                   f"direct {direct[r, j]:.12g} != composed {composed[r, j]:.12g}")
+        report.info.setdefault("witness_node", a)
 
 
 def random_stopping_time(tree: FiltrationTree, rng: np.random.Generator,

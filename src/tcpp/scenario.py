@@ -154,11 +154,14 @@ class ScenarioModel:
               ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """Per level group of ``tree.levels(cut)``: its nodes, their children
         and their rows of ``packed``; with ``choice`` (an entry per node), only
-        the chosen entry's kernel ``(g, arity)`` and penalty ``(g,)``."""
+        the chosen entry's kernel ``(g, arity)`` and penalty ``(g,)``, and
+        with a column of choices per selection, ``(g, selections, arity)``
+        and ``(g, selections)``."""
         for key, (nodes, kids) in self.tree.levels(cut).items():
             kernels, penalties = self.packed[key]
             if choice is not None:
-                rows = (self._row[nodes], choice[nodes])
+                rows = (self._row[nodes].reshape((-1,) + (1,) * (choice.ndim - 1)),
+                        choice[nodes])
                 kernels, penalties = kernels[rows], penalties[rows]
             elif len(nodes) < len(kernels):
                 kernels, penalties = kernels[self._row[nodes]], penalties[self._row[nodes]]
@@ -215,13 +218,24 @@ class MeasureSelection:
 
 def _check_selection(model: ScenarioModel, sel: MeasureSelection) -> np.ndarray:
     """The entry index per node; keys of leaves or outside the tree are not read."""
+    return _check_selections(model, [sel])[:, 0]
+
+
+def _check_selections(model: ScenarioModel, sels: Sequence[MeasureSelection]) -> np.ndarray:
+    """:func:`_check_selection` of every selection, a column each, in one
+    scatter; the first selection that misses an internal node or names an
+    entry out of range raises, naming its first such node."""
     n, sizes = model.tree.n_nodes, model.menu_sizes
-    nodes, idx = np.array(sel.choice, dtype=int).reshape(-1, 2).T
+    nodes, idx = np.array([p for sel in sels for p in sel.choice], dtype=int).reshape(-1, 2).T
+    col = np.repeat(np.arange(len(sels)), [len(sel.choice) for sel in sels])
     keep = (nodes >= 0) & (nodes < n)
-    choice, given = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
-    choice[nodes[keep]], given[nodes[keep]] = idx[keep], True
-    for v in np.flatnonzero((sizes > 0) & ~(given & (choice >= 0) & (choice < sizes)))[:1]:
-        raise TcppError(f"selection index {choice[v]} out of range at node {v}" if given[v]
+    choice, given = np.zeros((n, len(sels)), dtype=int), np.zeros((n, len(sels)), dtype=bool)
+    at = (nodes[keep], col[keep])
+    choice[at], given[at] = idx[keep], True
+    bad = (sizes > 0)[:, None] & ~(given & (choice >= 0) & (choice < sizes[:, None]))
+    for i in np.flatnonzero(bad.any(axis=0))[:1]:
+        v = bad[:, i].argmax()
+        raise TcppError(f"selection index {choice[v, i]} out of range at node {v}" if given[v, i]
                         else f"selection misses internal node {v}")
     return choice
 
@@ -248,9 +262,14 @@ def selection_to_measure(model: ScenarioModel, sel: MeasureSelection) -> Measure
 
 def _one_step(values: np.ndarray, kids: np.ndarray, kernel: np.ndarray,
               penalty: np.ndarray) -> np.ndarray:
-    """Penalty plus the kernel's expectation of the children's values: one
-    operation for both sides of the cocycle, which then match bit for bit."""
-    return penalty + np.einsum("gk,gk->g", kernel, values[kids])
+    """Penalty plus the kernel's expectation of the children's values, a
+    column per selection: ``values`` ``(nodes, c)``, ``kernel`` ``(g, c,
+    arity)`` and ``penalty`` ``(g, c)``.  Each node and column is one dot
+    product of contiguous rows, the same operation for one column or many
+    and for both sides of the cocycle, which then match bit for bit."""
+    g, c, k = kernel.shape
+    ahead = np.ascontiguousarray(values[kids].transpose(0, 2, 1)).reshape(g * c, k)
+    return penalty + np.einsum("gk,gk->g", kernel.reshape(g * c, k), ahead).reshape(g, c)
 
 
 def cumulative_penalties(model: ScenarioModel, sel: MeasureSelection,
@@ -258,15 +277,23 @@ def cumulative_penalties(model: ScenarioModel, sel: MeasureSelection,
     """Expected sum of chosen one-step penalties from each node to tau.
 
     Defined through the chosen kernels themselves, so values exist even on
-    atoms the selected measure does not charge.
+    atoms the selected measure does not charge.  The one-selection case of
+    :func:`cumulative_penalties_batch`.
     """
+    return cumulative_penalties_batch(model, [sel], tau)[:, 0]
+
+
+def cumulative_penalties_batch(model: ScenarioModel, sels: Sequence[MeasureSelection],
+                               tau: StoppingTime | None = None) -> np.ndarray:
+    """:func:`cumulative_penalties` of every selection, a column each, from
+    one induction over the level groups."""
     tree = model.tree
-    choice = _check_selection(model, sel)
+    choice = _check_selections(model, sels)
     if tau is None:
         tau = StoppingTime.at_horizon(tree)
     else:
         validate_stopping_time(tree, tau)
-    g = np.zeros(tree.n_nodes)
+    g = np.zeros((tree.n_nodes, len(sels)))
     for nodes, kids, kernel, penalty in model.steps(tau.cut, choice):
         g[nodes] = _one_step(g, kids, kernel, penalty)
     return g
@@ -290,7 +317,14 @@ class PenaltyProcess:
 
     @staticmethod
     def from_selection(model: ScenarioModel, sel: MeasureSelection) -> "PenaltyProcess":
-        return PenaltyProcess(sel, cumulative_penalties(model, sel))
+        return PenaltyProcess.from_selections(model, [sel])[0]
+
+    @staticmethod
+    def from_selections(model: ScenarioModel, sels: Sequence[MeasureSelection]
+                        ) -> list["PenaltyProcess"]:
+        """The process of each selection, all from one induction."""
+        values = cumulative_penalties_batch(model, sels).T.copy()
+        return [PenaltyProcess(sel, v) for sel, v in zip(sels, values)]
 
 
 def check_cocycle(penalty: PenaltyProcess, model: ScenarioModel,
@@ -301,43 +335,60 @@ def check_cocycle(penalty: PenaltyProcess, model: ScenarioModel,
     report's findings point at the exact nodes where additivity breaks.
     ``info['deterministic_passed']`` records the weaker deterministic-time
     identity, which a process can satisfy while still failing at a random
-    stopping time.
+    stopping time.  The one-process case of :func:`check_cocycle_batch`.
     """
+    return check_cocycle_batch([penalty], model, tol)[0]
+
+
+def check_cocycle_batch(penalties: Sequence[PenaltyProcess], model: ScenarioModel,
+                        tol: float = 1e-12) -> list[CheckReport]:
+    """:func:`check_cocycle` of every process, a report each: every process
+    is a column of one one-step induction, and the deterministic-time
+    scans, where a process needs them, of one induction per time."""
     tree = model.tree
-    choice = _check_selection(model, penalty.selection)
-    given = penalty.values
-    if np.shape(given) != (tree.n_nodes,):
-        raise TcppError(f"a penalty process needs {tree.n_nodes} values, got {np.shape(given)}")
-    report = CheckReport(check="cocycle", passed=True)
-    for leaf in np.array(tree.leaves)[np.abs(given[list(tree.leaves)]) > tol].tolist():
-        report.add(f"node {leaf}", f"horizon value {given[leaf].item()!r} is not 0")
+    given = np.empty((tree.n_nodes, len(penalties)))
+    choice = _check_selections(model, [penalty.selection for penalty in penalties])
+    for i, penalty in enumerate(penalties):
+        if np.shape(penalty.values) != (tree.n_nodes,):
+            raise TcppError(f"a penalty process needs {tree.n_nodes} values, "
+                            f"got {np.shape(penalty.values)}")
+        given[:, i] = penalty.values
     steps = list(model.steps(tree.leaves, choice))
     expect = given.copy()
     for nodes, kids, kernel, pen in steps:
         expect[nodes] = _one_step(given, kids, kernel, pen)
-    for node in np.flatnonzero(np.abs(given - expect) > tol).tolist():
-        report.add(f"node {node}",
-                   f"value {given[node]:.12g} != one-step penalty + expected "
-                   f"continuation {expect[node]:.12g}")
 
     # deterministic-time identity: supplied horizon cumulants joined by
     # model aggregates over (t0 -> t1) for every deterministic pair t0 < t1 < T.
     # For one t1, backward induction from the supplied values at t1 gives
     # the right-hand side at every earlier node at once.  Where every
-    # one-step residual is exactly 0, each induction reproduces the supplied
-    # values bit for bit (the same operation on the same numbers), so the
-    # identity holds without the scan.
-    def agrees_from(t1: int) -> bool:
-        rhs = given.copy()
-        for nodes, kids, kernel, pen in steps:
-            if tree.times[nodes[0]] < t1:
-                rhs[nodes] = _one_step(rhs, kids, kernel, pen)
-        return not (np.abs(given - rhs) > max(tol, 1e-9)).any()
+    # one-step residual of a process is exactly 0, each induction reproduces
+    # its supplied values bit for bit (the same operation on the same
+    # numbers), so the identity holds without the scan.
+    det_ok = np.ones(len(penalties), dtype=bool)
+    scan = np.flatnonzero(~(expect == given).all(axis=0))
+    if scan.size:
+        for t1 in range(1, tree.horizon):
+            rhs = given[:, scan]
+            for nodes, kids, kernel, pen in steps:
+                if tree.times[nodes[0]] < t1:
+                    rhs[nodes] = _one_step(rhs, kids, kernel[:, scan], pen[:, scan])
+            det_ok[scan] &= ~(np.abs(given[:, scan] - rhs) > max(tol, 1e-9)).any(axis=0)
 
-    det_ok = bool((expect == given).all()) or all(map(agrees_from, range(1, tree.horizon)))
-    report.info["deterministic_passed"] = det_ok
-    report.info["stopping_time_passed"] = report.passed
-    return report
+    leaves = np.array(tree.leaves)
+    reports = []
+    for i in range(len(penalties)):
+        report = CheckReport(check="cocycle", passed=True)
+        for leaf in leaves[np.abs(given[leaves, i]) > tol].tolist():
+            report.add(f"node {leaf}", f"horizon value {given[leaf, i].item()!r} is not 0")
+        for node in np.flatnonzero(np.abs(given[:, i] - expect[:, i]) > tol).tolist():
+            report.add(f"node {node}",
+                       f"value {given[node, i]:.12g} != one-step penalty + expected "
+                       f"continuation {expect[node, i]:.12g}")
+        report.info["deterministic_passed"] = bool(det_ok[i])
+        report.info["stopping_time_passed"] = report.passed
+        reports.append(report)
+    return reports
 
 
 def subtree_duals(model: ScenarioModel, node: int, tau: StoppingTime,
@@ -449,6 +500,10 @@ def _cap_supports(n: int, size: int, settings: Settings, what: str) -> None:
 # linear systems solved per stacked batch here and in ``market``; bounds the
 # working memory
 _BATCH = 1 << 16
+
+# node x column cells of one stacked backward pass of ``pricing.check_axioms``
+# (16 MiB of float64); a wider stack is priced in chunks of samples
+_CELLS = 1 << 21
 
 
 def _kernel_max(p: np.ndarray, drift: np.ndarray, cap: np.ndarray, v: np.ndarray,

@@ -22,10 +22,13 @@ operations, and of ``sum_up``, which sums a measure's leaf masses, or a
 claim's values times masses, up to every node, and, reversed, of
 ``product_down``, which carries one-step kernels' mass down from the root;
 ``between`` lists the nodes from a top node down to a cut level by level,
-for the walks that follow a subtree; and ``first_stops`` walks a subtree
-in preorder, skipping below each stop.  No walk recurses, so depth is
+for the walks that follow a subtree; ``first_stops`` walks a subtree
+in preorder, skipping below each stop; and ``ancestors_by_time`` climbs
+the parent array a period at a time, for a cut's atoms at every earlier
+time.  No walk recurses, so depth is
 bounded by memory, not by Python's recursion limit.  A claim holds its
-values as one array in the order of its sorted cut.
+values as one array in the order of its sorted cut, and a ``ClaimStack``
+many claims at one cut as the rows of one array.
 """
 from __future__ import annotations
 
@@ -276,6 +279,18 @@ class FiltrationTree:
         enter, leave, order = enter[top], leave[top], order[top]
         i = enter.searchsorted(at, side="right") - 1
         return np.where((i >= 0) & (at < leave[i]), order[i], -1)
+
+    def ancestors_by_time(self, nodes: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Row t, for each time t up to the earliest of ``nodes``' times: each
+        node's ancestor-or-self at time t, one step up the parents per period."""
+        up = np.asarray(nodes, dtype=int)
+        t = self._times[up]
+        out = np.empty((int(t.min()) + 1, len(up)), dtype=int)
+        for s in range(int(t.max()), -1, -1):
+            up = np.where(self._times[up] > s, self._par[up], up)
+            if s < len(out):
+                out[s] = up
+        return out
 
     def between(self, top: int, cut: frozenset[int] | set[int]) -> list[int]:
         """Nodes from ``top`` down to the cut (or to the leaves where a path
@@ -532,6 +547,31 @@ class Claim:
 
     def max_abs_diff(self, other: "Claim") -> float:
         return float(np.abs(self.array - self._operand(other)).max())
+
+
+class ClaimStack(Sequence):
+    """Claims at one stopping time as the rows of one array, without an
+    object per claim: ``array`` is ``(claims, len(at.cut))``, or
+    ``(claims, m, len(at.cut))`` for a sequence of m-tuples of claims, its
+    last axis aligned with ``at.sorted()``.  Item i is built on access; the
+    checks that take a sequence of claims read the array itself."""
+
+    def __init__(self, at: StoppingTime, array: np.ndarray):
+        array = np.asarray(array, dtype=float)
+        if array.ndim not in (2, 3) or array.shape[-1] != len(at.cut):
+            raise TcppError(f"a claim stack at a cut of {len(at.cut)} nodes needs an array "
+                            f"of shape (claims, [m,] {len(at.cut)}), got {array.shape}")
+        self.at = at
+        self.array = array
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ClaimStack(self.at, self.array[i])
+        row = self.array[i]
+        return Claim(self.at, row) if row.ndim == 1 else tuple(Claim(self.at, r) for r in row)
 
 
 def require_finite(values: Claim | Mapping[int, float] | Mapping[str, float],

@@ -17,15 +17,16 @@ from tcpp.market import (AssetProcess, ConstraintSet, GoodDealCaps, QuotedOption
 from tcpp.marketfile import MarketData
 from tcpp.nfl import (FreeLunchCertificate, NflReport, ZeroCostStrategy,
                       find_static_free_lunch, find_zero_penalty_equivalent_measure)
-from tcpp.pricing import (SublinearReport, backward_pass, enumerate_stop_sets,
-                          price, random_stopping_time)
+from tcpp.pricing import (SublinearReport, _columns, backward_pass, check_sublinear,
+                          enumerate_stop_sets, price, random_stopping_time)
 from tcpp.report import CheckReport
-from tcpp.scenario import (MenuEntry, ScenarioModel, cumulative_penalties,
+from tcpp.scenario import (MeasureSelection, MenuEntry, PenaltyProcess, ScenarioModel,
+                           _check_selection, check_nondegenerate, cumulative_penalties,
                            minimal_penalty, subtree_duals)
 from tcpp.settings import DEFAULT, Settings
 from tcpp.tree import (Claim, FiltrationTree, Measure, StoppingTime, lift,
-                       lift_to_leaves, precedes, stacked_conditional_expectation,
-                       validate_stopping_time)
+                       lift_to_leaves, precedes, require_finite,
+                       stacked_conditional_expectation, validate_stopping_time)
 
 
 def trinomial_mme_family(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1136,6 +1137,197 @@ def check_axioms_per_atom(model, samples, lambdas=(0.0, 0.3, 0.5, 1.0), seed=0,
                                f"translation invariance off by "
                                f"{abs(vt[a][j] - vx[a][j] - z[a]):.3e}")
     return report
+
+
+# -- check-tcpp's checks family by family -----------------------------------------
+# ``tcpp.pricing`` and ``tcpp.scenario`` now price each cut's axiom claims in
+# one stacked pass, share one direct pass among the chains that end at one
+# cut, and check every cocycle selection as a column of one induction; these
+# are the checks that ran one pass per property family, two passes per chain
+# and one induction per selection, and the command that called them with
+# claim objects.
+
+def check_axioms_per_family(model, samples, lambdas=(0.0, 0.3, 0.5, 1.0), seed=0,
+                            tol=1e-12) -> CheckReport:
+    """Verify monotonicity, translation invariance, convexity, normalization."""
+    tree = model.tree
+    times = np.array(tree.times)
+    rng = np.random.default_rng(seed)
+    report = CheckReport(check="pricing axioms", passed=True)
+    for node, msg in model.normalization_findings():
+        report.add(f"node {node}", f"normalization: {msg}")
+
+    groups: dict[frozenset, list[int]] = {}
+    for i, (x, y) in enumerate(samples):
+        if x.at != y.at:
+            raise TcppError(f"sample {i} mixes stopping times")
+        groups.setdefault(x.at.cut, []).append(i)
+
+    for cut, idxs in groups.items():
+        tau = StoppingTime(cut)
+        validate_stopping_time(tree, tau)
+        X = _columns(tree, tau, [samples[i][0] for i in idxs])
+        Y = _columns(tree, tau, [samples[i][1] for i in idxs])
+        vx, vy = backward_pass(model, tau, X), backward_pass(model, tau, Y)
+        vmin = backward_pass(model, tau, np.minimum(X, Y))
+        vzero = backward_pass(model, tau, np.zeros((tree.n_nodes, 1)))[:, 0]
+        t_max = min(tree.times[b] for b in cut)
+        sigma = np.flatnonzero(times <= t_max)      # the atoms of the times up to t_max
+
+        norm = np.abs(vzero[sigma]) > tol
+        mono = vmin[sigma] > np.minimum(vx[sigma], vy[sigma]) + tol
+        for r in np.flatnonzero(norm | mono.any(axis=1)):
+            a = sigma[r]
+            if norm[r]:
+                report.add(f"atom {a}", f"normalization: price of 0 is {float(vzero[a])!r}")
+            for j in np.flatnonzero(mono[r]):
+                report.add(f"sample {idxs[j]} atom {a}",
+                           f"monotonicity: min claim priced {vmin[a, j]:.15g} above "
+                           f"{min(vx[a, j], vy[a, j]):.15g}")
+        for lam in lambdas:
+            vc = backward_pass(model, tau, lam * X + (1 - lam) * Y)[sigma]
+            rhs = lam * vx[sigma] + (1 - lam) * vy[sigma]
+            for r, j in np.argwhere(vc > rhs + tol):
+                report.add(f"sample {idxs[j]} atom {sigma[r]}",
+                           f"convexity at lambda={lam}: {vc[r, j]:.15g} > {rhs[r, j]:.15g}")
+        # translation invariance with a random F_sigma-measurable shift
+        for t in range(t_max + 1):
+            atoms = np.flatnonzero(times == t)
+            z = np.zeros(tree.n_nodes)
+            z[atoms] = rng.uniform(-2.0, 2.0, len(atoms))
+            # each cut node takes the shift of its atom
+            z[tau.index] = z[atoms[tree.owner_index(atoms, tau.index)]]
+            vt = backward_pass(model, tau, X + z[:, None])[atoms]
+            for r, j in np.argwhere(np.abs(vt - (vx[atoms] + z[atoms, None])) > tol):
+                a = atoms[r]
+                report.add(f"sample {idxs[j]} atom {a}", f"translation invariance off by "
+                           f"{abs(vt[r, j] - vx[a, j] - z[a]):.3e}")
+    return report
+
+
+def chain_prices_per_chain(model, nu, sigma, tau, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Direct and two-step ask prices at nu of each claim at tau, from a
+    direct pass and a composed pass of their own."""
+    for st in (nu, sigma, tau):
+        validate_stopping_time(model.tree, st)
+    for x in xs:
+        require_finite(x, "claim value")
+    direct = backward_pass(model, tau, _columns(model.tree, tau, xs))
+    composed = backward_pass(model, sigma, direct)
+    return direct[nu.index], composed[nu.index]
+
+
+def check_time_consistency_per_chain(evaluator, chains, samples, tol=1e-9) -> CheckReport:
+    """Compare direct pricing against two-step composition over each chain:
+    for a scenario model by :func:`chain_prices_per_chain`, else claim by claim."""
+    tree = evaluator.tree
+    report = CheckReport(check="time consistency", passed=True)
+    for ci, (nu, sigma, tau) in enumerate(chains):
+        if not (precedes(tree, nu, sigma) and precedes(tree, sigma, tau)):
+            raise TcppError(f"chain {ci} is not ordered")
+        idxs = [si for si, x in enumerate(samples) if x.at == tau]
+        xs = [samples[si] for si in idxs]
+        if isinstance(evaluator, ScenarioModel):
+            direct, composed = chain_prices_per_chain(evaluator, nu, sigma, tau, xs)
+        else:
+            shape = (len(xs), len(nu.cut))
+            direct = np.reshape([evaluator.price(x, nu).array for x in xs], shape).T
+            composed = np.reshape([evaluator.price(evaluator.price(x, sigma), nu).array
+                                   for x in xs], shape).T
+        for j, r in np.argwhere((np.abs(direct - composed) > tol).T):    # sample-major
+            a = int(nu.index[r])
+            report.add(f"chain {ci} sample {idxs[j]} atom {a}",
+                       f"direct {direct[r, j]:.12g} != composed {composed[r, j]:.12g}")
+            report.info.setdefault("witness_node", a)
+    return report
+
+
+def _one_step_one_column(values, kids, kernel, penalty) -> np.ndarray:
+    return penalty + np.einsum("gk,gk->g", kernel, values[kids])
+
+
+def cumulative_penalties_per_selection(model, sel, tau=None) -> np.ndarray:
+    """Expected sum of chosen one-step penalties from each node to tau."""
+    tree = model.tree
+    choice = _check_selection(model, sel)
+    if tau is None:
+        tau = StoppingTime.at_horizon(tree)
+    else:
+        validate_stopping_time(tree, tau)
+    g = np.zeros(tree.n_nodes)
+    for nodes, kids, kernel, penalty in model.steps(tau.cut, choice):
+        g[nodes] = _one_step_one_column(g, kids, kernel, penalty)
+    return g
+
+
+def check_cocycle_per_selection(penalty, model, tol=1e-12) -> CheckReport:
+    """Validate an externally supplied penalty process against the cocycle."""
+    tree = model.tree
+    choice = _check_selection(model, penalty.selection)
+    given = penalty.values
+    if np.shape(given) != (tree.n_nodes,):
+        raise TcppError(f"a penalty process needs {tree.n_nodes} values, got {np.shape(given)}")
+    report = CheckReport(check="cocycle", passed=True)
+    for leaf in np.array(tree.leaves)[np.abs(given[list(tree.leaves)]) > tol].tolist():
+        report.add(f"node {leaf}", f"horizon value {given[leaf].item()!r} is not 0")
+    steps = list(model.steps(tree.leaves, choice))
+    expect = given.copy()
+    for nodes, kids, kernel, pen in steps:
+        expect[nodes] = _one_step_one_column(given, kids, kernel, pen)
+    for node in np.flatnonzero(np.abs(given - expect) > tol).tolist():
+        report.add(f"node {node}",
+                   f"value {given[node]:.12g} != one-step penalty + expected "
+                   f"continuation {expect[node]:.12g}")
+
+    def agrees_from(t1: int) -> bool:
+        rhs = given.copy()
+        for nodes, kids, kernel, pen in steps:
+            if tree.times[nodes[0]] < t1:
+                rhs[nodes] = _one_step_one_column(rhs, kids, kernel, pen)
+        return not (np.abs(given - rhs) > max(tol, 1e-9)).any()
+
+    det_ok = bool((expect == given).all()) or all(map(agrees_from, range(1, tree.horizon)))
+    report.info["deterministic_passed"] = det_ok
+    report.info["stopping_time_passed"] = report.passed
+    return report
+
+
+def check_tcpp_per_family(model, seed: int, n_samples: int = 200) -> list[str]:
+    """The machine-format lines of ``tcpp check-tcpp`` on ``model`` as the
+    command printed them with the checks above, over claim objects."""
+    tree = model.tree
+    lines = []
+
+    def report(rep: CheckReport) -> None:
+        lines.append(f"check.{rep.check.replace(' ', '-')}\t{'pass' if rep.passed else 'FAIL'}")
+        lines.extend(f"witness\t{f.where} -- {f.message}" for f in rep.findings)
+
+    rng = np.random.default_rng(seed)
+    horizon = StoppingTime.at_horizon(tree)
+    draws = rng.uniform(-2, 2, size=(n_samples, 2, len(tree.leaves)))
+    samples = [(Claim(horizon, x), Claim(horizon, y)) for x, y in draws]
+    axioms = check_axioms_per_family(model, samples, seed=seed)
+    report(axioms)
+    chains = []
+    for _ in range(5):
+        sigma = random_stopping_time(tree, rng)
+        chains.append((StoppingTime.at_root(tree), sigma, horizon))
+    tc = check_time_consistency_per_chain(model, chains, [x for x, _ in samples[:50]])
+    report(tc)
+    cocycle_ok = True
+    internal = np.flatnonzero(model.menu_sizes)
+    for _ in range(8):
+        draw = rng.integers(model.menu_sizes[internal])     # one draw per node, ascending
+        sel = MeasureSelection(tuple(zip(internal.tolist(), draw.tolist())))
+        rep = check_cocycle_per_selection(
+            PenaltyProcess(sel, cumulative_penalties_per_selection(model, sel)), model)
+        if not rep.passed:
+            cocycle_ok = False
+            report(rep)
+    lines.append(f"check.cocycle\t{'pass' if cocycle_ok else 'FAIL'}")
+    report(check_nondegenerate(model))
+    lines.append(f"sublinear\t{str(bool(check_sublinear(model, seed=seed))).lower()}")
+    return lines
 
 
 # -- backward induction node by node -------------------------------------------

@@ -74,6 +74,24 @@ def test_hand_built_strategies_at_other_cuts_are_judged_as_one_claim_per_pass():
             validate_zero_cost_batch(model, strats)
 
 
+def test_the_payoff_lifts_every_swap_to_the_horizon():
+    """A swap of a constant claim for itself at time 1 costs nothing and
+    pays nothing; its claims sit at time 1, not at the horizon."""
+    tree = FiltrationTree.binomial(2)
+    model = ScenarioModel.reference(tree)
+    t1, horizon = StoppingTime.at_time(tree, 1), StoppingTime.at_horizon(tree)
+    one = Claim.constant(t1, 1.0)
+    strat = ZeroCostStrategy(Claim.constant(horizon, 0.0), [(t1, one, one)])
+    validate_zero_cost_batch(model, [strat])
+    assert strat.payoff(tree) == Claim.constant(horizon, 0.0)
+    # X0 at time 1 and a swap whose Z and Y sit at different cuts
+    z = Claim(t1, [0.25, -0.5])
+    y = Claim(horizon, [0.5, 1.0, 2.0, 4.0])
+    x0 = Claim(t1, [1.0, 3.0])
+    got = ZeroCostStrategy(x0, [(t1, z, y)]).payoff(tree)
+    assert got == Claim(horizon, [1.25 - 0.5, 1.25 - 1.0, 2.5 - 2.0, 2.5 - 4.0])
+
+
 def _report_fields(rep):
     cert = rep.certificate
     return (rep.no_free_lunch, cert.kind,
