@@ -13,7 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MalformedProgram, NumericalBreakdown
+from .errors import EnumerationOverflow, MalformedProgram, NumericalBreakdown
+from .scenario import _TABLEAU_CELLS
 from .settings import DEFAULT, Settings
 
 LE, EQ, GE = "<=", "=", ">="
@@ -271,10 +272,19 @@ def _ratio_test(T: np.ndarray, basis: list[int], enter: int, bland_mode: bool,
 def solve(lp: LinearProgram, settings: Settings = DEFAULT) -> LpSolution:
     """Solve a dense LP; status is one of optimal / infeasible / unbounded.
 
-    Raises :class:`MalformedProgram` on dimension errors and
-    :class:`NumericalBreakdown` when no pivot above the rank tolerance
-    remains (caller must rescale).
+    Raises :class:`EnumerationOverflow` before anything is allocated when
+    the dense tableau, counted as (rows + 1) x (columns + rows + 1) cells
+    (a slack per row; phase 1 adds a column per row without one), exceeds
+    ``scenario._TABLEAU_CELLS``; :class:`MalformedProgram` on dimension
+    errors; and :class:`NumericalBreakdown` when no pivot above the rank
+    tolerance remains (caller must rescale).
     """
+    rows, cols = lp.dims()
+    cells = (rows + 1) * (cols + rows + 1)
+    if cells > _TABLEAU_CELLS:
+        raise EnumerationOverflow(
+            f"an LP of {rows} rows and {cols} columns needs a dense tableau of "
+            f"{cells * 8 / 2**20:.1f} MiB, above the cap of {_TABLEAU_CELLS * 8 / 2**20:.1f} MiB")
     c_orig, lo, hi = _validate(lp)
     n = c_orig.size
     std = _Standard(lp, c_orig, lo, hi)

@@ -6,14 +6,21 @@ constrained pricing one over per-node matrix games, each solved a level
 group of ``FiltrationTree.levels`` at a time in array operations.  Suprema
 over the equivalent measures equal those over the closure for linear
 objectives; an edge-by-edge check reports whether equivalent ones exist.
-Calibration projects P on the martingale measures that price the quotes
-inside their bands, in relative entropy, through a dual whose value is the
-same kind of induction, over node-local log-partition functions.  The
-quote-penalized bounds generate extreme martingale measures by the upper
-induction over each node's vertex kernels, and weigh their 2k + 1 pieces
-in a master LP of 2k + 2 variables for k quotes.  LPs remain in that
-master, in :class:`ConstraintSet`, and in calibration's fallback over leaf
-masses, for the verdicts that the projection leaves open.
+Without caps a node's program is linear over its martingale kernels, so
+its optimum is one of their vertices, which depend on the reference
+kernels and the asset moves alone.  One table of them per market, solved
+once per stack of level groups of one arity and support size, serves every
+use without caps: the martingale bounds with their edge check (and the
+good-deal bounds at an infinite cap), calibration's edge check and the
+rays it prices, and the quote-penalized bounds.  Calibration projects P
+on the martingale measures that price the quotes inside their bands, in
+relative entropy, through a dual whose value is the same kind of
+induction, over node-local log-partition functions.  The quote-penalized
+bounds generate extreme martingale measures by the upper induction over
+the table, and weigh their 2k + 1 pieces in a master LP of 2k + 2
+variables for k quotes.  LPs remain in that master, in
+:class:`ConstraintSet`, and in calibration's fallback over leaf masses,
+for the verdicts that the projection leaves open.
 """
 from __future__ import annotations
 
@@ -268,7 +275,11 @@ class MmeBounds:
 def mme_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess], x: Claim,
                settings: Settings = DEFAULT) -> MmeBounds:
     """Sub- and surreplication prices, and whether an equivalent martingale
-    measure exists, by :func:`_kernel_bounds` without caps."""
+    measure exists, by :func:`_kernel_bounds` without caps: one induction
+    over the vertex kernels of :func:`_vertex_table`, whose edge test
+    answers the second question.  Raises :class:`EnumerationOverflow` when a
+    level group's kernel supports exceed ``max_enum``, and
+    :class:`NoMartingaleMeasure` when the root has no martingale kernel."""
     return MmeBounds(*_kernel_bounds(tree, assets, x, np.full(tree.n_nodes, np.inf),
                                      settings))
 
@@ -320,8 +331,9 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
     ends the search at once when every price under the first measure is
     already inside its band.
 
-    None when some edge is charged by no martingale kernel (the test of
-    :func:`_kernel_bounds`), before any step; when the bands miss the
+    None when some edge is charged by no martingale kernel (the edge test of
+    :func:`_vertex_table`, whose table built from the level groups here also
+    prices the receding rays), before any step; when the bands miss the
     attainable prices: D exceeds -log of the smallest leaf weight, which
     bounds KL(Q|P) for every Q; and when D's maximum is not attained: the
     climb flattens out along a ray that recedes (:func:`_recedes`).  The
@@ -330,21 +342,21 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
     more than ``feasibility_tol`` or a leaf density at or below
     ``equivalence_floor`` (tilts that multiply along the paths can take the
     projection's densities far below those of another calibrated measure),
-    and when a node's kernel supports exceed ``max_enum``.  A kernel of the
-    result that misses the martingale condition by more than
+    and when a node's kernel supports exceed ``max_enum``; an LP beyond the
+    tableau cap of :func:`tcpp.lp.solve` raises :class:`EnumerationOverflow`.
+    A kernel of the result that misses the martingale condition by more than
     ``feasibility_tol`` raises :class:`NumericalBreakdown` naming its node.
     """
     spot = _spot(tree, assets)
     steps = _level_steps(tree, spot)
-    zero = Claim.constant(StoppingTime.at_root(tree), 0.0)
     try:
-        if not _kernel_bounds(tree, assets, zero, np.full(tree.n_nodes, np.inf), settings,
-                              steps)[2]:
-            return None
+        table = _vertex_table(tree, assets, settings, steps)
     except NoMartingaleMeasure:
         return None
     except EnumerationOverflow:
         return _calibration_lp(tree, assets, quotes, settings)
+    if not table.charged:
+        return None
     leaves = list(tree.leaves)
     weight = np.array([tree.leaf_weights[v] for v in leaves])
     pay = np.array([lift_to_leaves(tree, q.payoff) for q in quotes]).reshape(-1, len(leaves)).T
@@ -384,7 +396,7 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
                 break
             if moves <= math.sqrt(_ROUNDING):
                 last = 0.0
-            elif _recedes(tree, assets, steps, pay, bid, ask, step / moves, settings):
+            elif _recedes(tree, table, pay, bid, ask, step / moves, settings):
                 return None
             else:
                 last = moves
@@ -417,17 +429,16 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
     return Measure.from_leaf_masses(tree, at.mass[leaves])
 
 
-def _recedes(tree: FiltrationTree, assets: Sequence[AssetProcess], steps: list,
-             pay: np.ndarray, bid: np.ndarray, ask: np.ndarray, r: np.ndarray,
-             settings: Settings) -> bool:
+def _recedes(tree: FiltrationTree, table: _VertexTable, pay: np.ndarray, bid: np.ndarray,
+             ask: np.ndarray, r: np.ndarray, settings: Settings) -> bool:
     """Whether D's supremum lies at infinity along r, scaled so that r . g
     is at most 1 in size: D(t r) / t tends to the least price of r . g over
     the martingale measures less sum_i max(r_i ask_i, r_i bid_i), and where
     that is 0 while r . g does not replicate, only measures of least price,
     none of them equivalent, meet the bands.  Both compare to the square
-    root of ``feasibility_tol``, as r is known from Newton steps."""
-    x = Claim(StoppingTime.at_horizon(tree), pay @ r)
-    lo, hi, _ = _kernel_bounds(tree, assets, x, np.full(tree.n_nodes, np.inf), settings, steps)
+    root of ``feasibility_tol``, as r is known from Newton steps.  The
+    prices come from the vertex ``table`` of the market."""
+    lo, hi = _table_bounds(tree, table, pay @ r)
     tol = math.sqrt(settings.feasibility_tol)
     return lo >= float(np.maximum(r * ask, r * bid).sum()) - tol and hi > lo + tol
 
@@ -692,14 +703,15 @@ def calibrated_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess],
     It equals min over the simplex of psi(lam) = max over Q of sum lam_i l_i(Q),
     found by column generation (Kelley): psi(lam) is one upper induction on
     the leaf claim sum lam_i l_i, over each node's vertex kernels
-    (:func:`_vertex_table`, built once for both sides), and the product of
-    its argmax kernels is the measure whose pieces are the new column.  The
-    master is min over lam of the largest of the columns' sum lam_i l_i: the
-    least piece while there is one column, then one :func:`tcpp.lp.solve` on
-    2k + 2 variables.  The lower end of the bracket is attained by a
-    martingale measure, a column or the master's mixture of columns; the
-    upper end is the least psi seen, a bound by weak duality.  The lower end
-    is returned once the two meet to the rounding of the induction.
+    (:func:`_vertex_table`, the table of :func:`mme_bounds`, built once for
+    both sides), and the product of its argmax kernels is the measure whose
+    pieces are the new column.  The master is min over lam of the largest of
+    the columns' sum lam_i l_i: the least piece while there is one column,
+    then one :func:`tcpp.lp.solve` on 2k + 2 variables.  The lower end of
+    the bracket is attained by a martingale measure, a column or the
+    master's mixture of columns; the upper end is the least psi seen, a
+    bound by weak duality.  The lower end is returned once the two meet to
+    the rounding of the induction.
 
     A node whose kernel supports exceed ``max_enum`` raises
     :class:`EnumerationOverflow`, as in :func:`mme_bounds`; an empty M raises
@@ -721,7 +733,7 @@ def calibrated_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess],
 _ROUNDS = 100
 
 
-def _quoted_sup(tree: FiltrationTree, table: list, pay: np.ndarray, bid: np.ndarray,
+def _quoted_sup(tree: FiltrationTree, table: _VertexTable, pay: np.ndarray, bid: np.ndarray,
                 ask: np.ndarray, settings: Settings) -> float:
     """max over Q in M of min_i l_i(Q), where ``pay`` holds X and then the
     quotes' payoffs on the leaves, by the search of :func:`calibrated_bounds`."""
@@ -771,7 +783,7 @@ def _master(cols: list, settings: Settings) -> tuple[np.ndarray, float]:
     return np.maximum(sol.point[:n], 0.0), size * float(sol.value)
 
 
-def _upper_column(tree: FiltrationTree, table: list, claim: np.ndarray,
+def _upper_column(tree: FiltrationTree, table: _VertexTable, claim: np.ndarray,
                   pay: np.ndarray) -> tuple[float, np.ndarray]:
     """max over Q in M of E_Q of the leaf claim, by an induction over the
     vertex kernels of ``table``, and E_Q of each column of ``pay`` under the
@@ -780,7 +792,7 @@ def _upper_column(tree: FiltrationTree, table: list, claim: np.ndarray,
     values = np.zeros(tree.n_nodes)
     values[leaves] = claim
     kernel = np.zeros((tree.n_nodes, int(tree.arity.max())))
-    for nodes, start, owner, child, sup, weights in table:
+    for nodes, start, owner, child, sup, weights, _ in table.groups:
         cand = (weights * values[child]).sum(1)
         top = np.maximum.reduceat(cand, start)
         best = np.minimum.reduceat(np.where(cand == top[owner], np.arange(len(cand)), len(cand)),
@@ -790,37 +802,83 @@ def _upper_column(tree: FiltrationTree, table: list, claim: np.ndarray,
     return float(values[tree.root]), pay.T @ tree.product_down(kernel)[leaves]
 
 
-def _vertex_table(tree: FiltrationTree, assets: Sequence[AssetProcess],
-                  settings: Settings) -> list:
-    """Per level group of :func:`_level_steps`, deepest first, that has a
-    node with a martingale kernel: the usable vertex kernels of
-    :func:`_vertex_kernels`, those whose support holds no child without a
-    kernel, as one list sorted by node.  An entry holds the nodes that have
-    one, where each node's vertices start in the list, the rank of each
-    vertex's node, and each vertex's children (as tree nodes), support row
-    and weights.  The support decides, not the weights, so no zero weight
-    meets a child that has no value; a node without a kernel is charged by
-    no usable vertex, so it is never read.  The table holds 3 * (assets + 1)
-    + 1 numbers per usable vertex, whose count per node the supports tried,
-    at most ``max_enum``, bound.  Raises :class:`NoMartingaleMeasure` when
-    the root has none."""
+@dataclass(frozen=True)
+class _VertexTable:
+    """The vertex kernels of every node's martingale kernels, built once per
+    market by :func:`_vertex_table` and read by every bound without caps.
+
+    ``groups`` holds, per level group of :func:`_level_steps` that has a
+    node with a kernel, deepest first: those nodes, where each node's
+    vertices start in the list, the rank of each vertex's node, and each
+    vertex's children (as tree nodes), support row, kernel weights and
+    least-norm point y0 = q / sqrt(p).  ``root_p`` is sqrt(p) of every node
+    under its parent (1 at the root), and ``charged`` whether every edge
+    below a node with a kernel has weight above ``equivalence_floor`` in one
+    of its vertices."""
+
+    groups: list
+    root_p: np.ndarray
+    charged: bool
+
+
+def _vertex_table(tree: FiltrationTree, assets: Sequence[AssetProcess], settings: Settings,
+                  steps: list | None = None) -> _VertexTable:
+    """The usable vertex kernels of :func:`_vertex_kernels` of every node:
+    those whose support holds no child without a kernel, sorted by node, as
+    a :class:`_VertexTable`; ``steps`` are those of :func:`_level_steps`,
+    built here when not given.  The vertices depend on the reference kernels
+    and the asset moves alone, so the level groups of one arity and support
+    size are solved as one stack, once per support batch; the filter then
+    runs a level group at a time, deepest first.  The support decides, not
+    the weights, so no zero weight meets a child that has no value; a node
+    without a kernel is charged by no usable vertex, so it is never read.
+    The table holds 4 * (assets + 1) + 1 numbers per usable vertex, whose
+    count per node the supports tried, at most ``max_enum``, bound, and it
+    is held whole while the bounds read it.  Raises
+    :class:`EnumerationOverflow` naming the first level group whose supports
+    exceed ``max_enum``, before any solve, and :class:`NoMartingaleMeasure`
+    when the root has no kernel."""
+    if steps is None:
+        steps = _level_steps(tree, _spot(tree, assets))
+    sizes = [_kernel_support_size(tree, nodes, kids.shape[1], len(assets), settings)
+             for nodes, kids, *_ in steps]
+    stacks: dict[tuple[int, int], list[int]] = {}
+    for i, ((_, kids, *_), size) in enumerate(zip(steps, sizes)):
+        stacks.setdefault((kids.shape[1], size), []).append(i)
+    found = [None] * len(steps)
+    for (_, size), members in stacks.items():
+        node, *rest = _vertex_kernels(np.concatenate([steps[i][2] for i in members]),
+                                      np.concatenate([steps[i][3] for i in members]),
+                                      size, settings)
+        ends = np.cumsum([len(steps[i][0]) for i in members])
+        cut = np.searchsorted(node, np.r_[0, ends])
+        for i, first, lo, hi in zip(members, np.r_[0, ends], cut, cut[1:]):
+            found[i] = (node[lo:hi] - first, *(z[lo:hi] for z in rest))
+    root_p = np.ones(tree.n_nodes)
+    for _, kids, p, _ in steps:
+        root_p[kids] = np.sqrt(p)
     alive = np.ones(tree.n_nodes, dtype=bool)
-    table = []
-    for nodes, kids, p, drift in _level_steps(tree, _spot(tree, assets)):
-        size = _kernel_support_size(tree, nodes, kids.shape[1], len(assets), settings)
-        node, sup, width, weights = _vertex_kernels(p, drift, size, settings)
+    groups, charged = [], True
+    for (nodes, kids, *_), size, (node, sup, width, y0) in zip(steps, sizes, found):
         child = kids[node[:, None], sup]
         fine = ~((np.arange(size) < width[:, None]) & ~alive[child]).any(1)
-        node = node[fine]
+        node, child, sup, y0 = node[fine], child[fine], sup[fine], y0[fine]
         head = np.diff(node, prepend=-1) != 0
         alive[nodes] = False
         alive[nodes[node[head]]] = True
         if head.any():
-            table.append((nodes[node[head]], np.flatnonzero(head), np.cumsum(head) - 1,
-                          child[fine], sup[fine], weights[fine]))
+            owner = np.cumsum(head) - 1
+            weights = root_p[child] * y0
+            if charged:
+                k = kids.shape[1]
+                hit = np.zeros(int(head.sum()) * k, dtype=bool)
+                hit[(owner[:, None] * k + sup)[weights > settings.equivalence_floor]] = True
+                charged = bool(hit.all())
+            groups.append((nodes[node[head]], np.flatnonzero(head), owner, child, sup,
+                           weights, y0))
     if not alive[tree.root]:
         raise NoMartingaleMeasure(f"no martingale kernel at node {_first_dead(tree, ~alive)}")
-    return table
+    return _VertexTable(groups, root_p, charged)
 
 
 def _kernel_support_size(tree: FiltrationTree, nodes: np.ndarray, k: int, n_assets: int,
@@ -854,24 +912,31 @@ def good_deal_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess],
 
 def _kernel_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess], x: Claim,
                    cap: np.ndarray, settings: Settings,
-                   steps: list | None = None) -> tuple[float, float, bool]:
+                   table: _VertexTable | None = None) -> tuple[float, float, bool]:
     """Extremes of E_Q x over the measures whose kernel at each node n lies in
     K_n = {q >= 0, sum q = 1, q . (S(c) - S(n)) = 0, sum q_c^2/p_c <= cap[n]^2},
-    and whether one of them is equivalent to P; ``steps`` are those of
-    :func:`_level_steps`, built here when not given.
+    and whether one of them is equivalent to P.
 
     The family is stable under pasting, so a bound is the induction
-    U(n) = max over q in K_n of q . U(children).  An empty K_n gives -inf,
-    which the parent avoids; an empty root raises :class:`NoMartingaleMeasure`,
-    or :class:`EmptyGoodDealSet` if only the caps empty it, naming the first
-    node whose own constraints are empty.  An equivalent measure exists when
-    every edge (n, c) is charged, max q_c over K_n above
-    ``equivalence_floor``: the product of the nodes' averages of their
-    charging kernels is one."""
+    U(n) = max over q in K_n of q . U(children).  Without a finite cap the
+    maximum is over the vertices of K_n, which ``table`` (of
+    :func:`_vertex_table`, built here when not given) holds for every node:
+    a level group is one gather, one product and one segment maximum for
+    both sides (:func:`_table_bounds`).  With caps each level group is one
+    :func:`tcpp.scenario._kernel_max` over its supports.  An empty K_n gives
+    -inf, which the parent avoids; an empty root raises
+    :class:`NoMartingaleMeasure`, or :class:`EmptyGoodDealSet` if only the
+    caps empty it, naming the first node whose own constraints are empty.
+    An equivalent measure exists when every edge (n, c) is charged, max q_c
+    over K_n above ``equivalence_floor``: the product of the nodes' averages
+    of their charging kernels is one."""
     validate_stopping_time(tree, x.at)
     require_finite(x, "claim value")
-    if steps is None:
-        steps = _level_steps(tree, _spot(tree, assets))
+    if not np.isfinite(cap).any():
+        if table is None:
+            table = _vertex_table(tree, assets, settings)
+        return (*_table_bounds(tree, table, lift_to_leaves(tree, x)), table.charged)
+    steps = _level_steps(tree, _spot(tree, assets))
     sizes = [_kernel_support_size(tree, nodes, kids.shape[1], len(assets), settings,
                                   bool(np.isfinite(cap[nodes]).any()))
              for nodes, kids, *_ in steps]
@@ -887,11 +952,26 @@ def _kernel_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess], x: Clai
     dead = np.isinf(values).any(0)
     if dead[tree.root]:
         node = _first_dead(tree, dead)
-        if np.isfinite(cap).any():
-            _kernel_bounds(tree, assets, x, np.full(tree.n_nodes, np.inf), settings, steps)
-            raise EmptyGoodDealSet(f"caps exclude every martingale kernel at node {node}")
-        raise NoMartingaleMeasure(f"no martingale kernel at node {node}")
+        _vertex_table(tree, assets, settings, steps)      # raises when M is empty too
+        raise EmptyGoodDealSet(f"caps exclude every martingale kernel at node {node}")
     return -float(values[0, tree.root]), float(values[1, tree.root]), charged
+
+
+def _table_bounds(tree: FiltrationTree, table: _VertexTable,
+                  leaf_values: np.ndarray) -> tuple[float, float]:
+    """The least and the largest E_Q of the claim of ``leaf_values`` over the
+    martingale measures, by the induction over the vertices of ``table``.
+    Each candidate sums (sqrt(p_c) V(c)) y0_c over its support in support
+    order, the order of :func:`tcpp.scenario._kernel_max`; so the induction
+    carries sqrt(p) V, and a node without a kernel keeps 0, which only the
+    zero weights of a padded support read."""
+    scaled = np.zeros((2, tree.n_nodes))      # the lower side negated, the upper side
+    leaves = list(tree.leaves)
+    scaled[:, leaves] = table.root_p[leaves] * np.outer([-1.0, 1.0], leaf_values)
+    for nodes, start, _, child, _, _, y0 in table.groups:
+        top = np.maximum.reduceat((scaled[:, child] * y0).sum(-1), start, axis=1)
+        scaled[:, nodes] = table.root_p[nodes] * top
+    return -float(scaled[0, tree.root]), float(scaled[1, tree.root])
 
 
 # -- portfolio constraints ---------------------------------------------------

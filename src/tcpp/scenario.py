@@ -505,6 +505,13 @@ _BATCH = 1 << 16
 # (16 MiB of float64); a wider stack is priced in chunks of samples
 _CELLS = 1 << 21
 
+# cells of the dense tableau of one ``lp.solve``, (rows + 1) x (columns +
+# rows + 1), counted from the program's size before anything is allocated
+# (256 MiB of float64); a larger LP raises EnumerationOverflow.  The largest
+# LP of the tests, a leaf-mass calibration of 492 rows and 244 columns,
+# counts 2.8 MiB; calibration's fallback on the 8191-node deep book 768 MiB
+_TABLEAU_CELLS = 1 << 25
+
 
 def _kernel_max(p: np.ndarray, drift: np.ndarray, cap: np.ndarray, v: np.ndarray,
                 size: int, settings: Settings) -> np.ndarray:
@@ -551,8 +558,9 @@ def _vertex_kernels(p: np.ndarray, drift: np.ndarray, size: int, settings: Setti
     feasibility tolerance, sorted by node: their nodes, their supports as
     rows of ``size`` distinct children whose first s are the support's s
     (the rest pad it with the first others), those counts s, and the
-    weights on the rows, zero on the padding.  The rest are dropped batch by
-    batch, so memory grows with the vertices found, not the supports."""
+    least-norm points y0 = q / sqrt(p) on the rows, zero on the padding.
+    The rest are dropped batch by batch, so memory grows with the vertices
+    found, not the supports."""
     g, k = p.shape
     root_p = np.sqrt(p)
     out = [(np.zeros(0, dtype=np.intp), np.zeros((0, size), dtype=np.intp),
@@ -563,16 +571,16 @@ def _vertex_kernels(p: np.ndarray, drift: np.ndarray, size: int, settings: Setti
         y0 = pinv[..., 0]
         node, i = np.nonzero(_on_slice(a, rp, y0[None], settings)[0])
         s = sup.shape[1]
-        rows, weights = sup[i], np.zeros((len(i), size))
-        weights[:, :s] = (rp * y0)[node, i]
+        rows, points = sup[i], np.zeros((len(i), size))
+        points[:, :s] = y0[node, i]
         if s < size:
             member = np.zeros((len(i), k), dtype=bool)
             member[np.arange(len(i))[:, None], rows] = True
             rows = np.concatenate([rows, np.argsort(member, axis=1, kind="stable")[:, :size - s]], 1)
-        out.append((node, rows, np.full(len(i), s), weights))
-    node, rows, width, weights = (np.concatenate(z) for z in zip(*out))
+        out.append((node, rows, np.full(len(i), s), points))
+    node, rows, width, points = (np.concatenate(z) for z in zip(*out))
     order = np.argsort(node, kind="stable")
-    return node[order], rows[order], width[order], weights[order]
+    return node[order], rows[order], width[order], points[order]
 
 
 def _support_batches(k: int, size: int, stack: int) -> Iterator[np.ndarray]:

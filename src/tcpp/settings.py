@@ -31,13 +31,14 @@ class Settings:
                       density
     max_enum          cap on the game kernels tried per node in constrained
                       pricing, on the kernel supports tried per node by the
-                      martingale, calibrated and good-deal bounds (the
-                      calibrated bounds keep the vertex kernels among them,
-                      3 * (assets + 1) + 1 numbers each, so their memory
-                      grows with the nodes of a level group times the
-                      vertices per node, at most this cap; calibration,
-                      which tests its edges with them,
-                      goes to a leaf-mass LP where they exceed it), on the
+                      martingale, calibrated and good-deal bounds (without
+                      caps, the martingale and calibrated bounds and
+                      calibration's edge test read the vertex kernels among
+                      them from one table per market, 4 * (assets + 1) + 1
+                      numbers each, held whole, so their memory grows with
+                      the internal nodes times the vertices per node, at
+                      most this cap; calibration goes to a leaf-mass LP
+                      where they exceed it), on the
                       menu-entry supports (at most arity entries each)
                       tried per node by the minimal penalty, and on the
                       reference enumerators of selections and stopping times

@@ -13,7 +13,8 @@ from tcpp.errors import (EmptyGoodDealSet, ForeignNode, InconsistentVerdicts,
                          TcppError)
 from tcpp.lp import EQ, GE, LE, LinearProgram, solve
 from tcpp.market import (AssetProcess, ConstraintSet, GoodDealCaps, QuotedOption,
-                         _calibration_lp, _equivalence_margin, _martingale_rows)
+                         _calibration_lp, _equivalence_margin, _first_dead,
+                         _kernel_support_size, _level_steps, _martingale_rows, _spot)
 from tcpp.marketfile import MarketData
 from tcpp.nfl import (FreeLunchCertificate, NflReport, ZeroCostStrategy,
                       find_static_free_lunch, find_zero_penalty_equivalent_measure)
@@ -21,8 +22,8 @@ from tcpp.pricing import (SublinearReport, _columns, backward_pass, check_sublin
                           enumerate_stop_sets, price, random_stopping_time)
 from tcpp.report import CheckReport
 from tcpp.scenario import (MeasureSelection, MenuEntry, PenaltyProcess, ScenarioModel,
-                           _check_selection, check_nondegenerate, cumulative_penalties,
-                           minimal_penalty, subtree_duals)
+                           _check_selection, _kernel_max, check_nondegenerate,
+                           cumulative_penalties, minimal_penalty, subtree_duals)
 from tcpp.settings import DEFAULT, Settings
 from tcpp.tree import (Claim, FiltrationTree, Measure, StoppingTime, lift,
                        lift_to_leaves, precedes, require_finite,
@@ -784,6 +785,34 @@ def mme_bounds_lp(tree, assets, x, settings=DEFAULT) -> tuple[float, float, floa
         out.append(sol.value)
     margin = _equivalence_margin(tree, rows, [], settings).value
     return out[0], out[1], margin
+
+
+def kernel_bounds_per_group(tree, assets, x, settings=DEFAULT) -> tuple[float, float, bool]:
+    """The martingale bounds of ``x`` and whether an equivalent martingale
+    measure exists, as the induction without caps computed them before the
+    vertex table: one :func:`tcpp.scenario._kernel_max` per level group,
+    which solves that group's supports again, with the two sides and one
+    unit objective per child (the edge test) as its objectives, a child
+    without a kernel marked -inf."""
+    validate_stopping_time(tree, x.at)
+    require_finite(x, "claim value")
+    steps = _level_steps(tree, _spot(tree, assets))
+    sizes = [_kernel_support_size(tree, nodes, kids.shape[1], len(assets), settings)
+             for nodes, kids, *_ in steps]
+    values = np.empty((2, tree.n_nodes))      # the lower side negated, the upper side
+    values[:, list(tree.leaves)] = np.outer([-1.0, 1.0], lift_to_leaves(tree, x))
+    charged = True
+    for (nodes, kids, p, drift), size in zip(steps, sizes):
+        v = values[:, kids]
+        edges = np.where(np.isinf(v).any(0), -np.inf, np.eye(kids.shape[1])[:, None, :])
+        out = _kernel_max(p, drift, np.full(len(nodes), np.inf), np.concatenate([v, edges]),
+                          size, settings)
+        values[:, nodes] = out[:2]
+        charged &= bool((out[2:] > settings.equivalence_floor).all())
+    dead = np.isinf(values).any(0)
+    if dead[tree.root]:
+        raise NoMartingaleMeasure(f"no martingale kernel at node {_first_dead(tree, dead)}")
+    return -float(values[0, tree.root]), float(values[1, tree.root]), charged
 
 
 def good_deal_bounds_cuts(tree, assets, caps, x, settings=DEFAULT,

@@ -128,7 +128,7 @@ def test_the_irregular_instances_cover_a_level_group_without_a_kernel_below_a_li
             table = tcpp.market._vertex_table(tree, assets, DEFAULT)
         except NoMartingaleMeasure:
             continue
-        groups.append(len(tree.levels(tree.leaves)) - len(table))
+        groups.append(len(tree.levels(tree.leaves)) - len(table.groups))
     assert max(groups) >= 1 and min(groups) == 0
 
 
@@ -145,7 +145,8 @@ def _mixed_arity_market():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_level_group_without_a_kernel_below_a_live_root_is_left_out():
     tree, s = _mixed_arity_market()
-    assert len(tcpp.market._vertex_table(tree, [s], DEFAULT)) == len(tree.levels(tree.leaves)) - 1
+    table = tcpp.market._vertex_table(tree, [s], DEFAULT)
+    assert len(table.groups) == len(tree.levels(tree.leaves)) - 1
     rng = np.random.default_rng(7)
     for n_quotes in (0, 1, 2, 2):
         quotes = [QuotedOption(f"Y{i}", random_claim(rng, tree), *sorted(rng.uniform(-1.0, 2.0, 2)))

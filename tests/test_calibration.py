@@ -2,6 +2,7 @@
 the price bounds."""
 import dataclasses
 import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -149,6 +150,21 @@ def test_a_steep_projection_falls_back_on_the_leaf_mass_lp():
     got = calibration_feasible(md.tree, md.assets, md.quotes)
     _assert_calibrated(md.tree, md.assets, md.quotes, got)
     assert got == want
+
+
+def test_a_fallback_lp_beyond_the_tableau_cap_raises_before_it_is_built(monkeypatch, capsys):
+    # the leaf-mass LP of this market has 124 rows (40 martingale, 2 quote
+    # and 81 density rows, and the total mass) over 82 columns: 25875 cells
+    path = os.path.join(MARKETS, "steep_projection.market")
+    md = parse_market_file(path)
+    monkeypatch.setattr(tcpp.lp, "_TABLEAU_CELLS", 25874)
+    monkeypatch.setattr(tcpp.lp, "_Standard", mock.Mock(side_effect=AssertionError("built")))
+    message = ("an LP of 124 rows and 82 columns needs a dense tableau of 0.2 MiB, "
+               "above the cap of 0.2 MiB")
+    with pytest.raises(EnumerationOverflow, match=f"^{re.escape(message)}$"):
+        calibration_feasible(md.tree, md.assets, md.quotes)
+    assert main(["calibrate", "--market", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_nodes_with_too_many_kernel_supports_fall_back_on_the_leaf_mass_lp():

@@ -1,0 +1,200 @@
+"""The vertex table that serves every bound without caps (the martingale
+bounds, calibration's edge test and the calibrated bounds), against the
+per-level-group induction it replaced, and the solves it makes."""
+import dataclasses
+import struct
+from unittest import mock
+
+import numpy as np
+import pytest
+
+import tcpp.market
+import tcpp.scenario
+from gen import (martingale_assets, random_claim, random_irregular_tree, random_tree,
+                 relabelled)
+from oracles import kernel_bounds_per_group
+from test_calibration import KINDS as CALIBRATION_KINDS
+from test_calibration import _market as calibration_market
+from tcpp.errors import EmptyGoodDealSet, TcppError
+from tcpp.market import (AssetProcess, GoodDealCaps, QuotedOption, calibrated_bounds,
+                         calibration_feasible, good_deal_bounds, mme_bounds)
+from tcpp.pricing import random_stopping_time
+from tcpp.scenario import _support_batches
+from tcpp.settings import DEFAULT, Settings
+from tcpp.tree import Claim, FiltrationTree, StoppingTime
+
+SEEDS = range(240)
+
+
+def _shift(tree: FiltrationTree, values: dict, node: int, by: float) -> None:
+    """Move the values of ``node``'s subtree by ``by``, the moves below it kept."""
+    todo = [node]
+    while todo:
+        v = todo.pop()
+        values[v] += by
+        todo += tree.children[v]
+
+
+def _market(seed: int):
+    """Seeded market ``seed``: a random tree of 1-3 periods, regular or with
+    arities 1-4 drawn per node (every fifth relabelled), and 1-3 assets.
+    The first asset stays put on some children of two nodes (ties: children
+    of equal moves, kernels on them alone).  By ``seed % 4``: nothing more;
+    one node, possibly the root, whose assets rise on every child, so it has
+    no martingale kernel; every node of one level group so; or both.  Every
+    seventh market caps the supports at 8, which some level groups exceed.
+    The claims: one at a random stopping time, a call on the first asset
+    (zero on some leaves) and the zero claim."""
+    rng = np.random.default_rng(seed)
+    tree = random_irregular_tree(rng, 3, 4) if seed % 2 else random_tree(rng, 3, 4)
+    if seed % 5 == 4:
+        tree = relabelled(tree, rng)
+    assets = martingale_assets(rng, tree, 1 + seed % 3)
+    values = [dict(a.values) for a in assets]
+    internal = tree.internal_nodes()
+    for node in rng.choice(internal, size=min(2, len(internal)), replace=False).tolist():
+        for c in tree.children[node][:int(rng.integers(1, len(tree.children[node]) + 1))]:
+            _shift(tree, values[0], c, values[0][node] - values[0][c])
+    dead = []
+    if seed % 4 in (1, 3):
+        dead.append(internal[int(rng.integers(len(internal)))])
+    if seed % 4 in (2, 3):
+        v = internal[int(rng.integers(len(internal)))]
+        dead += [u for u in internal
+                 if tree.times[u] == tree.times[v] and tree.arity[u] == tree.arity[v]]
+    for node in dead:
+        for vals in values:
+            for c in tree.children[node]:
+                _shift(tree, vals, c, vals[node] + float(rng.uniform(0.1, 0.5)) - vals[c])
+    assets = [AssetProcess(a.name, vals) for a, vals in zip(assets, values)]
+    s = values[0]
+    strike = float(np.median([s[b] for b in tree.leaves]))
+    claims = [random_claim(rng, tree, random_stopping_time(tree, rng)),
+              Claim(StoppingTime.at_horizon(tree), {b: max(s[b] - strike, 0.0) for b in tree.leaves}),
+              Claim.constant(StoppingTime.at_horizon(tree), 0.0)]
+    settings = Settings(max_enum=8) if seed % 7 == 6 else DEFAULT
+    return tree, assets, claims, settings
+
+
+def _bits(run):
+    """The outcome of ``run`` to the bit: its floats packed (so that -0.0 and
+    0.0 differ), or the type and text of the error it raised."""
+    try:
+        out = run()
+    except TcppError as exc:
+        return type(exc).__name__, str(exc)
+    return tuple(struct.pack("<d", v) if isinstance(v, float) else v for v in out)
+
+
+def _mme(tree, assets, x, settings):
+    b = mme_bounds(tree, assets, x, settings)
+    return b.lower, b.upper, b.has_equivalent
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("chunk", range(8))
+def test_the_table_gives_the_per_group_induction_bit_for_bit(chunk):
+    for seed in SEEDS[chunk::8]:
+        tree, assets, claims, settings = _market(seed)
+        for x in claims:
+            got = _bits(lambda: _mme(tree, assets, x, settings))
+            want = _bits(lambda: kernel_bounds_per_group(tree, assets, x, settings))
+            assert got == want, (seed, got, want)
+            inf = GoodDealCaps.uniform(float("inf"))
+            assert _bits(lambda: good_deal_bounds(tree, assets, inf, x, settings)) == \
+                (want if isinstance(want[0], str) else want[:2]), seed
+
+
+def test_the_instances_cover_both_verdicts_every_error_and_groups_without_a_kernel():
+    seen = set()
+    for seed in SEEDS:
+        tree, assets, claims, settings = _market(seed)
+        try:
+            b = mme_bounds(tree, assets, claims[0], settings)
+        except TcppError as exc:
+            seen.add(type(exc).__name__)
+            continue
+        seen.add(b.has_equivalent)
+        table = tcpp.market._vertex_table(tree, assets, settings)
+        if len(table.groups) < len(tree.levels(tree.leaves)):
+            seen.add("a level group without a kernel below a live root")
+        if len(assets) == 3 and tree.arity.max() > 3:
+            seen.add("3 assets")
+    assert seen == {True, False, "NoMartingaleMeasure", "EnumerationOverflow", "3 assets",
+                    "a level group without a kernel below a live root"}
+
+
+@pytest.mark.parametrize("kind", CALIBRATION_KINDS)
+def test_calibration_answers_as_with_the_per_group_edge_test_and_bounds(kind, monkeypatch):
+    """Calibration reads the table's edge test and its bounds along a
+    receding ray; with both taken from the per-group induction instead, on
+    the seeded sets of ``test_calibration``, its verdicts and measures are
+    the same."""
+    table_of = tcpp.market._vertex_table
+
+    def per_group_table(tree, assets, settings, steps=None):
+        table = table_of(tree, assets, settings, steps)
+        zero = Claim.constant(StoppingTime.at_root(tree), 0.0)
+        return dataclasses.replace(table,
+                                   charged=kernel_bounds_per_group(tree, assets, zero, settings)[2])
+
+    for seed in range(8):
+        tree, assets, quotes = calibration_market(
+            np.random.default_rng(1000 * CALIBRATION_KINDS.index(kind) + seed), kind)
+        got = calibration_feasible(tree, assets, quotes)
+        with monkeypatch.context() as m:
+            m.setattr(tcpp.market, "_vertex_table", per_group_table)
+            m.setattr(tcpp.market, "_table_bounds", lambda tree, table, values: (
+                kernel_bounds_per_group(tree, assets,
+                                        Claim(StoppingTime.at_horizon(tree), values))[:2]))
+            want = calibration_feasible(tree, assets, quotes)
+        assert got == want, (kind, seed)
+
+
+def _trinomial_call(periods: int):
+    """The asset with factors 2, 1, 0.5 per period on the uniform trinomial
+    tree, a call on it struck at 1, and a quote of the call."""
+    tree = FiltrationTree.trinomial(periods)
+    s = {tree.root: 1.0}
+    for v in tree.internal_nodes():
+        for c, f in zip(tree.children[v], (2.0, 1.0, 0.5)):
+            s[c] = s[v] * f
+    call = Claim(StoppingTime.at_horizon(tree), {b: max(s[b] - 1.0, 0.0) for b in tree.leaves})
+    return tree, AssetProcess("S", s), call, QuotedOption("C", call, 0.4, 0.5)
+
+
+def test_each_stack_of_supports_is_solved_once_per_batch(monkeypatch):
+    # trinomial H=5 with one asset: 5 level groups of arity 3, 121 nodes and
+    # supports of 1 or 2 children, one stack solved in one batch per size;
+    # one search per level group solved the systems 10 times
+    tree, s, call, quote = _trinomial_call(5)
+    solves = []
+    slice_systems = tcpp.scenario._slice_systems
+    monkeypatch.setattr(tcpp.scenario, "_slice_systems",
+                        lambda rp, drift: solves.append(rp.shape) or slice_systems(rp, drift))
+    refuse = mock.Mock(side_effect=AssertionError("_kernel_max called"))
+    monkeypatch.setattr(tcpp.scenario, "_kernel_max", refuse)
+    monkeypatch.setattr(tcpp.market, "_kernel_max", refuse)
+    batches = [(121, len(sup), sup.shape[1]) for sup in _support_batches(3, 2, 121)]
+    assert batches == [(121, 3, 1), (121, 3, 2)]
+    for run in (lambda: mme_bounds(tree, [s], call),
+                lambda: good_deal_bounds(tree, [s], GoodDealCaps.uniform(float("inf")), call),
+                lambda: calibrated_bounds(tree, [s], [quote], call),
+                lambda: calibration_feasible(tree, [s], [quote])):
+        solves.clear()
+        run()
+        assert solves == batches
+
+
+def test_caps_that_empty_the_set_ask_the_table_whether_the_martingale_set_is_empty(monkeypatch):
+    # one level group: one capped search, then the table, no second induction
+    tree, s, call, _ = _trinomial_call(1)
+    calls = []
+    kernel_max = tcpp.market._kernel_max
+    monkeypatch.setattr(tcpp.market, "_kernel_max",
+                        lambda *args: calls.append(args[-2]) or kernel_max(*args))
+    table = mock.Mock(wraps=tcpp.market._vertex_table)
+    monkeypatch.setattr(tcpp.market, "_vertex_table", table)
+    with pytest.raises(EmptyGoodDealSet, match="at node 0"):
+        good_deal_bounds(tree, [s], GoodDealCaps.uniform(1.0), call)
+    assert calls == [3] and table.call_count == 1
