@@ -3,9 +3,9 @@
 Exit codes: 0 pass/success, 1 check failure (witnesses printed), 2 input
 error.  ``--format machine`` emits one ``key<TAB>value`` record per line.
 All randomized checks honor ``--seed``.  ``TCPP_MAX_ENUM`` caps the kernel
-and support enumerations per node (``constrained``, ``bounds``, and the
-menu-entry supports of the minimal penalty that ``nfl`` checks), and the
-reference enumerators.
+and support enumerations per node (``constrained``, ``bounds``,
+``calibrate``, and the menu-entry supports of the minimal penalty that
+``nfl`` checks), and the reference enumerators.
 
 ``check-tcpp`` draws its samples as one array and hands it to the checks as
 a :class:`~tcpp.tree.ClaimStack`, with no claim object each: the axioms

@@ -18,9 +18,10 @@ relative entropy, through a dual whose value is the same kind of
 induction, over node-local log-partition functions.  The quote-penalized
 bounds generate extreme martingale measures by the upper induction over
 the table, and weigh their 2k + 1 pieces in a master LP of 2k + 2
-variables for k quotes.  LPs remain in that master, in
-:class:`ConstraintSet`, and in calibration's fallback over leaf masses,
-for the verdicts that the projection leaves open.
+variables for k quotes; calibration's fallback, for the verdicts that the
+projection leaves open, mixes the same measures with the quote-free
+projection in a master LP over their weights.  LPs remain in those masters
+and in :class:`ConstraintSet`; none is over the leaves.
 """
 from __future__ import annotations
 
@@ -242,25 +243,7 @@ def check_extends_dynamics(model: ScenarioModel, assets: Sequence[AssetProcess],
     return report
 
 
-# -- martingale polytope -----------------------------------------------------
-
-def _martingale_rows(tree: FiltrationTree,
-                     assets: Sequence[AssetProcess]) -> list[tuple[list[float], str, float]]:
-    nl = len(tree.leaves)
-    rows = []
-    for asset in assets:
-        asset.validate(tree)
-        for node in tree.internal_nodes():
-            coef = [0.0] * nl
-            for c in tree.children[node]:
-                for leaf in tree.subtree_leaves(c):
-                    coef[tree.leaf_index[leaf]] += asset.values[c]
-            for leaf in tree.subtree_leaves(node):
-                coef[tree.leaf_index[leaf]] -= asset.values[node]
-            rows.append((coef, EQ, 0.0))
-    rows.append(([1.0] * nl, EQ, 1.0))
-    return rows
-
+# -- martingale bounds ------------------------------------------------------
 
 @dataclass
 class MmeBounds:
@@ -275,13 +258,18 @@ class MmeBounds:
 def mme_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess], x: Claim,
                settings: Settings = DEFAULT) -> MmeBounds:
     """Sub- and surreplication prices, and whether an equivalent martingale
-    measure exists, by :func:`_kernel_bounds` without caps: one induction
-    over the vertex kernels of :func:`_vertex_table`, whose edge test
-    answers the second question.  Raises :class:`EnumerationOverflow` when a
-    level group's kernel supports exceed ``max_enum``, and
+    measure exists: one induction over the vertex kernels of
+    :func:`_vertex_table` (:func:`_table_bounds`), whose edge test answers
+    the second question: an equivalent measure exists when every edge
+    (n, c) is charged, max q_c over the martingale kernels at n above
+    ``equivalence_floor``, since the product of the nodes' averages of
+    their charging kernels is one.  Raises :class:`EnumerationOverflow`
+    when a level group's kernel supports exceed ``max_enum``, and
     :class:`NoMartingaleMeasure` when the root has no martingale kernel."""
-    return MmeBounds(*_kernel_bounds(tree, assets, x, np.full(tree.n_nodes, np.inf),
-                                     settings))
+    validate_stopping_time(tree, x.at)
+    require_finite(x, "claim value")
+    table = _vertex_table(tree, assets, settings)
+    return MmeBounds(*_table_bounds(tree, table, lift_to_leaves(tree, x)), table.charged)
 
 
 def check_price_in_mme_bounds(model: ScenarioModel, assets: Sequence[AssetProcess],
@@ -336,15 +324,16 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
     prices the receding rays), before any step; when the bands miss the
     attainable prices: D exceeds -log of the smallest leaf weight, which
     bounds KL(Q|P) for every Q; and when D's maximum is not attained: the
-    climb flattens out along a ray that recedes (:func:`_recedes`).  The
-    leaf-mass LP of :func:`_calibration_lp` decides instead where the
-    projection cannot: when the climb ends with a price outside its band by
-    more than ``feasibility_tol`` or a leaf density at or below
+    climb flattens out along a ray that recedes (:func:`_recedes`).  Where
+    the projection cannot decide, the column generation of
+    :func:`_calibrated_mixture` over the same table does, from R, the
+    measure of the first pass: when the climb ends with a price outside its
+    band by more than ``feasibility_tol`` or a leaf density at or below
     ``equivalence_floor`` (tilts that multiply along the paths can take the
-    projection's densities far below those of another calibrated measure),
-    and when a node's kernel supports exceed ``max_enum``; an LP beyond the
-    tableau cap of :func:`tcpp.lp.solve` raises :class:`EnumerationOverflow`.
-    A kernel of the result that misses the martingale condition by more than
+    projection's densities far below those of another calibrated measure).
+    A node whose kernel supports exceed ``max_enum`` raises
+    :class:`EnumerationOverflow`, as in :func:`mme_bounds`.  A kernel of the
+    projection that misses the martingale condition by more than
     ``feasibility_tol`` raises :class:`NumericalBreakdown` naming its node.
     """
     spot = _spot(tree, assets)
@@ -353,8 +342,6 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
         table = _vertex_table(tree, assets, settings, steps)
     except NoMartingaleMeasure:
         return None
-    except EnumerationOverflow:
-        return _calibration_lp(tree, assets, quotes, settings)
     if not table.charged:
         return None
     leaves = list(tree.leaves)
@@ -368,6 +355,7 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
 
     theta = np.zeros(len(quotes))
     value, at = climb(theta)
+    first = at.mass[leaves]             # the quote-free projection R
     # replicable combinations: null directions of -H, the same at every
     # theta since every measure prices them alike, found at the first
     lam, vec = np.linalg.eigh(-at.hess)
@@ -418,7 +406,7 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
         return None                     # above every feasible measure's entropy
     inside = (at.price >= bid - settings.feasibility_tol) & (at.price <= ask + settings.feasibility_tol)
     if not inside.all() or (at.mass[leaves] / weight).min() <= settings.equivalence_floor:
-        return _calibration_lp(tree, assets, quotes, settings)
+        return _calibrated_mixture(tree, table, first, pay, bid, ask, settings)
     for nodes, kids, _, drift in steps:
         gap = np.abs(np.einsum("gc,gcd->gd", at.mass[kids] / at.mass[nodes, None], drift))
         off = gap.max(1, initial=0.0) > settings.feasibility_tol * (1.0 + np.abs(spot[nodes]).max(1, initial=0.0))
@@ -443,47 +431,56 @@ def _recedes(tree: FiltrationTree, table: _VertexTable, pay: np.ndarray, bid: np
     return lo >= float(np.maximum(r * ask, r * bid).sum()) - tol and hi > lo + tol
 
 
-def _calibration_lp(tree: FiltrationTree, assets: Sequence[AssetProcess],
-                    quotes: Sequence[QuotedOption], settings: Settings) -> Measure | None:
-    """The martingale measure pricing every quote inside its band with the
-    largest least density dQ/dP, from one LP over the leaf masses; None when
-    that density is at most ``equivalence_floor``."""
-    rows = _martingale_rows(tree, assets)
-    try:
-        sol = _equivalence_margin(tree, rows, _quote_rows(tree, quotes), settings)
-    except NoMartingaleMeasure:
-        return None
-    if sol.value <= settings.equivalence_floor:
-        return None
-    return Measure.from_leaf_masses(tree, sol.point[:len(tree.leaves)])
+def _calibrated_mixture(tree: FiltrationTree, table: _VertexTable, first: np.ndarray,
+                        pay: np.ndarray, bid: np.ndarray, ask: np.ndarray,
+                        settings: Settings) -> Measure | None:
+    """The mixture of R (the leaf masses ``first``) and extreme martingale
+    measures that prices every quote (a column of ``pay``) inside its band
+    with the largest weight t on R, or None.  R is equivalent to P, and any
+    equivalent calibrated Q is c R + (1 - c) Q' for some c > 0 and
+    martingale measure Q', so one exists exactly when t > 0.
 
-
-def _equivalence_margin(tree: FiltrationTree, rows, extra_rows, settings: Settings):
-    """Solution of: maximize the minimum density over the polytope, the
-    leaf masses followed by the margin."""
-    nl = len(tree.leaves)
-    w = [tree.leaf_weights[v] for v in tree.leaves]
-    lp = LinearProgram(
-        objective=[0.0] * nl + [1.0],
-        constraints=[(r + [0.0], rel, b) for r, rel, b in rows + extra_rows]
-        + [([1.0 if j == i else 0.0 for j in range(nl)] + [-w[i]], GE, 0.0)
-           for i in range(nl)],
-        sense="max",
-    )
-    sol = solve(lp, settings)
-    if sol.status != "optimal":
-        raise NoMartingaleMeasure("martingale polytope is empty")
-    return sol
-
-
-def _quote_rows(tree: FiltrationTree, quotes: Sequence[QuotedOption]
-                ) -> list[tuple[list[float], str, float]]:
-    rows = []
-    for q in quotes:
-        coef = list(lift_to_leaves(tree, q.payoff))
-        rows.append((coef, GE, q.bid))
-        rows.append((coef, LE, q.ask))
-    return rows
+    Dantzig-Wolfe column generation over {R, Q_1, ...}: each master is one
+    :func:`tcpp.lp.solve` over the columns' weights and the largest band
+    violation s.  Phase 1 minimizes s, and None follows once its value and
+    bound exceed ``feasibility_tol``; phase 2 maximizes t with s held at
+    most phase 1's.  The master's duals pi of the quote rows and mu of the
+    weights' sum price a new column, :func:`_upper_column` on the leaf claim
+    -/+ pi . Y, until the rate it would improve at is within the
+    induction's rounding.  None as well when the mixture's least density is
+    at or below ``equivalence_floor``; :class:`NumericalBreakdown` when a
+    phase is still open after ``_ROUNDS`` rounds."""
+    k, masses, slack = len(bid), [first], None      # phase 1 until s <= feasibility_tol
+    for _ in range(_ROUNDS):
+        n, prices = len(masses), pay.T @ np.transpose(masses)
+        lp = LinearProgram(np.eye(n + 1)[n if slack is None else 0],
+                           [(list(y) + [-1.0], LE, a) for y, a in zip(prices, ask)]
+                           + [(list(y) + [1.0], GE, b) for y, b in zip(prices, bid)]
+                           + [([1.0] * n + [0.0], EQ, 1.0)],
+                           upper=[np.inf] * n + [np.inf if slack is None else slack],
+                           sense="min" if slack is None else "max")
+        sol = solve(lp, settings)
+        if sol.status != "optimal":
+            raise NumericalBreakdown(f"calibration: the master LP over {n} columns is {sol.status}")
+        if slack is None and sol.value <= settings.feasibility_tol:
+            slack = sol.value
+            continue
+        sign = 1.0 if slack is None else -1.0      # min s, or max t
+        pi, mu = sign * (sol.dual_point[:k] + sol.dual_point[k:2 * k]), sol.dual_point[-1]
+        value, mass = _upper_column(tree, table, pay @ pi)
+        rate = value + sign * mu
+        if rate <= _induction_rounding(tree, pay * pi, np.array([mu])):
+            if slack is None:
+                return None
+            break
+        if slack is None and sol.value - rate > settings.feasibility_tol:
+            return None
+        masses.append(mass)
+    else:
+        raise NumericalBreakdown(f"calibration: the column generation is still open after "
+                                 f"{_ROUNDS} rounds ({k} quotes, {tree.n_nodes} nodes)")
+    q = Measure.from_leaf_masses(tree, np.maximum(sol.point[:n], 0.0) @ np.array(masses))
+    return q if min(q.density.values()) > settings.equivalence_floor else None
 
 
 # rounding of a sum of a few exponentials and logarithms, relative to its
@@ -728,9 +725,17 @@ def calibrated_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess],
     return low, _quoted_sup(tree, table, pay, bid, ask, settings)
 
 
-# column-generation rounds per calibrated bound; seeded trinomial markets of
-# 1-6 periods with up to 4 quotes needed at most 18 for both bounds together
+# column-generation rounds per calibrated bound and per calibration fallback;
+# seeded trinomial markets of 1-6 periods with up to 4 quotes needed at most
+# 18 for both bounds together, and 280 seeded calibration markets at most 7
 _ROUNDS = 100
+
+
+def _induction_rounding(tree: FiltrationTree, pay: np.ndarray, offset: np.ndarray) -> float:
+    """The rounding of an upper induction on a leaf claim of at most the
+    columns of ``pay`` summed, plus at most ``offset``: both searches' tolerance."""
+    scale = 1.0 + np.abs(pay).max(0, initial=0.0).sum() + np.abs(offset).max(initial=0.0)
+    return _ROUNDING * (tree.horizon + 1) * scale
 
 
 def _quoted_sup(tree: FiltrationTree, table: _VertexTable, pay: np.ndarray, bid: np.ndarray,
@@ -742,14 +747,13 @@ def _quoted_sup(tree: FiltrationTree, table: _VertexTable, pay: np.ndarray, bid:
     pieces[:, 0] = 1.0
     pieces[1:, 1:] = np.concatenate([np.eye(k), -np.eye(k)])
     offset = np.concatenate([[0.0], -bid, ask])
-    scale = 1.0 + np.abs(pay).max(0, initial=0.0).sum() + np.abs(offset).max()
-    tol = _ROUNDING * (tree.horizon + 1) * scale
+    tol = _induction_rounding(tree, pay, offset)
     lam = np.eye(2 * k + 1)[0]
     cols, lower, upper = [], -np.inf, np.inf
     for _ in range(_ROUNDS):
-        value, mean = _upper_column(tree, table, pay @ (pieces.T @ lam), pay)
+        value, mass = _upper_column(tree, table, pay @ (pieces.T @ lam))
         upper = min(upper, value + float(lam @ offset))
-        cols.append(pieces @ mean + offset)
+        cols.append(pieces @ (pay.T @ mass) + offset)
         lower = max(lower, float(cols[-1].min()))
         if upper - lower <= tol:
             return lower
@@ -783,11 +787,11 @@ def _master(cols: list, settings: Settings) -> tuple[np.ndarray, float]:
     return np.maximum(sol.point[:n], 0.0), size * float(sol.value)
 
 
-def _upper_column(tree: FiltrationTree, table: _VertexTable, claim: np.ndarray,
-                  pay: np.ndarray) -> tuple[float, np.ndarray]:
+def _upper_column(tree: FiltrationTree, table: _VertexTable,
+                  claim: np.ndarray) -> tuple[float, np.ndarray]:
     """max over Q in M of E_Q of the leaf claim, by an induction over the
-    vertex kernels of ``table``, and E_Q of each column of ``pay`` under the
-    product Q of the argmax kernels."""
+    vertex kernels of ``table``, and the leaf masses of the product Q of
+    the argmax kernels."""
     leaves = list(tree.leaves)
     values = np.zeros(tree.n_nodes)
     values[leaves] = claim
@@ -799,7 +803,7 @@ def _upper_column(tree: FiltrationTree, table: _VertexTable, claim: np.ndarray,
                                    start)
         values[nodes] = top
         kernel[nodes[:, None], sup[best]] = weights[best]
-    return float(values[tree.root]), pay.T @ tree.product_down(kernel)[leaves]
+    return float(values[tree.root]), tree.product_down(kernel)[leaves]
 
 
 @dataclass(frozen=True)
@@ -899,62 +903,43 @@ def _first_dead(tree: FiltrationTree, dead: np.ndarray) -> int:
     return next(v for v in tree.preorder if dead[v] and not dead[list(tree.children[v])].any())
 
 
-# -- good-deal bounds and the node-local induction behind both bounds --------
+# -- good-deal bounds ---------------------------------------------------------
 
 def good_deal_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess],
                      caps: GoodDealCaps, x: Claim,
                      settings: Settings = DEFAULT) -> tuple[float, float]:
-    """Price bounds over martingale measures whose kernel at each node n has
-    second moment sum q_c^2 / p_c at most cap(n)^2, by :func:`_kernel_bounds`.
-    A cap of 1 leaves only the reference kernel (Cauchy-Schwarz equality)."""
-    return _kernel_bounds(tree, assets, x, caps.on(tree), settings)[:2]
-
-
-def _kernel_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess], x: Claim,
-                   cap: np.ndarray, settings: Settings,
-                   table: _VertexTable | None = None) -> tuple[float, float, bool]:
-    """Extremes of E_Q x over the measures whose kernel at each node n lies in
-    K_n = {q >= 0, sum q = 1, q . (S(c) - S(n)) = 0, sum q_c^2/p_c <= cap[n]^2},
-    and whether one of them is equivalent to P.
+    """Extremes of E_Q x over the martingale measures whose kernel at each
+    node n lies in K_n = {q >= 0, sum q = 1, q . (S(c) - S(n)) = 0,
+    sum q_c^2/p_c <= cap(n)^2}.  A cap of 1 leaves only the reference
+    kernel (Cauchy-Schwarz equality).
 
     The family is stable under pasting, so a bound is the induction
     U(n) = max over q in K_n of q . U(children).  Without a finite cap the
-    maximum is over the vertices of K_n, which ``table`` (of
-    :func:`_vertex_table`, built here when not given) holds for every node:
-    a level group is one gather, one product and one segment maximum for
-    both sides (:func:`_table_bounds`).  With caps each level group is one
-    :func:`tcpp.scenario._kernel_max` over its supports.  An empty K_n gives
-    -inf, which the parent avoids; an empty root raises
-    :class:`NoMartingaleMeasure`, or :class:`EmptyGoodDealSet` if only the
-    caps empty it, naming the first node whose own constraints are empty.
-    An equivalent measure exists when every edge (n, c) is charged, max q_c
-    over K_n above ``equivalence_floor``: the product of the nodes' averages
-    of their charging kernels is one."""
+    maximum is over the vertices of K_n, the induction of :func:`mme_bounds`.
+    With caps each level group is one :func:`tcpp.scenario._kernel_max`
+    over its supports for both sides.  An empty K_n gives -inf, which the
+    parent avoids; an empty root raises :class:`NoMartingaleMeasure`, or
+    :class:`EmptyGoodDealSet` if only the caps empty it, naming the first
+    node whose own constraints are empty."""
+    cap = caps.on(tree)
     validate_stopping_time(tree, x.at)
     require_finite(x, "claim value")
     if not np.isfinite(cap).any():
-        if table is None:
-            table = _vertex_table(tree, assets, settings)
-        return (*_table_bounds(tree, table, lift_to_leaves(tree, x)), table.charged)
+        return _table_bounds(tree, _vertex_table(tree, assets, settings), lift_to_leaves(tree, x))
     steps = _level_steps(tree, _spot(tree, assets))
     sizes = [_kernel_support_size(tree, nodes, kids.shape[1], len(assets), settings,
                                   bool(np.isfinite(cap[nodes]).any()))
              for nodes, kids, *_ in steps]
     values = np.empty((2, tree.n_nodes))      # the lower side negated, the upper side
     values[:, list(tree.leaves)] = np.outer([-1.0, 1.0], lift_to_leaves(tree, x))
-    charged = True
     for (nodes, kids, p, drift), size in zip(steps, sizes):
-        v = values[:, kids]
-        edges = np.where(np.isinf(v).any(0), -np.inf, np.eye(kids.shape[1])[:, None, :])
-        out = _kernel_max(p, drift, cap[nodes], np.concatenate([v, edges]), size, settings)
-        values[:, nodes] = out[:2]
-        charged &= bool((out[2:] > settings.equivalence_floor).all())
+        values[:, nodes] = _kernel_max(p, drift, cap[nodes], values[:, kids], size, settings)
     dead = np.isinf(values).any(0)
     if dead[tree.root]:
         node = _first_dead(tree, dead)
         _vertex_table(tree, assets, settings, steps)      # raises when M is empty too
         raise EmptyGoodDealSet(f"caps exclude every martingale kernel at node {node}")
-    return -float(values[0, tree.root]), float(values[1, tree.root]), charged
+    return -float(values[0, tree.root]), float(values[1, tree.root])
 
 
 def _table_bounds(tree: FiltrationTree, table: _VertexTable,

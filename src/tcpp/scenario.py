@@ -507,9 +507,9 @@ _CELLS = 1 << 21
 
 # cells of the dense tableau of one ``lp.solve``, (rows + 1) x (columns +
 # rows + 1), counted from the program's size before anything is allocated
-# (256 MiB of float64); a larger LP raises EnumerationOverflow.  The largest
-# LP of the tests, a leaf-mass calibration of 492 rows and 244 columns,
-# counts 2.8 MiB; calibration's fallback on the 8191-node deep book 768 MiB
+# (256 MiB of float64); a larger LP raises EnumerationOverflow.  The library
+# solves masters over a few columns; the largest LP of the tests, a leaf-mass
+# calibration oracle's of 492 rows and 244 columns, counts 2.8 MiB
 _TABLEAU_CELLS = 1 << 25
 
 
@@ -518,7 +518,7 @@ def _kernel_max(p: np.ndarray, drift: np.ndarray, cap: np.ndarray, v: np.ndarray
     """Max of q . v[i, g] over the kernels of K_g giving no weight to children
     with v[i, g] = -inf, for a stack of nodes g and objectives i; -inf where
     there is none: K_g = {q >= 0, sum q = 1, q . drift[g] = 0,
-    sum q^2/p[g] <= cap[g]^2}, as in ``market._kernel_bounds``.
+    sum q^2/p[g] <= cap[g]^2}, as in ``market.good_deal_bounds``.
 
     In y = q / sqrt(p), K_g is a slice of the nonnegative orthant in the ball
     of radius cap.  An optimum charging exactly the children T is optimal on

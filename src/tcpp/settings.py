@@ -27,18 +27,18 @@ class Settings:
                       kernels before its search, and then to every leaf
                       density dQ/dP of the measure it returns; a projection
                       whose least density is at or below it goes to a
-                      leaf-mass LP, which applies it to the largest least
-                      density
+                      column generation over mixtures of the quote-free
+                      projection and extreme martingale measures, which
+                      applies it to the least density of its mixture
     max_enum          cap on the game kernels tried per node in constrained
                       pricing, on the kernel supports tried per node by the
-                      martingale, calibrated and good-deal bounds (without
-                      caps, the martingale and calibrated bounds and
-                      calibration's edge test read the vertex kernels among
-                      them from one table per market, 4 * (assets + 1) + 1
-                      numbers each, held whole, so their memory grows with
-                      the internal nodes times the vertices per node, at
-                      most this cap; calibration goes to a leaf-mass LP
-                      where they exceed it), on the
+                      martingale, calibrated and good-deal bounds and by
+                      calibration (without caps, the martingale and
+                      calibrated bounds and calibration read the vertex
+                      kernels among them from one table per market,
+                      4 * (assets + 1) + 1 numbers each, held whole, so
+                      their memory grows with the internal nodes times the
+                      vertices per node, at most this cap), on the
                       menu-entry supports (at most arity entries each)
                       tried per node by the minimal penalty, and on the
                       reference enumerators of selections and stopping times

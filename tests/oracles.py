@@ -13,8 +13,7 @@ from tcpp.errors import (EmptyGoodDealSet, ForeignNode, InconsistentVerdicts,
                          TcppError)
 from tcpp.lp import EQ, GE, LE, LinearProgram, solve
 from tcpp.market import (AssetProcess, ConstraintSet, GoodDealCaps, QuotedOption,
-                         _calibration_lp, _equivalence_margin, _first_dead,
-                         _kernel_support_size, _level_steps, _martingale_rows, _spot)
+                         _first_dead, _kernel_support_size, _level_steps, _spot)
 from tcpp.marketfile import MarketData
 from tcpp.nfl import (FreeLunchCertificate, NflReport, ZeroCostStrategy,
                       find_static_free_lunch, find_zero_penalty_equivalent_measure)
@@ -723,20 +722,73 @@ def american_enumerated(model, payoff, nu, tau, settings=DEFAULT):
 
 
 # -- martingale, calibrated and good-deal bounds and calibration over leaf masses --
-# The dense leaf-mass LPs behind ``tcpp.market.mme_bounds`` and
-# ``calibrated_bounds`` and the cutting-plane loop behind ``good_deal_bounds``,
-# before the bounds became node-local inductions, and the leaf-mass LP of
-# calibration, which ``calibration_feasible`` now runs only where its
-# relative-entropy projection cannot decide; kept as the references they are
-# compared with.  The cut loop's two settings are parameters here.
+# The dense leaf-mass LPs behind ``tcpp.market.mme_bounds``,
+# ``calibrated_bounds`` and ``calibration_feasible``, and the cutting-plane
+# loop behind ``good_deal_bounds``, before the bounds became node-local
+# inductions and calibration's fallback a column generation over the
+# vertex table; kept as the references they are compared with.  The cut
+# loop's two settings are parameters here.
+
+def _martingale_rows(tree: FiltrationTree,
+                     assets: Sequence[AssetProcess]) -> list[tuple[list[float], str, float]]:
+    nl = len(tree.leaves)
+    rows = []
+    for asset in assets:
+        asset.validate(tree)
+        for node in tree.internal_nodes():
+            coef = [0.0] * nl
+            for c in tree.children[node]:
+                for leaf in tree.subtree_leaves(c):
+                    coef[tree.leaf_index[leaf]] += asset.values[c]
+            for leaf in tree.subtree_leaves(node):
+                coef[tree.leaf_index[leaf]] -= asset.values[node]
+            rows.append((coef, EQ, 0.0))
+    rows.append(([1.0] * nl, EQ, 1.0))
+    return rows
+
+
+def _quote_rows(tree: FiltrationTree, quotes: Sequence[QuotedOption]
+                ) -> list[tuple[list[float], str, float]]:
+    rows = []
+    for q in quotes:
+        coef = list(lift_to_leaves(tree, q.payoff))
+        rows.append((coef, GE, q.bid))
+        rows.append((coef, LE, q.ask))
+    return rows
+
+
+def _equivalence_margin(tree: FiltrationTree, rows, extra_rows, settings: Settings):
+    """Solution of: maximize the minimum density over the polytope, the
+    leaf masses followed by the margin."""
+    nl = len(tree.leaves)
+    w = [tree.leaf_weights[v] for v in tree.leaves]
+    lp = LinearProgram(
+        objective=[0.0] * nl + [1.0],
+        constraints=[(r + [0.0], rel, b) for r, rel, b in rows + extra_rows]
+        + [([1.0 if j == i else 0.0 for j in range(nl)] + [-w[i]], GE, 0.0)
+           for i in range(nl)],
+        sense="max",
+    )
+    sol = solve(lp, settings)
+    if sol.status != "optimal":
+        raise NoMartingaleMeasure("martingale polytope is empty")
+    return sol
+
 
 def calibration_feasible_lp(tree: FiltrationTree, assets: Sequence[AssetProcess],
                             quotes: Sequence[QuotedOption],
                             settings: Settings = DEFAULT) -> Measure | None:
-    """Equivalent martingale measure reproducing every quote inside its band,
-    found by maximizing the minimum density; None when only degenerate
-    (non-equivalent) solutions exist."""
-    return _calibration_lp(tree, assets, quotes, settings)
+    """The martingale measure pricing every quote inside its band with the
+    largest least density dQ/dP, from one LP over the leaf masses; None when
+    that density is at most ``equivalence_floor``."""
+    rows = _martingale_rows(tree, assets)
+    try:
+        sol = _equivalence_margin(tree, rows, _quote_rows(tree, quotes), settings)
+    except NoMartingaleMeasure:
+        return None
+    if sol.value <= settings.equivalence_floor:
+        return None
+    return Measure.from_leaf_masses(tree, sol.point[:len(tree.leaves)])
 
 
 def calibrated_bounds_lp(tree: FiltrationTree, assets: Sequence[AssetProcess],

@@ -1,5 +1,5 @@
-"""Calibration by relative-entropy projection, against the leaf-mass LP and
-the price bounds."""
+"""Calibration by relative-entropy projection and its column-generation
+fallback, against the leaf-mass LP and the price bounds."""
 import dataclasses
 import os
 import re
@@ -13,7 +13,7 @@ import tcpp.market
 from gen import martingale_assets, random_claim, random_trinomial
 from oracles import calibration_feasible_lp, trinomial_mme_family
 from tcpp.cli import main
-from tcpp.errors import EnumerationOverflow, NumericalBreakdown
+from tcpp.errors import EnumerationOverflow, NoMartingaleMeasure, NumericalBreakdown
 from tcpp.market import (AssetProcess, QuotedOption, calibrated_bounds,
                          calibration_feasible, mme_bounds)
 from tcpp.marketfile import parse_market_file
@@ -26,10 +26,27 @@ MARKETS = os.path.join(os.path.dirname(__file__), "markets")
 
 def _project(*args):
     """:func:`calibration_feasible` decided by the projection alone: the
-    leaf-mass LP it falls back on refuses."""
-    with mock.patch.object(tcpp.market, "_calibration_lp",
-                           side_effect=AssertionError("fell back on the leaf-mass LP")):
+    column generation it falls back on refuses."""
+    with mock.patch.object(tcpp.market, "_calibrated_mixture",
+                           side_effect=AssertionError("fell back on the column generation")):
         return calibration_feasible(*args)
+
+
+def _mixture(tree, assets, quotes, settings=DEFAULT):
+    """The verdict of calibration's fallback alone, run after the edge test
+    on R, the quote-free projection, with no climb in front of it."""
+    steps = tcpp.market._level_steps(tree, tcpp.market._spot(tree, assets))
+    try:
+        table = tcpp.market._vertex_table(tree, assets, settings, steps)
+    except NoMartingaleMeasure:
+        return None
+    if not table.charged:
+        return None
+    pay = np.array([lift_to_leaves(tree, q.payoff) for q in quotes]).T
+    bid, ask = np.array([(q.bid, q.ask) for q in quotes]).T
+    first = tcpp.market._entropy_pass(tree, steps, pay, np.zeros(len(quotes))).mass
+    return tcpp.market._calibrated_mixture(tree, table, first[list(tree.leaves)], pay, bid, ask,
+                                           settings)
 
 
 def _kl(tree, q) -> float:
@@ -107,6 +124,11 @@ def test_the_projection_agrees_with_the_leaf_mass_lp(kind, seed):
         assert _kl(tree, got) <= _kl(tree, want) + 1e-9
     if kind in ("disjoint", "no-kernel", "edge-kernel"):
         assert got is None
+    # the fallback, run as the whole decision, reaches the same verdict
+    mixed = _mixture(tree, assets, quotes)
+    assert (mixed is None) == (want is None)
+    if mixed is not None:
+        _assert_calibrated(tree, assets, quotes, mixed)
 
 
 def test_the_instances_cover_both_verdicts_and_bands_at_the_edge():
@@ -138,10 +160,11 @@ def test_a_band_at_the_edge_of_a_claim_far_from_zero_is_infeasible(offset):
     assert _project(tree, [s], [quote]) is None
 
 
-def test_a_steep_projection_falls_back_on_the_leaf_mass_lp():
+def test_a_steep_projection_falls_back_on_the_column_generation():
     # a point band near the edge of its attainable prices: the projection's
     # least density is far below equivalence_floor, while the LP's measure,
-    # equivalent and calibrated, has one above 1e-3
+    # equivalent and calibrated, has one above 1e-3; the mixture of R and
+    # extreme martingale measures is calibrated with one above 1e-3 too
     md = parse_market_file(os.path.join(MARKETS, "steep_projection.market"))
     want = calibration_feasible_lp(md.tree, md.assets, md.quotes)
     assert want is not None and min(want.density.values()) > 1e-3
@@ -149,37 +172,26 @@ def test_a_steep_projection_falls_back_on_the_leaf_mass_lp():
         _project(md.tree, md.assets, md.quotes)
     got = calibration_feasible(md.tree, md.assets, md.quotes)
     _assert_calibrated(md.tree, md.assets, md.quotes, got)
-    assert got == want
+    assert min(got.density.values()) > 1e-3
 
 
-def test_a_fallback_lp_beyond_the_tableau_cap_raises_before_it_is_built(monkeypatch, capsys):
-    # the leaf-mass LP of this market has 124 rows (40 martingale, 2 quote
-    # and 81 density rows, and the total mass) over 82 columns: 25875 cells
-    path = os.path.join(MARKETS, "steep_projection.market")
-    md = parse_market_file(path)
-    monkeypatch.setattr(tcpp.lp, "_TABLEAU_CELLS", 25874)
-    monkeypatch.setattr(tcpp.lp, "_Standard", mock.Mock(side_effect=AssertionError("built")))
-    message = ("an LP of 124 rows and 82 columns needs a dense tableau of 0.2 MiB, "
-               "above the cap of 0.2 MiB")
-    with pytest.raises(EnumerationOverflow, match=f"^{re.escape(message)}$"):
-        calibration_feasible(md.tree, md.assets, md.quotes)
-    assert main(["calibrate", "--market", path]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-
-
-def test_nodes_with_too_many_kernel_supports_fall_back_on_the_leaf_mass_lp():
+def test_nodes_with_too_many_kernel_supports_raise(monkeypatch, capsys):
     # 2 assets on the trinomial: 3 + 3 + 1 supports per node, above a cap of 6
     rng = np.random.default_rng(7)
     tree, assets, quotes = _market(rng, "inside")
     while len(assets) < 2:
         tree, assets, quotes = _market(rng, "inside")
     small = dataclasses.replace(DEFAULT, max_enum=6)
-    with pytest.raises(EnumerationOverflow):
+    with pytest.raises(EnumerationOverflow) as bounds:
         mme_bounds(tree, assets, quotes[0].payoff, small)
-    with pytest.raises(AssertionError, match="fell back"):
-        _project(tree, assets, quotes, small)
-    got = calibration_feasible(tree, assets, quotes, small)
-    assert got is not None and got == calibration_feasible_lp(tree, assets, quotes, small)
+    with pytest.raises(EnumerationOverflow, match=f"^{re.escape(str(bounds.value))}$"):
+        calibration_feasible(tree, assets, quotes, small)
+    assert calibration_feasible(tree, assets, quotes) is not None
+    # the demo's root has 3 + 3 kernel supports, as in ``bounds --kind mme``
+    monkeypatch.setenv("TCPP_MAX_ENUM", "5")
+    assert main(["calibrate", "--market", os.path.join(DEMOS, "trinomial.market")]) == 2
+    assert capsys.readouterr().err == ("error: 6 kernel supports per node at time 0 (arity 3) "
+                                       "exceed the cap 5\n")
 
 
 def test_the_hedge_solve_meets_the_martingale_condition_at_wide_exponent_spreads():
@@ -214,6 +226,23 @@ def test_calibration_solves_no_lp(monkeypatch):
         for seed in range(3):
             calibration_feasible(*_market(np.random.default_rng(1000 * i + seed), kind))
     assert main(["calibrate", "--market", os.path.join(DEMOS, "trinomial.market")]) == 0
+
+
+def test_the_fallback_solves_no_lp_beyond_its_columns(monkeypatch):
+    # each round adds at most one column to the first, R: the n-th master LP
+    # has at most n columns and their violation s, never one over the leaves
+    calls = []
+
+    def small(lp, settings=DEFAULT):
+        calls.append(len(lp.objective))
+        if calls[-1] > len(calls) + 1:
+            raise AssertionError(f"an LP of {calls[-1]} variables in round {len(calls)}")
+        return tcpp.lp.solve(lp, settings)
+    monkeypatch.setattr(tcpp.market, "solve", small)
+    md = parse_market_file(os.path.join(MARKETS, "steep_projection.market"))
+    got = calibration_feasible(md.tree, md.assets, md.quotes)
+    _assert_calibrated(md.tree, md.assets, md.quotes, got)
+    assert calls and max(calls) < len(md.tree.leaves)
 
 
 def test_without_binding_quotes_it_is_the_minimal_entropy_martingale_measure():

@@ -1,10 +1,13 @@
 """Solver tests: hand-checked examples, duality, and a vertex-enumeration oracle."""
 import itertools
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from tcpp.errors import MalformedProgram
+import tcpp.lp
+from tcpp.errors import EnumerationOverflow, MalformedProgram
 from tcpp.lp import EQ, GE, LE, LinearProgram, feasibility_error, solve
 
 INF = float("inf")
@@ -189,6 +192,20 @@ def test_numerical_breakdown_on_vanishing_pivot():
     from tcpp.errors import NumericalBreakdown
     lp = LinearProgram([1.0], [([1e-13], LE, 1.0)], sense="max")
     with pytest.raises(NumericalBreakdown):
+        solve(lp)
+
+
+def test_an_lp_beyond_the_tableau_cap_raises_before_it_is_built(monkeypatch):
+    # 124 rows over 82 columns: (124 + 1) x (82 + 124 + 1) = 25875 cells
+    lp = LinearProgram([1.0] * 82, [([1.0] * 82, LE, 1.0)] * 124, sense="max")
+    monkeypatch.setattr(tcpp.lp, "_Standard", mock.Mock(side_effect=AssertionError("built")))
+    monkeypatch.setattr(tcpp.lp, "_TABLEAU_CELLS", 25874)
+    message = ("an LP of 124 rows and 82 columns needs a dense tableau of 0.2 MiB, "
+               "above the cap of 0.2 MiB")
+    with pytest.raises(EnumerationOverflow, match=f"^{re.escape(message)}$"):
+        solve(lp)
+    monkeypatch.setattr(tcpp.lp, "_TABLEAU_CELLS", 25875)
+    with pytest.raises(AssertionError, match="built"):
         solve(lp)
 
 
