@@ -13,7 +13,8 @@ price each cut's property families as the columns of one backward pass,
 chunked by a fixed node x column cell budget (``scenario._CELLS``); the
 time-consistency chains share one direct pass and take one per distinct
 intermediate time; the 8 cocycle selections are the columns of one
-induction.  ``--samples`` must be at least 1.
+induction.  ``--samples`` must be at least 1, and its samples x 2 x leaves
+draws must fit one LP's tableau cap (``scenario._TABLEAU_CELLS``).
 """
 from __future__ import annotations
 
@@ -34,8 +35,8 @@ from .nfl import nfl_verdict
 from .pricing import (american_price, bid_ask, check_axioms, check_sublinear,
                       check_time_consistency, random_stopping_time)
 from .report import CheckReport
-from .scenario import (MeasureSelection, PenaltyProcess, check_cocycle_batch,
-                       check_nondegenerate)
+from .scenario import (_TABLEAU_CELLS, MeasureSelection, PenaltyProcess,
+                       check_cocycle_batch, check_nondegenerate)
 from .tree import ClaimStack, FiltrationTree, StoppingTime, validate_stopping_time
 
 
@@ -109,6 +110,9 @@ def cmd_check_tcpp(args, out: Output) -> int:
     md = _load(args)
     model = _need_model(md)
     tree = md.tree
+    if (cells := args.samples * 2 * len(tree.leaves)) > _TABLEAU_CELLS:
+        raise TcppError(f"--samples {args.samples} draws {cells / 2**17:.1f} MiB on "
+                        f"{len(tree.leaves)} leaves, above the cap of {_TABLEAU_CELLS / 2**17:.1f} MiB")
     rng = np.random.default_rng(args.seed)
     horizon = StoppingTime.at_horizon(tree)
     draws = rng.uniform(-2, 2, size=(args.samples, 2, len(tree.leaves)))

@@ -11,24 +11,23 @@ its optimum is one of their vertices, which depend on the reference
 kernels and the asset moves alone.  One table of them per market, solved
 once per stack of level groups of one arity and support size, serves every
 use without caps: the martingale bounds with their edge check (and the
-good-deal bounds at an infinite cap), calibration's edge check and the
-rays it prices, and the quote-penalized bounds.  Calibration projects P
-on the martingale measures that price the quotes inside their bands, in
-relative entropy, through a dual whose value is the same kind of
-induction, over node-local log-partition functions.  The quote-penalized
-bounds generate extreme martingale measures by the upper induction over
-the table, and weigh their 2k + 1 pieces in a master LP of 2k + 2
-variables for k quotes; calibration's fallback, for the verdicts that the
-projection leaves open, mixes the same measures with the quote-free
-projection in a master LP over their weights.  LPs remain in those masters
-and in :class:`ConstraintSet`; none is over the leaves.
+good-deal bounds at an infinite cap), calibration's edge check, and the
+column generations of the quote-penalized bounds and of calibration, which
+take extreme martingale measures from the upper induction over the table.
+The bounds weigh their 2k + 1 pieces in a master LP of 2k + 2 variables
+for k quotes; calibration, whose verdict comes from its edge check and
+this search, mixes the measures with the quote-free projection of P in a
+master LP over their weights.  Only for a feasible market does it project
+P in relative entropy on the calibrated martingale measures, through a
+dual of the same kind of induction, to pick the measure returned.  LPs
+remain in those masters and in :class:`ConstraintSet`; none is over leaves.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -305,6 +304,19 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
     pricing every quote inside its band (the I-projection of P; Avellaneda,
     Friedman, Holmes and Samperi), or None when no equivalent one exists.
 
+    The edge test of :func:`_vertex_table` and the column generation of
+    :func:`_calibrated_mixture` give the verdict; the projection only picks
+    the measure returned.  None when some edge is charged by no martingale
+    kernel, before any pass.  One pass of the dual below at theta = 0 gives
+    R, the quote-free projection, returned when it prices every quote
+    inside its band to ``feasibility_tol`` with every leaf density above
+    ``equivalence_floor``.  Otherwise the column generation over the same
+    table, from R, decides, and only for a feasible market does the climb
+    below run; its mixture is returned where the climb's measure fails the
+    same test (tilts that multiply along the paths can take the
+    projection's densities far below those of another calibrated measure)
+    or D rises above -log of the smallest leaf weight, which bounds KL(Q|P).
+
     The projection charges every leaf that some such measure charges
     (Csiszar), so in exact arithmetic it is equivalent when any is.  It is
     found through the dual, concave in one multiplier theta_i per quote,
@@ -315,26 +327,12 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
     make the projection.  Newton steps on the smooth piece of theta's signs
     climb D, each moving no leaf exponent theta . g by more than a radius
     that doubles on a step that rises as predicted and halves otherwise; a
-    coordinate stops at 0 where its price enters its band, so theta = 0
-    ends the search at once when every price under the first measure is
-    already inside its band.
+    coordinate stops at 0 where its price enters its band.
 
-    None when some edge is charged by no martingale kernel (the edge test of
-    :func:`_vertex_table`, whose table built from the level groups here also
-    prices the receding rays), before any step; when the bands miss the
-    attainable prices: D exceeds -log of the smallest leaf weight, which
-    bounds KL(Q|P) for every Q; and when D's maximum is not attained: the
-    climb flattens out along a ray that recedes (:func:`_recedes`).  Where
-    the projection cannot decide, the column generation of
-    :func:`_calibrated_mixture` over the same table does, from R, the
-    measure of the first pass: when the climb ends with a price outside its
-    band by more than ``feasibility_tol`` or a leaf density at or below
-    ``equivalence_floor`` (tilts that multiply along the paths can take the
-    projection's densities far below those of another calibrated measure).
-    A node whose kernel supports exceed ``max_enum`` raises
-    :class:`EnumerationOverflow`, as in :func:`mme_bounds`.  A kernel of the
-    projection that misses the martingale condition by more than
-    ``feasibility_tol`` raises :class:`NumericalBreakdown` naming its node.
+    Supports beyond ``max_enum`` raise :class:`EnumerationOverflow`, as in
+    :func:`mme_bounds`; a kernel of R or of the projection that misses the
+    martingale condition by more than ``feasibility_tol``,
+    :class:`NumericalBreakdown` naming its node.
     """
     spot = _spot(tree, assets)
     steps = _level_steps(tree, spot)
@@ -353,9 +351,18 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
         at = _entropy_pass(tree, steps, pay, theta)
         return at.value - float(np.maximum(theta * ask, theta * bid).sum()), at
 
+    def calibrated(at: _EntropyPass, tol: float) -> bool:
+        inside = (at.price >= bid - tol) & (at.price <= ask + tol)
+        return bool(inside.all()) and (at.mass[leaves] / weight).min() > settings.equivalence_floor
+
     theta = np.zeros(len(quotes))
     value, at = climb(theta)
     first = at.mass[leaves]             # the quote-free projection R
+    _check_martingale(steps, spot, at.mass, settings)
+    if calibrated(at, settings.feasibility_tol):
+        return Measure.from_leaf_masses(tree, first)
+    if (mixture := _calibrated_mixture(tree, table, first, pay, bid, ask, settings)) is None:
+        return None
     # replicable combinations: null directions of -H, the same at every
     # theta since every measure prices them alike, found at the first
     lam, vec = np.linalg.eigh(-at.hess)
@@ -378,16 +385,10 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
             1.0 + abs(at.value) + abs(value - at.value))
         if flat:
             # D's rise is below its rounding: done after this step once it
-            # is short too; a long one is taken while steps shorten, unless
-            # its ray recedes (D's supremum lies at infinity)
+            # is short too; a long one is taken while steps shorten
             if not moves < last:
                 break
-            if moves <= math.sqrt(_ROUNDING):
-                last = 0.0
-            elif _recedes(tree, table, pay, bid, ask, step / moves, settings):
-                return None
-            else:
-                last = moves
+            last = 0.0 if moves <= math.sqrt(_ROUNDING) else moves
             t = min(1.0, reach)
         else:
             t = min(np.inf if linear else 1.0, reach, radius / max(moves, _TINY))
@@ -403,32 +404,22 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
         else:
             radius = 0.5 * t * moves
     else:
-        return None                     # above every feasible measure's entropy
-    inside = (at.price >= bid - settings.feasibility_tol) & (at.price <= ask + settings.feasibility_tol)
-    if not inside.all() or (at.mass[leaves] / weight).min() <= settings.equivalence_floor:
-        return _calibrated_mixture(tree, table, first, pay, bid, ask, settings)
+        return mixture                  # above the entropy bound: the climb went astray
+    if not calibrated(at, settings.feasibility_tol):
+        return mixture
+    _check_martingale(steps, spot, at.mass, settings)
+    return Measure.from_leaf_masses(tree, at.mass[leaves])
+
+
+def _check_martingale(steps, spot: np.ndarray, mass: np.ndarray, settings: Settings) -> None:
+    """Raise :class:`NumericalBreakdown` at a node whose kernel of ``mass`` is not a martingale's."""
     for nodes, kids, _, drift in steps:
-        gap = np.abs(np.einsum("gc,gcd->gd", at.mass[kids] / at.mass[nodes, None], drift))
+        gap = np.abs(np.einsum("gc,gcd->gd", mass[kids] / mass[nodes, None], drift))
         off = gap.max(1, initial=0.0) > settings.feasibility_tol * (1.0 + np.abs(spot[nodes]).max(1, initial=0.0))
         if off.any():
             i = int(off.argmax())
             raise NumericalBreakdown(f"calibrated kernel at node {nodes[i]} misses the martingale "
                                      f"condition by {gap[i].max()!r}")
-    return Measure.from_leaf_masses(tree, at.mass[leaves])
-
-
-def _recedes(tree: FiltrationTree, table: _VertexTable, pay: np.ndarray, bid: np.ndarray,
-             ask: np.ndarray, r: np.ndarray, settings: Settings) -> bool:
-    """Whether D's supremum lies at infinity along r, scaled so that r . g
-    is at most 1 in size: D(t r) / t tends to the least price of r . g over
-    the martingale measures less sum_i max(r_i ask_i, r_i bid_i), and where
-    that is 0 while r . g does not replicate, only measures of least price,
-    none of them equivalent, meet the bands.  Both compare to the square
-    root of ``feasibility_tol``, as r is known from Newton steps.  The
-    prices come from the vertex ``table`` of the market."""
-    lo, hi = _table_bounds(tree, table, pay @ r)
-    tol = math.sqrt(settings.feasibility_tol)
-    return lo >= float(np.maximum(r * ask, r * bid).sum()) - tol and hi > lo + tol
 
 
 def _calibrated_mixture(tree: FiltrationTree, table: _VertexTable, first: np.ndarray,
@@ -451,6 +442,9 @@ def _calibrated_mixture(tree: FiltrationTree, table: _VertexTable, first: np.nda
     at or below ``equivalence_floor``; :class:`NumericalBreakdown` when a
     phase is still open after ``_ROUNDS`` rounds."""
     k, masses, slack = len(bid), [first], None      # phase 1 until s <= feasibility_tol
+    # masters at no looser a tolerance than the default: lp.solve pivots to
+    # it, but checks the duality gap to duality_tol
+    exact = replace(settings, feasibility_tol=min(settings.feasibility_tol, DEFAULT.feasibility_tol))
     for _ in range(_ROUNDS):
         n, prices = len(masses), pay.T @ np.transpose(masses)
         lp = LinearProgram(np.eye(n + 1)[n if slack is None else 0],
@@ -459,7 +453,7 @@ def _calibrated_mixture(tree: FiltrationTree, table: _VertexTable, first: np.nda
                            + [([1.0] * n + [0.0], EQ, 1.0)],
                            upper=[np.inf] * n + [np.inf if slack is None else slack],
                            sense="min" if slack is None else "max")
-        sol = solve(lp, settings)
+        sol = solve(lp, exact)
         if sol.status != "optimal":
             raise NumericalBreakdown(f"calibration: the master LP over {n} columns is {sol.status}")
         if slack is None and sol.value <= settings.feasibility_tol:
@@ -725,7 +719,7 @@ def calibrated_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess],
     return low, _quoted_sup(tree, table, pay, bid, ask, settings)
 
 
-# column-generation rounds per calibrated bound and per calibration fallback;
+# column-generation rounds per calibrated bound and per calibration verdict;
 # seeded trinomial markets of 1-6 periods with up to 4 quotes needed at most
 # 18 for both bounds together, and 280 seeded calibration markets at most 7
 _ROUNDS = 100

@@ -507,9 +507,10 @@ _CELLS = 1 << 21
 
 # cells of the dense tableau of one ``lp.solve``, (rows + 1) x (columns +
 # rows + 1), counted from the program's size before anything is allocated
-# (256 MiB of float64); a larger LP raises EnumerationOverflow.  The library
-# solves masters over a few columns; the largest LP of the tests, a leaf-mass
-# calibration oracle's of 492 rows and 244 columns, counts 2.8 MiB
+# (256 MiB of float64), the cap too of check-tcpp's samples x 2 x leaves
+# draws; a larger LP raises EnumerationOverflow.  The library solves masters
+# over a few columns; the largest LP of the tests, a leaf-mass calibration
+# oracle's of 492 rows and 244 columns, counts 2.8 MiB
 _TABLEAU_CELLS = 1 << 25
 
 

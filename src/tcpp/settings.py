@@ -24,12 +24,12 @@ class Settings:
                       one-step weight, so that leaf masses on deep trees
                       (products of many edge weights) may fall below it;
                       calibration applies it per edge to the martingale
-                      kernels before its search, and then to every leaf
-                      density dQ/dP of the measure it returns; a projection
-                      whose least density is at or below it goes to a
-                      column generation over mixtures of the quote-free
-                      projection and extreme martingale measures, which
-                      applies it to the least density of its mixture
+                      kernels (its edge test), then to the least leaf
+                      density dQ/dP of the column generation's mixture of
+                      the quote-free projection and extreme martingale
+                      measures, which gives the verdict, and to that of
+                      every measure it returns: a projection whose least
+                      density is at or below it gives way to the mixture
     max_enum          cap on the game kernels tried per node in constrained
                       pricing, on the kernel supports tried per node by the
                       martingale, calibrated and good-deal bounds and by

@@ -725,7 +725,7 @@ def american_enumerated(model, payoff, nu, tau, settings=DEFAULT):
 # The dense leaf-mass LPs behind ``tcpp.market.mme_bounds``,
 # ``calibrated_bounds`` and ``calibration_feasible``, and the cutting-plane
 # loop behind ``good_deal_bounds``, before the bounds became node-local
-# inductions and calibration's fallback a column generation over the
+# inductions and calibration's verdict a column generation over the
 # vertex table; kept as the references they are compared with.  The cut
 # loop's two settings are parameters here.
 

@@ -1,5 +1,6 @@
-"""Calibration by relative-entropy projection and its column-generation
-fallback, against the leaf-mass LP and the price bounds."""
+"""Calibration: the verdict of the edge test and the column generation,
+and the relative-entropy projection that picks the measure returned,
+against the leaf-mass LP and the price bounds."""
 import dataclasses
 import os
 import re
@@ -24,24 +25,41 @@ DEMOS = os.path.join(os.path.dirname(__file__), "..", "demos")
 MARKETS = os.path.join(os.path.dirname(__file__), "markets")
 
 
+_MIXTURE = tcpp.market._calibrated_mixture
+_ENTROPY_PASS = tcpp.market._entropy_pass
+
+
 def _project(*args):
-    """:func:`calibration_feasible` decided by the projection alone: the
-    column generation it falls back on refuses."""
-    with mock.patch.object(tcpp.market, "_calibrated_mixture",
-                           side_effect=AssertionError("fell back on the column generation")):
-        return calibration_feasible(*args)
+    """:func:`calibration_feasible`, whose measure must be the projection's
+    (R or the climb's), not the mixture of the column generation."""
+    made = []
+
+    def mixture(*a):
+        made.append(_MIXTURE(*a))
+        return made[-1]
+    with mock.patch.object(tcpp.market, "_calibrated_mixture", mixture):
+        got = calibration_feasible(*args)
+    if got is not None and any(got is m for m in made):
+        raise AssertionError("returned the column generation's mixture")
+    return got
+
+
+def _edge_table(tree, assets, settings=DEFAULT):
+    """The vertex table of calibration's edge test, or None where it fails."""
+    try:
+        table = tcpp.market._vertex_table(tree, assets, settings)
+    except NoMartingaleMeasure:
+        return None
+    return table if table.charged else None
 
 
 def _mixture(tree, assets, quotes, settings=DEFAULT):
-    """The verdict of calibration's fallback alone, run after the edge test
-    on R, the quote-free projection, with no climb in front of it."""
+    """The column generation's mixture, or its None, run after the edge test
+    on R, the quote-free projection, whatever R's prices."""
+    table = _edge_table(tree, assets, settings)
+    if table is None:
+        return None
     steps = tcpp.market._level_steps(tree, tcpp.market._spot(tree, assets))
-    try:
-        table = tcpp.market._vertex_table(tree, assets, settings, steps)
-    except NoMartingaleMeasure:
-        return None
-    if not table.charged:
-        return None
     pay = np.array([lift_to_leaves(tree, q.payoff) for q in quotes]).T
     bid, ask = np.array([(q.bid, q.ask) for q in quotes]).T
     first = tcpp.market._entropy_pass(tree, steps, pay, np.zeros(len(quotes))).mass
@@ -56,9 +74,9 @@ def _kl(tree, q) -> float:
     return float((m[on] * np.log(m[on] / w[on])).sum())
 
 
-def _assert_calibrated(tree, assets, quotes, q) -> None:
-    """Normalized, a martingale for each asset, every quote in its band,
-    every density above the floor."""
+def _assert_calibrated(tree, assets, quotes, q, tol=DEFAULT.feasibility_tol) -> None:
+    """Normalized, a martingale for each asset, every quote in its band to
+    ``tol``, every density above the floor."""
     mass = q.node_masses(tree)
     assert abs(mass[tree.root] - 1.0) <= 1e-12
     for a in assets:
@@ -67,7 +85,7 @@ def _assert_calibrated(tree, assets, quotes, q) -> None:
             assert abs(gap) <= 1e-9, (a.name, v, gap)
     for quote in quotes:
         e = float(lift_to_leaves(tree, quote.payoff) @ q.leaf_masses(tree))
-        assert quote.bid - DEFAULT.feasibility_tol <= e <= quote.ask + DEFAULT.feasibility_tol
+        assert quote.bid - tol <= e <= quote.ask + tol
     assert min(q.density.values()) > DEFAULT.equivalence_floor
 
 
@@ -124,11 +142,22 @@ def test_the_projection_agrees_with_the_leaf_mass_lp(kind, seed):
         assert _kl(tree, got) <= _kl(tree, want) + 1e-9
     if kind in ("disjoint", "no-kernel", "edge-kernel"):
         assert got is None
-    # the fallback, run as the whole decision, reaches the same verdict
+    # the column generation, run whatever R's prices, reaches the same verdict
     mixed = _mixture(tree, assets, quotes)
     assert (mixed is None) == (want is None)
     if mixed is not None:
         _assert_calibrated(tree, assets, quotes, mixed)
+    if want is None:
+        # after the edge test, a None verdict makes one entropy pass and no climb step
+        passes = []
+
+        def entropy_pass(*a):
+            passes.append(a)
+            return _ENTROPY_PASS(*a)
+        with mock.patch.object(tcpp.market, "_ascent", side_effect=AssertionError("climbed")), \
+                mock.patch.object(tcpp.market, "_entropy_pass", entropy_pass):
+            assert calibration_feasible(tree, assets, quotes) is None
+        assert len(passes) == (0 if _edge_table(tree, assets) is None else 1)
 
 
 def test_the_instances_cover_both_verdicts_and_bands_at_the_edge():
@@ -145,6 +174,11 @@ def test_a_multiplier_held_at_zero_agrees_with_the_leaf_mass_lp():
     assert got is not None and want is not None
     _assert_calibrated(md.tree, md.assets, md.quotes, got)
     assert _kl(md.tree, got) <= _kl(md.tree, want) + 1e-9
+    # at a loose tolerance too: the column generation's masters, solved
+    # before the climb, still solve
+    loose = dataclasses.replace(DEFAULT, feasibility_tol=1e-2)
+    got = _project(md.tree, md.assets, md.quotes, loose)
+    _assert_calibrated(md.tree, md.assets, md.quotes, got, 1e-2)
 
 
 @pytest.mark.parametrize("offset", [0.0, 10.0, 1000.0])
@@ -160,18 +194,22 @@ def test_a_band_at_the_edge_of_a_claim_far_from_zero_is_infeasible(offset):
     assert _project(tree, [s], [quote]) is None
 
 
-def test_a_steep_projection_falls_back_on_the_column_generation():
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-4, 1e-2])
+def test_a_steep_projection_returns_the_mixture(tol):
     # a point band near the edge of its attainable prices: the projection's
     # least density is far below equivalence_floor, while the LP's measure,
     # equivalent and calibrated, has one above 1e-3; the mixture of R and
-    # extreme martingale measures is calibrated with one above 1e-3 too
+    # extreme martingale measures is calibrated with one above 1e-3 too, at
+    # every tolerance
     md = parse_market_file(os.path.join(MARKETS, "steep_projection.market"))
-    want = calibration_feasible_lp(md.tree, md.assets, md.quotes)
-    assert want is not None and min(want.density.values()) > 1e-3
-    with pytest.raises(AssertionError, match="fell back"):
-        _project(md.tree, md.assets, md.quotes)
-    got = calibration_feasible(md.tree, md.assets, md.quotes)
-    _assert_calibrated(md.tree, md.assets, md.quotes, got)
+    settings = dataclasses.replace(DEFAULT, feasibility_tol=tol)
+    if tol == DEFAULT.feasibility_tol:
+        want = calibration_feasible_lp(md.tree, md.assets, md.quotes)
+        assert want is not None and min(want.density.values()) > 1e-3
+    with pytest.raises(AssertionError, match="mixture"):
+        _project(md.tree, md.assets, md.quotes, settings)
+    got = calibration_feasible(md.tree, md.assets, md.quotes, settings)
+    _assert_calibrated(md.tree, md.assets, md.quotes, got, tol)
     assert min(got.density.values()) > 1e-3
 
 
@@ -207,30 +245,59 @@ def test_the_hedge_solve_meets_the_martingale_condition_at_wide_exponent_spreads
         assert np.abs(np.einsum("gc,gcd->gd", q, drift)).max() <= 1e-12
 
 
-def test_a_kernel_off_the_martingale_condition_raises(monkeypatch):
-    tree = FiltrationTree.trinomial(1)
-    s = AssetProcess("S", {0: 1.0, 1: 2.0, 2: 1.0, 3: 0.5})
-    assert _project(tree, [s], []) is not None
+@pytest.mark.parametrize("periods, band", [(1, None), (2, (0.1, 0.2))])
+def test_a_kernel_off_the_martingale_condition_raises(monkeypatch, periods, band):
+    # the asset (2, 1, 0.5) on the uniform trinomial, and a digital on it
+    # rising, quoted below its price under R: a hedge that returns P's
+    # kernel makes R, the mixture's first column, miss the condition too
+    tree = FiltrationTree.trinomial(periods)
+    values = {tree.root: 1.0}
+    for v in tree.internal_nodes():
+        for c, f in zip(tree.children[v], (2.0, 1.0, 0.5)):
+            values[c] = values[v] * f
+    s = AssetProcess("S", values)
+    digital = Claim(StoppingTime.at_horizon(tree),
+                    {v: float(values[v] > 1.0) for v in tree.leaves})
+    quotes = [] if band is None else [QuotedOption("D", digital, *band)]
+    assert calibration_feasible(tree, [s], quotes) is not None
     monkeypatch.setattr(tcpp.market, "_hedge", lambda p, v, drift: (p, np.zeros(len(p))))
     with pytest.raises(NumericalBreakdown, match="martingale condition"):
-        _project(tree, [s], [])
+        calibration_feasible(tree, [s], quotes)
 
 
-def test_calibration_solves_no_lp(monkeypatch):
-    # none of these markets needs the leaf-mass fallback
+def _seeded_markets():
+    for i, kind in enumerate(KINDS):
+        for seed in range(3):
+            yield _market(np.random.default_rng(1000 * i + seed), kind)
+
+
+def test_calibration_solves_no_lp_where_r_prices_every_quote_inside_its_band(monkeypatch):
+    # the seeded markets with each band moved around R's price, and those
+    # that fail the edge test as they are: R, or None, with no LP
+    rng = np.random.default_rng(5)
+    markets = []
+    for tree, assets, quotes in _seeded_markets():
+        r = calibration_feasible(tree, assets, [])
+        if r is not None:
+            prices = [float(lift_to_leaves(tree, q.payoff) @ r.leaf_masses(tree)) for q in quotes]
+            widths = rng.uniform(1e-6, 0.2, (len(quotes), 2))
+            quotes = [QuotedOption(q.name, q.payoff, e - lo, e + hi)
+                      for q, e, (lo, hi) in zip(quotes, prices, widths)]
+        markets.append((tree, assets, quotes, r))
+
     def refuse(*args, **kwargs):
         raise AssertionError("lp.solve called")
     monkeypatch.setattr(tcpp.lp, "solve", refuse)
     monkeypatch.setattr(tcpp.market, "solve", refuse)
-    for i, kind in enumerate(KINDS):
-        for seed in range(3):
-            calibration_feasible(*_market(np.random.default_rng(1000 * i + seed), kind))
-    assert main(["calibrate", "--market", os.path.join(DEMOS, "trinomial.market")]) == 0
+    for tree, assets, quotes, r in markets:
+        assert calibration_feasible(tree, assets, quotes) == r
+    assert sum(r is None for *_, r in markets) >= 6 and sum(r is not None for *_, r in markets) >= 12
 
 
-def test_the_fallback_solves_no_lp_beyond_its_columns(monkeypatch):
+def test_every_lp_of_calibration_is_a_master_over_its_columns(monkeypatch):
     # each round adds at most one column to the first, R: the n-th master LP
-    # has at most n columns and their violation s, never one over the leaves
+    # of a calibration has at most n columns and their violation s, never
+    # one over the leaves
     calls = []
 
     def small(lp, settings=DEFAULT):
@@ -239,10 +306,19 @@ def test_the_fallback_solves_no_lp_beyond_its_columns(monkeypatch):
             raise AssertionError(f"an LP of {calls[-1]} variables in round {len(calls)}")
         return tcpp.lp.solve(lp, settings)
     monkeypatch.setattr(tcpp.market, "solve", small)
+    solved = 0
+    for market in _seeded_markets():
+        calls.clear()
+        calibration_feasible(*market)
+        solved += bool(calls)
+    assert solved >= 5
+    calls.clear()
     md = parse_market_file(os.path.join(MARKETS, "steep_projection.market"))
-    got = calibration_feasible(md.tree, md.assets, md.quotes)
-    _assert_calibrated(md.tree, md.assets, md.quotes, got)
+    calibration_feasible(md.tree, md.assets, md.quotes)
     assert calls and max(calls) < len(md.tree.leaves)
+    calls.clear()
+    assert main(["calibrate", "--market", os.path.join(DEMOS, "trinomial.market")]) == 0
+    assert calls      # the demo's quote binds at its ask
 
 
 def test_without_binding_quotes_it_is_the_minimal_entropy_martingale_measure():

@@ -273,6 +273,18 @@ def test_samples_below_one_are_an_input_error(capsys, samples):
     assert captured.err == f"error: --samples must be at least 1, got {samples}\n"
 
 
+@pytest.mark.parametrize("samples, mib", [("4194305", "256.0"), ("100000000000", "6103515.6")])
+def test_samples_beyond_the_tableau_budget_are_an_input_error(capsys, monkeypatch, samples, mib):
+    # the demo has 4 leaves: 2^25 cells hold the draws of 2^22 samples, and
+    # one more is refused before any draw
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew samples"))
+    assert main(["check-tcpp", "--market", BINOMIAL, "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --samples {samples} draws {mib} MiB on 4 leaves, "
+                            "above the cap of 256.0 MiB\n")
+
+
 def test_one_sample_is_enough(capsys):
     assert main(["check-tcpp", "--market", BINOMIAL, "--samples", "1"]) == 0
     assert "check.pricing-axioms: pass" in capsys.readouterr().out
