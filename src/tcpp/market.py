@@ -11,23 +11,22 @@ its optimum is one of their vertices, which depend on the reference
 kernels and the asset moves alone.  One table of them per market, solved
 once per stack of level groups of one arity and support size, serves every
 use without caps: the martingale bounds with their edge check (and the
-good-deal bounds at an infinite cap), calibration's edge check, and the
+good-deal bounds at an infinite cap), calibration's edge check and R, and the
 column generations of the quote-penalized bounds and of calibration, which
 take extreme martingale measures from the upper induction over the table.
 The bounds weigh their 2k + 1 pieces in a master LP of 2k + 2 variables
-for k quotes; calibration, whose verdict comes from its edge check and
-this search, mixes the measures with the quote-free projection of P in a
-master LP over their weights.  Only for a feasible market does it project
-P in relative entropy on the calibrated martingale measures, through a
-dual of the same kind of induction, to pick the measure returned.  LPs
-remain in those masters and in :class:`ConstraintSet`; none is over leaves.
+for k quotes.  Calibration returns R, the product of every node's mean
+vertex kernel, where R prices each quote inside its band; otherwise its
+column generation mixes R with those measures in a master LP over their
+weights, which gives both the verdict and the measure.  LPs remain in
+those masters and in :class:`ConstraintSet`; none is over leaves.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -40,7 +39,7 @@ from .pricing import backward_pass, price, random_stopping_time
 from .report import CheckReport
 from .scenario import (_BATCH, ScenarioModel, _cap_supports, _kernel_max,
                        _vertex_kernels, minimal_penalty)
-from .settings import DEFAULT, Settings
+from .settings import DEFAULT, Settings, pinned
 from .tree import (Claim, FiltrationTree, Measure, StoppingTime,
                    lift_to_leaves, precedes, require_finite,
                    validate_stopping_time)
@@ -300,115 +299,53 @@ def check_price_in_mme_bounds(model: ScenarioModel, assets: Sequence[AssetProces
 def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
                          quotes: Sequence[QuotedOption],
                          settings: Settings = DEFAULT) -> Measure | None:
-    """The martingale measure closest to P in relative entropy among those
-    pricing every quote inside its band (the I-projection of P; Avellaneda,
-    Friedman, Holmes and Samperi), or None when no equivalent one exists.
+    """An equivalent martingale measure pricing every quote inside its
+    band, or None when none exists.
 
     The edge test of :func:`_vertex_table` and the column generation of
-    :func:`_calibrated_mixture` give the verdict; the projection only picks
-    the measure returned.  None when some edge is charged by no martingale
-    kernel, before any pass.  One pass of the dual below at theta = 0 gives
-    R, the quote-free projection, returned when it prices every quote
-    inside its band to ``feasibility_tol`` with every leaf density above
-    ``equivalence_floor``.  Otherwise the column generation over the same
-    table, from R, decides, and only for a feasible market does the climb
-    below run; its mixture is returned where the climb's measure fails the
-    same test (tilts that multiply along the paths can take the
-    projection's densities far below those of another calibrated measure)
-    or D rises above -log of the smallest leaf weight, which bounds KL(Q|P).
-
-    The projection charges every leaf that some such measure charges
-    (Csiszar), so in exact arithmetic it is equivalent when any is.  It is
-    found through the dual, concave in one multiplier theta_i per quote,
-    D(theta) = V(root) - sum_i max(theta_i ask_i, theta_i bid_i), where V is
-    theta . g on the leaves and, one level group at a time,
-    V(n) = max_h -log sum_c p_c exp(-V(c) - h . dS_c) (:func:`_entropy_pass`).
-    Its maximizer's kernels q_c, proportional to p_c exp(-V(c) - h . dS_c),
-    make the projection.  Newton steps on the smooth piece of theta's signs
-    climb D, each moving no leaf exponent theta . g by more than a radius
-    that doubles on a step that rises as predicted and halves otherwise; a
-    coordinate stops at 0 where its price enters its band.
+    :func:`_calibrated_mixture` give the verdict.  None when some edge is
+    charged by no martingale kernel.  Otherwise R, the product of each
+    node's mean usable vertex kernel, is a martingale measure that charges
+    every edge, and it is returned when it prices every quote inside its
+    band to ``feasibility_tol`` with every leaf density above
+    ``equivalence_floor``.  Else the column generation over the same table,
+    from R, decides and gives the measure: the calibrated mixture of R and
+    extreme martingale measures with the largest weight on R.  The table
+    holds the vertex kernels to no looser a tolerance than the default
+    (:func:`tcpp.settings.pinned`), so that a loose ``feasibility_tol``
+    widens the quote bands, not the kernels, whose negative weights the
+    mean would carry into R.
 
     Supports beyond ``max_enum`` raise :class:`EnumerationOverflow`, as in
-    :func:`mme_bounds`; a kernel of R or of the projection that misses the
-    martingale condition by more than ``feasibility_tol``,
-    :class:`NumericalBreakdown` naming its node.
+    :func:`mme_bounds`; a kernel of R that misses the martingale condition
+    by more than ``feasibility_tol``, :class:`NumericalBreakdown` naming its
+    node.
     """
     spot = _spot(tree, assets)
     steps = _level_steps(tree, spot)
     try:
-        table = _vertex_table(tree, assets, settings, steps)
+        table = _vertex_table(tree, assets, pinned(settings), steps)
     except NoMartingaleMeasure:
         return None
     if not table.charged:
         return None
     leaves = list(tree.leaves)
-    weight = np.array([tree.leaf_weights[v] for v in leaves])
     pay = np.array([lift_to_leaves(tree, q.payoff) for q in quotes]).reshape(-1, len(leaves)).T
     bid, ask = np.array([(q.bid, q.ask) for q in quotes]).reshape(-1, 2).T
-
-    def climb(theta: np.ndarray) -> tuple[float, _EntropyPass]:
-        at = _entropy_pass(tree, steps, pay, theta)
-        return at.value - float(np.maximum(theta * ask, theta * bid).sum()), at
-
-    def calibrated(at: _EntropyPass, tol: float) -> bool:
-        inside = (at.price >= bid - tol) & (at.price <= ask + tol)
-        return bool(inside.all()) and (at.mass[leaves] / weight).min() > settings.equivalence_floor
-
-    theta = np.zeros(len(quotes))
-    value, at = climb(theta)
-    first = at.mass[leaves]             # the quote-free projection R
-    _check_martingale(steps, spot, at.mass, settings)
-    if calibrated(at, settings.feasibility_tol):
+    kernel = np.zeros((tree.n_nodes, int(tree.arity.max())))
+    for nodes, _, owner, _, sup, weights, _ in table.groups:
+        mean = np.zeros((len(nodes), kernel.shape[1]))
+        np.add.at(mean, (owner[:, None], sup), weights)
+        kernel[nodes] = mean / np.bincount(owner)[:, None]
+    mass = tree.product_down(kernel)
+    _check_martingale(steps, spot, mass, settings)
+    first = mass[leaves]
+    price, tol = pay.T @ first, settings.feasibility_tol
+    density = first / np.array([tree.leaf_weights[v] for v in leaves])
+    if (((price >= bid - tol) & (price <= ask + tol)).all()
+            and density.min() > settings.equivalence_floor):
         return Measure.from_leaf_masses(tree, first)
-    if (mixture := _calibrated_mixture(tree, table, first, pay, bid, ask, settings)) is None:
-        return None
-    # replicable combinations: null directions of -H, the same at every
-    # theta since every measure prices them alike, found at the first
-    lam, vec = np.linalg.eigh(-at.hess)
-    scale = float(np.abs(pay).max(initial=0.0)) ** 2
-    null = vec[:, lam <= settings.rank_tol * max(float(lam.max(initial=0.0)), scale)]
-    bound = -math.log(weight.min())
-    radius, last = 4.0, np.inf
-    while value <= bound + _ROUNDING * (1.0 + bound):
-        over, under = at.price - ask, at.price - bid
-        grad = np.where(theta > 0, over, np.where(theta < 0, under, np.where(
-            over > 0, over, np.where(under < 0, under, 0.0))))
-        step, linear = _ascent(theta, grad, at.hess, null, settings)
-        # the first coordinate the step takes through 0 stops it there
-        cross = np.flatnonzero((theta != 0) & (theta * step < 0))
-        ratio = -theta[cross] / step[cross]
-        reach = ratio.min(initial=np.inf)
-        moves = float(np.abs(pay @ step).max(initial=0.0))      # largest move of a leaf exponent
-        gain = float(grad @ step)
-        flat = not linear and gain <= _ROUNDING * (tree.horizon + 1.0) * (
-            1.0 + abs(at.value) + abs(value - at.value))
-        if flat:
-            # D's rise is below its rounding: done after this step once it
-            # is short too; a long one is taken while steps shorten
-            if not moves < last:
-                break
-            last = 0.0 if moves <= math.sqrt(_ROUNDING) else moves
-            t = min(1.0, reach)
-        else:
-            t = min(np.inf if linear else 1.0, reach, radius / max(moves, _TINY))
-        trial = theta + t * step
-        if t == reach:
-            trial[cross[ratio.argmin()]] = 0.0
-        if np.array_equal(trial, theta):
-            break
-        trial_value, trial_at = climb(trial)
-        if flat or trial_value >= value + 1e-4 * t * gain:
-            radius = max(radius, 2.0 * t * moves)
-            theta, value, at = trial, trial_value, trial_at
-        else:
-            radius = 0.5 * t * moves
-    else:
-        return mixture                  # above the entropy bound: the climb went astray
-    if not calibrated(at, settings.feasibility_tol):
-        return mixture
-    _check_martingale(steps, spot, at.mass, settings)
-    return Measure.from_leaf_masses(tree, at.mass[leaves])
+    return _calibrated_mixture(tree, table, first, pay, bid, ask, settings)
 
 
 def _check_martingale(steps, spot: np.ndarray, mass: np.ndarray, settings: Settings) -> None:
@@ -442,9 +379,7 @@ def _calibrated_mixture(tree: FiltrationTree, table: _VertexTable, first: np.nda
     at or below ``equivalence_floor``; :class:`NumericalBreakdown` when a
     phase is still open after ``_ROUNDS`` rounds."""
     k, masses, slack = len(bid), [first], None      # phase 1 until s <= feasibility_tol
-    # masters at no looser a tolerance than the default: lp.solve pivots to
-    # it, but checks the duality gap to duality_tol
-    exact = replace(settings, feasibility_tol=min(settings.feasibility_tol, DEFAULT.feasibility_tol))
+    exact = pinned(settings)
     for _ in range(_ROUNDS):
         n, prices = len(masses), pay.T @ np.transpose(masses)
         lp = LinearProgram(np.eye(n + 1)[n if slack is None else 0],
@@ -477,160 +412,9 @@ def _calibrated_mixture(tree: FiltrationTree, table: _VertexTable, first: np.nda
     return q if min(q.density.values()) > settings.equivalence_floor else None
 
 
-# rounding of a sum of a few exponentials and logarithms, relative to its
-# size; curvature below _TINY counts as none, so that its inverse is finite
+# rounding of one level of an upper induction, a sum of a few products,
+# relative to its size
 _ROUNDING = 64.0 * np.finfo(float).eps
-_TINY = math.sqrt(np.finfo(float).tiny)
-
-
-@dataclass
-class _EntropyPass:
-    value: float          # V(root)
-    price: np.ndarray     # E_Q g, one per quote
-    hess: np.ndarray      # the Hessian of V(root) in theta
-    mass: np.ndarray      # Q's mass of every node
-
-
-def _entropy_pass(tree: FiltrationTree, steps, pay: np.ndarray,
-                  theta: np.ndarray) -> _EntropyPass:
-    """V, the measure Q of the maximizing kernels, its quote prices and the
-    Hessian of V(root) in theta: one backward induction over ``steps`` (a
-    level group's nodes, children, reference kernels and asset moves), the
-    hedges of :func:`_hedge`, and one product down.  The prices J(n) =
-    E_q J(c), J = g on the leaves, are V's gradient at every node (envelope
-    theorem); the Hessian adds, per node n, -Q(n) times the covariance of
-    J(c) under q that is left after regressing J(c) on dS_c."""
-    n, leaves = tree.n_nodes, list(tree.leaves)
-    value, price = np.zeros(n), np.zeros((n, pay.shape[1]))
-    value[leaves], price[leaves] = pay @ theta, pay
-    kernel = np.zeros((n, int(tree.arity.max())))
-    resid = []
-    for nodes, kids, p, drift in steps:
-        q, value[nodes] = _hedge(p, value[kids], drift)
-        kernel[nodes, :q.shape[1]] = q
-        price[nodes] = np.einsum("gc,gck->gk", q, price[kids])
-        dj = price[kids] - price[nodes][:, None]
-        cjd = np.einsum("gc,gck,gcd->gkd", q, dj, drift)
-        css = np.einsum("gc,gcd,gce->gde", q, drift, drift)
-        resid.append(np.einsum("gc,gck,gcl->gkl", q, dj, dj)
-                     - np.einsum("gkd,gld->gkl", cjd, _solve_psd(css[:, None], cjd)))
-    mass = tree.product_down(kernel)
-    hess = -sum(np.einsum("g,gkl->kl", mass[nodes], r) for (nodes, *_), r in zip(steps, resid))
-    return _EntropyPass(float(value[tree.root]), price[tree.root], hess, mass)
-
-
-def _hedge(p: np.ndarray, v: np.ndarray, drift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per node of a level group, the hedge minimizing the convex
-    f(h) = log sum_c p_c exp(-v_c - h . drift_c).  The gradient
-    is -E_q drift, the martingale gap of the kernel q, proportional to
-    p_c exp(-v_c - h . drift_c), and the Hessian is q's covariance of drift.
-
-    Newton steps move no exponent by more than the node's radius, which
-    doubles on a step that lowers f by a part of the predicted fall and
-    halves otherwise, until a step no longer moves h.  Where the covariance
-    sees no curvature along the gap (children beyond the floats' reach)
-    the step follows the gap.  Once the predicted fall is below f's
-    rounding, full Newton steps go on while each halves the gap, which
-    leaves it at the rounding of the floats; a node whose gap is there
-    already stops.  Returns the kernels and the values -f."""
-    base = v.min(1, initial=np.inf)
-    v = v - base[:, None]
-    # start where the exponents -v - h . drift spread least under p: the
-    # weighted least-squares fit of -v by the hedge
-    dv, dd = v - (p * v).sum(1, keepdims=True), drift - np.einsum("gc,gcd->gd", p, drift)[:, None]
-    h = -_solve_psd(np.einsum("gc,gcd,gce->gde", p, dd, dd), np.einsum("gc,gcd,gc->gd", p, dd, dv))
-    f, q = _log_partition(p, v, drift, h)
-    gap = np.einsum("gc,gcd->gd", q, drift)
-    radius = np.full(len(h), 4.0)
-    rounding = 4.0 * np.finfo(float).eps * np.abs(drift).max((1, 2), initial=0.0)
-    todo = np.flatnonzero(np.abs(gap).max(1, initial=0.0) > rounding)
-    while len(todo):
-        qi, di, gi = q[todo], drift[todo], gap[todo]
-        dev = di - gi[:, None]
-        step = _solve_psd(np.einsum("gc,gcd,gce->gde", qi, dev, dev), gi)
-        stuck = ~step.any(1)
-        step = np.where(stuck[:, None], gi, step)
-        fall = (step * gi).sum(1)
-        polish = ~stuck & (fall <= _ROUNDING * (1.0 + np.abs(f[todo])))
-        moves = np.abs(np.einsum("gcd,gd->gc", di, step)).max(1, initial=0.0)
-        t = radius[todo] / np.maximum(moves, _TINY)
-        t = np.where(polish, 1.0, np.where(stuck, t, np.minimum(1.0, t)))
-        trial = h[todo] + t[:, None] * step
-        ft, qt = _log_partition(p[todo], v[todo], di, trial)
-        gt = np.einsum("gc,gcd->gd", qt, di)
-        size, was = np.abs(gt).max(1, initial=0.0), np.abs(gi).max(1, initial=0.0)
-        ok = np.where(polish, size <= 0.5 * was, ft < f[todo] - 1e-4 * t * fall)
-        moved = (trial != h[todo]).any(1)
-        acc = todo[ok]
-        h[acc], f[acc], q[acc], gap[acc] = trial[ok], ft[ok], qt[ok], gt[ok]
-        radius[todo] = np.where(ok, np.maximum(radius[todo], 2.0 * t * moves), 0.5 * t * moves)
-        todo = todo[(ok | ~polish & moved) & (fall > 0) & (np.where(ok, size, was) > rounding[todo])]
-    return q, base - f
-
-
-def _solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^+ b for a stack of symmetric positive semidefinite matrices ``a``
-    (broadcast over ``b``'s leading axes), dropping eigenvalues below
-    ``_TINY`` or a 1e-15 part of the largest, so that no quotient overflows."""
-    lam, vec = np.linalg.eigh(a)
-    keep = lam > np.maximum(1e-15 * lam.max(-1, keepdims=True, initial=0.0), _TINY)
-    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
-    return np.einsum("...de,...e,...fe,...f->...d", vec, inv, vec, b)
-
-
-def _log_partition(p: np.ndarray, v: np.ndarray, drift: np.ndarray,
-                   h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log sum_c p_c exp(-v_c - h . drift_c) per node, and the normalized terms."""
-    z = -v - np.einsum("gcd,gd->gc", drift, h)
-    top = z.max(1)
-    w = p * np.exp(z - top[:, None])
-    s = w.sum(1)
-    return top + np.log(s), w / s[:, None]
-
-
-def _ascent(theta: np.ndarray, grad: np.ndarray, hess: np.ndarray, null: np.ndarray,
-            settings: Settings) -> tuple[np.ndarray, bool]:
-    """A step up D from theta, and whether D is linear along it.
-
-    The free coordinates are those off 0 and those at 0 whose gradient
-    leaves the band; a coordinate at 0 that the step would take to the
-    side its gradient does not point to is held at 0 instead.  ``null``
-    spans the combinations of quotes that replicate, along which every
-    measure prices alike and D is linear; a gradient component along the
-    free ones above ``feasibility_tol`` is followed first.  Otherwise the
-    step is Newton's, -H^-1 grad on the rest."""
-    free = (theta != 0) | (grad != 0)
-    while free.any():
-        idx = np.flatnonzero(free)
-        lin, rest = _replicable_on(null, free)
-        g = grad[idx]
-        along = lin @ (lin.T @ g)
-        linear = bool(np.abs(along).max(initial=0.0) > settings.feasibility_tol)
-        if linear:
-            sub = along
-        else:
-            sub = rest @ _solve_psd(rest.T @ -hess[np.ix_(idx, idx)] @ rest, rest.T @ g)
-        held = (theta[idx] == 0) & (sub * g < 0)
-        if not held.any():
-            step = np.zeros(len(theta))
-            step[idx] = sub
-            return step, linear
-        free[idx[held]] = False
-    return np.zeros(len(theta)), False
-
-
-def _replicable_on(null: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases, over the ``free`` coordinates, of the combinations
-    in the span of ``null`` that are zero off them, and of the rest."""
-    a = np.eye(null.shape[1])
-    if (~free).any() and null.shape[1]:
-        _, s, vt = np.linalg.svd(null[~free])
-        a = vt[int((s > 1e-9).sum()):].T
-    lin = null[free] @ a
-    if not lin.shape[1]:
-        return lin, np.eye(int(free.sum()))
-    u = np.linalg.svd(lin)[0]
-    return u[:, :lin.shape[1]], u[:, lin.shape[1]:]
 
 
 def check_strong_admissibility(model: ScenarioModel, assets: Sequence[AssetProcess],
@@ -767,14 +551,15 @@ def _master(cols: list, settings: Settings) -> tuple[np.ndarray, float]:
     """The weights lam on the simplex that minimize the largest of the
     columns' sum lam_i l_i, and that least value, from one LP in lam and s.
     The LP's tolerances are absolute, so it reads the columns scaled by a
-    power of 2 to at most 1 in size, which rounds nothing."""
+    power of 2 to at most 1 in size, which rounds nothing, and solves it at
+    no looser a tolerance than the default, as calibration's masters."""
     n = len(cols[0])
     size = 2.0 ** int(np.frexp(np.abs(cols).max())[1])
     lp = LinearProgram([0.0] * n + [1.0],
                        [(list(c / size) + [-1.0], LE, 0.0) for c in cols]
                        + [([1.0] * n + [0.0], EQ, 1.0)],
                        lower=[0.0] * n + [-np.inf], sense="min")
-    sol = solve(lp, settings)
+    sol = solve(lp, pinned(settings))
     if sol.status != "optimal":
         raise NumericalBreakdown(f"calibrated bound: the master LP over {len(cols)} columns "
                                  f"is {sol.status}")

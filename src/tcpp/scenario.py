@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EnumerationOverflow, TcppError
 from .report import CheckReport
-from .settings import DEFAULT, Settings
+from .settings import DEFAULT, Settings, pinned
 from .tree import (Claim, FiltrationTree, Measure, StoppingTime, precedes,
                    validate_stopping_time)
 
@@ -605,12 +605,13 @@ def _slice_systems(rp: np.ndarray, drift: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _on_slice(a: np.ndarray, rp: np.ndarray, y: np.ndarray, settings: Settings) -> np.ndarray:
-    """Whether points y (one per objective, node and support) solve their
-    systems ``a`` and give kernels sqrt(p) y that are nonnegative, both to
-    the feasibility tolerance."""
-    tol = settings.feasibility_tol
+    """Whether points y (one per objective, node and support) give kernels
+    sqrt(p) y that are nonnegative to the feasibility tolerance and solve
+    their systems ``a`` to no looser a one than the default: a kernel's miss
+    of its sum or martingale rows adds up along the paths of a measure."""
+    tol = pinned(settings).feasibility_tol
     res = np.einsum("gcrs,igcs->igcr", a, y) - np.eye(a.shape[2])[0]
-    return ((rp * y >= -tol).all(-1)
+    return ((rp * y >= -settings.feasibility_tol).all(-1)
             & (np.abs(res).max(-1) <= tol * (1.0 + np.abs(a).max((-2, -1)))))
 
 

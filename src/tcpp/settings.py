@@ -1,7 +1,7 @@
 """Numeric settings shared by every solver and check in the package."""
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .errors import TcppError
 
@@ -13,7 +13,9 @@ class Settings:
 
     feasibility_tol   constraint satisfaction / pass-fail tolerance, also for
                       the one-step kernels of the martingale, calibrated and
-                      good-deal bounds (sign, martingale rows and cap)
+                      good-deal bounds (sign and cap) and calibration's quote
+                      bands; ``pinned`` caps it at the default where misses
+                      add up or a master LP is solved
     rank_tol          pivot magnitude below which a tableau entry is treated as zero,
                       and |det| over the product of row norms below which a
                       game kernel of constrained pricing counts as singular
@@ -25,11 +27,10 @@ class Settings:
                       (products of many edge weights) may fall below it;
                       calibration applies it per edge to the martingale
                       kernels (its edge test), then to the least leaf
-                      density dQ/dP of the column generation's mixture of
-                      the quote-free projection and extreme martingale
-                      measures, which gives the verdict, and to that of
-                      every measure it returns: a projection whose least
-                      density is at or below it gives way to the mixture
+                      density dQ/dP of R, the product of the mean vertex
+                      kernels, and of the column generation's mixture of R
+                      and extreme martingale measures, which gives the
+                      verdict where R is not returned
     max_enum          cap on the game kernels tried per node in constrained
                       pricing, on the kernel supports tried per node by the
                       martingale, calibrated and good-deal bounds and by
@@ -57,3 +58,14 @@ class Settings:
 
 
 DEFAULT = Settings()
+
+
+def pinned(settings: Settings) -> Settings:
+    """``settings`` with ``feasibility_tol`` no looser than the default's,
+    for the vertex kernels' residuals (their misses add up along the paths),
+    calibration's whole vertex table (its mean kernels make R) and the master
+    LPs of the column generations (:func:`tcpp.lp.solve` pivots to that
+    tolerance but checks to ``duality_tol``)."""
+    if settings.feasibility_tol <= DEFAULT.feasibility_tol:
+        return settings
+    return replace(settings, feasibility_tol=DEFAULT.feasibility_tol)
