@@ -5,7 +5,10 @@ error.  ``--format machine`` emits one ``key<TAB>value`` record per line.
 All randomized checks honor ``--seed``.  ``TCPP_MAX_ENUM`` caps the kernel
 and support enumerations per node (``constrained``, ``bounds``,
 ``calibrate``, and the menu-entry supports of the minimal penalty that
-``nfl`` checks), and the reference enumerators.
+``nfl`` checks), and the reference enumerators.  ``--tol`` sets the
+feasibility tolerance at which ``nfl``, ``calibrate`` and ``extends``
+compare their verdicts; the numbers of ``bounds`` and ``constrained`` are
+computed at no looser a one than the default (:func:`tcpp.settings.pinned`).
 
 ``check-tcpp`` draws its samples as one array and hands it to the checks as
 a :class:`~tcpp.tree.ClaimStack`, with no claim object each: the axioms
@@ -60,7 +63,7 @@ class Output:
 def _load(args) -> MarketData:
     md = parse_market_file(args.market)
     settings = md.settings
-    if args.tol is not None:
+    if getattr(args, "tol", None) is not None:
         settings = dataclasses.replace(settings, feasibility_tol=args.tol)
     env_cap = os.environ.get("TCPP_MAX_ENUM")
     if env_cap is not None:
@@ -246,8 +249,8 @@ _COMMANDS = {
     "american": cmd_american,
 }
 
-# the options besides --market, --tol and --format, each with the commands
-# that read it; --claim stays optional, so that main names the command that
+# the options besides --market and --format, each with the commands that
+# read it; --claim stays optional, so that main names the command that
 # misses it
 _OPTIONS = {
     "claim": (("price", "bounds", "constrained", "american"),
@@ -258,6 +261,9 @@ _OPTIONS = {
     "samples": (("check-tcpp",), dict(type=int, default=200)),
     "kind": (("bounds",), dict(choices=["mme", "calibrated", "good-deal"], default="mme")),
     "good-deal-cap": (("bounds",), dict(type=float, default=None)),
+    "tol": (("nfl", "bounds", "calibrate", "extends", "constrained"),
+            dict(type=float, default=None, help="override the feasibility tolerance of "
+                 "verdicts; printed numbers are computed at no looser than the default")),
 }
 
 
@@ -275,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         for option, (commands, spec) in _OPTIONS.items():
             if name in commands:
                 sp.add_argument(f"--{option}", **spec)
-        sp.add_argument("--tol", type=float, default=None,
-                        help="override the feasibility tolerance")
         sp.add_argument("--format", choices=["text", "machine"], default="text")
     return p
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EnumerationOverflow, MalformedProgram, NumericalBreakdown
 from .scenario import _TABLEAU_CELLS
-from .settings import DEFAULT, Settings
+from .settings import DEFAULT, DUALITY_TOL, RANK_TOL, Settings
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
@@ -242,7 +242,7 @@ def _ratio_test(T: np.ndarray, basis: list[int], enter: int, bland_mode: bool,
     col = T[:m, enter]
     tol = settings.feasibility_tol
     eligible = 1e2 * tol
-    candidates = [i for i in range(m) if col[i] > settings.rank_tol]
+    candidates = [i for i in range(m) if col[i] > RANK_TOL]
     if not candidates:
         return -2 if not bool(np.any(col > 0)) else -1
     t_max = min((max(T[i, -1], 0.0) + tol) / col[i] for i in candidates)
@@ -318,7 +318,7 @@ def solve(lp: LinearProgram, settings: Settings = DEFAULT) -> LpSolution:
     for i in range(m):
         if basis[i] >= ntot:
             for j in range(ntot):
-                if abs(T[i, j]) > settings.rank_tol:
+                if abs(T[i, j]) > RANK_TOL:
                     _pivot(T, i, j)
                     basis[i] = j
                     break
@@ -413,12 +413,12 @@ def _verify(lp: LinearProgram, sol: LpSolution, std: _Standard, y: np.ndarray,
         raise NumericalBreakdown(f"optimal point violates a constraint by {gap:.3e}")
     primal = float(std.c @ y)
     dual = float(std.b @ pi)
-    if abs(primal - dual) > settings.duality_tol * (1.0 + abs(primal)):
+    if abs(primal - dual) > DUALITY_TOL * (1.0 + abs(primal)):
         raise NumericalBreakdown(
             f"strong duality gap {abs(primal - dual):.3e} exceeds tolerance")
     rc = std.c - std.A.T @ pi
     comp = float(np.abs(y * rc).max(initial=0.0))
-    if comp > 10 * settings.duality_tol * (1.0 + abs(primal)):
+    if comp > 10 * DUALITY_TOL * (1.0 + abs(primal)):
         raise NumericalBreakdown(f"complementary slackness violated by {comp:.3e}")
 
 

@@ -39,7 +39,7 @@ from .pricing import backward_pass, price, random_stopping_time
 from .report import CheckReport
 from .scenario import (_BATCH, ScenarioModel, _cap_supports, _kernel_max,
                        _vertex_kernels, minimal_penalty)
-from .settings import DEFAULT, Settings, pinned
+from .settings import DEFAULT, RANK_TOL, Settings, pinned
 from .tree import (Claim, FiltrationTree, Measure, StoppingTime,
                    lift_to_leaves, precedes, require_finite,
                    validate_stopping_time)
@@ -142,6 +142,7 @@ class ConstraintSet:
     def from_halfspaces(a: np.ndarray, b: np.ndarray,
                         settings: Settings = DEFAULT) -> "ConstraintSet":
         """Vertex-enumerate {h : A h <= b}; practical for dimension <= 4."""
+        settings = pinned(settings)
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         m, d = a.shape
@@ -157,7 +158,7 @@ class ConstraintSet:
         verts = []
         for rows in itertools.combinations(range(m), d):
             sub = a[list(rows)]
-            if abs(np.linalg.det(sub)) < settings.rank_tol:
+            if abs(np.linalg.det(sub)) < RANK_TOL:
                 continue
             h = np.linalg.solve(sub, b[list(rows)])
             if np.all(a @ h <= b + 1e-9):
@@ -211,8 +212,7 @@ def check_extends_dynamics(model: ScenarioModel, assets: Sequence[AssetProcess],
                            settings: Settings = DEFAULT) -> CheckReport:
     """Every menu kernel must reproduce each asset's one-step expectation;
     spot-checks integer multiples across random stopping-time pairs."""
-    tree = model.tree
-    tol = 1e-9
+    tree, tol = model.tree, settings.feasibility_tol
     report = CheckReport(check="extends dynamics", passed=True)
     spot = _spot(tree, assets)
     bad = []      # (asset, node, entry, expectation, value), padded entries masked
@@ -266,7 +266,7 @@ def mme_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess], x: Claim,
     :class:`NoMartingaleMeasure` when the root has no martingale kernel."""
     validate_stopping_time(tree, x.at)
     require_finite(x, "claim value")
-    table = _vertex_table(tree, assets, settings)
+    table = _vertex_table(tree, assets, pinned(settings))
     return MmeBounds(*_table_bounds(tree, table, lift_to_leaves(tree, x)), table.charged)
 
 
@@ -274,8 +274,7 @@ def check_price_in_mme_bounds(model: ScenarioModel, assets: Sequence[AssetProces
                               claims: Claim | Sequence[Claim],
                               settings: Settings = DEFAULT) -> CheckReport:
     """Four-way sandwich at the root: sub <= bid <= ask <= sup."""
-    tree = model.tree
-    tol = 1e-9
+    tree, tol = model.tree, settings.feasibility_tol
     report = CheckReport(check="price within martingale bounds", passed=True)
     dyn = check_extends_dynamics(model, assets, n_spot=0, settings=settings)
     if not dyn.passed:
@@ -310,21 +309,19 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
     band to ``feasibility_tol`` with every leaf density above
     ``equivalence_floor``.  Else the column generation over the same table,
     from R, decides and gives the measure: the calibrated mixture of R and
-    extreme martingale measures with the largest weight on R.  The table
-    holds the vertex kernels to no looser a tolerance than the default
-    (:func:`tcpp.settings.pinned`), so that a loose ``feasibility_tol``
-    widens the quote bands, not the kernels, whose negative weights the
-    mean would carry into R.
+    extreme martingale measures with the largest weight on R.  The bands
+    are a verdict's, to ``feasibility_tol``; the table, R's martingale
+    check and the masters are numbers, at :func:`tcpp.settings.pinned`.
 
     Supports beyond ``max_enum`` raise :class:`EnumerationOverflow`, as in
     :func:`mme_bounds`; a kernel of R that misses the martingale condition
-    by more than ``feasibility_tol``, :class:`NumericalBreakdown` naming its
-    node.
+    by more than the pinned tolerance, :class:`NumericalBreakdown` naming
+    its node.
     """
-    spot = _spot(tree, assets)
+    spot, exact = _spot(tree, assets), pinned(settings)
     steps = _level_steps(tree, spot)
     try:
-        table = _vertex_table(tree, assets, pinned(settings), steps)
+        table = _vertex_table(tree, assets, exact, steps)
     except NoMartingaleMeasure:
         return None
     if not table.charged:
@@ -338,7 +335,7 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
         np.add.at(mean, (owner[:, None], sup), weights)
         kernel[nodes] = mean / np.bincount(owner)[:, None]
     mass = tree.product_down(kernel)
-    _check_martingale(steps, spot, mass, settings)
+    _check_martingale(steps, spot, mass, exact)
     first = mass[leaves]
     price, tol = pay.T @ first, settings.feasibility_tol
     density = first / np.array([tree.leaf_weights[v] for v in leaves])
@@ -424,8 +421,7 @@ def check_strong_admissibility(model: ScenarioModel, assets: Sequence[AssetProce
     """Extends the dynamics, reprices every quote inside its observed band,
     and satisfies the calibrated penalty floor on sampled measures: per-node
     Dirichlet mixtures of the menu kernels, so mixtures of selections."""
-    tree = model.tree
-    tol = 1e-9
+    tree, tol = model.tree, settings.feasibility_tol
     report = check_extends_dynamics(model, assets, n_spot=2, seed=seed,
                                     settings=settings)
     report.check = "strong admissibility"
@@ -496,6 +492,7 @@ def calibrated_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess],
     """
     validate_stopping_time(tree, x.at)
     require_finite(x, "claim value")
+    settings = pinned(settings)
     table = _vertex_table(tree, assets, settings)
     pay = np.column_stack([lift_to_leaves(tree, c) for c in [x] + [q.payoff for q in quotes]])
     bid, ask = np.array([(q.bid, q.ask) for q in quotes]).reshape(-1, 2).T
@@ -551,15 +548,14 @@ def _master(cols: list, settings: Settings) -> tuple[np.ndarray, float]:
     """The weights lam on the simplex that minimize the largest of the
     columns' sum lam_i l_i, and that least value, from one LP in lam and s.
     The LP's tolerances are absolute, so it reads the columns scaled by a
-    power of 2 to at most 1 in size, which rounds nothing, and solves it at
-    no looser a tolerance than the default, as calibration's masters."""
+    power of 2 to at most 1 in size, which rounds nothing."""
     n = len(cols[0])
     size = 2.0 ** int(np.frexp(np.abs(cols).max())[1])
     lp = LinearProgram([0.0] * n + [1.0],
                        [(list(c / size) + [-1.0], LE, 0.0) for c in cols]
                        + [([1.0] * n + [0.0], EQ, 1.0)],
                        lower=[0.0] * n + [-np.inf], sense="min")
-    sol = solve(lp, pinned(settings))
+    sol = solve(lp, settings)
     if sol.status != "optimal":
         raise NumericalBreakdown(f"calibrated bound: the master LP over {len(cols)} columns "
                                  f"is {sol.status}")
@@ -700,7 +696,7 @@ def good_deal_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess],
     parent avoids; an empty root raises :class:`NoMartingaleMeasure`, or
     :class:`EmptyGoodDealSet` if only the caps empty it, naming the first
     node whose own constraints are empty."""
-    cap = caps.on(tree)
+    cap, settings = caps.on(tree), pinned(settings)
     validate_stopping_time(tree, x.at)
     require_finite(x, "claim value")
     if not np.isfinite(cap).any():
@@ -756,6 +752,7 @@ def constrained_price(tree: FiltrationTree, assets: Sequence[AssetProcess],
     raises :class:`NumericalBreakdown` naming the node.  The claim's value
     process at the root is returned.
     """
+    settings = pinned(settings)
     if len(assets) != h_set.dim:
         raise TcppError("constraint set dimension must match the asset count")
     if not h_set.contains_zero(settings):
@@ -853,7 +850,7 @@ def _equalizer(sub: np.ndarray, settings: Settings) -> tuple[np.ndarray, np.ndar
     # |det| against the product of row norms (Hadamard's bound) is scale-free;
     # a NaN entry masks its block here and fails the caller's gap check
     with np.errstate(invalid="ignore"):
-        ok = np.abs(np.linalg.det(a)) > settings.rank_tol * np.prod(
+        ok = np.abs(np.linalg.det(a)) > RANK_TOL * np.prod(
             np.linalg.norm(a, axis=-1), axis=-1)
     a[~ok] = np.eye(s)
     rhs = np.zeros(a.shape[:-1] + (1,))

@@ -15,7 +15,8 @@ Line-oriented records, ``#`` comments, order-insensitive:
 
 A per-node cap must name an internal node, and a setting must be finite and
 nonnegative.  ``set`` lines for retired settings (``_IGNORED_SETTINGS``;
-every LP solve is verified) are ignored.
+every LP solve is verified, and the rank and duality tolerances are the
+constants of :mod:`tcpp.settings`) are ignored.
 Where a record repeats, the later line wins; menu lines add entries.
 
 Parsing is in blocks.  Line breaks other than ``\n`` and comments are
@@ -69,7 +70,8 @@ from .settings import Settings
 from .tree import Claim, FiltrationTree, StoppingTime, validate_stopping_time
 
 _SETTING_FIELDS = {f.name: f.type for f in dataclasses.fields(Settings)}
-_IGNORED_SETTINGS = ("cut_tol", "max_cut_rounds", "verify_lp")    # accepted and ignored
+_IGNORED_SETTINGS = ("cut_tol", "max_cut_rounds", "verify_lp",      # accepted and ignored
+                     "rank_tol", "duality_tol")
 
 
 @dataclass

@@ -91,16 +91,18 @@ def find_static_free_lunch(model: ScenarioModel,
     weight, and every other entry pays at least eps to charge it.  Where v
     has no zero-penalty entry at all, the claim covers every leaf below v.
     """
-    return _static_free_lunch(model, settings, *_zero_penalty_family(model, settings))
+    return _static_free_lunch(model, settings, *_zero_penalty_family(model, settings))[0]
 
 
 def _static_free_lunch(model: ScenarioModel, settings: Settings, mix: np.ndarray,
                        pens: np.ndarray, edges: list[tuple[int, int]]
-                       ) -> FreeLunchCertificate | None:
+                       ) -> tuple[FreeLunchCertificate | None, float | None]:
+    """The certificate of :func:`find_static_free_lunch`, or None, and the
+    root ask of the claim that decided it (None without an uncharged edge)."""
     tree = model.tree
     tol = settings.feasibility_tol
     if not edges:
-        return None
+        return None, None
     v, c = edges[0]
     top = c if mix[v].any() else v      # a kept entry's kernel puts weight somewhere
     eps = min(pens[v][pens[v] > tol].tolist(), default=1.0)
@@ -108,8 +110,8 @@ def _static_free_lunch(model: ScenarioModel, settings: Settings, mix: np.ndarray
     claim = Claim(StoppingTime.at_horizon(tree), np.where(below, eps, 0.0))
     root_price = price(model, claim, StoppingTime.at_root(tree)).values[tree.root]
     if root_price <= tol:
-        return FreeLunchCertificate("static-arbitrage-claim", claim=claim)
-    return None
+        return FreeLunchCertificate("static-arbitrage-claim", claim=claim), root_price
+    return None, root_price
 
 
 def find_zero_penalty_equivalent_measure(model: ScenarioModel,
@@ -321,7 +323,7 @@ def nfl_verdict(model: ScenarioModel, seed: int = 0, n_samples: int = 50,
     checks = CheckReport(check="no free lunch", passed=True)
 
     family = _zero_penalty_family(model, settings)
-    static = _static_free_lunch(model, settings, *family)           # condition ii
+    static, p = _static_free_lunch(model, settings, *family)        # condition ii
     measure = _zero_penalty_measure(tree, family[0], family[2])     # iii
     verdict_ii = static is None
     verdict_iii = measure is not None
@@ -358,7 +360,6 @@ def nfl_verdict(model: ScenarioModel, seed: int = 0, n_samples: int = 50,
         vals = claim.array
         if np.any(vals < -tol) or vals.max() <= tol:
             raise InconsistentVerdicts("static certificate is not a free lunch claim")
-        p = price(model, claim, root).values[tree.root]
         if p > tol:
             raise InconsistentVerdicts(f"static certificate priced at {p!r} > 0")
         checks.info["certificate_price"] = p

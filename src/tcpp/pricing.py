@@ -405,8 +405,7 @@ def check_supermartingale(model: ScenarioModel, x: Claim, r: Measure,
     Preconditions (R equivalent, zero minimal penalty) are reported, not
     assumed.
     """
-    tree = model.tree
-    tol = 1e-9
+    tree, tol = model.tree, settings.feasibility_tol
     report = CheckReport(check="supermartingale sandwich", passed=True)
     if not r.is_equivalent():
         report.add("precondition", "R is not equivalent to P (a leaf density is 0)")
@@ -414,7 +413,7 @@ def check_supermartingale(model: ScenarioModel, x: Claim, r: Measure,
     root_st = StoppingTime.at_root(tree)
     horizon = StoppingTime.at_horizon(tree)
     pen = minimal_penalty(model, r, root_st, horizon, settings).values[tree.root]
-    if not (pen <= settings.feasibility_tol):
+    if not (pen <= tol):
         report.add("precondition", f"R has minimal penalty {pen!r}, expected 0")
         return report
 

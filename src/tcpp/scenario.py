@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EnumerationOverflow, TcppError
 from .report import CheckReport
-from .settings import DEFAULT, Settings, pinned
+from .settings import DEFAULT, RANK_TOL, Settings, pinned
 from .tree import (Claim, FiltrationTree, Measure, StoppingTime, precedes,
                    validate_stopping_time)
 
@@ -454,7 +454,7 @@ def minimal_penalty(model: ScenarioModel, r: Measure, sigma: StoppingTime,
     convex hull of the menu kernels, and NaN marks atoms R does not charge
     (the conjugate is an R-a.s. object).
     """
-    tree = model.tree
+    tree, settings = model.tree, pinned(settings)
     validate_stopping_time(tree, sigma)
     validate_stopping_time(tree, tau)
     if not precedes(tree, sigma, tau):
@@ -542,7 +542,7 @@ def _kernel_max(p: np.ndarray, drift: np.ndarray, cap: np.ndarray, v: np.ndarray
         rn = np.linalg.norm(r, axis=-1)
         step = np.sqrt(np.maximum(room - (y0 ** 2).sum(-1), 0.0))
         step = np.divide(step, rn, out=np.zeros_like(rn),
-                         where=rn > settings.rank_tol * (1.0 + np.abs(ws).sum(-1)))
+                         where=rn > RANK_TOL * (1.0 + np.abs(ws).sum(-1)))
         y = y0 + step[..., None] * r
         ok = (live[:, :, sup].all(-1) & _on_slice(a, rp, y, settings)
               & ((y ** 2).sum(-1) <= cap2[:, None] * (1.0 + settings.feasibility_tol)))
@@ -606,12 +606,11 @@ def _slice_systems(rp: np.ndarray, drift: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _on_slice(a: np.ndarray, rp: np.ndarray, y: np.ndarray, settings: Settings) -> np.ndarray:
     """Whether points y (one per objective, node and support) give kernels
-    sqrt(p) y that are nonnegative to the feasibility tolerance and solve
-    their systems ``a`` to no looser a one than the default: a kernel's miss
-    of its sum or martingale rows adds up along the paths of a measure."""
-    tol = pinned(settings).feasibility_tol
+    sqrt(p) y that are nonnegative and solve their systems ``a`` to the
+    feasibility tolerance, which its callers' number functions pin."""
+    tol = settings.feasibility_tol
     res = np.einsum("gcrs,igcs->igcr", a, y) - np.eye(a.shape[2])[0]
-    return ((rp * y >= -settings.feasibility_tol).all(-1)
+    return ((rp * y >= -tol).all(-1)
             & (np.abs(res).max(-1) <= tol * (1.0 + np.abs(a).max((-2, -1)))))
 
 

@@ -5,21 +5,18 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import TcppError
 
+RANK_TOL = 1e-12    # pivots, projections and scaled determinants below it count as zero
+DUALITY_TOL = 1e-7  # largest primal-dual objective gap of an optimal LP solve
+
 
 @dataclass(frozen=True)
 class Settings:
     """One record of tolerances and caps, threaded to all callers; each is
     finite and nonnegative, or the record raises naming it.
 
-    feasibility_tol   constraint satisfaction / pass-fail tolerance, also for
-                      the one-step kernels of the martingale, calibrated and
-                      good-deal bounds (sign and cap) and calibration's quote
-                      bands; ``pinned`` caps it at the default where misses
-                      add up or a master LP is solved
-    rank_tol          pivot magnitude below which a tableau entry is treated as zero,
-                      and |det| over the product of row norms below which a
-                      game kernel of constrained pricing counts as singular
-    duality_tol       allowed primal-dual objective gap on optimal solves
+    feasibility_tol   pass-fail tolerance of every verdict (the checks, the
+                      no-free-lunch searches, calibration's quote bands); a
+                      function that returns a number reads ``pinned``
     equivalence_floor strict-positivity margin below which a measure is not
                       accepted as equivalent; the no-free-lunch searches and
                       the martingale bounds apply it per edge, to each
@@ -46,8 +43,6 @@ class Settings:
     """
 
     feasibility_tol: float = 1e-9
-    rank_tol: float = 1e-12
-    duality_tol: float = 1e-7
     equivalence_floor: float = 1e-12
     max_enum: int = 10**6
 
@@ -61,11 +56,13 @@ DEFAULT = Settings()
 
 
 def pinned(settings: Settings) -> Settings:
-    """``settings`` with ``feasibility_tol`` no looser than the default's,
-    for the vertex kernels' residuals (their misses add up along the paths),
-    calibration's whole vertex table (its mean kernels make R) and the master
-    LPs of the column generations (:func:`tcpp.lp.solve` pivots to that
-    tolerance but checks to ``duality_tol``)."""
+    """``settings`` with ``feasibility_tol`` no looser than the default's:
+    what a function that returns a number computes at, once at its entry,
+    so that all it calls (kernel searches, vertex tables, master LPs, gap
+    checks) sees one tolerance.  Kernels that miss their rows by a loose
+    tolerance add up along the paths of a measure, and an LP pivoted to
+    one checks to ``DUALITY_TOL`` all the same.  At the default or a
+    tighter tolerance it returns ``settings`` unchanged."""
     if settings.feasibility_tol <= DEFAULT.feasibility_tol:
         return settings
     return replace(settings, feasibility_tol=DEFAULT.feasibility_tol)

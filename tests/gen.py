@@ -5,7 +5,7 @@ import numpy as np
 
 from tcpp.market import AssetProcess
 from tcpp.scenario import MenuEntry, ScenarioModel
-from tcpp.tree import Claim, FiltrationTree, StoppingTime
+from tcpp.tree import Claim, FiltrationTree, Measure, StoppingTime
 
 
 def random_tree(rng: np.random.Generator, max_periods: int = 3,
@@ -87,6 +87,18 @@ def random_model(rng: np.random.Generator, tree: FiltrationTree,
             entries.append(MenuEntry(ker, pen))
         menus[v] = entries
     return ScenarioModel(tree, menus)
+
+
+def menu_mixture(rng: np.random.Generator, model: ScenarioModel) -> Measure:
+    """An equivalent measure R whose kernel at each node is a Dirichlet
+    mixture of that node's menu kernels, so inside their convex hull."""
+    tree = model.tree
+    mixed = np.zeros((tree.n_nodes, int(tree.arity.max())))
+    for nodes, _, kernels, _ in model.steps(tree.leaves):
+        for i, v in enumerate(nodes.tolist()):
+            n = model.menu_sizes[v]
+            mixed[v, :kernels.shape[2]] = rng.dirichlet(np.ones(n)) @ kernels[i, :n]
+    return Measure.from_leaf_masses(tree, tree.product_down(mixed)[list(tree.leaves)])
 
 
 def killed_leaf_model(rng: np.random.Generator, tree: FiltrationTree,

@@ -1461,7 +1461,8 @@ def levels_by_walk(tree, cut) -> dict[tuple[int, int], list[int]]:
 # each fault raised at its line as the loop meets it.
 
 _SETTING_FIELDS = {f.name: f.type for f in dataclasses.fields(Settings)}
-_IGNORED_SETTINGS = ("cut_tol", "max_cut_rounds", "verify_lp")    # accepted and ignored
+_IGNORED_SETTINGS = ("cut_tol", "max_cut_rounds", "verify_lp",      # accepted and ignored
+                     "rank_tol", "duality_tol")
 
 
 def _num(token: str, line: int, what: str) -> float:

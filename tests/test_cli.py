@@ -100,6 +100,19 @@ def test_settings_override_round_trip():
     assert parse_market_text(serialize_market(md)) == md
 
 
+def test_retired_rank_and_duality_settings_are_read_and_ignored():
+    # the rank and duality tolerances are constants of tcpp.settings now:
+    # their set lines parse, in both parsers, to the default settings and
+    # are not written back
+    text = MINIMAL + "set rank_tol 1e-3\nset duality_tol 0.5\nset max_enum 5000\n"
+    md = parse_market_text(text)
+    assert md.settings == Settings(max_enum=5000)
+    assert oracles.parse_market_text(text) == md
+    again = serialize_market(md)
+    assert "rank_tol" not in again and "duality_tol" not in again
+    assert parse_market_text(again) == md
+
+
 def test_claim_file_stopping_time_checked():
     md = parse_market_text(MINIMAL)
     claim = parse_claim_text("value 1 1\nvalue 2 0\n", md.tree)
@@ -391,8 +404,8 @@ def test_cap_below_one_names_its_line(node, capsys, tmp_path):
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("field, value", [("feasibility_tol", -1.0), ("rank_tol", math.nan),
-                                          ("duality_tol", math.inf),
+@pytest.mark.parametrize("field, value", [("feasibility_tol", -1.0), ("feasibility_tol", math.nan),
+                                          ("equivalence_floor", math.inf),
                                           ("equivalence_floor", -1e-12), ("max_enum", -3)])
 def test_settings_check_their_values(field, value):
     with pytest.raises(TcppError, match=f"setting {field} must be finite and at least 0"):
@@ -403,10 +416,23 @@ def test_settings_check_their_values(field, value):
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 @pytest.mark.parametrize("argv", [["nfl", "--market", BINOMIAL],
                                   ["calibrate", "--market", TRINOMIAL],
-                                  ["bounds", "--market", TRINOMIAL, "--claim", DIGITAL]])
+                                  ["bounds", "--market", TRINOMIAL, "--claim", DIGITAL],
+                                  ["extends", "--market", BINOMIAL],
+                                  ["constrained", "--market", BINOMIAL, "--claim", CALL]])
 def test_tol_flag_out_of_range_exits_two(argv, tol, capsys):
     assert main([*argv, "--tol", tol]) == 2
     assert "setting feasibility_tol must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["price", "--market", BINOMIAL, "--claim", CALL],
+                                  ["american", "--market", BINOMIAL, "--claim", PUT],
+                                  ["check-tcpp", "--market", BINOMIAL]])
+def test_commands_without_a_verdict_tolerance_reject_the_tol_flag(argv, capsys):
+    # price, american and check-tcpp compare at no tolerance --tol sets
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", "1e-2"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_max_enum_env_out_of_range_exits_two(monkeypatch, capsys):
@@ -445,7 +471,7 @@ def test_readme_examples_print_their_golden_machine_output(name, capsys):
         assert capsys.readouterr().out.encode() == fh.read()
 
 
-@pytest.mark.parametrize("line", ["set feasibility_tol -1", "set rank_tol -0.5",
+@pytest.mark.parametrize("line", ["set feasibility_tol -1", "set equivalence_floor -0.5",
                                   "set max_enum -5"])
 def test_setting_out_of_range_names_its_line(line, capsys, tmp_path):
     with open(BINOMIAL, encoding="utf-8") as fh:

@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+import tcpp.nfl
+import tcpp.pricing
 from gen import killed_leaf_model, random_claim, random_model, random_tree
 from tcpp.nfl import (FreeLunchCertificate, ZeroCostStrategy,
                       find_static_free_lunch,
@@ -58,6 +60,23 @@ def test_small_scale_free_lunch_found():
     assert price(model, cert.claim, StoppingTime.at_root(tree)).values[0] <= 1e-9
     rep = nfl_verdict(model)
     assert not rep.no_free_lunch
+
+
+def test_the_static_certificate_is_priced_once(monkeypatch):
+    # the search prices its claim and the verdict reads that price: one
+    # backward pass on a free-lunch model, where the verdict priced it again
+    tree = FiltrationTree.trinomial(1)
+    model = ScenarioModel(tree, {0: [MenuEntry((1.0, 0.0, 0.0), 0.0),
+                                     MenuEntry((0.0, 0.0, 1.0), 0.1)]})
+    passes = []
+    backward_pass = tcpp.pricing.backward_pass
+    counted = lambda *args: passes.append(args[1]) or backward_pass(*args)
+    monkeypatch.setattr(tcpp.pricing, "backward_pass", counted)
+    monkeypatch.setattr(tcpp.nfl, "backward_pass", counted)
+    rep = nfl_verdict(model)
+    assert not rep.no_free_lunch and len(passes) == 1
+    root = StoppingTime.at_root(tree)
+    assert rep.checks.info["certificate_price"] == price(model, rep.certificate.claim, root).values[0]
 
 
 def test_certificate_dataclass_shape():

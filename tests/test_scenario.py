@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from gen import random_claim, random_irregular_tree, random_model, random_tree
+from gen import (menu_mixture, random_claim, random_irregular_tree, random_model,
+                 random_tree)
 from tcpp.errors import EnumerationOverflow, TcppError
 from tcpp.scenario import (MeasureSelection, MenuEntry, PenaltyProcess,
                            ScenarioModel, _check_selection, aggregate_penalty,
@@ -15,7 +16,7 @@ from tcpp.scenario import (MeasureSelection, MenuEntry, PenaltyProcess,
                            minimal_penalty, selection_to_measure)
 from tcpp.settings import Settings
 from tcpp.tree import Claim, FiltrationTree, Measure, StoppingTime, precedes
-from tcpp.pricing import price
+from tcpp.pricing import price, random_stopping_time
 
 
 def test_model_validation():
@@ -107,7 +108,6 @@ def test_cocycle_identity_exact_for_all_triples():
         model = random_model(rng, tree)
         sels = list(itertools.islice(enumerate_selections(model), 4))
         for sel in sels:
-            from tcpp.pricing import random_stopping_time
             nu = random_stopping_time(tree, rng)
             tau = random_stopping_time(tree, rng, lo=nu)
             sigma = random_stopping_time(tree, rng, lo=nu, hi=tau)
@@ -129,6 +129,33 @@ def _expect_below(model, choice, node, sigma, values):
     entry = model.menus[node][choice[node]]
     return sum(entry.kernel[i] * _expect_below(model, choice, c, sigma, values)
                for i, c in enumerate(tree.children[node]))
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-2])
+def test_minimal_penalty_is_a_cocycle(tol):
+    # for sigma <= rho <= tau the penalty from sigma to tau is the one from
+    # sigma to rho plus E_R of the one from rho to tau given F_sigma, atom
+    # by atom, each term from its own call
+    settings = Settings(feasibility_tol=tol)
+    rng = np.random.default_rng(23)
+    nonzero = 0
+    for i in range(150):
+        tree = (random_tree if i % 2 else random_irregular_tree)(rng, 3, 4)
+        model = random_model(rng, tree, 4)
+        r = menu_mixture(rng, model)
+        tau = random_stopping_time(tree, rng)
+        sigma = random_stopping_time(tree, rng, hi=tau)
+        rho = random_stopping_time(tree, rng, lo=sigma, hi=tau)
+        whole = minimal_penalty(model, r, sigma, tau, settings).array
+        head = minimal_penalty(model, r, sigma, rho, settings).array
+        tail = minimal_penalty(model, r, rho, tau, settings).array
+        mass = r.node_masses(tree)
+        below = np.bincount(tree.owner_index(sigma.index, rho.index), mass[rho.index] * tail,
+                            len(sigma.index))
+        np.testing.assert_allclose(whole, head + below / mass[sigma.index], rtol=1e-12,
+                                   atol=1e-15, err_msg=f"model {i}")
+        nonzero += bool(whole.any())
+    assert nonzero >= 30
 
 
 def test_check_cocycle_accepts_construction_and_flags_perturbation():
