@@ -7,8 +7,9 @@ and support enumerations per node (``constrained``, ``bounds``,
 ``calibrate``, and the menu-entry supports of the minimal penalty that
 ``nfl`` checks), and the reference enumerators.  ``--tol`` sets the
 feasibility tolerance at which ``nfl``, ``calibrate`` and ``extends``
-compare their verdicts; the numbers of ``bounds`` and ``constrained`` are
-computed at no looser a one than the default (:func:`tcpp.settings.pinned`).
+compare their verdicts.  ``bounds`` and ``constrained`` print numbers,
+computed at no looser a tolerance than the default
+(:func:`tcpp.settings.pinned`), so they refuse ``--tol`` as ``price`` does.
 
 ``check-tcpp`` draws its samples as one array and hands it to the checks as
 a :class:`~tcpp.tree.ClaimStack`, with no claim object each: the axioms
@@ -261,7 +262,7 @@ _OPTIONS = {
     "samples": (("check-tcpp",), dict(type=int, default=200)),
     "kind": (("bounds",), dict(choices=["mme", "calibrated", "good-deal"], default="mme")),
     "good-deal-cap": (("bounds",), dict(type=float, default=None)),
-    "tol": (("nfl", "bounds", "calibrate", "extends", "constrained"),
+    "tol": (("nfl", "calibrate", "extends"),
             dict(type=float, default=None, help="override the feasibility tolerance of "
                  "verdicts; printed numbers are computed at no looser than the default")),
 }

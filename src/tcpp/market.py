@@ -37,8 +37,8 @@ from .errors import (EmptyGoodDealSet, EnumerationOverflow, NoMartingaleMeasure,
 from .lp import EQ, GE, LE, LinearProgram, solve
 from .pricing import backward_pass, price, random_stopping_time
 from .report import CheckReport
-from .scenario import (_BATCH, ScenarioModel, _cap_supports, _kernel_max,
-                       _vertex_kernels, minimal_penalty)
+from .scenario import (_BATCH, _CELLS, ScenarioModel, _cap_supports, _kernel_max,
+                       _slice_batches, _slice_cells, _vertex_kernels, minimal_penalty)
 from .settings import DEFAULT, RANK_TOL, Settings, pinned
 from .tree import (Claim, FiltrationTree, Measure, StoppingTime,
                    lift_to_leaves, precedes, require_finite,
@@ -621,17 +621,11 @@ def _vertex_table(tree: FiltrationTree, assets: Sequence[AssetProcess], settings
         steps = _level_steps(tree, _spot(tree, assets))
     sizes = [_kernel_support_size(tree, nodes, kids.shape[1], len(assets), settings)
              for nodes, kids, *_ in steps]
-    stacks: dict[tuple[int, int], list[int]] = {}
-    for i, ((_, kids, *_), size) in enumerate(zip(steps, sizes)):
-        stacks.setdefault((kids.shape[1], size), []).append(i)
     found = [None] * len(steps)
-    for (_, size), members in stacks.items():
-        node, *rest = _vertex_kernels(np.concatenate([steps[i][2] for i in members]),
-                                      np.concatenate([steps[i][3] for i in members]),
-                                      size, settings)
-        ends = np.cumsum([len(steps[i][0]) for i in members])
-        cut = np.searchsorted(node, np.r_[0, ends])
-        for i, first, lo, hi in zip(members, np.r_[0, ends], cut, cut[1:]):
+    for size, members, p, drift, starts in _stacks(steps, sizes):
+        node, *rest = _vertex_kernels(p, drift, size, settings)
+        cut = np.searchsorted(node, starts)
+        for i, first, lo, hi in zip(members, starts, cut, cut[1:]):
             found[i] = (node[lo:hi] - first, *(z[lo:hi] for z in rest))
     root_p = np.ones(tree.n_nodes)
     for _, kids, p, _ in steps:
@@ -658,6 +652,21 @@ def _vertex_table(tree: FiltrationTree, assets: Sequence[AssetProcess], settings
     if not alive[tree.root]:
         raise NoMartingaleMeasure(f"no martingale kernel at node {_first_dead(tree, ~alive)}")
     return _VertexTable(groups, root_p, charged)
+
+
+def _stacks(steps: list, sizes: list[int]):
+    """The level groups of ``steps`` (of :func:`_level_steps`) that share an
+    arity and a support size of ``sizes``, stacked: per stack, that size,
+    the indices of its groups in ``steps``, their reference kernels and
+    asset moves as one array each, and where each group's nodes start in
+    them, with the stack's node count last."""
+    stacks: dict[tuple[int, int], list[int]] = {}
+    for i, ((_, kids, *_), size) in enumerate(zip(steps, sizes)):
+        stacks.setdefault((kids.shape[1], size), []).append(i)
+    for (_, size), members in stacks.items():
+        yield (size, members, np.concatenate([steps[i][2] for i in members]),
+               np.concatenate([steps[i][3] for i in members]),
+               list(itertools.accumulate((len(steps[i][0]) for i in members), initial=0)))
 
 
 def _kernel_support_size(tree: FiltrationTree, nodes: np.ndarray, k: int, n_assets: int,
@@ -692,10 +701,16 @@ def good_deal_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess],
     U(n) = max over q in K_n of q . U(children).  Without a finite cap the
     maximum is over the vertices of K_n, the induction of :func:`mme_bounds`.
     With caps each level group is one :func:`tcpp.scenario._kernel_max`
-    over its supports for both sides.  An empty K_n gives -inf, which the
-    parent avoids; an empty root raises :class:`NoMartingaleMeasure`, or
-    :class:`EmptyGoodDealSet` if only the caps empty it, naming the first
-    node whose own constraints are empty."""
+    over its supports for both sides.  The slice systems of that search
+    depend on the reference kernels and the asset moves alone, so the level
+    groups of one arity and support size are solved as one stack, once per
+    support batch, before the induction, and each group's search reads its
+    own rows; a stack whose systems hold more than ``scenario._CELLS``
+    numbers is not kept, and each of its groups solves its own batches in
+    its search, so memory stays that of one batch.  An empty K_n gives
+    -inf, which the parent avoids; an empty root raises
+    :class:`NoMartingaleMeasure`, or :class:`EmptyGoodDealSet` if only the
+    caps empty it, naming the first node whose own constraints are empty."""
     cap, settings = caps.on(tree), pinned(settings)
     validate_stopping_time(tree, x.at)
     require_finite(x, "claim value")
@@ -705,10 +720,17 @@ def good_deal_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess],
     sizes = [_kernel_support_size(tree, nodes, kids.shape[1], len(assets), settings,
                                   bool(np.isfinite(cap[nodes]).any()))
              for nodes, kids, *_ in steps]
+    solved = [None] * len(steps)      # per level group, its rows of its stack's batches
+    for size, members, p, drift, starts in _stacks(steps, sizes):
+        if starts[-1] * _slice_cells(drift.shape[1], size, len(assets) + 1) <= _CELLS:
+            stack = list(_slice_batches(np.sqrt(p), drift, size, starts[-1]))
+            for i, lo, hi in zip(members, starts, starts[1:]):
+                solved[i] = [sl.rows(lo, hi) for sl in stack]
     values = np.empty((2, tree.n_nodes))      # the lower side negated, the upper side
     values[:, list(tree.leaves)] = np.outer([-1.0, 1.0], lift_to_leaves(tree, x))
-    for (nodes, kids, p, drift), size in zip(steps, sizes):
-        values[:, nodes] = _kernel_max(p, drift, cap[nodes], values[:, kids], size, settings)
+    for (nodes, kids, p, drift), size, batches in zip(steps, sizes, solved):
+        values[:, nodes] = _kernel_max(p, drift, cap[nodes], values[:, kids], size, settings,
+                                       batches)
     dead = np.isinf(values).any(0)
     if dead[tree.root]:
         node = _first_dead(tree, dead)
@@ -817,13 +839,17 @@ def _game_bounds(pay: np.ndarray, size: int,
     against the whole matrix after clipping, so lower <= value <= upper
     holds whatever the solves return, with equality once a kernel of an
     optimal pair is among those tried.  ``size`` may stop at one more than
-    the rank of the row differences.
+    the rank of the row differences.  A 1 x 1 kernel's mixtures are pure
+    strategies, which need no solve: they give the best column's least row,
+    max over c of min over r, and the best row's largest column (plus 0.0,
+    which maps -0.0 to 0.0 as the sum of an evaluation does); a NaN entry
+    propagates into both.  :func:`_equalizer` solves the larger kernels.
     """
     g, m, k = pay.shape
     step = max(1, _BATCH // g)
-    lower = np.full(g, -np.inf)
-    upper = np.full(g, np.inf)
-    for s in range(1, size + 1):
+    lower = pay.min(1).max(1) + 0.0
+    upper = pay.max(2).min(1) + 0.0
+    for s in range(2, size + 1):
         pairs = np.array([r + c for r in itertools.combinations(range(m), s)
                           for c in itertools.combinations(range(k), s)])
         for lo in range(0, len(pairs), step):
@@ -841,9 +867,11 @@ def _game_bounds(pay: np.ndarray, size: int,
 def _equalizer(sub: np.ndarray, settings: Settings) -> tuple[np.ndarray, np.ndarray]:
     """Mixture over the columns of each square block that pays every row the
     same: the solution of [1 ... 1; B_r - B_0] q = e_1, which the kernel of
-    an optimal pair makes nonsingular whatever the game's value.  Returns
-    the mixtures, clipped into the simplex, and a mask of those that are
-    nonsingular and nonnegative to the feasibility tolerance."""
+    an optimal pair makes nonsingular whatever the game's value.  The
+    blocks are 2 x 2 and up: :func:`_game_bounds` reads the pure strategies
+    off the matrix.  Returns the mixtures, clipped into the simplex, and a
+    mask of those that are nonsingular and nonnegative to the feasibility
+    tolerance."""
     s = sub.shape[-1]
     a = np.concatenate([np.ones(sub.shape[:-2] + (1, s)),
                         sub[..., 1:, :] - sub[..., :1, :]], axis=-2)

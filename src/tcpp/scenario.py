@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -515,7 +515,8 @@ _TABLEAU_CELLS = 1 << 25
 
 
 def _kernel_max(p: np.ndarray, drift: np.ndarray, cap: np.ndarray, v: np.ndarray,
-                size: int, settings: Settings) -> np.ndarray:
+                size: int, settings: Settings,
+                batches: Iterable[_Slices] | None = None) -> np.ndarray:
     """Max of q . v[i, g] over the kernels of K_g giving no weight to children
     with v[i, g] = -inf, for a stack of nodes g and objectives i; -inf where
     there is none: K_g = {q >= 0, sum q = 1, q . drift[g] = 0,
@@ -528,26 +529,40 @@ def _kernel_max(p: np.ndarray, drift: np.ndarray, cap: np.ndarray, v: np.ndarray
     Cochrane-Saa-Requejo), or y0 without a cap or projection.  Supports of
     up to ``size`` children are tried (a vertex has at most one more than
     the assets); a candidate counts if it solves its system and is
-    nonnegative and within the cap to the feasibility tolerance."""
+    nonnegative and within the cap to the feasibility tolerance.  The
+    systems depend on p and the drift alone: ``batches`` are those of
+    :func:`_slice_batches` for these nodes, solved already (the stacks of
+    ``market.good_deal_bounds``); without them each batch is solved here,
+    for ``m * g`` systems per support."""
     m, g, k = v.shape
     root_p, live = np.sqrt(p), ~np.isinf(v)
     w, cap2 = root_p * np.where(live, v, 0.0), cap ** 2
-    room = np.where(np.isfinite(cap2), cap2, 0.0)[:, None]
+    if batches is None:
+        batches = _slice_batches(root_p, drift, size, m * g)
     best = np.full((m, g), -np.inf)
-    for sup in _support_batches(k, size, m * g):
-        rp, ws = root_p[:, sup], w[:, :, sup]
-        a, pinv = _slice_systems(rp, drift[:, sup])
-        y0 = pinv[..., 0]
-        r = ws - np.einsum("gcst,igct->igcs", pinv @ a, ws)
-        rn = np.linalg.norm(r, axis=-1)
-        step = np.sqrt(np.maximum(room - (y0 ** 2).sum(-1), 0.0))
-        step = np.divide(step, rn, out=np.zeros_like(rn),
-                         where=rn > RANK_TOL * (1.0 + np.abs(ws).sum(-1)))
-        y = y0 + step[..., None] * r
-        ok = (live[:, :, sup].all(-1) & _on_slice(a, rp, y, settings)
-              & ((y ** 2).sum(-1) <= cap2[:, None] * (1.0 + settings.feasibility_tol)))
-        best = np.maximum(best, np.where(ok, (ws * y).sum(-1), -np.inf).max(-1))
+    # map holds no batch while it solves the next one
+    for part in map(functools.partial(_batch_max, w=w, live=live, cap2=cap2,
+                                      settings=settings), batches):
+        best = np.maximum(best, part)
     return best
+
+
+def _batch_max(sl: _Slices, w: np.ndarray, live: np.ndarray, cap2: np.ndarray,
+               settings: Settings) -> np.ndarray:
+    """The search of :func:`_kernel_max` over the supports of one batch
+    ``sl``, for the objectives ``w`` = sqrt(p) v (zero where v = -inf) and
+    the squared caps ``cap2``."""
+    room = np.where(np.isfinite(cap2), cap2, 0.0)[:, None]
+    ws = w[:, :, sl.sup]
+    r = ws - np.einsum("gcst,igct->igcs", sl.proj, ws)
+    rn = np.linalg.norm(r, axis=-1)
+    step = np.sqrt(np.maximum(room - sl.norm, 0.0))
+    step = np.divide(step, rn, out=np.zeros_like(rn),
+                     where=rn > RANK_TOL * (1.0 + np.abs(ws).sum(-1)))
+    y = sl.y0 + step[..., None] * r
+    ok = (live[:, :, sl.sup].all(-1) & _on_slice(sl, y, settings)
+          & ((y ** 2).sum(-1) <= cap2[:, None] * (1.0 + settings.feasibility_tol)))
+    return np.where(ok, (ws * y).sum(-1), -np.inf).max(-1)
 
 
 def _vertex_kernels(p: np.ndarray, drift: np.ndarray, size: int, settings: Settings
@@ -563,17 +578,13 @@ def _vertex_kernels(p: np.ndarray, drift: np.ndarray, size: int, settings: Setti
     The rest are dropped batch by batch, so memory grows with the vertices
     found, not the supports."""
     g, k = p.shape
-    root_p = np.sqrt(p)
     out = [(np.zeros(0, dtype=np.intp), np.zeros((0, size), dtype=np.intp),
             np.zeros(0, dtype=np.intp), np.zeros((0, size)))]
-    for sup in _support_batches(k, size, g):
-        rp = root_p[:, sup]
-        a, pinv = _slice_systems(rp, drift[:, sup])
-        y0 = pinv[..., 0]
-        node, i = np.nonzero(_on_slice(a, rp, y0[None], settings)[0])
-        s = sup.shape[1]
-        rows, points = sup[i], np.zeros((len(i), size))
-        points[:, :s] = y0[node, i]
+    for sl in _slice_batches(np.sqrt(p), drift, size, g, project=False):
+        node, i = np.nonzero(_on_slice(sl, sl.y0[None], settings)[0])
+        s = sl.sup.shape[1]
+        rows, points = sl.sup[i], np.zeros((len(i), size))
+        points[:, :s] = sl.y0[node, i]
         if s < size:
             member = np.zeros((len(i), k), dtype=bool)
             member[np.arange(len(i))[:, None], rows] = True
@@ -595,6 +606,54 @@ def _support_batches(k: int, size: int, stack: int) -> Iterator[np.ndarray]:
             yield sups[lo:lo + step]
 
 
+class _Slices(NamedTuple):
+    """The slice systems of one support batch for a stack of nodes g: the
+    supports ``sup`` (c, s), sqrt(p) on them ``rp`` (g, c, s), the systems
+    ``a`` (g, c, assets + 1, s), the projections pinv(a) a onto their row
+    spaces ``proj`` (g, c, s, s), the least-norm points ``y0`` (g, c, s) and
+    their squared norms ``norm``, and the scale 1 + max |a| of
+    :func:`_on_slice`'s residual test (g, c)."""
+
+    sup: np.ndarray
+    rp: np.ndarray
+    a: np.ndarray
+    proj: np.ndarray | None
+    y0: np.ndarray
+    norm: np.ndarray | None
+    scale: np.ndarray
+
+    def rows(self, lo: int, hi: int) -> "_Slices":
+        """The systems of nodes lo to hi of the stack."""
+        return _Slices(self.sup, *(None if z is None else z[lo:hi] for z in self[1:]))
+
+
+def _slice_cells(k: int, size: int, n_rows: int) -> int:
+    """Numbers that :func:`_slice_batches` holds per node over all its
+    batches, for ``k`` children, supports of 1 to ``size`` of them and
+    systems of ``n_rows`` rows: a, its pseudo-inverse (which y0 views),
+    proj, rp, norm and scale."""
+    return sum(math.comb(k, s) * (s * (2 * n_rows + s + 1) + 2) for s in range(1, size + 1))
+
+
+def _slice_batches(root_p: np.ndarray, drift: np.ndarray, size: int, stack: int,
+                   project: bool = True) -> Iterator[_Slices]:
+    """The :class:`_Slices` of the nodes of ``root_p`` (sqrt(p), a row per
+    node) and ``drift``, one per batch of :func:`_support_batches` for
+    ``stack`` systems per support; without ``project`` (no objective to
+    project), ``proj`` and ``norm`` are None."""
+    for sup in _support_batches(root_p.shape[1], size, stack):
+        yield _slices(root_p, drift, sup, project)
+
+
+def _slices(root_p: np.ndarray, drift: np.ndarray, sup: np.ndarray, project: bool) -> _Slices:
+    """The :class:`_Slices` of one batch of supports ``sup``."""
+    rp = root_p[:, sup]
+    a, pinv = _slice_systems(rp, drift[:, sup])
+    y0 = pinv[..., 0]
+    return _Slices(sup, rp, a, pinv @ a if project else None, y0,
+                   (y0 ** 2).sum(-1) if project else None, 1.0 + np.abs(a).max((-2, -1)))
+
+
 def _slice_systems(rp: np.ndarray, drift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per node g and support of a batch, with ``rp`` the square roots of
     the reference weights on the support and ``drift`` the children's moves:
@@ -604,14 +663,13 @@ def _slice_systems(rp: np.ndarray, drift: np.ndarray) -> tuple[np.ndarray, np.nd
     return a, np.linalg.pinv(a)
 
 
-def _on_slice(a: np.ndarray, rp: np.ndarray, y: np.ndarray, settings: Settings) -> np.ndarray:
-    """Whether points y (one per objective, node and support) give kernels
-    sqrt(p) y that are nonnegative and solve their systems ``a`` to the
+def _on_slice(sl: _Slices, y: np.ndarray, settings: Settings) -> np.ndarray:
+    """Whether points y (one per objective, node and support of ``sl``) give
+    kernels sqrt(p) y that are nonnegative and solve their systems to the
     feasibility tolerance, which its callers' number functions pin."""
     tol = settings.feasibility_tol
-    res = np.einsum("gcrs,igcs->igcr", a, y) - np.eye(a.shape[2])[0]
-    return ((rp * y >= -tol).all(-1)
-            & (np.abs(res).max(-1) <= tol * (1.0 + np.abs(a).max((-2, -1)))))
+    res = np.einsum("gcrs,igcs->igcr", sl.a, y) - np.eye(sl.a.shape[2])[0]
+    return (sl.rp * y >= -tol).all(-1) & (np.abs(res).max(-1) <= tol * sl.scale)
 
 
 def uncharged_edges(model: ScenarioModel, mixture: np.ndarray,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from bisect import bisect_right
 from typing import Sequence
@@ -13,17 +14,18 @@ from tcpp.errors import (EmptyGoodDealSet, ForeignNode, InconsistentVerdicts,
                          TcppError)
 from tcpp.lp import EQ, GE, LE, LinearProgram, solve
 from tcpp.market import (AssetProcess, ConstraintSet, GoodDealCaps, QuotedOption,
-                         _first_dead, _kernel_support_size, _level_steps, _spot)
+                         _equalizer, _first_dead, _kernel_support_size, _level_steps, _spot,
+                         _table_bounds, _vertex_table)
 from tcpp.marketfile import MarketData
 from tcpp.nfl import (FreeLunchCertificate, NflReport, ZeroCostStrategy,
                       find_static_free_lunch, find_zero_penalty_equivalent_measure)
 from tcpp.pricing import (SublinearReport, _columns, backward_pass, check_sublinear,
                           enumerate_stop_sets, price, random_stopping_time)
 from tcpp.report import CheckReport
-from tcpp.scenario import (MeasureSelection, MenuEntry, PenaltyProcess, ScenarioModel,
+from tcpp.scenario import (_BATCH, MeasureSelection, MenuEntry, PenaltyProcess, ScenarioModel,
                            _check_selection, _kernel_max, check_nondegenerate,
                            cumulative_penalties, minimal_penalty, subtree_duals)
-from tcpp.settings import DEFAULT, Settings
+from tcpp.settings import DEFAULT, Settings, pinned
 from tcpp.tree import (Claim, FiltrationTree, Measure, StoppingTime, lift,
                        lift_to_leaves, precedes, require_finite,
                        stacked_conditional_expectation, validate_stopping_time)
@@ -865,6 +867,57 @@ def kernel_bounds_per_group(tree, assets, x, settings=DEFAULT) -> tuple[float, f
     if dead[tree.root]:
         raise NoMartingaleMeasure(f"no martingale kernel at node {_first_dead(tree, dead)}")
     return -float(values[0, tree.root]), float(values[1, tree.root]), charged
+
+
+def good_deal_bounds_per_group(tree, assets, caps, x, settings=DEFAULT) -> tuple[float, float]:
+    """The good-deal bounds as computed before the capped level groups were
+    stacked: one :func:`tcpp.scenario._kernel_max` per level group, which
+    solves that group's slice systems in its own batches, for both sides."""
+    cap, settings = caps.on(tree), pinned(settings)
+    validate_stopping_time(tree, x.at)
+    require_finite(x, "claim value")
+    if not np.isfinite(cap).any():
+        return _table_bounds(tree, _vertex_table(tree, assets, settings), lift_to_leaves(tree, x))
+    steps = _level_steps(tree, _spot(tree, assets))
+    sizes = [_kernel_support_size(tree, nodes, kids.shape[1], len(assets), settings,
+                                  bool(np.isfinite(cap[nodes]).any()))
+             for nodes, kids, *_ in steps]
+    values = np.empty((2, tree.n_nodes))      # the lower side negated, the upper side
+    values[:, list(tree.leaves)] = np.outer([-1.0, 1.0], lift_to_leaves(tree, x))
+    for (nodes, kids, p, drift), size in zip(steps, sizes):
+        values[:, nodes] = _kernel_max(p, drift, cap[nodes], values[:, kids], size, settings)
+    dead = np.isinf(values).any(0)
+    if dead[tree.root]:
+        node = _first_dead(tree, dead)
+        _vertex_table(tree, assets, settings, steps)      # raises when M is empty too
+        raise EmptyGoodDealSet(f"caps exclude every martingale kernel at node {node}")
+    return -float(values[0, tree.root]), float(values[1, tree.root])
+
+
+def game_bounds_enumerated(pay: np.ndarray, size: int,
+                           settings: Settings) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on the values of the matrix games ``pay[g]`` as
+    :func:`tcpp.market._game_bounds` computed them before it read the pure
+    strategies off the matrix: every square kernel of 1 to ``size`` rows and
+    columns, 1 x 1 ones included, goes through
+    :func:`tcpp.market._equalizer`."""
+    g, m, k = pay.shape
+    step = max(1, _BATCH // g)
+    lower = np.full(g, -np.inf)
+    upper = np.full(g, np.inf)
+    for s in range(1, size + 1):
+        pairs = np.array([r + c for r in itertools.combinations(range(m), s)
+                          for c in itertools.combinations(range(k), s)])
+        for lo in range(0, len(pairs), step):
+            rows, cols = pairs[lo:lo + step, :s], pairs[lo:lo + step, s:]
+            sub = pay[:, rows[:, :, None], cols[:, None, :]]
+            q, q_ok = _equalizer(sub, settings)
+            lam, lam_ok = _equalizer(sub.swapaxes(-1, -2), settings)
+            guard = np.einsum("gmKs,gKs->gKm", pay[:, :, cols], q).min(axis=2)
+            cap = np.einsum("gKsk,gKs->gKk", pay[:, rows, :], lam).max(axis=2)
+            lower = np.maximum(lower, np.where(q_ok, guard, -np.inf).max(axis=1))
+            upper = np.minimum(upper, np.where(lam_ok, cap, np.inf).min(axis=1))
+    return lower, upper
 
 
 def good_deal_bounds_cuts(tree, assets, caps, x, settings=DEFAULT,

@@ -416,9 +416,7 @@ def test_settings_check_their_values(field, value):
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 @pytest.mark.parametrize("argv", [["nfl", "--market", BINOMIAL],
                                   ["calibrate", "--market", TRINOMIAL],
-                                  ["bounds", "--market", TRINOMIAL, "--claim", DIGITAL],
-                                  ["extends", "--market", BINOMIAL],
-                                  ["constrained", "--market", BINOMIAL, "--claim", CALL]])
+                                  ["extends", "--market", BINOMIAL]])
 def test_tol_flag_out_of_range_exits_two(argv, tol, capsys):
     assert main([*argv, "--tol", tol]) == 2
     assert "setting feasibility_tol must be finite" in capsys.readouterr().err
@@ -426,9 +424,13 @@ def test_tol_flag_out_of_range_exits_two(argv, tol, capsys):
 
 @pytest.mark.parametrize("argv", [["price", "--market", BINOMIAL, "--claim", CALL],
                                   ["american", "--market", BINOMIAL, "--claim", PUT],
-                                  ["check-tcpp", "--market", BINOMIAL]])
+                                  ["check-tcpp", "--market", BINOMIAL],
+                                  ["bounds", "--market", TRINOMIAL, "--claim", DIGITAL],
+                                  ["constrained", "--market", BINOMIAL, "--claim", CALL]])
 def test_commands_without_a_verdict_tolerance_reject_the_tol_flag(argv, capsys):
-    # price, american and check-tcpp compare at no tolerance --tol sets
+    # price, american and check-tcpp compare at no tolerance --tol sets, and
+    # bounds and constrained print numbers computed at no looser a one than
+    # the default
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--tol", "1e-2"])
     assert exc.value.code == 2

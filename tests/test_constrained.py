@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+import tcpp.market
 from gen import random_irregular_tree
-from oracles import constrained_price_lp
+from oracles import constrained_price_lp, game_bounds_enumerated
 from tcpp.errors import EnumerationOverflow, NumericalBreakdown, TcppError
 from tcpp.market import AssetProcess, ConstraintSet, _game_bounds, constrained_price
 from tcpp.pricing import random_stopping_time
@@ -99,6 +100,56 @@ def test_game_bounds_meet_at_the_value():
     np.testing.assert_allclose(upper, [0.0, 1.5], atol=1e-15)
     lower, upper = _game_bounds(pay, 1, DEFAULT)
     assert np.all(lower < [0.0, 1.5]) and np.all(upper > [0.0, 1.5])
+
+
+def _same(got, want) -> bool:
+    """Equal arrays to the bit: -0.0 and 0.0 differ, NaN matches NaN."""
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pure_strategies_read_off_the_matrix_give_the_enumeration_bit_for_bit(seed):
+    # entries from a small grid (ties, singular kernels), signed zeros,
+    # infinities and NaN, in stacks of every shape up to 4 x 4
+    rng = np.random.default_rng(seed)
+    grid = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+    for m in range(1, 5):
+        for k in range(1, 5):
+            pay = rng.choice(grid, (7, m, k)) * rng.choice([1.0, 1.0, 1.0, np.pi], (7, m, k))
+            pay[1] = -0.0
+            pay[2, 0, 0] = np.nan
+            pay[3, -1, -1] = np.inf
+            pay[4, 0, -1] = -np.inf
+            pay[5] = rng.normal(size=(m, k))
+            for size in range(1, min(m, k) + 1):
+                with np.errstate(invalid="ignore"):
+                    want = game_bounds_enumerated(pay, size, DEFAULT)
+                    got = _game_bounds(pay, size, DEFAULT)
+                assert _same(got, want), (seed, m, k, size)
+                assert np.isnan(got[0][2]) and np.isnan(got[1][2])
+
+
+def test_constrained_prices_are_those_of_the_enumeration_bit_for_bit(monkeypatch):
+    def price(tree, assets, h_set, x):
+        try:
+            return constrained_price(tree, assets, h_set, x).array.tobytes()
+        except TcppError as exc:
+            return type(exc).__name__, str(exc)
+
+    for tree, assets, h_set, x, kind in _instances(150, seed=5):
+        got = price(tree, assets, h_set, x)
+        with monkeypatch.context() as m:
+            m.setattr(tcpp.market, "_game_bounds", game_bounds_enumerated)
+            want = price(tree, assets, h_set, x)
+        assert got == want, kind
+    tree = FiltrationTree.binomial(1)
+    s = AssetProcess("S", {0: 1.0, 1: 2.0, 2: 0.5})
+    x = Claim(StoppingTime.at_horizon(tree), {1: float("nan"), 2: 0.0})
+    band = ConstraintSet([(-1.0,), (1.0,)])
+    got = price(tree, [s], band, x)
+    with monkeypatch.context() as m:
+        m.setattr(tcpp.market, "_game_bounds", game_bounds_enumerated)
+        assert price(tree, [s], band, x) == got
 
 
 def test_kernel_cap_raises_enumeration_overflow():

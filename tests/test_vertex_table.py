@@ -1,6 +1,8 @@
 """The vertex table that serves every bound without caps (the martingale
 bounds, calibration's edge test and the calibrated bounds), against the
-per-level-group induction it replaced, and the solves it makes."""
+per-level-group induction it replaced, and the solves it makes; the capped
+good-deal search over stacked slice systems against the search per level
+group."""
 import dataclasses
 import struct
 from unittest import mock
@@ -12,14 +14,14 @@ import tcpp.market
 import tcpp.scenario
 from gen import (martingale_assets, random_claim, random_irregular_tree, random_tree,
                  relabelled)
-from oracles import kernel_bounds_per_group
+from oracles import good_deal_bounds_per_group, kernel_bounds_per_group
 from test_calibration import KINDS as CALIBRATION_KINDS
 from test_calibration import _market as calibration_market
 from tcpp.errors import EmptyGoodDealSet, TcppError
 from tcpp.market import (AssetProcess, GoodDealCaps, QuotedOption, calibrated_bounds,
                          calibration_feasible, good_deal_bounds, mme_bounds)
 from tcpp.pricing import random_stopping_time
-from tcpp.scenario import _support_batches
+from tcpp.scenario import _kernel_max, _slice_batches, _support_batches
 from tcpp.settings import DEFAULT, Settings
 from tcpp.tree import Claim, FiltrationTree, StoppingTime
 
@@ -151,6 +153,81 @@ def test_calibration_answers_as_with_the_per_group_edge_test_and_bounds(kind, mo
         assert got == want, (kind, seed)
 
 
+def _lattice_market(seed: int):
+    """Seeded market ``seed`` for the capped search: a binomial or trinomial
+    tree of 1-3 periods with random leaf weights, 1-3 assets, and on every
+    third market one node whose assets rise on every child (no martingale
+    kernel, so its parent's search meets a child without one); a claim at a
+    random stopping time."""
+    rng = np.random.default_rng(seed)
+    periods = int(rng.integers(1, 4))
+    w = rng.dirichlet(np.full((2 + seed % 2) ** periods, 3.0)) + 0.02
+    tree = FiltrationTree.from_branching([2 + seed % 2] * periods, list(w / w.sum()))
+    assets = martingale_assets(rng, tree, 1 + seed // 2 % 3)
+    if seed % 3 == 2:
+        node = int(rng.choice(tree.internal_nodes()))
+        values = [dict(a.values) for a in assets]
+        for vals in values:
+            for c in tree.children[node]:
+                _shift(tree, vals, c, vals[node] + float(rng.uniform(0.1, 0.5)) - vals[c])
+        assets = [AssetProcess(a.name, vals) for a, vals in zip(assets, values)]
+    return tree, assets, random_claim(rng, tree, random_stopping_time(tree, rng))
+
+
+def _cap_sets(tree: FiltrationTree, rng: np.random.Generator) -> list[GoodDealCaps]:
+    """Uniform caps from 1 (only the reference kernel) up, and per-node caps:
+    finite on some nodes with an infinite default, and the reverse."""
+    some = [int(v) for v in tree.internal_nodes() if rng.random() < 0.5]
+    return [GoodDealCaps.uniform(a) for a in (1.0, 1.05, 1.3, 2.0)] + [
+        GoodDealCaps(float("inf"), dict.fromkeys(some, float(rng.uniform(1.0, 1.5)))),
+        GoodDealCaps(1.2, dict.fromkeys(some, float("inf")))]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kept", [True, False], ids=["stacks kept", "solved per group"])
+@pytest.mark.parametrize("chunk", range(4))
+def test_the_stacked_capped_search_gives_the_per_group_search_bit_for_bit(chunk, kept,
+                                                                          monkeypatch):
+    # with no cells to keep a stack in, each level group solves its own
+    # batches, as the per-group search does
+    if not kept:
+        monkeypatch.setattr(tcpp.market, "_CELLS", 0)
+    slice_batches = mock.Mock(wraps=tcpp.market._slice_batches)
+    monkeypatch.setattr(tcpp.market, "_slice_batches", slice_batches)
+    markets = [_lattice_market(seed) for seed in range(chunk, 48, 4)]
+    markets += [(tree, assets, claims[0], settings)
+                for tree, assets, claims, settings in map(_market, SEEDS[chunk:80:4])]
+    seen = set()
+    for i, (tree, assets, x, *settings) in enumerate(markets):
+        for caps in _cap_sets(tree, np.random.default_rng(i)):
+            got = _bits(lambda: good_deal_bounds(tree, assets, caps, x, *settings))
+            want = _bits(lambda: good_deal_bounds_per_group(tree, assets, caps, x, *settings))
+            assert got == want, (chunk, i, got, want)
+            seen.add(got[0] if isinstance(got[0], str) else "bounds")
+    assert {"bounds", "EmptyGoodDealSet", "NoMartingaleMeasure"} <= seen
+    assert slice_batches.called == kept
+
+
+def test_the_search_over_solved_batches_gives_the_search_that_solves_them_bit_for_bit():
+    # NaN and -inf objectives, finite and infinite caps, on batches solved
+    # for a stack of the same nodes twice
+    rng = np.random.default_rng(5)
+    tree, assets, _ = _lattice_market(3)
+    for nodes, kids, p, drift in tcpp.market._level_steps(tree, tcpp.market._spot(tree, assets)):
+        g, k = kids.shape
+        v = rng.normal(size=(2, g, k))
+        v[0, 0, 0], v[1, -1, -1] = np.nan, -np.inf
+        cap = rng.choice([1.0, 1.1, 1.5, np.inf], g)
+        stack = list(_slice_batches(np.sqrt(np.concatenate([p, p])),
+                                    np.concatenate([drift, drift]), k, 2 * g))
+        for lo in (0, g):
+            with np.errstate(invalid="ignore"):
+                got = _kernel_max(p, drift, cap, v, k, DEFAULT,
+                                  [sl.rows(lo, lo + g) for sl in stack])
+                want = _kernel_max(p, drift, cap, v, k, DEFAULT)
+            assert got.tobytes() == want.tobytes()
+
+
 def _trinomial_call(periods: int):
     """The asset with factors 2, 1, 0.5 per period on the uniform trinomial
     tree, a call on it struck at 1, and a quote of the call."""
@@ -165,13 +242,14 @@ def _trinomial_call(periods: int):
 
 def test_each_stack_of_supports_is_solved_once_per_batch(monkeypatch):
     # trinomial H=5 with one asset: 5 level groups of arity 3, 121 nodes and
-    # supports of 1 or 2 children, one stack solved in one batch per size;
-    # one search per level group solved the systems 10 times
+    # supports of 1 or 2 children without a cap, one stack solved in one
+    # batch per size; one search per level group solved the systems 10 times
     tree, s, call, quote = _trinomial_call(5)
     solves = []
     slice_systems = tcpp.scenario._slice_systems
     monkeypatch.setattr(tcpp.scenario, "_slice_systems",
                         lambda rp, drift: solves.append(rp.shape) or slice_systems(rp, drift))
+    kernel_max = tcpp.market._kernel_max
     refuse = mock.Mock(side_effect=AssertionError("_kernel_max called"))
     monkeypatch.setattr(tcpp.scenario, "_kernel_max", refuse)
     monkeypatch.setattr(tcpp.market, "_kernel_max", refuse)
@@ -184,6 +262,14 @@ def test_each_stack_of_supports_is_solved_once_per_batch(monkeypatch):
         solves.clear()
         run()
         assert solves == batches
+    # at cap 1.5 the supports hold 1 to 3 children: the stack is solved in
+    # one batch per size, and each level group's search reads its rows; a
+    # search that solved its own made 15 solves
+    searches = mock.Mock(wraps=kernel_max)
+    monkeypatch.setattr(tcpp.market, "_kernel_max", searches)
+    solves.clear()
+    good_deal_bounds(tree, [s], GoodDealCaps.uniform(1.5), call)
+    assert solves == [(121, 3, 1), (121, 3, 2), (121, 1, 3)] and searches.call_count == 5
 
 
 def test_caps_that_empty_the_set_ask_the_table_whether_the_martingale_set_is_empty(monkeypatch):
@@ -192,7 +278,7 @@ def test_caps_that_empty_the_set_ask_the_table_whether_the_martingale_set_is_emp
     calls = []
     kernel_max = tcpp.market._kernel_max
     monkeypatch.setattr(tcpp.market, "_kernel_max",
-                        lambda *args: calls.append(args[-2]) or kernel_max(*args))
+                        lambda *args: calls.append(args[4]) or kernel_max(*args))
     table = mock.Mock(wraps=tcpp.market._vertex_table)
     monkeypatch.setattr(tcpp.market, "_vertex_table", table)
     with pytest.raises(EmptyGoodDealSet, match="at node 0"):
