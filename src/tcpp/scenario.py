@@ -609,7 +609,7 @@ def _support_batches(k: int, size: int, stack: int) -> Iterator[np.ndarray]:
 class _Slices(NamedTuple):
     """The slice systems of one support batch for a stack of nodes g: the
     supports ``sup`` (c, s), sqrt(p) on them ``rp`` (g, c, s), the systems
-    ``a`` (g, c, assets + 1, s), the projections pinv(a) a onto their row
+    ``a`` (g, c, assets + 1, s), the projections Q^T Q onto their row
     spaces ``proj`` (g, c, s, s), the least-norm points ``y0`` (g, c, s) and
     their squared norms ``norm``, and the scale 1 + max |a| of
     :func:`_on_slice`'s residual test (g, c)."""
@@ -630,9 +630,8 @@ class _Slices(NamedTuple):
 def _slice_cells(k: int, size: int, n_rows: int) -> int:
     """Numbers that :func:`_slice_batches` holds per node over all its
     batches, for ``k`` children, supports of 1 to ``size`` of them and
-    systems of ``n_rows`` rows: a, its pseudo-inverse (which y0 views),
-    proj, rp, norm and scale."""
-    return sum(math.comb(k, s) * (s * (2 * n_rows + s + 1) + 2) for s in range(1, size + 1))
+    systems of ``n_rows`` rows: a, proj, y0, rp, norm and scale."""
+    return sum(math.comb(k, s) * (s * (n_rows + s + 2) + 2) for s in range(1, size + 1))
 
 
 def _slice_batches(root_p: np.ndarray, drift: np.ndarray, size: int, stack: int,
@@ -648,19 +647,41 @@ def _slice_batches(root_p: np.ndarray, drift: np.ndarray, size: int, stack: int,
 def _slices(root_p: np.ndarray, drift: np.ndarray, sup: np.ndarray, project: bool) -> _Slices:
     """The :class:`_Slices` of one batch of supports ``sup``."""
     rp = root_p[:, sup]
-    a, pinv = _slice_systems(rp, drift[:, sup])
-    y0 = pinv[..., 0]
-    return _Slices(sup, rp, a, pinv @ a if project else None, y0,
+    a, q, y0 = _slice_systems(rp, drift[:, sup])
+    return _Slices(sup, rp, a, np.einsum("rgcs,rgct->gcst", q, q) if project else None, y0,
                    (y0 ** 2).sum(-1) if project else None, 1.0 + np.abs(a).max((-2, -1)))
 
 
-def _slice_systems(rp: np.ndarray, drift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _slice_systems(rp: np.ndarray, drift: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per node g and support of a batch, with ``rp`` the square roots of
     the reference weights on the support and ``drift`` the children's moves:
-    the system A_T y = e_1 (sum q = 1, q . drift = 0 in y = q / sqrt(p)) and
-    its pseudo-inverse, whose first column is the least-norm solution."""
-    a = np.concatenate([rp[:, :, None, :], np.einsum("gcsd,gcs->gcds", drift, rp)], axis=2)
-    return a, np.linalg.pinv(a)
+    the system A_T y = e_1 (sum q = 1, q . drift = 0 in y = q / sqrt(p)),
+    an orthonormal basis Q of its row space (assets + 1, g, c, s), a row per
+    row of A, and its least-norm solution y0.
+
+    One modified Gram-Schmidt over the rows of every system at once: a row
+    whose residual is at most ``RANK_TOL`` times its own norm is dropped
+    (its row of Q is zero, and nothing divides by its norm), so Q^T Q is
+    the projection onto the row space at any rank.  y0 = Q^T w, with w by
+    forward substitution on the kept rows (A y0 = e_1 there), lies in the
+    row space: wherever the system is consistent it is the least-norm
+    solution pinv(A) e_1."""
+    rows = np.concatenate([rp[None], np.moveaxis(drift, -1, 0) * rp])
+    q = rows.copy()
+    floor = RANK_TOL ** 2 * _dot(rows, rows)
+    for i, v in enumerate(q):
+        n2 = _dot(v, v)
+        inv = np.sqrt(np.divide(1.0, n2, out=np.zeros_like(n2), where=n2 > floor[i]))
+        v *= inv
+        y0 = v * inv if i == 0 else y0 - _dot(rows[i], y0) * inv * v
+        q[i + 1:] -= _dot(v, q[i + 1:]) * v
+    return np.ascontiguousarray(rows.transpose(1, 2, 0, 3)), q, y0
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x . y over the last axis, kept as an axis of length one."""
+    return (x * y).sum(-1, keepdims=True)
 
 
 def _on_slice(sl: _Slices, y: np.ndarray, settings: Settings) -> np.ndarray:

@@ -894,6 +894,16 @@ def good_deal_bounds_per_group(tree, assets, caps, x, settings=DEFAULT) -> tuple
     return -float(values[0, tree.root]), float(values[1, tree.root])
 
 
+def slice_systems_pinv(rp: np.ndarray, drift: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The slice systems of :func:`tcpp.scenario._slice_systems` by the
+    pseudo-inverse, one SVD per system: A, the projections pinv(A) A onto
+    their row spaces and the least-norm (least-squares) points pinv(A) e_1."""
+    a = np.concatenate([rp[:, :, None, :], np.einsum("gcsd,gcs->gcds", drift, rp)], axis=2)
+    pinv = np.linalg.pinv(a)
+    return a, pinv @ a, pinv[..., 0]
+
+
 def game_bounds_enumerated(pay: np.ndarray, size: int,
                            settings: Settings) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper bounds on the values of the matrix games ``pay[g]`` as
