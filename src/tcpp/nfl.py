@@ -11,16 +11,19 @@ node's uniform mixture of zero-penalty kernels, carried down the level
 groups in one top-down product.  Both cost O(nodes x menu x arity).
 Both searches read one computation of the zero-penalty mixtures and their
 uncharged edges.  :func:`nfl_verdict` then corroborates the certificate:
-its minimal penalty (one support search per level group, no LP), the
-martingale sandwich on sampled claims and stopping times (one ask, one bid
-and one expectation pass over every sample, compared on the sampled cuts
-in one masked comparison), and sampled zero-cost strategies, each with
-nonpositive expectation under the measure.  However many strategies it
-draws, they cost two passes from the horizon: one over every W, Y and -Y
-samples them, and one over every X0, Z and -Y validates them; the
-one-strategy :func:`sample_zero_cost` and :func:`validate_zero_cost` are
-the same code.  A model with a negative penalty is rejected with
-:class:`NegativePenalty`.
+its minimal penalty (one support search per stack of level groups of one
+menu width and arity, no LP), the martingale sandwich on sampled claims
+and stopping times (one ask, one bid and one expectation pass over every
+sample, compared on the sampled cuts in one masked comparison), and
+sampled zero-cost strategies, each with nonpositive expectation under the
+measure.  However many strategies it draws, they are columns of two
+passes from the horizon: one over every W, Y and -Y samples them, and one
+over every X0, Z and -Y validates them, each inequality one comparison
+over all of them; their payoffs' expectations are one matrix product.
+The strategies as claims (:func:`sample_zero_cost_batch`) are those
+columns, and :func:`validate_zero_cost_batch` judges claims at any cuts
+by the same comparisons.  A model with a negative penalty is rejected
+with :class:`NegativePenalty`.
 """
 from __future__ import annotations
 
@@ -169,8 +172,7 @@ def validate_zero_cost_batch(model: ScenarioModel, strats: Sequence[ZeroCostStra
     every atom of each swap time the ask of Z is at most the bid of Y plus
     ``tol``.  Every X0, Z and -Y at one cut is a column of one backward pass
     from that cut, so strategies sampled from the horizon cost one pass in
-    all.  The first failure, in strategy and swap order, is raised naming
-    the strategy, the swap and the atom.
+    all; :func:`_raise_unless_zero_cost` then judges them all at once.
     """
     tree = model.tree
     at: dict[StoppingTime, list[Claim]] = {}
@@ -183,35 +185,57 @@ def validate_zero_cost_batch(model: ScenarioModel, strats: Sequence[ZeroCostStra
         claims.append(x)
         return x.at, len(claims) - 1
 
-    where = [(column(s.initial), [(tau, column(z), column(-y)) for tau, z, y in s.swaps])
+    where = [(column(s.initial), [(column(z), column(-y)) for _, z, y in s.swaps])
              for s in strats]
+    taus = [tau for s in strats for tau, _, _ in s.swaps]
+    for tau in taus:
+        validate_stopping_time(tree, tau)
     passes = {cut: backward_pass(model, cut, _columns(tree, cut, xs)) for cut, xs in at.items()}
-    for i, (x0, swaps) in enumerate(where):
-        p0 = passes[x0[0]][tree.root, x0[1]]
-        if p0 > tol:
-            raise TcppError(f"strategy {i} initial claim atom {tree.root}: "
-                            f"positive root price {p0.item()!r}")
-        prev: StoppingTime | None = None
-        for j, (tau, z, neg_y) in enumerate(swaps):
-            validate_stopping_time(tree, tau)
-            if prev is not None:
-                early = tree.owner_index(prev.index, tau.index) < 0   # none of prev above
-                if early.any():
-                    raise TcppError(f"strategy {i} swap {j} atom {tau.index[early.argmax()]}: "
-                                    f"swap times must be nondecreasing, and this atom "
-                                    f"comes before swap {j - 1}'s time")
-            prev = tau
-            ask_z, bid_y = passes[z[0]][tau.index, z[1]], -passes[neg_y[0]][tau.index, neg_y[1]]
-            below = np.isnan(ask_z) | np.isnan(bid_y)       # the pass stops at the claim's cut
-            if below.any():
-                raise TcppError(f"strategy {i} swap {j} atom {tau.index[below.argmax()]}: "
-                                f"pricing time must precede the claim's stopping time")
-            short = ask_z > bid_y + tol
-            if short.any():
-                r = short.argmax()
-                raise TcppError(f"strategy {i} swap {j} atom {tau.index[r]}: swap not "
-                                f"self-financing, ask of Z above bid of Y by "
-                                f"{(ask_z[r] - bid_y[r]).item()!r}")
+    ask_z, neg_y = np.empty((2, tree.n_nodes, len(taus)))
+    for k, ((z, i), (y, j)) in enumerate(swap for _, swaps in where for swap in swaps):
+        ask_z[:, k], neg_y[:, k] = passes[z][:, i], passes[y][:, j]
+    _raise_unless_zero_cost(tree, np.array([passes[cut][tree.root, i] for (cut, i), _ in where]),
+                            np.repeat(np.arange(len(strats)), [len(s.swaps) for s in strats]),
+                            tree.owners([tau.cut for tau in taus]), ask_z, -neg_y, tol)
+
+
+def _raise_unless_zero_cost(tree: FiltrationTree, p0: np.ndarray, strategy: np.ndarray,
+                            own: np.ndarray, ask_z: np.ndarray, bid_y: np.ndarray,
+                            tol: float) -> None:
+    """Judge strategies given as arrays: ``p0[i]`` the root ask of strategy
+    i's X0, and per swap k, in strategy and swap order, ``strategy[k]`` its
+    strategy, ``own[:, k]`` each node's atom of its time (of
+    ``tree.owners``), and ``ask_z[:, k]`` and ``bid_y[:, k]`` the ask of its
+    Z and the bid of its Y at every node (NaN where the pass from the
+    claim's cut does not reach).  Each inequality is one comparison over all
+    of them; the first failure, in strategy and swap order, is raised as a
+    :class:`TcppError` naming the strategy, the swap and its first atom."""
+    on_cut = own == np.arange(tree.n_nodes)[:, None]
+    after = np.ones_like(on_cut)      # at or below the strategy's previous swap time
+    again = np.flatnonzero(strategy[1:] == strategy[:-1]) + 1
+    after[:, again] = own[:, again - 1] >= 0
+    fails = (on_cut & ~after, on_cut & (np.isnan(ask_z) | np.isnan(bid_y)),
+             on_cut & (ask_z > bid_y + tol))
+    poor = np.flatnonzero(p0 > tol)[:1]
+    bad = np.flatnonzero(np.logical_or.reduce(fails).any(axis=0))[:1]
+    if not (poor.size or bad.size):
+        return
+    i = min(poor.tolist() + strategy[bad].tolist())
+    if poor.size and poor[0] == i:
+        raise TcppError(f"strategy {i} initial claim atom {tree.root}: "
+                        f"positive root price {p0[i].item()!r}")
+    k = int(bad[0])
+    j = k - int(np.searchsorted(strategy, i))
+    early, below, short = (fail[:, k] for fail in fails)
+    if early.any():
+        raise TcppError(f"strategy {i} swap {j} atom {early.argmax()}: swap times must be "
+                        f"nondecreasing, and this atom comes before swap {j - 1}'s time")
+    if below.any():
+        raise TcppError(f"strategy {i} swap {j} atom {below.argmax()}: "
+                        f"pricing time must precede the claim's stopping time")
+    a = short.argmax()
+    raise TcppError(f"strategy {i} swap {j} atom {a}: swap not self-financing, ask of Z "
+                    f"above bid of Y by {(ask_z[a, k] - bid_y[a, k]).item()!r}")
 
 
 def _draw_zero_cost(tree: FiltrationTree, seed: int, n_swaps: int
@@ -238,39 +262,60 @@ def sample_zero_cost(model: ScenarioModel, seed: int = 0,
 
 def sample_zero_cost_batch(model: ScenarioModel,
                            draws: Sequence[tuple[int, int]]) -> list[ZeroCostStrategy]:
-    """One zero-cost strategy per ``(seed, n_swaps)``, checked by
-    :func:`validate_zero_cost_batch`.
+    """One zero-cost strategy per ``(seed, n_swaps)``, validated as
+    :func:`validate_zero_cost_batch` would: the claims of the columns of
+    :func:`_zero_cost_columns`.
 
     X0 is a uniform claim W at the horizon less its root ask; each swap
     draws a later stopping time and a uniform claim Y >= 0 at the horizon,
     and Z is Y less its bid-ask spread at that time, lifted to the leaves.
-    Every W, Y and -Y is a column of one backward pass from the horizon,
-    whose rows give the root asks and the spreads at every swap time.
     """
-    tree = model.tree
     if not draws:
         return []
-    horizon = StoppingTime.at_horizon(tree)
-    drawn = [_draw_zero_cost(tree, seed, n_swaps) for seed, n_swaps in draws]
-    ws = [w for w, _ in drawn]
-    ys = [y for _, swaps in drawn for _, y in swaps]
-    values = np.full((tree.n_nodes, len(ws) + 2 * len(ys)), np.nan)
-    values[horizon.index] = np.column_stack(ws + ys + [-y for y in ys])
-    out = backward_pass(model, horizon, values)
-    ask, neg_bid = out[:, len(ws):len(ws) + len(ys)], out[:, len(ws) + len(ys):]
-    strats, k = [], 0
-    for i, (w, swaps) in enumerate(drawn):
-        x0 = Claim(horizon, w - out[tree.root, i])
-        strat = ZeroCostStrategy(x0, [])
-        for tau, y in swaps:
-            spread = ask[tau.index, k] + neg_bid[tau.index, k]      # ask less bid
-            z = y - spread[tree.owner_index(tau.index, horizon.index)]
-            strat.swaps.append((tau, Claim(horizon, z), Claim(horizon, y)))
-            k += 1
-        strats.append(strat)
-    del values, out, ask, neg_bid       # so that the two passes never hold memory at once
-    validate_zero_cost_batch(model, strats)
+    horizon = StoppingTime.at_horizon(model.tree)
+    x0, y, z, strategy, taus = _zero_cost_columns(model, draws)
+    strats = [ZeroCostStrategy(Claim(horizon, x)) for x in x0.T]
+    for i, tau, zk, yk in zip(strategy.tolist(), taus, z.T, y.T):
+        strats[i].swaps.append((tau, Claim(horizon, zk), Claim(horizon, yk)))
     return strats
+
+
+def _zero_cost_columns(model: ScenarioModel, draws: Sequence[tuple[int, int]]
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                                  list[StoppingTime]]:
+    """The strategies of :func:`sample_zero_cost_batch` as columns at the
+    horizon, leaves ascending: X0 a column per strategy, Y and Z a column per
+    swap, in strategy and swap order, with each swap's strategy and time.
+
+    Every W, Y and -Y is a column of one backward pass from the horizon,
+    whose rows give the root asks and the spreads at every swap time; each
+    leaf reads the spread at its atom of the swap time (``tree.owners``).
+    That pass is freed, and every X0, Z and -Y is a column of a second one,
+    which :func:`_raise_unless_zero_cost` judges at ``tol`` 1e-9."""
+    tree = model.tree
+    horizon = StoppingTime.at_horizon(tree)
+    leaves = horizon.index
+    drawn = [_draw_zero_cost(tree, seed, n_swaps) for seed, n_swaps in draws]
+    taus = [tau for _, swaps in drawn for tau, _ in swaps]
+    s, k = len(drawn), len(taus)
+    strategy = np.repeat(np.arange(s), [len(swaps) for _, swaps in drawn])
+    ys = [y for _, swaps in drawn for _, y in swaps]
+    values = np.full((tree.n_nodes, s + 2 * k), np.nan)
+    values[leaves] = np.column_stack([w for w, _ in drawn] + ys + [-y for y in ys])
+    del drawn, ys
+    out = backward_pass(model, horizon, values)
+    own = tree.owners([tau.cut for tau in taus])
+    at, ask = own[leaves], np.arange(s, s + k)
+    # W becomes X0 and Y becomes Z, each leaf reading the spread (ask less
+    # bid) at its atom of the swap time; -Y stays
+    values[leaves, :s] = values[leaves, :s] - out[tree.root, :s]
+    values[leaves, s:s + k] = values[leaves, s:s + k] - (out[at, ask] + out[at, ask + k])
+    del out         # so that the two passes never hold memory at once
+    out = backward_pass(model, horizon, values)
+    del values      # the pass keeps X0, Z and -Y on its leaf rows
+    _raise_unless_zero_cost(tree, out[tree.root, :s], strategy, own, out[:, s:s + k],
+                            -out[:, s + k:], 1e-9)
+    return out[leaves, :s], -out[leaves, s + k:], out[leaves, s:s + k], strategy, taus
 
 
 def _broken_sandwich(model: ScenarioModel, measure: Measure, rng: np.random.Generator,
@@ -344,16 +389,19 @@ def nfl_verdict(model: ScenarioModel, seed: int = 0, n_samples: int = 50,
             checks.add(f"sample {i} atom {a}",
                        "martingale sandwich broken under certificate measure")
         # i: sampled zero-cost strategies have nonpositive expectation, all
-        # sampled by one pass and validated by another
-        strats = sample_zero_cost_batch(
-            model, [(seed + 1 + i, int(rng.integers(0, 3))) for i in range(n_strategies)])
-        payoffs = np.empty((len(tree.leaves), len(strats)))
-        for i, strat in enumerate(strats):
-            payoffs[:, i] = strat.payoff(tree).array
-        for i, ev in enumerate((measure.leaf_masses(tree) @ payoffs).tolist()):
-            if ev > tol:
-                checks.add(f"strategy {i}",
-                           f"zero-cost payoff has positive expectation {ev!r}")
+        # sampled by one pass and validated by another, as columns
+        draws = [(seed + 1 + i, int(rng.integers(0, 3))) for i in range(n_strategies)]
+        if draws:
+            payoffs, y, z, strategy, _ = _zero_cost_columns(model, draws)
+            # X0 plus each swap's Z less its Y, swap by swap in each strategy
+            nth = np.arange(len(strategy)) - np.searchsorted(strategy, strategy)
+            for j in range(int(nth.max(initial=-1)) + 1):
+                k = np.flatnonzero(nth == j)
+                payoffs[:, strategy[k]] = payoffs[:, strategy[k]] + z[:, k] - y[:, k]
+            for i, ev in enumerate((measure.leaf_masses(tree) @ payoffs).tolist()):
+                if ev > tol:
+                    checks.add(f"strategy {i}",
+                               f"zero-cost payoff has positive expectation {ev!r}")
         cert = FreeLunchCertificate("zero-penalty-equivalent-measure", measure=measure)
     else:
         claim = static.claim

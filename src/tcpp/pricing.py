@@ -387,13 +387,24 @@ def random_stopping_time(tree: FiltrationTree, rng: np.random.Generator,
                          lo: StoppingTime | None = None,
                          hi: StoppingTime | None = None,
                          stop_prob: float = 0.5) -> StoppingTime:
-    """Random antichain between lo and hi (defaults: root and horizon)."""
-    lo = lo if lo is not None else StoppingTime.at_root(tree)
-    hi = hi if hi is not None else StoppingTime.at_horizon(tree)
-    def stop(v: int) -> bool:
-        return v in hi.cut or rng.random() < stop_prob
-    return StoppingTime.of(v for a in sorted(lo.cut, key=tree.enter.__getitem__)
-                           for v in tree.first_stops(a, stop))
+    """Random antichain between lo and hi (defaults: root and horizon): below
+    each node of lo, in preorder, the subtree is walked in preorder, and the
+    walk stops at a node of hi, or else with probability ``stop_prob`` (one
+    draw per node asked), and skips the subtree below each stop.  Without hi
+    the nodes of hi are the leaves, whose preorder intervals hold one node."""
+    enter, leave, order = tree.enter, tree.exit, tree.preorder
+    cut, draw = None if hi is None else hi.cut, rng.random
+    out = []
+    for top in [tree.root] if lo is None else sorted(lo.cut, key=enter.__getitem__):
+        i, end = enter[top], leave[top]
+        while i < end:
+            v = order[i]
+            if (leave[v] == i + 1 if cut is None else v in cut) or draw() < stop_prob:
+                out.append(v)
+                i = leave[v]
+            else:
+                i += 1
+    return StoppingTime(frozenset(out))
 
 
 def check_supermartingale(model: ScenarioModel, x: Claim, r: Measure,

@@ -444,15 +444,17 @@ def minimal_penalty(model: ScenarioModel, r: Measure, sigma: StoppingTime,
     down to tau, each weighted by R's mass and added to its sigma atom.
     The one-step conjugate at a kernel k, min sum_j l_j p_j over l >= 0,
     sum_j l_j = 1, sum_j l_j q_j = k, is :func:`_kernel_max` over the menu
-    entries with drift q_j - k, no cap and objective -p, for a level group
-    at once.  Its constraints have rank at most the arity (the kernels'
+    entries with drift q_j - k, no cap and objective -p.  The level groups
+    of one menu width and arity are stacked, and each stack is searched by
+    one call.  Its constraints have rank at most the arity (the kernels'
     weights sum to one), so supports of up to arity entries hold every
     vertex: the search solves sum_s C(entries, s) systems per node, which
-    ``settings.max_enum`` caps; on menus beyond a handful of entries that
-    is far more work than one LP per node.  Values are in [0, +inf]; +inf
-    marks atoms below which one of R's conditional kernels falls outside the
-    convex hull of the menu kernels, and NaN marks atoms R does not charge
-    (the conjugate is an R-a.s. object).
+    ``settings.max_enum`` caps, level group by level group, before any
+    search; on menus beyond a handful of entries that is far more work than
+    one LP per node.  Values are in [0, +inf]; +inf marks atoms below which
+    one of R's conditional kernels falls outside the convex hull of the
+    menu kernels, and NaN marks atoms R does not charge (the conjugate is
+    an R-a.s. object).
     """
     tree, settings = model.tree, pinned(settings)
     validate_stopping_time(tree, sigma)
@@ -463,6 +465,9 @@ def minimal_penalty(model: ScenarioModel, r: Measure, sigma: StoppingTime,
     owner = tree.owner_index(atoms, np.arange(tree.n_nodes))    # the sigma atom over a node
     mass = r.node_masses(tree)
     conj = np.zeros(tree.n_nodes)      # R-mass times the one-step conjugate
+    # per (menu width, arity): the charged nodes, their masses, the drifts
+    # of their entries and those entries' penalties, a part per level group
+    stacks: dict[tuple[int, int], list[tuple[np.ndarray, ...]]] = {}
     for nodes, kids, kernels, penalties in model.steps(tau.cut):
         _, w, k = kernels.shape
         if k == 1:      # one child: every kernel is (1,), so the least penalty
@@ -474,12 +479,15 @@ def minimal_penalty(model: ScenarioModel, r: Measure, sigma: StoppingTime,
         _cap_supports(w, min(w, k), settings, f"menu supports per node at time "
                       f"{tree.times[nodes[0]]} (arity {k}, {w} menu entries)")
         keep &= mass[nodes] > 0.0
-        nodes, m = nodes[keep], mass[nodes[keep]]
-        if len(nodes):
+        if keep.any():
+            m = mass[nodes[keep]]
             drift = kernels[keep] - (mass[kids[keep]] / m[:, None])[:, None, :]
-            best = _kernel_max(np.ones(drift.shape[:2]), drift, np.full(len(m), np.inf),
-                               -penalties[None, keep], min(w, k), settings)[0]
-            conj[nodes] = m * -best
+            stacks.setdefault((w, k), []).append((nodes[keep], m, drift, penalties[keep]))
+    for (w, k), parts in stacks.items():
+        nodes, m, drift, penalties = (np.concatenate(z) for z in zip(*parts))
+        best = _kernel_max(np.ones(drift.shape[:2]), drift, np.full(len(m), np.inf),
+                           -penalties[None], min(w, k), settings)[0]
+        conj[nodes] = m * -best
     inside = owner >= 0
     total = np.bincount(owner[inside], conj[inside], len(atoms))
     charged = mass[atoms] > 0.0
@@ -533,7 +541,9 @@ def _kernel_max(p: np.ndarray, drift: np.ndarray, cap: np.ndarray, v: np.ndarray
     systems depend on p and the drift alone: ``batches`` are those of
     :func:`_slice_batches` for these nodes, solved already (the stacks of
     ``market.good_deal_bounds``); without them each batch is solved here,
-    for ``m * g`` systems per support."""
+    for ``m * g`` systems per support (a level group of a capped stack too
+    large to keep, a stack of :func:`minimal_penalty`'s level groups of one
+    menu width and arity, and the oracles of the tests)."""
     m, g, k = v.shape
     root_p, live = np.sqrt(p), ~np.isinf(v)
     w, cap2 = root_p * np.where(live, v, 0.0), cap ** 2

@@ -23,7 +23,8 @@ claim's values times masses, up to every node, and, reversed, of
 ``product_down``, which carries one-step kernels' mass down from the root;
 ``between`` lists the nodes from a top node down to a cut level by level,
 for the walks that follow a subtree; ``first_stops`` walks a subtree
-in preorder, skipping below each stop; and ``ancestors_by_time`` climbs
+in preorder, skipping below each stop; ``owners`` carries the atoms of
+many cuts down the level groups at once; and ``ancestors_by_time`` climbs
 the parent array a period at a time, for a cut's atoms at every earlier
 time.  No walk recurses, so depth is
 bounded by memory, not by Python's recursion limit.  A claim holds its
@@ -37,7 +38,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from itertools import filterfalse
+from itertools import chain, filterfalse
 from types import MappingProxyType
 
 import numpy as np
@@ -279,6 +280,18 @@ class FiltrationTree:
         enter, leave, order = enter[top], leave[top], order[top]
         i = enter.searchsorted(at, side="right") - 1
         return np.where((i >= 0) & (at < leave[i]), order[i], -1)
+
+    def owners(self, cuts: Sequence[Iterable[int]]) -> np.ndarray:
+        """Each node's ancestor-or-self in each of the antichains ``cuts``, a
+        column per cut, -1 where there is none: one level group of
+        :meth:`levels` at a time, shallowest first, as :meth:`product_down`."""
+        own = np.full((self.n_nodes, len(cuts)), -1)
+        nodes = np.fromiter(chain.from_iterable(cuts), int)
+        own[nodes, np.repeat(np.arange(len(cuts)), [len(c) for c in cuts])] = nodes
+        for nodes, kids in reversed(self._levels.values()):
+            below = own[kids]
+            own[kids] = np.where(below >= 0, below, own[nodes, None])
+        return own
 
     def ancestors_by_time(self, nodes: Sequence[int] | np.ndarray) -> np.ndarray:
         """Row t, for each time t up to the earliest of ``nodes``' times: each

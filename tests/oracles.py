@@ -17,13 +17,13 @@ from tcpp.market import (AssetProcess, ConstraintSet, GoodDealCaps, QuotedOption
                          _equalizer, _first_dead, _kernel_support_size, _level_steps, _spot,
                          _table_bounds, _vertex_table)
 from tcpp.marketfile import MarketData
-from tcpp.nfl import (FreeLunchCertificate, NflReport, ZeroCostStrategy,
+from tcpp.nfl import (FreeLunchCertificate, NflReport, ZeroCostStrategy, _draw_zero_cost,
                       find_static_free_lunch, find_zero_penalty_equivalent_measure)
 from tcpp.pricing import (SublinearReport, _columns, backward_pass, check_sublinear,
                           enumerate_stop_sets, price, random_stopping_time)
 from tcpp.report import CheckReport
 from tcpp.scenario import (_BATCH, MeasureSelection, MenuEntry, PenaltyProcess, ScenarioModel,
-                           _check_selection, _kernel_max, check_nondegenerate,
+                           _cap_supports, _check_selection, _kernel_max, check_nondegenerate,
                            cumulative_penalties, minimal_penalty, subtree_duals)
 from tcpp.settings import DEFAULT, Settings, pinned
 from tcpp.tree import (Claim, FiltrationTree, Measure, StoppingTime, lift,
@@ -640,6 +640,45 @@ def minimal_penalty_node_lp(model: ScenarioModel, r: Measure, sigma: StoppingTim
     return Claim(sigma, vals)
 
 
+def minimal_penalty_per_group(model: ScenarioModel, r: Measure, sigma: StoppingTime,
+                              tau: StoppingTime, settings: Settings = DEFAULT) -> Claim:
+    """``tcpp.scenario.minimal_penalty`` with one support search per level
+    group, as before the groups of one menu width and arity were stacked
+    into one search."""
+    tree, settings = model.tree, pinned(settings)
+    validate_stopping_time(tree, sigma)
+    validate_stopping_time(tree, tau)
+    if not precedes(tree, sigma, tau):
+        raise TcppError("minimal_penalty requires sigma <= tau")
+    atoms = sigma.index
+    owner = tree.owner_index(atoms, np.arange(tree.n_nodes))
+    mass = r.node_masses(tree)
+    conj = np.zeros(tree.n_nodes)
+    for nodes, kids, kernels, penalties in model.steps(tau.cut):
+        _, w, k = kernels.shape
+        if k == 1:
+            conj[nodes] = mass[nodes] * penalties.min(axis=1)
+            continue
+        keep = owner[nodes] >= 0
+        if not keep.any():
+            continue
+        _cap_supports(w, min(w, k), settings, f"menu supports per node at time "
+                      f"{tree.times[nodes[0]]} (arity {k}, {w} menu entries)")
+        keep &= mass[nodes] > 0.0
+        nodes, m = nodes[keep], mass[nodes[keep]]
+        if len(nodes):
+            drift = kernels[keep] - (mass[kids[keep]] / m[:, None])[:, None, :]
+            best = _kernel_max(np.ones(drift.shape[:2]), drift, np.full(len(m), np.inf),
+                               -penalties[None, keep], min(w, k), settings)[0]
+            conj[nodes] = m * -best
+    inside = owner >= 0
+    total = np.bincount(owner[inside], conj[inside], len(atoms))
+    charged = mass[atoms] > 0.0
+    out = np.full(len(atoms), np.nan)
+    out[charged] = np.maximum(0.0, total[charged] / mass[atoms[charged]])
+    return Claim(sigma, out)
+
+
 # -- constrained pricing, one LP per node -----------------------------------------
 # The per-node LP that ``tcpp.market.constrained_price`` solved before it
 # batched each level as matrix games; kept as the reference it is compared with.
@@ -1159,6 +1198,32 @@ def sample_zero_cost_by_price(model, seed: int = 0, n_swaps: int = 2):
     strat = ZeroCostStrategy(x0, swaps)
     validate_zero_cost_by_price(model, strat)
     return strat
+
+
+def sample_zero_cost_claims(model, draws):
+    """``tcpp.nfl.sample_zero_cost_batch`` as it built its strategies claim
+    by claim, before they were columns: one pass from the horizon over every
+    W, Y and -Y, then per swap the spread read on its time's atoms and
+    lifted to the leaves by ``owner_index``.  Not validated."""
+    tree = model.tree
+    horizon = StoppingTime.at_horizon(tree)
+    drawn = [_draw_zero_cost(tree, seed, n_swaps) for seed, n_swaps in draws]
+    ws = [w for w, _ in drawn]
+    ys = [y for _, swaps in drawn for _, y in swaps]
+    values = np.full((tree.n_nodes, len(ws) + 2 * len(ys)), np.nan)
+    values[horizon.index] = np.column_stack(ws + ys + [-y for y in ys])
+    out = backward_pass(model, horizon, values)
+    ask, neg_bid = out[:, len(ws):len(ws) + len(ys)], out[:, len(ws) + len(ys):]
+    strats, k = [], 0
+    for i, (w, swaps) in enumerate(drawn):
+        strat = ZeroCostStrategy(Claim(horizon, w - out[tree.root, i]), [])
+        for tau, y in swaps:
+            spread = ask[tau.index, k] + neg_bid[tau.index, k]
+            z = y - spread[tree.owner_index(tau.index, horizon.index)]
+            strat.swaps.append((tau, Claim(horizon, z), Claim(horizon, y)))
+            k += 1
+        strats.append(strat)
+    return strats
 
 
 def nfl_verdict_by_price(model, seed: int = 0, n_samples: int = 50,

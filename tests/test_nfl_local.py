@@ -9,7 +9,8 @@ import pytest
 
 import oracles
 import tcpp.lp
-from gen import (killed_leaf_model, random_irregular_tree, random_model,
+import tcpp.scenario
+from gen import (killed_leaf_model, menu_mixture, random_irregular_tree, random_model,
                  random_tree, relabelled)
 from tcpp.errors import EnumerationOverflow, NegativePenalty, TcppError
 from tcpp.nfl import (find_static_free_lunch,
@@ -191,6 +192,55 @@ def test_minimal_penalty_matches_node_lp_oracle():
                 seen["inf"] += int(np.isinf(want).sum())
                 seen["finite"] += int(fin.sum())
     assert min(seen.values()) >= 20, seen
+
+
+def test_stacked_minimal_penalty_gives_the_per_group_search_bit_for_bit(monkeypatch):
+    # regular and irregular trees whose level groups mix arities 1-4 and menus
+    # of 1-5 entries (and P's kernel on some); R a mixture of the menu kernels (finite values), arbitrary
+    # leaf masses (outside the menu hull: +inf) and those masses with a
+    # subtree left uncharged (NaN atoms); the whole tree and inner cut pairs
+    searches = {tcpp.scenario: [], oracles: []}      # the nodes of each search
+    search = tcpp.scenario._kernel_max
+    for module, calls in searches.items():
+        def counting(*args, calls=calls, **kwargs):
+            calls.append(args[1].shape[0])
+            return search(*args, **kwargs)
+        monkeypatch.setattr(module, "_kernel_max", counting)
+    rng = np.random.default_rng(2707)
+    seen = {"finite": 0, "inf": 0, "nan": 0}
+    stacked = 0
+    for k in range(60):
+        if k % 3 == 0:
+            tree = random_tree(rng, max_periods=4, max_branch=4)
+        else:
+            tree = random_irregular_tree(rng, max_periods=4)
+        if k % 5 == 4:
+            tree = relabelled(tree, rng)
+        model = random_model(rng, tree, max_entries=5, include_reference=k % 4 == 0)
+        masses = rng.dirichlet(np.ones(len(tree.leaves)))
+        uncharged = masses.copy()
+        top = int(rng.choice(tree.internal_nodes()))
+        uncharged[tree.owner_index([tree.children[top][0]], tree.leaves) == 0] = 0.0
+        measures = [menu_mixture(rng, model), Measure.from_leaf_masses(tree, masses)]
+        if uncharged.sum() > 0.0:
+            measures.append(Measure.from_leaf_masses(tree, uncharged / uncharged.sum()))
+        for r in measures:
+            inner = random_stopping_time(tree, rng)
+            pairs = [(StoppingTime.at_root(tree), StoppingTime.at_horizon(tree)),
+                     (random_stopping_time(tree, rng, hi=inner), inner),
+                     (inner, StoppingTime.at_horizon(tree))]
+            for sigma, tau in pairs:
+                stacks, groups = searches.values()
+                stacks.clear(), groups.clear()
+                got = minimal_penalty(model, r, sigma, tau).array
+                want = oracles.minimal_penalty_per_group(model, r, sigma, tau).array
+                assert got.tobytes() == want.tobytes(), (k, got, want)
+                assert sum(stacks) == sum(groups)       # the same nodes
+                stacked += len(stacks) < len(groups)
+                seen["nan"] += int(np.isnan(want).sum())
+                seen["inf"] += int(np.isinf(want).sum())
+                seen["finite"] += int(np.isfinite(want).sum())
+    assert min(seen.values()) >= 20 and stacked >= 50, (seen, stacked)
 
 
 def test_minimal_penalty_mixture_count_is_capped():

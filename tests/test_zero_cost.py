@@ -45,6 +45,42 @@ def test_stacked_sampler_matches_one_claim_per_pass(block):
         _assert_same(model.tree, sample_zero_cost(model, seed, n_swaps), batch[0])
 
 
+def test_nfl_reads_the_sampled_strategies_as_columns_bit_for_bit(monkeypatch):
+    # the X0, Y and Z columns that nfl_verdict reads, for its own draws,
+    # against the claims of sample_zero_cost_batch and of the construction
+    # claim by claim
+    columns, seen = tcpp.nfl._zero_cost_columns, []
+
+    def spy(model, draws):
+        out = columns(model, draws)
+        seen.append((list(draws), [a.copy() for a in out[:3]]))
+        return out
+    monkeypatch.setattr(tcpp.nfl, "_zero_cost_columns", spy)
+    swaps = 0
+    for i in range(24):
+        rng = np.random.default_rng(4700 + i)
+        tree = random_tree(rng) if i % 2 else random_irregular_tree(rng)
+        model = random_model(rng, tree, include_reference=True)
+        seen.clear()
+        assert nfl_verdict(model, seed=i, n_samples=4, n_strategies=6).no_free_lunch
+        [(draws, (x0, y, z))] = seen
+        got, want = sample_zero_cost_batch(model, draws), oracles.sample_zero_cost_claims(model, draws)
+        assert len(got) == len(want) == x0.shape[1] == len(draws)
+        k = 0
+        for j, (strat, ref) in enumerate(zip(got, want)):
+            assert (x0[:, j].tobytes() == strat.initial.array.tobytes()
+                    == ref.initial.array.tobytes())
+            assert len(strat.swaps) == len(ref.swaps) == draws[j][1]
+            for (tau, zc, yc), (tau_r, zr, yr) in zip(strat.swaps, ref.swaps):
+                assert tau == tau_r
+                assert z[:, k].tobytes() == zc.array.tobytes() == zr.array.tobytes()
+                assert y[:, k].tobytes() == yc.array.tobytes() == yr.array.tobytes()
+                k += 1
+        assert k == y.shape[1] == z.shape[1]
+        swaps += k
+    assert swaps >= 100, swaps
+
+
 def test_hand_built_strategies_at_other_cuts_are_judged_as_one_claim_per_pass():
     # claims at the swap time or later, some nudged off self-financing: the
     # batch raises exactly when one of its strategies fails alone
