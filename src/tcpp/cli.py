@@ -16,9 +16,8 @@ a :class:`~tcpp.tree.ClaimStack`, with no claim object each: the axioms
 price each cut's property families as the columns of one backward pass,
 chunked by a fixed node x column cell budget (``scenario._CELLS``); the
 time-consistency chains share one direct pass and take one per distinct
-intermediate time; the 8 cocycle selections are the columns of one
-induction.  ``--samples`` must be at least 1, and its samples x 2 x leaves
-draws must fit one LP's tableau cap (``scenario._TABLEAU_CELLS``).
+intermediate time.  ``--samples`` must be at least 1, and its samples x 2
+x leaves draws must fit one LP's tableau cap (``scenario._TABLEAU_CELLS``).
 """
 from __future__ import annotations
 
@@ -39,8 +38,7 @@ from .nfl import nfl_verdict
 from .pricing import (american_price, bid_ask, check_axioms, check_sublinear,
                       check_time_consistency, random_stopping_time)
 from .report import CheckReport
-from .scenario import (_TABLEAU_CELLS, MeasureSelection, PenaltyProcess,
-                       check_cocycle_batch, check_nondegenerate)
+from .scenario import _TABLEAU_CELLS, check_nondegenerate
 from .tree import ClaimStack, FiltrationTree, StoppingTime, validate_stopping_time
 
 
@@ -130,23 +128,12 @@ def cmd_check_tcpp(args, out: Output) -> int:
     tc = check_time_consistency(model, chains, ClaimStack(horizon, draws[:50, 0]))
     out.report(tc)
 
-    internal = np.flatnonzero(model.menu_sizes)
-    sels = [MeasureSelection(tuple(zip(internal.tolist(),       # one draw per node, ascending
-                                       rng.integers(model.menu_sizes[internal]).tolist())))
-            for _ in range(8)]
-    cocycle = check_cocycle_batch(PenaltyProcess.from_selections(model, sels), model)
-    for rep in cocycle:
-        if not rep.passed:
-            out.report(rep)
-    cocycle_ok = all(rep.passed for rep in cocycle)
-    out.emit("check.cocycle", "pass" if cocycle_ok else "FAIL")
-
     nd = check_nondegenerate(model)
     out.report(nd)
 
     sub = check_sublinear(model, seed=args.seed)
     out.emit("sublinear", str(bool(sub)).lower())
-    return 0 if (axioms.passed and tc.passed and cocycle_ok and nd.passed) else 1
+    return 0 if (axioms.passed and tc.passed and nd.passed) else 1
 
 
 def cmd_nfl(args, out: Output) -> int:

@@ -8,12 +8,13 @@ over the equivalent measures equal those over the closure for linear
 objectives; an edge-by-edge check reports whether equivalent ones exist.
 Without caps a node's program is linear over its martingale kernels, so
 its optimum is one of their vertices, which depend on the reference
-kernels and the asset moves alone.  One table of them per market, solved
-once per stack of level groups of one arity and support size, serves every
-use without caps: the martingale bounds with their edge check (and the
-good-deal bounds at an infinite cap), calibration's edge check and R, and the
-column generations of the quote-penalized bounds and of calibration, which
-take extreme martingale measures from the upper induction over the table.
+kernels and the asset moves alone.  They are the menus of one zero-penalty
+scenario model per market, solved once per stack of level groups of one
+arity and support size, and every use without caps is one
+:func:`tcpp.pricing.backward_pass` over them: the martingale bounds (and the
+good-deal bounds at an infinite cap) are its bid and ask, and the column
+generations of the quote-penalized bounds and of calibration take extreme
+martingale measures from its argmax; the edge check and R read the menus.
 The bounds weigh their 2k + 1 pieces in a master LP of 2k + 2 variables
 for k quotes.  Calibration returns R, the product of every node's mean
 vertex kernel, where R prices each quote inside its band; otherwise its
@@ -256,18 +257,43 @@ class MmeBounds:
 def mme_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess], x: Claim,
                settings: Settings = DEFAULT) -> MmeBounds:
     """Sub- and surreplication prices, and whether an equivalent martingale
-    measure exists: one induction over the vertex kernels of
-    :func:`_vertex_table` (:func:`_table_bounds`), whose edge test answers
-    the second question: an equivalent measure exists when every edge
-    (n, c) is charged, max q_c over the martingale kernels at n above
-    ``equivalence_floor``, since the product of the nodes' averages of
-    their charging kernels is one.  Raises :class:`EnumerationOverflow`
-    when a level group's kernel supports exceed ``max_enum``, and
+    measure exists: the bid and the ask of the menus of vertex kernels of
+    :func:`_vertex_table` (:func:`_uncapped_bounds`), and their edge test
+    (:func:`_equivalent`).  Raises :class:`EnumerationOverflow` when a
+    level group's kernel supports exceed ``max_enum``, and
     :class:`NoMartingaleMeasure` when the root has no martingale kernel."""
     validate_stopping_time(tree, x.at)
     require_finite(x, "claim value")
-    table = _vertex_table(tree, assets, pinned(settings))
-    return MmeBounds(*_table_bounds(tree, table, lift_to_leaves(tree, x)), table.charged)
+    settings = pinned(settings)
+    menus = _vertex_table(tree, assets, settings)
+    return MmeBounds(*_uncapped_bounds(menus, x), _equivalent(menus, settings))
+
+
+def _uncapped_bounds(menus: ScenarioModel, x: Claim) -> tuple[float, float]:
+    """The least and the largest E_Q x over the martingale measures: minus
+    the ask of -x and the ask of x under the vertex-kernel ``menus``, one
+    :func:`tcpp.pricing.backward_pass` over the two columns on the leaves."""
+    tree = menus.tree
+    top = _leaf_pass(menus, np.outer(lift_to_leaves(tree, x), [-1.0, 1.0]))[tree.root]
+    return -float(top[0]), float(top[1])
+
+
+def _leaf_pass(menus: ScenarioModel, leaf_values: np.ndarray,
+               argmax: np.ndarray | None = None) -> np.ndarray:
+    """:func:`tcpp.pricing.backward_pass` from the leaves over ``menus``, of
+    the columns of ``leaf_values`` (a row per leaf)."""
+    horizon = StoppingTime.at_horizon(menus.tree)
+    values = np.empty((menus.tree.n_nodes, leaf_values.shape[1]))      # only the leaves are read
+    values[horizon.index] = leaf_values         # tree.leaves ascend
+    return backward_pass(menus, horizon, values, argmax=argmax)
+
+
+def _equivalent(menus: ScenarioModel, settings: Settings) -> bool:
+    """Whether every edge (n, c) has weight above ``equivalence_floor`` in
+    some vertex kernel at n of ``menus``: then the product of the nodes'
+    mean vertex kernels is an equivalent martingale measure."""
+    return all((kernels.max(axis=1) > settings.equivalence_floor).all()
+               for kernels, _ in menus.packed.values())
 
 
 def check_price_in_mme_bounds(model: ScenarioModel, assets: Sequence[AssetProcess],
@@ -301,17 +327,19 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
     """An equivalent martingale measure pricing every quote inside its
     band, or None when none exists.
 
-    The edge test of :func:`_vertex_table` and the column generation of
+    The edge test (:func:`_equivalent`) of the vertex-kernel menus of
+    :func:`_vertex_table` and the column generation of
     :func:`_calibrated_mixture` give the verdict.  None when some edge is
-    charged by no martingale kernel.  Otherwise R, the product of each
-    node's mean usable vertex kernel, is a martingale measure that charges
-    every edge, and it is returned when it prices every quote inside its
-    band to ``feasibility_tol`` with every leaf density above
-    ``equivalence_floor``.  Else the column generation over the same table,
-    from R, decides and gives the measure: the calibrated mixture of R and
-    extreme martingale measures with the largest weight on R.  The bands
-    are a verdict's, to ``feasibility_tol``; the table, R's martingale
-    check and the masters are numbers, at :func:`tcpp.settings.pinned`.
+    charged by no martingale kernel.  Otherwise R, the product of the
+    menus' mixtures (each node's mean usable vertex kernel), is a
+    martingale measure that charges every edge, and it is returned when it
+    prices every quote inside its band to ``feasibility_tol`` with every
+    leaf density above ``equivalence_floor``.  Else the column generation
+    over the same menus, from R, decides and gives the measure: the
+    calibrated mixture of R and extreme martingale measures with the
+    largest weight on R.  The bands are a verdict's, to ``feasibility_tol``;
+    the menus, R's martingale check and the masters are numbers, at
+    :func:`tcpp.settings.pinned`.
 
     Supports beyond ``max_enum`` raise :class:`EnumerationOverflow`, as in
     :func:`mme_bounds`; a kernel of R that misses the martingale condition
@@ -321,20 +349,15 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
     spot, exact = _spot(tree, assets), pinned(settings)
     steps = _level_steps(tree, spot)
     try:
-        table = _vertex_table(tree, assets, exact, steps)
+        menus = _vertex_table(tree, assets, exact, steps)
     except NoMartingaleMeasure:
         return None
-    if not table.charged:
+    if not _equivalent(menus, exact):
         return None
     leaves = list(tree.leaves)
     pay = np.array([lift_to_leaves(tree, q.payoff) for q in quotes]).reshape(-1, len(leaves)).T
     bid, ask = np.array([(q.bid, q.ask) for q in quotes]).reshape(-1, 2).T
-    kernel = np.zeros((tree.n_nodes, int(tree.arity.max())))
-    for nodes, _, owner, _, sup, weights, _ in table.groups:
-        mean = np.zeros((len(nodes), kernel.shape[1]))
-        np.add.at(mean, (owner[:, None], sup), weights)
-        kernel[nodes] = mean / np.bincount(owner)[:, None]
-    mass = tree.product_down(kernel)
+    mass = tree.product_down(menus.mixture())
     _check_martingale(steps, spot, mass, exact)
     first = mass[leaves]
     price, tol = pay.T @ first, settings.feasibility_tol
@@ -342,13 +365,15 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
     if (((price >= bid - tol) & (price <= ask + tol)).all()
             and density.min() > settings.equivalence_floor):
         return Measure.from_leaf_masses(tree, first)
-    return _calibrated_mixture(tree, table, first, pay, bid, ask, settings)
+    return _calibrated_mixture(tree, menus, first, pay, bid, ask, settings)
 
 
 def _check_martingale(steps, spot: np.ndarray, mass: np.ndarray, settings: Settings) -> None:
-    """Raise :class:`NumericalBreakdown` at a node whose kernel of ``mass`` is not a martingale's."""
+    """Raise :class:`NumericalBreakdown` at a node whose kernel of ``mass`` is
+    not a martingale's; a node of no mass has none, and passes."""
     for nodes, kids, _, drift in steps:
-        gap = np.abs(np.einsum("gc,gcd->gd", mass[kids] / mass[nodes, None], drift))
+        kernel = mass[kids] / np.where(mass[nodes, None] != 0.0, mass[nodes, None], 1.0)
+        gap = np.abs(np.einsum("gc,gcd->gd", kernel, drift))
         off = gap.max(1, initial=0.0) > settings.feasibility_tol * (1.0 + np.abs(spot[nodes]).max(1, initial=0.0))
         if off.any():
             i = int(off.argmax())
@@ -356,7 +381,7 @@ def _check_martingale(steps, spot: np.ndarray, mass: np.ndarray, settings: Setti
                                      f"condition by {gap[i].max()!r}")
 
 
-def _calibrated_mixture(tree: FiltrationTree, table: _VertexTable, first: np.ndarray,
+def _calibrated_mixture(tree: FiltrationTree, menus: ScenarioModel, first: np.ndarray,
                         pay: np.ndarray, bid: np.ndarray, ask: np.ndarray,
                         settings: Settings) -> Measure | None:
     """The mixture of R (the leaf masses ``first``) and extreme martingale
@@ -393,7 +418,7 @@ def _calibrated_mixture(tree: FiltrationTree, table: _VertexTable, first: np.nda
             continue
         sign = 1.0 if slack is None else -1.0      # min s, or max t
         pi, mu = sign * (sol.dual_point[:k] + sol.dual_point[k:2 * k]), sol.dual_point[-1]
-        value, mass = _upper_column(tree, table, pay @ pi)
+        value, mass = _upper_column(menus, pay @ pi)
         rate = value + sign * mu
         if rate <= _induction_rounding(tree, pay * pi, np.array([mu])):
             if slack is None:
@@ -474,7 +499,7 @@ def calibrated_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess],
     It equals min over the simplex of psi(lam) = max over Q of sum lam_i l_i(Q),
     found by column generation (Kelley): psi(lam) is one upper induction on
     the leaf claim sum lam_i l_i, over each node's vertex kernels
-    (:func:`_vertex_table`, the table of :func:`mme_bounds`, built once for
+    (:func:`_vertex_table`, the menus of :func:`mme_bounds`, built once for
     both sides), and the product of its argmax kernels is the measure whose
     pieces are the new column.  The master is min over lam of the largest of
     the columns' sum lam_i l_i: the least piece while there is one column,
@@ -493,11 +518,11 @@ def calibrated_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess],
     validate_stopping_time(tree, x.at)
     require_finite(x, "claim value")
     settings = pinned(settings)
-    table = _vertex_table(tree, assets, settings)
+    menus = _vertex_table(tree, assets, settings)
     pay = np.column_stack([lift_to_leaves(tree, c) for c in [x] + [q.payoff for q in quotes]])
     bid, ask = np.array([(q.bid, q.ask) for q in quotes]).reshape(-1, 2).T
-    low = 0.0 - _quoted_sup(tree, table, pay * np.r_[-1.0, np.ones(len(quotes))], bid, ask, settings)
-    return low, _quoted_sup(tree, table, pay, bid, ask, settings)
+    low = 0.0 - _quoted_sup(menus, pay * np.r_[-1.0, np.ones(len(quotes))], bid, ask, settings)
+    return low, _quoted_sup(menus, pay, bid, ask, settings)
 
 
 # column-generation rounds per calibrated bound and per calibration verdict;
@@ -513,11 +538,12 @@ def _induction_rounding(tree: FiltrationTree, pay: np.ndarray, offset: np.ndarra
     return _ROUNDING * (tree.horizon + 1) * scale
 
 
-def _quoted_sup(tree: FiltrationTree, table: _VertexTable, pay: np.ndarray, bid: np.ndarray,
-                ask: np.ndarray, settings: Settings) -> float:
+def _quoted_sup(menus: ScenarioModel, pay: np.ndarray, bid: np.ndarray, ask: np.ndarray,
+                settings: Settings) -> float:
     """max over Q in M of min_i l_i(Q), where ``pay`` holds X and then the
-    quotes' payoffs on the leaves, by the search of :func:`calibrated_bounds`."""
-    k = len(bid)
+    quotes' payoffs on the leaves, by the search of :func:`calibrated_bounds`
+    over the vertex-kernel ``menus``."""
+    tree, k = menus.tree, len(bid)
     pieces = np.zeros((2 * k + 1, k + 1))     # l = pieces @ E_Q pay + offset
     pieces[:, 0] = 1.0
     pieces[1:, 1:] = np.concatenate([np.eye(k), -np.eye(k)])
@@ -526,7 +552,7 @@ def _quoted_sup(tree: FiltrationTree, table: _VertexTable, pay: np.ndarray, bid:
     lam = np.eye(2 * k + 1)[0]
     cols, lower, upper = [], -np.inf, np.inf
     for _ in range(_ROUNDS):
-        value, mass = _upper_column(tree, table, pay @ (pieces.T @ lam))
+        value, mass = _upper_column(menus, pay @ (pieces.T @ lam))
         upper = min(upper, value + float(lam @ offset))
         cols.append(pieces @ (pay.T @ mass) + offset)
         lower = max(lower, float(cols[-1].min()))
@@ -562,61 +588,34 @@ def _master(cols: list, settings: Settings) -> tuple[np.ndarray, float]:
     return np.maximum(sol.point[:n], 0.0), size * float(sol.value)
 
 
-def _upper_column(tree: FiltrationTree, table: _VertexTable,
-                  claim: np.ndarray) -> tuple[float, np.ndarray]:
-    """max over Q in M of E_Q of the leaf claim, by an induction over the
-    vertex kernels of ``table``, and the leaf masses of the product Q of
-    the argmax kernels."""
-    leaves = list(tree.leaves)
-    values = np.zeros(tree.n_nodes)
-    values[leaves] = claim
-    kernel = np.zeros((tree.n_nodes, int(tree.arity.max())))
-    for nodes, start, owner, child, sup, weights, _ in table.groups:
-        cand = (weights * values[child]).sum(1)
-        top = np.maximum.reduceat(cand, start)
-        best = np.minimum.reduceat(np.where(cand == top[owner], np.arange(len(cand)), len(cand)),
-                                   start)
-        values[nodes] = top
-        kernel[nodes[:, None], sup[best]] = weights[best]
-    return float(values[tree.root]), tree.product_down(kernel)[leaves]
-
-
-@dataclass(frozen=True)
-class _VertexTable:
-    """The vertex kernels of every node's martingale kernels, built once per
-    market by :func:`_vertex_table` and read by every bound without caps.
-
-    ``groups`` holds, per level group of :func:`_level_steps` that has a
-    node with a kernel, deepest first: those nodes, where each node's
-    vertices start in the list, the rank of each vertex's node, and each
-    vertex's children (as tree nodes), support row, kernel weights and
-    least-norm point y0 = q / sqrt(p).  ``root_p`` is sqrt(p) of every node
-    under its parent (1 at the root), and ``charged`` whether every edge
-    below a node with a kernel has weight above ``equivalence_floor`` in one
-    of its vertices."""
-
-    groups: list
-    root_p: np.ndarray
-    charged: bool
+def _upper_column(menus: ScenarioModel, claim: np.ndarray) -> tuple[float, np.ndarray]:
+    """max over Q in M of E_Q of the leaf claim, the ask of the vertex-kernel
+    ``menus``, and the leaf masses of the product Q of the pass's argmax
+    kernels."""
+    tree = menus.tree
+    best = np.zeros((tree.n_nodes, 1), dtype=int)
+    value = _leaf_pass(menus, claim[:, None], best)[tree.root, 0]
+    return float(value), tree.product_down(menus.chosen(best[:, 0]))[list(tree.leaves)]
 
 
 def _vertex_table(tree: FiltrationTree, assets: Sequence[AssetProcess], settings: Settings,
-                  steps: list | None = None) -> _VertexTable:
-    """The usable vertex kernels of :func:`_vertex_kernels` of every node:
-    those whose support holds no child without a kernel, sorted by node, as
-    a :class:`_VertexTable`; ``steps`` are those of :func:`_level_steps`,
-    built here when not given.  The vertices depend on the reference kernels
-    and the asset moves alone, so the level groups of one arity and support
-    size are solved as one stack, once per support batch; the filter then
-    runs a level group at a time, deepest first.  The support decides, not
-    the weights, so no zero weight meets a child that has no value; a node
-    without a kernel is charged by no usable vertex, so it is never read.
-    The table holds 4 * (assets + 1) + 1 numbers per usable vertex, whose
-    count per node the supports tried, at most ``max_enum``, bound, and it
-    is held whole while the bounds read it.  Raises
-    :class:`EnumerationOverflow` naming the first level group whose supports
-    exceed ``max_enum``, before any solve, and :class:`NoMartingaleMeasure`
-    when the root has no kernel."""
+                  steps: list | None = None) -> ScenarioModel:
+    """The usable vertex kernels of :func:`_vertex_kernels` of every node,
+    those whose support holds no child without one, as the menus of a
+    zero-penalty :class:`ScenarioModel` (:meth:`ScenarioModel.of_packed`),
+    each node's vertices in the order found; a node without one holds one
+    zero kernel, worth 0 in a backward pass, which only its parent's zero
+    weights read.  ``steps`` are those of :func:`_level_steps`, built here
+    when not given.  The vertices depend on the reference kernels and the
+    asset moves alone, so the level groups of one arity and support size
+    are solved as one stack, once per support batch; the filter then runs a
+    level group at a time, deepest first.  The support decides, not the
+    weights, so no zero weight meets a child that has no vertex.  The menus
+    hold arity + 1 numbers per vertex and padding, whose count per node the
+    supports tried, at most ``max_enum``, bound, and they are held whole
+    while the bounds read them.  Raises :class:`EnumerationOverflow` naming
+    the first level group whose supports exceed ``max_enum``, before any
+    solve, and :class:`NoMartingaleMeasure` when the root has no kernel."""
     if steps is None:
         steps = _level_steps(tree, _spot(tree, assets))
     sizes = [_kernel_support_size(tree, nodes, kids.shape[1], len(assets), settings)
@@ -627,31 +626,24 @@ def _vertex_table(tree: FiltrationTree, assets: Sequence[AssetProcess], settings
         cut = np.searchsorted(node, starts)
         for i, first, lo, hi in zip(members, starts, cut, cut[1:]):
             found[i] = (node[lo:hi] - first, *(z[lo:hi] for z in rest))
-    root_p = np.ones(tree.n_nodes)
-    for _, kids, p, _ in steps:
-        root_p[kids] = np.sqrt(p)
     alive = np.ones(tree.n_nodes, dtype=bool)
-    groups, charged = [], True
-    for (nodes, kids, *_), size, (node, sup, width, y0) in zip(steps, sizes, found):
-        child = kids[node[:, None], sup]
-        fine = ~((np.arange(size) < width[:, None]) & ~alive[child]).any(1)
-        node, child, sup, y0 = node[fine], child[fine], sup[fine], y0[fine]
-        head = np.diff(node, prepend=-1) != 0
-        alive[nodes] = False
-        alive[nodes[node[head]]] = True
-        if head.any():
-            owner = np.cumsum(head) - 1
-            weights = root_p[child] * y0
-            if charged:
-                k = kids.shape[1]
-                hit = np.zeros(int(head.sum()) * k, dtype=bool)
-                hit[(owner[:, None] * k + sup)[weights > settings.equivalence_floor]] = True
-                charged = bool(hit.all())
-            groups.append((nodes[node[head]], np.flatnonzero(head), owner, child, sup,
-                           weights, y0))
+    packed, menu_sizes = {}, np.zeros(tree.n_nodes, dtype=int)
+    for key, (nodes, kids, p, _), size, (node, sup, width, y0) in zip(
+            tree.levels(tree.leaves), steps, sizes, found):
+        fine = ~((np.arange(size) < width[:, None]) & ~alive[kids[node[:, None], sup]]).any(1)
+        node, sup = node[fine], sup[fine]
+        usable = np.bincount(node, minlength=len(nodes))
+        alive[nodes] = usable > 0
+        rank = np.arange(len(node)) - (np.cumsum(usable) - usable)[node]
+        count = np.maximum(usable, 1)
+        kernels = np.zeros((len(nodes), count.max(), kids.shape[1]))
+        kernels[node[:, None], rank[:, None], sup] = np.sqrt(p)[node[:, None], sup] * y0[fine]
+        np.copyto(kernels, kernels[:, :1], where=(np.arange(count.max()) >= count[:, None])[..., None])
+        packed[key] = kernels, np.zeros(kernels.shape[:2])
+        menu_sizes[nodes] = count
     if not alive[tree.root]:
         raise NoMartingaleMeasure(f"no martingale kernel at node {_first_dead(tree, ~alive)}")
-    return _VertexTable(groups, root_p, charged)
+    return ScenarioModel.of_packed(tree, packed, menu_sizes)
 
 
 def _stacks(steps: list, sizes: list[int]):
@@ -715,7 +707,7 @@ def good_deal_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess],
     validate_stopping_time(tree, x.at)
     require_finite(x, "claim value")
     if not np.isfinite(cap).any():
-        return _table_bounds(tree, _vertex_table(tree, assets, settings), lift_to_leaves(tree, x))
+        return _uncapped_bounds(_vertex_table(tree, assets, settings), x)
     steps = _level_steps(tree, _spot(tree, assets))
     sizes = [_kernel_support_size(tree, nodes, kids.shape[1], len(assets), settings,
                                   bool(np.isfinite(cap[nodes]).any()))
@@ -737,23 +729,6 @@ def good_deal_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess],
         _vertex_table(tree, assets, settings, steps)      # raises when M is empty too
         raise EmptyGoodDealSet(f"caps exclude every martingale kernel at node {node}")
     return -float(values[0, tree.root]), float(values[1, tree.root])
-
-
-def _table_bounds(tree: FiltrationTree, table: _VertexTable,
-                  leaf_values: np.ndarray) -> tuple[float, float]:
-    """The least and the largest E_Q of the claim of ``leaf_values`` over the
-    martingale measures, by the induction over the vertices of ``table``.
-    Each candidate sums (sqrt(p_c) V(c)) y0_c over its support in support
-    order, the order of :func:`tcpp.scenario._kernel_max`; so the induction
-    carries sqrt(p) V, and a node without a kernel keeps 0, which only the
-    zero weights of a padded support read."""
-    scaled = np.zeros((2, tree.n_nodes))      # the lower side negated, the upper side
-    leaves = list(tree.leaves)
-    scaled[:, leaves] = table.root_p[leaves] * np.outer([-1.0, 1.0], leaf_values)
-    for nodes, start, _, child, _, _, y0 in table.groups:
-        top = np.maximum.reduceat((scaled[:, child] * y0).sum(-1), start, axis=1)
-        scaled[:, nodes] = table.root_p[nodes] * top
-    return -float(scaled[0, tree.root]), float(scaled[1, tree.root])
 
 
 # -- portfolio constraints ---------------------------------------------------

@@ -28,7 +28,8 @@ from .tree import (Claim, ClaimStack, FiltrationTree, Measure, StoppingTime, lif
 
 
 def backward_pass(model: ScenarioModel, at: StoppingTime, values: np.ndarray,
-                  floor: np.ndarray | None = None) -> np.ndarray:
+                  floor: np.ndarray | None = None, argmax: np.ndarray | None = None
+                  ) -> np.ndarray:
     """Menu-maximum recursion from the cut to the root, vectorized over claims.
 
     ``values`` has a row per node and a column per claim; only the cut's rows
@@ -36,13 +37,18 @@ def backward_pass(model: ScenarioModel, at: StoppingTime, values: np.ndarray,
     prices above the cut and NaN below it.  A node above the cut takes the
     larger of its menu maximum and its ``floor`` (a row per node, ``-inf``
     for none): the Snell envelope of a payoff process.  Each level group is
-    one product of its packed kernels with its children's values.
+    one product of its packed kernels with its children's values.  An
+    integer ``argmax`` of the shape of ``values`` gets, in the rows above the
+    cut, each node's first maximal entry, never a padding copy; it changes
+    no value.
     """
-    cut = list(at.cut)
     out = np.full((model.tree.n_nodes, values.shape[1]), np.nan)
-    out[cut] = values[cut]
-    for nodes, kids, kernels, penalties in model.steps(cut):
-        best = (np.einsum("gek,gkm->gem", kernels, out[kids]) - penalties[:, :, None]).max(axis=1)
+    out[at.index] = values[at.index]
+    for nodes, kids, kernels, penalties in model.steps(at.cut):
+        cand = np.einsum("gek,gkm->gem", kernels, out[kids]) - penalties[:, :, None]
+        best = cand.max(axis=1)
+        if argmax is not None:
+            argmax[nodes] = cand.argmax(axis=1)
         out[nodes] = best if floor is None else np.maximum(best, floor[nodes, None])
     return out
 

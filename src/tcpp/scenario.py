@@ -63,8 +63,9 @@ class ScenarioModel:
     constructible so that the axiom checker can exhibit them as witnesses.
 
     The menus come as entries per node or as a :class:`MenuTable`; either
-    way they are checked and packed as flat arrays, and ``menus`` is their
-    view as entries, built on first use.  ``packed`` holds the menus per
+    way they are checked and packed as flat arrays (:meth:`of_packed` takes
+    them packed, unchecked), and ``menus`` is their view as entries, built
+    on first use.  ``packed`` holds the menus per
     level group of ``tree.levels``: kernels ``(g, entries, arity)`` and
     penalties ``(g, entries)``, a short menu padded with copies of its
     first entry; ``menu_sizes`` has the lengths.
@@ -72,7 +73,6 @@ class ScenarioModel:
 
     def __init__(self, tree: FiltrationTree,
                  menus: Mapping[int, Sequence[MenuEntry]] | MenuTable):
-        self.tree = tree
         table = menus if isinstance(menus, MenuTable) else MenuTable.of(menus)
         internal = set(tree.internal_nodes())
         if set(table.nodes) != internal:
@@ -117,9 +117,8 @@ class ScenarioModel:
                             f"node {node} is not finite")
 
         kernels = np.where(kernels > 0.0, kernels, 0.0)
-        self._order = table.nodes
-        self.menu_sizes = np.zeros(tree.n_nodes, dtype=int)
-        self.menu_sizes[table.nodes] = table.sizes
+        menu_sizes = np.zeros(tree.n_nodes, dtype=int)
+        menu_sizes[table.nodes] = table.sizes
         # every internal node's entries, level group after level group, a
         # short menu padded with its first entry; each group keeps its own width
         groups = tree.levels(tree.leaves)
@@ -128,16 +127,35 @@ class ScenarioModel:
         starts = np.cumsum(counts) - counts
         first = np.zeros(tree.n_nodes, dtype=int)
         first[table.nodes] = node_start
-        size = self.menu_sizes[nodes, None]
+        size = menu_sizes[nodes, None]
         slot = np.arange(size.max())
         entry = first[nodes, None] + np.where(slot < size, slot, 0)
         widths = np.maximum.reduceat(size[:, 0], starts).tolist()
-        self._row = np.zeros(tree.n_nodes, dtype=int)      # a node's row in its group
-        self._row[nodes] = np.arange(len(nodes)) - np.repeat(starts, counts)
-        self.packed: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        packed = {}
         for (t, k), a, g, w in zip(groups, starts.tolist(), counts, widths):
             rows = entry[a:a + g, :w]
-            self.packed[t, k] = (kernels[rows, :k], table.penalties[rows])
+            packed[t, k] = (kernels[rows, :k], table.penalties[rows])
+        self._hold(tree, packed, menu_sizes, table.nodes)
+
+    @classmethod
+    def of_packed(cls, tree: FiltrationTree,
+                  packed: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]],
+                  menu_sizes: np.ndarray) -> "ScenarioModel":
+        """The model of menus already packed as ``packed``, of lengths
+        ``menu_sizes``, trusted as given: none of the checks of a market
+        file's menus is made (the vertex kernels of ``market`` may hold
+        weights down to -``feasibility_tol``)."""
+        model = cls.__new__(cls)
+        model._hold(tree, packed, menu_sizes, tree.internal_nodes())
+        return model
+
+    def _hold(self, tree: FiltrationTree,
+              packed: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]],
+              menu_sizes: np.ndarray, order: Sequence[int]) -> None:
+        self.tree, self.packed, self.menu_sizes, self._order = tree, packed, menu_sizes, order
+        self._row = np.zeros(tree.n_nodes, dtype=int)      # a node's row in its group
+        for nodes, _ in tree.levels(tree.leaves).values():
+            self._row[nodes] = np.arange(len(nodes))
 
     @functools.cached_property
     def menus(self) -> dict[int, tuple[MenuEntry, ...]]:
@@ -166,6 +184,14 @@ class ScenarioModel:
             elif len(nodes) < len(kernels):
                 kernels, penalties = kernels[self._row[nodes]], penalties[self._row[nodes]]
             yield nodes, kids, kernels, penalties
+
+    def chosen(self, choice: np.ndarray) -> np.ndarray:
+        """The kernel of the entry ``choice`` names at each internal node, as
+        its row of a ``(n_nodes, widest arity)`` array, zero at the leaves."""
+        out = np.zeros((self.tree.n_nodes, int(self.tree.arity.max())))
+        for nodes, _, kernels, _ in self.steps(self.tree.leaves, choice):
+            out[nodes, :kernels.shape[1]] = kernels
+        return out
 
     def mixture(self, max_penalty: float = math.inf) -> np.ndarray:
         """Each internal node's equal-weight mixture of its entries of penalty
@@ -254,10 +280,8 @@ def enumerate_selections(model: ScenarioModel,
 def selection_to_measure(model: ScenarioModel, sel: MeasureSelection) -> Measure:
     """Density per leaf: product of chosen kernel weights along the path / P."""
     tree = model.tree
-    kernel = np.zeros((tree.n_nodes, int(tree.arity.max())))
-    for nodes, _, k, _ in model.steps(tree.leaves, _check_selection(model, sel)):
-        kernel[nodes, :k.shape[1]] = k
-    return Measure.from_leaf_masses(tree, tree.product_down(kernel)[list(tree.leaves)])
+    mass = tree.product_down(model.chosen(_check_selection(model, sel)))
+    return Measure.from_leaf_masses(tree, mass[list(tree.leaves)])
 
 
 def _one_step(values: np.ndarray, kids: np.ndarray, kernel: np.ndarray,

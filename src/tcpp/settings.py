@@ -33,8 +33,8 @@ class Settings:
                       martingale, calibrated and good-deal bounds and by
                       calibration (without caps, the martingale and
                       calibrated bounds and calibration read the vertex
-                      kernels among them from one table per market,
-                      4 * (assets + 1) + 1 numbers each, held whole, so
+                      kernels among them as the menus of one model per
+                      market, arity + 1 numbers each, held whole, so
                       their memory grows with the internal nodes times the
                       vertices per node, at most this cap), on the
                       menu-entry supports (at most arity entries each)
@@ -58,7 +58,7 @@ DEFAULT = Settings()
 def pinned(settings: Settings) -> Settings:
     """``settings`` with ``feasibility_tol`` no looser than the default's:
     what a function that returns a number computes at, once at its entry,
-    so that all it calls (kernel searches, vertex tables, master LPs, gap
+    so that all it calls (kernel searches, vertex kernels, master LPs, gap
     checks) sees one tolerance.  Kernels that miss their rows by a loose
     tolerance add up along the paths of a measure, and an LP pivoted to
     one checks to ``DUALITY_TOL`` all the same.  At the default or a

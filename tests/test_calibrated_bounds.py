@@ -119,16 +119,21 @@ def test_calibrated_bounds_on_irregular_trees_with_a_dead_node_agree_with_the_le
             assert np.abs(np.subtract(got, want)).max() <= 1e-9, (got, want)
 
 
+def _empty_groups(menus) -> list:
+    """The level groups of the vertex-kernel menus whose nodes all lack a
+    kernel: each node holds one zero kernel."""
+    return [key for key, (kernels, _) in menus.packed.items() if not kernels.any()]
+
+
 def test_the_irregular_instances_cover_a_level_group_without_a_kernel_below_a_live_root():
-    # a level group whose nodes all lack a kernel has no entry in the table
     groups = []
     for seed in range(20):
         tree, assets, _ = _market(np.random.default_rng(500 + seed), "dead", irregular=True)
         try:
-            table = tcpp.market._vertex_table(tree, assets, DEFAULT)
+            menus = tcpp.market._vertex_table(tree, assets, DEFAULT)
         except NoMartingaleMeasure:
             continue
-        groups.append(len(tree.levels(tree.leaves)) - len(table.groups))
+        groups.append(len(_empty_groups(menus)))
     assert max(groups) >= 1 and min(groups) == 0
 
 
@@ -143,10 +148,11 @@ def _mixed_arity_market():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_a_level_group_without_a_kernel_below_a_live_root_is_left_out():
+def test_a_level_group_without_a_kernel_below_a_live_root_holds_zero_kernels():
     tree, s = _mixed_arity_market()
-    table = tcpp.market._vertex_table(tree, [s], DEFAULT)
-    assert len(table.groups) == len(tree.levels(tree.leaves)) - 1
+    menus = tcpp.market._vertex_table(tree, [s], DEFAULT)
+    assert _empty_groups(menus) == [(1, 2)]       # node 1, one zero kernel
+    assert menus.packed[1, 2][0].shape == (1, 1, 2) and menus.menu_sizes[1] == 1
     rng = np.random.default_rng(7)
     for n_quotes in (0, 1, 2, 2):
         quotes = [QuotedOption(f"Y{i}", random_claim(rng, tree), *sorted(rng.uniform(-1.0, 2.0, 2)))

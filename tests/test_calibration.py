@@ -36,25 +36,25 @@ def _returns_mixture(*args) -> bool:
     return got is not None and any(got is m for m in made)
 
 
-def _edge_table(tree, assets, settings=DEFAULT):
-    """The vertex table of calibration's edge test, or None where it fails."""
+def _edge_menus(tree, assets, settings=DEFAULT):
+    """The vertex-kernel menus of calibration's edge test, or None where it fails."""
     try:
-        table = tcpp.market._vertex_table(tree, assets, settings)
+        menus = tcpp.market._vertex_table(tree, assets, settings)
     except NoMartingaleMeasure:
         return None
-    return table if table.charged else None
+    return menus if tcpp.market._equivalent(menus, settings) else None
 
 
 def _mixture(tree, assets, quotes, settings=DEFAULT):
     """The column generation's mixture, or its None, run after the edge test
     on R, the measure without quotes, whatever R's prices."""
-    table = _edge_table(tree, assets, settings)
-    if table is None:
+    menus = _edge_menus(tree, assets, settings)
+    if menus is None:
         return None
     first = calibration_feasible(tree, assets, [], settings).leaf_masses(tree)
     pay = np.array([lift_to_leaves(tree, q.payoff) for q in quotes]).T
     bid, ask = np.array([(q.bid, q.ask) for q in quotes]).T
-    return tcpp.market._calibrated_mixture(tree, table, first, pay, bid, ask, settings)
+    return tcpp.market._calibrated_mixture(tree, menus, first, pay, bid, ask, settings)
 
 
 def _assert_calibrated(tree, assets, quotes, q, tol=DEFAULT.feasibility_tol) -> None:

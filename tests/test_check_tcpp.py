@@ -1,7 +1,8 @@
 """check-tcpp's stacked checks against the per-family oracle: the axiom
-families as columns of one pass per cut, the chains' shared direct pass and
-the cocycle selections as columns of one induction; then the command's
-output, its pass count, its memory budget and its failing golden output."""
+families as columns of one pass per cut and the chains' shared direct pass;
+the library's cocycle check of penalty processes, with the selections as
+columns of one induction; then the command's output, its pass count, its
+memory budget and its failing golden output."""
 import os
 
 import numpy as np
@@ -249,7 +250,7 @@ def test_the_command_prints_what_the_per_family_checks_printed(tmp_path, capsys,
 def test_a_small_check_costs_one_axiom_pass_and_one_per_chain_cut(monkeypatch, capsys):
     """On the binomial demo: the axioms' stack and the zero claim, the
     chains' direct pass and one per distinct sigma, and the sublinearity
-    scan; no pass for the cocycle selections."""
+    scan."""
     calls = []
     backward_pass = tcpp.pricing.backward_pass
     monkeypatch.setattr(tcpp.pricing, "backward_pass",

@@ -213,8 +213,8 @@ def test_reports_deterministic_given_seed(capsys):
 
 
 def test_check_tcpp_enumerates_nothing(monkeypatch, capsys, tmp_path):
-    # binomial H=6 with 2 entries has 2^63 selections; the cocycle samples
-    # are drawn, so neither the default cap nor a cap of 1 is reached
+    # binomial H=6 with 2 entries has 2^63 selections, and no check
+    # enumerates them, so neither the default cap nor a cap of 1 is reached
     model = _binomial_two_entries(periods=6)
     path = tmp_path / "model.market"
     path.write_text(serialize_market(MarketData(model.tree, model)))
@@ -226,7 +226,7 @@ def test_check_tcpp_enumerates_nothing(monkeypatch, capsys, tmp_path):
         assert code == 0 and not err
         records = dict(line.split("\t") for line in out.strip().splitlines())
         checks = {k: v for k, v in records.items() if k.startswith("check.")}
-        assert sorted(checks) == ["check.cocycle", "check.non-degeneracy",
+        assert sorted(checks) == ["check.non-degeneracy",
                                   "check.pricing-axioms", "check.time-consistency"]
         assert set(checks.values()) == {"pass"}
 
@@ -516,17 +516,6 @@ def test_main_builds_the_parser_once_and_a_usage_error_leaves_it_unchanged(capsy
     assert main(argv) == 0
     assert capsys.readouterr().out == first
     assert len(built) == 3 and built[0] is built[1] is built[2] is tcpp.cli.build_parser()
-
-
-def test_one_integers_call_draws_one_scalar_call_per_node():
-    # check-tcpp draws a cocycle selection's entries with one call
-    rng = np.random.default_rng(5)
-    for i in range(200):
-        sizes = rng.integers(1, 2 if i % 10 == 0 else 6, int(rng.integers(1, 80)))
-        seed = int(rng.integers(1 << 30))
-        one, each = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert one.integers(sizes).tolist() == [int(each.integers(s)) for s in sizes.tolist()]
-        assert one.random() == each.random()
 
 
 def _write_market(tmp_path, name: str, model: ScenarioModel, rng) -> tuple[str, str, str]:

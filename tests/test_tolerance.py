@@ -66,7 +66,7 @@ def test_steep_projection_bounds_at_a_loose_tolerance():
     md = parse_market_file(os.path.join(MARKETS, "steep_projection.market"))
     x = parse_claim_file(os.path.join(MARKETS, "steep_projection.claim"), md.tree)
     loose = _loosened(md.settings, 1e-2)
-    assert mme_bounds(md.tree, md.assets, x, loose).lower == 0.4586167057262128
+    assert mme_bounds(md.tree, md.assets, x, loose).lower == 0.45861670572621294
     assert good_deal_bounds(md.tree, md.assets, GoodDealCaps.uniform(1.2), x, loose) == \
         (0.7032466225150988, 1.419418027747061)
 

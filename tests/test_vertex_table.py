@@ -1,9 +1,9 @@
-"""The vertex table that serves every bound without caps (the martingale
-bounds, calibration's edge test and the calibrated bounds), against the
-per-level-group induction it replaced, and the solves it makes; the capped
-good-deal search over stacked slice systems against the search per level
-group."""
-import dataclasses
+"""The vertex-kernel menus that serve every bound without caps (the
+martingale bounds, calibration's edge test and R, and the calibrated
+bounds) through one backward pass, against the per-level-group induction
+they replaced, and the solves they make; the capped good-deal search over
+stacked slice systems against the search per level group."""
+import os
 import struct
 from unittest import mock
 
@@ -20,12 +20,14 @@ from test_calibration import _market as calibration_market
 from tcpp.errors import EmptyGoodDealSet, TcppError
 from tcpp.market import (AssetProcess, GoodDealCaps, QuotedOption, calibrated_bounds,
                          calibration_feasible, good_deal_bounds, mme_bounds)
+from tcpp.marketfile import parse_market_file
 from tcpp.pricing import random_stopping_time
 from tcpp.scenario import _kernel_max, _slice_batches, _support_batches
 from tcpp.settings import DEFAULT, Settings
-from tcpp.tree import Claim, FiltrationTree, StoppingTime
+from tcpp.tree import Claim, FiltrationTree, StoppingTime, lift_to_leaves
 
 SEEDS = range(240)
+MARKETS = os.path.join(os.path.dirname(__file__), "markets")
 
 
 def _shift(tree: FiltrationTree, values: dict, node: int, by: float) -> None:
@@ -93,18 +95,42 @@ def _mme(tree, assets, x, settings):
     return b.lower, b.upper, b.has_equivalent
 
 
+def _outcome(run):
+    """The outcome of ``run``: its values, or the type and text of the error it raised."""
+    try:
+        return run()
+    except TcppError as exc:
+        return type(exc).__name__, str(exc)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("chunk", range(8))
-def test_the_table_gives_the_per_group_induction_bit_for_bit(chunk):
+def test_the_menus_give_the_per_group_induction_to_its_rounding(chunk):
+    # the pass sums q . V where the per-group induction summed
+    # (sqrt(p) V) . y0, so the bounds agree to the induction's rounding;
+    # the errors and the edge test agree exactly, and the good-deal bounds
+    # at an infinite cap are the martingale bounds' pass, to the bit
     for seed in SEEDS[chunk::8]:
         tree, assets, claims, settings = _market(seed)
         for x in claims:
-            got = _bits(lambda: _mme(tree, assets, x, settings))
-            want = _bits(lambda: kernel_bounds_per_group(tree, assets, x, settings))
-            assert got == want, (seed, got, want)
+            got = _outcome(lambda: _mme(tree, assets, x, settings))
+            want = _outcome(lambda: kernel_bounds_per_group(tree, assets, x, settings))
+            if isinstance(want[0], str):
+                assert got == want, (seed, got, want)
+            else:
+                tol = tcpp.market._induction_rounding(tree, lift_to_leaves(tree, x)[:, None],
+                                                      np.zeros(1))
+                assert got[2] == want[2], seed
+                assert np.abs(np.subtract(got[:2], want[:2])).max() <= tol, (seed, got, want)
             inf = GoodDealCaps.uniform(float("inf"))
+            mme = _bits(lambda: _mme(tree, assets, x, settings))
             assert _bits(lambda: good_deal_bounds(tree, assets, inf, x, settings)) == \
-                (want if isinstance(want[0], str) else want[:2]), seed
+                (mme if isinstance(mme[0], str) else mme[:2]), seed
+
+
+def _empty_groups(menus) -> int:
+    """The level groups of the vertex-kernel menus whose every node holds a zero kernel."""
+    return sum(not kernels.any() for kernels, _ in menus.packed.values())
 
 
 def test_the_instances_cover_both_verdicts_every_error_and_groups_without_a_kernel():
@@ -117,8 +143,7 @@ def test_the_instances_cover_both_verdicts_every_error_and_groups_without_a_kern
             seen.add(type(exc).__name__)
             continue
         seen.add(b.has_equivalent)
-        table = tcpp.market._vertex_table(tree, assets, settings)
-        if len(table.groups) < len(tree.levels(tree.leaves)):
+        if _empty_groups(tcpp.market._vertex_table(tree, assets, settings)):
             seen.add("a level group without a kernel below a live root")
         if len(assets) == 3 and tree.arity.max() > 3:
             seen.add("3 assets")
@@ -127,30 +152,69 @@ def test_the_instances_cover_both_verdicts_every_error_and_groups_without_a_kern
 
 
 @pytest.mark.parametrize("kind", CALIBRATION_KINDS)
-def test_calibration_answers_as_with_the_per_group_edge_test_and_bounds(kind, monkeypatch):
-    """Calibration reads the table's edge test and its bounds along a
-    receding ray; with both taken from the per-group induction instead, on
-    the seeded sets of ``test_calibration``, its verdicts and measures are
-    the same."""
-    table_of = tcpp.market._vertex_table
-
-    def per_group_table(tree, assets, settings, steps=None):
-        table = table_of(tree, assets, settings, steps)
-        zero = Claim.constant(StoppingTime.at_root(tree), 0.0)
-        return dataclasses.replace(table,
-                                   charged=kernel_bounds_per_group(tree, assets, zero, settings)[2])
-
+def test_calibration_answers_as_with_the_per_group_edge_test(kind, monkeypatch):
+    """Calibration reads the menus' edge test; with it taken from the
+    per-group induction instead, on the seeded sets of ``test_calibration``,
+    its verdicts and measures are the same."""
     for seed in range(8):
         tree, assets, quotes = calibration_market(
             np.random.default_rng(1000 * CALIBRATION_KINDS.index(kind) + seed), kind)
         got = calibration_feasible(tree, assets, quotes)
+        zero = Claim.constant(StoppingTime.at_root(tree), 0.0)
         with monkeypatch.context() as m:
-            m.setattr(tcpp.market, "_vertex_table", per_group_table)
-            m.setattr(tcpp.market, "_table_bounds", lambda tree, table, values: (
-                kernel_bounds_per_group(tree, assets,
-                                        Claim(StoppingTime.at_horizon(tree), values))[:2]))
+            m.setattr(tcpp.market, "_equivalent", lambda menus, settings: (
+                kernel_bounds_per_group(tree, assets, zero, settings)[2]))
             want = calibration_feasible(tree, assets, quotes)
         assert got == want, (kind, seed)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_upper_column_is_a_martingale_measure_that_prices_the_claim_at_its_value():
+    # on the seeded markets, dead nodes included: the product of the pass's
+    # argmax kernels, which charges no node without a kernel
+    seen = set()
+    for seed in SEEDS:
+        tree, assets, claims, settings = _market(seed)
+        try:
+            menus = tcpp.market._vertex_table(tree, assets, settings)
+        except TcppError:
+            continue
+        spot = tcpp.market._spot(tree, assets)
+        leaves = list(tree.leaves)
+        for x in claims[:2]:
+            claim = lift_to_leaves(tree, x)
+            value, masses = tcpp.market._upper_column(menus, claim)
+            mass = np.zeros(tree.n_nodes)
+            mass[leaves] = masses
+            tcpp.market._check_martingale(tcpp.market._level_steps(tree, spot), spot,
+                                          tree.sum_up(mass), settings)
+            tol = tcpp.market._induction_rounding(tree, claim[:, None], np.zeros(1))
+            assert abs(float(masses @ claim) - value) <= tol, (seed, masses @ claim, value)
+        seen.add(any((~kernels.any(axis=(1, 2))).any() for kernels, _ in menus.packed.values()))
+    assert seen == {True, False}      # with and without a node that holds the zero kernel
+
+
+def test_the_bounds_without_caps_and_calibration_run_through_backward_pass(monkeypatch):
+    calls = []
+    backward_pass = tcpp.market.backward_pass
+    monkeypatch.setattr(tcpp.market, "backward_pass",
+                        lambda *args, **kwargs: calls.append(args[0])
+                        or backward_pass(*args, **kwargs))
+    tree, s, call, quote = _trinomial_call(3)
+    md = parse_market_file(os.path.join(MARKETS, "steep_projection.market"))
+    inf = GoodDealCaps.uniform(float("inf"))
+    runs = {"mme": lambda: mme_bounds(tree, [s], call),
+            "good-deal at an infinite cap": lambda: good_deal_bounds(tree, [s], inf, call),
+            "calibrated": lambda: calibrated_bounds(tree, [s], [quote], call),
+            # a point band that R misses: calibration's column generation
+            "calibration": lambda: calibration_feasible(md.tree, md.assets, md.quotes)}
+    for name, run in runs.items():
+        calls.clear()
+        assert run() is not None, name
+        assert calls, name
+    calls.clear()
+    mme_bounds(tree, [s], call)
+    assert len(calls) == 1
 
 
 def _lattice_market(seed: int):
@@ -273,7 +337,7 @@ def test_each_stack_of_supports_is_solved_once_per_batch(monkeypatch):
 
 
 def test_caps_that_empty_the_set_ask_the_table_whether_the_martingale_set_is_empty(monkeypatch):
-    # one level group: one capped search, then the table, no second induction
+    # one level group: one capped search, then the vertex kernels, no second induction
     tree, s, call, _ = _trinomial_call(1)
     calls = []
     kernel_max = tcpp.market._kernel_max

@@ -7,9 +7,9 @@ children per node and equal leaf weights, three assets that are martingales
 under one kernel near P at every node (``gen.martingale_assets``, seed 11)
 and one quote; ``OUT_DIR/wide.claim`` is a claim at the horizon.  A node has
 C(CHILDREN, 4) + C(CHILDREN, 3) + C(CHILDREN, 2) + CHILDREN kernel supports
-(6195 at 20 children), so this market exercises the vertex table of the
-bounds without caps.  The seed is fixed, so the files are the same on
-every run.
+(6195 at 20 children), so this market exercises the vertex-kernel menus
+of the bounds without caps.  The seed is fixed, so the files are the same
+on every run.
 """
 import os
 import sys
