@@ -12,15 +12,15 @@ kernels and the asset moves alone.  They are the menus of one zero-penalty
 scenario model per market, solved once per stack of level groups of one
 arity and support size, and every use without caps is one
 :func:`tcpp.pricing.backward_pass` over them: the martingale bounds (and the
-good-deal bounds at an infinite cap) are its bid and ask, and the column
-generations of the quote-penalized bounds and of calibration take extreme
-martingale measures from its argmax; the edge check and R read the menus.
-The bounds weigh their 2k + 1 pieces in a master LP of 2k + 2 variables
-for k quotes.  Calibration returns R, the product of every node's mean
-vertex kernel, where R prices each quote inside its band; otherwise its
-column generation mixes R with those measures in a master LP over their
-weights, which gives both the verdict and the measure.  LPs remain in
-those masters and in :class:`ConstraintSet`; none is over leaves.
+good-deal bounds at an infinite cap) are its bid and ask, and one column
+generation takes extreme martingale measures from its argmax; the edge
+check and R read the menus.  Its master LP has a variable per column and
+the quote-band violation: the quote-penalized bounds maximize E X less
+that violation, and calibration minimizes it from R, the product of every
+node's mean vertex kernel.  Calibration returns R where R prices each
+quote inside its band, else the mixture of R and those measures that the
+column generation finds.  LPs remain in that master and in
+:class:`ConstraintSet`; none is over leaves.
 """
 from __future__ import annotations
 
@@ -334,10 +334,12 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
     menus' mixtures (each node's mean usable vertex kernel), is a
     martingale measure that charges every edge, and it is returned when it
     prices every quote inside its band to ``feasibility_tol`` with every
-    leaf density above ``equivalence_floor``.  Else the column generation
-    over the same menus, from R, decides and gives the measure: the
-    calibrated mixture of R and extreme martingale measures with the
-    largest weight on R.  The bands are a verdict's, to ``feasibility_tol``;
+    leaf density above ``equivalence_floor``.  Else the column generation,
+    from R on the zero claim, decides (its phase 1 is minus the least band
+    violation) and gives the calibrated mixture of R and extreme martingale
+    measures with the largest weight on R, if its least density is above
+    the floor: any equivalent calibrated Q is c R + (1 - c) Q' for some
+    c > 0.  The bands are a verdict's, to ``feasibility_tol``;
     the menus, R's martingale check and the masters are numbers, at
     :func:`tcpp.settings.pinned`.
 
@@ -365,7 +367,12 @@ def calibration_feasible(tree: FiltrationTree, assets: Sequence[AssetProcess],
     if (((price >= bid - tol) & (price <= ask + tol)).all()
             and density.min() > settings.equivalence_floor):
         return Measure.from_leaf_masses(tree, first)
-    return _calibrated_mixture(tree, menus, first, pay, bid, ask, settings)
+    found = _calibrated_mixture(menus, [first], np.zeros(len(leaves)), pay, bid, ask, settings,
+                                floor=-settings.feasibility_tol)
+    if found is None:
+        return None
+    q = Measure.from_leaf_masses(tree, found[1])
+    return q if min(q.density.values()) > settings.equivalence_floor else None
 
 
 def _check_martingale(steps, spot: np.ndarray, mass: np.ndarray, settings: Settings) -> None:
@@ -381,57 +388,63 @@ def _check_martingale(steps, spot: np.ndarray, mass: np.ndarray, settings: Setti
                                      f"condition by {gap[i].max()!r}")
 
 
-def _calibrated_mixture(tree: FiltrationTree, menus: ScenarioModel, first: np.ndarray,
-                        pay: np.ndarray, bid: np.ndarray, ask: np.ndarray,
-                        settings: Settings) -> Measure | None:
-    """The mixture of R (the leaf masses ``first``) and extreme martingale
-    measures that prices every quote (a column of ``pay``) inside its band
-    with the largest weight t on R, or None.  R is equivalent to P, and any
-    equivalent calibrated Q is c R + (1 - c) Q' for some c > 0 and
-    martingale measure Q', so one exists exactly when t > 0.
-
-    Dantzig-Wolfe column generation over {R, Q_1, ...}: each master is one
-    :func:`tcpp.lp.solve` over the columns' weights and the largest band
-    violation s.  Phase 1 minimizes s, and None follows once its value and
-    bound exceed ``feasibility_tol``; phase 2 maximizes t with s held at
-    most phase 1's.  The master's duals pi of the quote rows and mu of the
-    weights' sum price a new column, :func:`_upper_column` on the leaf claim
-    -/+ pi . Y, until the rate it would improve at is within the
-    induction's rounding.  None as well when the mixture's least density is
-    at or below ``equivalence_floor``; :class:`NumericalBreakdown` when a
-    phase is still open after ``_ROUNDS`` rounds."""
-    k, masses, slack = len(bid), [first], None      # phase 1 until s <= feasibility_tol
-    exact = pinned(settings)
+def _calibrated_mixture(menus: ScenarioModel, masses: list, x: np.ndarray, pay: np.ndarray,
+                        bid: np.ndarray, ask: np.ndarray, settings: Settings,
+                        floor: float | None = None, best: float = np.inf
+                        ) -> tuple[float, np.ndarray] | None:
+    """Phase 1: max over the martingale measures Q of E_Q x - s(Q) for the
+    leaf claim ``x``, s(Q) being Q's largest violation of a quote band (the
+    quotes are the columns of ``pay``), and the leaf masses of a Q that
+    attains it.  Dantzig-Wolfe column generation from the columns
+    ``masses``: each master is one :func:`tcpp.lp.solve` over the columns'
+    weights w and s, with rows E_w Y - s <= ask, E_w Y + s >= bid and
+    sum w = 1, its objective row scaled by a power of 2 of the largest
+    |E_Q x| (exact, and 1 when x is 0), as the LP's tolerances are
+    absolute.  Its duals pi of the quote rows and mu of the sum price a new
+    column, :func:`_upper_column` on x - pi . Y; the master plus that value
+    less mu bounds the phase above.  The phase ends once the least bound,
+    from ``best`` on, meets the master to the induction's rounding, checked
+    after each master and each pricing.  A ``floor`` (for x = 0) ends
+    phase 1 also once the master reaches it, or the bound falls below it:
+    None below it, else phase 2 maximizes the first column's weight with s
+    held at phase 1's, by the same rule, and returns phase 1's value with
+    its mixture.  :class:`NumericalBreakdown` when a master is not optimal
+    or a phase is still open after ``_ROUNDS`` rounds."""
+    tree, k, value = menus.tree, len(bid), None      # value: phase 1's, once it ends
     for _ in range(_ROUNDS):
-        n, prices = len(masses), pay.T @ np.transpose(masses)
-        lp = LinearProgram(np.eye(n + 1)[n if slack is None else 0],
+        n, prices, gain = len(masses), pay.T @ np.transpose(masses), x @ np.transpose(masses)
+        size = 2.0 ** int(np.frexp(np.abs(gain).max())[1])
+        lp = LinearProgram(np.eye(n + 1)[0] if value is not None else np.r_[gain, -1.0] / size,
                            [(list(y) + [-1.0], LE, a) for y, a in zip(prices, ask)]
                            + [(list(y) + [1.0], GE, b) for y, b in zip(prices, bid)]
                            + [([1.0] * n + [0.0], EQ, 1.0)],
-                           upper=[np.inf] * n + [np.inf if slack is None else slack],
-                           sense="min" if slack is None else "max")
-        sol = solve(lp, exact)
+                           upper=[np.inf] * n + [np.inf if value is None else -value])
+        sol = solve(lp, pinned(settings))
         if sol.status != "optimal":
-            raise NumericalBreakdown(f"calibration: the master LP over {n} columns is {sol.status}")
-        if slack is None and sol.value <= settings.feasibility_tol:
-            slack = sol.value
+            raise NumericalBreakdown(f"column generation: the master LP over {n} columns "
+                                     f"is {sol.status}")
+        master = size * sol.value
+        pi, mu = size * (sol.dual_point[:k] + sol.dual_point[k:2 * k]), size * sol.dual_point[-1]
+        tol = _induction_rounding(tree, np.column_stack([x, pay * pi]), np.array([mu]))
+        done = best - master <= tol or (floor is not None and master >= floor)
+        if not done:
+            rate, mass = _upper_column(menus, x - pay @ pi)
+            best = min(best, master + (rate - mu))
+            done = best - master <= tol or (floor is not None and best < floor)
+        if not done:
+            masses.append(mass)
             continue
-        sign = 1.0 if slack is None else -1.0      # min s, or max t
-        pi, mu = sign * (sol.dual_point[:k] + sol.dual_point[k:2 * k]), sol.dual_point[-1]
-        value, mass = _upper_column(menus, pay @ pi)
-        rate = value + sign * mu
-        if rate <= _induction_rounding(tree, pay * pi, np.array([mu])):
-            if slack is None:
-                return None
+        if floor is None:
             break
-        if slack is None and sol.value - rate > settings.feasibility_tol:
+        if master < floor:
             return None
-        masses.append(mass)
+        value, floor, best = master, None, np.inf
     else:
-        raise NumericalBreakdown(f"calibration: the column generation is still open after "
-                                 f"{_ROUNDS} rounds ({k} quotes, {tree.n_nodes} nodes)")
-    q = Measure.from_leaf_masses(tree, np.maximum(sol.point[:n], 0.0) @ np.array(masses))
-    return q if min(q.density.values()) > settings.equivalence_floor else None
+        raise NumericalBreakdown(
+            f"column generation: the bracket [{master!r}, {best!r}] is still open after "
+            f"{_ROUNDS} rounds ({k} quotes, {tree.n_nodes} nodes)")
+    return (master if value is None else value,
+            np.maximum(sol.point[:n], 0.0) @ np.array(masses))
 
 
 # rounding of one level of an upper induction, a sum of a few products,
@@ -493,21 +506,14 @@ def calibrated_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess],
     martingale measures M, where beta is the worst quote-band violation of
     Q; always nested inside the unquoted bounds.
 
-    The upper bound is max over Q in M of min_i l_i(Q), over the 2k + 1
-    affine pieces l_0 = E_Q X and, per quote j, E_Q X + E_Q Y_j - bid_j and
-    E_Q X - E_Q Y_j + ask_j; the lower bound is minus the upper bound of -X.
-    It equals min over the simplex of psi(lam) = max over Q of sum lam_i l_i(Q),
-    found by column generation (Kelley): psi(lam) is one upper induction on
-    the leaf claim sum lam_i l_i, over each node's vertex kernels
-    (:func:`_vertex_table`, the menus of :func:`mme_bounds`, built once for
-    both sides), and the product of its argmax kernels is the measure whose
-    pieces are the new column.  The master is min over lam of the largest of
-    the columns' sum lam_i l_i: the least piece while there is one column,
-    then one :func:`tcpp.lp.solve` on 2k + 2 variables.  The lower end of
-    the bracket is attained by a martingale measure, a column or the
-    master's mixture of columns; the upper end is the least psi seen, a
-    bound by weak duality.  The lower end is returned once the two meet to
-    the rounding of the induction.
+    The upper bound is phase 1 of calibration's column generation
+    (:func:`_calibrated_mixture`) on the leaf claim X, from the two seed
+    columns of :func:`_calibrated_upper`; the lower bound is minus that of
+    -X.  Both read the vertex kernels of :func:`_vertex_table` (the menus
+    of :func:`mme_bounds`, built once for both sides): a pricing step is
+    one upper induction over them, whose argmax kernels give an extreme
+    martingale measure.  The value returned is attained by a martingale
+    measure, a column or the master's mixture of columns.
 
     A node whose kernel supports exceed ``max_enum`` raises
     :class:`EnumerationOverflow`, as in :func:`mme_bounds`; an empty M raises
@@ -519,73 +525,48 @@ def calibrated_bounds(tree: FiltrationTree, assets: Sequence[AssetProcess],
     require_finite(x, "claim value")
     settings = pinned(settings)
     menus = _vertex_table(tree, assets, settings)
-    pay = np.column_stack([lift_to_leaves(tree, c) for c in [x] + [q.payoff for q in quotes]])
+    leaf = lift_to_leaves(tree, x)
+    pay = np.array([lift_to_leaves(tree, q.payoff) for q in quotes]).reshape(-1, len(leaf)).T
     bid, ask = np.array([(q.bid, q.ask) for q in quotes]).reshape(-1, 2).T
-    low = 0.0 - _quoted_sup(menus, pay * np.r_[-1.0, np.ones(len(quotes))], bid, ask, settings)
-    return low, _quoted_sup(menus, pay, bid, ask, settings)
+    low = 0.0 - _calibrated_upper(menus, -leaf, pay, bid, ask, settings)
+    return low, _calibrated_upper(menus, leaf, pay, bid, ask, settings)
 
 
-# column-generation rounds per calibrated bound and per calibration verdict;
-# seeded trinomial markets of 1-6 periods with up to 4 quotes needed at most
-# 18 for both bounds together, and 280 seeded calibration markets at most 7
+def _calibrated_upper(menus: ScenarioModel, x: np.ndarray, pay: np.ndarray, bid: np.ndarray,
+                      ask: np.ndarray, settings: Settings) -> float:
+    """max over Q in M of E_Q x - beta(Q) for the leaf claim ``x``.  The
+    argmax Q of x bounds it from above by its induction and from below by
+    its least piece: E_Q x, E_Q x + E_Q Y_j - bid_j or E_Q x - E_Q Y_j +
+    ask_j.  While they are apart, the argmax of that piece is a second
+    column and bound; then the masters run, so none is on one column."""
+    moves = np.column_stack([np.zeros_like(x), pay, -pay])      # each piece's claim, less x
+    offset = np.r_[0.0, -bid, ask]
+    tol = _induction_rounding(menus.tree, np.column_stack([x, pay]), offset)
+    masses, best, lower, piece = [], np.inf, -np.inf, 0
+    for _ in range(2):
+        value, mass = _upper_column(menus, x + moves[:, piece])
+        pieces = mass @ (x[:, None] + moves) + offset
+        best, lower = min(best, value + offset[piece]), max(lower, float(pieces.min()))
+        if best - lower <= tol:
+            return lower
+        masses.append(mass)
+        piece = int(pieces.argmin())
+    return _calibrated_mixture(menus, masses, x, pay, bid, ask, settings, best=best)[0]
+
+
+# column-generation rounds (masters) per calibrated bound and per calibration
+# verdict; 520 calls on seeded trinomial markets of 1-6 periods with up to 4
+# quotes needed at most 5 per end past its seed columns (79 ends needed any),
+# and 280 seeded calibration markets at most 7, both phases together
 _ROUNDS = 100
 
 
 def _induction_rounding(tree: FiltrationTree, pay: np.ndarray, offset: np.ndarray) -> float:
     """The rounding of an upper induction on a leaf claim of at most the
-    columns of ``pay`` summed, plus at most ``offset``: both searches' tolerance."""
+    columns of ``pay`` summed, plus at most ``offset``: the column
+    generation's tolerance."""
     scale = 1.0 + np.abs(pay).max(0, initial=0.0).sum() + np.abs(offset).max(initial=0.0)
     return _ROUNDING * (tree.horizon + 1) * scale
-
-
-def _quoted_sup(menus: ScenarioModel, pay: np.ndarray, bid: np.ndarray, ask: np.ndarray,
-                settings: Settings) -> float:
-    """max over Q in M of min_i l_i(Q), where ``pay`` holds X and then the
-    quotes' payoffs on the leaves, by the search of :func:`calibrated_bounds`
-    over the vertex-kernel ``menus``."""
-    tree, k = menus.tree, len(bid)
-    pieces = np.zeros((2 * k + 1, k + 1))     # l = pieces @ E_Q pay + offset
-    pieces[:, 0] = 1.0
-    pieces[1:, 1:] = np.concatenate([np.eye(k), -np.eye(k)])
-    offset = np.concatenate([[0.0], -bid, ask])
-    tol = _induction_rounding(tree, pay, offset)
-    lam = np.eye(2 * k + 1)[0]
-    cols, lower, upper = [], -np.inf, np.inf
-    for _ in range(_ROUNDS):
-        value, mass = _upper_column(menus, pay @ (pieces.T @ lam))
-        upper = min(upper, value + float(lam @ offset))
-        cols.append(pieces @ (pay.T @ mass) + offset)
-        lower = max(lower, float(cols[-1].min()))
-        if upper - lower <= tol:
-            return lower
-        if len(cols) == 1:
-            lam = np.eye(2 * k + 1)[cols[0].argmin()]
-            continue
-        lam, master = _master(cols, settings)
-        lower = max(lower, master)
-        if upper - lower <= tol:
-            return lower
-    raise NumericalBreakdown(
-        f"calibrated bound: the bracket [{lower!r}, {upper!r}] is still open after "
-        f"{_ROUNDS} rounds ({k} quotes, {tree.n_nodes} nodes)")
-
-
-def _master(cols: list, settings: Settings) -> tuple[np.ndarray, float]:
-    """The weights lam on the simplex that minimize the largest of the
-    columns' sum lam_i l_i, and that least value, from one LP in lam and s.
-    The LP's tolerances are absolute, so it reads the columns scaled by a
-    power of 2 to at most 1 in size, which rounds nothing."""
-    n = len(cols[0])
-    size = 2.0 ** int(np.frexp(np.abs(cols).max())[1])
-    lp = LinearProgram([0.0] * n + [1.0],
-                       [(list(c / size) + [-1.0], LE, 0.0) for c in cols]
-                       + [([1.0] * n + [0.0], EQ, 1.0)],
-                       lower=[0.0] * n + [-np.inf], sense="min")
-    sol = solve(lp, settings)
-    if sol.status != "optimal":
-        raise NumericalBreakdown(f"calibrated bound: the master LP over {len(cols)} columns "
-                                 f"is {sol.status}")
-    return np.maximum(sol.point[:n], 0.0), size * float(sol.value)
 
 
 def _upper_column(menus: ScenarioModel, claim: np.ndarray) -> tuple[float, np.ndarray]:

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InconsistentVerdicts, NegativePenalty, TcppError
-from .pricing import _columns, backward_pass, price, random_stopping_time
+from .pricing import _columns, backward_pass, price, random_stopping_time, zero_slack
 from .report import CheckReport
 from .scenario import ScenarioModel, minimal_penalty, uncharged_edges
 from .settings import DEFAULT, Settings
@@ -358,7 +358,8 @@ def nfl_verdict(model: ScenarioModel, seed: int = 0, n_samples: int = 50,
 
     Disagreement raises :class:`InconsistentVerdicts`: the equivalence is a
     theorem, so divergence can only mean an implementation bug.  A negative
-    penalty raises :class:`NegativePenalty`.
+    penalty raises :class:`NegativePenalty`.  The corroboration widens
+    ``feasibility_tol`` by :func:`tcpp.pricing.zero_slack`.
     """
     tree = model.tree
     root = StoppingTime.at_root(tree)
@@ -378,14 +379,15 @@ def nfl_verdict(model: ScenarioModel, seed: int = 0, n_samples: int = 50,
             f"measure search says {'NFL' if verdict_iii else 'free lunch'}")
 
     if measure is not None:
+        slack = zero_slack(model, tol)      # penalties counted as zero, summed on a path
         pen = minimal_penalty(model, measure, root, horizon, settings).values[tree.root]
-        if pen > tol:
+        if pen > tol + slack:
             raise InconsistentVerdicts(f"certificate measure has penalty {pen!r}")
         checks.info["certificate_penalty"] = pen
         checks.info["min_density"] = min(measure.density.values())
         # iv: sandwich under the certificate measure on sampled claims at
         # sampled stopping times
-        for i, a in _broken_sandwich(model, measure, rng, n_samples, tol).tolist():
+        for i, a in _broken_sandwich(model, measure, rng, n_samples, tol + slack).tolist():
             checks.add(f"sample {i} atom {a}",
                        "martingale sandwich broken under certificate measure")
         # i: sampled zero-cost strategies have nonpositive expectation, all
@@ -398,8 +400,10 @@ def nfl_verdict(model: ScenarioModel, seed: int = 0, n_samples: int = 50,
             for j in range(int(nth.max(initial=-1)) + 1):
                 k = np.flatnonzero(nth == j)
                 payoffs[:, strategy[k]] = payoffs[:, strategy[k]] + z[:, k] - y[:, k]
-            for i, ev in enumerate((measure.leaf_masses(tree) @ payoffs).tolist()):
-                if ev > tol:
+            # each swap prices two claims, and X0 one, each within slack
+            evs = (measure.leaf_masses(tree) @ payoffs).tolist()
+            for i, (ev, (_, n)) in enumerate(zip(evs, draws)):
+                if ev > tol + (1 + 2 * n) * slack:
                     checks.add(f"strategy {i}",
                                f"zero-cost payoff has positive expectation {ev!r}")
         cert = FreeLunchCertificate("zero-penalty-equivalent-measure", measure=measure)

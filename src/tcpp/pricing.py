@@ -413,6 +413,14 @@ def random_stopping_time(tree: FiltrationTree, rng: np.random.Generator,
     return StoppingTime(frozenset(out))
 
 
+def zero_slack(model: ScenarioModel, tol: float) -> float:
+    """The horizon times the largest menu penalty at most ``tol``: how far a
+    sum of penalties along a path may reach when each is counted as zero.
+    It is 0 when those penalties are exactly 0."""
+    return model.tree.horizon * max(
+        (float(p[p <= tol].max(initial=0.0)) for _, p in model.packed.values()), default=0.0)
+
+
 def check_supermartingale(model: ScenarioModel, x: Claim, r: Measure,
                           n_stopping: int = 10, seed: int = 0,
                           settings: Settings = DEFAULT) -> CheckReport:
@@ -420,7 +428,8 @@ def check_supermartingale(model: ScenarioModel, x: Claim, r: Measure,
     sandwich bid <= E_R(X|.) <= ask over a generated set of stopping times.
 
     Preconditions (R equivalent, zero minimal penalty) are reported, not
-    assumed.
+    assumed.  The penalty and the sandwich compare at ``feasibility_tol``
+    widened by :func:`zero_slack`.
     """
     tree, tol = model.tree, settings.feasibility_tol
     report = CheckReport(check="supermartingale sandwich", passed=True)
@@ -430,7 +439,8 @@ def check_supermartingale(model: ScenarioModel, x: Claim, r: Measure,
     root_st = StoppingTime.at_root(tree)
     horizon = StoppingTime.at_horizon(tree)
     pen = minimal_penalty(model, r, root_st, horizon, settings).values[tree.root]
-    if not (pen <= tol):
+    wide = tol + zero_slack(model, tol)
+    if not (pen <= wide):
         report.add("precondition", f"R has minimal penalty {pen!r}, expected 0")
         return report
 
@@ -459,7 +469,7 @@ def check_supermartingale(model: ScenarioModel, x: Claim, r: Measure,
     e = stacked_conditional_expectation(tree, mass, horizon, cols)[:, 0]
     for sigma in sigmas:
         rows = sigma.index
-        for a in rows[~((bid[rows] - tol <= e[rows]) & (e[rows] <= ask[rows] + tol))].tolist():
+        for a in rows[~((bid[rows] - wide <= e[rows]) & (e[rows] <= ask[rows] + wide))].tolist():
             report.add(f"atom {a}", f"sandwich broken: bid {bid[a]:.12g}, "
                        f"E_R {e[a]:.12g}, ask {ask[a]:.12g}")
     return report

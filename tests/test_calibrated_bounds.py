@@ -11,7 +11,9 @@ from gen import martingale_assets, random_claim, random_irregular_tree, random_t
 from oracles import calibrated_bounds_lp
 from tcpp.cli import main
 from tcpp.errors import NoMartingaleMeasure
-from tcpp.market import AssetProcess, QuotedOption, calibrated_bounds, mme_bounds
+from tcpp.market import (AssetProcess, QuotedOption, calibrated_bounds, calibration_feasible,
+                         mme_bounds)
+from tcpp.marketfile import MarketData, parse_market_file, serialize_market
 from tcpp.pricing import price
 from tcpp.scenario import MenuEntry, ScenarioModel
 from tcpp.settings import DEFAULT
@@ -20,6 +22,7 @@ from tcpp.tree import Claim, FiltrationTree, StoppingTime
 DEMOS = os.path.join(os.path.dirname(__file__), "..", "demos")
 TRINOMIAL = os.path.join(DEMOS, "trinomial.market")
 DIGITAL = os.path.join(DEMOS, "trinomial_digital.claim")
+MARKETS = os.path.join(os.path.dirname(__file__), "markets")
 
 KINDS = ("inside", "disjoint", "dead", "killed")
 
@@ -256,26 +259,75 @@ def test_calibrated_bounds_follow_a_change_of_units(seed, a, b):
     assert np.abs((np.subtract(got, b) / a - (lo, hi))).max() <= 1e-12 * (1.0 + abs(lo) + abs(hi))
 
 
-def test_every_lp_of_calibrated_bounds_has_at_most_2k_plus_2_variables(monkeypatch):
-    sizes = []
+def test_every_lp_of_calibrated_bounds_and_of_calibration_is_one_master_over_its_columns(
+        monkeypatch):
+    # the shared master: a row per band end and the weights' sum, a variable
+    # per column and the violation s.  A side of the bounds starts from its
+    # two seed columns, calibration from R alone, and each round adds at
+    # most one column
+    shapes = []
 
     def recording(lp, settings=tcpp.lp.DEFAULT):
-        sizes.append((len(lp.objective), limit))
+        shapes.append((len(lp.constraints), len(lp.objective)))
+        assert all(len(row) == len(lp.objective) for row, *_ in lp.constraints)
+        assert list(lp.constraints[-1][0]) == [1.0] * (len(lp.objective) - 1) + [0.0]
         return solve(lp, settings)
 
+    def runs(first: int) -> list:
+        # the variable counts, split where a run restarts at ``first``
+        out = []
+        for _, n in shapes:
+            if n == first:
+                out.append([])
+            out[-1].append(n)
+        return out
+
     solve = tcpp.lp.solve
-    monkeypatch.setattr(tcpp.lp, "solve", recording)
     monkeypatch.setattr(tcpp.market, "solve", recording)
+    seen = set()
     for i, kind in enumerate(KINDS):
         for seed in range(10):
             rng = np.random.default_rng(100 * i + seed)
             tree, assets, quotes = _market(rng, kind)
-            limit = 2 * len(quotes) + 2
+            shapes.clear()
             try:
                 calibrated_bounds(tree, assets, quotes, random_claim(rng, tree))
             except NoMartingaleMeasure:
                 pass
-    assert sizes and all(n <= most for n, most in sizes)
+            assert all(m == 2 * len(quotes) + 1 for m, _ in shapes)
+            assert all(np.diff(run).tolist() == [1] * (len(run) - 1) for run in runs(3))
+            seen.add(len(shapes))
+            shapes.clear()
+            calibration_feasible(tree, assets, quotes)
+            assert all(m == 2 * len(quotes) + 1 for m, _ in shapes)
+            assert not shapes or (shapes[0][1] == 2
+                                  and set(np.diff([n for _, n in shapes])) <= {0, 1})
+    assert max(seen) >= 2
+    tree, s, quote, claims = _grid_market()
+    shapes.clear()
+    calibrated_bounds(tree, [s], [quote], claims["call:1.6"])
+    assert [run for run in runs(3)] == [[3], [3, 4, 5]]
+
+
+def test_calibrated_bounds_and_calibration_run_one_column_generation(monkeypatch):
+    # both reach _calibrated_mixture: the bounds with the claim, each side
+    # from its two seed columns; calibration with the zero claim and a floor,
+    # from R
+    calls = []
+    loop = tcpp.market._calibrated_mixture
+
+    def recording(menus, masses, x, *rest, **given):
+        calls.append((len(masses), bool(np.any(x)), sorted(given)))
+        return loop(menus, masses, x, *rest, **given)
+
+    monkeypatch.setattr(tcpp.market, "_calibrated_mixture", recording)
+    tree, s, quote, claims = _grid_market()
+    calibrated_bounds(tree, [s], [quote], claims["call:1.6"])
+    assert calls == [(2, True, ["best"])] * 2
+    calls.clear()
+    md = parse_market_file(os.path.join(MARKETS, "steep_projection.market"))
+    assert calibration_feasible(md.tree, md.assets, md.quotes) is not None
+    assert calls == [(1, False, ["floor"])]
 
 
 def test_calibrated_bounds_over_the_support_cap_exit_two(monkeypatch, capsys):
@@ -287,9 +339,16 @@ def test_calibrated_bounds_over_the_support_cap_exit_two(monkeypatch, capsys):
             in capsys.readouterr().err
 
 
-def test_a_bracket_still_open_after_the_round_cap_exits_two(monkeypatch, capsys):
-    # the demo's quote needs a second round on each side
+def test_a_bracket_still_open_after_the_round_cap_exits_two(monkeypatch, capsys, tmp_path):
+    # the call struck at 1.6 on the grid market needs three masters on one
+    # side, each a round
+    tree, s, quote, claims = _grid_market()
+    market, claim = tmp_path / "grid.market", tmp_path / "call.claim"
+    market.write_text(serialize_market(MarketData(tree, None, [s], [quote])))
+    x = claims["call:1.6"]
+    claim.write_text("".join(f"value {v} {x.values[v]!r}\n" for v in x.at.sorted()))
     monkeypatch.setattr(tcpp.market, "_ROUNDS", 1)
-    assert main(["bounds", "--market", TRINOMIAL, "--claim", DIGITAL, "--kind", "calibrated"]) == 2
+    assert main(["bounds", "--market", str(market), "--claim", str(claim),
+                 "--kind", "calibrated"]) == 2
     err = capsys.readouterr().err
-    assert "bracket" in err and "after 1 rounds (1 quotes, 4 nodes)" in err
+    assert "bracket" in err and "after 1 rounds (1 quotes, 364 nodes)" in err

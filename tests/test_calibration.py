@@ -19,7 +19,7 @@ from tcpp.market import (AssetProcess, QuotedOption, calibrated_bounds,
                          calibration_feasible, mme_bounds)
 from tcpp.marketfile import parse_market_file
 from tcpp.settings import DEFAULT
-from tcpp.tree import Claim, FiltrationTree, StoppingTime, lift_to_leaves
+from tcpp.tree import Claim, FiltrationTree, Measure, StoppingTime, lift_to_leaves
 
 DEMOS = os.path.join(os.path.dirname(__file__), "..", "demos")
 MARKETS = os.path.join(os.path.dirname(__file__), "markets")
@@ -27,13 +27,13 @@ MARKETS = os.path.join(os.path.dirname(__file__), "markets")
 
 def _returns_mixture(*args) -> bool:
     """Whether :func:`calibration_feasible` returns the column generation's
-    mixture, not R."""
+    mixture, not R: R is returned before the column generation runs."""
     made = []
     mixture = tcpp.market._calibrated_mixture
     with mock.patch.object(tcpp.market, "_calibrated_mixture",
-                           lambda *a: made.append(mixture(*a)) or made[-1]):
+                           lambda *a, **k: made.append(mixture(*a, **k)) or made[-1]):
         got = calibration_feasible(*args)
-    return got is not None and any(got is m for m in made)
+    return got is not None and bool(made)
 
 
 def _edge_menus(tree, assets, settings=DEFAULT):
@@ -54,7 +54,12 @@ def _mixture(tree, assets, quotes, settings=DEFAULT):
     first = calibration_feasible(tree, assets, [], settings).leaf_masses(tree)
     pay = np.array([lift_to_leaves(tree, q.payoff) for q in quotes]).T
     bid, ask = np.array([(q.bid, q.ask) for q in quotes]).T
-    return tcpp.market._calibrated_mixture(tree, menus, first, pay, bid, ask, settings)
+    found = tcpp.market._calibrated_mixture(menus, [first], np.zeros(len(first)), pay, bid, ask,
+                                            settings, floor=-settings.feasibility_tol)
+    if found is None:
+        return None
+    q = Measure.from_leaf_masses(tree, found[1])
+    return q if min(q.density.values()) > settings.equivalence_floor else None
 
 
 def _assert_calibrated(tree, assets, quotes, q, tol=DEFAULT.feasibility_tol) -> None:
@@ -366,3 +371,59 @@ def test_the_calibrated_bounds_solve_their_masters_at_a_loose_tolerance():
             lo, hi = calibrated_bounds(tree, assets, quotes, x, LOOSE)
             b = mme_bounds(tree, assets, x, LOOSE)
             assert b.lower - 1e-7 <= lo and hi <= b.upper + 1e-7, (kind, seed)
+
+
+def _quote_relations(tree, assets, quotes, x, feasible: bool) -> float | None:
+    """Check the relations between calibration's verdict and the calibrated
+    bounds, which solve one problem: the upper bound of the zero claim is
+    minus the least band violation over the martingale measures.  Where the
+    verdict is feasible, the ends of X are no more than 2 tol apart the
+    wrong way and that upper bound is at least -tol; where it is below -tol,
+    the verdict is infeasible.  Returns that upper bound, None without a
+    martingale measure."""
+    tol = DEFAULT.feasibility_tol
+    zero = Claim(StoppingTime.at_horizon(tree), np.zeros(len(tree.leaves)))
+    try:
+        top = calibrated_bounds(tree, assets, quotes, zero)[1]
+        lo, hi = calibrated_bounds(tree, assets, quotes, x)
+    except NoMartingaleMeasure:
+        assert not feasible
+        return None
+    if feasible:
+        assert lo <= hi + 2 * tol and top >= -tol, (lo, hi, top)
+    if top < -tol:
+        assert not feasible
+    return top
+
+
+def test_calibration_and_the_calibrated_bounds_agree_on_the_seeded_markets():
+    tol, tops = DEFAULT.feasibility_tol, {True: [], False: []}
+    for i, kind in enumerate(KINDS):
+        for seed in range(8):
+            rng = np.random.default_rng(1000 * i + seed)
+            tree, assets, quotes = _market(rng, kind)
+            feasible = calibration_feasible(tree, assets, quotes) is not None
+            tops[feasible].append(_quote_relations(tree, assets, quotes,
+                                                   random_claim(rng, tree), feasible))
+    assert len(tops[True]) >= 10
+    # infeasible both ways: no kernel on some edge (None, or a top of about 0)
+    # and bands no martingale measure meets (a top below -tol)
+    assert any(t is not None and t < -tol for t in tops[False])
+    assert any(t is None or t >= -tol for t in tops[False])
+
+
+@pytest.mark.parametrize("market", ["demos/trinomial.market", "tests/markets/disjoint_band.market",
+                                    "tests/markets/held_at_zero.market",
+                                    "tests/markets/steep_projection.market",
+                                    "tests/markets/equal_moves.market"])
+def test_calibration_and_the_calibrated_bounds_agree_on_the_repository_markets(market, capsys):
+    path = os.path.join(os.path.dirname(__file__), "..", market)
+    md = parse_market_file(path)
+    code = main(["calibrate", "--market", path])
+    assert code in (0, 1)
+    capsys.readouterr()
+    x = Claim(StoppingTime.at_horizon(md.tree),
+              np.linspace(-1.0, 2.0, len(md.tree.leaves)))
+    top = _quote_relations(md.tree, md.assets, md.quotes, x, code == 0)
+    if market.endswith("disjoint_band.market"):
+        assert code == 1 and top < -DEFAULT.feasibility_tol

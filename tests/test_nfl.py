@@ -9,7 +9,9 @@ from tcpp.nfl import (FreeLunchCertificate, ZeroCostStrategy,
                       find_static_free_lunch,
                       find_zero_penalty_equivalent_measure, nfl_verdict,
                       sample_zero_cost, validate_zero_cost)
+from tcpp.cli import main
 from tcpp.errors import TcppError
+from tcpp.marketfile import MarketData, serialize_market
 from tcpp.pricing import bid_ask, price
 from tcpp.scenario import MenuEntry, ScenarioModel, minimal_penalty
 from tcpp.tree import Claim, FiltrationTree, StoppingTime
@@ -174,3 +176,47 @@ def test_positive_minimum_penalty_is_a_free_lunch():
     assert not rep.no_free_lunch
     assert rep.certificate.claim.values == {1: 0.1, 2: 0.1}
     assert rep.checks.info["certificate_price"] <= 1e-9
+
+
+def _near_zero_model(periods: int, penalty: float) -> ScenarioModel:
+    """Binomial, every node's menu the midpoint at ``penalty`` and a skewed
+    kernel at 0.5: the verdict counts ``penalty`` as zero when it is at
+    most the feasibility tolerance."""
+    tree = FiltrationTree.binomial(periods)
+    return ScenarioModel(tree, {v: [MenuEntry((0.5, 0.5), penalty), MenuEntry((0.3, 0.7), 0.5)]
+                                for v in tree.internal_nodes()})
+
+
+@pytest.mark.parametrize("periods", [3, 6])
+def test_penalties_counted_as_zero_add_up_within_the_corroboration(periods, tmp_path, capsys):
+    # 9e-10 per node is below the tolerance 1e-9, so the measure certificate
+    # is the midpoint, of minimal penalty periods x 9e-10; the corroboration
+    # compared sums along a path with the bare tolerance: the penalty check
+    # failed at 3 periods, and at 6 also 91 sandwich pairs and zero-cost
+    # strategies of expectation up to (1 + 2 swaps) x 6 x 9e-10
+    model = _near_zero_model(periods, 9e-10)
+    report = nfl_verdict(model)
+    assert report.no_free_lunch and report.checks.passed
+    pen = report.checks.info["certificate_penalty"]
+    assert 1e-9 < pen <= periods * 9e-10 * (1 + 1e-9)
+    measure = report.certificate.measure
+    tree = model.tree
+    for seed in range(3):
+        x = random_claim(np.random.default_rng(seed), tree)
+        assert tcpp.pricing.check_supermartingale(model, x, measure, seed=seed).passed
+    # with a penalty of exactly 0 the slack is 0, and the answers are those of
+    # the bare tolerance
+    assert tcpp.pricing.zero_slack(_near_zero_model(periods, 0.0), 1e-9) == 0.0
+    assert tcpp.pricing.zero_slack(model, 1e-9) == periods * 9e-10
+    path = tmp_path / "near_zero.market"
+    path.write_text(serialize_market(MarketData(tree, model)))
+    assert main(["nfl", "--market", str(path)]) == 0
+    assert "no-free-lunch" in capsys.readouterr().out
+
+
+def test_a_penalty_above_the_tolerance_is_not_counted_as_zero():
+    # 2e-9 per node is not counted as zero: no zero-penalty entry, so a
+    # free lunch, and no slack
+    model = _near_zero_model(3, 2e-9)
+    assert tcpp.pricing.zero_slack(model, 1e-9) == 0.0
+    assert not nfl_verdict(model).no_free_lunch
