@@ -11,9 +11,8 @@ from .scenario import (MeasureSelection, MenuEntry, MenuTable, PenaltyProcess,
 from .pricing import (AmericanResult, american_price, bid_ask, check_axioms,
                       check_sublinear, check_supermartingale,
                       check_time_consistency, price, price_process)
-from .nfl import (FreeLunchCertificate, ZeroCostStrategy,
-                  find_static_free_lunch, find_zero_penalty_equivalent_measure,
-                  nfl_verdict, sample_zero_cost)
+from .nfl import (FreeLunchCertificate, find_static_free_lunch,
+                  find_zero_penalty_equivalent_measure, nfl_verdict)
 from .market import (AssetProcess, ConstraintSet, GoodDealCaps, QuotedOption,
                      calibrated_bounds, calibration_feasible,
                      check_extends_dynamics, check_price_in_mme_bounds,
@@ -33,8 +32,8 @@ __all__ = [
     "AmericanResult", "american_price", "bid_ask", "check_axioms",
     "check_sublinear", "check_supermartingale", "check_time_consistency",
     "price", "price_process",
-    "FreeLunchCertificate", "ZeroCostStrategy", "find_static_free_lunch",
-    "find_zero_penalty_equivalent_measure", "nfl_verdict", "sample_zero_cost",
+    "FreeLunchCertificate", "find_static_free_lunch",
+    "find_zero_penalty_equivalent_measure", "nfl_verdict",
     "AssetProcess", "ConstraintSet", "GoodDealCaps", "QuotedOption",
     "calibrated_bounds", "calibration_feasible", "check_extends_dynamics",
     "check_price_in_mme_bounds", "check_strong_admissibility",

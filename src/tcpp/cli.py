@@ -2,7 +2,8 @@
 
 Exit codes: 0 pass/success, 1 check failure (witnesses printed), 2 input
 error.  ``--format machine`` emits one ``key<TAB>value`` record per line.
-All randomized checks honor ``--seed``.  ``TCPP_MAX_ENUM`` caps the kernel
+The randomized checks, ``check-tcpp`` and ``extends``, honor ``--seed``;
+``nfl`` samples nothing and refuses it.  ``TCPP_MAX_ENUM`` caps the kernel
 and support enumerations per node (``constrained``, ``bounds``,
 ``calibrate``, and the menu-entry supports of the minimal penalty that
 ``nfl`` checks), and the reference enumerators.  ``--tol`` sets the
@@ -139,7 +140,7 @@ def cmd_check_tcpp(args, out: Output) -> int:
 def cmd_nfl(args, out: Output) -> int:
     md = _load(args)
     model = _need_model(md)
-    rep = nfl_verdict(model, seed=args.seed, settings=md.settings)
+    rep = nfl_verdict(model, settings=md.settings)
     out.emit("verdict", "no-free-lunch" if rep.no_free_lunch else "free-lunch")
     out.emit("certificate", rep.certificate.kind)
     if rep.certificate.measure is not None:
@@ -245,7 +246,7 @@ _OPTIONS = {
               dict(help="claim or payoff-process file")),
     "at": (("price", "american"),
            dict(default="root", help="cut: root, horizon, t:<k>, or node ids 'a,b,c'")),
-    "seed": (("check-tcpp", "nfl", "extends"), dict(type=int, default=20240101)),
+    "seed": (("check-tcpp", "extends"), dict(type=int, default=20240101)),
     "samples": (("check-tcpp",), dict(type=int, default=200)),
     "kind": (("bounds",), dict(choices=["mme", "calibrated", "good-deal"], default="mme")),
     "good-deal-cap": (("bounds",), dict(type=float, default=None)),

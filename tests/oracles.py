@@ -17,10 +17,10 @@ from tcpp.market import (AssetProcess, ConstraintSet, GoodDealCaps, QuotedOption
                          _equalizer, _first_dead, _kernel_support_size, _level_steps, _spot,
                          _uncapped_bounds, _vertex_table)
 from tcpp.marketfile import MarketData
-from tcpp.nfl import (FreeLunchCertificate, NflReport, ZeroCostStrategy, _draw_zero_cost,
-                      find_static_free_lunch, find_zero_penalty_equivalent_measure)
+from tcpp.nfl import (FreeLunchCertificate, NflReport, find_static_free_lunch,
+                      find_zero_penalty_equivalent_measure)
 from tcpp.pricing import (SublinearReport, _columns, backward_pass, check_sublinear,
-                          enumerate_stop_sets, price, random_stopping_time)
+                          enumerate_stop_sets, price, random_stopping_time, zero_slack)
 from tcpp.report import CheckReport
 from tcpp.scenario import (_BATCH, MenuEntry, ScenarioModel, _cap_supports, _check_selection,
                            _kernel_max, check_nondegenerate, cumulative_penalties,
@@ -1154,10 +1154,31 @@ def check_sublinear_per_claim(model: ScenarioModel, n_samples: int = 20,
                            "pricing is positively homogeneous anyway")
 
 
-# -- nfl's zero-cost strategies as first written: one price call per claim -------
-# ``tcpp.nfl`` now samples and validates every strategy of a verdict in two
-# stacked passes; these are the sampler, the validator and the verdict that
-# priced one claim per pass and compared the sandwich sample by sample.
+# -- nfl's sampled corroboration: zero-cost strategies and the sandwich ----------
+# ``tcpp.nfl.nfl_verdict`` decides by its certificate alone: a zero minimal
+# penalty implies the martingale sandwich for every claim and stopping time
+# and a nonpositive expectation for every zero-cost strategy.  These sample
+# both consequences, one price call per claim, to cross-check pricing and
+# ``minimal_penalty`` against the verdict.
+
+@dataclasses.dataclass
+class ZeroCostStrategy:
+    """X0 plus swaps (tau_i, Z_i, Y_i) self-financing under the ask/bid rule."""
+
+    initial: Claim
+    swaps: list = dataclasses.field(default_factory=list)
+
+    def payoff(self, tree: FiltrationTree) -> Claim:
+        """X0 plus every Z less its Y, each lifted to the horizon."""
+        horizon = StoppingTime.at_horizon(tree)
+
+        def at_horizon(x: Claim) -> Claim:
+            return x if x.at == horizon else lift(tree, x, horizon)
+        total = at_horizon(self.initial)
+        for _, z, y in self.swaps:
+            total = total + at_horizon(z) - at_horizon(y)
+        return total
+
 
 def validate_zero_cost_by_price(model, strat, tol: float = 1e-9) -> None:
     tree = model.tree
@@ -1200,38 +1221,20 @@ def sample_zero_cost_by_price(model, seed: int = 0, n_swaps: int = 2):
     return strat
 
 
-def sample_zero_cost_claims(model, draws):
-    """``tcpp.nfl.sample_zero_cost_batch`` as it built its strategies claim
-    by claim, before they were columns: one pass from the horizon over every
-    W, Y and -Y, then per swap the spread read on its time's atoms and
-    lifted to the leaves by ``owner_index``.  Not validated."""
-    tree = model.tree
-    horizon = StoppingTime.at_horizon(tree)
-    drawn = [_draw_zero_cost(tree, seed, n_swaps) for seed, n_swaps in draws]
-    ws = [w for w, _ in drawn]
-    ys = [y for _, swaps in drawn for _, y in swaps]
-    values = np.full((tree.n_nodes, len(ws) + 2 * len(ys)), np.nan)
-    values[horizon.index] = np.column_stack(ws + ys + [-y for y in ys])
-    out = backward_pass(model, horizon, values)
-    ask, neg_bid = out[:, len(ws):len(ws) + len(ys)], out[:, len(ws) + len(ys):]
-    strats, k = [], 0
-    for i, (w, swaps) in enumerate(drawn):
-        strat = ZeroCostStrategy(Claim(horizon, w - out[tree.root, i]), [])
-        for tau, y in swaps:
-            spread = ask[tau.index, k] + neg_bid[tau.index, k]
-            z = y - spread[tree.owner_index(tau.index, horizon.index)]
-            strat.swaps.append((tau, Claim(horizon, z), Claim(horizon, y)))
-            k += 1
-        strats.append(strat)
-    return strats
-
-
 def nfl_verdict_by_price(model, seed: int = 0, n_samples: int = 50,
                          n_strategies: int = 20, settings=DEFAULT) -> NflReport:
+    """The verdict and certificate of ``nfl_verdict``, corroborated by
+    ``n_samples`` sampled claims (every other one at a random stopping
+    time) in the sandwich and ``n_strategies`` sampled zero-cost strategies.
+    Penalties counted as zero add up along a path, so the penalty and the
+    sandwich compare at ``feasibility_tol`` plus ``zero_slack``, and a
+    strategy of n swaps, which prices 1 + 2n claims, at ``feasibility_tol``
+    plus (1 + 2n) times it."""
     tree = model.tree
     root = StoppingTime.at_root(tree)
     horizon = StoppingTime.at_horizon(tree)
     tol = settings.feasibility_tol
+    slack = zero_slack(model, tol)
     rng = np.random.default_rng(seed)
     checks = CheckReport(check="no free lunch", passed=True)
     static = find_static_free_lunch(model, settings)
@@ -1240,7 +1243,7 @@ def nfl_verdict_by_price(model, seed: int = 0, n_samples: int = 50,
         raise InconsistentVerdicts("static and measure searches disagree")
     if measure is not None:
         pen = minimal_penalty(model, measure, root, horizon, settings).values[tree.root]
-        if pen > tol:
+        if pen > tol + slack:
             raise InconsistentVerdicts(f"certificate measure has penalty {pen!r}")
         checks.info["certificate_penalty"] = pen
         checks.info["min_density"] = min(measure.density.values())
@@ -1253,16 +1256,17 @@ def nfl_verdict_by_price(model, seed: int = 0, n_samples: int = 50,
         e = stacked_conditional_expectation(tree, measure.node_masses(tree), horizon, xs)
         for i, sigma in enumerate(sigmas):
             rows = sigma.index
-            inside = (-neg_bid[rows, i] - tol <= e[rows, i]) & (e[rows, i] <= ask[rows, i] + tol)
+            inside = ((-neg_bid[rows, i] - tol - slack <= e[rows, i])
+                      & (e[rows, i] <= ask[rows, i] + tol + slack))
             for a in rows[~inside].tolist():
                 checks.add(f"sample {i} atom {a}",
                            "martingale sandwich broken under certificate measure")
         masses = measure.leaf_masses(tree)
         for i in range(n_strategies):
-            strat = sample_zero_cost_by_price(model, seed=seed + 1 + i,
-                                              n_swaps=int(rng.integers(0, 3)))
+            n_swaps = int(rng.integers(0, 3))
+            strat = sample_zero_cost_by_price(model, seed=seed + 1 + i, n_swaps=n_swaps)
             ev = float(masses @ strat.payoff(tree).array)
-            if ev > tol:
+            if ev > tol + (1 + 2 * n_swaps) * slack:
                 checks.add(f"strategy {i}", f"zero-cost payoff has positive expectation {ev!r}")
         cert = FreeLunchCertificate("zero-penalty-equivalent-measure", measure=measure)
     else:

@@ -10,7 +10,8 @@ import pytest
 
 from gen import killed_leaf_model, random_claim, random_model, random_tree
 from oracles import (american_enumerated, binomial_constrained_oracle,
-                     good_deal_interval_oracle, price_enumerated)
+                     good_deal_interval_oracle, nfl_verdict_by_price, price_enumerated)
+from tcpp.errors import InconsistentVerdicts
 from tcpp.market import (AssetProcess, ConstraintSet, GoodDealCaps,
                          QuotedOption, calibrated_bounds, check_extends_dynamics,
                          good_deal_bounds, mme_bounds, constrained_price)
@@ -110,9 +111,29 @@ def theorem1_instances():
             model = random_model(rng, tree, include_reference=True)
         else:
             model, _ = killed_leaf_model(rng, tree)
-        instances.append((tree, model, nfl_verdict(model, seed=2000 + k,
-                                                   n_samples=10, n_strategies=3)))
+        instances.append((tree, model, nfl_verdict(model)))
     return instances
+
+
+def _sampled_disagreement(rep, seed: int, model) -> str | None:
+    """Run the sampled corroboration (the sandwich on 10 claims and 3
+    zero-cost strategies, seeded ``seed``) and compare its verdict and
+    certificate with ``rep``'s; None when both hold."""
+    try:
+        want = nfl_verdict_by_price(model, seed=seed, n_samples=10, n_strategies=3)
+    except InconsistentVerdicts as exc:
+        return f"sampled corroboration failed: {exc}"
+    got, ref = rep.certificate, want.certificate
+    if (rep.no_free_lunch, got.kind) != (want.no_free_lunch, ref.kind):
+        return "verdict or certificate kind differs from the sampled corroboration"
+    if got.measure is not None:
+        if (got.measure.density.keys() != ref.measure.density.keys()
+                or max(abs(got.measure.density[b] - ref.measure.density[b])
+                       for b in got.measure.density) > 1e-12):
+            return "certificate densities differ from the sampled corroboration"
+    elif got.claim.at != ref.claim.at or got.claim.max_abs_diff(ref.claim) > 1e-12:
+        return "certificate claim differs from the sampled corroboration"
+    return None
 
 
 def test_criterion_3_theorem1_equivalence(theorem1_instances):
@@ -121,6 +142,8 @@ def test_criterion_3_theorem1_equivalence(theorem1_instances):
         if (k % 2 == 0) != rep.no_free_lunch:
             violations.append((k, "verdict does not match the construction"))
             continue
+        if (why := _sampled_disagreement(rep, 2000 + k, model)) is not None:
+            violations.append((k, why))
         if rep.no_free_lunch:
             r = rep.certificate.measure
             if min(r.density.values()) <= 0:

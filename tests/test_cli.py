@@ -473,6 +473,13 @@ def test_readme_examples_print_their_golden_machine_output(name, capsys):
         assert capsys.readouterr().out.encode() == fh.read()
 
 
+def test_a_free_lunch_prints_its_golden_claim_and_exits_one(capsys):
+    market = os.path.join(os.path.dirname(__file__), "markets", "free_lunch.market")
+    assert main(["nfl", "--market", market, "--format", "machine"]) == 1
+    with open(os.path.join(GOLDEN, "nfl-free-lunch.out"), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
+
+
 @pytest.mark.parametrize("line", ["set feasibility_tol -1", "set equivalence_floor -0.5",
                                   "set max_enum -5"])
 def test_setting_out_of_range_names_its_line(line, capsys, tmp_path):
@@ -493,11 +500,13 @@ def test_setting_out_of_range_names_its_line(line, capsys, tmp_path):
     assert f"line 4: setting {key} must be finite and at least 0" in capsys.readouterr().err
 
 
-def test_an_option_the_command_does_not_read_exits_two(capsys):
+@pytest.mark.parametrize("argv", [["nfl", "--market", BINOMIAL, "--samples", "3"],
+                                  ["nfl", "--market", BINOMIAL, "--seed", "3"]])
+def test_an_option_the_command_does_not_read_exits_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["nfl", "--market", BINOMIAL, "--samples", "3"])
+        main(argv)
     assert exc.value.code == 2
-    assert "--samples" in capsys.readouterr().err
+    assert argv[-2] in capsys.readouterr().err
 
 
 def test_main_builds_the_parser_once_and_a_usage_error_leaves_it_unchanged(capsys, monkeypatch):

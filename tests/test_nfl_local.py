@@ -281,7 +281,7 @@ def test_nfl_verdict_solves_no_lp(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("tcpp") and getattr(module, "solve", None) is solve:
             monkeypatch.setattr(module, "solve", refuse)
-    verdicts = {nfl_verdict(model, n_samples=6, n_strategies=2).no_free_lunch
+    verdicts = {nfl_verdict(model).no_free_lunch
                 for model in mixed_models()[:12]}
     assert verdicts == {True, False}
 
@@ -309,8 +309,9 @@ def test_equivalence_floor_applies_per_edge():
     tree = FiltrationTree.binomial(5)
     menus = {v: [MenuEntry((1.0 - 1e-3, 1e-3), 0.0)] for v in tree.internal_nodes()}
     skewed = ScenarioModel(tree, menus)
-    rep = nfl_verdict(skewed, n_samples=10, n_strategies=3)
+    rep = nfl_verdict(skewed)
     assert rep.no_free_lunch
+    oracles.nfl_verdict_by_price(skewed, n_samples=10, n_strategies=3)
     masses = rep.certificate.measure.leaf_masses(tree)
     assert 0.0 < masses.min() < 1e-12
     # the global search holds prices to feasibility_tol, not to 0: it takes
@@ -320,7 +321,7 @@ def test_equivalence_floor_applies_per_edge():
     assert 0.0 < price(skewed, lunch, StoppingTime.at_root(tree)).values[0] <= TOL
     # an edge weighted below the floor counts as uncharged, on both sides
     menus[1] = [MenuEntry((1.0 - 1e-13, 1e-13), 0.0), MenuEntry((0.5, 0.5), 0.2)]
-    rep = nfl_verdict(ScenarioModel(tree, menus), n_samples=10, n_strategies=3)
+    rep = nfl_verdict(ScenarioModel(tree, menus))
     assert not rep.no_free_lunch
     assert rep.checks.info["certificate_price"] <= TOL
 

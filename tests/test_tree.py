@@ -230,11 +230,11 @@ def test_a_tree_is_freed_without_the_cycle_collector_once_its_cuts_are_checked()
         probe = weakref.ref(tree)
         del tree, cuts, tau
         assert probe() is None
-        # and once a whole verdict has priced, sampled and checked on it
+        # and once a whole verdict has priced and checked on it
         tree = FiltrationTree.binomial(2)
         model = ScenarioModel(tree, {v: [MenuEntry((0.5, 0.5), 0.0), MenuEntry((0.7, 0.3), 0.1)]
                                      for v in tree.internal_nodes()})
-        assert nfl_verdict(model, n_samples=4, n_strategies=3).no_free_lunch
+        assert nfl_verdict(model).no_free_lunch
         probe = weakref.ref(tree)
         del tree, model
         assert probe() is None

@@ -367,5 +367,7 @@ def test_deep_chain_stopping_time_and_penalties(chain):
 
 
 def test_deep_chain_nfl(chain):
-    rep = nfl_verdict(chain, n_samples=4, n_strategies=2)
+    rep = nfl_verdict(chain)
     assert rep.no_free_lunch
+    # and the sampled corroboration, 1201 periods deep
+    oracles.nfl_verdict_by_price(chain, n_samples=4, n_strategies=2)
